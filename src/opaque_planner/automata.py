@@ -9,10 +9,8 @@ state numbering is reproducible from run to run.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
 from collections import deque
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .model import ObsSymbol, START, END
@@ -84,14 +82,6 @@ class Dfa:
         q = self.run(word)
         return q is not None and q in self.accepting
 
-    def missing_pairs(self) -> list[tuple[int, Letter]]:
-        return [
-            (q, letter)
-            for q in range(self.n_states)
-            for letter in self.alphabet
-            if (q, letter) not in self.transitions
-        ]
-
     def is_complete(self) -> bool:
         return len(self.transitions) == self.n_states * len(self.alphabet)
 
@@ -146,12 +136,34 @@ def dfa_to_nfa(dfa: Dfa) -> Nfa:
     )
 
 
+def _missing_moves(dfa: Dfa, letters: Sequence[Letter]) -> list[tuple[int, Letter]]:
+    return [
+        (q, letter)
+        for q in range(dfa.n_states)
+        for letter in letters
+        if (q, letter) not in dfa.transitions
+    ]
+
+
+def require_complete(dfa: Dfa, letters: Iterable[Letter], what: str) -> None:
+    """Raise :class:`IncompleteDfaError` unless every state of ``dfa`` has
+    a move on every one of ``letters``; ``what`` names the automaton in the
+    message."""
+    missing = _missing_moves(dfa, tuple(letters))
+    if missing:
+        q, letter = missing[0]
+        raise IncompleteDfaError(
+            f"{what} DFA is not complete: state {dfa.state_names[q]} "
+            f"has no move on {letter!r} ({len(missing)} missing total)"
+        )
+
+
 def complete(dfa: Dfa, sink_label: str = "sink") -> Dfa:
     """Make the transition function total by adding a non-accepting sink.
 
     Already-complete automata are returned unchanged.
     """
-    missing = dfa.missing_pairs()
+    missing = _missing_moves(dfa, dfa.alphabet)
     if not missing:
         return dfa
     sink = dfa.n_states
@@ -502,15 +514,3 @@ def nfa_from_dict(doc: Mapping) -> Nfa:
         accepting=frozenset(index[n] for n in doc["accepting"]),
         state_names=names,
     )
-
-
-def save_automaton(aut: Dfa | Nfa, path: str | Path, letter_kind: str) -> None:
-    doc = dfa_to_dict(aut, letter_kind) if isinstance(aut, Dfa) else nfa_to_dict(aut, letter_kind)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_automaton(path: str | Path) -> Dfa | Nfa:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("type") == "nfa":
-        return nfa_from_dict(doc)
-    return dfa_from_dict(doc)

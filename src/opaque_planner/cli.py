@@ -28,7 +28,6 @@ from .planner import (
     build_lp,
     export_lp,
     extract_policy,
-    load_policy,
     policy_to_dict,
     product_mdp,
     solve_lp,
@@ -197,6 +196,7 @@ def cmd_plan(args) -> int:
             "flow_residual": sol.flow_residual,
         },
         "product_states": pm.n_states,
+        "quotient_states": pm.quotient.n_blocks,
         "variables": len(lp.variables),
     }
     if args.out:

@@ -11,6 +11,7 @@ vacuously and falsifies ``F f``, ``X f``, ``U`` and plain propositions).
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -490,11 +491,11 @@ def ltlf_to_dfa(
 
     start = normalize(formula)
     order: dict[Formula, int] = {start: 0}
-    queue = [start]
+    queue = deque([start])
     transitions: dict[tuple[int, frozenset[str]], int] = {}
     cache: dict[tuple[Formula, frozenset[str]], Formula] = {}
     while queue:
-        g = queue.pop(0)
+        g = queue.popleft()
         idx = order[g]
         for letter in letters:
             key = (g, letter)

@@ -8,20 +8,27 @@ marks entering the task's accepting set, the other marks terminating while
 the observation produced so far, closed with the end marker, is opaque.
 The occupancy-measure LP maximizes the expected opacity (or transparency)
 reward subject to flow conservation and a task-probability threshold.
+
+The LP is posed on the coarsest probabilistic bisimulation of the product
+(Larsen & Skou 1991), found by signature-based partition refinement
+(Derisavi, Hermanns & Sanders 2003): bisimilar product states enable the
+same actions, earn the same rewards and reach every block with the same
+probabilities, so one occupancy variable per (block, action) loses no
+optimum, and the block policy lifts to every member state unchanged.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Sequence
+from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .automata import Dfa, IncompleteDfaError
+from .automata import Dfa, require_complete
 from .model import END, Model, START
 
 #: cap on each occupancy variable; tames zero-reward recirculating rays
@@ -29,9 +36,34 @@ DEFAULT_OCCUPANCY_BOUND = 1e6
 
 FEASIBILITY_TOL = 1e-9
 
+#: occupancies at or below this count as zero when extracting a policy; the
+#: bisimulation also compares probabilities and task rewards as multiples of
+#: it, so float sums that differ only by rounding still match
+ZERO_OCCUPANCY_THRESHOLD = 1e-12
+
 
 class PlannerError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Quotient:
+    """Coarsest probabilistic bisimulation of a product MDP.
+
+    Product states share a block when they enable the same actions, agree
+    on whether terminating is opaque, earn the same task reward under each
+    action, and under each action reach every block with the same
+    probability.  Each block is represented by its smallest member.  The
+    non-absorbing blocks come first, numbered by representative; the
+    absorbing states, if any, form the last block.
+    """
+
+    block: np.ndarray  # product state -> block
+    representatives: tuple[int, ...]  # block -> smallest member
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.representatives)
 
 
 @dataclass(frozen=True)
@@ -55,6 +87,12 @@ class ProductMdp:
     @property
     def n_states(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def quotient(self) -> Quotient:
+        """The bisimulation quotient the LP is posed on, refined on first
+        use and kept for every later LP of this product."""
+        return bisimulation_quotient(self)
 
     def enabled(self, v: int) -> tuple[int, ...]:
         if v in self.absorbing:
@@ -82,8 +120,9 @@ class ProductMdp:
 
 def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
     """Build the reachable product with both reward structures wired in."""
-    _check_complete(task, model.label_alphabet(), "task")
-    _check_complete(opaque, model.observation_alphabet(), "opaque-observations")
+    require_complete(task, model.label_alphabet(), "task")
+    # the observation alphabet includes the START and END markers
+    require_complete(opaque, model.observation_alphabet(), "opaque-observations")
 
     a_top, a_bot, bot = model.a_top, model.a_bot, model.bot
     v0 = (model.top, task.initial, opaque.initial)
@@ -91,9 +130,9 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
     states: list[tuple[int, int, int]] = [v0]
     transitions: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
     task_coef: dict[tuple[int, int], float] = {}
-    frontier = [0]
+    frontier = deque([0])
     while frontier:
-        v = frontier.pop(0)
+        v = frontier.popleft()
         s, q, qh = states[v]
         if s == bot:
             continue
@@ -143,35 +182,109 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
     )
 
 
-def _check_complete(dfa: Dfa, letters, what: str) -> None:
-    for q in range(dfa.n_states):
-        for letter in letters:
-            if dfa.step(q, letter) is None:
-                raise IncompleteDfaError(
-                    f"{what} DFA has no move from {dfa.state_names[q]} on {letter!r}"
-                )
-    if what == "opaque-observations":
-        for q in range(dfa.n_states):
-            for marker in (START, END):
-                if dfa.step(q, marker) is None:
-                    raise IncompleteDfaError(f"{what} DFA lacks marker moves")
+def bisimulation_quotient(pm: ProductMdp) -> Quotient:
+    """Coarsest partition of the product stable under labelled transitions.
+
+    The initial blocks are the absorbing states and the non-absorbing
+    states keyed by enabled actions, opacity on termination and per-action
+    task reward; every LP objective depends on nothing else, so one
+    quotient serves all modes and thresholds.  Each round then splits the
+    blocks by the signature "action -> probability of reaching each current
+    block" until no block splits.
+    """
+    n = pm.n_states
+    row_state, row_action, row_coef = [], [], []
+    entry_row, entry_target, entry_prob = [], [], []
+    for v in range(n):
+        for a in pm.enabled(v):
+            for t, p in pm.transitions[(v, a)]:
+                entry_row.append(len(row_state))
+                entry_target.append(t)
+                entry_prob.append(p)
+            row_state.append(v)
+            row_action.append(a)
+            row_coef.append(pm.task_coef.get((v, a), 0.0))
+    row_state = np.array(row_state, dtype=np.int64)
+    row_action = np.array(row_action, dtype=np.int64)
+    entry_row = np.array(entry_row, dtype=np.int64)
+    entry_target = np.array(entry_target, dtype=np.int64)
+    entry_prob = np.array(entry_prob, dtype=float)
+
+    absorbing = np.zeros(n, dtype=bool)
+    absorbing[list(pm.absorbing)] = True
+    opaque_here = np.array([qh in pm.opaque_on_end for _s, _q, qh in pm.states])
+    head = np.where(absorbing, 0, 1 + opaque_here)
+    block = _split(head, row_state, np.column_stack([row_action, _quantize(row_coef)]))
+
+    while True:
+        n_blocks = int(block.max()) + 1
+        pairs, inverse = np.unique(
+            entry_row * n_blocks + block[entry_target], return_inverse=True
+        )
+        mass = np.bincount(inverse.reshape(-1), weights=entry_prob)
+        pair_row = pairs // n_blocks
+        keys = np.column_stack([row_action[pair_row], pairs % n_blocks, _quantize(mass)])
+        refined = _split(block, row_state[pair_row], keys)
+        if int(refined.max()) + 1 == n_blocks:
+            break
+        block = refined
+
+    # renumber: non-absorbing blocks by smallest member, then the absorbing one
+    _, first = np.unique(block, return_index=True)
+    order = np.lexsort((first, absorbing[first]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return Quotient(
+        block=rank[block],
+        representatives=tuple(int(v) for v in first[order]),
+    )
+
+
+def _quantize(values) -> np.ndarray:
+    return np.rint(np.asarray(values, dtype=float) / ZERO_OCCUPANCY_THRESHOLD).astype(np.int64)
+
+
+def _split(head: np.ndarray, owner: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Class of each state by its ``head`` value and the sequence of its
+    ``keys`` rows; ``owner`` (non-decreasing) names the state of each row."""
+    counts = np.bincount(owner, minlength=len(head))
+    start = np.cumsum(counts) - counts
+    table = np.full((len(head), 1 + int(counts.max(initial=0))), -1, dtype=np.int64)
+    table[:, 0] = head
+    table[owner, 1 + np.arange(len(owner)) - start[owner]] = _row_classes(keys)
+    return _row_classes(table)
+
+
+def _row_classes(table: np.ndarray) -> np.ndarray:
+    """Dense ids of the distinct rows of an integer table, in sorted order
+    (``np.unique(table, axis=0)`` sorts rows as opaque bytes, far slower)."""
+    order = np.lexsort(table.T[::-1])
+    ranked = table[order]
+    starts = np.ones(len(table), dtype=np.int64)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.empty(len(table), dtype=np.int64)
+    ids[order] = np.cumsum(starts) - 1
+    return ids
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Occupancy-measure LP over the non-absorbing product states.
+    """Occupancy-measure LP over the bisimulation quotient of the product.
 
-    One conservation row per state: occupancy out equals occupancy in plus
-    the unit injection at the initial state.  The task row lower-bounds the
-    expected number of entries into the task's accepting set.
+    Each non-absorbing block contributes one conservation row and one
+    variable per enabled action, named after the block's representative
+    product state: occupancy out of the block equals occupancy into it
+    plus the unit injection at the initial state's block.  The task row
+    lower-bounds the expected number of entries into the task's accepting
+    set.
     """
 
     pm: ProductMdp
     epsilon: float
     mode: str  # "opacity" | "transparency" | "min-opacity"
-    variables: tuple[tuple[int, int], ...]  # (state, action)
+    variables: tuple[tuple[int, int], ...]  # (representative state, action)
     var_index: Mapping[tuple[int, int], int]
-    rows: tuple[int, ...]  # non-absorbing states, row order
+    rows: tuple[int, ...]  # representatives of non-absorbing blocks, row order
     objective: np.ndarray
     maximize: bool
     a_eq: sp.csr_matrix
@@ -199,8 +312,10 @@ def build_lp(
     """
     if mode not in ("opacity", "transparency", "min-opacity"):
         raise PlannerError(f"unknown mode {mode!r}")
-    rows = tuple(v for v in range(pm.n_states) if v not in pm.absorbing)
-    row_of = {v: i for i, v in enumerate(rows)}
+    quotient = pm.quotient
+    # non-absorbing blocks are numbered first, so a block is its row
+    row_of = quotient.block.tolist()
+    rows = tuple(v for v in quotient.representatives if v not in pm.absorbing)
     variables = tuple(
         (v, a) for v in rows for a in pm.enabled(v)
     )
@@ -223,9 +338,7 @@ def build_lp(
     b_eq = np.zeros(len(rows))
     b_eq[row_of[pm.initial]] = 1.0
 
-    task_row = np.zeros(len(variables))
-    for (v, a), coef in pm.task_coef.items():
-        task_row[var_index[(v, a)]] = coef
+    task_row = np.array([pm.task_coef.get(va, 0.0) for va in variables])
 
     objective = np.zeros(len(variables))
     a_bot = pm.model.a_bot
@@ -266,7 +379,10 @@ class PolicySolution:
     flow_residual: float | None = None
 
     def occupancy_of(self, v: int, a: int) -> float:
-        j = self.lp.var_index.get((v, a))
+        """Occupancy of action ``a`` in the bisimulation block of product
+        state ``v``: the block's total, which every member reports."""
+        quotient = self.lp.pm.quotient
+        j = self.lp.var_index.get((quotient.representatives[quotient.block[v]], a))
         return 0.0 if j is None or self.occupancy is None else float(self.occupancy[j])
 
 
@@ -278,13 +394,22 @@ _HIGHS_OPTIONS = {
 
 def solve_lp(lp: LpProblem) -> PolicySolution:
     """Solve with the HiGHS backend; on infeasibility, report the largest
-    attainable task threshold from a presolve that maximizes the task row."""
+    attainable task threshold from a presolve that maximizes the task row.
+
+    A second solve then picks, among occupancies whose objective is within
+    ``FEASIBILITY_TOL`` of the optimum, one of least expected run length
+    (total occupancy): the optimal face can hold zero-reward circulations
+    pinned at the occupancy bound, whose policy almost never terminates.
+    ``objective`` is the optimum of the first solve.
+    """
     n = len(lp.variables)
     sign = -1.0 if lp.maximize else 1.0
+    a_ub = sp.csr_matrix(-lp.task_row.reshape(1, n))
+    b_ub = np.array([-lp.epsilon])
     res = linprog(
         c=sign * lp.objective,
-        A_ub=sp.csr_matrix(-lp.task_row.reshape(1, n)),
-        b_ub=np.array([-lp.epsilon]),
+        A_ub=a_ub,
+        b_ub=b_ub,
         A_eq=lp.a_eq,
         b_eq=lp.b_eq,
         bounds=(0.0, lp.occupancy_bound),
@@ -311,6 +436,19 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
             message=res.message,
             max_feasible_epsilon=best,
         )
+    if res.status == 0:
+        objective = float(lp.objective @ res.x)
+        res = linprog(
+            c=np.ones(n),
+            A_ub=sp.vstack([a_ub, sp.csr_matrix(sign * lp.objective.reshape(1, n))]),
+            b_ub=np.append(b_ub, sign * objective + FEASIBILITY_TOL),
+            A_eq=lp.a_eq,
+            b_eq=lp.b_eq,
+            bounds=(0.0, lp.occupancy_bound),
+            method="highs",
+            options=_HIGHS_OPTIONS,
+        )
+        iterations += int(getattr(res, "nit", 0) or 0)
     if res.status != 0:
         return PolicySolution(
             status="numerical-failure",
@@ -324,7 +462,7 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
     residual = float(np.max(np.abs(lp.a_eq @ occupancy - lp.b_eq))) if n else 0.0
     return PolicySolution(
         status="optimal",
-        objective=float(lp.objective @ occupancy),
+        objective=objective,
         occupancy=occupancy,
         lp=lp,
         iterations=iterations,
@@ -333,21 +471,20 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
     )
 
 
-ZERO_OCCUPANCY_THRESHOLD = 1e-12
-
-
 def extract_policy(sol: PolicySolution, pm: ProductMdp) -> dict[int, dict[int, float]]:
-    """Normalize occupancies into a stationary randomized policy.
+    """Normalize block occupancies into a stationary randomized policy and
+    give every product state the distribution of its block.
 
-    States the solution never visits fall back to immediate termination
+    Blocks the solution never visits fall back to immediate termination
     when available (conservative: it leaks nothing further), else to a
     uniform choice.
     """
     if sol.status != "optimal":
         raise PlannerError(f"cannot extract a policy from a {sol.status} solution")
-    policy: dict[int, dict[int, float]] = {}
+    quotient = pm.quotient
     a_bot = pm.model.a_bot
-    for v in range(pm.n_states):
+    by_block: dict[int, dict[int, float]] = {}
+    for v in quotient.representatives:
         if v in pm.absorbing:
             continue
         actions = pm.enabled(v)
@@ -360,8 +497,12 @@ def extract_policy(sol: PolicySolution, pm: ProductMdp) -> dict[int, dict[int, f
         else:
             probs = np.full(len(actions), 1.0 / len(actions))
         probs = probs / probs.sum()
-        policy[v] = {a: float(p) for a, p in zip(actions, probs)}
-    return policy
+        by_block[v] = {a: float(p) for a, p in zip(actions, probs)}
+    return {
+        v: dict(by_block[quotient.representatives[b]])
+        for v, b in enumerate(quotient.block.tolist())
+        if v not in pm.absorbing
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +606,3 @@ def policy_from_dict(doc: Mapping, pm: ProductMdp) -> dict[int, dict[int, float]
             f"policy does not cover {len(missing)} reachable states, e.g. {missing[0]!r}"
         )
     return out
-
-
-def save_policy(
-    policy: Mapping[int, Mapping[int, float]],
-    pm: ProductMdp,
-    path: str | Path,
-    metadata: Mapping | None = None,
-) -> None:
-    Path(path).write_text(
-        json.dumps(policy_to_dict(policy, pm, metadata), indent=2, sort_keys=True) + "\n"
-    )
-
-
-def load_policy(path: str | Path, pm: ProductMdp) -> tuple[dict[int, dict[int, float]], dict]:
-    doc = json.loads(Path(path).read_text())
-    return policy_from_dict(doc, pm), doc.get("metadata", {})

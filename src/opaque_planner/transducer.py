@@ -13,18 +13,19 @@ observations and nothing else.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 from .automata import (
     Dfa,
-    IncompleteDfaError,
     Nfa,
     complete,
     determinize,
     intersect,
     minimize,
     product_dfa,
+    require_complete,
     sort_alphabet,
 )
 from .model import END, Model, ObsSymbol, Play, START
@@ -113,21 +114,6 @@ class ProductFst:
         return state
 
 
-def _require_complete(dfa: Dfa, letters, what: str) -> None:
-    missing = [
-        (q, letter)
-        for q in range(dfa.n_states)
-        for letter in letters
-        if dfa.step(q, letter) is None
-    ]
-    if missing:
-        q, letter = missing[0]
-        raise IncompleteDfaError(
-            f"{what} DFA is not complete: state {dfa.state_names[q]} "
-            f"has no move on {letter!r} ({len(missing)} missing total)"
-        )
-
-
 def product_fst(fst: Fst, secret: Dfa) -> ProductFst:
     """Synchronize the transducer with the secret DFA.
 
@@ -136,7 +122,7 @@ def product_fst(fst: Fst, secret: Dfa) -> ProductFst:
     reachable from (initiating state, initial secret state) are kept.
     """
     model = fst.model
-    _require_complete(secret, model.label_alphabet(), "secret")
+    require_complete(secret, model.label_alphabet(), "secret")
 
     by_source: dict[int, list[tuple[InputLetter, int, ObsSymbol]]] = {}
     for (s, letter), (t, out) in fst.transitions.items():
@@ -148,9 +134,9 @@ def product_fst(fst: Fst, secret: Dfa) -> ProductFst:
     index: dict[tuple[int, int], int] = {start: 0}
     pairs: list[tuple[int, int]] = [start]
     transitions: dict[tuple[int, InputLetter], tuple[int, ObsSymbol]] = {}
-    frontier = [start]
+    frontier = deque([start])
     while frontier:
-        pair = frontier.pop(0)
+        pair = frontier.popleft()
         s, q = pair
         if s == model.bot:
             continue  # terminating pairs are sinks

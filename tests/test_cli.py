@@ -116,6 +116,7 @@ class TestPlan:
         doc = json.loads(open(policy_file).read())
         assert doc["metadata"]["objective"] == pytest.approx(0.7, abs=1e-6)
         assert doc["metadata"]["manifest"]["task"] == "F s4"
+        assert 0 < doc["metadata"]["quotient_states"] < doc["metadata"]["product_states"]
         some_state = next(iter(doc["policy"]))
         assert "|" in some_state
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from opaque_planner.automata import IncompleteDfaError
 from opaque_planner.ltlf import dfa_over_model_labels
 from opaque_planner.model import END, obs_of_play
 from opaque_planner.planner import (
+    DEFAULT_OCCUPANCY_BOUND,
     PlannerError,
     build_lp,
     export_lp,
@@ -14,7 +17,14 @@ from opaque_planner.planner import (
     product_mdp,
     solve_lp,
 )
-from opaque_planner.simulate import enumerate_plays
+from opaque_planner.scenarios import DroneConfig, GridworldConfig, Sensor, gridworld
+from opaque_planner.simulate import (
+    default_horizon,
+    enumerate_plays,
+    exact_policy_values,
+    random_model,
+    random_secret_text,
+)
 from opaque_planner.transducer import opaque_obs_dfa, play_inputs
 
 from lp_text import solve_lp_text
@@ -203,3 +213,123 @@ class TestExport:
     def test_bounds_section_present(self, pm):
         text = export_lp(build_lp(pm, 0.4, "opacity"))
         assert "Bounds" in text and "<= 1000000" in text
+
+
+# ---------------------------------------------------------------------------
+# the bisimulation quotient against the unreduced LP
+
+
+def unreduced_optimum(pm, epsilon, mode):
+    """Optimum of the occupancy LP over every product state, assembled
+    straight from ``pm.transitions``; None when infeasible."""
+    rows = [v for v in range(pm.n_states) if v not in pm.absorbing]
+    row_of = {v: i for i, v in enumerate(rows)}
+    variables = [(v, a) for v in rows for a in pm.enabled(v)]
+    a_eq = sp.lil_matrix((len(rows), len(variables)))
+    task = np.zeros(len(variables))
+    reward = np.zeros(len(variables))
+    for j, (v, a) in enumerate(variables):
+        a_eq[row_of[v], j] += 1.0
+        for t, p in pm.transitions[(v, a)]:
+            if t not in pm.absorbing:
+                a_eq[row_of[t], j] -= p
+        task[j] = pm.task_coef.get((v, a), 0.0)
+        if a == pm.model.a_bot:
+            opaque = pm.states[v][2] in pm.opaque_on_end
+            reward[j] = float(opaque if mode == "opacity" else not opaque)
+    b_eq = np.zeros(len(rows))
+    b_eq[row_of[pm.initial]] = 1.0
+    res = linprog(
+        -reward,
+        A_ub=-task.reshape(1, -1),
+        b_ub=[-epsilon],
+        A_eq=a_eq.tocsr(),
+        b_eq=b_eq,
+        bounds=(0.0, DEFAULT_OCCUPANCY_BOUND),
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return -res.fun if res.status == 0 else None
+
+
+def _random_product(seed):
+    m = random_model(seed)
+    names = [m.states[i] for i in m.interior_state_indices()]
+    secret = dfa_over_model_labels(random_secret_text(seed, names), m)
+    task = dfa_over_model_labels(random_secret_text(seed + 100, names), m)
+    return product_mdp(m, task, opaque_obs_dfa(m, secret))
+
+
+@pytest.fixture(scope="module")
+def products(pm):
+    return [pm] + [_random_product(seed) for seed in range(20)]
+
+
+class TestQuotient:
+    def test_optima_match_unreduced_lp(self, products):
+        for pm in products:
+            for mode in ("opacity", "transparency"):
+                for eps in (0.0, 0.3):
+                    expected = unreduced_optimum(pm, eps, mode)
+                    sol = solve_lp(build_lp(pm, eps, mode))
+                    if expected is None:
+                        assert sol.status == "infeasible"
+                        continue
+                    assert sol.status == "optimal"
+                    assert sol.objective == pytest.approx(expected, abs=1e-9)
+                    values = exact_policy_values(pm, extract_policy(sol, pm))
+                    value = values["ph" if mode == "opacity" else "pt"]
+                    assert value == pytest.approx(sol.objective, abs=1e-7)
+                    assert values["task"] >= eps - 1e-7
+
+    def test_blocks_are_stable(self, products):
+        for pm in products:
+            quotient = pm.quotient
+            block = quotient.block
+            for v in range(pm.n_states):
+                rep = quotient.representatives[block[v]]
+                assert rep <= v
+                assert (v in pm.absorbing) == (rep in pm.absorbing)
+                if v in pm.absorbing:
+                    continue
+                assert pm.enabled(v) == pm.enabled(rep)
+                assert pm.reward_opaque(v, pm.model.a_bot) == pm.reward_opaque(
+                    rep, pm.model.a_bot
+                )
+                for a in pm.enabled(v):
+                    assert pm.task_coef.get((v, a), 0.0) == pytest.approx(
+                        pm.task_coef.get((rep, a), 0.0), abs=1e-12
+                    )
+                    mine, theirs = {}, {}
+                    for dist, out in ((pm.transitions[(v, a)], mine),
+                                      (pm.transitions[(rep, a)], theirs)):
+                        for t, p in dist:
+                            out[block[t]] = out.get(block[t], 0.0) + p
+                    assert mine.keys() == theirs.keys()
+                    for b, p in mine.items():
+                        assert p == pytest.approx(theirs[b], abs=1e-12)
+
+    def test_policy_terminates_on_small_gridworld(self):
+        # the quotient LP's first optimal vertex here recirculates at the
+        # occupancy bound; the least-occupancy stage must remove that
+        model = gridworld(GridworldConfig(
+            width=4, height=3, plant_cell=3, control_cells=(11,), data_cells=(4,),
+            alarm_cells=(1,), wall_cells=(6,), init_cell=8,
+            binary_sensors=(Sensor("1", (0, 4, 5)), Sensor("2", (2, 3, 7))),
+            precision_sensors=(Sensor("5", (4, 8, 9)),),
+            drone=DroneConfig((10, 11, 7), 0.65),
+        ))
+        pm = product_mdp(
+            model,
+            dfa_over_model_labels("F C", model),
+            opaque_obs_dfa(model, dfa_over_model_labels("F B & F A", model)),
+        )
+        sol = solve_lp(build_lp(pm, 0.4, "opacity"))
+        assert sol.objective == pytest.approx(0.6, abs=1e-6)
+        assert sol.occupancy.sum() < default_horizon(pm)
+
+    def test_running_example_shrinks(self, pm):
+        assert pm.quotient is pm.quotient
+        assert pm.quotient.n_blocks < pm.n_states
+        lp = build_lp(pm, 0.4, "opacity")
+        assert len(lp.rows) == pm.quotient.n_blocks - 1
