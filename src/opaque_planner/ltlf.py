@@ -1,9 +1,10 @@
 """Linear temporal logic over finite words: parsing, direct semantic
 evaluation, and translation to complete DFAs by formula progression.
 
-The DFA states are syntactically normalized formulas: conjunction and
-disjunction are flattened, deduplicated and sorted, constants folded.  A
-state accepts iff its formula holds on the empty continuation, following
+The DFA states are Boolean functions of the temporal atoms of the
+syntactically normalized input, kept as reduced ordered BDDs, so equal
+obligations are one state and the translation always terminates.  A
+state accepts iff its obligation holds on the empty continuation, following
 the usual end-of-trace evaluation (the empty word satisfies ``G f``
 vacuously and falsifies ``F f``, ``X f``, ``U`` and plain propositions).
 """
@@ -346,7 +347,7 @@ def evaluate(f: Formula, word: Sequence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# normalization and progression
+# normalization
 
 _KIND_ORDER = {
     TrueF: 0, FalseF: 1, Prop: 2, Not: 3, Next: 4, Eventually: 5,
@@ -354,25 +355,16 @@ _KIND_ORDER = {
 }
 
 
-_KEY_CACHE: dict[Formula, tuple] = {}
-
-
 def _formula_key(f: Formula):
-    key = _KEY_CACHE.get(f)
-    if key is not None:
-        return key
     if isinstance(f, Prop):
-        key = (_KIND_ORDER[Prop], f.name)
-    elif isinstance(f, (TrueF, FalseF)):
-        key = (_KIND_ORDER[type(f)],)
-    elif isinstance(f, (Not, Next, Eventually, Always)):
-        key = (_KIND_ORDER[type(f)], _formula_key(f.arg))
-    elif isinstance(f, Until):
-        key = (_KIND_ORDER[Until], _formula_key(f.left), _formula_key(f.right))
-    else:
-        key = (_KIND_ORDER[type(f)], tuple(_formula_key(g) for g in f.args))
-    _KEY_CACHE[f] = key
-    return key
+        return (_KIND_ORDER[Prop], f.name)
+    if isinstance(f, (TrueF, FalseF)):
+        return (_KIND_ORDER[type(f)],)
+    if isinstance(f, (Not, Next, Eventually, Always)):
+        return (_KIND_ORDER[type(f)], _formula_key(f.arg))
+    if isinstance(f, Until):
+        return (_KIND_ORDER[Until], _formula_key(f.left), _formula_key(f.right))
+    return (_KIND_ORDER[type(f)], tuple(_formula_key(g) for g in f.args))
 
 
 def m_not(f: Formula) -> Formula:
@@ -438,36 +430,180 @@ def normalize(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def progress(f: Formula, letter: frozenset[str]) -> Formula:
-    """The obligation left after consuming one letter.
+# ---------------------------------------------------------------------------
+# translation: progression over canonical Boolean combinations of atoms
 
-    For every continuation w (including the empty one),
-    ``letter . w`` satisfies ``f`` iff ``w`` satisfies ``progress(f, letter)``.
+
+class _Progression:
+    """Formula progression on reduced ordered BDDs over temporal atoms.
+
+    An atom is a proposition or an ``X``, ``U``, ``F`` or ``G`` formula.
+    Progressing an atom on a letter yields a Boolean combination of atoms
+    drawn from the subformulas of the normalized input (and ``NONEMPTY``),
+    a finite set; and a Boolean function has exactly one reduced ordered
+    BDD.  So the states of the translation are finitely many by
+    construction, which syntactic normalization alone cannot promise: it
+    does not apply absorption (``a | a & b``), and progressing
+    ``(G !q) U (G !q)`` on the empty letter grows that formula forever.
+
+    Node 0 is false and node 1 is true; every other node is a unique
+    ``(var, lo, hi)`` triple, ``var`` indexing ``atoms``.  Atoms are
+    numbered in order of first use, which fixes the variable order for the
+    life of one translation.
     """
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Prop):
-        return TRUE if f.name in letter else FALSE
-    if isinstance(f, Not):
-        return m_not(progress(f.arg, letter))
-    if isinstance(f, And):
-        return m_and(progress(g, letter) for g in f.args)
-    if isinstance(f, Or):
-        return m_or(progress(g, letter) for g in f.args)
-    if isinstance(f, Next):
-        # the strict next requires a nonempty continuation
-        if eval_empty(f.arg):
-            return m_and((f.arg, NONEMPTY))
-        return f.arg
-    if isinstance(f, Until):
-        return m_or(
-            (progress(f.right, letter), m_and((progress(f.left, letter), f)))
-        )
-    if isinstance(f, Eventually):
-        return m_or((progress(f.arg, letter), f))
-    if isinstance(f, Always):
-        return m_and((progress(f.arg, letter), f))
-    raise TypeError(f"not a formula: {f!r}")
+
+    def __init__(self) -> None:
+        self.atoms: list[Formula] = []
+        self.atom_index: dict[Formula, int] = {}
+        self.nodes: list[tuple[int, int, int]] = [(-1, 0, 0), (-1, 1, 1)]
+        self.unique: dict[tuple[int, int, int], int] = {}
+        self.ite_memo: dict[tuple[int, int, int], int] = {}
+        self.atom_steps: dict[tuple[int, frozenset[str]], int] = {}
+        self.steps: dict[tuple[int, frozenset[str]], int] = {}
+        self.names: dict[int, Formula] = {}
+
+    def _node(self, var: int, lo: int, hi: int) -> int:
+        if lo == hi:
+            return lo
+        key = (var, lo, hi)
+        u = self.unique.get(key)
+        if u is None:
+            u = self.unique[key] = len(self.nodes)
+            self.nodes.append(key)
+        return u
+
+    def _cofactors(self, u: int, var: int) -> tuple[int, int]:
+        if u > 1 and self.nodes[u][0] == var:
+            return self.nodes[u][1], self.nodes[u][2]
+        return u, u
+
+    def ite(self, f: int, g: int, h: int) -> int:
+        """The node of ``(f & g) | (!f & h)``."""
+        if f <= 1:
+            return g if f == 1 else h
+        if g == h:
+            return g
+        if g == 1 and h == 0:
+            return f
+        key = (f, g, h)
+        got = self.ite_memo.get(key)
+        if got is not None:
+            return got
+        var = min(self.nodes[x][0] for x in key if x > 1)
+        f0, f1 = self._cofactors(f, var)
+        g0, g1 = self._cofactors(g, var)
+        h0, h1 = self._cofactors(h, var)
+        u = self._node(var, self.ite(f0, g0, h0), self.ite(f1, g1, h1))
+        self.ite_memo[key] = u
+        return u
+
+    def atom(self, f: Formula) -> int:
+        var = self.atom_index.get(f)
+        if var is None:
+            var = self.atom_index[f] = len(self.atoms)
+            self.atoms.append(f)
+        return self._node(var, 0, 1)
+
+    def _boolean(self, f: Formula, leaf) -> int:
+        """The node of ``f``'s Boolean structure, with ``leaf`` giving the
+        node of each atom."""
+        if isinstance(f, TrueF):
+            return 1
+        if isinstance(f, FalseF):
+            return 0
+        if isinstance(f, Not):
+            return self.ite(self._boolean(f.arg, leaf), 0, 1)
+        if isinstance(f, And):
+            u = 1
+            for g in f.args:
+                u = self.ite(u, self._boolean(g, leaf), 0)
+            return u
+        if isinstance(f, Or):
+            u = 0
+            for g in f.args:
+                u = self.ite(u, 1, self._boolean(g, leaf))
+            return u
+        return leaf(f)
+
+    def encode(self, f: Formula) -> int:
+        return self._boolean(f, self.atom)
+
+    def _progress_formula(self, f: Formula, letter: frozenset[str]) -> int:
+        return self._boolean(f, lambda a: self._progress_atom(a, letter))
+
+    def _progress_atom(self, a: Formula, letter: frozenset[str]) -> int:
+        """For every continuation w (including the empty one),
+        ``letter . w`` satisfies ``a`` iff ``w`` satisfies the result."""
+        key = (self.atom(a), letter)
+        got = self.atom_steps.get(key)
+        if got is not None:
+            return got
+        if isinstance(a, Prop):
+            u = 1 if a.name in letter else 0
+        elif isinstance(a, Next):
+            u = self.encode(a.arg)
+            # the strict next requires a nonempty continuation
+            if eval_empty(a.arg):
+                u = self.ite(u, self.atom(NONEMPTY), 0)
+        elif isinstance(a, Until):
+            right = self._progress_formula(a.right, letter)
+            left = self._progress_formula(a.left, letter)
+            u = self.ite(right, 1, self.ite(left, self.atom(a), 0))
+        elif isinstance(a, Eventually):
+            u = self.ite(self._progress_formula(a.arg, letter), 1, self.atom(a))
+        elif isinstance(a, Always):
+            u = self.ite(self._progress_formula(a.arg, letter), self.atom(a), 0)
+        else:
+            raise TypeError(f"not a formula: {a!r}")
+        self.atom_steps[key] = u
+        return u
+
+    def step(self, u: int, letter: frozenset[str]) -> int:
+        """The state left after reading ``letter`` in state ``u``:
+        every atom of ``u`` replaced by its progression."""
+        if u <= 1:
+            return u
+        key = (u, letter)
+        got = self.steps.get(key)
+        if got is None:
+            var, lo, hi = self.nodes[u]
+            got = self.ite(
+                self._progress_atom(self.atoms[var], letter),
+                self.step(hi, letter),
+                self.step(lo, letter),
+            )
+            self.steps[key] = got
+        return got
+
+    def accepts_empty(self, u: int) -> bool:
+        while u > 1:
+            var, lo, hi = self.nodes[u]
+            u = hi if eval_empty(self.atoms[var]) else lo
+        return u == 1
+
+    def formula(self, u: int) -> Formula:
+        """A normalized formula with the Boolean function of ``u``."""
+        if u <= 1:
+            return TRUE if u else FALSE
+        got = self.names.get(u)
+        if got is None:
+            var, lo, hi = self.nodes[u]
+            a = self.atoms[var]
+            if lo == 0:
+                got = m_and((a, self.formula(hi)))
+            elif hi == 0:
+                got = m_and((m_not(a), self.formula(lo)))
+            elif hi == 1:
+                got = m_or((a, self.formula(lo)))
+            elif lo == 1:
+                got = m_or((m_not(a), self.formula(hi)))
+            else:
+                got = m_or((
+                    m_and((a, self.formula(hi))),
+                    m_and((m_not(a), self.formula(lo))),
+                ))
+            self.names[u] = got
+        return got
 
 
 def ltlf_to_dfa(
@@ -477,8 +613,9 @@ def ltlf_to_dfa(
 ) -> Dfa:
     """Translate a formula into a complete DFA over the given letters.
 
-    Each DFA state is a normalized formula; a state accepts iff its
-    formula holds on the empty continuation.
+    Each DFA state is a Boolean function of the input's temporal atoms
+    (see :class:`_Progression`), named by a normalized formula; a state
+    accepts iff it holds on the empty continuation.
     """
     if isinstance(formula, str):
         formula = parse_ltlf(formula)
@@ -490,32 +627,29 @@ def ltlf_to_dfa(
         raise LtlfError(f"formula uses undeclared propositions {sorted(undeclared)}")
 
     start = normalize(formula)
-    order: dict[Formula, int] = {start: 0}
-    queue = deque([start])
+    bdd = _Progression()
+    root = bdd.encode(start)
+    order: dict[int, int] = {root: 0}
+    queue = deque([root])
     transitions: dict[tuple[int, frozenset[str]], int] = {}
-    cache: dict[tuple[Formula, frozenset[str]], Formula] = {}
     while queue:
-        g = queue.popleft()
-        idx = order[g]
+        u = queue.popleft()
+        idx = order[u]
         for letter in letters:
-            key = (g, letter)
-            nxt = cache.get(key)
-            if nxt is None:
-                nxt = progress(g, letter)
-                cache[key] = nxt
+            nxt = bdd.step(u, letter)
             if nxt not in order:
                 if len(order) >= MAX_DFA_STATES:
                     raise LtlfError("formula translation exceeded the state budget")
                 order[nxt] = len(order)
                 queue.append(nxt)
             transitions[(idx, letter)] = order[nxt]
-    formulas = sorted(order, key=order.get)
+    states = sorted(order, key=order.get)
     return Dfa(
         alphabet=letters,
         transitions=transitions,
         initial=0,
-        accepting=frozenset(order[g] for g in formulas if eval_empty(g)),
-        state_names=tuple(to_str(g) for g in formulas),
+        accepting=frozenset(order[u] for u in states if bdd.accepts_empty(u)),
+        state_names=tuple(to_str(bdd.formula(u)) for u in states),
     )
 
 

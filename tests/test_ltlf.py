@@ -146,6 +146,17 @@ class TestTranslation:
         dfa = ltlf_to_dfa(f, LETTERS2)
         assert dfa.accepts(word) == evaluate(f, word)
 
+    @pytest.mark.parametrize(
+        "text", ["(F p) U (F p)", "(p | F p) U (F p)", "(G !q) U (G !q)"]
+    )
+    def test_progression_closes(self, text):
+        # syntactic progression of these grew without bound (RecursionError)
+        f = parse_ltlf(text)
+        dfa = ltlf_to_dfa(f, LETTERS2)
+        assert dfa.n_states <= 3
+        for word in words_up_to(LETTERS2, 5):
+            assert dfa.accepts(word) == evaluate(f, word)
+
     @settings(max_examples=40, deadline=None)
     @given(formulas())
     def test_negation_complements(self, f):
