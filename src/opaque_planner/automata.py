@@ -267,38 +267,6 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     )
 
 
-def product_dfa(a: Dfa, b: Dfa) -> Dfa:
-    """Intersection of two complete DFAs (cross-check route)."""
-    if set(a.alphabet) != set(b.alphabet):
-        raise AlphabetMismatchError("product requires identical alphabets")
-    if not a.is_complete() or not b.is_complete():
-        raise IncompleteDfaError("product_dfa requires complete automata")
-    alphabet = sort_alphabet(a.alphabet)
-    order = {(a.initial, b.initial): 0}
-    queue = deque([(a.initial, b.initial)])
-    transitions: dict[tuple[int, Letter], int] = {}
-    while queue:
-        p, q = pair = queue.popleft()
-        idx = order[pair]
-        for letter in alphabet:
-            t = (a.transitions[(p, letter)], b.transitions[(q, letter)])
-            if t not in order:
-                order[t] = len(order)
-                queue.append(t)
-            transitions[(idx, letter)] = order[t]
-    pairs = sorted(order, key=order.get)
-    names = tuple(f"({a.state_names[p]},{b.state_names[q]})" for p, q in pairs)
-    return Dfa(
-        alphabet=alphabet,
-        transitions=transitions,
-        initial=0,
-        accepting=frozenset(
-            order[pq] for pq in pairs if pq[0] in a.accepting and pq[1] in b.accepting
-        ),
-        state_names=names,
-    )
-
-
 def _reachable(dfa: Dfa) -> list[int]:
     seen = {dfa.initial}
     out = [dfa.initial]

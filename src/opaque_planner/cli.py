@@ -28,11 +28,19 @@ from .planner import (
     build_lp,
     export_lp,
     extract_policy,
+    policy_from_dict,
     policy_to_dict,
     product_mdp,
     solve_lp,
 )
-from .scenarios import GridworldConfig, gridworld, load_config, running_example, save_config
+from .scenarios import (
+    GridworldConfig,
+    config_to_dict,
+    gridworld,
+    load_config,
+    running_example,
+    save_config,
+)
 from .simulate import (
     SimulationError,
     brute_force_opaque_obs,
@@ -73,7 +81,6 @@ class RunManifest:
     runs: int | None = None
     horizon: int | None = None
     max_actions: int | None = None
-    threads: int | None = None
     out: str | None = None
 
     def to_dict(self) -> dict:
@@ -123,7 +130,7 @@ def _write(path: str | None, text: str) -> None:
 def cmd_build(args) -> int:
     model = _load_validated_model(args.model)
     secret = _secret_dfa(model, args.secret)
-    build = opaque_pipeline(model, secret, via_dfa_product=args.via_dfa_product)
+    build = opaque_pipeline(model, secret)
     if not build.dfa.has_reachable_accepting():
         print("warning: the opaque-observations language is empty", file=sys.stderr)
     manifest = RunManifest(
@@ -158,7 +165,7 @@ def cmd_plan(args) -> int:
     opaque = _opaque_dfa_for(model, args)
     pm = product_mdp(model, task, opaque)
     mode = "min-opacity" if args.literal_min else args.mode
-    lp = build_lp(pm, args.epsilon, mode, occupancy_bound=args.occupancy_bound)
+    lp = build_lp(pm, args.epsilon, mode)
     sol = solve_lp(lp)
     if sol.status == "infeasible":
         hint = (
@@ -228,13 +235,8 @@ def cmd_simulate(args) -> int:
     else:
         opaque = opaque_pipeline(model, _secret_dfa(model, secret_spec)).dfa
     pm = product_mdp(model, task, opaque)
-    from .planner import policy_from_dict
-
     policy = policy_from_dict(doc, pm)
-    stats = rollout(
-        pm, policy, runs=args.runs, seed=args.seed,
-        horizon=args.horizon, threads=args.threads,
-    )
+    stats = rollout(pm, policy, runs=args.runs, seed=args.seed, horizon=args.horizon)
     mode = meta.get("mode", "opacity")
     shown = stats.pt if mode == "transparency" else stats.ph
     objective = meta.get("objective")
@@ -253,7 +255,6 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             runs=args.runs,
             horizon=args.horizon,
-            threads=args.threads,
             out=args.out,
         ).to_dict(),
         "policy_metadata": meta,
@@ -292,8 +293,6 @@ def cmd_scenario(args) -> int:
             if args.out:
                 save_config(cfg, args.out)
             else:
-                from .scenarios import config_to_dict
-
                 print(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True))
             return EXIT_OK
         cfg = load_config(args.config) if args.config else GridworldConfig()
@@ -310,7 +309,7 @@ def cmd_export_lp(args) -> int:
     opaque = _opaque_dfa_for(model, args)
     pm = product_mdp(model, task, opaque)
     mode = "min-opacity" if args.literal_min else args.mode
-    lp = build_lp(pm, args.epsilon, mode, occupancy_bound=args.occupancy_bound)
+    lp = build_lp(pm, args.epsilon, mode)
     _write(args.out, export_lp(lp))
     return EXIT_OK
 
@@ -360,10 +359,6 @@ def _add_common_planning(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="literal minimization of the opacity objective (comparison mode)",
     )
-    p.add_argument(
-        "--occupancy-bound", type=float, default=1e6,
-        help="upper bound on each occupancy variable",
-    )
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -380,8 +375,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="construct the opaque-observations DFA")
     p.add_argument("--model", required=True)
     p.add_argument("--secret", required=True, help="secret formula or DFA file")
-    p.add_argument("--via-dfa-product", action="store_true",
-                   help="determinize before intersecting (cross-check route)")
     p.add_argument("--out", help="output DFA JSON path")
     p.set_defaults(func=cmd_build)
 
@@ -399,7 +392,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--threads", type=int, default=os.cpu_count())
     p.add_argument("--out", help="stats JSON path")
     p.set_defaults(func=cmd_simulate)
 

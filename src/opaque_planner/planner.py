@@ -3,9 +3,11 @@ opaque-observations DFA.
 
 The product state tracks the model state, the task DFA state (fed the
 label of each state as it is entered) and the opaque-observations DFA
-state (fed the emitted observation symbols, markers included).  One reward
-marks entering the task's accepting set, the other marks terminating while
-the observation produced so far, closed with the end marker, is opaque.
+state (fed the emitted observation symbols, markers included).  Both
+rewards are paid on termination: one when the task DFA is in its accepting
+set, the other when the observation produced so far, closed with the end
+marker, is opaque.  LTLf acceptance depends on where the trace ends, so a
+task is satisfied by where a run stops, not by what it passed through.
 The occupancy-measure LP maximizes the expected opacity (or transparency)
 reward subject to flow conservation and a task-probability threshold.
 
@@ -30,9 +32,6 @@ from scipy.optimize import linprog
 
 from .automata import Dfa, require_complete
 from .model import END, Model, START
-
-#: cap on each occupancy variable; tames zero-reward recirculating rays
-DEFAULT_OCCUPANCY_BOUND = 1e6
 
 FEASIBILITY_TOL = 1e-9
 
@@ -79,7 +78,8 @@ class ProductMdp:
     transitions: Mapping[tuple[int, int], tuple[tuple[int, float], ...]]
     initial: int
     absorbing: frozenset[int]
-    # expected immediate task reward of (state, action): crossing into F
+    # task reward of (state, action): 1 for terminating in the task's
+    # accepting set
     task_coef: Mapping[tuple[int, int], float]
     # opaque DFA states from which reading the end marker accepts
     opaque_on_end: frozenset[int]
@@ -136,9 +136,10 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
         s, q, qh = states[v]
         if s == bot:
             continue
+        if q in task.accepting and a_bot in model.enabled(s):
+            task_coef[(v, a_bot)] = 1.0
         for a in model.enabled(s):
             row: dict[int, float] = {}
-            coef = 0.0
             for t, p in model.successors(s, a):
                 if a == a_bot:
                     q2 = q
@@ -156,11 +157,7 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
                     states.append(nxt)
                     frontier.append(w)
                 row[w] = row.get(w, 0.0) + p
-                if q not in task.accepting and q2 in task.accepting:
-                    coef += p
             transitions[(v, a)] = tuple(sorted(row.items()))
-            if coef:
-                task_coef[(v, a)] = coef
 
     absorbing = frozenset(i for i, (s, _q, _qh) in enumerate(states) if s == bot)
     opaque_on_end = frozenset(
@@ -275,8 +272,10 @@ class LpProblem:
     variable per enabled action, named after the block's representative
     product state: occupancy out of the block equals occupancy into it
     plus the unit injection at the initial state's block.  The task row
-    lower-bounds the expected number of entries into the task's accepting
-    set.
+    lower-bounds the probability of terminating in the task's accepting
+    set.  Every variable is non-negative and unbounded above: the flow
+    rows put exactly one unit into the absorbing states, so both the
+    objective and the task row are at most 1.
     """
 
     pm: ProductMdp
@@ -290,19 +289,13 @@ class LpProblem:
     a_eq: sp.csr_matrix
     b_eq: np.ndarray
     task_row: np.ndarray
-    occupancy_bound: float
 
     def variable_name(self, j: int) -> str:
         v, a = self.variables[j]
         return f"m_v{v}_a{a}"
 
 
-def build_lp(
-    pm: ProductMdp,
-    epsilon: float,
-    mode: str = "opacity",
-    occupancy_bound: float = DEFAULT_OCCUPANCY_BOUND,
-) -> LpProblem:
+def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem:
     """Assemble the LP for one of three objectives.
 
     ``opacity`` maximizes the probability of terminating with an opaque
@@ -363,7 +356,6 @@ def build_lp(
         a_eq=a_eq,
         b_eq=b_eq,
         task_row=task_row,
-        occupancy_bound=float(occupancy_bound),
     )
 
 
@@ -398,9 +390,9 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
 
     A second solve then picks, among occupancies whose objective is within
     ``FEASIBILITY_TOL`` of the optimum, one of least expected run length
-    (total occupancy): the optimal face can hold zero-reward circulations
-    pinned at the occupancy bound, whose policy almost never terminates.
-    ``objective`` is the optimum of the first solve.
+    (total occupancy): the optimal face can hold zero-reward circulations,
+    whose policy almost never terminates.  ``objective`` is the optimum of
+    the first solve.
     """
     n = len(lp.variables)
     sign = -1.0 if lp.maximize else 1.0
@@ -412,7 +404,7 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
         b_ub=b_ub,
         A_eq=lp.a_eq,
         b_eq=lp.b_eq,
-        bounds=(0.0, lp.occupancy_bound),
+        bounds=(0.0, None),
         method="highs",
         options=_HIGHS_OPTIONS,
     )
@@ -422,7 +414,7 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
             c=-lp.task_row,
             A_eq=lp.a_eq,
             b_eq=lp.b_eq,
-            bounds=(0.0, lp.occupancy_bound),
+            bounds=(0.0, None),
             method="highs",
             options=_HIGHS_OPTIONS,
         )
@@ -444,7 +436,7 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
             b_ub=np.append(b_ub, sign * objective + FEASIBILITY_TOL),
             A_eq=lp.a_eq,
             b_eq=lp.b_eq,
-            bounds=(0.0, lp.occupancy_bound),
+            bounds=(0.0, None),
             method="highs",
             options=_HIGHS_OPTIONS,
         )
@@ -551,9 +543,6 @@ def export_lp(lp: LpProblem) -> str:
     ]
     if task_terms:
         lines.extend(_wrap_terms("task:", task_terms, f">= {_num(lp.epsilon)}"))
-    lines.append("Bounds")
-    for j in range(len(lp.variables)):
-        lines.append(f" 0 <= {lp.variable_name(j)} <= {_num(lp.occupancy_bound)}")
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -4,7 +4,6 @@ the exhaustive opacity oracle used to cross-check the automaton pipeline.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 from typing import Iterable, Iterator, Mapping
@@ -59,16 +58,6 @@ class RolloutStats:
     def stderr(self, p: float) -> float:
         return sqrt(max(p * (1.0 - p), 0.0) / self.runs)
 
-    def merge(self, other: "RolloutStats") -> "RolloutStats":
-        return RolloutStats(
-            runs=self.runs + other.runs,
-            terminated=self.terminated + other.terminated,
-            opaque=self.opaque + other.opaque,
-            transparent=self.transparent + other.transparent,
-            task_satisfied=self.task_satisfied + other.task_satisfied,
-            horizon_truncated=self.horizon_truncated + other.horizon_truncated,
-        )
-
     def to_dict(self) -> dict:
         return {
             "runs": self.runs,
@@ -114,13 +103,12 @@ def rollout(
     runs: int,
     seed: int,
     horizon: int | None = None,
-    threads: int | None = None,
 ) -> RolloutStats:
     """Sample ``runs`` independent plays of the policy.
 
-    Each run draws from its own counter-based substream derived from
-    (seed, run index), so results do not depend on execution order and the
-    same arguments always reproduce the same statistics.
+    Run ``i`` draws from its own counter-based substream, the Philox
+    stream of ``seed`` jumped ``i`` times, so the same (seed, runs,
+    horizon) always gives identical statistics.
     """
     if runs < 1:
         raise SimulationError("runs must be positive")
@@ -129,43 +117,29 @@ def rollout(
         raise SimulationError("horizon must be at least 1 step")
     act, succ = _compile(pm, policy)
     base = np.random.Philox(key=seed)
-
-    def run_batch(lo: int, hi: int) -> RolloutStats:
-        stats = RolloutStats(0, 0, 0, 0, 0, 0)
-        for i in range(lo, hi):
-            rng = np.random.Generator(base.jumped(i))
-            v = pm.initial
-            steps = 0
-            while steps < horizon and v not in pm.absorbing:
-                actions, acum = act[v]
-                a = actions[_pick(acum, rng.random())]
-                targets, tcum = succ[(v, a)]
-                v = targets[_pick(tcum, rng.random())]
-                steps += 1
-            stats.runs += 1
-            if v in pm.absorbing:
-                stats.terminated += 1
-                if pm.opaque_accepting(v):
-                    stats.opaque += 1
-                else:
-                    stats.transparent += 1
+    stats = RolloutStats(0, 0, 0, 0, 0, 0)
+    for i in range(runs):
+        rng = np.random.Generator(base.jumped(i))
+        v = pm.initial
+        steps = 0
+        while steps < horizon and v not in pm.absorbing:
+            actions, acum = act[v]
+            a = actions[_pick(acum, rng.random())]
+            targets, tcum = succ[(v, a)]
+            v = targets[_pick(tcum, rng.random())]
+            steps += 1
+        stats.runs += 1
+        if v in pm.absorbing:
+            stats.terminated += 1
+            if pm.opaque_accepting(v):
+                stats.opaque += 1
             else:
-                stats.horizon_truncated += 1
-            if pm.task_accepting(v):
-                stats.task_satisfied += 1
-        return stats
-
-    threads = 1 if threads is None else max(1, int(threads))
-    if threads == 1:
-        return run_batch(0, runs)
-    chunk = (runs + threads - 1) // threads
-    spans = [(lo, min(lo + chunk, runs)) for lo in range(0, runs, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda span: run_batch(*span), spans))
-    total = parts[0]
-    for part in parts[1:]:
-        total = total.merge(part)
-    return total
+                stats.transparent += 1
+        else:
+            stats.horizon_truncated += 1
+        if pm.task_accepting(v):
+            stats.task_satisfied += 1
+    return stats
 
 
 def uniform_policy(pm: ProductMdp) -> dict[int, dict[int, float]]:

@@ -24,7 +24,6 @@ from .automata import (
     determinize,
     intersect,
     minimize,
-    product_dfa,
     require_complete,
     sort_alphabet,
 )
@@ -173,10 +172,6 @@ def product_fst(fst: Fst, secret: Dfa) -> ProductFst:
     )
 
 
-def observation_alphabet(model: Model) -> tuple[ObsSymbol, ...]:
-    return model.observation_alphabet()
-
-
 def output_nfa(pf: ProductFst, which: str) -> Nfa:
     """Erase inputs and read the emitted observation symbols instead.
 
@@ -209,7 +204,7 @@ def output_nfa(pf: ProductFst, which: str) -> Nfa:
         if src in alive and dst in alive:
             transitions.setdefault((renum[src], out), set()).add(renum[dst])
     return Nfa(
-        alphabet=sort_alphabet(observation_alphabet(pf.model)),
+        alphabet=sort_alphabet(pf.model.observation_alphabet()),
         transitions={k: frozenset(v) for k, v in transitions.items()},
         initials=frozenset(
             (renum[pf.initial],) if pf.initial in alive else ()
@@ -221,7 +216,9 @@ def output_nfa(pf: ProductFst, which: str) -> Nfa:
 
 @dataclass(frozen=True)
 class OpaqueBuild:
-    """The opaque-observations DFA plus size/timing diagnostics."""
+    """The opaque-observations DFA plus size/timing diagnostics:
+    ``nfa_states`` counts the intersected NFA, ``dfa_states`` its subset
+    construction before minimization."""
 
     dfa: Dfa
     nfa_states: int
@@ -230,39 +227,23 @@ class OpaqueBuild:
     seconds: float
 
 
-def opaque_pipeline(
-    model: Model, secret: Dfa, via_dfa_product: bool = False
-) -> OpaqueBuild:
-    """Construct the DFA of opaque observations.
-
-    Default route: intersect the two output NFAs, then determinize once.
-    ``via_dfa_product`` determinizes both NFAs first and intersects the
-    DFAs instead; the two routes recognize the same language and serve as
-    an internal consistency check.
-    """
+def opaque_pipeline(model: Model, secret: Dfa) -> OpaqueBuild:
+    """Construct the DFA of opaque observations: intersect the two output
+    NFAs, then determinize once and minimize."""
     t0 = time.monotonic()
-    fst = build_obs_fst(model)
-    pf = product_fst(fst, secret)
-    sat = output_nfa(pf, "satisfying")
-    vio = output_nfa(pf, "violating")
-    if via_dfa_product:
-        both = product_dfa(determinize(sat), determinize(vio))
-        nfa_states = sat.n_states + vio.n_states
-    else:
-        joint = intersect(sat, vio)
-        both = determinize(joint)
-        nfa_states = joint.n_states
-    dfa_states = both.n_states
+    pf = product_fst(build_obs_fst(model), secret)
+    joint = intersect(output_nfa(pf, "satisfying"), output_nfa(pf, "violating"))
+    both = determinize(joint)
     opaque = complete(minimize(both))
     return OpaqueBuild(
         dfa=opaque,
-        nfa_states=nfa_states,
-        dfa_states=dfa_states,
+        nfa_states=joint.n_states,
+        dfa_states=both.n_states,
         minimized_states=opaque.n_states,
         seconds=time.monotonic() - t0,
     )
 
 
-def opaque_obs_dfa(model: Model, secret: Dfa, via_dfa_product: bool = False) -> Dfa:
+def opaque_obs_dfa(model: Model, secret: Dfa) -> Dfa:
     """Minimized complete DFA accepting exactly the opaque observations."""
-    return opaque_pipeline(model, secret, via_dfa_product=via_dfa_product).dfa
+    return opaque_pipeline(model, secret).dfa

@@ -1,6 +1,9 @@
 """Minimal reader for the CPLEX LP text this package emits, used to
 cross-solve exported files through an independent path (file -> matrices
--> fresh solver run)."""
+-> fresh solver run).
+
+The files carry no ``Bounds`` section, so every variable takes the CPLEX
+default 0 <= x < infinity."""
 
 import re
 
@@ -9,9 +12,6 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 _TERM = re.compile(r"([+-])\s*([0-9.eE+-]+)\s+([A-Za-z_][A-Za-z0-9_]*)")
-_BOUND = re.compile(
-    r"\s*([0-9.eE+-]+)\s*<=\s*([A-Za-z_][A-Za-z0-9_]*)\s*<=\s*([0-9.eE+-]+)"
-)
 
 
 def _parse_terms(text):
@@ -28,7 +28,7 @@ def _parse_terms(text):
 def parse_lp_text(text):
     lines = [l for l in text.splitlines() if l.strip() and not l.lstrip().startswith("\\")]
     sense = None
-    sections = {"objective": [], "constraints": [], "bounds": []}
+    sections = {"objective": [], "constraints": []}
     current = None
     for line in lines:
         stripped = line.strip()
@@ -40,8 +40,7 @@ def parse_lp_text(text):
             current = "constraints"
             continue
         if stripped == "Bounds":
-            current = "bounds"
-            continue
+            raise ValueError("explicit bounds are not supported")
         if stripped == "End":
             break
         sections[current].append(line)
@@ -67,18 +66,16 @@ def parse_lp_text(text):
         op, rhs = m.group(1), float(m.group(2))
         constraints.append((name.strip(), _parse_terms(body[: m.start()]), op, rhs))
 
-    bounds = {}
-    for line in sections["bounds"]:
-        m = _BOUND.match(line)
-        bounds[m.group(2)] = (float(m.group(1)), float(m.group(3)))
-
-    names = sorted(bounds, key=lambda n: [int(x) for x in re.findall(r"\d+", n)])
-    return sense, objective, constraints, bounds, names
+    seen = set(objective)
+    for _name, terms, _op, _rhs in constraints:
+        seen.update(var for var, _coef in terms)
+    names = sorted(seen, key=lambda n: [int(x) for x in re.findall(r"\d+", n)])
+    return sense, objective, constraints, names
 
 
 def solve_lp_text(text):
     """Objective value of the file's problem, solved from scratch."""
-    sense, objective, constraints, bounds, names = parse_lp_text(text)
+    sense, objective, constraints, names = parse_lp_text(text)
     index = {n: j for j, n in enumerate(names)}
     n = len(names)
     c = np.zeros(n)
@@ -104,7 +101,7 @@ def solve_lp_text(text):
         b_ub=np.array(rhs_ub) if rows_ub else None,
         A_eq=sp.csr_matrix(np.array(rows_eq)) if rows_eq else None,
         b_eq=np.array(rhs_eq) if rows_eq else None,
-        bounds=[bounds[name] for name in names],
+        bounds=(0.0, None),
         method="highs",
     )
     assert res.status == 0, res.message

@@ -80,13 +80,6 @@ class TestBuild:
                      "--out", str(out)]) == 0
         assert "empty" in capsys.readouterr().err
 
-    def test_via_dfa_product_route(self, model_file, tmp_path):
-        out = tmp_path / "alt.json"
-        assert main(["build", "--model", model_file, "--secret", "F s6",
-                     "--via-dfa-product", "--out", str(out)]) == 0
-        dfa = dfa_from_dict(json.loads(out.read_text()))
-        assert dfa.accepts((START, SS(["s2", "s3"]), SS(["s5", "s6"]), END))
-
     def test_missing_model_is_input_error(self, tmp_path):
         assert main(["build", "--model", str(tmp_path / "nope.json"),
                      "--secret", "F s6"]) == 1
@@ -105,6 +98,13 @@ class TestPlan:
                      "--mode", "transparency"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "0.8000 0.9657"
+
+    def test_task_accepting_initially_is_feasible(self, model_file, capsys):
+        # G !s3 holds on every trace that stops before s3
+        code = main(["plan", "--model", model_file, "--task", "G !s3",
+                     "--secret", "F s6", "--epsilon", "0.5"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "0.5000 0.6500"
 
     def test_infeasible_exit_code(self, model_file, capsys):
         code = main(["plan", "--model", model_file, "--task", "F s4",
@@ -131,8 +131,7 @@ class TestSimulate:
     def test_table_row_and_stats(self, model_file, policy_file, tmp_path, capsys):
         out = tmp_path / "stats.json"
         code = main(["simulate", "--model", model_file, "--policy", policy_file,
-                     "--runs", "2000", "--seed", "7", "--threads", "1",
-                     "--out", str(out)])
+                     "--runs", "2000", "--seed", "7", "--out", str(out)])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split() == ["threshold", "max_value", "exp_value", "exp_task"]
@@ -142,10 +141,10 @@ class TestSimulate:
 
     def test_deterministic_given_seed(self, model_file, policy_file, capsys):
         main(["simulate", "--model", model_file, "--policy", policy_file,
-              "--runs", "500", "--seed", "3", "--threads", "2"])
+              "--runs", "500", "--seed", "3"])
         first = capsys.readouterr().out
         main(["simulate", "--model", model_file, "--policy", policy_file,
-              "--runs", "500", "--seed", "3", "--threads", "1"])
+              "--runs", "500", "--seed", "3"])
         assert capsys.readouterr().out == first
 
     def test_zero_runs_rejected(self, model_file, policy_file):

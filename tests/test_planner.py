@@ -7,7 +7,6 @@ from opaque_planner.automata import IncompleteDfaError
 from opaque_planner.ltlf import dfa_over_model_labels
 from opaque_planner.model import END, obs_of_play
 from opaque_planner.planner import (
-    DEFAULT_OCCUPANCY_BOUND,
     PlannerError,
     build_lp,
     export_lp,
@@ -65,7 +64,8 @@ class TestProductMdp:
         assert qh == opaque_dfa.initial
 
     def test_task_reward_from_initial_entry(self, pm, model):
-        # entering s4 from anywhere crosses into the accepting task state
+        # the task is rewarded on termination only, and only in its
+        # accepting set, which the initial state of F s4 is not
         coef = pm.task_coef.get(
             (pm.index[(model.top, pm.task.initial, pm.opaque.initial)], model.a_top)
         )
@@ -210,9 +210,10 @@ class TestExport:
         text = export_lp(lp)
         assert solve_lp_text(text) == pytest.approx(0.0, abs=1e-9)
 
-    def test_bounds_section_present(self, pm):
+    def test_no_upper_bound_and_cross_solves(self, pm, solved):
         text = export_lp(build_lp(pm, 0.4, "opacity"))
-        assert "Bounds" in text and "<= 1000000" in text
+        assert "Bounds" not in text and "<=" not in text
+        assert solve_lp_text(text) == pytest.approx(solved[0.4].objective, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ def unreduced_optimum(pm, epsilon, mode):
         b_ub=[-epsilon],
         A_eq=a_eq.tocsr(),
         b_eq=b_eq,
-        bounds=(0.0, DEFAULT_OCCUPANCY_BOUND),
+        bounds=(0.0, None),
         method="highs",
     )
     assert res.status in (0, 2), res.message
@@ -310,8 +311,8 @@ class TestQuotient:
                         assert p == pytest.approx(theirs[b], abs=1e-12)
 
     def test_policy_terminates_on_small_gridworld(self):
-        # the quotient LP's first optimal vertex here recirculates at the
-        # occupancy bound; the least-occupancy stage must remove that
+        # the optimal face here holds zero-reward circulations; the
+        # least-occupancy stage must pick a policy that terminates
         model = gridworld(GridworldConfig(
             width=4, height=3, plant_cell=3, control_cells=(11,), data_cells=(4,),
             alarm_cells=(1,), wall_cells=(6,), init_cell=8,

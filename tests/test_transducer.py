@@ -1,8 +1,9 @@
+from collections import deque
 from itertools import product
 
 import pytest
 
-from opaque_planner.automata import IncompleteDfaError
+from opaque_planner.automata import Dfa, IncompleteDfaError, determinize, sort_alphabet
 from opaque_planner.ltlf import dfa_over_model_labels, evaluate, parse_ltlf
 from opaque_planner.model import ObsSymbol, Play, START, END, build_model, obs_of_play
 from opaque_planner.simulate import enumerate_plays, observation_buckets
@@ -20,6 +21,34 @@ SS = ObsSymbol.state_set
 
 def play(text):
     return Play.from_linear(text.split())
+
+
+def product_dfa(a, b):
+    """Intersection of two complete DFAs over one alphabet, reachable
+    pairs only: the reference for determinizing before intersecting."""
+    assert set(a.alphabet) == set(b.alphabet)
+    assert a.is_complete() and b.is_complete()
+    alphabet = sort_alphabet(a.alphabet)
+    order = {(a.initial, b.initial): 0}
+    queue = deque(order)
+    transitions = {}
+    while queue:
+        p, q = pair = queue.popleft()
+        for letter in alphabet:
+            t = (a.transitions[(p, letter)], b.transitions[(q, letter)])
+            if t not in order:
+                order[t] = len(order)
+                queue.append(t)
+            transitions[(order[pair], letter)] = order[t]
+    return Dfa(
+        alphabet=alphabet,
+        transitions=transitions,
+        initial=0,
+        accepting=frozenset(
+            i for (p, q), i in order.items() if p in a.accepting and q in b.accepting
+        ),
+        state_names=tuple(str(pair) for pair in order),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -185,8 +214,13 @@ class TestOpaqueDfa:
         for word in buckets:
             assert sat_nfa.accepts(word) or vio_nfa.accepts(word)
 
-    def test_both_construction_routes_agree(self, model, secret_dfa, opaque_dfa):
-        other = opaque_obs_dfa(model, secret_dfa, via_dfa_product=True)
+    def test_both_construction_routes_agree(self, model, opaque_dfa, pf):
+        # determinizing each output NFA before intersecting must give the
+        # language of the default intersect-then-determinize route
+        other = product_dfa(
+            determinize(output_nfa(pf, "satisfying")),
+            determinize(output_nfa(pf, "violating")),
+        )
         letters = model.observation_alphabet()
         for n in range(5):
             for word in product(letters, repeat=n):
