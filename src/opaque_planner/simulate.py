@@ -5,7 +5,7 @@ the exhaustive opacity oracle used to cross-check the automaton pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -42,6 +42,7 @@ class RolloutStats:
     transparent: int
     task_satisfied: int
     horizon_truncated: int
+    steps: int  # sampled steps, summed over the runs
 
     @property
     def ph(self) -> float:
@@ -55,6 +56,14 @@ class RolloutStats:
     def p_task(self) -> float:
         return self.task_satisfied / self.runs
 
+    @property
+    def mean_steps(self) -> float:
+        return self.steps / self.runs
+
+    @property
+    def truncation_rate(self) -> float:
+        return self.horizon_truncated / self.runs
+
     def stderr(self, p: float) -> float:
         return sqrt(max(p * (1.0 - p), 0.0) / self.runs)
 
@@ -66,6 +75,9 @@ class RolloutStats:
             "transparent": self.transparent,
             "task_satisfied": self.task_satisfied,
             "horizon_truncated": self.horizon_truncated,
+            "steps": self.steps,
+            "mean_steps": self.mean_steps,
+            "truncation_rate": self.truncation_rate,
             "ph": self.ph,
             "pt": self.pt,
             "p_task": self.p_task,
@@ -79,22 +91,109 @@ def default_horizon(pm: ProductMdp) -> int:
     return 10 * pm.model.n_states
 
 
-def _compile(pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]):
-    """Flatten policy and transition tables into sampling-ready arrays."""
-    act: dict[int, tuple[list[int], np.ndarray]] = {}
-    succ: dict[tuple[int, int], tuple[list[int], np.ndarray]] = {}
+# Steps of draws fetched per refill of a run's buffer.  A Philox block
+# holds four doubles, two steps' worth, so an even value starts every
+# refill on a block boundary; any even value gives the same statistics.
+_CHUNK_STEPS = 32
+
+
+def _table(flat: list, widths: list[int], fill, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``widths[r]`` consecutive entries of ``flat``, padded with
+    ``fill`` into a dense table; also the mask of real entries."""
+    w = np.array(widths, dtype=np.intp)
+    table = np.full((len(w), max(int(w.max(initial=0)), 1)), fill, dtype)
+    real = np.arange(table.shape[1]) < w[:, None]
+    table[real] = flat
+    return table, real
+
+
+def _cumulative(flat: list[float], widths: list[int]) -> np.ndarray:
+    """Row-wise cumulative sums, padded with +inf."""
+    table, real = _table(flat, widths, 0.0, np.float64)
+    cum = np.cumsum(table, axis=1)
+    cum[~real] = np.inf
+    return cum
+
+
+def _kernel(pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]):
+    """Compile the policy and the transitions into dense sampling tables.
+
+    Per state: cumulative action probabilities (actions in increasing
+    order), the number of actions, and the row of the first action; the
+    (state, action) rows of a state are consecutive.  Per row: cumulative
+    successor probabilities, successor ids and the number of successors.
+    Raises ``SimulationError`` unless the policy gives every non-absorbing
+    state a distribution over its enabled actions: finite, non-negative
+    probabilities summing to 1 within 1e-9.
+    """
+    n = pm.n_states
+    act_p: list[list[float]] = [[] for _ in range(n)]
+    first_row = [0] * n
+    succ_p: list[float] = []
+    succ_id: list[int] = []
+    succ_width: list[int] = []
     for v, dist in policy.items():
+        if not 0 <= v < n:
+            raise SimulationError(f"policy names {v!r}, which is not a product state")
         actions = sorted(dist)
-        probs = np.cumsum([dist[a] for a in actions])
-        act[v] = (actions, probs)
+        probs = [dist[a] for a in actions]
+        if not all(0.0 <= p < inf for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+            raise SimulationError(
+                f"policy at product state {pm.state_name(v)!r} is not a "
+                f"probability distribution: {probs}"
+            )
+        act_p[v] = probs
+        first_row[v] = len(succ_width)
         for a in actions:
-            targets = pm.transitions[(v, a)]
-            succ[(v, a)] = ([t for t, _ in targets], np.cumsum([p for _, p in targets]))
-    return act, succ
+            targets = pm.transitions.get((v, a))
+            if targets is None:
+                name = dict(enumerate(pm.model.actions)).get(a, a)
+                raise SimulationError(
+                    f"policy uses action {name!r}, not enabled at product "
+                    f"state {pm.state_name(v)!r}"
+                )
+            ids, ps = zip(*targets)
+            succ_id.extend(ids)
+            succ_p.extend(ps)
+            succ_width.append(len(targets))
+    missing = [v for v in range(n) if v not in pm.absorbing and v not in policy]
+    if missing:
+        raise SimulationError(
+            f"policy has no distribution at product state {pm.state_name(missing[0])!r}"
+        )
+    act_width = [len(ps) for ps in act_p]
+    return (
+        _cumulative([p for ps in act_p for p in ps], act_width),
+        np.array(act_width),
+        np.array(first_row),
+        _cumulative(succ_p, succ_width),
+        _table(succ_id, succ_width, 0, np.intp)[0],
+        np.array(succ_width),
+    )
 
 
-def _pick(cum: np.ndarray, u: float) -> int:
-    return int(np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1))
+def _index(cum: np.ndarray, width: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the number of cumulative probabilities at most ``u``,
+    clipped to the row: ``searchsorted(side="right").clip(0, width - 1)``."""
+    return np.minimum((cum <= u[:, None]).sum(axis=1), width - 1)
+
+
+def _draws(bitgen: np.random.Philox, runs: np.ndarray, block: int, n: int) -> np.ndarray:
+    """``n`` doubles of each listed run's stream, from Philox block
+    ``block`` on: run i's stream is the generator of ``seed`` jumped i
+    times, whose counter is (block, 0, i, 0)."""
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    counter[0] = block
+    state["buffer_pos"] = len(state["buffer"])  # the next draw starts a block
+    out = np.empty((len(runs), n))
+    for row, i in zip(out, runs.tolist()):
+        counter[2] = i
+        bitgen.state = state
+        # the conversion of Generator.random: the top 53 bits, scaled
+        row[:] = bitgen.random_raw(n) >> 11
+    out *= 2.0**-53
+    return out
 
 
 def rollout(
@@ -106,39 +205,60 @@ def rollout(
 ) -> RolloutStats:
     """Sample ``runs`` independent plays of the policy.
 
-    Run ``i`` draws from its own counter-based substream, the Philox
-    stream of ``seed`` jumped ``i`` times, so the same (seed, runs,
-    horizon) always gives identical statistics.
+    Run ``i`` reads its own counter-based substream: the Philox stream of
+    ``seed`` jumped ``i`` times, ``np.random.Generator(Philox(key=seed)
+    .jumped(i)).random()``.  Each step takes two draws, the first picking
+    the action and the second the successor, each as the first entry of
+    the cumulative distribution above the draw.  The runs are stepped
+    together, but each reads only its own stream, so the statistics depend
+    on (seed, runs, horizon) alone and never on how the draws are batched.
     """
     if runs < 1:
         raise SimulationError("runs must be positive")
+    if not 0 <= seed < 2**128:
+        raise SimulationError("seed must be in [0, 2**128)")
     horizon = default_horizon(pm) if horizon is None else int(horizon)
     if horizon < 1:
         raise SimulationError("horizon must be at least 1 step")
-    act, succ = _compile(pm, policy)
-    base = np.random.Philox(key=seed)
-    stats = RolloutStats(0, 0, 0, 0, 0, 0)
-    for i in range(runs):
-        rng = np.random.Generator(base.jumped(i))
-        v = pm.initial
-        steps = 0
-        while steps < horizon and v not in pm.absorbing:
-            actions, acum = act[v]
-            a = actions[_pick(acum, rng.random())]
-            targets, tcum = succ[(v, a)]
-            v = targets[_pick(tcum, rng.random())]
-            steps += 1
-        stats.runs += 1
+    act_cum, act_width, first_row, succ_cum, succ_id, succ_width = _kernel(pm, policy)
+    absorbing = np.zeros(pm.n_states, dtype=bool)
+    absorbing[list(pm.absorbing)] = True
+    bitgen = np.random.Philox(key=seed)
+    live = np.arange(runs)  # ids of the runs still going
+    x = np.full(runs, pm.initial)  # their product states
+    slot = live  # their rows of the draw buffer
+    final = np.empty(runs, dtype=np.intp)
+    steps = 0
+    for t in range(horizon + 1):
+        done = absorbing[x]
+        if done.any():
+            final[live[done]] = x[done]
+            going = ~done
+            live, x, slot = live[going], x[going], slot[going]
+        if t == horizon or not live.size:
+            break
+        c = t % _CHUNK_STEPS
+        if c == 0:
+            buf = _draws(bitgen, live, t // 2, 2 * _CHUNK_STEPS)
+            slot = np.arange(live.size)
+        k = _index(act_cum[x], act_width[x], buf[slot, 2 * c])
+        row = first_row[x] + k
+        j = _index(succ_cum[row], succ_width[row], buf[slot, 2 * c + 1])
+        x = succ_id[row, j]
+        steps += live.size
+    final[live] = x
+    stats = RolloutStats(runs, 0, 0, 0, 0, 0, steps)
+    for v, count in zip(*(a.tolist() for a in np.unique(final, return_counts=True))):
         if v in pm.absorbing:
-            stats.terminated += 1
+            stats.terminated += count
             if pm.opaque_accepting(v):
-                stats.opaque += 1
+                stats.opaque += count
             else:
-                stats.transparent += 1
+                stats.transparent += count
         else:
-            stats.horizon_truncated += 1
+            stats.horizon_truncated += count
         if pm.task_accepting(v):
-            stats.task_satisfied += 1
+            stats.task_satisfied += count
     return stats
 
 

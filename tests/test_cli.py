@@ -138,6 +138,8 @@ class TestSimulate:
         doc = json.loads(out.read_text())
         assert doc["stats"]["runs"] == 2000
         assert doc["stats"]["opaque"] + doc["stats"]["transparent"] == doc["stats"]["terminated"]
+        assert doc["stats"]["mean_steps"] == doc["stats"]["steps"] / 2000
+        assert doc["stats"]["truncation_rate"] == doc["stats"]["horizon_truncated"] / 2000
 
     def test_deterministic_given_seed(self, model_file, policy_file, capsys):
         main(["simulate", "--model", model_file, "--policy", policy_file,
@@ -156,6 +158,23 @@ class TestSimulate:
         assert main(["scenario", "gridworld", "--out", str(other)]) == 0
         assert main(["simulate", "--model", str(other),
                      "--policy", policy_file, "--runs", "10"]) == 1
+
+    @pytest.mark.parametrize("dist", [{"a_top": 1.0}, {"a": 1.5, "a_bot": -0.5, "b": 0.0}])
+    def test_invalid_policy_rejected(self, model_file, policy_file, tmp_path, capsys, dist):
+        # an action not enabled at s1, then a negative probability
+        doc = json.loads(open(policy_file).read())
+        assert "s1|0|1" in doc["policy"]
+        doc["policy"]["s1|0|1"] = dist
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["simulate", "--model", model_file, "--policy", str(bad),
+                     "--runs", "10"]) == 1
+        assert capsys.readouterr().err.startswith("error: policy")
+
+    def test_negative_seed_rejected(self, model_file, policy_file, capsys):
+        assert main(["simulate", "--model", model_file, "--policy", policy_file,
+                     "--runs", "10", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed")
 
 
 class TestVerify:

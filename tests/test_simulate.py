@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+from opaque_planner import simulate
 from opaque_planner.ltlf import dfa_over_model_labels
 from opaque_planner.model import Play, build_model, validate
 from opaque_planner.planner import build_lp, extract_policy, product_mdp, solve_lp
 from opaque_planner.simulate import (
     EnumerationBudgetError,
+    RolloutStats,
     SimulationError,
     brute_force_opaque_obs,
     classify_play,
+    default_horizon,
     enumerate_plays,
     exact_policy_values,
     observation_buckets,
@@ -24,10 +29,67 @@ def play(text):
     return Play.from_linear(text.split())
 
 
+def reference_rollout(pm, policy, runs, seed, horizon=None):
+    """The scalar sampler: one run at a time, run i drawing from
+    ``Generator(Philox(seed).jumped(i))``, an action and then a successor
+    per step, each by ``searchsorted`` on its cumulative distribution."""
+
+    def pick(pairs, u):
+        cum = np.cumsum([p for _, p in pairs])
+        return pairs[int(np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1))][0]
+
+    horizon = default_horizon(pm) if horizon is None else horizon
+    base = np.random.Philox(key=seed)
+    stats = RolloutStats(0, 0, 0, 0, 0, 0, 0)
+    for i in range(runs):
+        rng = np.random.Generator(base.jumped(i))
+        v = pm.initial
+        steps = 0
+        while steps < horizon and v not in pm.absorbing:
+            a = pick(sorted(policy[v].items()), rng.random())
+            v = pick(pm.transitions[(v, a)], rng.random())
+            steps += 1
+        stats.runs += 1
+        stats.steps += steps
+        if v in pm.absorbing:
+            stats.terminated += 1
+            if pm.opaque_accepting(v):
+                stats.opaque += 1
+            else:
+                stats.transparent += 1
+        else:
+            stats.horizon_truncated += 1
+        if pm.task_accepting(v):
+            stats.task_satisfied += 1
+    return stats
+
+
+def immediate_termination_policy(pm):
+    """Terminate wherever termination is enabled, else take the first action."""
+    policy = {}
+    a_bot = pm.model.a_bot
+    for v in range(pm.n_states):
+        if v in pm.absorbing:
+            continue
+        acts = pm.enabled(v)
+        pick = a_bot if a_bot in acts else acts[0]
+        policy[v] = {a: 1.0 if a == pick else 0.0 for a in acts}
+    return policy
+
+
 @pytest.fixture(scope="module")
 def optimal_policy(pm):
     sol = solve_lp(build_lp(pm, 0.4, "opacity"))
     return extract_policy(sol, pm), sol.objective
+
+
+@pytest.fixture(scope="module")
+def lp_policies(pm):
+    return {
+        (mode, eps): extract_policy(solve_lp(build_lp(pm, eps, mode)), pm)
+        for mode in ("opacity", "transparency")
+        for eps in (0.4, 0.6, 0.8)
+    }
 
 
 class TestRollout:
@@ -71,14 +133,7 @@ class TestRollout:
         assert hits >= 9
 
     def test_immediate_termination_policy(self, pm):
-        policy = {}
-        a_bot = pm.model.a_bot
-        for v in range(pm.n_states):
-            if v in pm.absorbing:
-                continue
-            acts = pm.enabled(v)
-            pick = a_bot if a_bot in acts else acts[0]
-            policy[v] = {a: 1.0 if a == pick else 0.0 for a in acts}
+        policy = immediate_termination_policy(pm)
         stats = rollout(pm, policy, runs=300, seed=3)
         assert stats.terminated == stats.runs
         assert stats.transparent == stats.runs  # lone first observation reveals
@@ -88,6 +143,9 @@ class TestRollout:
         stats = rollout(pm, policy, runs=200, seed=1, horizon=1)
         assert stats.horizon_truncated == stats.runs
         assert stats.opaque == stats.transparent == 0
+        assert stats.steps == stats.runs
+        assert stats.to_dict()["mean_steps"] == 1.0
+        assert stats.to_dict()["truncation_rate"] == 1.0
 
     def test_bad_arguments(self, pm, optimal_policy):
         policy, _ = optimal_policy
@@ -95,6 +153,116 @@ class TestRollout:
             rollout(pm, policy, runs=0, seed=1)
         with pytest.raises(SimulationError):
             rollout(pm, policy, runs=10, seed=1, horizon=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_philox_key_range(self, pm, optimal_policy, seed):
+        policy, _ = optimal_policy
+        with pytest.raises(SimulationError, match="seed"):
+            rollout(pm, policy, runs=10, seed=seed)
+
+    def test_largest_seed_accepted(self, pm, optimal_policy):
+        policy, _ = optimal_policy
+        assert rollout(pm, policy, runs=10, seed=2**128 - 1).runs == 10
+
+
+class TestInvalidPolicy:
+    @staticmethod
+    def state(pm):
+        """A non-absorbing state other than the initial one."""
+        return next(v for v in range(1, pm.n_states) if v not in pm.absorbing)
+
+    def test_action_not_enabled(self, pm):
+        policy = uniform_policy(pm)
+        v = self.state(pm)
+        assert pm.model.a_top not in pm.enabled(v)
+        policy[v] = {pm.model.a_top: 1.0}
+        with pytest.raises(SimulationError, match="a_top.*not enabled"):
+            rollout(pm, policy, runs=10, seed=1)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_probability_not_finite_and_non_negative(self, pm, bad):
+        policy = uniform_policy(pm)
+        v = self.state(pm)
+        first, second = sorted(policy[v])[:2]
+        policy[v] = {first: 1.0 - bad, second: bad}
+        with pytest.raises(SimulationError, match="not a probability distribution"):
+            rollout(pm, policy, runs=10, seed=1)
+
+    def test_probabilities_must_sum_to_one(self, pm):
+        policy = uniform_policy(pm)
+        v = self.state(pm)
+        policy[v] = {a: p * (1 - 1e-6) for a, p in policy[v].items()}
+        with pytest.raises(SimulationError, match="not a probability distribution"):
+            rollout(pm, policy, runs=10, seed=1)
+
+    def test_rounding_within_tolerance_accepted(self, pm):
+        policy = uniform_policy(pm)
+        v = self.state(pm)
+        policy[v] = {a: p * (1 + 1e-12) for a, p in policy[v].items()}
+        assert rollout(pm, policy, runs=10, seed=1).runs == 10
+
+    def test_missing_state(self, pm):
+        policy = uniform_policy(pm)
+        del policy[self.state(pm)]
+        with pytest.raises(SimulationError, match="no distribution"):
+            rollout(pm, policy, runs=10, seed=1)
+
+    def test_unknown_state(self, pm):
+        policy = uniform_policy(pm)
+        policy[pm.n_states] = {pm.model.a_bot: 1.0}
+        with pytest.raises(SimulationError, match="not a product state"):
+            rollout(pm, policy, runs=10, seed=1)
+
+
+class TestAgainstReference:
+    """``rollout`` steps every run at once; the scalar reference must give
+    the same statistics, field for field."""
+
+    @pytest.mark.parametrize("mode", ["opacity", "transparency"])
+    @pytest.mark.parametrize("eps", [0.4, 0.6, 0.8])
+    def test_lp_policies(self, pm, lp_policies, mode, eps):
+        policy = lp_policies[mode, eps]
+        assert rollout(pm, policy, runs=2000, seed=2025) == reference_rollout(
+            pm, policy, runs=2000, seed=2025
+        )
+
+    @pytest.mark.parametrize("make", [uniform_policy, immediate_termination_policy])
+    @pytest.mark.parametrize("runs", [1, 257])
+    @pytest.mark.parametrize("horizon", [None, 1, 3])
+    def test_fixed_policies(self, pm, make, runs, horizon):
+        policy = make(pm)
+        assert rollout(pm, policy, runs, 7, horizon) == reference_rollout(
+            pm, policy, runs, 7, horizon
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_models(self, seed):
+        m = random_model(seed)
+        names = [m.states[i] for i in m.interior_state_indices()]
+        secret = dfa_over_model_labels(random_secret_text(seed, names), m)
+        task = dfa_over_model_labels(f"F {names[-1]}", m)
+        pm = product_mdp(m, task, opaque_obs_dfa(m, secret))
+        policy = uniform_policy(pm)
+        assert rollout(pm, policy, 300, seed) == reference_rollout(pm, policy, 300, seed)
+
+    def test_ties_and_shortfall_pick_as_searchsorted(self):
+        # draws equal to a cumulative probability, zero-probability
+        # entries and a distribution summing to just under 1
+        cum = np.cumsum([0.0, 0.25, 0.0, 0.25, 0.5 - 1e-10])
+        u = np.array([0.0, 0.1, 0.25, 0.5, 0.75, cum[-1], 1.0 - 2**-53])
+        padded = np.tile(np.append(cum, np.inf), (len(u), 1))
+        got = simulate._index(padded, np.full(len(u), len(cum)), u)
+        want = np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1)
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("chunk", [2, 64])
+    def test_batching_does_not_change_stats(self, pm, lp_policies, monkeypatch, chunk):
+        # the transparency policy at 0.8 runs ~17 steps on average and up
+        # to the horizon, so runs cross many refills of either size
+        policy = lp_policies["transparency", 0.8]
+        expected = rollout(pm, policy, runs=2000, seed=2025)
+        monkeypatch.setattr(simulate, "_CHUNK_STEPS", chunk)
+        assert rollout(pm, policy, runs=2000, seed=2025) == expected
 
 
 class TestUniformPolicy:
