@@ -91,7 +91,9 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _load_validated_model(path: str) -> Model:
+def _load_validated_model(path: str | None) -> Model:
+    if path is None:
+        raise CliError("--model is required")
     model = load_model(path)
     problems = validate(model)
     if problems:
@@ -109,11 +111,20 @@ def _secret_dfa(model: Model, spec: str) -> Dfa:
     return dfa_over_model_labels(spec, model)
 
 
-def _opaque_dfa_for(model: Model, args) -> Dfa:
-    if getattr(args, "opaque", None):
-        doc = json.loads(Path(args.opaque).read_text())
-        return dfa_from_dict(doc)
-    return opaque_pipeline(model, _secret_dfa(model, args.secret)).dfa
+def _inputs(model_path, task_spec, secret_spec, opaque_file) -> tuple[Model, Dfa | None, Dfa]:
+    """The validated model, the task DFA (None without a task) and the
+    opaque-observations DFA, read from ``opaque_file`` or else built from
+    the secret.  Raises ``CliError`` when the model or both of the secret
+    and the opaque file are missing."""
+    model = _load_validated_model(model_path)
+    task = None if task_spec is None else _secret_dfa(model, task_spec)
+    if opaque_file:
+        opaque = dfa_from_dict(json.loads(Path(opaque_file).read_text()))
+    elif secret_spec:
+        opaque = opaque_pipeline(model, _secret_dfa(model, secret_spec)).dfa
+    else:
+        raise CliError("--secret or --opaque is required")
+    return model, task, opaque
 
 
 def _write(path: str | None, text: str) -> None:
@@ -160,12 +171,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    model = _load_validated_model(args.model)
-    task = _secret_dfa(model, args.task)
-    opaque = _opaque_dfa_for(model, args)
+    model, task, opaque = _inputs(args.model, args.task, args.secret, args.opaque)
     pm = product_mdp(model, task, opaque)
-    mode = "min-opacity" if args.literal_min else args.mode
-    lp = build_lp(pm, args.epsilon, mode)
+    lp = build_lp(pm, args.epsilon, args.mode)
     sol = solve_lp(lp)
     if sol.status == "infeasible":
         hint = (
@@ -189,13 +197,13 @@ def cmd_plan(args) -> int:
         secret=args.secret,
         opaque_file=args.opaque,
         epsilon=args.epsilon,
-        mode=mode,
+        mode=args.mode,
         out=args.out,
     )
     metadata = {
         "manifest": manifest.to_dict(),
         "epsilon": args.epsilon,
-        "mode": mode,
+        "mode": args.mode,
         "objective": sol.objective,
         "solver": {
             "status": sol.status,
@@ -218,22 +226,17 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     if args.runs < 1:
         raise CliError("--runs must be a positive integer")
-    model = _load_validated_model(args.model)
     doc = json.loads(Path(args.policy).read_text())
     meta = doc.get("metadata", {})
     manifest = meta.get("manifest", {})
     if manifest.get("model_sha256") and manifest["model_sha256"] != _sha256(args.model):
         raise CliError("policy was planned against a different model file")
     task_spec = args.task or manifest.get("task")
+    if task_spec is None:
+        raise CliError("policy metadata lacks the task; pass --task")
     secret_spec = args.secret or manifest.get("secret")
     opaque_file = args.opaque or manifest.get("opaque_file")
-    if task_spec is None or (secret_spec is None and opaque_file is None):
-        raise CliError("policy metadata lacks task/secret; pass --task/--secret")
-    task = _secret_dfa(model, task_spec)
-    if opaque_file:
-        opaque = dfa_from_dict(json.loads(Path(opaque_file).read_text()))
-    else:
-        opaque = opaque_pipeline(model, _secret_dfa(model, secret_spec)).dfa
+    model, task, opaque = _inputs(args.model, task_spec, secret_spec, opaque_file)
     pm = product_mdp(model, task, opaque)
     policy = policy_from_dict(doc, pm)
     stats = rollout(pm, policy, runs=args.runs, seed=args.seed, horizon=args.horizon)
@@ -266,9 +269,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model = _load_validated_model(args.model)
+    model, _, opaque = _inputs(args.model, None, args.secret, args.opaque)
     secret = _secret_dfa(model, args.secret)
-    opaque = _opaque_dfa_for(model, args)
     buckets = observation_buckets(model, secret, args.max_actions)
     oracle = frozenset(w for w, (sat, vio) in buckets.items() if sat and vio)
     ordered = sorted(buckets, key=lambda w: tuple(sym.sort_key for sym in w))
@@ -304,12 +306,8 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
-    model = _load_validated_model(args.model)
-    task = _secret_dfa(model, args.task)
-    opaque = _opaque_dfa_for(model, args)
-    pm = product_mdp(model, task, opaque)
-    mode = "min-opacity" if args.literal_min else args.mode
-    lp = build_lp(pm, args.epsilon, mode)
+    model, task, opaque = _inputs(args.model, args.task, args.secret, args.opaque)
+    lp = build_lp(product_mdp(model, task, opaque), args.epsilon, args.mode)
     _write(args.out, export_lp(lp))
     return EXIT_OK
 
@@ -323,20 +321,17 @@ def cmd_export_dot(args) -> int:
     what = args.what
     if what == "fst":
         text = fst_to_dot(build_obs_fst(model))
+    elif not args.secret:
+        raise CliError(f"--secret is required for --what {what}")
+    elif what == "opaque-dfa":
+        text = dfa_to_dot(opaque_pipeline(model, _secret_dfa(model, args.secret)).dfa)
     else:
-        if not args.secret:
-            raise CliError(f"--secret is required for --what {what}")
-        secret = _secret_dfa(model, args.secret)
+        pf = product_fst(build_obs_fst(model), _secret_dfa(model, args.secret))
         if what == "product-fst":
-            text = product_fst_to_dot(product_fst(build_obs_fst(model), secret))
-        elif what in ("nfa-satisfying", "nfa-violating"):
-            pf = product_fst(build_obs_fst(model), secret)
+            text = product_fst_to_dot(pf)
+        else:
             which = "satisfying" if what == "nfa-satisfying" else "violating"
             text = nfa_to_dot(output_nfa(pf, which))
-        elif what == "opaque-dfa":
-            text = dfa_to_dot(opaque_pipeline(model, secret).dfa)
-        else:  # pragma: no cover
-            raise CliError(f"unknown --what {what!r}")
     _write(args.out, text)
     return EXIT_OK
 
@@ -352,12 +347,11 @@ def _add_common_planning(p: argparse.ArgumentParser) -> None:
     p.add_argument("--opaque", help="prebuilt opaque-observations DFA file")
     p.add_argument("--epsilon", type=float, default=0.0, help="task threshold")
     p.add_argument(
-        "--mode", choices=("opacity", "transparency"), default="opacity"
-    )
-    p.add_argument(
-        "--literal-min",
-        action="store_true",
-        help="literal minimization of the opacity objective (comparison mode)",
+        "--mode",
+        choices=("opacity", "transparency", "min-opacity"),
+        default="opacity",
+        help="maximize opacity or transparency, or minimize opacity literally "
+        "(comparison mode)",
     )
 
 

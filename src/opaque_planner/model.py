@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -158,8 +159,16 @@ class Model:
         return range(1, len(self.actions) - 1)
 
     # -- lookups ------------------------------------------------------
+    @cached_property
+    def _enabled(self) -> tuple[tuple[int, ...], ...]:
+        """The enabled actions of every state, in increasing order."""
+        out: list[list[int]] = [[] for _ in self.states]
+        for s, a in sorted(self.transitions):
+            out[s].append(a)
+        return tuple(map(tuple, out))
+
     def enabled(self, s: int) -> tuple[int, ...]:
-        return tuple(a for a in range(len(self.actions)) if (s, a) in self.transitions)
+        return self._enabled[s]
 
     def successors(self, s: int, a: int) -> tuple[tuple[int, float], ...]:
         return self.transitions.get((s, a), ())

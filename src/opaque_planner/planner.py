@@ -3,20 +3,21 @@ opaque-observations DFA.
 
 The product state tracks the model state, the task DFA state (fed the
 label of each state as it is entered) and the opaque-observations DFA
-state (fed the emitted observation symbols, markers included).  Both
-rewards are paid on termination: one when the task DFA is in its accepting
-set, the other when the observation produced so far, closed with the end
-marker, is opaque.  LTLf acceptance depends on where the trace ends, so a
-task is satisfied by where a run stops, not by what it passed through.
-The occupancy-measure LP maximizes the expected opacity (or transparency)
-reward subject to flow conservation and a task-probability threshold.
+state (fed the emitted observation symbols, markers included).  A run's
+outcome is read from the absorbing product state it stops in: the task is
+satisfied when that state's task component accepts (LTLf acceptance is
+decided where the trace ends), and the observation is opaque when its
+opaque component, which has read the end marker, accepts.  The
+occupancy-measure LP maximizes the probability of stopping opaque (or
+transparent) subject to flow conservation and a task-probability threshold.
 
 The LP is posed on the coarsest probabilistic bisimulation of the product
 (Larsen & Skou 1991), found by signature-based partition refinement
 (Derisavi, Hermanns & Sanders 2003): bisimilar product states enable the
-same actions, earn the same rewards and reach every block with the same
-probabilities, so one occupancy variable per (block, action) loses no
-optimum, and the block policy lifts to every member state unchanged.
+same actions and reach every block, the absorbing outcome blocks included,
+with the same probabilities, so one occupancy variable per (block, action)
+loses no optimum, and the block policy lifts to every member state
+unchanged.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .model import END, Model, START
 FEASIBILITY_TOL = 1e-9
 
 #: occupancies at or below this count as zero when extracting a policy; the
-#: bisimulation also compares probabilities and task rewards as multiples of
-#: it, so float sums that differ only by rounding still match
+#: bisimulation also compares probabilities as multiples of it, so float
+#: sums that differ only by rounding still match
 ZERO_OCCUPANCY_THRESHOLD = 1e-12
 
 
@@ -49,12 +50,13 @@ class PlannerError(ValueError):
 class Quotient:
     """Coarsest probabilistic bisimulation of a product MDP.
 
-    Product states share a block when they enable the same actions, agree
-    on whether terminating is opaque, earn the same task reward under each
-    action, and under each action reach every block with the same
-    probability.  Each block is represented by its smallest member.  The
-    non-absorbing blocks come first, numbered by representative; the
-    absorbing states, if any, form the last block.
+    Absorbing product states share a block when they agree on both
+    outcomes, opaque or not and task satisfied or not, so there is one
+    block per outcome that occurs.  Non-absorbing states share a block when
+    they enable the same actions and under each action reach every block
+    with the same probability.  Each block is represented by its smallest
+    member.  The non-absorbing blocks come first, numbered by
+    representative, then the absorbing ones.
     """
 
     block: np.ndarray  # product state -> block
@@ -78,11 +80,6 @@ class ProductMdp:
     transitions: Mapping[tuple[int, int], tuple[tuple[int, float], ...]]
     initial: int
     absorbing: frozenset[int]
-    # task reward of (state, action): 1 for terminating in the task's
-    # accepting set
-    task_coef: Mapping[tuple[int, int], float]
-    # opaque DFA states from which reading the end marker accepts
-    opaque_on_end: frozenset[int]
 
     @property
     def n_states(self) -> int:
@@ -100,26 +97,25 @@ class ProductMdp:
         s = self.states[v][0]
         return self.model.enabled(s)
 
-    def reward_opaque(self, v: int, a: int) -> float:
-        if a != self.model.a_bot:
-            return 0.0
-        return 1.0 if self.states[v][2] in self.opaque_on_end else 0.0
-
     def state_name(self, v: int) -> str:
         s, q, qh = self.states[v]
         return f"{self.model.states[s]}|{q}|{qh}"
 
     def task_accepting(self, v: int) -> bool:
+        """Whether the task component accepts: at an absorbing state,
+        whether the run that stopped there satisfies the task."""
         return self.states[v][1] in self.task.accepting
 
     def opaque_accepting(self, v: int) -> bool:
-        """Whether the q_hat component is accepting (meaningful after the
-        end marker, i.e. at absorbing states)."""
+        """Whether the q_hat component is accepting: at an absorbing state,
+        which has read the end marker, whether the run's observation is
+        opaque."""
         return self.states[v][2] in self.opaque.accepting
 
 
 def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
-    """Build the reachable product with both reward structures wired in."""
+    """Build the reachable product; runs stop in its absorbing states,
+    whose labels carry the outcomes."""
     require_complete(task, model.label_alphabet(), "task")
     # the observation alphabet includes the START and END markers
     require_complete(opaque, model.observation_alphabet(), "opaque-observations")
@@ -129,15 +125,12 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
     index: dict[tuple[int, int, int], int] = {v0: 0}
     states: list[tuple[int, int, int]] = [v0]
     transitions: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-    task_coef: dict[tuple[int, int], float] = {}
     frontier = deque([0])
     while frontier:
         v = frontier.popleft()
         s, q, qh = states[v]
         if s == bot:
             continue
-        if q in task.accepting and a_bot in model.enabled(s):
-            task_coef[(v, a_bot)] = 1.0
         for a in model.enabled(s):
             row: dict[int, float] = {}
             for t, p in model.successors(s, a):
@@ -147,8 +140,6 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
                 else:
                     q2 = task.step(q, model.label_of(t))
                     qh2 = opaque.step(qh, START if a == a_top else model.obs(s, a, t))
-                if q2 is None or qh2 is None:
-                    raise PlannerError("automaton fell off a transition; DFA incomplete")
                 nxt = (t, q2, qh2)
                 w = index.get(nxt)
                 if w is None:
@@ -160,11 +151,6 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
             transitions[(v, a)] = tuple(sorted(row.items()))
 
     absorbing = frozenset(i for i, (s, _q, _qh) in enumerate(states) if s == bot)
-    opaque_on_end = frozenset(
-        qh
-        for qh in range(opaque.n_states)
-        if opaque.step(qh, END) in opaque.accepting
-    )
     return ProductMdp(
         model=model,
         task=task,
@@ -174,23 +160,21 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
         transitions=transitions,
         initial=0,
         absorbing=absorbing,
-        task_coef=task_coef,
-        opaque_on_end=opaque_on_end,
     )
 
 
 def bisimulation_quotient(pm: ProductMdp) -> Quotient:
     """Coarsest partition of the product stable under labelled transitions.
 
-    The initial blocks are the absorbing states and the non-absorbing
-    states keyed by enabled actions, opacity on termination and per-action
-    task reward; every LP objective depends on nothing else, so one
-    quotient serves all modes and thresholds.  Each round then splits the
-    blocks by the signature "action -> probability of reaching each current
-    block" until no block splits.
+    The initial blocks are the absorbing states keyed by outcome (opaque,
+    task satisfied) and the non-absorbing states keyed by enabled actions;
+    every LP objective and the task row are probabilities of stopping in an
+    outcome, so one quotient serves all modes and thresholds.  Each round
+    then splits the blocks by the signature "action -> probability of
+    reaching each current block" until no block splits.
     """
     n = pm.n_states
-    row_state, row_action, row_coef = [], [], []
+    row_state, row_action = [], []
     entry_row, entry_target, entry_prob = [], [], []
     for v in range(n):
         for a in pm.enabled(v):
@@ -200,7 +184,6 @@ def bisimulation_quotient(pm: ProductMdp) -> Quotient:
                 entry_prob.append(p)
             row_state.append(v)
             row_action.append(a)
-            row_coef.append(pm.task_coef.get((v, a), 0.0))
     row_state = np.array(row_state, dtype=np.int64)
     row_action = np.array(row_action, dtype=np.int64)
     entry_row = np.array(entry_row, dtype=np.int64)
@@ -209,9 +192,11 @@ def bisimulation_quotient(pm: ProductMdp) -> Quotient:
 
     absorbing = np.zeros(n, dtype=bool)
     absorbing[list(pm.absorbing)] = True
-    opaque_here = np.array([qh in pm.opaque_on_end for _s, _q, qh in pm.states])
-    head = np.where(absorbing, 0, 1 + opaque_here)
-    block = _split(head, row_state, np.column_stack([row_action, _quantize(row_coef)]))
+    # absorbing states by outcome (codes 0-3), the others all under code 4
+    head = np.full(n, 4)
+    for v in pm.absorbing:
+        head[v] = 2 * pm.opaque_accepting(v) + pm.task_accepting(v)
+    block = _split(head, row_state, row_action[:, None])
 
     while True:
         n_blocks = int(block.max()) + 1
@@ -226,7 +211,7 @@ def bisimulation_quotient(pm: ProductMdp) -> Quotient:
             break
         block = refined
 
-    # renumber: non-absorbing blocks by smallest member, then the absorbing one
+    # renumber: non-absorbing blocks by smallest member, then the absorbing ones
     _, first = np.unique(block, return_index=True)
     order = np.lexsort((first, absorbing[first]))
     rank = np.empty_like(order)
@@ -271,11 +256,11 @@ class LpProblem:
     Each non-absorbing block contributes one conservation row and one
     variable per enabled action, named after the block's representative
     product state: occupancy out of the block equals occupancy into it
-    plus the unit injection at the initial state's block.  The task row
-    lower-bounds the probability of terminating in the task's accepting
-    set.  Every variable is non-negative and unbounded above: the flow
-    rows put exactly one unit into the absorbing states, so both the
-    objective and the task row are at most 1.
+    plus the unit injection at the initial state's block.  A variable's
+    objective and task coefficients are the probability it sends into
+    absorbing states of the wanted outcome.  Every variable is non-negative
+    and unbounded above: the flow rows put exactly one unit into the
+    absorbing states, so both the objective and the task row are at most 1.
     """
 
     pm: ProductMdp
@@ -314,6 +299,9 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
     )
     var_index = {va: j for j, va in enumerate(variables)}
 
+    wanted_opaque = mode != "transparency"
+    objective = np.zeros(len(variables))
+    task_row = np.zeros(len(variables))
     data, ri, ci = [], [], []
     for j, (v, a) in enumerate(variables):
         data.append(1.0)
@@ -321,6 +309,10 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
         ci.append(j)
         for t, p in pm.transitions[(v, a)]:
             if t in pm.absorbing:
+                if pm.opaque_accepting(t) == wanted_opaque:
+                    objective[j] += p
+                if pm.task_accepting(t):
+                    task_row[j] += p
                 continue
             data.append(-p)
             ri.append(row_of[t])
@@ -330,19 +322,6 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
     )
     b_eq = np.zeros(len(rows))
     b_eq[row_of[pm.initial]] = 1.0
-
-    task_row = np.array([pm.task_coef.get(va, 0.0) for va in variables])
-
-    objective = np.zeros(len(variables))
-    a_bot = pm.model.a_bot
-    for j, (v, a) in enumerate(variables):
-        if a != a_bot:
-            continue
-        opaque_here = pm.states[v][2] in pm.opaque_on_end
-        if mode == "transparency":
-            objective[j] = 0.0 if opaque_here else 1.0
-        else:
-            objective[j] = 1.0 if opaque_here else 0.0
 
     return LpProblem(
         pm=pm,

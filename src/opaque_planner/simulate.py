@@ -13,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .automata import Dfa
-from .model import Model, ObsSymbol, Play, build_model, obs_of_play
+from .model import PROB_TOL, Model, ObsSymbol, Play, build_model, obs_of_play
 from .planner import ProductMdp
 
 ENUMERATION_BUDGET = 10_000_000
@@ -124,7 +124,7 @@ def _kernel(pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]):
     successor probabilities, successor ids and the number of successors.
     Raises ``SimulationError`` unless the policy gives every non-absorbing
     state a distribution over its enabled actions: finite, non-negative
-    probabilities summing to 1 within 1e-9.
+    probabilities summing to 1 within ``PROB_TOL``.
     """
     n = pm.n_states
     act_p: list[list[float]] = [[] for _ in range(n)]
@@ -137,7 +137,7 @@ def _kernel(pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]):
             raise SimulationError(f"policy names {v!r}, which is not a product state")
         actions = sorted(dist)
         probs = [dist[a] for a in actions]
-        if not all(0.0 <= p < inf for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+        if not all(0.0 <= p < inf for p in probs) or abs(sum(probs) - 1.0) > PROB_TOL:
             raise SimulationError(
                 f"policy at product state {pm.state_name(v)!r} is not a "
                 f"probability distribution: {probs}"
@@ -278,11 +278,13 @@ def exact_policy_values(
 ) -> dict[str, float]:
     """Exact opacity/transparency/task probabilities of a fixed policy,
     from the linear occupancy equations (an independent check on both the
-    LP and the sampler)."""
+    LP and the sampler): each is the mass absorbed in product states with
+    that outcome."""
     rows = [v for v in range(pm.n_states) if v not in pm.absorbing]
     row_of = {v: i for i, v in enumerate(rows)}
     n = len(rows)
     data, ri, ci = [], [], []
+    absorbed = []  # (row, probability, absorbing successor) of each stopping step
     for v in rows:
         i = row_of[v]
         data.append(1.0)
@@ -293,6 +295,7 @@ def exact_policy_values(
                 continue
             for t, p in pm.transitions[(v, a)]:
                 if t in pm.absorbing:
+                    absorbed.append((i, pa * p, t))
                     continue
                 data.append(-pa * p)
                 ri.append(row_of[t])
@@ -302,17 +305,14 @@ def exact_policy_values(
     nu[row_of[pm.initial]] = 1.0
     x = spla.spsolve(matrix, nu)
     ph = pt = task = 0.0
-    a_bot = pm.model.a_bot
-    for v in rows:
-        occ = x[row_of[v]]
-        for a, pa in policy[v].items():
-            w = occ * pa
-            task += w * pm.task_coef.get((v, a), 0.0)
-            if a == a_bot:
-                if pm.states[v][2] in pm.opaque_on_end:
-                    ph += w
-                else:
-                    pt += w
+    for i, p, t in absorbed:
+        mass = x[i] * p
+        if pm.opaque_accepting(t):
+            ph += mass
+        else:
+            pt += mass
+        if pm.task_accepting(t):
+            task += mass
     return {"ph": float(ph), "pt": float(pt), "task": float(task)}
 
 

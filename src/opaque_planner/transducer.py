@@ -20,7 +20,6 @@ from typing import Mapping
 from .automata import (
     Dfa,
     Nfa,
-    complete,
     determinize,
     intersect,
     minimize,
@@ -229,12 +228,13 @@ class OpaqueBuild:
 
 def opaque_pipeline(model: Model, secret: Dfa) -> OpaqueBuild:
     """Construct the DFA of opaque observations: intersect the two output
-    NFAs, then determinize once and minimize."""
+    NFAs, then determinize once and minimize.  The subset construction
+    is complete by construction and minimization keeps it so."""
     t0 = time.monotonic()
     pf = product_fst(build_obs_fst(model), secret)
     joint = intersect(output_nfa(pf, "satisfying"), output_nfa(pf, "violating"))
     both = determinize(joint)
-    opaque = complete(minimize(both))
+    opaque = minimize(both)
     return OpaqueBuild(
         dfa=opaque,
         nfa_states=joint.n_states,

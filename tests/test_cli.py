@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +39,7 @@ def policy_file(model_file, tmp_path_factory):
 class TestScenario:
     def test_model_round_trips_canonically(self, model_file):
         model = load_model(model_file)
-        assert dumps_model(model) == open(model_file).read()
+        assert dumps_model(model) == Path(model_file).read_text()
 
     def test_gridworld_emits_valid_model(self, tmp_path):
         out = tmp_path / "grid.json"
@@ -68,7 +69,7 @@ class TestScenario:
 
 class TestBuild:
     def test_output_accepts_ambiguous_word(self, opaque_file):
-        doc = json.loads(open(opaque_file).read())
+        doc = json.loads(Path(opaque_file).read_text())
         assert doc["stats"]["minimized_states"] > 0
         assert doc["manifest"]["command"] == "build"
         dfa = dfa_from_dict(doc)
@@ -113,12 +114,22 @@ class TestPlan:
         assert "feasible threshold" in capsys.readouterr().err
 
     def test_policy_file_contents(self, policy_file):
-        doc = json.loads(open(policy_file).read())
+        doc = json.loads(Path(policy_file).read_text())
         assert doc["metadata"]["objective"] == pytest.approx(0.7, abs=1e-6)
         assert doc["metadata"]["manifest"]["task"] == "F s4"
         assert 0 < doc["metadata"]["quotient_states"] < doc["metadata"]["product_states"]
         some_state = next(iter(doc["policy"]))
         assert "|" in some_state
+
+    def test_min_opacity_complements_transparency(self, model_file, tmp_path):
+        objectives = {}
+        for mode in ("min-opacity", "transparency"):
+            out = tmp_path / f"{mode}.json"
+            assert main(["plan", "--model", model_file, "--task", "F s4",
+                         "--secret", "F s6", "--epsilon", "0.4", "--mode", mode,
+                         "--out", str(out)]) == 0
+            objectives[mode] = json.loads(out.read_text())["metadata"]["objective"]
+        assert sum(objectives.values()) == pytest.approx(1.0, abs=1e-8)
 
     def test_prebuilt_opaque_accepted(self, model_file, opaque_file, capsys):
         code = main(["plan", "--model", model_file, "--task", "F s4",
@@ -162,7 +173,7 @@ class TestSimulate:
     @pytest.mark.parametrize("dist", [{"a_top": 1.0}, {"a": 1.5, "a_bot": -0.5, "b": 0.0}])
     def test_invalid_policy_rejected(self, model_file, policy_file, tmp_path, capsys, dist):
         # an action not enabled at s1, then a negative probability
-        doc = json.loads(open(policy_file).read())
+        doc = json.loads(Path(policy_file).read_text())
         assert "s1|0|1" in doc["policy"]
         doc["policy"]["s1|0|1"] = dist
         bad = tmp_path / "bad.json"
@@ -190,7 +201,7 @@ class TestVerify:
         assert "opaque (oracle): 0" in out
 
     def test_mutated_dfa_flagged(self, model_file, opaque_file, tmp_path, capsys):
-        doc = json.loads(open(opaque_file).read())
+        doc = json.loads(Path(opaque_file).read_text())
         dfa = dfa_from_dict(doc)
         # flip the verdict on a word the model really produces
         transparent_word = (START, SS(["s2", "s3"]), SS(["s4"]), END)
@@ -204,6 +215,27 @@ class TestVerify:
                      "--opaque", str(mutated), "--max-actions", "4"])
         assert code == 4
         assert "counterexample" in capsys.readouterr().err
+
+
+class TestMissingInputs:
+    def _fails_cleanly(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_plan_without_secret_or_opaque(self, model_file, capsys):
+        self._fails_cleanly(
+            ["plan", "--model", model_file, "--task", "F s4"], capsys
+        )
+
+    def test_export_lp_without_secret_or_opaque(self, model_file, capsys):
+        self._fails_cleanly(
+            ["export-lp", "--model", model_file, "--task", "F s4"], capsys
+        )
+
+    def test_export_dot_without_model_or_dfa(self, capsys):
+        self._fails_cleanly(["export-dot", "--secret", "F s6"], capsys)
 
 
 class TestExports:

@@ -66,15 +66,16 @@ class TestProductMdp:
     def test_task_reward_from_initial_entry(self, pm, model):
         # the task is rewarded on termination only, and only in its
         # accepting set, which the initial state of F s4 is not
-        coef = pm.task_coef.get(
-            (pm.index[(model.top, pm.task.initial, pm.opaque.initial)], model.a_top)
-        )
-        assert coef is None  # s1 is not accepting for F s4
+        lp = build_lp(pm, 0)
+        v0 = pm.index[(model.top, pm.task.initial, pm.opaque.initial)]
+        rep = pm.quotient.representatives[pm.quotient.block[v0]]
+        coef = lp.task_row[lp.var_index[(rep, model.a_top)]]
+        assert coef == 0.0  # s1 is not accepting for F s4
 
     def test_opacity_reward_tracks_prefix_acceptance(self, pm, model, opaque_dfa):
-        # walking any short play through the product, the termination reward
-        # is available exactly when the observation so far, closed with the
-        # end marker, is an opaque word
+        # walking any short play through the product, terminating stops in
+        # an opaque-accepting state exactly when the observation so far,
+        # closed with the end marker, is an opaque word
         for play in enumerate_plays(model, max_actions=4):
             v = pm.initial
             inputs = play_inputs(model, play)
@@ -87,7 +88,8 @@ class TestProductMdp:
                 v = matches[0]
             word = obs_of_play(model, play)
             expected = opaque_dfa.accepts(word)
-            assert (pm.reward_opaque(v, model.a_bot) == 1.0) == expected
+            ((t, _p),) = pm.transitions[(v, model.a_bot)]
+            assert pm.opaque_accepting(t) == expected
 
     def test_incomplete_opaque_rejected(self, model, task_dfa, opaque_dfa):
         broken = type(opaque_dfa)(
@@ -222,7 +224,9 @@ class TestExport:
 
 def unreduced_optimum(pm, epsilon, mode):
     """Optimum of the occupancy LP over every product state, assembled
-    straight from ``pm.transitions``; None when infeasible."""
+    straight from ``pm.transitions``, with each variable rewarded by the
+    probability it sends into absorbing states of the wanted outcome; None
+    when infeasible."""
     rows = [v for v in range(pm.n_states) if v not in pm.absorbing]
     row_of = {v: i for i, v in enumerate(rows)}
     variables = [(v, a) for v in rows for a in pm.enabled(v)]
@@ -234,10 +238,10 @@ def unreduced_optimum(pm, epsilon, mode):
         for t, p in pm.transitions[(v, a)]:
             if t not in pm.absorbing:
                 a_eq[row_of[t], j] -= p
-        task[j] = pm.task_coef.get((v, a), 0.0)
-        if a == pm.model.a_bot:
-            opaque = pm.states[v][2] in pm.opaque_on_end
-            reward[j] = float(opaque if mode == "opacity" else not opaque)
+                continue
+            task[j] += p * pm.task_accepting(t)
+            opaque = pm.opaque_accepting(t)
+            reward[j] += p * float(opaque if mode == "opacity" else not opaque)
     b_eq = np.zeros(len(rows))
     b_eq[row_of[pm.initial]] = 1.0
     res = linprog(
@@ -292,15 +296,11 @@ class TestQuotient:
                 assert rep <= v
                 assert (v in pm.absorbing) == (rep in pm.absorbing)
                 if v in pm.absorbing:
+                    assert pm.opaque_accepting(v) == pm.opaque_accepting(rep)
+                    assert pm.task_accepting(v) == pm.task_accepting(rep)
                     continue
                 assert pm.enabled(v) == pm.enabled(rep)
-                assert pm.reward_opaque(v, pm.model.a_bot) == pm.reward_opaque(
-                    rep, pm.model.a_bot
-                )
                 for a in pm.enabled(v):
-                    assert pm.task_coef.get((v, a), 0.0) == pytest.approx(
-                        pm.task_coef.get((rep, a), 0.0), abs=1e-12
-                    )
                     mine, theirs = {}, {}
                     for dist, out in ((pm.transitions[(v, a)], mine),
                                       (pm.transitions[(rep, a)], theirs)):
@@ -333,4 +333,21 @@ class TestQuotient:
         assert pm.quotient is pm.quotient
         assert pm.quotient.n_blocks < pm.n_states
         lp = build_lp(pm, 0.4, "opacity")
-        assert len(lp.rows) == pm.quotient.n_blocks - 1
+        reps = pm.quotient.representatives
+        assert len(lp.rows) == sum(v not in pm.absorbing for v in reps)
+
+    def test_coefficients_are_absorbed_mass(self, products):
+        # the objective and the task row score where a run stops: each
+        # coefficient is the probability the variable's (state, action)
+        # moves into an absorbing state with that outcome
+        for pm in products:
+            for mode in ("opacity", "transparency", "min-opacity"):
+                lp = build_lp(pm, 0.0, mode)
+                for j, (v, a) in enumerate(lp.variables):
+                    stops = [(t, p) for t, p in pm.transitions[(v, a)] if t in pm.absorbing]
+                    opaque = sum(p for t, p in stops if pm.opaque_accepting(t))
+                    transparent = sum(p for t, p in stops if not pm.opaque_accepting(t))
+                    task = sum(p for t, p in stops if pm.task_accepting(t))
+                    wanted = transparent if mode == "transparency" else opaque
+                    assert lp.objective[j] == wanted
+                    assert lp.task_row[j] == task
