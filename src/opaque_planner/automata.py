@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .model import ObsSymbol, START, END
 
@@ -126,16 +126,6 @@ class Nfa:
         return bool(current & self.accepting)
 
 
-def dfa_to_nfa(dfa: Dfa) -> Nfa:
-    return Nfa(
-        alphabet=dfa.alphabet,
-        transitions={k: frozenset((v,)) for k, v in dfa.transitions.items()},
-        initials=frozenset((dfa.initial,)),
-        accepting=dfa.accepting,
-        state_names=dfa.state_names,
-    )
-
-
 def _missing_moves(dfa: Dfa, letters: Sequence[Letter]) -> list[tuple[int, Letter]]:
     return [
         (q, letter)
@@ -181,8 +171,9 @@ def complete(dfa: Dfa, sink_label: str = "sink") -> Dfa:
     )
 
 
-def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction, reachable subsets only.
+def subset_construction(nfa: Nfa, accepts: Callable[[frozenset[int]], bool]) -> Dfa:
+    """Subset construction, reachable subsets only; a subset is accepting
+    when ``accepts(subset)`` holds.
 
     The empty subset appears as the rejecting sink whenever some letter
     has no successor, so the result is always complete.
@@ -213,16 +204,19 @@ def determinize(nfa: Nfa) -> Dfa:
     names = tuple(
         "{" + ",".join(nfa.state_names[i] for i in sorted(s)) + "}" for s in subsets
     )
-    accepting = frozenset(
-        order[s] for s in subsets if s & nfa.accepting
-    )
     return Dfa(
         alphabet=nfa.alphabet,
         transitions=transitions,
         initial=0,
-        accepting=accepting,
+        accepting=frozenset(order[s] for s in subsets if accepts(s)),
         state_names=names,
     )
+
+
+def determinize(nfa: Nfa) -> Dfa:
+    """The subset construction accepting the subsets that hold an
+    accepting state: the DFA of the NFA's language."""
+    return subset_construction(nfa, lambda subset: not nfa.accepting.isdisjoint(subset))
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
@@ -438,47 +432,6 @@ def dfa_from_dict(doc: Mapping) -> Dfa:
         alphabet=alphabet,
         transitions=transitions,
         initial=index[doc["initial"]],
-        accepting=frozenset(index[n] for n in doc["accepting"]),
-        state_names=names,
-    )
-
-
-def nfa_to_dict(nfa: Nfa, letter_kind: str) -> dict:
-    return {
-        "type": "nfa",
-        "letter_kind": letter_kind,
-        "states": list(nfa.state_names),
-        "alphabet": [_letter_to_json(l) for l in nfa.alphabet],
-        "initial": sorted(nfa.state_names[q] for q in nfa.initials),
-        "accepting": sorted(nfa.state_names[q] for q in nfa.accepting),
-        "transitions": [
-            {
-                "from": nfa.state_names[q],
-                "letter": _letter_to_json(letter),
-                "to": sorted(nfa.state_names[t] for t in targets),
-            }
-            for (q, letter), targets in sorted(
-                nfa.transitions.items(), key=lambda kv: (kv[0][0], letter_key(kv[0][1]))
-            )
-        ],
-    }
-
-
-def nfa_from_dict(doc: Mapping) -> Nfa:
-    kind = doc.get("letter_kind", "plain")
-    names = tuple(doc["states"])
-    index = {n: i for i, n in enumerate(names)}
-    alphabet = sort_alphabet(_letter_from_json(l, kind) for l in doc["alphabet"])
-    transitions = {
-        (index[row["from"]], _letter_from_json(row["letter"], kind)): frozenset(
-            index[t] for t in row["to"]
-        )
-        for row in doc["transitions"]
-    }
-    return Nfa(
-        alphabet=alphabet,
-        transitions=transitions,
-        initials=frozenset(index[n] for n in doc["initial"]),
         accepting=frozenset(index[n] for n in doc["accepting"]),
         state_names=names,
     )

@@ -99,10 +99,6 @@ class Play:
     def interior_states(self) -> tuple[str, ...]:
         return self.states[1:-1]
 
-    @property
-    def interior_actions(self) -> tuple[str, ...]:
-        return self.actions[1:-1]
-
     def __str__(self) -> str:
         out = [self.states[0]]
         for a, s in zip(self.actions, self.states[1:]):

@@ -273,14 +273,58 @@ def uniform_policy(pm: ProductMdp) -> dict[int, dict[int, float]]:
     return out
 
 
+def _reachable_transient(
+    pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]
+) -> list[int]:
+    """The non-absorbing product states the policy reaches from the
+    initial one, in increasing order.
+
+    Raises ``SimulationError`` naming one of them from which the policy
+    can never reach an absorbing state.  A finite Markov chain stops with
+    probability 1 exactly when no such state is reachable.
+    """
+    order = [pm.initial]
+    seen = {pm.initial}
+    predecessors: dict[int, list[int]] = {}
+    for v in order:  # grows as new states are found
+        for a, pa in policy[v].items():
+            if pa == 0.0:
+                continue
+            for t, _p in pm.transitions[(v, a)]:
+                predecessors.setdefault(t, []).append(v)
+                if t not in seen:
+                    seen.add(t)
+                    if t not in pm.absorbing:
+                        order.append(t)
+    stops = set(pm.absorbing & seen)
+    frontier = list(stops)
+    while frontier:
+        for v in predecessors.get(frontier.pop(), ()):
+            if v not in stops:
+                stops.add(v)
+                frontier.append(v)
+    trapped = next((v for v in order if v not in stops), None)
+    if trapped is not None:
+        raise SimulationError(
+            f"policy never stops from product state {pm.state_name(trapped)!r}, "
+            f"which it reaches"
+        )
+    return sorted(order)
+
+
 def exact_policy_values(
     pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]
 ) -> dict[str, float]:
     """Exact opacity/transparency/task probabilities of a fixed policy,
     from the linear occupancy equations (an independent check on both the
     LP and the sampler): each is the mass absorbed in product states with
-    that outcome."""
-    rows = [v for v in range(pm.n_states) if v not in pm.absorbing]
+    that outcome.
+
+    The equations are posed on the non-absorbing states the policy
+    reaches; they have a unique solution because the policy is first
+    checked to stop with probability 1 (else ``SimulationError``).
+    """
+    rows = _reachable_transient(pm, policy)
     row_of = {v: i for i, v in enumerate(rows)}
     n = len(rows)
     data, ri, ci = [], [], []

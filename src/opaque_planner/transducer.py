@@ -4,10 +4,13 @@ The observation function is encoded as a letter-to-letter transducer whose
 inputs are the model's transitions and whose outputs are observation
 symbols.  Pairing it with the secret DFA yields a product transducer with
 two accepting sets: runs ending with the secret satisfied, and runs ending
-with it violated.  Erasing inputs turns those into two NFAs over
-observation words; an observation is opaque exactly when both accept it,
-so the intersection, determinized and minimized, accepts the opaque
-observations and nothing else.
+with it violated.  An observation is opaque exactly when a satisfying and
+a violating run both emit it.  Erasing inputs turns the transducer into an
+NFA over observation words.  Its subset construction (the observer, or
+current-state estimator) reaches on each word the set of transducer states
+that runs emitting the word can be in; accepting the subsets that hold
+both a satisfying and a violating terminal state, then minimizing, gives
+the DFA of the opaque observations and nothing else.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from typing import Mapping
 from .automata import (
     Dfa,
     Nfa,
-    determinize,
-    intersect,
     minimize,
     require_complete,
     sort_alphabet,
+    subset_construction,
 )
 from .model import END, Model, ObsSymbol, Play, START
 
@@ -171,19 +173,11 @@ def product_fst(fst: Fst, secret: Dfa) -> ProductFst:
     )
 
 
-def output_nfa(pf: ProductFst, which: str) -> Nfa:
-    """Erase inputs and read the emitted observation symbols instead.
-
-    ``which`` selects the accepting set: "satisfying" keeps runs whose
-    play satisfies the secret, "violating" the complement.  The result has
-    no epsilon moves because the transducer is letter-to-letter.  States
-    that cannot reach the chosen accepting set are dropped; they accept
-    nothing and only blow up the later subset construction.
-    """
-    if which not in ("satisfying", "violating"):
-        raise ValueError("which must be 'satisfying' or 'violating'")
-    accepting = pf.accept_sat if which == "satisfying" else pf.accept_vio
-
+def _erase_inputs(pf: ProductFst, accepting: frozenset[int]) -> tuple[Nfa, dict[int, int]]:
+    """The transducer's outputs as an NFA accepting in ``accepting``, kept
+    to the states that can reach it; also the map from transducer state to
+    NFA state.  States that cannot reach ``accepting`` accept nothing and
+    only blow up a later subset construction."""
     predecessors: dict[int, set[int]] = {}
     for (src, _letter), (dst, _out) in pf.transitions.items():
         predecessors.setdefault(dst, set()).add(src)
@@ -202,7 +196,7 @@ def output_nfa(pf: ProductFst, which: str) -> Nfa:
     for (src, _letter), (dst, out) in pf.transitions.items():
         if src in alive and dst in alive:
             transitions.setdefault((renum[src], out), set()).add(renum[dst])
-    return Nfa(
+    nfa = Nfa(
         alphabet=sort_alphabet(pf.model.observation_alphabet()),
         transitions={k: frozenset(v) for k, v in transitions.items()},
         initials=frozenset(
@@ -211,13 +205,28 @@ def output_nfa(pf: ProductFst, which: str) -> Nfa:
         accepting=frozenset(renum[s] for s in accepting),
         state_names=tuple(pf.state_name(i) for i in keep),
     )
+    return nfa, renum
+
+
+def output_nfa(pf: ProductFst, which: str) -> Nfa:
+    """Erase inputs and read the emitted observation symbols instead.
+
+    ``which`` selects the accepting set: "satisfying" keeps runs whose
+    play satisfies the secret, "violating" the complement.  The result has
+    no epsilon moves because the transducer is letter-to-letter, and keeps
+    only the states that can reach the chosen accepting set.
+    """
+    if which not in ("satisfying", "violating"):
+        raise ValueError("which must be 'satisfying' or 'violating'")
+    return _erase_inputs(pf, pf.accept_sat if which == "satisfying" else pf.accept_vio)[0]
 
 
 @dataclass(frozen=True)
 class OpaqueBuild:
     """The opaque-observations DFA plus size/timing diagnostics:
-    ``nfa_states`` counts the intersected NFA, ``dfa_states`` its subset
-    construction before minimization."""
+    ``nfa_states`` counts the transducer states that reach either
+    accepting set, ``dfa_states`` the observer's subsets before
+    minimization."""
 
     dfa: Dfa
     nfa_states: int
@@ -227,18 +236,28 @@ class OpaqueBuild:
 
 
 def opaque_pipeline(model: Model, secret: Dfa) -> OpaqueBuild:
-    """Construct the DFA of opaque observations: intersect the two output
-    NFAs, then determinize once and minimize.  The subset construction
-    is complete by construction and minimization keeps it so."""
+    """Construct the DFA of opaque observations: the observer of the
+    product transducer's outputs, minimized.
+
+    The output NFA keeps the transducer states that reach either
+    accepting set; its subset construction accepts the subsets that hold
+    both a satisfying and a violating terminal state.  The subset
+    construction is complete by construction and minimization keeps it
+    so.
+    """
     t0 = time.monotonic()
     pf = product_fst(build_obs_fst(model), secret)
-    joint = intersect(output_nfa(pf, "satisfying"), output_nfa(pf, "violating"))
-    both = determinize(joint)
-    opaque = minimize(both)
+    nfa, renum = _erase_inputs(pf, pf.accept_sat | pf.accept_vio)
+    sat = frozenset(renum[s] for s in pf.accept_sat)
+    vio = nfa.accepting - sat
+    subsets = subset_construction(
+        nfa, lambda subset: not sat.isdisjoint(subset) and not vio.isdisjoint(subset)
+    )
+    opaque = minimize(subsets)
     return OpaqueBuild(
         dfa=opaque,
-        nfa_states=joint.n_states,
-        dfa_states=both.n_states,
+        nfa_states=nfa.n_states,
+        dfa_states=subsets.n_states,
         minimized_states=opaque.n_states,
         seconds=time.monotonic() - t0,
     )

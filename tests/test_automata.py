@@ -13,11 +13,9 @@ from opaque_planner.automata import (
     determinize,
     dfa_from_dict,
     dfa_to_dict,
-    dfa_to_nfa,
     intersect,
     minimize,
-    nfa_from_dict,
-    nfa_to_dict,
+    subset_construction,
 )
 
 AB = ("a", "b")
@@ -36,6 +34,16 @@ def simple_dfa():
         initial=0,
         accepting=frozenset({1}),
         state_names=("start", "seen"),
+    )
+
+
+def dfa_to_nfa(dfa):
+    return Nfa(
+        alphabet=dfa.alphabet,
+        transitions={k: frozenset((v,)) for k, v in dfa.transitions.items()},
+        initials=frozenset((dfa.initial,)),
+        accepting=dfa.accepting,
+        state_names=dfa.state_names,
     )
 
 
@@ -115,6 +123,25 @@ class TestDeterminize:
         det = determinize(nfa)
         for word in words_up_to(AB, 5):
             assert det.accepts(word) == nfa.accepts(word)
+
+
+def reached(nfa, word):
+    current = set(nfa.initials)
+    for letter in word:
+        current = {t for q in current for t in nfa.targets(q, letter)}
+    return current
+
+
+class TestSubsetConstruction:
+    @settings(max_examples=60, deadline=None)
+    @given(nfas())
+    def test_accepting_subsets_are_the_predicate(self, nfa):
+        # accept the words after which states 0 and 1 are both reachable
+        dfa = subset_construction(nfa, lambda subset: {0, 1} <= subset)
+        det = determinize(nfa)
+        assert dfa.transitions == det.transitions
+        for word in words_up_to(AB, 5):
+            assert dfa.accepts(word) == ({0, 1} <= reached(nfa, word))
 
 
 class TestMinimize:
@@ -210,18 +237,6 @@ class TestJson:
         back = dfa_from_dict(doc)
         for word in words_up_to(AB, 5):
             assert back.accepts(word) == dfa.accepts(word)
-
-    def test_nfa_round_trip(self):
-        nfa = Nfa(
-            alphabet=AB,
-            transitions={(0, "a"): frozenset({0, 1})},
-            initials=frozenset({0}),
-            accepting=frozenset({1}),
-            state_names=("x", "y"),
-        )
-        back = nfa_from_dict(nfa_to_dict(nfa, "plain"))
-        for word in words_up_to(AB, 5):
-            assert back.accepts(word) == nfa.accepts(word)
 
     def test_observation_letters_survive(self, opaque_dfa):
         back = dfa_from_dict(dfa_to_dict(opaque_dfa, "observations"))

@@ -1,0 +1,30 @@
+"""The benchmark worker imports names from the package on every pass,
+traced or not; a name that disappears fails every benchmark op, so the
+names are checked here, by reading the worker's source."""
+
+import ast
+import importlib
+from pathlib import Path
+
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+
+
+def package_imports(path):
+    """(module, name) of every ``from opaque_planner... import name``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.module.split(".")[0] == "opaque_planner":
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def test_worker_imports_are_exported():
+    wanted = sorted(set(package_imports(WORKER)))
+    assert wanted, "found no imports from the package"
+    missing = [
+        f"{module}.{name}"
+        for module, name in wanted
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

@@ -75,6 +75,14 @@ class TestBuild:
         dfa = dfa_from_dict(doc)
         assert dfa.accepts((START, SS(["s2", "s3"]), SS(["s5", "s6"]), END))
 
+    def test_stats_count_the_observer(self, opaque_file):
+        # 13 transducer states reach an accepting set, 17 observer subsets,
+        # 9 states once minimized
+        stats = json.loads(Path(opaque_file).read_text())["stats"]
+        assert (stats["nfa_states"], stats["dfa_states"], stats["minimized_states"]) == (
+            13, 17, 9
+        )
+
     def test_trivial_secret_warns(self, model_file, tmp_path, capsys):
         out = tmp_path / "trivial.json"
         assert main(["build", "--model", model_file, "--secret", "true",

@@ -292,6 +292,30 @@ class TestUniformPolicy:
         assert abs(stats.p_task - exact["task"]) <= 0.025
 
 
+def loop_at_s6(pm, policy):
+    """``policy`` with the sure self-loop ``b`` at every state over s6."""
+    s6, b = pm.model.state_index["s6"], pm.model.action_index["b"]
+    out = dict(policy)
+    for v, (s, _q, _qh) in enumerate(pm.states):
+        if s == s6:
+            out[v] = {b: 1.0}
+    return out
+
+
+class TestExactValues:
+    def test_policy_that_never_stops_raises(self, pm):
+        # uniform elsewhere, the policy reaches s6 and then loops forever
+        with pytest.raises(SimulationError, match=r"never stops from product state 's6\|"):
+            exact_policy_values(pm, loop_at_s6(pm, uniform_policy(pm)))
+
+    def test_trap_the_policy_never_reaches_is_ignored(self, pm):
+        # stopping at once never reaches s6, so its loops there do not count
+        policy = immediate_termination_policy(pm)
+        assert exact_policy_values(pm, loop_at_s6(pm, policy)) == exact_policy_values(
+            pm, policy
+        )
+
+
 class TestClassifyPlay:
     def test_ambiguous_play_is_opaque(self, model, opaque_dfa):
         p = play("s_top a_top s1 b s3 b s6 a_bot s_bot")

@@ -3,10 +3,22 @@ from itertools import product
 
 import pytest
 
-from opaque_planner.automata import Dfa, IncompleteDfaError, determinize, sort_alphabet
+from opaque_planner.automata import (
+    Dfa,
+    IncompleteDfaError,
+    determinize,
+    intersect,
+    minimize,
+    sort_alphabet,
+)
 from opaque_planner.ltlf import dfa_over_model_labels, evaluate, parse_ltlf
 from opaque_planner.model import ObsSymbol, Play, START, END, build_model, obs_of_play
-from opaque_planner.simulate import enumerate_plays, observation_buckets
+from opaque_planner.simulate import (
+    enumerate_plays,
+    observation_buckets,
+    random_model,
+    random_secret_text,
+)
 from opaque_planner.transducer import (
     build_obs_fst,
     opaque_obs_dfa,
@@ -49,6 +61,21 @@ def product_dfa(a, b):
         ),
         state_names=tuple(str(pair) for pair in order),
     )
+
+
+def paper_route(model, secret):
+    """The paper's construction: intersect the satisfying and violating
+    output NFAs, determinize, minimize.  The reference for the observer."""
+    pf = product_fst(build_obs_fst(model), secret)
+    joint = intersect(output_nfa(pf, "satisfying"), output_nfa(pf, "violating"))
+    return minimize(determinize(joint))
+
+
+def assert_same_dfa(got, want):
+    assert got.alphabet == want.alphabet
+    assert got.initial == want.initial
+    assert got.transitions == want.transitions
+    assert got.accepting == want.accepting
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +252,20 @@ class TestOpaqueDfa:
         for n in range(5):
             for word in product(letters, repeat=n):
                 assert opaque_dfa.accepts(word) == other.accepts(word)
+
+    # "true" is never violated, so its opaque language is empty
+    @pytest.mark.parametrize("secret_text", ["F s6", "true"])
+    def test_observer_matches_paper_route(self, model, secret_text):
+        secret = dfa_over_model_labels(secret_text, model)
+        assert_same_dfa(opaque_obs_dfa(model, secret), paper_route(model, secret))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_observer_matches_paper_route_on_random_models(self, seed):
+        # the criterion-5 systems and secrets
+        m = random_model(seed, max_states=6, max_actions=2)
+        names = [m.states[i] for i in m.interior_state_indices()]
+        secret = dfa_over_model_labels(random_secret_text(seed, names), m)
+        assert_same_dfa(opaque_obs_dfa(m, secret), paper_route(m, secret))
 
     def test_classified_plays_partition(self, model, secret_dfa, opaque_dfa):
         plays = list(enumerate_plays(model, max_actions=4))
