@@ -16,6 +16,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
+import numpy as np
+
 S_TOP = "s_top"
 S_BOT = "s_bot"
 A_TOP = "a_top"
@@ -107,6 +109,31 @@ class Play:
         return " ".join(out)
 
 
+@dataclass(frozen=True, eq=False)
+class ModelCsr:
+    """A model's transitions as CSR row groups, with interned letters.
+
+    State ``s`` owns the rows ``row_ptr[s]:row_ptr[s + 1]``, one per enabled
+    action in increasing order (``row_action``).  Row ``r`` owns the entries
+    ``entry_ptr[r]:entry_ptr[r + 1]``, in the order of ``Model.transitions``
+    (by successor): successor ``entry_succ``, probability ``entry_prob`` and
+    observation ``entry_obs``, an index into ``observation_alphabet()``.
+    ``a_top`` rows emit START and ``a_bot`` rows END; ``entry_obs`` is -1
+    where no observation is defined (a missing one, or the terminating
+    state's self-loops).  ``state_label`` indexes ``label_letters``, the
+    distinct interior labels, and is -1 on the two frame states.
+    """
+
+    row_ptr: np.ndarray
+    row_action: np.ndarray
+    entry_ptr: np.ndarray
+    entry_succ: np.ndarray
+    entry_prob: np.ndarray
+    entry_obs: np.ndarray
+    state_label: np.ndarray
+    label_letters: tuple[frozenset[str], ...]
+
+
 @dataclass(frozen=True)
 class Model:
     """Validated-on-demand probabilistic transition system.
@@ -165,6 +192,41 @@ class Model:
 
     def enabled(self, s: int) -> tuple[int, ...]:
         return self._enabled[s]
+
+    @cached_property
+    def csr(self) -> ModelCsr:
+        """The transitions as CSR row groups, built on first use."""
+        keys = sorted(self.transitions)
+        rows_per_state = np.bincount(
+            np.array([s for s, _a in keys], dtype=np.int64), minlength=len(self.states)
+        )
+        symbol = {o: i for i, o in enumerate(self.observation_alphabet())}
+        succ, prob, obs, widths = [], [], [], []
+        for s, a in keys:
+            dist = self.transitions[(s, a)]
+            widths.append(len(dist))
+            for t, p in dist:
+                succ.append(t)
+                prob.append(p)
+                if a == self.a_top:
+                    obs.append(symbol[START])
+                elif a == self.a_bot:
+                    obs.append(symbol[END])
+                else:
+                    o = None if s == self.bot else self.observations.get((s, a, t))
+                    obs.append(-1 if o is None else symbol[o])
+        letters = tuple(sorted(self.label_alphabet(), key=lambda l: (len(l), sorted(l))))
+        letter_id = {l: i for i, l in enumerate(letters)}
+        return ModelCsr(
+            row_ptr=np.concatenate(([0], np.cumsum(rows_per_state))),
+            row_action=np.array([a for _s, a in keys], dtype=np.int64),
+            entry_ptr=np.concatenate(([0], np.cumsum(widths, dtype=np.int64))),
+            entry_succ=np.array(succ, dtype=np.int64),
+            entry_prob=np.array(prob, dtype=np.float64),
+            entry_obs=np.array(obs, dtype=np.int64),
+            state_label=np.array([letter_id.get(l, -1) for l in self.labels], dtype=np.int64),
+            label_letters=letters,
+        )
 
     def successors(self, s: int, a: int) -> tuple[tuple[int, float], ...]:
         return self.transitions.get((s, a), ())
@@ -231,32 +293,6 @@ class Model:
                 raise InvalidPlayError(
                     f"transition #{i} ({u}, {a}, {v}) has zero probability"
                 )
-
-    def random_walk(self, rng, max_interior: int) -> Play:
-        """Sample a play with at most ``max_interior`` interior actions."""
-        linear = [self.states[self.top], self.actions[self.a_top]]
-        dist = self.initial_dist()
-        s = _sample(rng, dist)
-        linear.append(self.states[s])
-        for _ in range(max_interior):
-            interior = [a for a in self.enabled(s) if a != self.a_bot]
-            if not interior or rng.random() < 0.3:
-                break
-            a = interior[rng.integers(len(interior))]
-            s = _sample(rng, self.successors(s, a))
-            linear.extend([self.actions[a], self.states[s]])
-        linear.extend([self.actions[self.a_bot], self.states[self.bot]])
-        return Play.from_linear(linear)
-
-
-def _sample(rng, dist):
-    u = rng.random()
-    acc = 0.0
-    for t, p in dist:
-        acc += p
-        if u <= acc:
-            return t
-    return dist[-1][0]
 
 
 def label_of_play(model: Model, play: Play) -> tuple:

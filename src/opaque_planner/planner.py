@@ -11,6 +11,16 @@ opaque component, which has read the end marker, accepts.  The
 occupancy-measure LP maximizes the probability of stopping opaque (or
 transparent) subject to flow conservation and a task-probability threshold.
 
+The product is built breadth-first, one level at a time, in numpy, and
+stored once as CSR row groups, the layout of sparse probabilistic model
+checkers (PRISM: Kwiatkowska, Norman & Parker 2011; Storm: Dehnert et al.
+2017): each state owns a range of (state, action) rows in increasing action
+order, and each row a range of (successor, probability) entries in
+increasing successor order.  A level's new states are numbered in order of
+first occurrence as the level before is read row by row, so the numbering
+is that of a FIFO search.  The quotient, the LP, exact evaluation and the
+sampler all read these arrays.
+
 The LP is posed on the coarsest probabilistic bisimulation of the product
 (Larsen & Skou 1991), found by signature-based partition refinement
 (Derisavi, Hermanns & Sanders 2003): bisimilar product states enable the
@@ -22,9 +32,9 @@ unchanged.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -32,7 +42,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .automata import Dfa, require_complete
-from .model import END, Model, START
+from .model import Model, ModelError
 
 FEASIBILITY_TOL = 1e-9
 
@@ -67,23 +77,40 @@ class Quotient:
         return len(self.representatives)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductMdp:
-    """Reachable product of model x task DFA x opaque-observations DFA."""
+    """Reachable product of model x task DFA x opaque-observations DFA,
+    stored once as CSR row groups.
+
+    Product state ``v`` is the triple ``components[v]`` = (s, q, q_hat).
+    It owns the (state, action) rows ``row_ptr[v]:row_ptr[v + 1]``, one per
+    enabled action in increasing order (``row_action``); absorbing states
+    own none.  Row ``r`` owns the entries ``entry_ptr[r]:entry_ptr[r + 1]``:
+    successors ``entry_succ`` in increasing order, with probabilities
+    ``entry_prob``.  States are numbered breadth-first from the initial
+    state 0, each level in order of first occurrence as the rows of the
+    level before are read in order: the numbering of a FIFO search.  The
+    arrays are read-only; ``states``, ``index`` and ``transitions`` are
+    read-only views of them, built on first access.
+    """
 
     model: Model
     task: Dfa
     opaque: Dfa
-    states: tuple[tuple[int, int, int], ...]  # (s, q, q_hat)
-    index: Mapping[tuple[int, int, int], int]
-    # (state, action) -> ((successor, probability), ...)
-    transitions: Mapping[tuple[int, int], tuple[tuple[int, float], ...]]
-    initial: int
-    absorbing: frozenset[int]
+    components: np.ndarray  # (n_states, 3): s, q, q_hat
+    row_ptr: np.ndarray
+    row_action: np.ndarray
+    entry_ptr: np.ndarray
+    entry_succ: np.ndarray
+    entry_prob: np.ndarray
+
+    @property
+    def initial(self) -> int:
+        return 0
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.components)
 
     @cached_property
     def quotient(self) -> Quotient:
@@ -91,75 +118,192 @@ class ProductMdp:
         use and kept for every later LP of this product."""
         return bisimulation_quotient(self)
 
+    @cached_property
+    def row_state(self) -> np.ndarray:
+        """The product state of each row."""
+        return np.repeat(np.arange(self.n_states), np.diff(self.row_ptr))
+
+    @cached_property
+    def absorbing_mask(self) -> np.ndarray:
+        return self.components[:, 0] == self.model.bot
+
+    @cached_property
+    def absorbing(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.absorbing_mask).tolist())
+
+    @cached_property
+    def task_accepts(self) -> np.ndarray:
+        """Per state, whether its task component accepts."""
+        return np.isin(self.components[:, 1], list(self.task.accepting))
+
+    @cached_property
+    def opaque_accepts(self) -> np.ndarray:
+        """Per state, whether its q_hat component accepts."""
+        return np.isin(self.components[:, 2], list(self.opaque.accepting))
+
+    def rows_of(self, states, actions) -> np.ndarray:
+        """The row of each (state, action) pair; -1 where the state does
+        not enable the action."""
+        width = len(self.model.actions)
+        keys = self.row_state * width + self.row_action  # increasing
+        wanted = np.asarray(states, dtype=np.int64) * width + np.asarray(actions, dtype=np.int64)
+        pos = np.searchsorted(keys, wanted)
+        found = pos < len(keys)
+        found[found] = keys[pos[found]] == wanted[found]
+        return np.where(found, pos, -1)
+
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of ``rows``, row after row, and for each entry the
+        position in ``rows`` of its row."""
+        start = self.entry_ptr[rows]
+        count = self.entry_ptr[rows + 1] - start
+        return _ranges(start, count), np.repeat(np.arange(len(rows)), count)
+
+    @cached_property
+    def states(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(map(tuple, self.components.tolist()))
+
+    @cached_property
+    def index(self) -> Mapping[tuple[int, int, int], int]:
+        return MappingProxyType({v: i for i, v in enumerate(self.states)})
+
+    @cached_property
+    def transitions(self) -> Mapping[tuple[int, int], tuple[tuple[int, float], ...]]:
+        """(state, action) -> ((successor, probability), ...)."""
+        pairs = list(zip(self.entry_succ.tolist(), self.entry_prob.tolist()))
+        ptr = self.entry_ptr.tolist()
+        keys = zip(self.row_state.tolist(), self.row_action.tolist())
+        return MappingProxyType(
+            {key: tuple(pairs[ptr[r] : ptr[r + 1]]) for r, key in enumerate(keys)}
+        )
+
     def enabled(self, v: int) -> tuple[int, ...]:
-        if v in self.absorbing:
-            return ()
-        s = self.states[v][0]
-        return self.model.enabled(s)
+        return tuple(self.row_action[self.row_ptr[v] : self.row_ptr[v + 1]].tolist())
 
     def state_name(self, v: int) -> str:
-        s, q, qh = self.states[v]
+        s, q, qh = self.components[v].tolist()
         return f"{self.model.states[s]}|{q}|{qh}"
 
     def task_accepting(self, v: int) -> bool:
         """Whether the task component accepts: at an absorbing state,
         whether the run that stopped there satisfies the task."""
-        return self.states[v][1] in self.task.accepting
+        return bool(self.task_accepts[v])
 
     def opaque_accepting(self, v: int) -> bool:
         """Whether the q_hat component is accepting: at an absorbing state,
         which has read the end marker, whether the run's observation is
         opaque."""
-        return self.states[v][2] in self.opaque.accepting
+        return bool(self.opaque_accepts[v])
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``arange(start[i], start[i] + count[i])`` for every i, concatenated."""
+    end = np.cumsum(count)
+    return np.repeat(start - (end - count), count) + np.arange(end[-1] if len(end) else 0)
 
 
 def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
-    """Build the reachable product; runs stop in its absorbing states,
-    whose labels carry the outcomes."""
-    require_complete(task, model.label_alphabet(), "task")
+    """Build the reachable product breadth-first, one level at a time;
+    runs stop in its absorbing states, whose labels carry the outcomes.
+
+    Each (s, q, q_hat) is coded as one integer.  A level's rows and entries
+    are read from the model's CSR, the automata are stepped by dense
+    tables (the task by label id, the opaque DFA by observation id), and
+    successor codes are looked up among the sorted codes seen so far.
+    """
+    csr = model.csr
+    nq, nqh = task.n_states, opaque.n_states
+    # the task table's last column keeps q: a_bot rows read no label
+    keep = len(csr.label_letters)
+    task_step = np.column_stack(
+        (_step_table(task, csr.label_letters, "task"), np.arange(nq))
+    )
     # the observation alphabet includes the START and END markers
-    require_complete(opaque, model.observation_alphabet(), "opaque-observations")
+    opaque_step = _step_table(opaque, model.observation_alphabet(), "opaque-observations")
+    model_entry_row = np.repeat(np.arange(len(csr.row_action)), np.diff(csr.entry_ptr))
+    entry_letter = np.where(
+        csr.row_action[model_entry_row] == model.a_bot, keep, csr.state_label[csr.entry_succ]
+    )
+    model_rows = np.diff(csr.row_ptr)
+    model_rows[model.bot] = 0  # the absorbing states are not expanded
 
-    a_top, a_bot, bot = model.a_top, model.a_bot, model.bot
-    v0 = (model.top, task.initial, opaque.initial)
-    index: dict[tuple[int, int, int], int] = {v0: 0}
-    states: list[tuple[int, int, int]] = [v0]
-    transitions: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-    frontier = deque([0])
-    while frontier:
-        v = frontier.popleft()
-        s, q, qh = states[v]
-        if s == bot:
-            continue
-        for a in model.enabled(s):
-            row: dict[int, float] = {}
-            for t, p in model.successors(s, a):
-                if a == a_bot:
-                    q2 = q
-                    qh2 = opaque.step(qh, END)
-                else:
-                    q2 = task.step(q, model.label_of(t))
-                    qh2 = opaque.step(qh, START if a == a_top else model.obs(s, a, t))
-                nxt = (t, q2, qh2)
-                w = index.get(nxt)
-                if w is None:
-                    w = len(states)
-                    index[nxt] = w
-                    states.append(nxt)
-                    frontier.append(w)
-                row[w] = row.get(w, 0.0) + p
-            transitions[(v, a)] = tuple(sorted(row.items()))
+    level = np.array([(model.top * nq + task.initial) * nqh + opaque.initial])
+    seen, seen_id = level, np.array([0])  # codes found so far, sorted, and their ids
+    levels, row_counts, actions, widths, succs, probs = [level], [], [], [], [], []
+    n = 1
+    while level.size:
+        s, q, qh = level // (nq * nqh), level // nqh % nq, level % nqh
+        count = model_rows[s]
+        model_row = _ranges(csr.row_ptr[s], count)
+        width = csr.entry_ptr[model_row + 1] - csr.entry_ptr[model_row]
+        e = _ranges(csr.entry_ptr[model_row], width)
+        row = np.repeat(np.arange(len(model_row)), width)  # the level row of each entry
+        v = np.repeat(np.arange(len(level)), count)[row]  # its state's place in the level
+        letter, symbol, t = entry_letter[e], csr.entry_obs[e], csr.entry_succ[e]
+        undefined = np.flatnonzero((letter < 0) | (symbol < 0))
+        if undefined.size:
+            k = undefined[0]
+            _raise_undefined(model, int(s[v[k]]), int(csr.row_action[model_row[row[k]]]), int(t[k]))
+        code = (t * nq + task_step[q[v], letter]) * nqh + opaque_step[qh[v], symbol]
 
-    absorbing = frozenset(i for i, (s, _q, _qh) in enumerate(states) if s == bot)
-    return ProductMdp(
-        model=model,
-        task=task,
-        opaque=opaque,
-        states=tuple(states),
-        index=index,
-        transitions=transitions,
-        initial=0,
-        absorbing=absorbing,
+        distinct, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        pos = np.searchsorted(seen, distinct).clip(max=len(seen) - 1)
+        distinct_id = seen_id[pos]
+        new = seen[pos] != distinct
+        fresh = distinct[new]
+        rank = np.empty(len(fresh), dtype=np.int64)
+        rank[np.argsort(first[new])] = np.arange(len(fresh))  # by first occurrence
+        distinct_id[new] = n + rank
+        ids = distinct_id[inverse]
+        at = np.searchsorted(seen, fresh)
+        seen, seen_id = np.insert(seen, at, fresh), np.insert(seen_id, at, n + rank)
+        level = np.empty_like(fresh)
+        level[rank] = fresh
+        n += len(level)
+
+        by_succ = np.lexsort((ids, row))
+        levels.append(level)
+        row_counts.append(count)
+        actions.append(csr.row_action[model_row])
+        widths.append(width)
+        succs.append(ids[by_succ])
+        probs.append(csr.entry_prob[e][by_succ])
+
+    codes = np.concatenate(levels)
+    arrays = dict(
+        components=np.column_stack((codes // (nq * nqh), codes // nqh % nq, codes % nqh)),
+        row_ptr=np.concatenate(([0], np.cumsum(np.concatenate(row_counts)))),
+        row_action=np.concatenate(actions),
+        entry_ptr=np.concatenate(([0], np.cumsum(np.concatenate(widths)))),
+        entry_succ=np.concatenate(succs),
+        entry_prob=np.concatenate(probs),
+    )
+    for array in arrays.values():
+        array.setflags(write=False)
+    return ProductMdp(model=model, task=task, opaque=opaque, **arrays)
+
+
+def _step_table(dfa: Dfa, letters: tuple, what: str) -> np.ndarray:
+    """The moves of ``dfa`` as a dense (state, letter id) table; raises
+    ``IncompleteDfaError`` unless it has a move on every letter."""
+    table = np.array(
+        [[dfa.transitions.get((q, letter), -1) for letter in letters] for q in range(dfa.n_states)],
+        dtype=np.int64,
+    ).reshape(dfa.n_states, len(letters))
+    if (table < 0).any():
+        require_complete(dfa, letters, what)
+    return table
+
+
+def _raise_undefined(model: Model, s: int, a: int, t: int) -> None:
+    """Raise the ``ModelError`` of a transition whose label or observation
+    is undefined."""
+    if a != model.a_bot:
+        model.label_of(t)
+    model.obs(s, a, t)
+    raise ModelError(
+        f"transition ({model.states[s]}, {model.actions[a]}, {model.states[t]}) "
+        "has no label or observation"
     )
 
 
@@ -173,29 +317,13 @@ def bisimulation_quotient(pm: ProductMdp) -> Quotient:
     then splits the blocks by the signature "action -> probability of
     reaching each current block" until no block splits.
     """
-    n = pm.n_states
-    row_state, row_action = [], []
-    entry_row, entry_target, entry_prob = [], [], []
-    for v in range(n):
-        for a in pm.enabled(v):
-            for t, p in pm.transitions[(v, a)]:
-                entry_row.append(len(row_state))
-                entry_target.append(t)
-                entry_prob.append(p)
-            row_state.append(v)
-            row_action.append(a)
-    row_state = np.array(row_state, dtype=np.int64)
-    row_action = np.array(row_action, dtype=np.int64)
-    entry_row = np.array(entry_row, dtype=np.int64)
-    entry_target = np.array(entry_target, dtype=np.int64)
-    entry_prob = np.array(entry_prob, dtype=float)
+    row_state, row_action = pm.row_state, pm.row_action
+    entry_row = np.repeat(np.arange(len(row_action)), np.diff(pm.entry_ptr))
+    entry_target, entry_prob = pm.entry_succ, pm.entry_prob
 
-    absorbing = np.zeros(n, dtype=bool)
-    absorbing[list(pm.absorbing)] = True
+    absorbing = pm.absorbing_mask
     # absorbing states by outcome (codes 0-3), the others all under code 4
-    head = np.full(n, 4)
-    for v in pm.absorbing:
-        head[v] = 2 * pm.opaque_accepting(v) + pm.task_accepting(v)
+    head = np.where(absorbing, 2 * pm.opaque_accepts + pm.task_accepts, 4)
     block = _split(head, row_state, row_action[:, None])
 
     while True:
@@ -292,34 +420,33 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
         raise PlannerError(f"unknown mode {mode!r}")
     quotient = pm.quotient
     # non-absorbing blocks are numbered first, so a block is its row
-    row_of = quotient.block.tolist()
-    rows = tuple(v for v in quotient.representatives if v not in pm.absorbing)
-    variables = tuple(
-        (v, a) for v in rows for a in pm.enabled(v)
-    )
+    row_of = quotient.block
+    reps = np.array(quotient.representatives, dtype=np.int64)
+    rows = reps[~pm.absorbing_mask[reps]]
+    var_row = _ranges(pm.row_ptr[rows], pm.row_ptr[rows + 1] - pm.row_ptr[rows])
+    var_state = pm.row_state[var_row]
+    variables = tuple(zip(var_state.tolist(), pm.row_action[var_row].tolist()))
     var_index = {va: j for j, va in enumerate(variables)}
 
-    wanted_opaque = mode != "transparency"
-    objective = np.zeros(len(variables))
-    task_row = np.zeros(len(variables))
-    data, ri, ci = [], [], []
-    for j, (v, a) in enumerate(variables):
-        data.append(1.0)
-        ri.append(row_of[v])
-        ci.append(j)
-        for t, p in pm.transitions[(v, a)]:
-            if t in pm.absorbing:
-                if pm.opaque_accepting(t) == wanted_opaque:
-                    objective[j] += p
-                if pm.task_accepting(t):
-                    task_row[j] += p
-                continue
-            data.append(-p)
-            ri.append(row_of[t])
-            ci.append(j)
-    a_eq = sp.csr_matrix(
-        (data, (ri, ci)), shape=(len(rows), len(variables))
-    )
+    n_vars = len(variables)
+    e, j = pm.entries(var_row)
+    t, p = pm.entry_succ[e], pm.entry_prob[e]
+    stop = pm.absorbing_mask[t]
+    # a stopping entry pays its probability to the outcome it stops in;
+    # bincount adds in entry order (and gives ints when nothing is added)
+    wanted = stop & (pm.opaque_accepts[t] == (mode != "transparency"))
+    objective = np.bincount(j[wanted], weights=p[wanted], minlength=n_vars).astype(float)
+    task = stop & pm.task_accepts[t]
+    task_row = np.bincount(j[task], weights=p[task], minlength=n_vars).astype(float)
+    # per variable, its unit out of its row and then its entries into
+    # non-absorbing blocks, in entry order: the order in which duplicate
+    # (row, variable) coefficients are summed
+    flow = ~stop
+    col = np.concatenate((np.arange(n_vars), j[flow]))
+    order = np.argsort(col, kind="stable")
+    data = np.concatenate((np.ones(n_vars), -p[flow]))[order]
+    row = np.concatenate((row_of[var_state], row_of[t[flow]]))[order]
+    a_eq = sp.csr_matrix((data, (row, col[order])), shape=(len(rows), n_vars))
     b_eq = np.zeros(len(rows))
     b_eq[row_of[pm.initial]] = 1.0
 
@@ -329,7 +456,7 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
         mode=mode,
         variables=variables,
         var_index=var_index,
-        rows=rows,
+        rows=tuple(rows.tolist()),
         objective=objective,
         maximize=(mode != "min-opacity"),
         a_eq=a_eq,

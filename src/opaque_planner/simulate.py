@@ -6,14 +6,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, sqrt
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from .automata import Dfa
-from .model import PROB_TOL, Model, ObsSymbol, Play, build_model, obs_of_play
+from .model import PROB_TOL, Model, ObsSymbol, Play, obs_of_play
 from .planner import ProductMdp
 
 ENUMERATION_BUDGET = 10_000_000
@@ -97,7 +98,7 @@ def default_horizon(pm: ProductMdp) -> int:
 _CHUNK_STEPS = 32
 
 
-def _table(flat: list, widths: list[int], fill, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _table(flat: np.ndarray, widths: np.ndarray, fill, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``widths[r]`` consecutive entries of ``flat``, padded with
     ``fill`` into a dense table; also the mask of real entries."""
     w = np.array(widths, dtype=np.intp)
@@ -107,7 +108,7 @@ def _table(flat: list, widths: list[int], fill, dtype) -> tuple[np.ndarray, np.n
     return table, real
 
 
-def _cumulative(flat: list[float], widths: list[int]) -> np.ndarray:
+def _cumulative(flat: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """Row-wise cumulative sums, padded with +inf."""
     table, real = _table(flat, widths, 0.0, np.float64)
     cum = np.cumsum(table, axis=1)
@@ -116,22 +117,20 @@ def _cumulative(flat: list[float], widths: list[int]) -> np.ndarray:
 
 
 def _kernel(pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]):
-    """Compile the policy and the transitions into dense sampling tables.
+    """Compile the policy and the product's rows into dense sampling tables.
 
     Per state: cumulative action probabilities (actions in increasing
-    order), the number of actions, and the row of the first action; the
-    (state, action) rows of a state are consecutive.  Per row: cumulative
+    order), the number of actions, and the first of its rows in the
+    tables; the rows of a state are consecutive.  Per row: cumulative
     successor probabilities, successor ids and the number of successors.
     Raises ``SimulationError`` unless the policy gives every non-absorbing
     state a distribution over its enabled actions: finite, non-negative
     probabilities summing to 1 within ``PROB_TOL``.
     """
     n = pm.n_states
-    act_p: list[list[float]] = [[] for _ in range(n)]
-    first_row = [0] * n
-    succ_p: list[float] = []
-    succ_id: list[int] = []
-    succ_width: list[int] = []
+    state: list[int] = []
+    action: list[int] = []
+    prob: list[float] = []
     for v, dist in policy.items():
         if not 0 <= v < n:
             raise SimulationError(f"policy names {v!r}, which is not a product state")
@@ -142,34 +141,44 @@ def _kernel(pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]):
                 f"policy at product state {pm.state_name(v)!r} is not a "
                 f"probability distribution: {probs}"
             )
-        act_p[v] = probs
-        first_row[v] = len(succ_width)
-        for a in actions:
-            targets = pm.transitions.get((v, a))
-            if targets is None:
-                name = dict(enumerate(pm.model.actions)).get(a, a)
-                raise SimulationError(
-                    f"policy uses action {name!r}, not enabled at product "
-                    f"state {pm.state_name(v)!r}"
-                )
-            ids, ps = zip(*targets)
-            succ_id.extend(ids)
-            succ_p.extend(ps)
-            succ_width.append(len(targets))
-    missing = [v for v in range(n) if v not in pm.absorbing and v not in policy]
-    if missing:
+        state.extend([v] * len(actions))
+        action.extend(actions)
+        prob.extend(probs)
+    act_width = np.bincount(np.array(state, dtype=np.int64), minlength=n)
+    missing = np.flatnonzero((act_width == 0) & ~pm.absorbing_mask)
+    if missing.size:
         raise SimulationError(
             f"policy has no distribution at product state {pm.state_name(missing[0])!r}"
         )
-    act_width = [len(ps) for ps in act_p]
+    # the policy's (state, action) pairs by state, then action
+    order = np.lexsort((action, state))
+    state, action = np.array(state)[order], np.array(action)[order]
+    rows = _rows_taken(pm, state, action)
+    succ = pm.entries(rows)[0]
+    succ_width = pm.entry_ptr[rows + 1] - pm.entry_ptr[rows]
     return (
-        _cumulative([p for ps in act_p for p in ps], act_width),
-        np.array(act_width),
-        np.array(first_row),
-        _cumulative(succ_p, succ_width),
-        _table(succ_id, succ_width, 0, np.intp)[0],
-        np.array(succ_width),
+        _cumulative(np.array(prob)[order], act_width),
+        act_width,
+        np.cumsum(act_width) - act_width,
+        _cumulative(pm.entry_prob[succ], succ_width),
+        _table(pm.entry_succ[succ], succ_width, 0, np.intp)[0],
+        succ_width,
     )
+
+
+def _rows_taken(pm: ProductMdp, state: np.ndarray, action: np.ndarray) -> np.ndarray:
+    """The product rows of a policy's (state, action) pairs; raises
+    ``SimulationError`` on an action its state does not enable."""
+    rows = pm.rows_of(state, action)
+    bad = np.flatnonzero(rows < 0)
+    if bad.size:
+        v, a = int(state[bad[0]]), int(action[bad[0]])
+        name = dict(enumerate(pm.model.actions)).get(a, a)
+        raise SimulationError(
+            f"policy uses action {name!r}, not enabled at product "
+            f"state {pm.state_name(v)!r}"
+        )
+    return rows
 
 
 def _index(cum: np.ndarray, width: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -221,8 +230,7 @@ def rollout(
     if horizon < 1:
         raise SimulationError("horizon must be at least 1 step")
     act_cum, act_width, first_row, succ_cum, succ_id, succ_width = _kernel(pm, policy)
-    absorbing = np.zeros(pm.n_states, dtype=bool)
-    absorbing[list(pm.absorbing)] = True
+    absorbing = pm.absorbing_mask
     bitgen = np.random.Philox(key=seed)
     live = np.arange(runs)  # ids of the runs still going
     x = np.full(runs, pm.initial)  # their product states
@@ -247,19 +255,17 @@ def rollout(
         x = succ_id[row, j]
         steps += live.size
     final[live] = x
-    stats = RolloutStats(runs, 0, 0, 0, 0, 0, steps)
-    for v, count in zip(*(a.tolist() for a in np.unique(final, return_counts=True))):
-        if v in pm.absorbing:
-            stats.terminated += count
-            if pm.opaque_accepting(v):
-                stats.opaque += count
-            else:
-                stats.transparent += count
-        else:
-            stats.horizon_truncated += count
-        if pm.task_accepting(v):
-            stats.task_satisfied += count
-    return stats
+    counts = np.bincount(final, minlength=pm.n_states)
+    stops, opaque = pm.absorbing_mask, pm.opaque_accepts
+    return RolloutStats(
+        runs=runs,
+        terminated=int(counts[stops].sum()),
+        opaque=int(counts[stops & opaque].sum()),
+        transparent=int(counts[stops & ~opaque].sum()),
+        task_satisfied=int(counts[pm.task_accepts].sum()),
+        horizon_truncated=int(counts[~stops].sum()),
+        steps=steps,
+    )
 
 
 def uniform_policy(pm: ProductMdp) -> dict[int, dict[int, float]]:
@@ -273,43 +279,70 @@ def uniform_policy(pm: ProductMdp) -> dict[int, dict[int, float]]:
     return out
 
 
-def _reachable_transient(
-    pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]
-) -> list[int]:
+def _reachable_transient(pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]):
     """The non-absorbing product states the policy reaches from the
-    initial one, in increasing order.
+    initial one, in increasing order, and the moves it makes from them:
+    the (state, row, probability) of every action taken with non-zero
+    probability, by state and then in the order of its distribution.
 
     Raises ``SimulationError`` naming one of them from which the policy
     can never reach an absorbing state.  A finite Markov chain stops with
     probability 1 exactly when no such state is reachable.
     """
-    order = [pm.initial]
-    seen = {pm.initial}
-    predecessors: dict[int, list[int]] = {}
-    for v in order:  # grows as new states are found
+    n = pm.n_states
+    state: list[int] = []
+    action: list[int] = []
+    prob: list[float] = []
+    for v in sorted(policy):
+        if not 0 <= v < n:
+            raise SimulationError(f"policy names {v!r}, which is not a product state")
+        if pm.absorbing_mask[v]:
+            continue
         for a, pa in policy[v].items():
-            if pa == 0.0:
-                continue
-            for t, _p in pm.transitions[(v, a)]:
-                predecessors.setdefault(t, []).append(v)
-                if t not in seen:
-                    seen.add(t)
-                    if t not in pm.absorbing:
-                        order.append(t)
-    stops = set(pm.absorbing & seen)
-    frontier = list(stops)
-    while frontier:
-        for v in predecessors.get(frontier.pop(), ()):
-            if v not in stops:
-                stops.add(v)
-                frontier.append(v)
-    trapped = next((v for v in order if v not in stops), None)
-    if trapped is not None:
+            if pa != 0.0:
+                state.append(v)
+                action.append(a)
+                prob.append(pa)
+    state = np.array(state, dtype=np.int64)
+    rows = _rows_taken(pm, state, np.array(action, dtype=np.int64))
+    e, move = pm.entries(rows)
+    src, dst = state[move], pm.entry_succ[e]
+    reached = np.zeros(n, dtype=bool)
+    reached[breadth_first_order(_graph(src, dst, n), pm.initial, return_predecessors=False)] = True
+    transient = reached & ~pm.absorbing_mask
+    covered = np.zeros(n, dtype=bool)
+    covered[np.array(list(policy), dtype=np.int64)] = True
+    missing = np.flatnonzero(transient & ~covered)
+    if missing.size:
         raise SimulationError(
-            f"policy never stops from product state {pm.state_name(trapped)!r}, "
+            f"policy has no distribution at product state {pm.state_name(missing[0])!r}"
+        )
+    # back from every absorbing state along the moves out of reached states;
+    # node n is a source with an edge to each absorbing state
+    kept = reached[src]
+    stops = np.flatnonzero(pm.absorbing_mask)
+    back = _graph(
+        np.concatenate((dst[kept], np.full(len(stops), n))),
+        np.concatenate((src[kept], stops)),
+        n + 1,
+    )
+    stopping = np.zeros(n + 1, dtype=bool)
+    stopping[breadth_first_order(back, n, return_predecessors=False)] = True
+    trapped = np.flatnonzero(transient & ~stopping[:n])
+    if trapped.size:
+        raise SimulationError(
+            f"policy never stops from product state {pm.state_name(trapped[0])!r}, "
             f"which it reaches"
         )
-    return sorted(order)
+    taken = transient[state]
+    return np.flatnonzero(transient), (state[taken], rows[taken], np.array(prob)[taken])
+
+
+def _graph(src: np.ndarray, dst: np.ndarray, n: int) -> sp.csr_matrix:
+    """The directed graph with edges ``src -> dst`` on ``n`` nodes."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    order = np.argsort(src, kind="stable")
+    return sp.csr_matrix((np.ones(len(src)), dst[order], indptr), shape=(n, n))
 
 
 def exact_policy_values(
@@ -324,39 +357,31 @@ def exact_policy_values(
     reaches; they have a unique solution because the policy is first
     checked to stop with probability 1 (else ``SimulationError``).
     """
-    rows = _reachable_transient(pm, policy)
-    row_of = {v: i for i, v in enumerate(rows)}
-    n = len(rows)
-    data, ri, ci = [], [], []
-    absorbed = []  # (row, probability, absorbing successor) of each stopping step
-    for v in rows:
-        i = row_of[v]
-        data.append(1.0)
-        ri.append(i)
-        ci.append(i)
-        for a, pa in policy[v].items():
-            if pa == 0.0:
-                continue
-            for t, p in pm.transitions[(v, a)]:
-                if t in pm.absorbing:
-                    absorbed.append((i, pa * p, t))
-                    continue
-                data.append(-pa * p)
-                ri.append(row_of[t])
-                ci.append(i)
-    matrix = sp.csc_matrix((data, (ri, ci)), shape=(n, n))
-    nu = np.zeros(n)
+    states, (state, rows, prob) = _reachable_transient(pm, policy)
+    m = len(states)
+    row_of = np.zeros(pm.n_states, dtype=np.int64)
+    row_of[states] = np.arange(m)
+    e, move = pm.entries(rows)
+    t = pm.entry_succ[e]
+    p = prob[move] * pm.entry_prob[e]
+    i = row_of[state[move]]
+    stop = pm.absorbing_mask[t]
+    # per state, its unit and then its entries into non-absorbing states,
+    # in entry order: the order in which duplicate coefficients are summed
+    flow = ~stop
+    col = np.concatenate((np.arange(m), i[flow]))
+    order = np.argsort(col, kind="stable")
+    data = np.concatenate((np.ones(m), -p[flow]))[order]
+    row = np.concatenate((np.arange(m), row_of[t[flow]]))[order]
+    matrix = sp.csc_matrix((data, (row, col[order])), shape=(m, m))
+    nu = np.zeros(m)
     nu[row_of[pm.initial]] = 1.0
     x = spla.spsolve(matrix, nu)
-    ph = pt = task = 0.0
-    for i, p, t in absorbed:
-        mass = x[i] * p
-        if pm.opaque_accepting(t):
-            ph += mass
-        else:
-            pt += mass
-        if pm.task_accepting(t):
-            task += mass
+    # the mass of each stopping step, summed in step order by outcome
+    mass = x[i[stop]] * p[stop]
+    t = t[stop]
+    ph, pt = np.bincount(~pm.opaque_accepts[t], weights=mass, minlength=2)
+    task = np.bincount(pm.task_accepts[t], weights=mass, minlength=2)[1]
     return {"ph": float(ph), "pt": float(pt), "task": float(task)}
 
 
@@ -440,73 +465,3 @@ def brute_force_opaque_obs(
     play; the independent ground truth for the opaque-observations DFA."""
     buckets = observation_buckets(model, secret, max_actions, budget)
     return frozenset(w for w, (sat, vio) in buckets.items() if sat and vio)
-
-
-# ---------------------------------------------------------------------------
-# seeded random models for property coverage
-
-
-def random_model(
-    seed: int, max_states: int = 6, max_actions: int = 2
-) -> Model:
-    """A small well-formed model with labels equal to state names and a
-    random observation partition."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, max_states + 1))
-    k = int(rng.integers(1, max_actions + 1))
-    states = [f"t{i}" for i in range(1, n + 1)]
-    actions = ["a", "b", "c", "d"][:k]
-    transitions = {}
-    for s in states:
-        for a in actions:
-            width = int(rng.integers(1, min(3, n) + 1))
-            targets = rng.choice(n, size=width, replace=False)
-            probs = rng.dirichlet(np.ones(width))
-            transitions[(s, a)] = {
-                states[int(t)]: float(p) for t, p in zip(targets, probs)
-            }
-    # random partition: cut a shuffled state list into consecutive groups
-    perm = [states[int(i)] for i in rng.permutation(n)]
-    groups: list[list[str]] = [[perm[0]]]
-    for name in perm[1:]:
-        if rng.random() < 0.5:
-            groups.append([name])
-        else:
-            groups[-1].append(name)
-    class_of = {s: tuple(sorted(g)) for g in groups for s in g}
-    observations = {
-        (s, a, t): class_of[t]
-        for (s, a), dist in transitions.items()
-        for t in dist
-    }
-    if rng.random() < 0.7 or n < 2:
-        initial = {states[int(rng.integers(n))]: 1.0}
-    else:
-        pair = rng.choice(n, size=2, replace=False)
-        split = float(rng.uniform(0.2, 0.8))
-        initial = {states[int(pair[0])]: split, states[int(pair[1])]: 1.0 - split}
-    return build_model(
-        states=states,
-        actions=actions,
-        transitions=transitions,
-        initial=initial,
-        labels={s: {s} for s in states},
-        observations=observations,
-    )
-
-
-def random_secret_text(seed: int, states: Iterable[str]) -> str:
-    """A small formula over state-name propositions, template-drawn."""
-    rng = np.random.default_rng(seed + 7919)
-    names = list(states)
-    p = names[int(rng.integers(len(names)))]
-    q = names[int(rng.integers(len(names)))]
-    templates = [
-        f"F {p}",
-        f"F {p} & F {q}",
-        f"G !{p}",
-        f"F ({p} & X {q})",
-        f"{p} U {q}",
-        f"F {p} | G {q}",
-    ]
-    return templates[int(rng.integers(len(templates)))]

@@ -54,10 +54,6 @@ class Fst:
             out.append(symbol)
         return tuple(out)
 
-    def run_on_play(self, play: Play) -> tuple[ObsSymbol, ...]:
-        self.model.check_play(play)
-        return self.run_on_inputs(play_inputs(self.model, play))
-
 
 def play_inputs(model: Model, play: Play) -> tuple[InputLetter, ...]:
     s = [model.state_index[x] for x in play.states]

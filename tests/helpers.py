@@ -1,0 +1,109 @@
+"""Test helpers: seeded random models and secrets for property coverage,
+random walks over a model and running the observation transducer on a
+play."""
+
+from typing import Iterable
+
+import numpy as np
+
+from opaque_planner.model import Model, ObsSymbol, Play, build_model
+from opaque_planner.transducer import Fst, play_inputs
+
+
+def random_model(
+    seed: int, max_states: int = 6, max_actions: int = 2
+) -> Model:
+    """A small well-formed model with labels equal to state names and a
+    random observation partition."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, max_states + 1))
+    k = int(rng.integers(1, max_actions + 1))
+    states = [f"t{i}" for i in range(1, n + 1)]
+    actions = ["a", "b", "c", "d"][:k]
+    transitions = {}
+    for s in states:
+        for a in actions:
+            width = int(rng.integers(1, min(3, n) + 1))
+            targets = rng.choice(n, size=width, replace=False)
+            probs = rng.dirichlet(np.ones(width))
+            transitions[(s, a)] = {
+                states[int(t)]: float(p) for t, p in zip(targets, probs)
+            }
+    # random partition: cut a shuffled state list into consecutive groups
+    perm = [states[int(i)] for i in rng.permutation(n)]
+    groups: list[list[str]] = [[perm[0]]]
+    for name in perm[1:]:
+        if rng.random() < 0.5:
+            groups.append([name])
+        else:
+            groups[-1].append(name)
+    class_of = {s: tuple(sorted(g)) for g in groups for s in g}
+    observations = {
+        (s, a, t): class_of[t]
+        for (s, a), dist in transitions.items()
+        for t in dist
+    }
+    if rng.random() < 0.7 or n < 2:
+        initial = {states[int(rng.integers(n))]: 1.0}
+    else:
+        pair = rng.choice(n, size=2, replace=False)
+        split = float(rng.uniform(0.2, 0.8))
+        initial = {states[int(pair[0])]: split, states[int(pair[1])]: 1.0 - split}
+    return build_model(
+        states=states,
+        actions=actions,
+        transitions=transitions,
+        initial=initial,
+        labels={s: {s} for s in states},
+        observations=observations,
+    )
+
+
+def random_secret_text(seed: int, states: Iterable[str]) -> str:
+    """A small formula over state-name propositions, template-drawn."""
+    rng = np.random.default_rng(seed + 7919)
+    names = list(states)
+    p = names[int(rng.integers(len(names)))]
+    q = names[int(rng.integers(len(names)))]
+    templates = [
+        f"F {p}",
+        f"F {p} & F {q}",
+        f"G !{p}",
+        f"F ({p} & X {q})",
+        f"{p} U {q}",
+        f"F {p} | G {q}",
+    ]
+    return templates[int(rng.integers(len(templates)))]
+
+
+def random_walk(model: Model, rng, max_interior: int) -> Play:
+    """Sample a play of ``model`` with at most ``max_interior`` interior
+    actions."""
+    linear = [model.states[model.top], model.actions[model.a_top]]
+    s = _sample(rng, model.initial_dist())
+    linear.append(model.states[s])
+    for _ in range(max_interior):
+        interior = [a for a in model.enabled(s) if a != model.a_bot]
+        if not interior or rng.random() < 0.3:
+            break
+        a = interior[rng.integers(len(interior))]
+        s = _sample(rng, model.successors(s, a))
+        linear.extend([model.actions[a], model.states[s]])
+    linear.extend([model.actions[model.a_bot], model.states[model.bot]])
+    return Play.from_linear(linear)
+
+
+def _sample(rng, dist):
+    u = rng.random()
+    acc = 0.0
+    for t, p in dist:
+        acc += p
+        if u <= acc:
+            return t
+    return dist[-1][0]
+
+
+def run_on_play(fst: Fst, play: Play) -> tuple[ObsSymbol, ...]:
+    """The observation word ``fst`` emits along ``play``."""
+    fst.model.check_play(play)
+    return fst.run_on_inputs(play_inputs(fst.model, play))

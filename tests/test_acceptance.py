@@ -26,14 +26,13 @@ from opaque_planner.scenarios import gridworld, running_example
 from opaque_planner.simulate import (
     exact_policy_values,
     observation_buckets,
-    random_model,
-    random_secret_text,
     rollout,
     uniform_policy,
 )
 from opaque_planner.transducer import opaque_obs_dfa, opaque_pipeline
 
 from batch_semantics import all_letters, batch_dfa_accepts, batch_evaluate, words_matrix
+from helpers import random_model, random_secret_text
 from lp_text import solve_lp_text
 
 SEED = 2025

@@ -1,9 +1,13 @@
 """The benchmark worker imports names from the package on every pass,
 traced or not; a name that disappears fails every benchmark op, so the
-names are checked here, by reading the worker's source."""
+names are checked here, by reading the worker's source, and one tiny
+traced pass runs end to end."""
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
@@ -28,3 +32,19 @@ def test_worker_imports_are_exported():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_traced_gridworld_pass():
+    # the traced pass reads more of the package than the worker imports:
+    # ProductMdp.transitions and RolloutStats.horizon_truncated among them
+    done = subprocess.run(
+        [sys.executable, str(WORKER), "gridworld", "--seed", "11", "--tiny", "--trace"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["failures"] == []
+    assert result["layers"]["planner.product_states"]["value"] > 0
+    assert result["layers"]["planner.product_transitions"]["value"] > 0

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from opaque_planner.model import (
     validate,
 )
 from opaque_planner.scenarios import running_example
+
+from helpers import random_walk
 
 
 def play(text):
@@ -57,29 +60,54 @@ class TestValidate:
         broken = dict(model.transitions)
         s1, a = model.state_index["s1"], model.action_index["a"]
         broken[(s1, a)] = ((model.state_index["s2"], 0.4), (model.state_index["s3"], 0.5))
-        bad = type(model)(**{**model.__dict__, "transitions": broken})
+        bad = replace(model, transitions=broken)
         report = validate(bad)
         assert any("probability mass" in v and "s1" in v for v in report)
 
     def test_missing_terminating_action(self, model):
         broken = dict(model.transitions)
         del broken[(model.state_index["s5"], model.a_bot)]
-        bad = type(model)(**{**model.__dict__, "transitions": broken})
+        bad = replace(model, transitions=broken)
         report = validate(bad)
         assert any("terminating action missing" in v and "s5" in v for v in report)
 
     def test_observation_coverage(self, model):
         partial = dict(model.observations)
         partial.pop(next(iter(partial)))
-        bad = type(model)(**{**model.__dict__, "observations": partial})
+        bad = replace(model, observations=partial)
         assert any("observation missing" in v for v in validate(bad))
 
     def test_initiating_action_elsewhere(self):
         m = running_example()
         broken = dict(m.transitions)
         broken[(m.state_index["s2"], m.a_top)] = ((m.state_index["s3"], 1.0),)
-        bad = type(m)(**{**m.__dict__, "transitions": broken})
+        bad = replace(m, transitions=broken)
         assert any("initiating action enabled at s2" in v for v in validate(bad))
+
+
+class TestCsr:
+    def test_reproduces_transitions(self, model):
+        csr = model.csr
+        symbols = model.observation_alphabet()
+        rows = []
+        for s in range(model.n_states):
+            for r in range(csr.row_ptr[s], csr.row_ptr[s + 1]):
+                a = int(csr.row_action[r])
+                entries = range(csr.entry_ptr[r], csr.entry_ptr[r + 1])
+                dist = tuple((int(csr.entry_succ[e]), float(csr.entry_prob[e])) for e in entries)
+                rows.append(((s, a), dist))
+                for e, (t, _p) in zip(entries, dist):
+                    if s == model.bot:
+                        assert csr.entry_obs[e] == -1
+                    else:
+                        assert symbols[csr.entry_obs[e]] == model.obs(s, a, t)
+        assert rows == sorted(model.transitions.items())
+
+    def test_labels(self, model):
+        csr = model.csr
+        assert csr.state_label[model.top] == csr.state_label[model.bot] == -1
+        for s in model.interior_state_indices():
+            assert csr.label_letters[csr.state_label[s]] == model.label_of(s)
 
 
 class TestPlays:
@@ -129,7 +157,7 @@ class TestPlays:
 
         model = running_example()
         rng = np.random.default_rng(seed)
-        p = model.random_walk(rng, max_interior=8)
+        p = random_walk(model, rng, max_interior=8)
         word = obs_of_play(model, p)
         keep = min(cut, len(p.actions) - 2)
         shorter = Play(

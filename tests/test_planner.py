@@ -1,3 +1,6 @@
+from collections import deque
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +8,7 @@ from scipy.optimize import linprog
 
 from opaque_planner.automata import IncompleteDfaError
 from opaque_planner.ltlf import dfa_over_model_labels
-from opaque_planner.model import END, obs_of_play
+from opaque_planner.model import END, START, obs_of_play
 from opaque_planner.planner import (
     PlannerError,
     build_lp,
@@ -21,11 +24,10 @@ from opaque_planner.simulate import (
     default_horizon,
     enumerate_plays,
     exact_policy_values,
-    random_model,
-    random_secret_text,
 )
 from opaque_planner.transducer import opaque_obs_dfa, play_inputs
 
+from helpers import random_model, random_secret_text
 from lp_text import solve_lp_text
 
 TABLE_OPACITY = {0.4: 0.7, 0.6: 0.6, 0.8: 0.4}
@@ -103,6 +105,102 @@ class TestProductMdp:
         )
         with pytest.raises(IncompleteDfaError):
             product_mdp(model, task_dfa, broken)
+
+    def test_incomplete_task_rejected(self, model, task_dfa, opaque_dfa):
+        letter = next(iter(model.label_alphabet()))
+        broken = replace(
+            task_dfa,
+            transitions={k: v for k, v in task_dfa.transitions.items() if k[1] != letter},
+        )
+        with pytest.raises(IncompleteDfaError):
+            product_mdp(model, broken, opaque_dfa)
+
+    def test_views_are_read_only(self, pm):
+        with pytest.raises(TypeError):
+            pm.transitions[(0, 0)] = ()
+        with pytest.raises(TypeError):
+            pm.index[(0, 0, 0)] = 0
+        with pytest.raises(ValueError):
+            pm.entry_prob[0] = 0.5
+
+
+# ---------------------------------------------------------------------------
+# the array build against the dict search it replaced
+
+
+def reference_product(model, task, opaque):
+    """The reachable product as a FIFO search over dicts: the states in
+    order of discovery and, per (state, action), its successors in
+    increasing order with their probabilities."""
+    a_top, a_bot, bot = model.a_top, model.a_bot, model.bot
+    v0 = (model.top, task.initial, opaque.initial)
+    index = {v0: 0}
+    states = [v0]
+    transitions = {}
+    frontier = deque([0])
+    while frontier:
+        v = frontier.popleft()
+        s, q, qh = states[v]
+        if s == bot:
+            continue
+        for a in model.enabled(s):
+            row = {}
+            for t, p in model.successors(s, a):
+                if a == a_bot:
+                    q2 = q
+                    qh2 = opaque.step(qh, END)
+                else:
+                    q2 = task.step(q, model.label_of(t))
+                    qh2 = opaque.step(qh, START if a == a_top else model.obs(s, a, t))
+                nxt = (t, q2, qh2)
+                w = index.get(nxt)
+                if w is None:
+                    w = len(states)
+                    index[nxt] = w
+                    states.append(nxt)
+                    frontier.append(w)
+                row[w] = row.get(w, 0.0) + p
+            transitions[(v, a)] = tuple(sorted(row.items()))
+    return tuple(states), transitions
+
+
+def assert_matches_reference(model, task, opaque):
+    pm = product_mdp(model, task, opaque)
+    states, transitions = reference_product(model, task, opaque)
+    assert pm.states == states
+    assert dict(pm.index) == {v: i for i, v in enumerate(states)}
+    # the same rows in the same order, each with the same successors in
+    # the same order; probabilities compare as floats, so bit for bit
+    assert list(pm.transitions.items()) == list(transitions.items())
+    assert pm.absorbing == {v for v, (s, _q, _qh) in enumerate(states) if s == model.bot}
+
+
+class TestAgainstReferenceProduct:
+    def test_running_example(self, model, task_dfa, opaque_dfa):
+        assert_matches_reference(model, task_dfa, opaque_dfa)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_models(self, seed):
+        m = random_model(seed)
+        names = [m.states[i] for i in m.interior_state_indices()]
+        secret = dfa_over_model_labels(random_secret_text(seed, names), m)
+        task = dfa_over_model_labels(random_secret_text(seed + 100, names), m)
+        assert_matches_reference(m, task, opaque_obs_dfa(m, secret))
+
+    def test_empty_language_secret(self, model, task_dfa):
+        opaque = opaque_obs_dfa(model, dfa_over_model_labels("true", model))
+        assert_matches_reference(model, task_dfa, opaque)
+
+    @pytest.mark.parametrize("secret", ["F B & F A", "F A & G !C"])
+    def test_gridworld(self, grid, secret):
+        task = dfa_over_model_labels("F C", grid)
+        opaque = opaque_obs_dfa(grid, dfa_over_model_labels(secret, grid))
+        assert_matches_reference(grid, task, opaque)
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return gridworld()
 
 
 class TestLp:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from opaque_planner.model import ObsSymbol, Play, label_of_play, validate
@@ -9,10 +11,12 @@ from opaque_planner.scenarios import (
     config_from_dict,
     config_to_dict,
     gridworld,
+    load_config,
     running_example,
 )
 
 SS = ObsSymbol.state_set
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestRunningExample:
@@ -82,6 +86,13 @@ class TestGridworldConfig:
     def test_init_on_alarm(self):
         with pytest.raises(ValueError, match="initial cell"):
             GridworldConfig(init_cell=1).check()
+
+    def test_shipped_8x8_config(self):
+        # a proportional re-lay of the default 6x6 on an 8x8 grid
+        m = gridworld(load_config(DATA / "gridworld_8x8.json"))
+        assert validate(m) == []
+        assert m.n_states == 451
+        assert len(m.observation_alphabet()) == 27
 
 
 @pytest.fixture(scope="module")

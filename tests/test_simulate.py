@@ -17,12 +17,12 @@ from opaque_planner.simulate import (
     enumerate_plays,
     exact_policy_values,
     observation_buckets,
-    random_model,
-    random_secret_text,
     rollout,
     uniform_policy,
 )
 from opaque_planner.transducer import opaque_obs_dfa
+
+from helpers import random_model, random_secret_text
 
 
 def play(text):

@@ -13,12 +13,7 @@ from opaque_planner.automata import (
 )
 from opaque_planner.ltlf import dfa_over_model_labels, evaluate, parse_ltlf
 from opaque_planner.model import ObsSymbol, Play, START, END, build_model, obs_of_play
-from opaque_planner.simulate import (
-    enumerate_plays,
-    observation_buckets,
-    random_model,
-    random_secret_text,
-)
+from opaque_planner.simulate import enumerate_plays, observation_buckets
 from opaque_planner.transducer import (
     build_obs_fst,
     opaque_obs_dfa,
@@ -27,6 +22,8 @@ from opaque_planner.transducer import (
     play_inputs,
     product_fst,
 )
+
+from helpers import random_model, random_secret_text, run_on_play
 
 SS = ObsSymbol.state_set
 
@@ -114,7 +111,7 @@ class TestObsFst:
 
     def test_agrees_with_observation_map_on_all_short_plays(self, model, fst):
         for p in enumerate_plays(model, max_actions=5):
-            assert fst.run_on_play(p) == obs_of_play(model, p)
+            assert run_on_play(fst, p) == obs_of_play(model, p)
 
     def test_single_state_model(self):
         m = build_model(
@@ -126,7 +123,7 @@ class TestObsFst:
             observations={("only", "loop", "only"): ["only"]},
         )
         f = build_obs_fst(m)
-        word = f.run_on_play(play("s_top a_top only a_bot s_bot"))
+        word = run_on_play(f, play("s_top a_top only a_bot s_bot"))
         assert word == (START, END)
 
 
