@@ -79,7 +79,6 @@ class RunManifest:
     mode: str | None = None
     seed: int | None = None
     runs: int | None = None
-    horizon: int | None = None
     max_actions: int | None = None
     out: str | None = None
 
@@ -209,6 +208,7 @@ def cmd_plan(args) -> int:
             "status": sol.status,
             "iterations": sol.iterations,
             "flow_residual": sol.flow_residual,
+            "expected_steps": float(sol.occupancy.sum()),
         },
         "product_states": pm.n_states,
         "quotient_states": pm.quotient.n_blocks,
@@ -239,7 +239,7 @@ def cmd_simulate(args) -> int:
     model, task, opaque = _inputs(args.model, task_spec, secret_spec, opaque_file)
     pm = product_mdp(model, task, opaque)
     policy = policy_from_dict(doc, pm)
-    stats = rollout(pm, policy, runs=args.runs, seed=args.seed, horizon=args.horizon)
+    stats = rollout(pm, policy, runs=args.runs, seed=args.seed)
     mode = meta.get("mode", "opacity")
     shown = stats.pt if mode == "transparency" else stats.ph
     objective = meta.get("objective")
@@ -257,7 +257,6 @@ def cmd_simulate(args) -> int:
             model_sha256=_sha256(args.model),
             seed=args.seed,
             runs=args.runs,
-            horizon=args.horizon,
             out=args.out,
         ).to_dict(),
         "policy_metadata": meta,
@@ -385,7 +384,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--opaque", help="prebuilt opaque DFA file")
     p.add_argument("--runs", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--out", help="stats JSON path")
     p.set_defaults(func=cmd_simulate)
 

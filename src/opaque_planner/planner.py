@@ -491,27 +491,23 @@ _HIGHS_OPTIONS = {
 
 
 def solve_lp(lp: LpProblem) -> PolicySolution:
-    """Solve with the HiGHS backend; on infeasibility, report the largest
-    attainable task threshold from a presolve that maximizes the task row.
+    """Solve with the HiGHS dual simplex, so the occupancy is a vertex of
+    the feasible set; on infeasibility, report the largest attainable task
+    threshold from a presolve that maximizes the task row.
 
-    A second solve then picks, among occupancies whose objective is within
-    ``FEASIBILITY_TOL`` of the optimum, one of least expected run length
-    (total occupancy): the optimal face can hold zero-reward circulations,
-    whose policy almost never terminates.  ``objective`` is the optimum of
-    the first solve.
+    A vertex holds no zero-reward circulation: were ``x >= d c`` for a
+    circulation ``c`` and some ``d > 0``, both ``x + d c`` and ``x - d c``
+    would be feasible and equally good.  So the extracted policy stops with
+    probability 1, which ``exact_policy_values`` and ``rollout`` check.
     """
-    n = len(lp.variables)
-    sign = -1.0 if lp.maximize else 1.0
-    a_ub = sp.csr_matrix(-lp.task_row.reshape(1, n))
-    b_ub = np.array([-lp.epsilon])
     res = linprog(
-        c=sign * lp.objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
+        c=(-1.0 if lp.maximize else 1.0) * lp.objective,
+        A_ub=sp.csr_matrix(-lp.task_row.reshape(1, -1)),
+        b_ub=np.array([-lp.epsilon]),
         A_eq=lp.a_eq,
         b_eq=lp.b_eq,
         bounds=(0.0, None),
-        method="highs",
+        method="highs-ds",
         options=_HIGHS_OPTIONS,
     )
     iterations = int(getattr(res, "nit", 0) or 0)
@@ -534,19 +530,6 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
             message=res.message,
             max_feasible_epsilon=best,
         )
-    if res.status == 0:
-        objective = float(lp.objective @ res.x)
-        res = linprog(
-            c=np.ones(n),
-            A_ub=sp.vstack([a_ub, sp.csr_matrix(sign * lp.objective.reshape(1, n))]),
-            b_ub=np.append(b_ub, sign * objective + FEASIBILITY_TOL),
-            A_eq=lp.a_eq,
-            b_eq=lp.b_eq,
-            bounds=(0.0, None),
-            method="highs",
-            options=_HIGHS_OPTIONS,
-        )
-        iterations += int(getattr(res, "nit", 0) or 0)
     if res.status != 0:
         return PolicySolution(
             status="numerical-failure",
@@ -557,10 +540,10 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
             message=res.message,
         )
     occupancy = np.asarray(res.x)
-    residual = float(np.max(np.abs(lp.a_eq @ occupancy - lp.b_eq))) if n else 0.0
+    residual = float(np.max(np.abs(lp.a_eq @ occupancy - lp.b_eq))) if len(occupancy) else 0.0
     return PolicySolution(
         status="optimal",
-        objective=objective,
+        objective=float(lp.objective @ occupancy),
         occupancy=occupancy,
         lp=lp,
         iterations=iterations,

@@ -5,6 +5,7 @@ the exhaustive opacity oracle used to cross-check the automaton pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import inf, sqrt
 from typing import Iterator, Mapping
 
@@ -18,6 +19,10 @@ from .model import PROB_TOL, Model, ObsSymbol, Play, obs_of_play
 from .planner import ProductMdp
 
 ENUMERATION_BUDGET = 10_000_000
+# The most steps a rollout run may take.  ``rollout`` samples only
+# policies that stop with probability 1, so this bounds the wait on one
+# that stops very slowly; no run is ever cut short.
+STEP_BUDGET = 1_000_000
 
 
 class SimulationError(ValueError):
@@ -32,18 +37,22 @@ class EnumerationBudgetError(SimulationError):
 class RolloutStats:
     """Counters over a batch of seeded runs plus derived estimates.
 
-    Truncated runs terminate nothing: they count as neither opaque nor
-    transparent, so the opacity and transparency estimates stay
-    conservative.
+    Every run is sampled until it is absorbed, so each one is either
+    opaque or transparent.
     """
 
     runs: int
-    terminated: int
     opaque: int
     transparent: int
     task_satisfied: int
-    horizon_truncated: int
     steps: int  # sampled steps, summed over the runs
+
+    @property
+    def horizon_truncated(self) -> int:
+        """Always 0, as no run is cut short.  Kept read-only because the
+        benchmark worker's traced pass (``perfbench/worker.py``) reads it as
+        ``simulate.truncated_runs``; it goes with the next benchmark change."""
+        return 0
 
     @property
     def ph(self) -> float:
@@ -61,24 +70,17 @@ class RolloutStats:
     def mean_steps(self) -> float:
         return self.steps / self.runs
 
-    @property
-    def truncation_rate(self) -> float:
-        return self.horizon_truncated / self.runs
-
     def stderr(self, p: float) -> float:
         return sqrt(max(p * (1.0 - p), 0.0) / self.runs)
 
     def to_dict(self) -> dict:
         return {
             "runs": self.runs,
-            "terminated": self.terminated,
             "opaque": self.opaque,
             "transparent": self.transparent,
             "task_satisfied": self.task_satisfied,
-            "horizon_truncated": self.horizon_truncated,
             "steps": self.steps,
             "mean_steps": self.mean_steps,
-            "truncation_rate": self.truncation_rate,
             "ph": self.ph,
             "pt": self.pt,
             "p_task": self.p_task,
@@ -86,10 +88,6 @@ class RolloutStats:
             "se_pt": self.stderr(self.pt),
             "se_task": self.stderr(self.p_task),
         }
-
-
-def default_horizon(pm: ProductMdp) -> int:
-    return 10 * pm.model.n_states
 
 
 # Steps of draws fetched per refill of a run's buffer.  A Philox block
@@ -116,48 +114,21 @@ def _cumulative(flat: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _kernel(pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]):
-    """Compile the policy and the product's rows into dense sampling tables.
+def _kernel(pm: ProductMdp, moves: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    """Compile a policy's moves, as ``_reachable_transient`` returns them,
+    into dense sampling tables.
 
     Per state: cumulative action probabilities (actions in increasing
-    order), the number of actions, and the first of its rows in the
-    tables; the rows of a state are consecutive.  Per row: cumulative
+    order), the number of actions, and the first of its moves in the
+    tables; the moves of a state are consecutive.  Per move: cumulative
     successor probabilities, successor ids and the number of successors.
-    Raises ``SimulationError`` unless the policy gives every non-absorbing
-    state a distribution over its enabled actions: finite, non-negative
-    probabilities summing to 1 within ``PROB_TOL``.
     """
-    n = pm.n_states
-    state: list[int] = []
-    action: list[int] = []
-    prob: list[float] = []
-    for v, dist in policy.items():
-        if not 0 <= v < n:
-            raise SimulationError(f"policy names {v!r}, which is not a product state")
-        actions = sorted(dist)
-        probs = [dist[a] for a in actions]
-        if not all(0.0 <= p < inf for p in probs) or abs(sum(probs) - 1.0) > PROB_TOL:
-            raise SimulationError(
-                f"policy at product state {pm.state_name(v)!r} is not a "
-                f"probability distribution: {probs}"
-            )
-        state.extend([v] * len(actions))
-        action.extend(actions)
-        prob.extend(probs)
-    act_width = np.bincount(np.array(state, dtype=np.int64), minlength=n)
-    missing = np.flatnonzero((act_width == 0) & ~pm.absorbing_mask)
-    if missing.size:
-        raise SimulationError(
-            f"policy has no distribution at product state {pm.state_name(missing[0])!r}"
-        )
-    # the policy's (state, action) pairs by state, then action
-    order = np.lexsort((action, state))
-    state, action = np.array(state)[order], np.array(action)[order]
-    rows = _rows_taken(pm, state, action)
+    state, rows, prob = moves
+    act_width = np.bincount(state, minlength=pm.n_states)
     succ = pm.entries(rows)[0]
     succ_width = pm.entry_ptr[rows + 1] - pm.entry_ptr[rows]
     return (
-        _cumulative(np.array(prob)[order], act_width),
+        _cumulative(prob, act_width),
         act_width,
         np.cumsum(act_width) - act_width,
         _cumulative(pm.entry_prob[succ], succ_width),
@@ -210,9 +181,14 @@ def rollout(
     policy: Mapping[int, Mapping[int, float]],
     runs: int,
     seed: int,
-    horizon: int | None = None,
 ) -> RolloutStats:
-    """Sample ``runs`` independent plays of the policy.
+    """Sample ``runs`` independent plays of the policy, each until it is
+    absorbed.
+
+    The policy is checked first, as for ``exact_policy_values``: a policy
+    that is not a distribution over enabled actions, or that reaches a
+    state it never stops from, raises ``SimulationError``.  So does a run
+    still going after ``STEP_BUDGET`` steps; no run is cut short.
 
     Run ``i`` reads its own counter-based substream: the Philox stream of
     ``seed`` jumped ``i`` times, ``np.random.Generator(Philox(key=seed)
@@ -220,16 +196,14 @@ def rollout(
     the action and the second the successor, each as the first entry of
     the cumulative distribution above the draw.  The runs are stepped
     together, but each reads only its own stream, so the statistics depend
-    on (seed, runs, horizon) alone and never on how the draws are batched.
+    on (seed, runs) alone and never on how the draws are batched.
     """
     if runs < 1:
         raise SimulationError("runs must be positive")
     if not 0 <= seed < 2**128:
         raise SimulationError("seed must be in [0, 2**128)")
-    horizon = default_horizon(pm) if horizon is None else int(horizon)
-    if horizon < 1:
-        raise SimulationError("horizon must be at least 1 step")
-    act_cum, act_width, first_row, succ_cum, succ_id, succ_width = _kernel(pm, policy)
+    moves = _reachable_transient(pm, policy)[1]
+    act_cum, act_width, first_move, succ_cum, succ_id, succ_width = _kernel(pm, moves)
     absorbing = pm.absorbing_mask
     bitgen = np.random.Philox(key=seed)
     live = np.arange(runs)  # ids of the runs still going
@@ -237,33 +211,34 @@ def rollout(
     slot = live  # their rows of the draw buffer
     final = np.empty(runs, dtype=np.intp)
     steps = 0
-    for t in range(horizon + 1):
+    for t in count():
         done = absorbing[x]
         if done.any():
             final[live[done]] = x[done]
             going = ~done
             live, x, slot = live[going], x[going], slot[going]
-        if t == horizon or not live.size:
+        if not live.size:
             break
+        if t == STEP_BUDGET:
+            raise SimulationError(
+                f"{live.size} of {runs} runs have not stopped after {STEP_BUDGET} steps"
+            )
         c = t % _CHUNK_STEPS
         if c == 0:
             buf = _draws(bitgen, live, t // 2, 2 * _CHUNK_STEPS)
             slot = np.arange(live.size)
         k = _index(act_cum[x], act_width[x], buf[slot, 2 * c])
-        row = first_row[x] + k
-        j = _index(succ_cum[row], succ_width[row], buf[slot, 2 * c + 1])
-        x = succ_id[row, j]
+        move = first_move[x] + k
+        j = _index(succ_cum[move], succ_width[move], buf[slot, 2 * c + 1])
+        x = succ_id[move, j]
         steps += live.size
-    final[live] = x
     counts = np.bincount(final, minlength=pm.n_states)
-    stops, opaque = pm.absorbing_mask, pm.opaque_accepts
+    opaque = int(counts[pm.opaque_accepts].sum())
     return RolloutStats(
         runs=runs,
-        terminated=int(counts[stops].sum()),
-        opaque=int(counts[stops & opaque].sum()),
-        transparent=int(counts[stops & ~opaque].sum()),
+        opaque=opaque,
+        transparent=runs - opaque,
         task_satisfied=int(counts[pm.task_accepts].sum()),
-        horizon_truncated=int(counts[~stops].sum()),
         steps=steps,
     )
 
@@ -280,38 +255,49 @@ def uniform_policy(pm: ProductMdp) -> dict[int, dict[int, float]]:
 
 
 def _reachable_transient(pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]):
-    """The non-absorbing product states the policy reaches from the
-    initial one, in increasing order, and the moves it makes from them:
-    the (state, row, probability) of every action taken with non-zero
-    probability, by state and then in the order of its distribution.
+    """Check a policy; return the non-absorbing product states it reaches
+    from the initial one, in increasing order, and its moves from them:
+    the (state, row, probability) of every action in their distributions,
+    by state and then by action.
 
-    Raises ``SimulationError`` naming one of them from which the policy
-    can never reach an absorbing state.  A finite Markov chain stops with
-    probability 1 exactly when no such state is reachable.
+    Raises ``SimulationError`` unless the policy names only product states,
+    gives each non-absorbing one it names a distribution over enabled
+    actions (finite, non-negative probabilities summing to 1 within
+    ``PROB_TOL``), and gives one to every non-absorbing state it reaches.
+    Raises it too, naming a reached state from which the policy can never
+    reach an absorbing state, if there is one: a finite Markov chain stops
+    with probability 1 exactly when there is none.
     """
     n = pm.n_states
     state: list[int] = []
     action: list[int] = []
     prob: list[float] = []
-    for v in sorted(policy):
+    for v, dist in policy.items():
         if not 0 <= v < n:
             raise SimulationError(f"policy names {v!r}, which is not a product state")
         if pm.absorbing_mask[v]:
             continue
-        for a, pa in policy[v].items():
-            if pa != 0.0:
-                state.append(v)
-                action.append(a)
-                prob.append(pa)
-    state = np.array(state, dtype=np.int64)
-    rows = _rows_taken(pm, state, np.array(action, dtype=np.int64))
-    e, move = pm.entries(rows)
-    src, dst = state[move], pm.entry_succ[e]
+        probs = list(dist.values())
+        if not all(0.0 <= p < inf for p in probs) or abs(sum(probs) - 1.0) > PROB_TOL:
+            raise SimulationError(
+                f"policy at product state {pm.state_name(v)!r} is not a "
+                f"probability distribution: {probs}"
+            )
+        state.extend([v] * len(probs))
+        action.extend(dist)
+        prob.extend(probs)
+    order = np.lexsort((action, state))
+    state = np.array(state, dtype=np.int64)[order]
+    rows = _rows_taken(pm, state, np.array(action, dtype=np.int64)[order])
+    prob = np.array(prob, dtype=np.float64)[order]
+    taken = prob != 0.0
+    e, move = pm.entries(rows[taken])
+    src, dst = state[taken][move], pm.entry_succ[e]
     reached = np.zeros(n, dtype=bool)
     reached[breadth_first_order(_graph(src, dst, n), pm.initial, return_predecessors=False)] = True
     transient = reached & ~pm.absorbing_mask
     covered = np.zeros(n, dtype=bool)
-    covered[np.array(list(policy), dtype=np.int64)] = True
+    covered[state] = True
     missing = np.flatnonzero(transient & ~covered)
     if missing.size:
         raise SimulationError(
@@ -334,8 +320,8 @@ def _reachable_transient(pm: ProductMdp, policy: Mapping[int, Mapping[int, float
             f"policy never stops from product state {pm.state_name(trapped[0])!r}, "
             f"which it reaches"
         )
-    taken = transient[state]
-    return np.flatnonzero(transient), (state[taken], rows[taken], np.array(prob)[taken])
+    ours = transient[state]
+    return np.flatnonzero(transient), (state[ours], rows[ours], prob[ours])
 
 
 def _graph(src: np.ndarray, dst: np.ndarray, n: int) -> sp.csr_matrix:
@@ -355,9 +341,12 @@ def exact_policy_values(
 
     The equations are posed on the non-absorbing states the policy
     reaches; they have a unique solution because the policy is first
-    checked to stop with probability 1 (else ``SimulationError``).
+    checked, as for ``rollout``, to stop with probability 1 (else
+    ``SimulationError``).
     """
     states, (state, rows, prob) = _reachable_transient(pm, policy)
+    taken = prob != 0.0
+    state, rows, prob = state[taken], rows[taken], prob[taken]
     m = len(states)
     row_of = np.zeros(pm.n_states, dtype=np.int64)
     row_of[states] = np.arange(m)

@@ -36,7 +36,10 @@ def test_worker_imports_are_exported():
 
 def test_traced_gridworld_pass():
     # the traced pass reads more of the package than the worker imports:
-    # ProductMdp.transitions and RolloutStats.horizon_truncated among them
+    # ProductMdp.transitions and RolloutStats.horizon_truncated among them.
+    # Runs go to absorption now, so horizon_truncated is a read-only 0 kept
+    # only for this pass's simulate.truncated_runs, until the benchmark's
+    # next change drops both
     done = subprocess.run(
         [sys.executable, str(WORKER), "gridworld", "--seed", "11", "--tiny", "--trace"],
         capture_output=True,
@@ -48,3 +51,5 @@ def test_traced_gridworld_pass():
     assert result["failures"] == []
     assert result["layers"]["planner.product_states"]["value"] > 0
     assert result["layers"]["planner.product_transitions"]["value"] > 0
+    assert result["layers"]["simulate.rollout_runs"]["value"] > 0
+    assert result["layers"]["simulate.truncated_runs"]["value"] == 0

@@ -126,6 +126,8 @@ class TestPlan:
         assert doc["metadata"]["objective"] == pytest.approx(0.7, abs=1e-6)
         assert doc["metadata"]["manifest"]["task"] == "F s4"
         assert 0 < doc["metadata"]["quotient_states"] < doc["metadata"]["product_states"]
+        # a_top, at least one move, then a_bot
+        assert doc["metadata"]["solver"]["expected_steps"] >= 3
         some_state = next(iter(doc["policy"]))
         assert "|" in some_state
 
@@ -156,9 +158,8 @@ class TestSimulate:
         assert lines[0].split() == ["threshold", "max_value", "exp_value", "exp_task"]
         doc = json.loads(out.read_text())
         assert doc["stats"]["runs"] == 2000
-        assert doc["stats"]["opaque"] + doc["stats"]["transparent"] == doc["stats"]["terminated"]
+        assert doc["stats"]["opaque"] + doc["stats"]["transparent"] == 2000
         assert doc["stats"]["mean_steps"] == doc["stats"]["steps"] / 2000
-        assert doc["stats"]["truncation_rate"] == doc["stats"]["horizon_truncated"] / 2000
 
     def test_deterministic_given_seed(self, model_file, policy_file, capsys):
         main(["simulate", "--model", model_file, "--policy", policy_file,

@@ -20,11 +20,7 @@ from opaque_planner.planner import (
     solve_lp,
 )
 from opaque_planner.scenarios import DroneConfig, GridworldConfig, Sensor, gridworld
-from opaque_planner.simulate import (
-    default_horizon,
-    enumerate_plays,
-    exact_policy_values,
-)
+from opaque_planner.simulate import enumerate_plays, exact_policy_values
 from opaque_planner.transducer import opaque_obs_dfa, play_inputs
 
 from helpers import random_model, random_secret_text
@@ -410,7 +406,8 @@ class TestQuotient:
 
     def test_policy_terminates_on_small_gridworld(self):
         # the optimal face here holds zero-reward circulations; the
-        # least-occupancy stage must pick a policy that terminates
+        # solver's vertex holds none, so its policy stops with probability
+        # 1 (exact evaluation raises otherwise) and attains the optimum
         model = gridworld(GridworldConfig(
             width=4, height=3, plant_cell=3, control_cells=(11,), data_cells=(4,),
             alarm_cells=(1,), wall_cells=(6,), init_cell=8,
@@ -425,7 +422,8 @@ class TestQuotient:
         )
         sol = solve_lp(build_lp(pm, 0.4, "opacity"))
         assert sol.objective == pytest.approx(0.6, abs=1e-6)
-        assert sol.occupancy.sum() < default_horizon(pm)
+        values = exact_policy_values(pm, extract_policy(sol, pm))
+        assert values["ph"] == pytest.approx(sol.objective, abs=1e-9)
 
     def test_running_example_shrinks(self, pm):
         assert pm.quotient is pm.quotient

@@ -13,7 +13,6 @@ from opaque_planner.simulate import (
     SimulationError,
     brute_force_opaque_obs,
     classify_play,
-    default_horizon,
     enumerate_plays,
     exact_policy_values,
     observation_buckets,
@@ -29,36 +28,32 @@ def play(text):
     return Play.from_linear(text.split())
 
 
-def reference_rollout(pm, policy, runs, seed, horizon=None):
-    """The scalar sampler: one run at a time, run i drawing from
-    ``Generator(Philox(seed).jumped(i))``, an action and then a successor
-    per step, each by ``searchsorted`` on its cumulative distribution."""
+def reference_rollout(pm, policy, runs, seed):
+    """The scalar sampler: one run at a time until it is absorbed, run i
+    drawing from ``Generator(Philox(seed).jumped(i))``, an action and then
+    a successor per step, each by ``searchsorted`` on its cumulative
+    distribution."""
 
     def pick(pairs, u):
         cum = np.cumsum([p for _, p in pairs])
         return pairs[int(np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1))][0]
 
-    horizon = default_horizon(pm) if horizon is None else horizon
     base = np.random.Philox(key=seed)
-    stats = RolloutStats(0, 0, 0, 0, 0, 0, 0)
+    stats = RolloutStats(0, 0, 0, 0, 0)
     for i in range(runs):
         rng = np.random.Generator(base.jumped(i))
         v = pm.initial
         steps = 0
-        while steps < horizon and v not in pm.absorbing:
+        while v not in pm.absorbing:
             a = pick(sorted(policy[v].items()), rng.random())
             v = pick(pm.transitions[(v, a)], rng.random())
             steps += 1
         stats.runs += 1
         stats.steps += steps
-        if v in pm.absorbing:
-            stats.terminated += 1
-            if pm.opaque_accepting(v):
-                stats.opaque += 1
-            else:
-                stats.transparent += 1
+        if pm.opaque_accepting(v):
+            stats.opaque += 1
         else:
-            stats.horizon_truncated += 1
+            stats.transparent += 1
         if pm.task_accepting(v):
             stats.task_satisfied += 1
     return stats
@@ -110,8 +105,8 @@ class TestRollout:
     def test_count_invariants(self, pm, optimal_policy):
         policy, _ = optimal_policy
         stats = rollout(pm, policy, runs=1000, seed=5)
-        assert stats.opaque + stats.transparent == stats.terminated
-        assert stats.terminated + stats.horizon_truncated == stats.runs
+        assert stats.opaque + stats.transparent == stats.runs
+        assert stats.horizon_truncated == 0
         assert stats.ph == stats.opaque / stats.runs
         assert stats.pt == stats.transparent / stats.runs
 
@@ -135,24 +130,30 @@ class TestRollout:
     def test_immediate_termination_policy(self, pm):
         policy = immediate_termination_policy(pm)
         stats = rollout(pm, policy, runs=300, seed=3)
-        assert stats.terminated == stats.runs
         assert stats.transparent == stats.runs  # lone first observation reveals
+        assert stats.mean_steps == 2.0  # to s1, then stop
 
-    def test_horizon_truncation(self, pm):
+    def test_policy_that_never_stops_raises(self, pm):
+        with pytest.raises(SimulationError, match=r"never stops from product state 's6\|"):
+            rollout(pm, loop_at_s6(pm, uniform_policy(pm)), runs=10, seed=1)
+
+    def test_trap_the_policy_never_reaches_is_ignored(self, pm):
+        policy = immediate_termination_policy(pm)
+        assert rollout(pm, loop_at_s6(pm, policy), runs=300, seed=3) == rollout(
+            pm, policy, runs=300, seed=3
+        )
+
+    def test_step_budget_raises(self, pm, monkeypatch):
         policy = uniform_policy(pm)
-        stats = rollout(pm, policy, runs=200, seed=1, horizon=1)
-        assert stats.horizon_truncated == stats.runs
-        assert stats.opaque == stats.transparent == 0
-        assert stats.steps == stats.runs
-        assert stats.to_dict()["mean_steps"] == 1.0
-        assert stats.to_dict()["truncation_rate"] == 1.0
+        assert rollout(pm, policy, runs=200, seed=1).mean_steps > 2
+        monkeypatch.setattr(simulate, "STEP_BUDGET", 2)
+        with pytest.raises(SimulationError, match="not stopped after 2 steps"):
+            rollout(pm, policy, runs=200, seed=1)
 
     def test_bad_arguments(self, pm, optimal_policy):
         policy, _ = optimal_policy
         with pytest.raises(SimulationError):
             rollout(pm, policy, runs=0, seed=1)
-        with pytest.raises(SimulationError):
-            rollout(pm, policy, runs=10, seed=1, horizon=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_out_of_philox_key_range(self, pm, optimal_policy, seed):
@@ -166,6 +167,14 @@ class TestRollout:
 
 
 class TestInvalidPolicy:
+    """The sampler rejects a policy that is not a distribution over enabled
+    actions wherever it is given, or is not given at a state it reaches;
+    ``TestInvalidPolicyExact`` runs the same cases through exact evaluation."""
+
+    @staticmethod
+    def evaluate(pm, policy):
+        return rollout(pm, policy, runs=10, seed=1)
+
     @staticmethod
     def state(pm):
         """A non-absorbing state other than the initial one."""
@@ -177,7 +186,7 @@ class TestInvalidPolicy:
         assert pm.model.a_top not in pm.enabled(v)
         policy[v] = {pm.model.a_top: 1.0}
         with pytest.raises(SimulationError, match="a_top.*not enabled"):
-            rollout(pm, policy, runs=10, seed=1)
+            self.evaluate(pm, policy)
 
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     def test_probability_not_finite_and_non_negative(self, pm, bad):
@@ -186,32 +195,36 @@ class TestInvalidPolicy:
         first, second = sorted(policy[v])[:2]
         policy[v] = {first: 1.0 - bad, second: bad}
         with pytest.raises(SimulationError, match="not a probability distribution"):
-            rollout(pm, policy, runs=10, seed=1)
+            self.evaluate(pm, policy)
 
     def test_probabilities_must_sum_to_one(self, pm):
         policy = uniform_policy(pm)
         v = self.state(pm)
         policy[v] = {a: p * (1 - 1e-6) for a, p in policy[v].items()}
         with pytest.raises(SimulationError, match="not a probability distribution"):
-            rollout(pm, policy, runs=10, seed=1)
+            self.evaluate(pm, policy)
 
     def test_rounding_within_tolerance_accepted(self, pm):
         policy = uniform_policy(pm)
         v = self.state(pm)
         policy[v] = {a: p * (1 + 1e-12) for a, p in policy[v].items()}
-        assert rollout(pm, policy, runs=10, seed=1).runs == 10
+        self.evaluate(pm, policy)
 
     def test_missing_state(self, pm):
         policy = uniform_policy(pm)
         del policy[self.state(pm)]
         with pytest.raises(SimulationError, match="no distribution"):
-            rollout(pm, policy, runs=10, seed=1)
+            self.evaluate(pm, policy)
 
     def test_unknown_state(self, pm):
         policy = uniform_policy(pm)
         policy[pm.n_states] = {pm.model.a_bot: 1.0}
         with pytest.raises(SimulationError, match="not a product state"):
-            rollout(pm, policy, runs=10, seed=1)
+            self.evaluate(pm, policy)
+
+
+class TestInvalidPolicyExact(TestInvalidPolicy):
+    evaluate = staticmethod(exact_policy_values)
 
 
 class TestAgainstReference:
@@ -228,12 +241,9 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("make", [uniform_policy, immediate_termination_policy])
     @pytest.mark.parametrize("runs", [1, 257])
-    @pytest.mark.parametrize("horizon", [None, 1, 3])
-    def test_fixed_policies(self, pm, make, runs, horizon):
+    def test_fixed_policies(self, pm, make, runs):
         policy = make(pm)
-        assert rollout(pm, policy, runs, 7, horizon) == reference_rollout(
-            pm, policy, runs, 7, horizon
-        )
+        assert rollout(pm, policy, runs, 7) == reference_rollout(pm, policy, runs, 7)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_models(self, seed):
@@ -257,8 +267,9 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("chunk", [2, 64])
     def test_batching_does_not_change_stats(self, pm, lp_policies, monkeypatch, chunk):
-        # the transparency policy at 0.8 runs ~17 steps on average and up
-        # to the horizon, so runs cross many refills of either size
+        # the transparency policy at 0.8 runs ~17 steps on average and its
+        # longest runs many times that, so runs cross many refills of
+        # either size
         policy = lp_policies["transparency", 0.8]
         expected = rollout(pm, policy, runs=2000, seed=2025)
         monkeypatch.setattr(simulate, "_CHUNK_STEPS", chunk)
