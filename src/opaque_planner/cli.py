@@ -141,7 +141,8 @@ def cmd_build(args) -> int:
     model = _load_validated_model(args.model)
     secret = _secret_dfa(model, args.secret)
     build = opaque_pipeline(model, secret)
-    if not build.dfa.has_reachable_accepting():
+    # every state of the minimized DFA is reachable
+    if not build.dfa.accepting:
         print("warning: the opaque-observations language is empty", file=sys.stderr)
     manifest = RunManifest(
         tool="opaque-planner",
@@ -227,6 +228,8 @@ def cmd_simulate(args) -> int:
     if args.runs < 1:
         raise CliError("--runs must be a positive integer")
     doc = json.loads(Path(args.policy).read_text())
+    if not isinstance(doc, dict):
+        raise CliError("policy file must hold a JSON object")
     meta = doc.get("metadata", {})
     manifest = meta.get("manifest", {})
     if manifest.get("model_sha256") and manifest["model_sha256"] != _sha256(args.model):

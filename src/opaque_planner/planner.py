@@ -27,7 +27,10 @@ The LP is posed on the coarsest probabilistic bisimulation of the product
 same actions and reach every block, the absorbing outcome blocks included,
 with the same probabilities, so one occupancy variable per (block, action)
 loses no optimum, and the block policy lifts to every member state
-unchanged.
+unchanged.  Each round ranks the states' signatures with
+``automata.row_classes``, the helper ``automata.minimize`` refines the
+opaque-observations DFA with: DFA minimization is the same refinement on a
+deterministic system.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .automata import Dfa, require_complete
+from .automata import Dfa, row_classes, step_table
 from .model import Model, ModelError
 
 FEASIBILITY_TOL = 1e-9
@@ -216,10 +219,10 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
     # the task table's last column keeps q: a_bot rows read no label
     keep = len(csr.label_letters)
     task_step = np.column_stack(
-        (_step_table(task, csr.label_letters, "task"), np.arange(nq))
+        (step_table(task, csr.label_letters, "task"), np.arange(nq))
     )
     # the observation alphabet includes the START and END markers
-    opaque_step = _step_table(opaque, model.observation_alphabet(), "opaque-observations")
+    opaque_step = step_table(opaque, model.observation_alphabet(), "opaque-observations")
     model_entry_row = np.repeat(np.arange(len(csr.row_action)), np.diff(csr.entry_ptr))
     entry_letter = np.where(
         csr.row_action[model_entry_row] == model.a_bot, keep, csr.state_label[csr.entry_succ]
@@ -281,18 +284,6 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
     for array in arrays.values():
         array.setflags(write=False)
     return ProductMdp(model=model, task=task, opaque=opaque, **arrays)
-
-
-def _step_table(dfa: Dfa, letters: tuple, what: str) -> np.ndarray:
-    """The moves of ``dfa`` as a dense (state, letter id) table; raises
-    ``IncompleteDfaError`` unless it has a move on every letter."""
-    table = np.array(
-        [[dfa.transitions.get((q, letter), -1) for letter in letters] for q in range(dfa.n_states)],
-        dtype=np.int64,
-    ).reshape(dfa.n_states, len(letters))
-    if (table < 0).any():
-        require_complete(dfa, letters, what)
-    return table
 
 
 def _raise_undefined(model: Model, s: int, a: int, t: int) -> None:
@@ -361,20 +352,8 @@ def _split(head: np.ndarray, owner: np.ndarray, keys: np.ndarray) -> np.ndarray:
     start = np.cumsum(counts) - counts
     table = np.full((len(head), 1 + int(counts.max(initial=0))), -1, dtype=np.int64)
     table[:, 0] = head
-    table[owner, 1 + np.arange(len(owner)) - start[owner]] = _row_classes(keys)
-    return _row_classes(table)
-
-
-def _row_classes(table: np.ndarray) -> np.ndarray:
-    """Dense ids of the distinct rows of an integer table, in sorted order
-    (``np.unique(table, axis=0)`` sorts rows as opaque bytes, far slower)."""
-    order = np.lexsort(table.T[::-1])
-    ranked = table[order]
-    starts = np.ones(len(table), dtype=np.int64)
-    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    ids = np.empty(len(table), dtype=np.int64)
-    ids[order] = np.cumsum(starts) - 1
-    return ids
+    table[owner, 1 + np.arange(len(owner)) - start[owner]] = row_classes(keys)
+    return row_classes(table)
 
 
 @dataclass(frozen=True)
@@ -667,13 +646,26 @@ def policy_to_dict(
 
 
 def policy_from_dict(doc: Mapping, pm: ProductMdp) -> dict[int, dict[int, float]]:
+    """The policy of a :func:`policy_to_dict` document; raises
+    ``PlannerError`` naming the product state and field that are wrong."""
+    body = doc.get("policy")
+    if not isinstance(body, Mapping):
+        raise PlannerError('policy file needs a "policy" object of product states')
     names = {pm.state_name(v): v for v in range(pm.n_states)}
     out: dict[int, dict[int, float]] = {}
-    for key, dist in doc["policy"].items():
+    for key, dist in body.items():
         v = names.get(key)
         if v is None:
             raise PlannerError(f"policy references unknown product state {key!r}")
-        out[v] = {pm.model.action_index[a]: float(p) for a, p in dist.items()}
+        if not isinstance(dist, Mapping):
+            raise PlannerError(f"policy at {key!r} is not an object of action probabilities")
+        out[v] = {}
+        for a, p in dist.items():
+            if a not in pm.model.action_index:
+                raise PlannerError(f"policy at {key!r} names unknown action {a!r}")
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise PlannerError(f"policy at {key!r} gives action {a!r} the non-number {p!r}")
+            out[v][pm.model.action_index[a]] = float(p)
     missing = [
         pm.state_name(v)
         for v in range(pm.n_states)

@@ -24,8 +24,8 @@ from .automata import (
     Dfa,
     Nfa,
     minimize,
-    require_complete,
     sort_alphabet,
+    step_table,
     subset_construction,
 )
 from .model import END, Model, ObsSymbol, Play, START
@@ -114,11 +114,13 @@ def product_fst(fst: Fst, secret: Dfa) -> ProductFst:
     """Synchronize the transducer with the secret DFA.
 
     The secret DFA reads the label of each interior state as it is
-    entered; the start and end markers leave it untouched.  Only the pairs
-    reachable from (initiating state, initial secret state) are kept.
+    entered, stepped by its table over the model's label ids; the start
+    and end markers leave it untouched.  Only the pairs reachable from
+    (initiating state, initial secret state) are kept.
     """
     model = fst.model
-    require_complete(secret, model.label_alphabet(), "secret")
+    secret_step = step_table(secret, model.csr.label_letters, "secret").tolist()
+    state_label = model.csr.state_label.tolist()  # -1 on the frame states
 
     by_source: dict[int, list[tuple[InputLetter, int, ObsSymbol]]] = {}
     for (s, letter), (t, out) in fst.transitions.items():
@@ -140,8 +142,10 @@ def product_fst(fst: Fst, secret: Dfa) -> ProductFst:
             _s, a, _t = letter
             if a == model.a_bot:
                 q2 = q
+            elif state_label[t] >= 0:
+                q2 = secret_step[q][state_label[t]]
             else:
-                q2 = secret.step(q, model.label_of(t))
+                model.label_of(t)  # a frame state has no label: raises ModelError
             nxt = (t, q2)
             if nxt not in index:
                 index[nxt] = len(pairs)

@@ -181,6 +181,88 @@ class TestMinimize:
             assert small.accepts(word) == det.accepts(word)
 
 
+@st.composite
+def complete_dfas(draw, max_states=7, letters=AB):
+    """Complete DFAs with any initial state, so some states may be
+    unreachable."""
+    n = draw(st.integers(1, max_states))
+    idx = st.integers(0, n - 1)
+    return Dfa(
+        alphabet=letters,
+        transitions={(q, l): draw(idx) for q in range(n) for l in letters},
+        initial=draw(idx),
+        accepting=frozenset(draw(st.sets(idx))),
+        state_names=tuple(f"d{i}" for i in range(n)),
+    )
+
+
+def reachable_states(dfa):
+    seen, frontier = {dfa.initial}, [dfa.initial]
+    while frontier:
+        q = frontier.pop()
+        for letter in dfa.alphabet:
+            t = dfa.step(q, letter)
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen
+
+
+def distinguishable_pairs(dfa):
+    """Table filling: mark the pairs that disagree on acceptance, then any
+    pair with a letter into a marked pair, until nothing changes."""
+    pairs = [(p, q) for p in range(dfa.n_states) for q in range(p)]
+    marked = {(p, q) for p, q in pairs if (p in dfa.accepting) != (q in dfa.accepting)}
+    changed = True
+    while changed:
+        changed = False
+        for p, q in pairs:
+            if (p, q) in marked:
+                continue
+            for letter in dfa.alphabet:
+                a, b = dfa.step(p, letter), dfa.step(q, letter)
+                if (max(a, b), min(a, b)) in marked:
+                    marked.add((p, q))
+                    changed = True
+                    break
+    return marked
+
+
+class TestMinimality:
+    """``minimize`` against the textbook definition of a minimal DFA:
+    every state reachable and no two states equivalent."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(complete_dfas())
+    def test_minimal_and_equivalent(self, dfa):
+        small = minimize(dfa)
+        for word in words_up_to(AB, 5):
+            assert small.accepts(word) == dfa.accepts(word)
+        assert reachable_states(small) == set(range(small.n_states))
+        n = small.n_states
+        assert len(distinguishable_pairs(small)) == n * (n - 1) // 2
+        assert minimize(small) == small
+
+    def test_chain_keeps_every_state(self):
+        # state q needs n - 1 - q letters "a" to accept, so a separating
+        # word can be as long as the chain: one refinement round per state
+        n = 300
+        chain = Dfa(
+            alphabet=AB,
+            transitions={
+                **{(q, "a"): min(q + 1, n - 1) for q in range(n)},
+                **{(q, "b"): q for q in range(n)},
+            },
+            initial=0,
+            accepting=frozenset({n - 1}),
+            state_names=tuple(f"c{i}" for i in range(n)),
+        )
+        small = minimize(chain)
+        assert small.n_states == n
+        assert small == minimize(small)
+        assert small.accepts(("a",) * (n - 1)) and not small.accepts(("a",) * (n - 2))
+
+
 class TestIntersect:
     def universal(self):
         return Nfa(

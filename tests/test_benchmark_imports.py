@@ -1,7 +1,7 @@
 """The benchmark worker imports names from the package on every pass,
 traced or not; a name that disappears fails every benchmark op, so the
-names are checked here, by reading the worker's source, and one tiny
-traced pass runs end to end."""
+names are checked here, by reading the worker's source; one tiny traced
+pass and one untraced gridworld-build pass run end to end."""
 
 import ast
 import importlib
@@ -53,3 +53,18 @@ def test_traced_gridworld_pass():
     assert result["layers"]["planner.product_transitions"]["value"] > 0
     assert result["layers"]["simulate.rollout_runs"]["value"] > 0
     assert result["layers"]["simulate.truncated_runs"]["value"] == 0
+
+
+def test_gridworld_build_references():
+    # the six gridworld secrets' opaque-DFA sizes and accepted-word counts,
+    # checked untraced as the benchmark runs them
+    done = subprocess.run(
+        [sys.executable, str(WORKER), "gridworld-build", "--seed", "11"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["failures"] == []
+    assert result["attempted"] == 6

@@ -191,6 +191,26 @@ class TestSimulate:
                      "--runs", "10"]) == 1
         assert capsys.readouterr().err.startswith("error: policy")
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: {**doc, "policy": {**doc["policy"], "s1|0|1": {"nope": 1.0}}},
+            lambda doc: {**doc, "policy": {**doc["policy"], "s1|0|1": {"a": "abc"}}},
+            lambda doc: {**doc, "policy": []},
+            lambda doc: {"metadata": doc["metadata"]},
+            lambda doc: [doc],
+        ],
+        ids=["unknown-action", "probability-not-a-number", "policy-not-an-object",
+             "policy-missing", "file-not-an-object"],
+    )
+    def test_malformed_policy_file(self, model_file, policy_file, tmp_path, capsys, corrupt):
+        doc = json.loads(Path(policy_file).read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(corrupt(doc)))
+        assert main(["simulate", "--model", model_file, "--policy", str(bad),
+                     "--runs", "10"]) == 1
+        assert capsys.readouterr().err.startswith("error: policy")
+
     def test_negative_seed_rejected(self, model_file, policy_file, capsys):
         assert main(["simulate", "--model", model_file, "--policy", policy_file,
                      "--runs", "10", "--seed", "-1"]) == 1
@@ -245,6 +265,33 @@ class TestMissingInputs:
 
     def test_export_dot_without_model_or_dfa(self, capsys):
         self._fails_cleanly(["export-dot", "--secret", "F s6"], capsys)
+
+
+class TestMalformedDfaFile:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["transitions"][0].update(to="zz"),
+            lambda doc: doc.update(initial="zz"),
+            lambda doc: doc["transitions"][0].update(letter=["zz"]),
+            lambda doc: doc["transitions"][0].update(letter=[]),
+            lambda doc: doc.pop("accepting"),
+        ],
+        ids=["unknown-target", "unknown-initial", "unknown-letter", "malformed-letter",
+             "missing-field"],
+    )
+    @pytest.mark.parametrize("flag", ["build --secret", "plan --opaque"])
+    def test_input_error(self, model_file, opaque_file, tmp_path, capsys, corrupt, flag):
+        doc = json.loads(Path(opaque_file).read_text())
+        corrupt(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        command, option = flag.split()
+        argv = [command, "--model", model_file, option, str(bad)]
+        if command == "plan":
+            argv += ["--task", "F s4"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: DFA file")
 
 
 class TestExports:

@@ -219,7 +219,7 @@ class TestOpaqueDfa:
 
     def test_trivial_secret_empty_language(self, model, secret_dfa):
         trivial = opaque_obs_dfa(model, dfa_over_model_labels("true", model))
-        assert not trivial.has_reachable_accepting()
+        assert not trivial.accepting
 
     def test_complete_and_minimal(self, opaque_dfa):
         assert opaque_dfa.is_complete()
