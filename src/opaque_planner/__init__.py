@@ -40,7 +40,6 @@ from .model import (
     label_of_play,
     load_model,
     obs_of_play,
-    save_model,
     validate,
 )
 from .planner import (

@@ -380,11 +380,13 @@ def dfa_to_dict(dfa: Dfa, letter_kind: str) -> dict:
 
 def dfa_from_dict(doc: Mapping) -> Dfa:
     """The DFA of a :func:`dfa_to_dict` document; raises
-    :class:`AutomatonError` on a missing field or an unknown state or
-    letter."""
+    :class:`AutomatonError` on a missing field, a list field that is not a
+    list, or an unknown state or letter."""
     fields = ("states", "alphabet", "initial", "accepting", "transitions")
     if not isinstance(doc, Mapping) or any(f not in doc for f in fields):
         raise AutomatonError("DFA file needs the fields " + ", ".join(fields))
+    if not all(isinstance(doc[f], list) for f in fields if f != "initial"):
+        raise AutomatonError("DFA file: states, alphabet, accepting and transitions must be lists")
     kind = doc.get("letter_kind", "plain")
     names = tuple(doc["states"])
     index = {n: i for i, n in enumerate(names)}

@@ -52,24 +52,26 @@ def nfa_to_dot(nfa: Nfa) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _transducer_edges(lines: list[str], transitions, model, name) -> None:
+    """One edge per transition, labelled input/output; ``name`` names a
+    transducer state."""
+    for (src, (s, a, t)), (dst, out) in sorted(transitions.items()):
+        label = f"({model.states[s]},{model.actions[a]},{model.states[t]})/{out}"
+        lines.append(f"  {_quote(name(src))} -> {_quote(name(dst))} [label={_quote(label)}];")
+    lines.append("}")
+
+
 def fst_to_dot(fst: Fst) -> str:
     """Transducer rendering; edge labels read input/output."""
     model = fst.model
     lines = ["digraph fst {"]
     _header(lines)
     lines.append(f"  __init -> {_quote(model.states[model.top])};")
-    for (src, (s, a, t)), (dst, out) in sorted(fst.transitions.items()):
-        label = f"({model.states[s]},{model.actions[a]},{model.states[t]})/{out}"
-        lines.append(
-            f"  {_quote(model.states[src])} -> {_quote(model.states[dst])}"
-            f" [label={_quote(label)}];"
-        )
-    lines.append("}")
+    _transducer_edges(lines, fst.transitions, model, model.states.__getitem__)
     return "\n".join(lines) + "\n"
 
 
 def product_fst_to_dot(pf: ProductFst) -> str:
-    model = pf.model
     lines = ["digraph product_fst {"]
     _header(lines)
     for idx in sorted(pf.accept_sat):
@@ -79,11 +81,5 @@ def product_fst_to_dot(pf: ProductFst) -> str:
             f"  {_quote(pf.state_name(idx))} [shape=doublecircle, style=dashed];"
         )
     lines.append(f"  __init -> {_quote(pf.state_name(pf.initial))};")
-    for (src, (s, a, t)), (dst, out) in sorted(pf.transitions.items()):
-        label = f"({model.states[s]},{model.actions[a]},{model.states[t]})/{out}"
-        lines.append(
-            f"  {_quote(pf.state_name(src))} -> {_quote(pf.state_name(dst))}"
-            f" [label={_quote(label)}];"
-        )
-    lines.append("}")
+    _transducer_edges(lines, pf.transitions, pf.model, pf.state_name)
     return "\n".join(lines) + "\n"

@@ -208,13 +208,10 @@ class Model:
             for t, p in dist:
                 succ.append(t)
                 prob.append(p)
-                if a == self.a_top:
-                    obs.append(symbol[START])
-                elif a == self.a_bot:
-                    obs.append(symbol[END])
-                else:
-                    o = None if s == self.bot else self.observations.get((s, a, t))
-                    obs.append(-1 if o is None else symbol[o])
+                try:
+                    obs.append(symbol[self.obs(s, a, t)])
+                except ModelError:  # a missing one, or a terminating-state self-loop
+                    obs.append(-1)
         letters = tuple(sorted(self.label_alphabet(), key=lambda l: (len(l), sorted(l))))
         letter_id = {l: i for i, l in enumerate(letters)}
         return ModelCsr(
@@ -389,6 +386,8 @@ def assemble(
 
     obs: dict[tuple[int, int, int], ObsSymbol] = {}
     for (s, a, t), members in observations.items():
+        if s not in sidx or a not in aidx or t not in sidx:
+            raise ModelError(f"observation given for unknown transition ({s}, {a}, {t})")
         key = (sidx[s], aidx[a], sidx[t])
         obs[key] = members if isinstance(members, ObsSymbol) else ObsSymbol.state_set(members)
 
@@ -434,11 +433,10 @@ def build_model(
 
 def as_probability(p) -> float:
     """Accept floats, Fractions and 'num/den' strings."""
-    if isinstance(p, str):
-        return float(Fraction(p))
-    if isinstance(p, Fraction):
-        return float(p)
-    return float(p)
+    try:
+        return float(Fraction(p) if isinstance(p, str) else p)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ModelError(f"probability {p!r} is not a number") from None
 
 
 # ---------------------------------------------------------------------------
@@ -587,35 +585,45 @@ def dumps_model(model: Model) -> str:
     return json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
 
 
-def save_model(model: Model, path: str | Path) -> None:
-    Path(path).write_text(dumps_model(model))
+def record_fields(record, names: tuple[str, ...], where: str) -> list:
+    """The values of ``names`` in a JSON object; raises ``ModelError``
+    naming ``where`` unless ``record`` is an object holding them all."""
+    if not isinstance(record, Mapping) or any(n not in record for n in names):
+        raise ModelError(f"{where} needs the fields " + ", ".join(names))
+    return [record[n] for n in names]
 
 
 def model_from_dict(doc: Mapping) -> Model:
-    try:
-        states = list(doc["states"])
-        actions = list(doc["actions"])
-        raw_transitions = doc["transitions"]
-        initial = {s: as_probability(p) for s, p in doc.get("initial", {}).items()}
-        labels = {s: list(props) for s, props in doc.get("labels", {}).items()}
-        raw_obs = doc.get("observations", [])
-    except KeyError as exc:
-        raise ModelError(f"model file missing field {exc.args[0]!r}") from None
+    """The model of a :func:`model_to_dict` document; raises ``ModelError``
+    on a malformed one."""
+    if not isinstance(doc, Mapping):
+        raise ModelError("model file must hold a JSON object")
+    for name in ("states", "actions", "transitions"):
+        if name not in doc:
+            raise ModelError(f"model file missing field {name!r}")
+    labels = doc.get("labels", {})
+    for s, props in labels.items():
+        if not isinstance(props, list):
+            raise ModelError(f"model file: the label of {s!r} is not a list")
 
     transitions: dict[tuple[str, str], dict[str, float]] = {}
-    for row in raw_transitions:
-        key = (row["from"], row["action"])
-        transitions.setdefault(key, {})[row["to"]] = as_probability(row["prob"])
-    observations = {
-        (row["from"], row["action"], row["to"]): row["obs"] for row in raw_obs
-    }
+    for i, row in enumerate(doc["transitions"]):
+        where = f"model file: transition {i}"
+        s, a, t, p = record_fields(row, ("from", "action", "to", "prob"), where)
+        transitions.setdefault((s, a), {})[t] = as_probability(p)
+    observations = {}
+    for i, row in enumerate(doc.get("observations", [])):
+        where = f"model file: observation {i}"
+        s, a, t, o = record_fields(row, ("from", "action", "to", "obs"), where)
+        observations[(s, a, t)] = o
+    initial = {s: as_probability(p) for s, p in doc.get("initial", {}).items()}
     props = doc.get("atomic_props")
 
     if doc.get("auto_frame", False):
         return build_model(
-            states, actions, transitions, initial, labels, observations, props
+            doc["states"], doc["actions"], transitions, initial, labels, observations, props
         )
-    return assemble(states, actions, transitions, labels, observations, props)
+    return assemble(doc["states"], doc["actions"], transitions, labels, observations, props)
 
 
 def load_model(path: str | Path) -> Model:

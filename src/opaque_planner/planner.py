@@ -11,15 +11,13 @@ opaque component, which has read the end marker, accepts.  The
 occupancy-measure LP maximizes the probability of stopping opaque (or
 transparent) subject to flow conservation and a task-probability threshold.
 
-The product is built breadth-first, one level at a time, in numpy, and
-stored once as CSR row groups, the layout of sparse probabilistic model
-checkers (PRISM: Kwiatkowska, Norman & Parker 2011; Storm: Dehnert et al.
-2017): each state owns a range of (state, action) rows in increasing action
-order, and each row a range of (successor, probability) entries in
-increasing successor order.  A level's new states are numbered in order of
-first occurrence as the level before is read row by row, so the numbering
-is that of a FIFO search.  The quotient, the LP, exact evaluation and the
-sampler all read these arrays.
+The product is built by ``_product_search``, the one level search that
+also builds the product transducer of :mod:`.transducer`, in numpy over
+``Model.csr``.  It is stored once as CSR row groups (see
+:class:`ProductMdp`), the layout of sparse probabilistic model checkers
+(PRISM: Kwiatkowska, Norman & Parker 2011; Storm: Dehnert et al. 2017),
+with its states numbered as by a FIFO search.  The quotient, the LP, exact
+evaluation and the sampler all read these arrays.
 
 The LP is posed on the coarsest probabilistic bisimulation of the product
 (Larsen & Skou 1991), found by signature-based partition refinement
@@ -43,6 +41,7 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import breadth_first_order
 
 from .automata import Dfa, row_classes, step_table
 from .model import Model, ModelError
@@ -205,49 +204,91 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(start - (end - count), count) + np.arange(end[-1] if len(end) else 0)
 
 
-def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
-    """Build the reachable product breadth-first, one level at a time;
-    runs stop in its absorbing states, whose labels carry the outcomes.
+def _graph(src: np.ndarray, dst: np.ndarray, n: int) -> sp.csr_matrix:
+    """The directed graph with edges ``src -> dst`` on ``n`` nodes."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    order = np.argsort(src, kind="stable")
+    return sp.csr_matrix((np.ones(len(src)), dst[order], indptr), shape=(n, n))
 
-    Each (s, q, q_hat) is coded as one integer.  A level's rows and entries
-    are read from the model's CSR, the automata are stepped by dense
-    tables (the task by label id, the opaque DFA by observation id), and
-    successor codes are looked up among the sorted codes seen so far.
-    """
-    csr = model.csr
-    nq, nqh = task.n_states, opaque.n_states
-    # the task table's last column keeps q: a_bot rows read no label
-    keep = len(csr.label_letters)
-    task_step = np.column_stack(
-        (step_table(task, csr.label_letters, "task"), np.arange(nq))
-    )
+
+def _reaching(src: np.ndarray, dst: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:
+    """Whether each node of the graph with edges ``src -> dst`` on ``n``
+    nodes reaches one of ``targets``: a search back from node ``n``, which
+    has an edge to each target."""
+    heads = np.concatenate((dst, np.full(len(targets), n)))
+    back = _graph(heads, np.concatenate((src, targets)), n + 1)
+    return np.isin(np.arange(n), breadth_first_order(back, n, return_predecessors=False))
+
+
+def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
+    """Build the reachable product with :func:`_product_search`; runs stop
+    in its absorbing states, whose labels carry the outcomes.  The
+    automaton code of (q, q_hat) is ``q * opaque.n_states + q_hat``."""
+    nqh = opaque.n_states
+    task_step = _label_table(task, model, "task")
     # the observation alphabet includes the START and END markers
     opaque_step = step_table(opaque, model.observation_alphabet(), "opaque-observations")
-    model_entry_row = np.repeat(np.arange(len(csr.row_action)), np.diff(csr.entry_ptr))
-    entry_letter = np.where(
-        csr.row_action[model_entry_row] == model.a_bot, keep, csr.state_label[csr.entry_succ]
+    s, code, entry_model, rows = _product_search(
+        model,
+        task.n_states * nqh,
+        task.initial * nqh + opaque.initial,
+        lambda c, label, obs: task_step[c // nqh, label] * nqh + opaque_step[c % nqh, obs],
     )
+    components = np.column_stack((s, code // nqh, code % nqh))
+    arrays = _read_only(components=components, entry_prob=model.csr.entry_prob[entry_model])
+    return ProductMdp(model=model, task=task, opaque=opaque, **arrays, **rows)
+
+
+def _read_only(**arrays: np.ndarray) -> dict[str, np.ndarray]:
+    for array in arrays.values():
+        array.setflags(write=False)
+    return arrays
+
+
+def _label_table(dfa: Dfa, model: Model, what: str) -> np.ndarray:
+    """The ``step_table`` of a DFA over the model's label ids, plus a last
+    column that keeps every state: the label id of ``a_bot`` entries."""
+    table = step_table(dfa, model.csr.label_letters, what)
+    return np.column_stack((table, np.arange(dfa.n_states)))
+
+
+def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
+    """The product of the model with an automaton on the codes
+    ``0 .. n_codes - 1``, reachable from (initiating state, ``start``).
+
+    Model entries step the automaton by ``step(code, label, obs)``, on
+    arrays of label ids (``Model.csr.label_letters``) and observation ids
+    (``observation_alphabet()``).  ``a_bot`` entries enter no labelled
+    state and read the label id ``len(label_letters)``, the keep column of
+    :func:`_label_table`.  An entry with no label or observation raises
+    ``ModelError``.  Returns the model state and code of each state, the
+    model entry of each entry, and the CSR arrays of :class:`ProductMdp`.
+    """
+    csr = model.csr
+    model_entry_row = np.repeat(np.arange(len(csr.row_action)), np.diff(csr.entry_ptr))
+    stops = csr.row_action[model_entry_row] == model.a_bot
+    entry_label = np.where(stops, len(csr.label_letters), csr.state_label[csr.entry_succ])
     model_rows = np.diff(csr.row_ptr)
     model_rows[model.bot] = 0  # the absorbing states are not expanded
 
-    level = np.array([(model.top * nq + task.initial) * nqh + opaque.initial])
+    level = np.array([model.top * n_codes + start])
     seen, seen_id = level, np.array([0])  # codes found so far, sorted, and their ids
-    levels, row_counts, actions, widths, succs, probs = [level], [], [], [], [], []
+    levels, row_counts, actions, widths, succs, entries = [level], [], [], [], [], []
     n = 1
     while level.size:
-        s, q, qh = level // (nq * nqh), level // nqh % nq, level % nqh
+        s, c = level // n_codes, level % n_codes
         count = model_rows[s]
         model_row = _ranges(csr.row_ptr[s], count)
         width = csr.entry_ptr[model_row + 1] - csr.entry_ptr[model_row]
         e = _ranges(csr.entry_ptr[model_row], width)
         row = np.repeat(np.arange(len(model_row)), width)  # the level row of each entry
         v = np.repeat(np.arange(len(level)), count)[row]  # its state's place in the level
-        letter, symbol, t = entry_letter[e], csr.entry_obs[e], csr.entry_succ[e]
-        undefined = np.flatnonzero((letter < 0) | (symbol < 0))
+        label, obs, t = entry_label[e], csr.entry_obs[e], csr.entry_succ[e]
+        undefined = np.flatnonzero((label < 0) | (obs < 0))
         if undefined.size:
             k = undefined[0]
             _raise_undefined(model, int(s[v[k]]), int(csr.row_action[model_row[row[k]]]), int(t[k]))
-        code = (t * nq + task_step[q[v], letter]) * nqh + opaque_step[qh[v], symbol]
+        code = t * n_codes + step(c[v], label, obs)
 
         distinct, first, inverse = np.unique(code, return_index=True, return_inverse=True)
         pos = np.searchsorted(seen, distinct).clip(max=len(seen) - 1)
@@ -270,32 +311,25 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
         actions.append(csr.row_action[model_row])
         widths.append(width)
         succs.append(ids[by_succ])
-        probs.append(csr.entry_prob[e][by_succ])
+        entries.append(e[by_succ])
 
     codes = np.concatenate(levels)
-    arrays = dict(
-        components=np.column_stack((codes // (nq * nqh), codes // nqh % nq, codes % nqh)),
+    rows = _read_only(
         row_ptr=np.concatenate(([0], np.cumsum(np.concatenate(row_counts)))),
         row_action=np.concatenate(actions),
         entry_ptr=np.concatenate(([0], np.cumsum(np.concatenate(widths)))),
         entry_succ=np.concatenate(succs),
-        entry_prob=np.concatenate(probs),
     )
-    for array in arrays.values():
-        array.setflags(write=False)
-    return ProductMdp(model=model, task=task, opaque=opaque, **arrays)
+    return codes // n_codes, codes % n_codes, np.concatenate(entries), rows
 
 
 def _raise_undefined(model: Model, s: int, a: int, t: int) -> None:
-    """Raise the ``ModelError`` of a transition whose label or observation
-    is undefined."""
-    if a != model.a_bot:
-        model.label_of(t)
-    model.obs(s, a, t)
-    raise ModelError(
-        f"transition ({model.states[s]}, {model.actions[a]}, {model.states[t]}) "
-        "has no label or observation"
-    )
+    """Raise the ``ModelError`` naming a transition that enters a frame
+    state other than by stopping, or has no observation."""
+    name = f"({model.states[s]}, {model.actions[a]}, {model.states[t]})"
+    if model.labels[t] is None:
+        raise ModelError(f"transition {name} enters the frame state {model.states[t]}")
+    raise ModelError(f"no observation for transition {name}")
 
 
 def bisimulation_quotient(pm: ProductMdp) -> Quotient:

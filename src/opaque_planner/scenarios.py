@@ -5,11 +5,11 @@ configurable gridworld with sensors, a patrolling drone, alarms and walls.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .model import Model, build_model
+from .model import Model, ModelError, build_model, record_fields
 
 
 def running_example() -> Model:
@@ -141,24 +141,24 @@ class GridworldConfig:
         )
         for c in cells:
             if not self.in_grid(c):
-                raise ValueError(f"cell {c} outside the {self.width}x{self.height} grid")
+                raise ModelError(f"cell {c} outside the {self.width}x{self.height} grid")
         for sensor in self.binary_sensors + self.precision_sensors:
             for c in sensor.cells:
                 if not self.in_grid(c):
-                    raise ValueError(f"sensor {sensor.name} covers out-of-grid cell {c}")
+                    raise ModelError(f"sensor {sensor.name} covers out-of-grid cell {c}")
         if not (0.0 < self.move_success_p <= 1.0):
-            raise ValueError("move_success_p must be in (0, 1]")
+            raise ModelError("move_success_p must be in (0, 1]")
         if not (0.0 < self.drone.move_p <= 1.0):
-            raise ValueError("drone move_p must be in (0, 1]")
+            raise ModelError("drone move_p must be in (0, 1]")
         if not self.drone.path:
-            raise ValueError("drone path must be nonempty")
+            raise ModelError("drone path must be nonempty")
         if len(set(self.drone.path)) != len(self.drone.path):
-            raise ValueError("drone path cells must be distinct")
+            raise ModelError("drone path cells must be distinct")
         for u, v in zip(self.drone.path, self.drone.path[1:]):
             if v not in (self.neighbor(u, d) for d in _MOVES):
-                raise ValueError(f"drone path cells {u} and {v} are not adjacent")
+                raise ModelError(f"drone path cells {u} and {v} are not adjacent")
         if self.init_cell in self.wall_cells or self.init_cell in self.alarm_cells:
-            raise ValueError("initial cell may not be a wall or alarm cell")
+            raise ModelError("initial cell may not be a wall or alarm cell")
 
 
 def config_to_dict(cfg: GridworldConfig) -> dict:
@@ -166,19 +166,22 @@ def config_to_dict(cfg: GridworldConfig) -> dict:
 
 
 def config_from_dict(doc: Mapping) -> GridworldConfig:
+    """The config of a :func:`config_to_dict` document; raises ``ModelError``
+    on an unknown field or a sensor or drone without its fields."""
+    if not isinstance(doc, Mapping):
+        raise ModelError("gridworld config must hold a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(GridworldConfig)})
+    if unknown:
+        raise ModelError(f"gridworld config has the unknown field {unknown[0]!r}")
     doc = dict(doc)
-    if "binary_sensors" in doc:
-        doc["binary_sensors"] = tuple(
-            Sensor(str(s["name"]), tuple(s["cells"])) for s in doc["binary_sensors"]
-        )
-    if "precision_sensors" in doc:
-        doc["precision_sensors"] = tuple(
-            Sensor(str(s["name"]), tuple(s["cells"])) for s in doc["precision_sensors"]
-        )
+    for key in ("binary_sensors", "precision_sensors"):
+        if key in doc:
+            where = f"gridworld config: a sensor in {key}"
+            sensors = [record_fields(s, ("name", "cells"), where) for s in doc[key]]
+            doc[key] = tuple(Sensor(str(name), tuple(cells)) for name, cells in sensors)
     if "drone" in doc:
-        doc["drone"] = DroneConfig(
-            path=tuple(doc["drone"]["path"]), move_p=float(doc["drone"]["move_p"])
-        )
+        path, move_p = record_fields(doc["drone"], ("path", "move_p"), "gridworld config: drone")
+        doc["drone"] = DroneConfig(path=tuple(path), move_p=float(move_p))
     for key in ("control_cells", "data_cells", "alarm_cells", "wall_cells"):
         if key in doc:
             doc[key] = tuple(doc[key])

@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from .automata import Dfa
 from .model import PROB_TOL, Model, ObsSymbol, Play, obs_of_play
-from .planner import ProductMdp
+from .planner import ProductMdp, _graph, _reaching
 
 ENUMERATION_BUDGET = 10_000_000
 # The most steps a rollout run may take.  ``rollout`` samples only
@@ -303,18 +303,10 @@ def _reachable_transient(pm: ProductMdp, policy: Mapping[int, Mapping[int, float
         raise SimulationError(
             f"policy has no distribution at product state {pm.state_name(missing[0])!r}"
         )
-    # back from every absorbing state along the moves out of reached states;
-    # node n is a source with an edge to each absorbing state
+    # back from every absorbing state along the moves out of reached states
     kept = reached[src]
-    stops = np.flatnonzero(pm.absorbing_mask)
-    back = _graph(
-        np.concatenate((dst[kept], np.full(len(stops), n))),
-        np.concatenate((src[kept], stops)),
-        n + 1,
-    )
-    stopping = np.zeros(n + 1, dtype=bool)
-    stopping[breadth_first_order(back, n, return_predecessors=False)] = True
-    trapped = np.flatnonzero(transient & ~stopping[:n])
+    stopping = _reaching(src[kept], dst[kept], np.flatnonzero(pm.absorbing_mask), n)
+    trapped = np.flatnonzero(transient & ~stopping)
     if trapped.size:
         raise SimulationError(
             f"policy never stops from product state {pm.state_name(trapped[0])!r}, "
@@ -322,13 +314,6 @@ def _reachable_transient(pm: ProductMdp, policy: Mapping[int, Mapping[int, float
         )
     ours = transient[state]
     return np.flatnonzero(transient), (state[ours], rows[ours], prob[ours])
-
-
-def _graph(src: np.ndarray, dst: np.ndarray, n: int) -> sp.csr_matrix:
-    """The directed graph with edges ``src -> dst`` on ``n`` nodes."""
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-    order = np.argsort(src, kind="stable")
-    return sp.csr_matrix((np.ones(len(src)), dst[order], indptr), shape=(n, n))
 
 
 def exact_policy_values(

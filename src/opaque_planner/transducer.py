@@ -1,11 +1,12 @@
 """From the observation function to the opaque-observations DFA.
 
-The observation function is encoded as a letter-to-letter transducer whose
-inputs are the model's transitions and whose outputs are observation
-symbols.  Pairing it with the secret DFA yields a product transducer with
-two accepting sets: runs ending with the secret satisfied, and runs ending
-with it violated.  An observation is opaque exactly when a satisfying and
-a violating run both emit it.  Erasing inputs turns the transducer into an
+The observation function is a letter-to-letter transducer whose inputs are
+the model's transitions and whose outputs are observation symbols.
+Pairing it with the secret DFA, by the product MDP's level search
+(``planner._product_search``), yields a product transducer with two
+accepting sets: runs ending with the secret satisfied, and runs ending with
+it violated.  An observation is opaque exactly when a satisfying and a
+violating run both emit it.  Erasing inputs turns the transducer into an
 NFA over observation words.  Its subset construction (the observer, or
 current-state estimator) reaches on each word the set of transducer states
 that runs emitting the word can be in; accepting the subsets that hold
@@ -16,24 +17,21 @@ the DFA of the opaque observations and nothing else.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
-from .automata import (
-    Dfa,
-    Nfa,
-    minimize,
-    sort_alphabet,
-    step_table,
-    subset_construction,
-)
-from .model import END, Model, ObsSymbol, Play, START
+import numpy as np
+
+from .automata import Dfa, Nfa, minimize, subset_construction
+from .model import Model, ObsSymbol
+from .planner import _label_table, _product_search, _reaching, _read_only
 
 InputLetter = tuple[int, int, int]  # (state, action, successor) indices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fst:
     """Deterministic transducer reading transitions, emitting observations.
 
@@ -41,24 +39,23 @@ class Fst:
     transition; the input (s, a, s') leaves state s and enters state s',
     emitting the start marker from the initiating state, the end marker on
     termination, and the transition's observation symbol otherwise.
+    ``transitions`` is a read-only view of the model, built on first
+    access; it raises ``ModelError`` on a transition with no observation.
     """
 
     model: Model
-    transitions: Mapping[tuple[int, InputLetter], tuple[int, ObsSymbol]]
 
-    def run_on_inputs(self, inputs) -> tuple[ObsSymbol, ...]:
-        state = self.model.top
-        out = []
-        for letter in inputs:
-            state, symbol = self.transitions[(state, letter)]
-            out.append(symbol)
-        return tuple(out)
-
-
-def play_inputs(model: Model, play: Play) -> tuple[InputLetter, ...]:
-    s = [model.state_index[x] for x in play.states]
-    a = [model.action_index[x] for x in play.actions]
-    return tuple((s[i], a[i], s[i + 1]) for i in range(len(a)))
+    @cached_property
+    def transitions(self) -> Mapping[tuple[int, InputLetter], tuple[int, ObsSymbol]]:
+        model = self.model
+        return MappingProxyType(
+            {
+                (s, (s, a, t)): (t, model.obs(s, a, t))
+                for (s, a), dist in model.transitions.items()
+                if s != model.bot
+                for t, _p in dist
+            }
+        )
 
 
 def build_obs_fst(model: Model) -> Fst:
@@ -67,143 +64,117 @@ def build_obs_fst(model: Model) -> Fst:
     Self-loops at the terminating state are omitted: no play continues
     past it, so they never produce output.
     """
-    transitions: dict[tuple[int, InputLetter], tuple[int, ObsSymbol]] = {}
-    for (s, a), dist in model.transitions.items():
-        if s == model.bot:
-            continue
-        for t, _p in dist:
-            transitions[(s, (s, a, t))] = (t, model.obs(s, a, t))
-    return Fst(model=model, transitions=transitions)
+    return Fst(model=model)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductFst:
-    """The observation transducer paired with the secret DFA.
+    """The observation transducer paired with the secret DFA, stored once
+    as the CSR row groups of ``ProductMdp``.
 
-    States are (model state, secret state); both accepting sets live on the
+    State ``i`` is the pair ``components[i]`` = (model state, secret state);
+    it owns the rows ``row_ptr[i]:row_ptr[i + 1]``, one per enabled action
+    (``row_action``), and row ``r`` the entries
+    ``entry_ptr[r]:entry_ptr[r + 1]``: successors ``entry_succ``, and
+    ``entry_model``, the ``Model.csr`` entry each one reads, which gives
+    its input letter and its output.  Both accepting sets live on the
     terminating state: ``accept_sat`` holds the runs whose labeled play
-    satisfies the secret, ``accept_vio`` the ones violating it.
+    satisfies the secret, ``accept_vio`` the ones violating it.  The arrays
+    are read-only; ``pairs``, ``index`` and ``transitions`` are read-only
+    views of them, built on first access.
     """
 
     model: Model
     secret: Dfa
-    pairs: tuple[tuple[int, int], ...]
-    index: Mapping[tuple[int, int], int]
-    transitions: Mapping[tuple[int, InputLetter], tuple[int, ObsSymbol]]
-    initial: int
     accept_sat: frozenset[int]
     accept_vio: frozenset[int]
+    components: np.ndarray  # (n_states, 2): s, q
+    row_ptr: np.ndarray
+    row_action: np.ndarray
+    entry_ptr: np.ndarray
+    entry_succ: np.ndarray
+    entry_model: np.ndarray
+
+    @property
+    def initial(self) -> int:
+        return 0
 
     @property
     def n_states(self) -> int:
-        return len(self.pairs)
+        return len(self.components)
+
+    @cached_property
+    def entry_state(self) -> np.ndarray:
+        """The source state of each entry."""
+        row_state = np.repeat(np.arange(self.n_states), np.diff(self.row_ptr))
+        return np.repeat(row_state, np.diff(self.entry_ptr))
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.components.tolist()))
+
+    @cached_property
+    def index(self) -> Mapping[tuple[int, int], int]:
+        return MappingProxyType({pair: i for i, pair in enumerate(self.pairs)})
+
+    @cached_property
+    def transitions(self) -> Mapping[tuple[int, InputLetter], tuple[int, ObsSymbol]]:
+        """(state, (s, a, s')) -> (successor, output)."""
+        letters = self.model.observation_alphabet()
+        s, t = self.components[self.entry_state, 0], self.components[self.entry_succ, 0]
+        a = np.repeat(self.row_action, np.diff(self.entry_ptr))
+        inputs = zip(self.entry_state.tolist(), zip(s.tolist(), a.tolist(), t.tolist()))
+        out = [letters[o] for o in self.model.csr.entry_obs[self.entry_model].tolist()]
+        return MappingProxyType(dict(zip(inputs, zip(self.entry_succ.tolist(), out))))
 
     def state_name(self, idx: int) -> str:
-        s, q = self.pairs[idx]
+        s, q = self.components[idx].tolist()
         return f"({self.model.states[s]},{self.secret.state_names[q]})"
-
-    def run_on_inputs(self, inputs) -> int:
-        """Index of the state reached from the initial one."""
-        state = self.initial
-        for letter in inputs:
-            state, _out = self.transitions[(state, letter)]
-        return state
 
 
 def product_fst(fst: Fst, secret: Dfa) -> ProductFst:
-    """Synchronize the transducer with the secret DFA.
-
-    The secret DFA reads the label of each interior state as it is
-    entered, stepped by its table over the model's label ids; the start
-    and end markers leave it untouched.  Only the pairs reachable from
-    (initiating state, initial secret state) are kept.
-    """
+    """Synchronize the transducer with the secret DFA, keeping the pairs
+    reachable from (initiating state, initial secret state), by the product
+    MDP's search, ``planner._product_search``: the secret reads the label
+    of each interior state entered, and stopping leaves it untouched.  A
+    reachable transition with no observation, or one into a frame state,
+    raises ``ModelError``."""
     model = fst.model
-    secret_step = step_table(secret, model.csr.label_letters, "secret").tolist()
-    state_label = model.csr.state_label.tolist()  # -1 on the frame states
-
-    by_source: dict[int, list[tuple[InputLetter, int, ObsSymbol]]] = {}
-    for (s, letter), (t, out) in fst.transitions.items():
-        by_source.setdefault(s, []).append((letter, t, out))
-    for rows in by_source.values():
-        rows.sort()
-
-    start = (model.top, secret.initial)
-    index: dict[tuple[int, int], int] = {start: 0}
-    pairs: list[tuple[int, int]] = [start]
-    transitions: dict[tuple[int, InputLetter], tuple[int, ObsSymbol]] = {}
-    frontier = deque([start])
-    while frontier:
-        pair = frontier.popleft()
-        s, q = pair
-        if s == model.bot:
-            continue  # terminating pairs are sinks
-        for letter, t, out in by_source.get(s, ()):
-            _s, a, _t = letter
-            if a == model.a_bot:
-                q2 = q
-            elif state_label[t] >= 0:
-                q2 = secret_step[q][state_label[t]]
-            else:
-                model.label_of(t)  # a frame state has no label: raises ModelError
-            nxt = (t, q2)
-            if nxt not in index:
-                index[nxt] = len(pairs)
-                pairs.append(nxt)
-                frontier.append(nxt)
-            transitions[(index[pair], letter)] = (index[nxt], out)
-
-    accept_sat = frozenset(
-        i for i, (s, q) in enumerate(pairs) if s == model.bot and q in secret.accepting
+    secret_step = _label_table(secret, model, "secret")
+    s, q, entry_model, rows = _product_search(
+        model, secret.n_states, secret.initial, lambda c, label, _obs: secret_step[c, label]
     )
-    accept_vio = frozenset(
-        i
-        for i, (s, q) in enumerate(pairs)
-        if s == model.bot and q not in secret.accepting
-    )
+    terminal, accepts = s == model.bot, np.isin(q, list(secret.accepting))
     return ProductFst(
         model=model,
         secret=secret,
-        pairs=tuple(pairs),
-        index=index,
-        transitions=transitions,
-        initial=0,
-        accept_sat=accept_sat,
-        accept_vio=accept_vio,
+        accept_sat=frozenset(np.flatnonzero(terminal & accepts).tolist()),
+        accept_vio=frozenset(np.flatnonzero(terminal & ~accepts).tolist()),
+        **_read_only(components=np.column_stack((s, q)), entry_model=entry_model, **rows),
     )
 
 
-def _erase_inputs(pf: ProductFst, accepting: frozenset[int]) -> tuple[Nfa, dict[int, int]]:
+def _erase_inputs(pf: ProductFst, accepting: frozenset[int]) -> tuple[Nfa, np.ndarray]:
     """The transducer's outputs as an NFA accepting in ``accepting``, kept
-    to the states that can reach it; also the map from transducer state to
-    NFA state.  States that cannot reach ``accepting`` accept nothing and
-    only blow up a later subset construction."""
-    predecessors: dict[int, set[int]] = {}
-    for (src, _letter), (dst, _out) in pf.transitions.items():
-        predecessors.setdefault(dst, set()).add(src)
-    alive = set(accepting)
-    frontier = list(accepting)
-    while frontier:
-        state = frontier.pop()
-        for prev in predecessors.get(state, ()):
-            if prev not in alive:
-                alive.add(prev)
-                frontier.append(prev)
-
-    keep = sorted(alive)
-    renum = {old: new for new, old in enumerate(keep)}
+    to the states that can reach it; also the NFA state of each transducer
+    state, -1 where it is dropped.  States that cannot reach ``accepting``
+    accept nothing and only blow up a later subset construction."""
+    src, dst = pf.entry_state, pf.entry_succ
+    targets = np.array(sorted(accepting), dtype=np.int64)
+    alive = _reaching(src, dst, targets, pf.n_states)
+    renum = np.where(alive, np.cumsum(alive) - 1, -1)
+    live = alive[src] & alive[dst]
+    letters = pf.model.observation_alphabet()
     transitions: dict[tuple[int, ObsSymbol], set[int]] = {}
-    for (src, _letter), (dst, out) in pf.transitions.items():
-        if src in alive and dst in alive:
-            transitions.setdefault((renum[src], out), set()).add(renum[dst])
+    out = pf.model.csr.entry_obs[pf.entry_model[live]]
+    for q, o, t in zip(renum[src[live]].tolist(), out.tolist(), renum[dst[live]].tolist()):
+        transitions.setdefault((q, letters[o]), set()).add(t)
     nfa = Nfa(
-        alphabet=sort_alphabet(pf.model.observation_alphabet()),
+        alphabet=letters,
         transitions={k: frozenset(v) for k, v in transitions.items()},
-        initials=frozenset(
-            (renum[pf.initial],) if pf.initial in alive else ()
-        ),
-        accepting=frozenset(renum[s] for s in accepting),
-        state_names=tuple(pf.state_name(i) for i in keep),
+        initials=frozenset((int(renum[pf.initial]),) if alive[pf.initial] else ()),
+        accepting=frozenset(renum[targets].tolist()),
+        state_names=tuple(pf.state_name(i) for i in np.flatnonzero(alive).tolist()),
     )
     return nfa, renum
 
@@ -248,7 +219,7 @@ def opaque_pipeline(model: Model, secret: Dfa) -> OpaqueBuild:
     t0 = time.monotonic()
     pf = product_fst(build_obs_fst(model), secret)
     nfa, renum = _erase_inputs(pf, pf.accept_sat | pf.accept_vio)
-    sat = frozenset(renum[s] for s in pf.accept_sat)
+    sat = frozenset(renum[sorted(pf.accept_sat)].tolist())
     vio = nfa.accepting - sat
     subsets = subset_construction(
         nfa, lambda subset: not sat.isdisjoint(subset) and not vio.isdisjoint(subset)

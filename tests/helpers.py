@@ -1,13 +1,13 @@
 """Test helpers: seeded random models and secrets for property coverage,
-random walks over a model and running the observation transducer on a
-play."""
+random walks over a model and running the observation transducer and its
+product with a secret on a play."""
 
 from typing import Iterable
 
 import numpy as np
 
 from opaque_planner.model import Model, ObsSymbol, Play, build_model
-from opaque_planner.transducer import Fst, play_inputs
+from opaque_planner.transducer import Fst, InputLetter, ProductFst
 
 
 def random_model(
@@ -103,7 +103,32 @@ def _sample(rng, dist):
     return dist[-1][0]
 
 
+def play_inputs(model: Model, play: Play) -> tuple[InputLetter, ...]:
+    """The transducer input letters (state, action, successor) of a play."""
+    s = [model.state_index[x] for x in play.states]
+    a = [model.action_index[x] for x in play.actions]
+    return tuple((s[i], a[i], s[i + 1]) for i in range(len(a)))
+
+
+def run_fst(fst: Fst, inputs) -> tuple[ObsSymbol, ...]:
+    """The observation word ``fst`` emits on reading ``inputs``."""
+    state = fst.model.top
+    out = []
+    for letter in inputs:
+        state, symbol = fst.transitions[(state, letter)]
+        out.append(symbol)
+    return tuple(out)
+
+
+def run_product_fst(pf: ProductFst, inputs) -> int:
+    """The state of ``pf`` reached from its initial one on ``inputs``."""
+    state = pf.initial
+    for letter in inputs:
+        state, _out = pf.transitions[(state, letter)]
+    return state
+
+
 def run_on_play(fst: Fst, play: Play) -> tuple[ObsSymbol, ...]:
     """The observation word ``fst`` emits along ``play``."""
     fst.model.check_play(play)
-    return fst.run_on_inputs(play_inputs(fst.model, play))
+    return run_fst(fst, play_inputs(fst.model, play))

@@ -276,9 +276,14 @@ class TestMalformedDfaFile:
             lambda doc: doc["transitions"][0].update(letter=["zz"]),
             lambda doc: doc["transitions"][0].update(letter=[]),
             lambda doc: doc.pop("accepting"),
+            lambda doc: doc.update(states=1),
+            lambda doc: doc.update(alphabet=1),
+            lambda doc: doc.update(transitions=1),
+            lambda doc: doc.update(accepting=1),
         ],
         ids=["unknown-target", "unknown-initial", "unknown-letter", "malformed-letter",
-             "missing-field"],
+             "missing-field", "states-not-list", "alphabet-not-list",
+             "transitions-not-list", "accepting-not-list"],
     )
     @pytest.mark.parametrize("flag", ["build --secret", "plan --opaque"])
     def test_input_error(self, model_file, opaque_file, tmp_path, capsys, corrupt, flag):
@@ -292,6 +297,69 @@ class TestMalformedDfaFile:
             argv += ["--task", "F s4"]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: DFA file")
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["transitions"][0].pop("prob"),
+            lambda doc: doc["observations"][0].pop("obs"),
+            lambda doc: doc["transitions"][0].update(prob="lots"),
+            lambda doc: doc["observations"][0].update(to="zz"),
+            lambda doc: doc["labels"].update(s1=5),
+        ],
+        ids=["transition-without-prob", "observation-without-obs", "prob-not-a-number",
+             "observation-unknown-state", "label-not-a-list"],
+    )
+    def test_input_error(self, model_file, tmp_path, capsys, corrupt):
+        doc = json.loads(Path(model_file).read_text())
+        corrupt(doc)
+        self.assert_input_error(doc, tmp_path, capsys)
+
+    def test_not_an_object(self, model_file, tmp_path, capsys):
+        self.assert_input_error([json.loads(Path(model_file).read_text())], tmp_path, capsys)
+
+    @staticmethod
+    def assert_input_error(doc, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["build", "--model", str(bad), "--secret", "F s6"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestMalformedGridworldConfig:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc.update(colour="red"),
+            lambda doc: doc["drone"].pop("move_p"),
+            lambda doc: doc["binary_sensors"][0].pop("cells"),
+            lambda doc: doc.update(plant_cell=99),
+        ],
+        ids=["unknown-key", "drone-without-field", "sensor-without-field", "out-of-grid-cell"],
+    )
+    def test_input_error(self, tmp_path, capsys, corrupt):
+        doc = self.default_config(tmp_path)
+        corrupt(doc)
+        self.assert_input_error(doc, tmp_path, capsys)
+
+    def test_not_an_object(self, tmp_path, capsys):
+        self.assert_input_error([self.default_config(tmp_path)], tmp_path, capsys)
+
+    @staticmethod
+    def default_config(tmp_path):
+        cfg = tmp_path / "default.json"
+        assert main(["scenario", "gridworld", "--emit-default-config", "--out", str(cfg)]) == 0
+        return json.loads(cfg.read_text())
+
+    @staticmethod
+    def assert_input_error(doc, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["scenario", "gridworld", "--config", str(cfg), "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExports:

@@ -20,7 +20,6 @@ from opaque_planner.model import (
     model_from_dict,
     model_to_dict,
     obs_of_play,
-    save_model,
     validate,
 )
 from opaque_planner.scenarios import running_example
@@ -198,7 +197,7 @@ class TestConstruction:
 class TestJson:
     def test_round_trip_canonical(self, model, tmp_path):
         path = tmp_path / "model.json"
-        save_model(model, path)
+        path.write_text(dumps_model(model))
         once = path.read_text()
         again = dumps_model(load_model(path))
         assert once == again

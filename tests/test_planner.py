@@ -21,9 +21,9 @@ from opaque_planner.planner import (
 )
 from opaque_planner.scenarios import DroneConfig, GridworldConfig, Sensor, gridworld
 from opaque_planner.simulate import enumerate_plays, exact_policy_values
-from opaque_planner.transducer import opaque_obs_dfa, play_inputs
+from opaque_planner.transducer import opaque_obs_dfa
 
-from helpers import random_model, random_secret_text
+from helpers import play_inputs, random_model, random_secret_text
 from lp_text import solve_lp_text
 
 TABLE_OPACITY = {0.4: 0.7, 0.6: 0.6, 0.8: 0.4}

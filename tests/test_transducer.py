@@ -12,18 +12,35 @@ from opaque_planner.automata import (
     sort_alphabet,
 )
 from opaque_planner.ltlf import dfa_over_model_labels, evaluate, parse_ltlf
-from opaque_planner.model import ObsSymbol, Play, START, END, build_model, obs_of_play
+from opaque_planner.model import (
+    END,
+    START,
+    ModelError,
+    ObsSymbol,
+    Play,
+    assemble,
+    build_model,
+    obs_of_play,
+    validate,
+)
+from opaque_planner.planner import product_mdp
+from opaque_planner.scenarios import gridworld
 from opaque_planner.simulate import enumerate_plays, observation_buckets
 from opaque_planner.transducer import (
     build_obs_fst,
     opaque_obs_dfa,
     opaque_pipeline,
     output_nfa,
-    play_inputs,
     product_fst,
 )
 
-from helpers import random_model, random_secret_text, run_on_play
+from helpers import (
+    play_inputs,
+    random_model,
+    random_secret_text,
+    run_on_play,
+    run_product_fst,
+)
 
 SS = ObsSymbol.state_set
 
@@ -185,10 +202,171 @@ class TestProductFst:
         # satisfies the secret
         secret = parse_ltlf("F s6")
         for p in enumerate_plays(model, max_actions=4):
-            final = pf.run_on_inputs(play_inputs(model, p))
+            final = run_product_fst(pf, play_inputs(model, p))
             sat = evaluate(secret, [frozenset({s}) for s in p.interior_states])
             assert (final in pf.accept_sat) == sat
             assert (final in pf.accept_vio) == (not sat)
+
+
+# ---------------------------------------------------------------------------
+# the shared level search against the dict search it replaced
+
+
+def reference_product_fst(fst, secret):
+    """The reachable product transducer as a FIFO search over dicts: the
+    pairs in order of discovery, the index of each pair, the transitions
+    and the two accepting sets."""
+    model = fst.model
+    by_source = {}
+    for (s, letter), (t, out) in fst.transitions.items():
+        by_source.setdefault(s, []).append((letter, t, out))
+    for rows in by_source.values():
+        rows.sort()
+
+    start = (model.top, secret.initial)
+    index = {start: 0}
+    pairs = [start]
+    transitions = {}
+    frontier = deque([start])
+    while frontier:
+        pair = frontier.popleft()
+        s, q = pair
+        if s == model.bot:
+            continue  # terminating pairs are sinks
+        for letter, t, out in by_source.get(s, ()):
+            _s, a, _t = letter
+            nxt = (t, q if a == model.a_bot else secret.step(q, model.label_of(t)))
+            if nxt not in index:
+                index[nxt] = len(pairs)
+                pairs.append(nxt)
+                frontier.append(nxt)
+            transitions[(index[pair], letter)] = (index[nxt], out)
+
+    terminal = [(i, q) for i, (s, q) in enumerate(pairs) if s == model.bot]
+    accept_sat = frozenset(i for i, q in terminal if q in secret.accepting)
+    accept_vio = frozenset(i for i, q in terminal if q not in secret.accepting)
+    return tuple(pairs), index, transitions, accept_sat, accept_vio
+
+
+def assert_matches_reference_fst(model, secret):
+    fst = build_obs_fst(model)
+    pf = product_fst(fst, secret)
+    pairs, index, transitions, accept_sat, accept_vio = reference_product_fst(fst, secret)
+    assert pf.pairs == pairs
+    assert dict(pf.index) == index
+    assert dict(pf.transitions) == transitions
+    assert pf.accept_sat == accept_sat
+    assert pf.accept_vio == accept_vio
+
+
+# the secrets of perfbench's gridworld-build workload
+GRIDWORLD_BUILD_SECRETS = [
+    "F B & F A",
+    "F (B & F A)",
+    "G (!B | F A)",
+    "F B | G !A",
+    "F A & G !C",
+    "(!A) U B",
+]
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return gridworld()
+
+
+class TestAgainstReferenceProductFst:
+    @pytest.mark.parametrize("secret_text", ["F s6", "true"])
+    def test_running_example(self, model, secret_text):
+        assert_matches_reference_fst(model, dfa_over_model_labels(secret_text, model))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_models(self, seed):
+        m = random_model(seed)
+        names = [m.states[i] for i in m.interior_state_indices()]
+        assert_matches_reference_fst(m, dfa_over_model_labels(random_secret_text(seed, names), m))
+
+    @pytest.mark.parametrize("secret_text", GRIDWORLD_BUILD_SECRETS)
+    def test_gridworld_build_secrets(self, grid, secret_text):
+        assert_matches_reference_fst(grid, dfa_over_model_labels(secret_text, grid))
+
+    def test_views_are_read_only(self, pf):
+        with pytest.raises(TypeError):
+            pf.transitions[(0, (0, 0, 0))] = (0, END)
+        with pytest.raises(TypeError):
+            pf.index[(0, 0)] = 0
+        with pytest.raises(ValueError):
+            pf.entry_succ[0] = 0
+
+
+def _unobserved_loop():
+    """x -go-> y, then y -go-> y with no observation."""
+    return build_model(
+        states=["x", "y"],
+        actions=["go"],
+        transitions={("x", "go"): {"y": 1.0}, ("y", "go"): {"y": 1.0}},
+        initial={"x": 1.0},
+        labels={"x": {"x"}, "y": {"y"}},
+        observations={("x", "go", "y"): ["y"]},
+    )
+
+
+def _into_frame():
+    """x -go-> s_bot: an interior action into a frame state."""
+    return assemble(
+        ["s_top", "x", "s_bot"],
+        ["a_top", "go", "a_bot"],
+        {
+            ("s_top", "a_top"): {"x": 1.0},
+            ("x", "go"): {"s_bot": 1.0},
+            ("x", "a_bot"): {"s_bot": 1.0},
+            ("s_bot", "go"): {"s_bot": 1.0},
+        },
+        {"x": ["x"]},
+        {("x", "go", "s_bot"): ["x"]},
+    )
+
+
+class TestUndefinedTransitions:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (_unobserved_loop, r"no observation for transition \(y, go, y\)"),
+            (_into_frame, r"transition \(x, go, s_bot\) enters the frame state s_bot"),
+        ],
+        ids=["missing-observation", "into-frame-state"],
+    )
+    def test_both_products_name_the_transition(self, build, message):
+        m = build()
+        letters = m.observation_alphabet()
+        sink = Dfa(
+            alphabet=letters,
+            transitions={(0, letter): 0 for letter in letters},
+            initial=0,
+            accepting=frozenset(),
+            state_names=("q0",),
+        )
+        truth = dfa_over_model_labels("true", m)
+        with pytest.raises(ModelError, match=message):
+            product_fst(build_obs_fst(m), truth)
+        with pytest.raises(ModelError, match=message):
+            product_mdp(m, truth, sink)
+
+    def test_unreachable_missing_observation_is_never_emitted(self):
+        # z is never entered, so its unobserved move emits nothing: the
+        # pipeline builds, while validate and Fst.transitions report it
+        m = build_model(
+            states=["x", "z"],
+            actions=["go"],
+            transitions={("x", "go"): {"x": 1.0}, ("z", "go"): {"x": 1.0}},
+            initial={"x": 1.0},
+            labels={"x": {"x"}, "z": {"z"}},
+            observations={("x", "go", "x"): ["x"]},
+        )
+        assert opaque_obs_dfa(m, dfa_over_model_labels("F x", m)).n_states > 0
+        assert any("observation missing for (z, go, x)" in p for p in validate(m))
+        with pytest.raises(ModelError, match=r"\(z, go, x\)"):
+            build_obs_fst(m).transitions
 
 
 class TestOutputNfa:
