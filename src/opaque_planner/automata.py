@@ -6,22 +6,30 @@ Letters are label sets (frozensets of proposition names), observation
 symbols, or plain strings in tests; all of them sort deterministically so
 state numbering is reproducible from run to run.
 
-A construction that steps a DFA reads its moves from one dense
-(state, letter id) table, :func:`step_table`, which is also the one check
-that the DFA is complete.  :func:`minimize` is Moore's (1956) partition
-refinement on that table: states start split by acceptance, and each round
-splits them by their class and the classes of their successors, ranked by
-:func:`row_classes`, the helper the product MDP's bisimulation quotient
-refines with.  It takes one round per letter of the longest shortest word
-that separates two states, plus one that splits nothing, so a chain of n
-states takes n rounds.
+The two constructions that carry the pipeline's weight run on integer
+letter ids, and only their results are keyed by letters.
+:func:`subset_construction` is breadth-first over numpy arrays, one level
+at a time: it sorts the (subset, letter, target) codes of a whole level
+and looks each (subset, letter) target set up by its bytes, numbering new
+subsets as a FIFO search would.  :func:`determinize` and the opacity
+observer both call it.  A construction that steps a DFA reads its moves
+from one dense (state, letter id) table, :func:`step_table`, which is also
+the one check that the DFA is complete.  :func:`minimize_table` is Moore's
+(1956) partition refinement on such a table: states start split by
+acceptance, and each round splits them by their class and the classes of
+their successors, ranked by :func:`row_classes`, the helper the product
+MDP's bisimulation quotient refines with.  It takes one round per letter
+of the longest shortest word that separates two states, plus one that
+splits nothing, so a chain of n states takes n rounds.  :func:`minimize`
+is :func:`step_table` plus :func:`minimize_table`; the observer feeds its
+subset table to :func:`minimize_table` directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -158,6 +166,12 @@ def row_classes(table: np.ndarray) -> np.ndarray:
     return ids
 
 
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``arange(start[i], start[i] + count[i])`` for every i, concatenated."""
+    end = np.cumsum(count)
+    return np.repeat(start - (end - count), count) + np.arange(end[-1] if len(end) else 0)
+
+
 def complete(dfa: Dfa, sink_label: str = "sink") -> Dfa:
     """Make the transition function total by adding a non-accepting sink.
 
@@ -186,52 +200,119 @@ def complete(dfa: Dfa, sink_label: str = "sink") -> Dfa:
     )
 
 
-def subset_construction(nfa: Nfa, accepts: Callable[[frozenset[int]], bool]) -> Dfa:
-    """Subset construction, reachable subsets only; a subset is accepting
-    when ``accepts(subset)`` holds.
+def subset_construction(
+    n_states: int,
+    n_letters: int,
+    src: np.ndarray,
+    letter: np.ndarray,
+    dst: np.ndarray,
+    initials: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Subset construction of the NFA on the states ``0 .. n_states - 1``
+    whose moves go ``src -> dst`` on the letter ids ``letter``, reachable
+    subsets only.
 
-    The empty subset appears as the rejecting sink whenever some letter
-    has no successor, so the result is always complete.
+    Returns the dense (subset, letter id) table and the subsets as CSR:
+    subset ``i`` holds the sorted states
+    ``members[member_ptr[i]:member_ptr[i + 1]]``.  Subset 0 holds
+    ``initials``, and the others are numbered as a FIFO search finds them:
+    by the number of the subset they are found from, then by letter id.
+    The empty subset is the rejecting sink, found at the first (subset,
+    letter) that has no move, so the table is complete.
+
+    The search runs one breadth-first level at a time: it gathers the
+    moves of every member of the level, sorts the distinct (subset,
+    letter, target) codes, and looks each (subset, letter) cell's targets
+    up by their int32 bytes, so the only Python loop is over cells that
+    have a move.
     """
-    per_state: dict[int, dict[Letter, frozenset[int]]] = {}
-    for (q, letter), targets in nfa.transitions.items():
-        per_state.setdefault(q, {})[letter] = targets
-    empty = frozenset()
-    start = frozenset(nfa.initials)
-    order: dict[frozenset[int], int] = {start: 0}
-    queue = deque([start])
-    transitions: dict[tuple[int, Letter], int] = {}
-    while queue:
-        subset = queue.popleft()
-        idx = order[subset]
-        agg: dict[Letter, set[int]] = {}
-        for q in subset:
-            for letter, targets in per_state.get(q, {}).items():
-                agg.setdefault(letter, set()).update(targets)
-        for letter in nfa.alphabet:
-            found = agg.get(letter)
-            target = frozenset(found) if found else empty
-            if target not in order:
-                order[target] = len(order)
-                queue.append(target)
-            transitions[(idx, letter)] = order[target]
-    subsets = sorted(order, key=order.get)
-    names = tuple(
-        "{" + ",".join(nfa.state_names[i] for i in sorted(s)) + "}" for s in subsets
-    )
-    return Dfa(
-        alphabet=nfa.alphabet,
-        transitions=transitions,
-        initial=0,
-        accepting=frozenset(order[s] for s in subsets if accepts(s)),
-        state_names=names,
-    )
+    src, letter, dst = (np.asarray(a, dtype=np.int64) for a in (src, letter, dst))
+    by_src = np.argsort(src, kind="stable")
+    out_letter, out_dst = letter[by_src], dst[by_src]
+    out_ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_states))))
+    keys = [np.unique(np.asarray(initials, dtype=np.int32)).tobytes()]  # members, as bytes
+    index = {keys[0]: 0}
+    rows = []
+    done = 0
+    while done < len(keys):
+        level, done = keys[done:], len(keys)
+        size = np.array([len(key) // 4 for key in level], dtype=np.int64)
+        member = np.frombuffer(b"".join(level), dtype=np.int32)
+        width = out_ptr[member + 1] - out_ptr[member]
+        e = _ranges(out_ptr[member], width)
+        owner = np.repeat(np.repeat(np.arange(len(level)), size), width)
+        code = np.sort((owner * n_letters + out_letter[e]) * n_states + out_dst[e])
+        # the distinct codes: sorting beats np.unique, which hashes integers in numpy >= 2.3
+        code = code[np.diff(code, prepend=-1) != 0]
+        cell, target = np.divmod(code, n_states)
+        first = np.flatnonzero(np.diff(cell, prepend=-1))  # each cell's first code
+        cells = cell[first]
+        lo, hi = 4 * first, 4 * np.append(first[1:], len(code))  # byte slices of targets
+        n_cells = len(level) * n_letters
+        if b"" not in index and len(cells) < n_cells:
+            # the sink: a zero-length slice at the first cell with no move
+            gap = np.ones(n_cells, dtype=bool)
+            gap[cells] = False
+            miss = int(np.argmax(gap))
+            at = int(np.searchsorted(cells, miss))
+            cells, lo, hi = np.insert(cells, at, miss), np.insert(lo, at, 0), np.insert(hi, at, 0)
+        targets = target.astype(np.int32).tobytes()
+        found = []
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            key = targets[a:b]
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(keys)
+                keys.append(key)
+            found.append(i)
+        row = np.full(n_cells, index.get(b"", -1), dtype=np.int64)
+        row[cells] = found
+        rows.append(row.reshape(len(level), n_letters))
+    member_ptr = np.concatenate(([0], np.cumsum([len(key) // 4 for key in keys], dtype=np.int64)))
+    members = np.frombuffer(b"".join(keys), dtype=np.int32).astype(np.int64)
+    return np.concatenate(rows), member_ptr, members
+
+
+def meets(member_ptr: np.ndarray, members: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Whether each subset of a :func:`subset_construction` holds a state
+    where ``mask`` is true."""
+    hits = np.concatenate(([0], np.cumsum(mask[members])))
+    return hits[member_ptr[1:]] > hits[member_ptr[:-1]]
 
 
 def determinize(nfa: Nfa) -> Dfa:
     """The subset construction accepting the subsets that hold an
-    accepting state: the DFA of the NFA's language."""
-    return subset_construction(nfa, lambda subset: not nfa.accepting.isdisjoint(subset))
+    accepting state: the DFA of the NFA's language.  Each subset is named
+    by its members; moves on letters outside ``nfa.alphabet`` are
+    ignored."""
+    letter_id = {letter: i for i, letter in enumerate(nfa.alphabet)}
+    moves = [
+        (q, letter_id[letter], t)
+        for (q, letter), targets in nfa.transitions.items()
+        if letter in letter_id
+        for t in targets
+    ]
+    src, letter, dst = np.array(moves, dtype=np.int64).reshape(-1, 3).T
+    table, member_ptr, members = subset_construction(
+        nfa.n_states, len(nfa.alphabet), src, letter, dst, np.array(sorted(nfa.initials))
+    )
+    accepting = np.zeros(nfa.n_states, dtype=bool)
+    accepting[list(nfa.accepting)] = True
+    flat, ptr = members.tolist(), member_ptr.tolist()
+    return Dfa(
+        alphabet=nfa.alphabet,
+        transitions={
+            (q, letter): t
+            for q, row in enumerate(table.tolist())
+            for letter, t in zip(nfa.alphabet, row)
+        },
+        initial=0,
+        accepting=frozenset(np.flatnonzero(meets(member_ptr, members, accepting)).tolist()),
+        state_names=tuple(
+            "{" + ",".join(nfa.state_names[i] for i in flat[a:b]) + "}"
+            for a, b in zip(ptr, ptr[1:])
+        ),
+    )
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
@@ -277,8 +358,20 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """The minimal DFA of a complete DFA's language, by Moore's (1956)
-    partition refinement over its :func:`step_table`.
+    """The minimal DFA of a complete DFA's language: :func:`minimize_table`
+    on its :func:`step_table`."""
+    table = step_table(dfa, dfa.alphabet, "input")
+    accepts = np.zeros(dfa.n_states, dtype=bool)
+    accepts[list(dfa.accepting)] = True
+    return minimize_table(table, accepts, dfa.alphabet, dfa.initial)
+
+
+def minimize_table(
+    table: np.ndarray, accepts: np.ndarray, alphabet: tuple[Letter, ...], initial: int = 0
+) -> Dfa:
+    """The minimal DFA of the complete DFA with the dense (state, letter
+    id) ``table``, the accepting mask ``accepts`` and the start state
+    ``initial``, over ``alphabet``: Moore's (1956) partition refinement.
 
     States start split by acceptance; each round ranks every state by its
     class and its successors' classes (:func:`row_classes`) until the
@@ -293,10 +386,7 @@ def minimize(dfa: Dfa) -> Dfa:
     enter that search, so they are dropped, and equal languages yield
     equal automata.
     """
-    table = step_table(dfa, dfa.alphabet, "input")
-    accepts = np.zeros(dfa.n_states, dtype=np.int64)
-    accepts[list(dfa.accepting)] = 1
-    block = row_classes(accepts[:, None])
+    block = row_classes(accepts.astype(np.int64)[:, None])
     while True:
         refined = row_classes(np.column_stack((block, block[table])))
         if refined.max() == block.max():
@@ -305,7 +395,7 @@ def minimize(dfa: Dfa) -> Dfa:
 
     _, member = np.unique(block, return_index=True)  # one state per class
     succ = block[table[member]].tolist()
-    start = int(block[dfa.initial])
+    start = int(block[initial])
     order = {start: 0}
     queue = [start]
     for b in queue:
@@ -314,11 +404,11 @@ def minimize(dfa: Dfa) -> Dfa:
                 order[t] = len(order)
                 queue.append(t)
     return Dfa(
-        alphabet=dfa.alphabet,
+        alphabet=alphabet,
         transitions={
             (order[b], letter): order[t]
             for b in queue
-            for letter, t in zip(dfa.alphabet, succ[b])
+            for letter, t in zip(alphabet, succ[b])
         },
         initial=0,
         accepting=frozenset(order[b] for b in queue if accepts[member[b]]),

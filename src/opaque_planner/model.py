@@ -59,6 +59,16 @@ class ObsSymbol:
             object.__setattr__(self, "members", tuple(sorted(set(self.members))))
         elif self.members:
             raise ValueError("marker symbols carry no members")
+        # every automaton dict is keyed by these letters: hash them once
+        object.__setattr__(self, "_hash", hash((self.kind, self.members)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor, so that an unpickled symbol
+        # rehashes under its new process's string hash seed
+        return (ObsSymbol, (self.kind, self.members))
 
     @classmethod
     def state_set(cls, members: Iterable[str]) -> "ObsSymbol":
@@ -593,6 +603,33 @@ def record_fields(record, names: tuple[str, ...], where: str) -> list:
     return [record[n] for n in names]
 
 
+def _names(value, where: str) -> list[str]:
+    """``value`` if it is a list of strings; raises ``ModelError`` naming
+    ``where`` otherwise."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ModelError(f"model file: {where} must be a list of names")
+    return value
+
+
+def _mapping(doc: Mapping, name: str) -> Mapping:
+    """The object field ``name`` of ``doc``, empty when absent; raises
+    ``ModelError`` when it is not an object."""
+    value = doc.get(name, {})
+    if not isinstance(value, Mapping):
+        raise ModelError(f"model file: {name} must be an object")
+    return value
+
+
+def _move(row, last: str, where: str) -> list:
+    """The ``from``, ``action``, ``to`` and ``last`` fields of a transition
+    or observation row; raises ``ModelError`` unless the first three are
+    names."""
+    fields = record_fields(row, ("from", "action", "to", last), f"model file: {where}")
+    if not all(isinstance(v, str) for v in fields[:3]):
+        raise ModelError(f"model file: {where}: from, action and to must be names")
+    return fields
+
+
 def model_from_dict(doc: Mapping) -> Model:
     """The model of a :func:`model_to_dict` document; raises ``ModelError``
     on a malformed one."""
@@ -601,29 +638,28 @@ def model_from_dict(doc: Mapping) -> Model:
     for name in ("states", "actions", "transitions"):
         if name not in doc:
             raise ModelError(f"model file missing field {name!r}")
-    labels = doc.get("labels", {})
-    for s, props in labels.items():
-        if not isinstance(props, list):
-            raise ModelError(f"model file: the label of {s!r} is not a list")
+    states, actions = _names(doc["states"], "states"), _names(doc["actions"], "actions")
+    labels = {s: _names(props, f"the label of {s!r}") for s, props in _mapping(doc, "labels").items()}
+    for name in ("transitions", "observations"):
+        if not isinstance(doc.get(name, []), list):
+            raise ModelError(f"model file: {name} must be a list")
 
     transitions: dict[tuple[str, str], dict[str, float]] = {}
     for i, row in enumerate(doc["transitions"]):
-        where = f"model file: transition {i}"
-        s, a, t, p = record_fields(row, ("from", "action", "to", "prob"), where)
+        s, a, t, p = _move(row, "prob", f"transition {i}")
         transitions.setdefault((s, a), {})[t] = as_probability(p)
     observations = {}
     for i, row in enumerate(doc.get("observations", [])):
-        where = f"model file: observation {i}"
-        s, a, t, o = record_fields(row, ("from", "action", "to", "obs"), where)
-        observations[(s, a, t)] = o
-    initial = {s: as_probability(p) for s, p in doc.get("initial", {}).items()}
+        s, a, t, o = _move(row, "obs", f"observation {i}")
+        observations[(s, a, t)] = _names(o, f"observation {i}'s obs")
+    initial = {s: as_probability(p) for s, p in _mapping(doc, "initial").items()}
     props = doc.get("atomic_props")
+    if props is not None:
+        _names(props, "atomic_props")
 
     if doc.get("auto_frame", False):
-        return build_model(
-            doc["states"], doc["actions"], transitions, initial, labels, observations, props
-        )
-    return assemble(doc["states"], doc["actions"], transitions, labels, observations, props)
+        return build_model(states, actions, transitions, initial, labels, observations, props)
+    return assemble(states, actions, transitions, labels, observations, props)
 
 
 def load_model(path: str | Path) -> Model:

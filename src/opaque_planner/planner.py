@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import breadth_first_order
 
-from .automata import Dfa, row_classes, step_table
+from .automata import Dfa, _ranges, row_classes, step_table
 from .model import Model, ModelError
 
 FEASIBILITY_TOL = 1e-9
@@ -196,12 +196,6 @@ class ProductMdp:
         which has read the end marker, whether the run's observation is
         opaque."""
         return bool(self.opaque_accepts[v])
-
-
-def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``arange(start[i], start[i] + count[i])`` for every i, concatenated."""
-    end = np.cumsum(count)
-    return np.repeat(start - (end - count), count) + np.arange(end[-1] if len(end) else 0)
 
 
 def _graph(src: np.ndarray, dst: np.ndarray, n: int) -> sp.csr_matrix:

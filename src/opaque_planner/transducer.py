@@ -12,6 +12,13 @@ current-state estimator) reaches on each word the set of transducer states
 that runs emitting the word can be in; accepting the subsets that hold
 both a satisfying and a violating terminal state, then minimizing, gives
 the DFA of the opaque observations and nothing else.
+
+The observer works on arrays from start to finish: the erased NFA's moves
+read their letters as ``Model.csr.entry_obs`` ids, indices into
+``observation_alphabet()``, and the subset table goes straight to
+``automata.minimize_table``.  Only the minimized DFA is keyed by
+observation symbols.  :func:`output_nfa` builds the ``Nfa`` of one
+accepting set, for the paper's intersect route.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .automata import Dfa, Nfa, minimize, subset_construction
+from .automata import Dfa, Nfa, meets, minimize_table, subset_construction
 from .model import Model, ObsSymbol
 from .planner import _label_table, _product_search, _reaching, _read_only
 
@@ -154,29 +161,28 @@ def product_fst(fst: Fst, secret: Dfa) -> ProductFst:
     )
 
 
-def _erase_inputs(pf: ProductFst, accepting: frozenset[int]) -> tuple[Nfa, np.ndarray]:
+def _erase_inputs(pf: ProductFst, accepting: frozenset[int]) -> tuple[np.ndarray, ...]:
     """The transducer's outputs as an NFA accepting in ``accepting``, kept
-    to the states that can reach it; also the NFA state of each transducer
-    state, -1 where it is dropped.  States that cannot reach ``accepting``
-    accept nothing and only blow up a later subset construction."""
+    to the states that can reach it, as arrays: the transducer state of
+    each NFA state (``kept``), the moves' sources, letter ids (the
+    ``Model.csr.entry_obs`` ids, indices into ``observation_alphabet()``)
+    and targets, the initial states and the accepting ones.  States that
+    cannot reach ``accepting`` accept nothing and only blow up a later
+    subset construction."""
     src, dst = pf.entry_state, pf.entry_succ
     targets = np.array(sorted(accepting), dtype=np.int64)
     alive = _reaching(src, dst, targets, pf.n_states)
-    renum = np.where(alive, np.cumsum(alive) - 1, -1)
+    renum = np.cumsum(alive) - 1
     live = alive[src] & alive[dst]
-    letters = pf.model.observation_alphabet()
-    transitions: dict[tuple[int, ObsSymbol], set[int]] = {}
-    out = pf.model.csr.entry_obs[pf.entry_model[live]]
-    for q, o, t in zip(renum[src[live]].tolist(), out.tolist(), renum[dst[live]].tolist()):
-        transitions.setdefault((q, letters[o]), set()).add(t)
-    nfa = Nfa(
-        alphabet=letters,
-        transitions={k: frozenset(v) for k, v in transitions.items()},
-        initials=frozenset((int(renum[pf.initial]),) if alive[pf.initial] else ()),
-        accepting=frozenset(renum[targets].tolist()),
-        state_names=tuple(pf.state_name(i) for i in np.flatnonzero(alive).tolist()),
+    kept = np.flatnonzero(alive)
+    return (
+        kept,
+        renum[src[live]],
+        pf.model.csr.entry_obs[pf.entry_model[live]],
+        renum[dst[live]],
+        np.flatnonzero(kept == pf.initial),
+        renum[targets],
     )
-    return nfa, renum
 
 
 def output_nfa(pf: ProductFst, which: str) -> Nfa:
@@ -189,7 +195,36 @@ def output_nfa(pf: ProductFst, which: str) -> Nfa:
     """
     if which not in ("satisfying", "violating"):
         raise ValueError("which must be 'satisfying' or 'violating'")
-    return _erase_inputs(pf, pf.accept_sat if which == "satisfying" else pf.accept_vio)[0]
+    accepting = pf.accept_sat if which == "satisfying" else pf.accept_vio
+    kept, src, letter, dst, initials, accepts = _erase_inputs(pf, accepting)
+    letters = pf.model.observation_alphabet()
+    transitions: dict[tuple[int, ObsSymbol], set[int]] = {}
+    for q, o, t in zip(src.tolist(), letter.tolist(), dst.tolist()):
+        transitions.setdefault((q, letters[o]), set()).add(t)
+    return Nfa(
+        alphabet=letters,
+        transitions={k: frozenset(v) for k, v in transitions.items()},
+        initials=frozenset(initials.tolist()),
+        accepting=frozenset(accepts.tolist()),
+        state_names=tuple(pf.state_name(i) for i in kept.tolist()),
+    )
+
+
+def _observer(pf: ProductFst) -> tuple[np.ndarray, ...]:
+    """The observer of the product transducer's outputs, kept to the
+    states that reach either accepting set: the transducer state of each
+    NFA state, the :func:`subset_construction` table over the letter ids
+    of ``observation_alphabet()``, the mask of the subsets that hold both
+    a satisfying and a violating terminal state, and the subsets' members
+    as CSR (``member_ptr``, ``members``)."""
+    kept, src, letter, dst, initials, _ = _erase_inputs(pf, pf.accept_sat | pf.accept_vio)
+    n_letters = len(pf.model.observation_alphabet())
+    table, member_ptr, members = subset_construction(
+        len(kept), n_letters, src, letter, dst, initials
+    )
+    sat, vio = (np.isin(kept, sorted(accepting)) for accepting in (pf.accept_sat, pf.accept_vio))
+    accepts = meets(member_ptr, members, sat) & meets(member_ptr, members, vio)
+    return kept, table, accepts, member_ptr, members
 
 
 @dataclass(frozen=True)
@@ -212,23 +247,18 @@ def opaque_pipeline(model: Model, secret: Dfa) -> OpaqueBuild:
 
     The output NFA keeps the transducer states that reach either
     accepting set; its subset construction accepts the subsets that hold
-    both a satisfying and a violating terminal state.  The subset
-    construction is complete by construction and minimization keeps it
-    so.
+    both a satisfying and a violating terminal state (:func:`_observer`).
+    The subset table is complete by construction, goes to the Moore core
+    without a detour through letter-keyed dicts, and minimization keeps
+    it complete.
     """
     t0 = time.monotonic()
-    pf = product_fst(build_obs_fst(model), secret)
-    nfa, renum = _erase_inputs(pf, pf.accept_sat | pf.accept_vio)
-    sat = frozenset(renum[sorted(pf.accept_sat)].tolist())
-    vio = nfa.accepting - sat
-    subsets = subset_construction(
-        nfa, lambda subset: not sat.isdisjoint(subset) and not vio.isdisjoint(subset)
-    )
-    opaque = minimize(subsets)
+    kept, table, accepts, _, _ = _observer(product_fst(build_obs_fst(model), secret))
+    opaque = minimize_table(table, accepts, model.observation_alphabet())
     return OpaqueBuild(
         dfa=opaque,
-        nfa_states=nfa.n_states,
-        dfa_states=subsets.n_states,
+        nfa_states=len(kept),
+        dfa_states=len(table),
         minimized_states=opaque.n_states,
         seconds=time.monotonic() - t0,
     )

@@ -1,11 +1,14 @@
 """Test helpers: seeded random models and secrets for property coverage,
-random walks over a model and running the observation transducer and its
-product with a secret on a play."""
+random walks over a model, running the observation transducer and its
+product with a secret on a play, and the dict subset construction that
+the array one replaced."""
 
-from typing import Iterable
+from collections import deque
+from typing import Callable, Iterable
 
 import numpy as np
 
+from opaque_planner.automata import Dfa, Nfa
 from opaque_planner.model import Model, ObsSymbol, Play, build_model
 from opaque_planner.transducer import Fst, InputLetter, ProductFst
 
@@ -132,3 +135,45 @@ def run_on_play(fst: Fst, play: Play) -> tuple[ObsSymbol, ...]:
     """The observation word ``fst`` emits along ``play``."""
     fst.model.check_play(play)
     return run_fst(fst, play_inputs(fst.model, play))
+
+
+def reference_subset_construction(nfa: Nfa, accepts: Callable[[frozenset[int]], bool]) -> Dfa:
+    """Subset construction, reachable subsets only; a subset is accepting
+    when ``accepts(subset)`` holds.
+
+    The empty subset appears as the rejecting sink whenever some letter
+    has no successor, so the result is always complete.
+    """
+    per_state: dict[int, dict] = {}
+    for (q, letter), targets in nfa.transitions.items():
+        per_state.setdefault(q, {})[letter] = targets
+    empty = frozenset()
+    start = frozenset(nfa.initials)
+    order: dict[frozenset[int], int] = {start: 0}
+    queue = deque([start])
+    transitions: dict[tuple[int, object], int] = {}
+    while queue:
+        subset = queue.popleft()
+        idx = order[subset]
+        agg: dict[object, set[int]] = {}
+        for q in subset:
+            for letter, targets in per_state.get(q, {}).items():
+                agg.setdefault(letter, set()).update(targets)
+        for letter in nfa.alphabet:
+            found = agg.get(letter)
+            target = frozenset(found) if found else empty
+            if target not in order:
+                order[target] = len(order)
+                queue.append(target)
+            transitions[(idx, letter)] = order[target]
+    subsets = sorted(order, key=order.get)
+    names = tuple(
+        "{" + ",".join(nfa.state_names[i] for i in sorted(s)) + "}" for s in subsets
+    )
+    return Dfa(
+        alphabet=nfa.alphabet,
+        transitions=transitions,
+        initial=0,
+        accepting=frozenset(order[s] for s in subsets if accepts(s)),
+        state_names=names,
+    )

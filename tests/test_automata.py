@@ -1,7 +1,8 @@
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opaque_planner.automata import (
@@ -14,9 +15,12 @@ from opaque_planner.automata import (
     dfa_from_dict,
     dfa_to_dict,
     intersect,
+    meets,
     minimize,
     subset_construction,
 )
+
+from helpers import reference_subset_construction
 
 AB = ("a", "b")
 
@@ -132,16 +136,97 @@ def reached(nfa, word):
     return current
 
 
+def moves(nfa):
+    """The (source, letter id, target) arrays of an NFA's moves, letter
+    ids indexing ``nfa.alphabet``."""
+    rows = [
+        (q, nfa.alphabet.index(letter), t)
+        for (q, letter), targets in nfa.transitions.items()
+        for t in targets
+    ]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3).T
+
+
 class TestSubsetConstruction:
     @settings(max_examples=60, deadline=None)
     @given(nfas())
     def test_accepting_subsets_are_the_predicate(self, nfa):
         # accept the words after which states 0 and 1 are both reachable
-        dfa = subset_construction(nfa, lambda subset: {0, 1} <= subset)
+        table, member_ptr, members = subset_construction(
+            nfa.n_states, len(AB), *moves(nfa), sorted(nfa.initials)
+        )
         det = determinize(nfa)
-        assert dfa.transitions == det.transitions
+        assert det.transitions == {
+            (q, AB[i]): t for q, row in enumerate(table.tolist()) for i, t in enumerate(row)
+        }
+        both = np.ones(len(table), dtype=bool)
+        for q in (0, 1):
+            both &= meets(member_ptr, members, np.arange(nfa.n_states) == q)
+        dfa = Dfa(
+            alphabet=AB,
+            transitions=det.transitions,
+            initial=0,
+            accepting=frozenset(np.flatnonzero(both).tolist()),
+            state_names=det.state_names,
+        )
         for word in words_up_to(AB, 5):
             assert dfa.accepts(word) == ({0, 1} <= reached(nfa, word))
+
+
+def make_nfa(transitions, initials, accepting, n_states, alphabet=AB):
+    return Nfa(
+        alphabet=alphabet,
+        transitions={k: frozenset(v) for k, v in transitions.items()},
+        initials=frozenset(initials),
+        accepting=frozenset(accepting),
+        state_names=tuple(f"n{i}" for i in range(n_states)),
+    )
+
+
+# no initial state: the whole DFA is the empty-subset sink
+NO_INITIAL = make_nfa({(0, "a"): {1}}, (), {1}, 2)
+# no move on "a" from the start, so the sink is the first subset found
+SINK_FIRST = make_nfa({(0, "b"): {0, 1}, (1, "a"): {1}}, (0,), {1}, 2)
+# a move on "c", outside the alphabet, is ignored
+FOREIGN_LETTER = make_nfa({(0, "c"): {1}, (0, "a"): {0}}, (0,), {1}, 2)
+ONE_STATE = make_nfa({}, (0,), (0,), 1)
+SELF_LOOPS = make_nfa({(0, "a"): {0}, (0, "b"): {0, 1}, (1, "b"): {1}}, (0, 1), {1}, 2)
+NO_LETTERS = make_nfa({(0, "a"): {0}}, (0,), (0,), 1, alphabet=())
+
+
+class TestAgainstReferenceSubsetConstruction:
+    """``determinize`` against the dict FIFO loop it replaced: the same
+    table, numbering, accepting set and state names."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(nfas())
+    @example(NO_INITIAL)
+    @example(SINK_FIRST)
+    @example(FOREIGN_LETTER)
+    @example(ONE_STATE)
+    @example(SELF_LOOPS)
+    @example(NO_LETTERS)
+    def test_same_dfa(self, nfa):
+        want = reference_subset_construction(
+            nfa, lambda subset: not nfa.accepting.isdisjoint(subset)
+        )
+        assert determinize(nfa) == want
+
+    def test_no_initial_state_is_the_sink(self):
+        det = determinize(NO_INITIAL)
+        assert det.state_names == ("{}",)
+        assert det.transitions == {(0, "a"): 0, (0, "b"): 0}
+        assert not det.accepting
+
+    def test_sink_numbered_where_first_found(self):
+        det = determinize(SINK_FIRST)
+        assert det.state_names[:3] == ("{n0}", "{}", "{n0,n1}")
+        assert det.step(0, "a") == 1 and det.step(0, "b") == 2
+
+    def test_foreign_letter_ignored(self):
+        det = determinize(FOREIGN_LETTER)
+        assert det.state_names == ("{n0}", "{}")
+        assert not det.accepting
 
 
 class TestMinimize:

@@ -308,9 +308,14 @@ class TestMalformedModelFile:
             lambda doc: doc["transitions"][0].update(prob="lots"),
             lambda doc: doc["observations"][0].update(to="zz"),
             lambda doc: doc["labels"].update(s1=5),
+            lambda doc: doc["observations"][0].update(obs=5),
+            lambda doc: doc.update(initial=[]),
+            lambda doc: doc.update(states=3),
+            lambda doc: doc["transitions"][0].update({"from": ["s1"]}),
         ],
         ids=["transition-without-prob", "observation-without-obs", "prob-not-a-number",
-             "observation-unknown-state", "label-not-a-list"],
+             "observation-unknown-state", "label-not-a-list", "obs-a-number",
+             "initial-a-list", "states-a-number", "from-a-list"],
     )
     def test_input_error(self, model_file, tmp_path, capsys, corrupt):
         doc = json.loads(Path(model_file).read_text())

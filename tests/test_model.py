@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +53,27 @@ class TestObsSymbol:
 
     def test_str(self):
         assert str(ObsSymbol.state_set(["s5", "s6"])) == "[s5,s6]"
+
+    def test_pickle_rehashes_under_another_hash_seed(self, tmp_path):
+        # the hash is computed once, so a pickled symbol must not carry it
+        # into a process whose string hashes differ
+        blob = tmp_path / "symbols.pickle"
+        symbols = "[ObsSymbol.state_set(['s2', 's3']), START, END]"
+        head = "import pickle, sys\nfrom opaque_planner.model import ObsSymbol, START, END\n"
+        dump = head + f"open(sys.argv[1], 'wb').write(pickle.dumps({symbols}))\n"
+        load = head + (
+            "got = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            f"fresh = {symbols}\n"
+            "assert got == fresh\n"
+            "assert [hash(g) for g in got] == [hash(f) for f in fresh]\n"
+            "assert {g: i for i, g in enumerate(got)}[fresh[0]] == 0\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for seed, script in (("1", dump), ("2", load)):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            subprocess.run(
+                [sys.executable, "-c", script, str(blob)], env=env, check=True, timeout=60
+            )
 
 
 class TestValidate:
@@ -238,3 +263,19 @@ class TestJson:
     def test_missing_field_reported(self):
         with pytest.raises(ModelError, match="missing field"):
             model_from_dict({"states": [], "actions": []})
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda doc: doc["observations"][0].update(obs=5), "observation 0's obs"),
+            (lambda doc: doc.update(initial=[]), "initial must be an object"),
+            (lambda doc: doc.update(states=3), "states must be a list"),
+            (lambda doc: doc["transitions"][0].update({"from": ["s1"]}), "transition 0: from"),
+        ],
+        ids=["obs-number", "initial-list", "states-number", "from-list"],
+    )
+    def test_wrong_typed_field_reported(self, model, corrupt, message):
+        doc = model_to_dict(model)
+        corrupt(doc)
+        with pytest.raises(ModelError, match=message):
+            model_from_dict(doc)

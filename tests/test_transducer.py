@@ -3,9 +3,12 @@ from itertools import product
 
 import pytest
 
+import numpy as np
+
 from opaque_planner.automata import (
     Dfa,
     IncompleteDfaError,
+    Nfa,
     determinize,
     intersect,
     minimize,
@@ -27,6 +30,8 @@ from opaque_planner.planner import product_mdp
 from opaque_planner.scenarios import gridworld
 from opaque_planner.simulate import enumerate_plays, observation_buckets
 from opaque_planner.transducer import (
+    _erase_inputs,
+    _observer,
     build_obs_fst,
     opaque_obs_dfa,
     opaque_pipeline,
@@ -38,6 +43,7 @@ from helpers import (
     play_inputs,
     random_model,
     random_secret_text,
+    reference_subset_construction,
     run_on_play,
     run_product_fst,
 )
@@ -434,13 +440,18 @@ class TestOpaqueDfa:
         secret = dfa_over_model_labels(secret_text, model)
         assert_same_dfa(opaque_obs_dfa(model, secret), paper_route(model, secret))
 
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", range(40))
     def test_observer_matches_paper_route_on_random_models(self, seed):
-        # the criterion-5 systems and secrets
+        # the criterion-5 systems and secrets, and 20 more
         m = random_model(seed, max_states=6, max_actions=2)
         names = [m.states[i] for i in m.interior_state_indices()]
         secret = dfa_over_model_labels(random_secret_text(seed, names), m)
         assert_same_dfa(opaque_obs_dfa(m, secret), paper_route(m, secret))
+
+    @pytest.mark.parametrize("secret_text", GRIDWORLD_BUILD_SECRETS)
+    def test_observer_matches_paper_route_on_gridworld(self, grid, secret_text):
+        secret = dfa_over_model_labels(secret_text, grid)
+        assert_same_dfa(opaque_obs_dfa(grid, secret), paper_route(grid, secret))
 
     def test_classified_plays_partition(self, model, secret_dfa, opaque_dfa):
         plays = list(enumerate_plays(model, max_actions=4))
@@ -452,6 +463,75 @@ class TestOpaqueDfa:
         )
         assert opaque_count + transparent_count == len(plays)
         assert opaque_count > 0 and transparent_count > 0
+
+
+# ---------------------------------------------------------------------------
+# the observer's array subset construction against the dict loop it replaced
+
+
+def observer_nfa(pf):
+    """The observer's NFA as dicts, accepting in both accepting sets, and
+    the transducer state of each of its states."""
+    kept, src, letter, dst, initials, accepting = _erase_inputs(pf, pf.accept_sat | pf.accept_vio)
+    letters = pf.model.observation_alphabet()
+    transitions = {}
+    for q, o, t in zip(src.tolist(), letter.tolist(), dst.tolist()):
+        transitions.setdefault((q, letters[o]), set()).add(t)
+    nfa = Nfa(
+        alphabet=letters,
+        transitions={k: frozenset(v) for k, v in transitions.items()},
+        initials=frozenset(initials.tolist()),
+        accepting=frozenset(accepting.tolist()),
+        state_names=tuple(pf.state_name(i) for i in kept.tolist()),
+    )
+    return nfa, kept.tolist()
+
+
+def assert_observer_matches_reference(model, secret):
+    """The observer's table, numbering, accepting set and subsets equal
+    the dict FIFO loop's; returns the subset count."""
+    pf = product_fst(build_obs_fst(model), secret)
+    nfa, kept = observer_nfa(pf)
+    sat = frozenset(i for i, p in enumerate(kept) if p in pf.accept_sat)
+    vio = frozenset(i for i, p in enumerate(kept) if p in pf.accept_vio)
+    want = reference_subset_construction(
+        nfa, lambda subset: not sat.isdisjoint(subset) and not vio.isdisjoint(subset)
+    )
+    _kept, table, accepts, member_ptr, members = _observer(pf)
+    letters = nfa.alphabet
+    assert table.shape == (want.n_states, len(letters))
+    assert {
+        (q, letters[i]): t for q, row in enumerate(table.tolist()) for i, t in enumerate(row)
+    } == want.transitions
+    assert frozenset(np.flatnonzero(accepts).tolist()) == want.accepting
+    flat, ptr = members.tolist(), member_ptr.tolist()
+    names = tuple(
+        "{" + ",".join(nfa.state_names[i] for i in flat[a:b]) + "}" for a, b in zip(ptr, ptr[1:])
+    )
+    assert names == want.state_names
+    return len(table)
+
+
+class TestAgainstReferenceObserver:
+    @pytest.mark.parametrize("secret_text", ["F s6", "true"])
+    def test_running_example(self, model, secret_text):
+        assert_observer_matches_reference(model, dfa_over_model_labels(secret_text, model))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_models(self, seed):
+        m = random_model(seed)
+        names = [m.states[i] for i in m.interior_state_indices()]
+        assert_observer_matches_reference(
+            m, dfa_over_model_labels(random_secret_text(seed, names), m)
+        )
+
+    @pytest.mark.parametrize("secret_text", GRIDWORLD_BUILD_SECRETS)
+    def test_gridworld_build_secrets(self, grid, secret_text):
+        secret = dfa_over_model_labels(secret_text, grid)
+        n = assert_observer_matches_reference(grid, secret)
+        assert opaque_pipeline(grid, secret).dfa_states == n
+        if secret_text == "F B & F A":
+            assert n == 1666
 
 
 class TestDotExport:
