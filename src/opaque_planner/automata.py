@@ -471,7 +471,8 @@ def dfa_to_dict(dfa: Dfa, letter_kind: str) -> dict:
 def dfa_from_dict(doc: Mapping) -> Dfa:
     """The DFA of a :func:`dfa_to_dict` document; raises
     :class:`AutomatonError` on a missing field, a list field that is not a
-    list, or an unknown state or letter."""
+    list, a state named twice, an unknown state or letter, or two moves
+    from one state on one letter."""
     fields = ("states", "alphabet", "initial", "accepting", "transitions")
     if not isinstance(doc, Mapping) or any(f not in doc for f in fields):
         raise AutomatonError("DFA file needs the fields " + ", ".join(fields))
@@ -479,7 +480,11 @@ def dfa_from_dict(doc: Mapping) -> Dfa:
         raise AutomatonError("DFA file: states, alphabet, accepting and transitions must be lists")
     kind = doc.get("letter_kind", "plain")
     names = tuple(doc["states"])
-    index = {n: i for i, n in enumerate(names)}
+    index: dict[Hashable, int] = {}
+    for i, name in enumerate(names):
+        if not isinstance(name, Hashable) or name in index:
+            raise AutomatonError(f"DFA file: states lists {name!r} twice or as a non-name")
+        index[name] = i
 
     def state(name, where: str) -> int:
         if not isinstance(name, Hashable) or name not in index:
@@ -504,7 +509,10 @@ def dfa_from_dict(doc: Mapping) -> Dfa:
         read = letter(row["letter"], where)
         if read not in letters:
             raise AutomatonError(f"DFA file: {where} reads a letter not in the alphabet")
-        transitions[(state(row["from"], where), read)] = state(row["to"], where)
+        key = (state(row["from"], where), read)
+        if key in transitions:
+            raise AutomatonError(f"DFA file: {where} repeats a move of {row['from']!r}")
+        transitions[key] = state(row["to"], where)
     return Dfa(
         alphabet=alphabet,
         transitions=transitions,

@@ -231,7 +231,18 @@ def cmd_simulate(args) -> int:
     if not isinstance(doc, dict):
         raise CliError("policy file must hold a JSON object")
     meta = doc.get("metadata", {})
+    if not isinstance(meta, dict):
+        raise CliError("policy metadata must be an object")
     manifest = meta.get("manifest", {})
+    if not isinstance(manifest, dict):
+        raise CliError("policy manifest must be an object")
+    for key in ("task", "secret", "opaque_file"):
+        if not isinstance(manifest.get(key, ""), str):
+            raise CliError(f"policy manifest: {key} must be a string")
+    for key in ("objective", "epsilon"):
+        value = meta.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise CliError(f"policy metadata: {key} must be a number")
     if manifest.get("model_sha256") and manifest["model_sha256"] != _sha256(args.model):
         raise CliError("policy was planned against a different model file")
     task_spec = args.task or manifest.get("task")

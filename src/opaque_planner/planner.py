@@ -13,11 +13,11 @@ transparent) subject to flow conservation and a task-probability threshold.
 
 The product is built by ``_product_search``, the one level search that
 also builds the product transducer of :mod:`.transducer`, in numpy over
-``Model.csr``.  It is stored once as CSR row groups (see
-:class:`ProductMdp`), the layout of sparse probabilistic model checkers
-(PRISM: Kwiatkowska, Norman & Parker 2011; Storm: Dehnert et al. 2017),
-with its states numbered as by a FIFO search.  The quotient, the LP, exact
-evaluation and the sampler all read these arrays.
+``Model.csr``.  Both products are a :class:`Product`: the reachable states,
+numbered as by a FIFO search, stored once as CSR row groups, the layout of
+sparse probabilistic model checkers (PRISM: Kwiatkowska, Norman & Parker
+2011; Storm: Dehnert et al. 2017).  The quotient, the LP, exact evaluation
+and the sampler all read these arrays.
 
 The LP is posed on the coarsest probabilistic bisimulation of the product
 (Larsen & Skou 1991), found by signature-based partition refinement
@@ -80,31 +80,34 @@ class Quotient:
 
 
 @dataclass(frozen=True, eq=False)
-class ProductMdp:
-    """Reachable product of model x task DFA x opaque-observations DFA,
-    stored once as CSR row groups.
+class Product:
+    """Reachable product of the model with an automaton, stored once as
+    CSR row groups.
 
-    Product state ``v`` is the triple ``components[v]`` = (s, q, q_hat).
-    It owns the (state, action) rows ``row_ptr[v]:row_ptr[v + 1]``, one per
-    enabled action in increasing order (``row_action``); absorbing states
-    own none.  Row ``r`` owns the entries ``entry_ptr[r]:entry_ptr[r + 1]``:
-    successors ``entry_succ`` in increasing order, with probabilities
-    ``entry_prob``.  States are numbered breadth-first from the initial
+    State ``v`` pairs the model state ``components[v, 0]`` with the
+    automaton's state(s) in the other columns.  It owns the (state, action)
+    rows ``row_ptr[v]:row_ptr[v + 1]``, one per enabled action in
+    increasing order (``row_action``); absorbing states, whose model state
+    is ``model.bot``, own none.  Row ``r`` owns the entries
+    ``entry_ptr[r]:entry_ptr[r + 1]``, with successors ``entry_succ`` in
+    increasing order.  States are numbered breadth-first from the initial
     state 0, each level in order of first occurrence as the rows of the
-    level before are read in order: the numbering of a FIFO search.  The
-    arrays are read-only; ``states``, ``index`` and ``transitions`` are
-    read-only views of them, built on first access.
+    level before are read in order: the numbering of a FIFO search.  Every
+    array field is read-only; ``states`` and ``index`` are read-only views
+    of them, built on first access.
     """
 
     model: Model
-    task: Dfa
-    opaque: Dfa
-    components: np.ndarray  # (n_states, 3): s, q, q_hat
+    components: np.ndarray  # (n_states, 1 + automaton components)
     row_ptr: np.ndarray
     row_action: np.ndarray
     entry_ptr: np.ndarray
     entry_succ: np.ndarray
-    entry_prob: np.ndarray
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def initial(self) -> int:
@@ -115,33 +118,18 @@ class ProductMdp:
         return len(self.components)
 
     @cached_property
-    def quotient(self) -> Quotient:
-        """The bisimulation quotient the LP is posed on, refined on first
-        use and kept for every later LP of this product."""
-        return bisimulation_quotient(self)
+    def row_state(self) -> np.ndarray:
+        """The state of each row."""
+        return np.repeat(np.arange(self.n_states), np.diff(self.row_ptr))
 
     @cached_property
-    def row_state(self) -> np.ndarray:
-        """The product state of each row."""
-        return np.repeat(np.arange(self.n_states), np.diff(self.row_ptr))
+    def entry_state(self) -> np.ndarray:
+        """The source state of each entry."""
+        return np.repeat(self.row_state, np.diff(self.entry_ptr))
 
     @cached_property
     def absorbing_mask(self) -> np.ndarray:
         return self.components[:, 0] == self.model.bot
-
-    @cached_property
-    def absorbing(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.absorbing_mask).tolist())
-
-    @cached_property
-    def task_accepts(self) -> np.ndarray:
-        """Per state, whether its task component accepts."""
-        return np.isin(self.components[:, 1], list(self.task.accepting))
-
-    @cached_property
-    def opaque_accepts(self) -> np.ndarray:
-        """Per state, whether its q_hat component accepts."""
-        return np.isin(self.components[:, 2], list(self.opaque.accepting))
 
     def rows_of(self, states, actions) -> np.ndarray:
         """The row of each (state, action) pair; -1 where the state does
@@ -161,13 +149,48 @@ class ProductMdp:
         count = self.entry_ptr[rows + 1] - start
         return _ranges(start, count), np.repeat(np.arange(len(rows)), count)
 
+    def enabled(self, v: int) -> tuple[int, ...]:
+        return tuple(self.row_action[self.row_ptr[v] : self.row_ptr[v + 1]].tolist())
+
     @cached_property
-    def states(self) -> tuple[tuple[int, int, int], ...]:
+    def states(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.components.tolist()))
 
     @cached_property
-    def index(self) -> Mapping[tuple[int, int, int], int]:
+    def index(self) -> Mapping[tuple[int, ...], int]:
         return MappingProxyType({v: i for i, v in enumerate(self.states)})
+
+
+@dataclass(frozen=True, eq=False)
+class ProductMdp(Product):
+    """Reachable product of model x task DFA x opaque-observations DFA:
+    state ``v`` is the triple ``components[v]`` = (s, q, q_hat), and entry
+    ``e`` has probability ``entry_prob[e]``.  ``transitions`` is a
+    read-only view, built on first access.
+    """
+
+    task: Dfa
+    opaque: Dfa
+    entry_prob: np.ndarray
+
+    @cached_property
+    def quotient(self) -> Quotient:
+        """The bisimulation quotient the LP is posed on, refined on first
+        use and kept for every later LP of this product."""
+        return bisimulation_quotient(self)
+
+    @cached_property
+    def task_accepts(self) -> np.ndarray:
+        """Per state, whether its task component accepts: at an absorbing
+        state, whether the run that stopped there satisfies the task."""
+        return np.isin(self.components[:, 1], list(self.task.accepting))
+
+    @cached_property
+    def opaque_accepts(self) -> np.ndarray:
+        """Per state, whether its q_hat component accepts: at an absorbing
+        state, which has read the end marker, whether the run's observation
+        is opaque."""
+        return np.isin(self.components[:, 2], list(self.opaque.accepting))
 
     @cached_property
     def transitions(self) -> Mapping[tuple[int, int], tuple[tuple[int, float], ...]]:
@@ -179,23 +202,9 @@ class ProductMdp:
             {key: tuple(pairs[ptr[r] : ptr[r + 1]]) for r, key in enumerate(keys)}
         )
 
-    def enabled(self, v: int) -> tuple[int, ...]:
-        return tuple(self.row_action[self.row_ptr[v] : self.row_ptr[v + 1]].tolist())
-
     def state_name(self, v: int) -> str:
         s, q, qh = self.components[v].tolist()
         return f"{self.model.states[s]}|{q}|{qh}"
-
-    def task_accepting(self, v: int) -> bool:
-        """Whether the task component accepts: at an absorbing state,
-        whether the run that stopped there satisfies the task."""
-        return bool(self.task_accepts[v])
-
-    def opaque_accepting(self, v: int) -> bool:
-        """Whether the q_hat component is accepting: at an absorbing state,
-        which has read the end marker, whether the run's observation is
-        opaque."""
-        return bool(self.opaque_accepts[v])
 
 
 def _graph(src: np.ndarray, dst: np.ndarray, n: int) -> sp.csr_matrix:
@@ -228,15 +237,14 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
         task.initial * nqh + opaque.initial,
         lambda c, label, obs: task_step[c // nqh, label] * nqh + opaque_step[c % nqh, obs],
     )
-    components = np.column_stack((s, code // nqh, code % nqh))
-    arrays = _read_only(components=components, entry_prob=model.csr.entry_prob[entry_model])
-    return ProductMdp(model=model, task=task, opaque=opaque, **arrays, **rows)
-
-
-def _read_only(**arrays: np.ndarray) -> dict[str, np.ndarray]:
-    for array in arrays.values():
-        array.setflags(write=False)
-    return arrays
+    return ProductMdp(
+        model=model,
+        task=task,
+        opaque=opaque,
+        components=np.column_stack((s, code // nqh, code % nqh)),
+        entry_prob=model.csr.entry_prob[entry_model],
+        **rows,
+    )
 
 
 def _label_table(dfa: Dfa, model: Model, what: str) -> np.ndarray:
@@ -256,7 +264,7 @@ def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
     state and read the label id ``len(label_letters)``, the keep column of
     :func:`_label_table`.  An entry with no label or observation raises
     ``ModelError``.  Returns the model state and code of each state, the
-    model entry of each entry, and the CSR arrays of :class:`ProductMdp`.
+    model entry of each entry, and the CSR arrays of :class:`Product`.
     """
     csr = model.csr
     model_entry_row = np.repeat(np.arange(len(csr.row_action)), np.diff(csr.entry_ptr))
@@ -308,7 +316,7 @@ def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
         entries.append(e[by_succ])
 
     codes = np.concatenate(levels)
-    rows = _read_only(
+    rows = dict(
         row_ptr=np.concatenate(([0], np.cumsum(np.concatenate(row_counts)))),
         row_action=np.concatenate(actions),
         entry_ptr=np.concatenate(([0], np.cumsum(np.concatenate(widths)))),
@@ -573,7 +581,7 @@ def extract_policy(sol: PolicySolution, pm: ProductMdp) -> dict[int, dict[int, f
     a_bot = pm.model.a_bot
     by_block: dict[int, dict[int, float]] = {}
     for v in quotient.representatives:
-        if v in pm.absorbing:
+        if pm.absorbing_mask[v]:
             continue
         actions = pm.enabled(v)
         weights = np.array([max(sol.occupancy_of(v, a), 0.0) for a in actions])
@@ -589,7 +597,7 @@ def extract_policy(sol: PolicySolution, pm: ProductMdp) -> dict[int, dict[int, f
     return {
         v: dict(by_block[quotient.representatives[b]])
         for v, b in enumerate(quotient.block.tolist())
-        if v not in pm.absorbing
+        if not pm.absorbing_mask[v]
     }
 
 
@@ -697,7 +705,7 @@ def policy_from_dict(doc: Mapping, pm: ProductMdp) -> dict[int, dict[int, float]
     missing = [
         pm.state_name(v)
         for v in range(pm.n_states)
-        if v not in pm.absorbing and v not in out
+        if not pm.absorbing_mask[v] and v not in out
     ]
     if missing:
         raise PlannerError(

@@ -167,25 +167,58 @@ def config_to_dict(cfg: GridworldConfig) -> dict:
 
 def config_from_dict(doc: Mapping) -> GridworldConfig:
     """The config of a :func:`config_to_dict` document; raises ``ModelError``
-    on an unknown field or a sensor or drone without its fields."""
+    on an unknown field, a field of the wrong type, or a sensor or drone
+    without its fields."""
     if not isinstance(doc, Mapping):
         raise ModelError("gridworld config must hold a JSON object")
     unknown = sorted(set(doc) - {f.name for f in fields(GridworldConfig)})
     if unknown:
         raise ModelError(f"gridworld config has the unknown field {unknown[0]!r}")
     doc = dict(doc)
+    for key in ("width", "height", "plant_cell", "init_cell"):
+        if key in doc and not _is_int(doc[key]):
+            raise ModelError(f"gridworld config: {key} must be an integer")
+    if "move_success_p" in doc:
+        doc["move_success_p"] = _number(doc["move_success_p"], "move_success_p")
     for key in ("binary_sensors", "precision_sensors"):
         if key in doc:
+            if not isinstance(doc[key], (list, tuple)):
+                raise ModelError(f"gridworld config: {key} must be a list of sensors")
             where = f"gridworld config: a sensor in {key}"
             sensors = [record_fields(s, ("name", "cells"), where) for s in doc[key]]
-            doc[key] = tuple(Sensor(str(name), tuple(cells)) for name, cells in sensors)
+            doc[key] = tuple(
+                Sensor(str(name), _cells(cells, f"the cells of sensor {name}"))
+                for name, cells in sensors
+            )
     if "drone" in doc:
         path, move_p = record_fields(doc["drone"], ("path", "move_p"), "gridworld config: drone")
-        doc["drone"] = DroneConfig(path=tuple(path), move_p=float(move_p))
+        doc["drone"] = DroneConfig(
+            path=_cells(path, "the drone's path"), move_p=_number(move_p, "the drone's move_p")
+        )
     for key in ("control_cells", "data_cells", "alarm_cells", "wall_cells"):
         if key in doc:
-            doc[key] = tuple(doc[key])
+            doc[key] = _cells(doc[key], key)
     return GridworldConfig(**doc)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _cells(value, where: str) -> tuple[int, ...]:
+    """``value`` as a tuple if it is a list (or tuple) of integers; raises
+    ``ModelError`` naming ``where`` otherwise."""
+    if not isinstance(value, (list, tuple)) or not all(_is_int(c) for c in value):
+        raise ModelError(f"gridworld config: {where} must be a list of cells")
+    return tuple(value)
+
+
+def _number(value, where: str) -> float:
+    """``value`` as a float if it is a JSON number; raises ``ModelError``
+    naming ``where`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"gridworld config: {where} must be a number")
+    return float(value)
 
 
 def load_config(path: str | Path) -> GridworldConfig:

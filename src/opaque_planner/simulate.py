@@ -247,7 +247,7 @@ def uniform_policy(pm: ProductMdp) -> dict[int, dict[int, float]]:
     """Uniform over the enabled actions at every non-absorbing state."""
     out = {}
     for v in range(pm.n_states):
-        if v in pm.absorbing:
+        if pm.absorbing_mask[v]:
             continue
         actions = pm.enabled(v)
         out[v] = {a: 1.0 / len(actions) for a in actions}

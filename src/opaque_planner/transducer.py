@@ -2,16 +2,17 @@
 
 The observation function is a letter-to-letter transducer whose inputs are
 the model's transitions and whose outputs are observation symbols.
-Pairing it with the secret DFA, by the product MDP's level search
-(``planner._product_search``), yields a product transducer with two
-accepting sets: runs ending with the secret satisfied, and runs ending with
-it violated.  An observation is opaque exactly when a satisfying and a
-violating run both emit it.  Erasing inputs turns the transducer into an
-NFA over observation words.  Its subset construction (the observer, or
-current-state estimator) reaches on each word the set of transducer states
-that runs emitting the word can be in; accepting the subsets that hold
-both a satisfying and a violating terminal state, then minimizing, gives
-the DFA of the opaque observations and nothing else.
+Pairing it with the secret DFA, by the level search that also builds the
+product MDP (``planner._product_search``), yields a product transducer, a
+``planner.Product`` with two accepting sets: runs ending with the secret
+satisfied, and runs ending with it violated.  An observation is opaque
+exactly when a satisfying and a violating run both emit it.  Erasing
+inputs turns the transducer into an NFA over observation words.  Its
+subset construction (the observer, or current-state estimator) reaches on
+each word the set of transducer states that runs emitting the word can be
+in; accepting the subsets that hold both a satisfying and a violating
+terminal state, then minimizing, gives the DFA of the opaque observations
+and nothing else.
 
 The observer works on arrays from start to finish: the erased NFA's moves
 read their letters as ``Model.csr.entry_obs`` ids, indices into
@@ -33,7 +34,7 @@ import numpy as np
 
 from .automata import Dfa, Nfa, meets, minimize_table, subset_construction
 from .model import Model, ObsSymbol
-from .planner import _label_table, _product_search, _reaching, _read_only
+from .planner import Product, _label_table, _product_search, _reaching
 
 InputLetter = tuple[int, int, int]  # (state, action, successor) indices
 
@@ -75,54 +76,22 @@ def build_obs_fst(model: Model) -> Fst:
 
 
 @dataclass(frozen=True, eq=False)
-class ProductFst:
-    """The observation transducer paired with the secret DFA, stored once
-    as the CSR row groups of ``ProductMdp``.
+class ProductFst(Product):
+    """The observation transducer paired with the secret DFA.
 
-    State ``i`` is the pair ``components[i]`` = (model state, secret state);
-    it owns the rows ``row_ptr[i]:row_ptr[i + 1]``, one per enabled action
-    (``row_action``), and row ``r`` the entries
-    ``entry_ptr[r]:entry_ptr[r + 1]``: successors ``entry_succ``, and
-    ``entry_model``, the ``Model.csr`` entry each one reads, which gives
-    its input letter and its output.  Both accepting sets live on the
-    terminating state: ``accept_sat`` holds the runs whose labeled play
-    satisfies the secret, ``accept_vio`` the ones violating it.  The arrays
-    are read-only; ``pairs``, ``index`` and ``transitions`` are read-only
-    views of them, built on first access.
+    State ``i`` is the pair ``components[i]`` = (model state, secret
+    state), and entry ``e`` reads the ``Model.csr`` entry
+    ``entry_model[e]``, which gives its input letter and its output.  Both
+    accepting sets live on the terminating state: ``accept_sat`` holds the
+    runs whose labeled play satisfies the secret, ``accept_vio`` the ones
+    violating it.  ``transitions`` is a read-only view, built on first
+    access.
     """
 
-    model: Model
     secret: Dfa
     accept_sat: frozenset[int]
     accept_vio: frozenset[int]
-    components: np.ndarray  # (n_states, 2): s, q
-    row_ptr: np.ndarray
-    row_action: np.ndarray
-    entry_ptr: np.ndarray
-    entry_succ: np.ndarray
     entry_model: np.ndarray
-
-    @property
-    def initial(self) -> int:
-        return 0
-
-    @property
-    def n_states(self) -> int:
-        return len(self.components)
-
-    @cached_property
-    def entry_state(self) -> np.ndarray:
-        """The source state of each entry."""
-        row_state = np.repeat(np.arange(self.n_states), np.diff(self.row_ptr))
-        return np.repeat(row_state, np.diff(self.entry_ptr))
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(tuple, self.components.tolist()))
-
-    @cached_property
-    def index(self) -> Mapping[tuple[int, int], int]:
-        return MappingProxyType({pair: i for i, pair in enumerate(self.pairs)})
 
     @cached_property
     def transitions(self) -> Mapping[tuple[int, InputLetter], tuple[int, ObsSymbol]]:
@@ -157,7 +126,9 @@ def product_fst(fst: Fst, secret: Dfa) -> ProductFst:
         secret=secret,
         accept_sat=frozenset(np.flatnonzero(terminal & accepts).tolist()),
         accept_vio=frozenset(np.flatnonzero(terminal & ~accepts).tolist()),
-        **_read_only(components=np.column_stack((s, q)), entry_model=entry_model, **rows),
+        components=np.column_stack((s, q)),
+        entry_model=entry_model,
+        **rows,
     )
 
 

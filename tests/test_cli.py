@@ -199,9 +199,17 @@ class TestSimulate:
             lambda doc: {**doc, "policy": []},
             lambda doc: {"metadata": doc["metadata"]},
             lambda doc: [doc],
+            lambda doc: {**doc, "metadata": []},
+            lambda doc: {**doc, "metadata": {**doc["metadata"], "manifest": []}},
+            lambda doc: {**doc, "metadata": {**doc["metadata"], "objective": "high"}},
+            lambda doc: {**doc, "metadata": {**doc["metadata"], "epsilon": "low"}},
+            lambda doc: {**doc, "metadata": {
+                **doc["metadata"], "manifest": {**doc["metadata"]["manifest"], "task": 3}}},
         ],
         ids=["unknown-action", "probability-not-a-number", "policy-not-an-object",
-             "policy-missing", "file-not-an-object"],
+             "policy-missing", "file-not-an-object", "metadata-not-an-object",
+             "manifest-not-an-object", "objective-not-a-number", "epsilon-not-a-number",
+             "task-not-a-string"],
     )
     def test_malformed_policy_file(self, model_file, policy_file, tmp_path, capsys, corrupt):
         doc = json.loads(Path(policy_file).read_text())
@@ -280,10 +288,13 @@ class TestMalformedDfaFile:
             lambda doc: doc.update(alphabet=1),
             lambda doc: doc.update(transitions=1),
             lambda doc: doc.update(accepting=1),
+            lambda doc: doc["transitions"].append({**doc["transitions"][0], "to": doc["initial"]}),
+            lambda doc: doc["states"].append(doc["states"][0]),
         ],
         ids=["unknown-target", "unknown-initial", "unknown-letter", "malformed-letter",
              "missing-field", "states-not-list", "alphabet-not-list",
-             "transitions-not-list", "accepting-not-list"],
+             "transitions-not-list", "accepting-not-list", "two-moves-on-one-letter",
+             "duplicate-state"],
     )
     @pytest.mark.parametrize("flag", ["build --secret", "plan --opaque"])
     def test_input_error(self, model_file, opaque_file, tmp_path, capsys, corrupt, flag):
@@ -341,8 +352,19 @@ class TestMalformedGridworldConfig:
             lambda doc: doc["drone"].pop("move_p"),
             lambda doc: doc["binary_sensors"][0].pop("cells"),
             lambda doc: doc.update(plant_cell=99),
+            lambda doc: doc["binary_sensors"][0].update(cells=5),
+            lambda doc: doc["drone"].update(path=5),
+            lambda doc: doc.update(control_cells=5),
+            lambda doc: doc.update(binary_sensors=3),
+            lambda doc: doc.update(width="6"),
+            lambda doc: doc.update(move_success_p="0.6"),
+            lambda doc: doc["drone"].update(move_p="x"),
+            lambda doc: doc.update(init_cell=30.5),
         ],
-        ids=["unknown-key", "drone-without-field", "sensor-without-field", "out-of-grid-cell"],
+        ids=["unknown-key", "drone-without-field", "sensor-without-field", "out-of-grid-cell",
+             "sensor-cells-not-list", "drone-path-not-list", "cells-not-list",
+             "sensors-not-list", "width-not-int", "move-p-not-number",
+             "drone-move-p-not-number", "fractional-cell"],
     )
     def test_input_error(self, tmp_path, capsys, corrupt):
         doc = self.default_config(tmp_path)

@@ -1,5 +1,5 @@
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -87,7 +87,7 @@ class TestProductMdp:
             word = obs_of_play(model, play)
             expected = opaque_dfa.accepts(word)
             ((t, _p),) = pm.transitions[(v, model.a_bot)]
-            assert pm.opaque_accepting(t) == expected
+            assert pm.opaque_accepts[t] == expected
 
     def test_incomplete_opaque_rejected(self, model, task_dfa, opaque_dfa):
         broken = type(opaque_dfa)(
@@ -116,8 +116,13 @@ class TestProductMdp:
             pm.transitions[(0, 0)] = ()
         with pytest.raises(TypeError):
             pm.index[(0, 0, 0)] = 0
-        with pytest.raises(ValueError):
-            pm.entry_prob[0] = 0.5
+        arrays = [f.name for f in fields(pm) if isinstance(getattr(pm, f.name), np.ndarray)]
+        assert arrays == [
+            "components", "row_ptr", "row_action", "entry_ptr", "entry_succ", "entry_prob"
+        ]
+        for name in arrays:
+            with pytest.raises(ValueError):
+                getattr(pm, name)[0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +173,7 @@ def assert_matches_reference(model, task, opaque):
     # the same rows in the same order, each with the same successors in
     # the same order; probabilities compare as floats, so bit for bit
     assert list(pm.transitions.items()) == list(transitions.items())
-    assert pm.absorbing == {v for v, (s, _q, _qh) in enumerate(states) if s == model.bot}
+    assert pm.absorbing_mask.tolist() == [s == model.bot for s, _q, _qh in states]
 
 
 class TestAgainstReferenceProduct:
@@ -251,7 +256,7 @@ class TestPolicy:
 
     def test_covers_all_non_absorbing_states(self, pm, solved):
         policy = extract_policy(solved[0.4], pm)
-        expected = {v for v in range(pm.n_states) if v not in pm.absorbing}
+        expected = {v for v in range(pm.n_states) if not pm.absorbing_mask[v]}
         assert set(policy) == expected
 
     def test_zero_occupancy_falls_back_to_termination(self, pm, solved):
@@ -321,7 +326,7 @@ def unreduced_optimum(pm, epsilon, mode):
     straight from ``pm.transitions``, with each variable rewarded by the
     probability it sends into absorbing states of the wanted outcome; None
     when infeasible."""
-    rows = [v for v in range(pm.n_states) if v not in pm.absorbing]
+    rows = [v for v in range(pm.n_states) if not pm.absorbing_mask[v]]
     row_of = {v: i for i, v in enumerate(rows)}
     variables = [(v, a) for v in rows for a in pm.enabled(v)]
     a_eq = sp.lil_matrix((len(rows), len(variables)))
@@ -330,11 +335,11 @@ def unreduced_optimum(pm, epsilon, mode):
     for j, (v, a) in enumerate(variables):
         a_eq[row_of[v], j] += 1.0
         for t, p in pm.transitions[(v, a)]:
-            if t not in pm.absorbing:
+            if not pm.absorbing_mask[t]:
                 a_eq[row_of[t], j] -= p
                 continue
-            task[j] += p * pm.task_accepting(t)
-            opaque = pm.opaque_accepting(t)
+            task[j] += p * pm.task_accepts[t]
+            opaque = pm.opaque_accepts[t]
             reward[j] += p * float(opaque if mode == "opacity" else not opaque)
     b_eq = np.zeros(len(rows))
     b_eq[row_of[pm.initial]] = 1.0
@@ -388,10 +393,10 @@ class TestQuotient:
             for v in range(pm.n_states):
                 rep = quotient.representatives[block[v]]
                 assert rep <= v
-                assert (v in pm.absorbing) == (rep in pm.absorbing)
-                if v in pm.absorbing:
-                    assert pm.opaque_accepting(v) == pm.opaque_accepting(rep)
-                    assert pm.task_accepting(v) == pm.task_accepting(rep)
+                assert pm.absorbing_mask[v] == pm.absorbing_mask[rep]
+                if pm.absorbing_mask[v]:
+                    assert pm.opaque_accepts[v] == pm.opaque_accepts[rep]
+                    assert pm.task_accepts[v] == pm.task_accepts[rep]
                     continue
                 assert pm.enabled(v) == pm.enabled(rep)
                 for a in pm.enabled(v):
@@ -430,7 +435,7 @@ class TestQuotient:
         assert pm.quotient.n_blocks < pm.n_states
         lp = build_lp(pm, 0.4, "opacity")
         reps = pm.quotient.representatives
-        assert len(lp.rows) == sum(v not in pm.absorbing for v in reps)
+        assert len(lp.rows) == sum(not pm.absorbing_mask[v] for v in reps)
 
     def test_coefficients_are_absorbed_mass(self, products):
         # the objective and the task row score where a run stops: each
@@ -440,10 +445,10 @@ class TestQuotient:
             for mode in ("opacity", "transparency", "min-opacity"):
                 lp = build_lp(pm, 0.0, mode)
                 for j, (v, a) in enumerate(lp.variables):
-                    stops = [(t, p) for t, p in pm.transitions[(v, a)] if t in pm.absorbing]
-                    opaque = sum(p for t, p in stops if pm.opaque_accepting(t))
-                    transparent = sum(p for t, p in stops if not pm.opaque_accepting(t))
-                    task = sum(p for t, p in stops if pm.task_accepting(t))
+                    stops = [(t, p) for t, p in pm.transitions[(v, a)] if pm.absorbing_mask[t]]
+                    opaque = sum(p for t, p in stops if pm.opaque_accepts[t])
+                    transparent = sum(p for t, p in stops if not pm.opaque_accepts[t])
+                    task = sum(p for t, p in stops if pm.task_accepts[t])
                     wanted = transparent if mode == "transparency" else opaque
                     assert lp.objective[j] == wanted
                     assert lp.task_row[j] == task

@@ -44,17 +44,17 @@ def reference_rollout(pm, policy, runs, seed):
         rng = np.random.Generator(base.jumped(i))
         v = pm.initial
         steps = 0
-        while v not in pm.absorbing:
+        while not pm.absorbing_mask[v]:
             a = pick(sorted(policy[v].items()), rng.random())
             v = pick(pm.transitions[(v, a)], rng.random())
             steps += 1
         stats.runs += 1
         stats.steps += steps
-        if pm.opaque_accepting(v):
+        if pm.opaque_accepts[v]:
             stats.opaque += 1
         else:
             stats.transparent += 1
-        if pm.task_accepting(v):
+        if pm.task_accepts[v]:
             stats.task_satisfied += 1
     return stats
 
@@ -64,7 +64,7 @@ def immediate_termination_policy(pm):
     policy = {}
     a_bot = pm.model.a_bot
     for v in range(pm.n_states):
-        if v in pm.absorbing:
+        if pm.absorbing_mask[v]:
             continue
         acts = pm.enabled(v)
         pick = a_bot if a_bot in acts else acts[0]
@@ -178,7 +178,7 @@ class TestInvalidPolicy:
     @staticmethod
     def state(pm):
         """A non-absorbing state other than the initial one."""
-        return next(v for v in range(1, pm.n_states) if v not in pm.absorbing)
+        return next(v for v in range(1, pm.n_states) if not pm.absorbing_mask[v])
 
     def test_action_not_enabled(self, pm):
         policy = uniform_policy(pm)

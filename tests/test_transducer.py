@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -155,14 +156,14 @@ class TestProductFst:
         s1 = model.state_index["s1"]
         letter = (model.top, model.a_top, s1)
         target, out = pf.transitions[(pf.initial, letter)]
-        assert pf.pairs[target] == (s1, secret_dfa.initial)
+        assert pf.states[target] == (s1, secret_dfa.initial)
         assert out == START
 
     def test_secret_advance_on_entering_s6(self, model, pf, secret_dfa):
         s3, b, s6 = model.state_index["s3"], model.action_index["b"], model.state_index["s6"]
         src = pf.index[(s3, secret_dfa.initial)]
         target, out = pf.transitions[(src, (s3, b, s6))]
-        entered = pf.pairs[target]
+        entered = pf.states[target]
         assert entered[0] == s6
         assert entered[1] in secret_dfa.accepting
         assert out == SS(["s5", "s6"])
@@ -172,13 +173,13 @@ class TestProductFst:
         accepting_q = next(iter(secret_dfa.accepting))
         src = pf.index[(s6, accepting_q)]
         target, out = pf.transitions[(src, (s6, model.a_bot, model.bot))]
-        assert pf.pairs[target] == (model.bot, accepting_q)
+        assert pf.states[target] == (model.bot, accepting_q)
         assert out == END
         assert target in pf.accept_sat
 
     def test_accepting_sets_partition_terminal_pairs(self, model, pf):
         terminal = {
-            i for i, (s, _q) in enumerate(pf.pairs) if s == model.bot
+            i for i, (s, _q) in enumerate(pf.states) if s == model.bot
         }
         assert pf.accept_sat | pf.accept_vio == terminal
         assert not (pf.accept_sat & pf.accept_vio)
@@ -258,7 +259,7 @@ def assert_matches_reference_fst(model, secret):
     fst = build_obs_fst(model)
     pf = product_fst(fst, secret)
     pairs, index, transitions, accept_sat, accept_vio = reference_product_fst(fst, secret)
-    assert pf.pairs == pairs
+    assert pf.states == pairs
     assert dict(pf.index) == index
     assert dict(pf.transitions) == transitions
     assert pf.accept_sat == accept_sat
@@ -301,8 +302,13 @@ class TestAgainstReferenceProductFst:
             pf.transitions[(0, (0, 0, 0))] = (0, END)
         with pytest.raises(TypeError):
             pf.index[(0, 0)] = 0
-        with pytest.raises(ValueError):
-            pf.entry_succ[0] = 0
+        arrays = [f.name for f in fields(pf) if isinstance(getattr(pf, f.name), np.ndarray)]
+        assert arrays == [
+            "components", "row_ptr", "row_action", "entry_ptr", "entry_succ", "entry_model"
+        ]
+        for name in arrays:
+            with pytest.raises(ValueError):
+                getattr(pf, name)[0] = 0
 
 
 def _unobserved_loop():
