@@ -43,7 +43,6 @@ from .scenarios import (
 )
 from .simulate import (
     SimulationError,
-    brute_force_opaque_obs,
     observation_buckets,
     rollout,
 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .automata import Dfa, sort_alphabet
 from .model import Model

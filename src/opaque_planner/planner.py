@@ -24,8 +24,9 @@ The LP is posed on the coarsest probabilistic bisimulation of the product
 (Derisavi, Hermanns & Sanders 2003): bisimilar product states enable the
 same actions and reach every block, the absorbing outcome blocks included,
 with the same probabilities, so one occupancy variable per (block, action)
-loses no optimum, and the block policy lifts to every member state
-unchanged.  Each round ranks the states' signatures with
+loses no optimum.  A policy is one probability per product row, in the
+CSR layout the LP and the sampler read; every member of a block gets its
+block's distribution.  Each round ranks the states' signatures with
 ``automata.row_classes``, the helper ``automata.minimize`` refines the
 opaque-observations DFA with: DFA minimization is the same refinement on a
 deterministic system.
@@ -410,7 +411,6 @@ class LpProblem:
     epsilon: float
     mode: str  # "opacity" | "transparency" | "min-opacity"
     variables: tuple[tuple[int, int], ...]  # (representative state, action)
-    var_index: Mapping[tuple[int, int], int]
     rows: tuple[int, ...]  # representatives of non-absorbing blocks, row order
     objective: np.ndarray
     maximize: bool
@@ -441,7 +441,6 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
     var_row = _ranges(pm.row_ptr[rows], pm.row_ptr[rows + 1] - pm.row_ptr[rows])
     var_state = pm.row_state[var_row]
     variables = tuple(zip(var_state.tolist(), pm.row_action[var_row].tolist()))
-    var_index = {va: j for j, va in enumerate(variables)}
 
     n_vars = len(variables)
     e, j = pm.entries(var_row)
@@ -470,7 +469,6 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
         epsilon=float(epsilon),
         mode=mode,
         variables=variables,
-        var_index=var_index,
         rows=tuple(rows.tolist()),
         objective=objective,
         maximize=(mode != "min-opacity"),
@@ -490,13 +488,6 @@ class PolicySolution:
     message: str = ""
     max_feasible_epsilon: float | None = None
     flow_residual: float | None = None
-
-    def occupancy_of(self, v: int, a: int) -> float:
-        """Occupancy of action ``a`` in the bisimulation block of product
-        state ``v``: the block's total, which every member reports."""
-        quotient = self.lp.pm.quotient
-        j = self.lp.var_index.get((quotient.representatives[quotient.block[v]], a))
-        return 0.0 if j is None or self.occupancy is None else float(self.occupancy[j])
 
 
 _HIGHS_OPTIONS = {
@@ -567,38 +558,35 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
     )
 
 
-def extract_policy(sol: PolicySolution, pm: ProductMdp) -> dict[int, dict[int, float]]:
-    """Normalize block occupancies into a stationary randomized policy and
-    give every product state the distribution of its block.
+def extract_policy(sol: PolicySolution, pm: ProductMdp) -> np.ndarray:
+    """Normalize block occupancies into a stationary randomized policy:
+    the probability of each product row, which is its block's.
 
-    Blocks the solution never visits fall back to immediate termination
-    when available (conservative: it leaks nothing further), else to a
-    uniform choice.
+    Bisimilar states enable the same actions in the same order, so row
+    ``r`` of state ``v`` reads the variable of its block's representative
+    at offset ``r - row_ptr[v]``.  States the solution never visits fall
+    back to immediate termination when available (conservative: it leaks
+    nothing further), else to a uniform choice.
     """
     if sol.status != "optimal":
         raise PlannerError(f"cannot extract a policy from a {sol.status} solution")
     quotient = pm.quotient
-    a_bot = pm.model.a_bot
-    by_block: dict[int, dict[int, float]] = {}
-    for v in quotient.representatives:
-        if pm.absorbing_mask[v]:
-            continue
-        actions = pm.enabled(v)
-        weights = np.array([max(sol.occupancy_of(v, a), 0.0) for a in actions])
-        total = float(weights.sum())
-        if total > ZERO_OCCUPANCY_THRESHOLD:
-            probs = weights / total
-        elif a_bot in actions:
-            probs = np.array([1.0 if a == a_bot else 0.0 for a in actions])
-        else:
-            probs = np.full(len(actions), 1.0 / len(actions))
-        probs = probs / probs.sum()
-        by_block[v] = {a: float(p) for a, p in zip(actions, probs)}
-    return {
-        v: dict(by_block[quotient.representatives[b]])
-        for v, b in enumerate(quotient.block.tolist())
-        if not pm.absorbing_mask[v]
-    }
+    reps = np.array(quotient.representatives, dtype=np.int64)
+    width = np.diff(pm.row_ptr)
+    # the variables of the non-absorbing blocks, numbered first, in order
+    var_ptr = np.cumsum(width[reps]) - width[reps]
+    s = pm.row_state
+    x = sol.occupancy[var_ptr[quotient.block[s]] + np.arange(len(s)) - pm.row_ptr[s]]
+    w = np.where(x >= 0.0, x, 0.0)  # as max(x, 0.0): keeps -0.0
+    total = np.bincount(s, weights=w, minlength=pm.n_states)[s]
+    stop = pm.row_action == pm.model.a_bot
+    can_stop = np.zeros(pm.n_states, dtype=bool)
+    can_stop[s[stop]] = True
+    visited = total > ZERO_OCCUPANCY_THRESHOLD
+    probs = np.where(
+        visited, w / np.where(visited, total, 1.0), np.where(can_stop[s], stop, 1.0 / width[s])
+    )
+    return probs / np.bincount(s, weights=probs, minlength=pm.n_states)[s]
 
 
 # ---------------------------------------------------------------------------
@@ -667,48 +655,59 @@ def _wrap_terms(head: str, terms: list[str], tail: str | None = None, width: int
 # policy files
 
 
-def policy_to_dict(
-    policy: Mapping[int, Mapping[int, float]],
-    pm: ProductMdp,
-    metadata: Mapping | None = None,
-) -> dict:
+def policy_to_dict(policy: np.ndarray, pm: ProductMdp, metadata: Mapping | None = None) -> dict:
+    """The policy file of a policy: each non-absorbing product state's
+    probability of every action it enables."""
+    actions = [pm.model.actions[a] for a in pm.row_action.tolist()]
+    probs, ptr = policy.tolist(), pm.row_ptr.tolist()
     body = {
-        pm.state_name(v): {
-            pm.model.actions[a]: p for a, p in sorted(dist.items())
-        }
-        for v, dist in sorted(policy.items())
+        pm.state_name(v): dict(zip(actions[ptr[v] : ptr[v + 1]], probs[ptr[v] : ptr[v + 1]]))
+        for v in np.flatnonzero(~pm.absorbing_mask).tolist()
     }
     return {"metadata": dict(metadata or {}), "policy": body}
 
 
-def policy_from_dict(doc: Mapping, pm: ProductMdp) -> dict[int, dict[int, float]]:
-    """The policy of a :func:`policy_to_dict` document; raises
+def policy_from_dict(doc: Mapping, pm: ProductMdp) -> np.ndarray:
+    """The policy of a :func:`policy_to_dict` document, one probability
+    per product row (0 for the actions a state's entry leaves out); raises
     ``PlannerError`` naming the product state and field that are wrong."""
     body = doc.get("policy")
     if not isinstance(body, Mapping):
         raise PlannerError('policy file needs a "policy" object of product states')
     names = {pm.state_name(v): v for v in range(pm.n_states)}
-    out: dict[int, dict[int, float]] = {}
+    covered = np.zeros(pm.n_states, dtype=bool)
+    state: list[int] = []
+    action: list[int] = []
+    prob: list[float] = []
     for key, dist in body.items():
         v = names.get(key)
         if v is None:
             raise PlannerError(f"policy references unknown product state {key!r}")
         if not isinstance(dist, Mapping):
             raise PlannerError(f"policy at {key!r} is not an object of action probabilities")
-        out[v] = {}
+        covered[v] = True
         for a, p in dist.items():
             if a not in pm.model.action_index:
                 raise PlannerError(f"policy at {key!r} names unknown action {a!r}")
             if isinstance(p, bool) or not isinstance(p, (int, float)):
                 raise PlannerError(f"policy at {key!r} gives action {a!r} the non-number {p!r}")
-            out[v][pm.model.action_index[a]] = float(p)
-    missing = [
-        pm.state_name(v)
-        for v in range(pm.n_states)
-        if not pm.absorbing_mask[v] and v not in out
-    ]
-    if missing:
+            state.append(v)
+            action.append(pm.model.action_index[a])
+            prob.append(float(p))
+    rows = pm.rows_of(state, action)
+    bad = np.flatnonzero(rows < 0)
+    if bad.size:
+        k = bad[0]
         raise PlannerError(
-            f"policy does not cover {len(missing)} reachable states, e.g. {missing[0]!r}"
+            f"policy uses action {pm.model.actions[action[k]]!r}, not enabled at "
+            f"product state {pm.state_name(state[k])!r}"
         )
-    return out
+    missing = np.flatnonzero(~pm.absorbing_mask & ~covered)
+    if missing.size:
+        raise PlannerError(
+            f"policy does not cover {missing.size} reachable states, "
+            f"e.g. {pm.state_name(missing[0])!r}"
+        )
+    policy = np.zeros(len(pm.row_action))
+    policy[rows] = prob
+    return policy

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .model import Model, ModelError, build_model, record_fields
 
@@ -130,6 +130,8 @@ class GridworldConfig:
         return self.neighbor(cell, "N")
 
     def check(self) -> None:
+        if self.width < 1 or self.height < 1:
+            raise ModelError(f"grid size {self.width}x{self.height} must be at least 1x1")
         cells = (
             (self.plant_cell,)
             + self.control_cells

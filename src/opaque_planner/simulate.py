@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from math import inf, sqrt
-from typing import Iterator, Mapping
+from math import sqrt
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,42 +114,23 @@ def _cumulative(flat: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _kernel(pm: ProductMdp, moves: tuple[np.ndarray, np.ndarray, np.ndarray]):
-    """Compile a policy's moves, as ``_reachable_transient`` returns them,
-    into dense sampling tables.
+def _kernel(pm: ProductMdp, policy: np.ndarray):
+    """Compile a policy into dense sampling tables over the product rows.
 
     Per state: cumulative action probabilities (actions in increasing
-    order), the number of actions, and the first of its moves in the
-    tables; the moves of a state are consecutive.  Per move: cumulative
+    order), the number of actions, and its first row.  Per row: cumulative
     successor probabilities, successor ids and the number of successors.
     """
-    state, rows, prob = moves
-    act_width = np.bincount(state, minlength=pm.n_states)
-    succ = pm.entries(rows)[0]
-    succ_width = pm.entry_ptr[rows + 1] - pm.entry_ptr[rows]
+    act_width = np.diff(pm.row_ptr)
+    succ_width = np.diff(pm.entry_ptr)
     return (
-        _cumulative(prob, act_width),
+        _cumulative(policy, act_width),
         act_width,
-        np.cumsum(act_width) - act_width,
-        _cumulative(pm.entry_prob[succ], succ_width),
-        _table(pm.entry_succ[succ], succ_width, 0, np.intp)[0],
+        pm.row_ptr[:-1],
+        _cumulative(pm.entry_prob, succ_width),
+        _table(pm.entry_succ, succ_width, 0, np.intp)[0],
         succ_width,
     )
-
-
-def _rows_taken(pm: ProductMdp, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-    """The product rows of a policy's (state, action) pairs; raises
-    ``SimulationError`` on an action its state does not enable."""
-    rows = pm.rows_of(state, action)
-    bad = np.flatnonzero(rows < 0)
-    if bad.size:
-        v, a = int(state[bad[0]]), int(action[bad[0]])
-        name = dict(enumerate(pm.model.actions)).get(a, a)
-        raise SimulationError(
-            f"policy uses action {name!r}, not enabled at product "
-            f"state {pm.state_name(v)!r}"
-        )
-    return rows
 
 
 def _index(cum: np.ndarray, width: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -176,18 +157,13 @@ def _draws(bitgen: np.random.Philox, runs: np.ndarray, block: int, n: int) -> np
     return out
 
 
-def rollout(
-    pm: ProductMdp,
-    policy: Mapping[int, Mapping[int, float]],
-    runs: int,
-    seed: int,
-) -> RolloutStats:
-    """Sample ``runs`` independent plays of the policy, each until it is
-    absorbed.
+def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> RolloutStats:
+    """Sample ``runs`` independent plays of the policy, one probability per
+    product row, each until it is absorbed.
 
     The policy is checked first, as for ``exact_policy_values``: a policy
-    that is not a distribution over enabled actions, or that reaches a
-    state it never stops from, raises ``SimulationError``.  So does a run
+    that is not a distribution over each state's actions, or that reaches
+    a state it never stops from, raises ``SimulationError``.  So does a run
     still going after ``STEP_BUDGET`` steps; no run is cut short.
 
     Run ``i`` reads its own counter-based substream: the Philox stream of
@@ -202,8 +178,8 @@ def rollout(
         raise SimulationError("runs must be positive")
     if not 0 <= seed < 2**128:
         raise SimulationError("seed must be in [0, 2**128)")
-    moves = _reachable_transient(pm, policy)[1]
-    act_cum, act_width, first_move, succ_cum, succ_id, succ_width = _kernel(pm, moves)
+    _reachable_transient(pm, policy)
+    act_cum, act_width, first_row, succ_cum, succ_id, succ_width = _kernel(pm, policy)
     absorbing = pm.absorbing_mask
     bitgen = np.random.Philox(key=seed)
     live = np.arange(runs)  # ids of the runs still going
@@ -228,9 +204,9 @@ def rollout(
             buf = _draws(bitgen, live, t // 2, 2 * _CHUNK_STEPS)
             slot = np.arange(live.size)
         k = _index(act_cum[x], act_width[x], buf[slot, 2 * c])
-        move = first_move[x] + k
-        j = _index(succ_cum[move], succ_width[move], buf[slot, 2 * c + 1])
-        x = succ_id[move, j]
+        row = first_row[x] + k
+        j = _index(succ_cum[row], succ_width[row], buf[slot, 2 * c + 1])
+        x = succ_id[row, j]
         steps += live.size
     counts = np.bincount(final, minlength=pm.n_states)
     opaque = int(counts[pm.opaque_accepts].sum())
@@ -243,66 +219,45 @@ def rollout(
     )
 
 
-def uniform_policy(pm: ProductMdp) -> dict[int, dict[int, float]]:
-    """Uniform over the enabled actions at every non-absorbing state."""
-    out = {}
-    for v in range(pm.n_states):
-        if pm.absorbing_mask[v]:
-            continue
-        actions = pm.enabled(v)
-        out[v] = {a: 1.0 / len(actions) for a in actions}
-    return out
+def uniform_policy(pm: ProductMdp) -> np.ndarray:
+    """Uniform over the enabled actions at every non-absorbing state: each
+    row has probability one over its state's number of rows."""
+    return 1.0 / np.diff(pm.row_ptr)[pm.row_state]
 
 
-def _reachable_transient(pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]):
+def _reachable_transient(pm: ProductMdp, policy: np.ndarray) -> np.ndarray:
     """Check a policy; return the non-absorbing product states it reaches
-    from the initial one, in increasing order, and its moves from them:
-    the (state, row, probability) of every action in their distributions,
-    by state and then by action.
+    from the initial one, in increasing order.
 
-    Raises ``SimulationError`` unless the policy names only product states,
-    gives each non-absorbing one it names a distribution over enabled
-    actions (finite, non-negative probabilities summing to 1 within
-    ``PROB_TOL``), and gives one to every non-absorbing state it reaches.
-    Raises it too, naming a reached state from which the policy can never
-    reach an absorbing state, if there is one: a finite Markov chain stops
-    with probability 1 exactly when there is none.
+    Raises ``SimulationError`` unless the policy has one probability per
+    product row and gives each non-absorbing state a distribution over its
+    actions: finite, non-negative probabilities summing to 1 within
+    ``PROB_TOL``.  Raises it too, naming a reached state from which the
+    policy can never reach an absorbing state, if there is one: a finite
+    Markov chain stops with probability 1 exactly when there is none.
     """
     n = pm.n_states
-    state: list[int] = []
-    action: list[int] = []
-    prob: list[float] = []
-    for v, dist in policy.items():
-        if not 0 <= v < n:
-            raise SimulationError(f"policy names {v!r}, which is not a product state")
-        if pm.absorbing_mask[v]:
-            continue
-        probs = list(dist.values())
-        if not all(0.0 <= p < inf for p in probs) or abs(sum(probs) - 1.0) > PROB_TOL:
-            raise SimulationError(
-                f"policy at product state {pm.state_name(v)!r} is not a "
-                f"probability distribution: {probs}"
-            )
-        state.extend([v] * len(probs))
-        action.extend(dist)
-        prob.extend(probs)
-    order = np.lexsort((action, state))
-    state = np.array(state, dtype=np.int64)[order]
-    rows = _rows_taken(pm, state, np.array(action, dtype=np.int64)[order])
-    prob = np.array(prob, dtype=np.float64)[order]
-    taken = prob != 0.0
-    e, move = pm.entries(rows[taken])
-    src, dst = state[taken][move], pm.entry_succ[e]
+    if np.shape(policy) != pm.row_action.shape:
+        raise SimulationError(
+            f"policy has shape {np.shape(policy)}, not one probability for each of "
+            f"the {len(pm.row_action)} product rows"
+        )
+    # a probability that is negative, infinite or NaN makes its state's sum NaN
+    fit = (policy >= 0.0) & (policy < np.inf)
+    total = np.bincount(pm.row_state, weights=np.where(fit, policy, np.nan), minlength=n)
+    bad = np.flatnonzero(~(np.abs(total - 1.0) <= PROB_TOL) & ~pm.absorbing_mask)
+    if bad.size:
+        v = bad[0]
+        raise SimulationError(
+            f"policy at product state {pm.state_name(v)!r} is not a probability "
+            f"distribution: {policy[pm.row_ptr[v] : pm.row_ptr[v + 1]].tolist()}"
+        )
+    taken = np.flatnonzero(policy != 0.0)
+    e, move = pm.entries(taken)
+    src, dst = pm.row_state[taken][move], pm.entry_succ[e]
     reached = np.zeros(n, dtype=bool)
     reached[breadth_first_order(_graph(src, dst, n), pm.initial, return_predecessors=False)] = True
     transient = reached & ~pm.absorbing_mask
-    covered = np.zeros(n, dtype=bool)
-    covered[state] = True
-    missing = np.flatnonzero(transient & ~covered)
-    if missing.size:
-        raise SimulationError(
-            f"policy has no distribution at product state {pm.state_name(missing[0])!r}"
-        )
     # back from every absorbing state along the moves out of reached states
     kept = reached[src]
     stopping = _reaching(src[kept], dst[kept], np.flatnonzero(pm.absorbing_mask), n)
@@ -312,26 +267,23 @@ def _reachable_transient(pm: ProductMdp, policy: Mapping[int, Mapping[int, float
             f"policy never stops from product state {pm.state_name(trapped[0])!r}, "
             f"which it reaches"
         )
-    ours = transient[state]
-    return np.flatnonzero(transient), (state[ours], rows[ours], prob[ours])
+    return np.flatnonzero(transient)
 
 
-def exact_policy_values(
-    pm: ProductMdp, policy: Mapping[int, Mapping[int, float]]
-) -> dict[str, float]:
-    """Exact opacity/transparency/task probabilities of a fixed policy,
-    from the linear occupancy equations (an independent check on both the
-    LP and the sampler): each is the mass absorbed in product states with
-    that outcome.
+def exact_policy_values(pm: ProductMdp, policy: np.ndarray) -> dict[str, float]:
+    """Exact opacity/transparency/task probabilities of a fixed policy, one
+    probability per product row, from the linear occupancy equations (an
+    independent check on both the LP and the sampler): each is the mass
+    absorbed in product states with that outcome.
 
     The equations are posed on the non-absorbing states the policy
     reaches; they have a unique solution because the policy is first
     checked, as for ``rollout``, to stop with probability 1 (else
     ``SimulationError``).
     """
-    states, (state, rows, prob) = _reachable_transient(pm, policy)
-    taken = prob != 0.0
-    state, rows, prob = state[taken], rows[taken], prob[taken]
+    states = _reachable_transient(pm, policy)
+    rows = np.flatnonzero(np.isin(pm.row_state, states) & (policy != 0.0))
+    state, prob = pm.row_state[rows], policy[rows]
     m = len(states)
     row_of = np.zeros(pm.n_states, dtype=np.int64)
     row_of[states] = np.arange(m)

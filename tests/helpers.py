@@ -1,7 +1,7 @@
 """Test helpers: seeded random models and secrets for property coverage,
 random walks over a model, running the observation transducer and its
-product with a secret on a play, and the dict subset construction that
-the array one replaced."""
+product with a secret on a play, the dict subset construction that the
+array one replaced, and the occupancy of a product state's block."""
 
 from collections import deque
 from typing import Callable, Iterable
@@ -10,6 +10,7 @@ import numpy as np
 
 from opaque_planner.automata import Dfa, Nfa
 from opaque_planner.model import Model, ObsSymbol, Play, build_model
+from opaque_planner.planner import PolicySolution
 from opaque_planner.transducer import Fst, InputLetter, ProductFst
 
 
@@ -135,6 +136,15 @@ def run_on_play(fst: Fst, play: Play) -> tuple[ObsSymbol, ...]:
     """The observation word ``fst`` emits along ``play``."""
     fst.model.check_play(play)
     return run_fst(fst, play_inputs(fst.model, play))
+
+
+def block_occupancy(sol: PolicySolution, v: int) -> float:
+    """The total occupancy of product state ``v``'s bisimulation block: the
+    sum, in action order, of the LP variables named after the block's
+    representative."""
+    quotient = sol.lp.pm.quotient
+    rep = quotient.representatives[quotient.block[v]]
+    return sum(float(x) for (u, _a), x in zip(sol.lp.variables, sol.occupancy) if u == rep)
 
 
 def reference_subset_construction(nfa: Nfa, accepts: Callable[[frozenset[int]], bool]) -> Dfa:

@@ -32,7 +32,7 @@ from opaque_planner.simulate import (
 from opaque_planner.transducer import opaque_obs_dfa, opaque_pipeline
 
 from batch_semantics import all_letters, batch_dfa_accepts, batch_evaluate, words_matrix
-from helpers import random_model, random_secret_text
+from helpers import block_occupancy, random_model, random_secret_text
 from lp_text import solve_lp_text
 
 SEED = 2025
@@ -210,8 +210,8 @@ def test_criterion_7_lp_integrity(pipeline, opacity_solutions, transparency_solu
     for sol in list(opacity_solutions.values()) + list(transparency_solutions.values()):
         assert sol.flow_residual <= 1e-8
         policy = extract_policy(sol, pm)
-        for dist in policy.values():
-            assert abs(sum(dist.values()) - 1.0) <= 1e-9
+        sums = np.bincount(pm.row_state, weights=policy, minlength=pm.n_states)
+        assert np.all(np.abs(sums[~pm.absorbing_mask] - 1.0) <= 1e-9)
     lp = build_lp(pm, 0.4, "opacity")
     external = solve_lp_text(export_lp(lp))
     internal = opacity_solutions[0.4].objective
@@ -231,12 +231,12 @@ def test_criterion_8_policy_detail_at_s7(pipeline, opacity_solutions):
     a = model.action_index["a"]
     a_bot = model.a_bot
     candidates = []
-    for v, dist in policy.items():
-        if pm.states[v][0] != s7:
-            continue
-        occupancy = sum(sol.occupancy_of(v, act) for act in pm.enabled(v))
-        if occupancy > 1e-9:
-            candidates.append((pm.state_name(v), dist.get(a, 0.0), dist.get(a_bot, 0.0)))
+    for v in np.flatnonzero(pm.components[:, 0] == s7):
+        if block_occupancy(sol, v) > 1e-9:
+            row_a, row_bot = pm.rows_of([v, v], [a, a_bot])
+            prob_a = policy[row_a] if row_a >= 0 else 0.0
+            prob_bot = policy[row_bot] if row_bot >= 0 else 0.0
+            candidates.append((pm.state_name(v), prob_a, prob_bot))
     matching = [
         c for c in candidates if abs(c[1] - 0.786) <= 0.01 and abs(c[2] - 0.214) <= 0.01
     ]

@@ -346,30 +346,42 @@ class TestMalformedModelFile:
 
 class TestMalformedGridworldConfig:
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, message",
         [
-            lambda doc: doc.update(colour="red"),
-            lambda doc: doc["drone"].pop("move_p"),
-            lambda doc: doc["binary_sensors"][0].pop("cells"),
-            lambda doc: doc.update(plant_cell=99),
-            lambda doc: doc["binary_sensors"][0].update(cells=5),
-            lambda doc: doc["drone"].update(path=5),
-            lambda doc: doc.update(control_cells=5),
-            lambda doc: doc.update(binary_sensors=3),
-            lambda doc: doc.update(width="6"),
-            lambda doc: doc.update(move_success_p="0.6"),
-            lambda doc: doc["drone"].update(move_p="x"),
-            lambda doc: doc.update(init_cell=30.5),
+            (lambda doc: doc.update(colour="red"), ""),
+            (lambda doc: doc["drone"].pop("move_p"), ""),
+            (lambda doc: doc["binary_sensors"][0].pop("cells"), ""),
+            (lambda doc: doc.update(plant_cell=99), ""),
+            (lambda doc: doc["binary_sensors"][0].update(cells=5), ""),
+            (lambda doc: doc["drone"].update(path=5), ""),
+            (lambda doc: doc.update(control_cells=5), ""),
+            (lambda doc: doc.update(binary_sensors=3), ""),
+            (lambda doc: doc.update(width="6"), ""),
+            (lambda doc: doc.update(move_success_p="0.6"), ""),
+            (lambda doc: doc["drone"].update(move_p="x"), ""),
+            (lambda doc: doc.update(init_cell=30.5), ""),
+            # a negative width and height whose product is positive
+            (
+                lambda doc: doc.update(
+                    width=-2, height=-3, plant_cell=0, control_cells=[1], data_cells=[2],
+                    alarm_cells=[], wall_cells=[], init_cell=3, binary_sensors=[],
+                    precision_sensors=[], drone={"path": [5], "move_p": 0.5},
+                ),
+                "grid size -2x-3 must be at least 1x1",
+            ),
+            (lambda doc: doc.update(width=-6, height=-6), "grid size -6x-6 must be at least 1x1"),
+            (lambda doc: doc.update(width=0), "grid size 0x6 must be at least 1x1"),
         ],
         ids=["unknown-key", "drone-without-field", "sensor-without-field", "out-of-grid-cell",
              "sensor-cells-not-list", "drone-path-not-list", "cells-not-list",
              "sensors-not-list", "width-not-int", "move-p-not-number",
-             "drone-move-p-not-number", "fractional-cell"],
+             "drone-move-p-not-number", "fractional-cell", "negative-size",
+             "negative-square", "zero-width"],
     )
-    def test_input_error(self, tmp_path, capsys, corrupt):
+    def test_input_error(self, tmp_path, capsys, corrupt, message):
         doc = self.default_config(tmp_path)
         corrupt(doc)
-        self.assert_input_error(doc, tmp_path, capsys)
+        self.assert_input_error(doc, tmp_path, capsys, message)
 
     def test_not_an_object(self, tmp_path, capsys):
         self.assert_input_error([self.default_config(tmp_path)], tmp_path, capsys)
@@ -381,12 +393,12 @@ class TestMalformedGridworldConfig:
         return json.loads(cfg.read_text())
 
     @staticmethod
-    def assert_input_error(doc, tmp_path, capsys):
+    def assert_input_error(doc, tmp_path, capsys, message=""):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         argv = ["scenario", "gridworld", "--config", str(cfg), "--out", str(tmp_path / "m.json")]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestExports:

@@ -1,3 +1,5 @@
+import json
+import re
 from collections import deque
 from dataclasses import fields, replace
 
@@ -23,7 +25,7 @@ from opaque_planner.scenarios import DroneConfig, GridworldConfig, Sensor, gridw
 from opaque_planner.simulate import enumerate_plays, exact_policy_values
 from opaque_planner.transducer import opaque_obs_dfa
 
-from helpers import play_inputs, random_model, random_secret_text
+from helpers import block_occupancy, play_inputs, random_model, random_secret_text
 from lp_text import solve_lp_text
 
 TABLE_OPACITY = {0.4: 0.7, 0.6: 0.6, 0.8: 0.4}
@@ -67,7 +69,7 @@ class TestProductMdp:
         lp = build_lp(pm, 0)
         v0 = pm.index[(model.top, pm.task.initial, pm.opaque.initial)]
         rep = pm.quotient.representatives[pm.quotient.block[v0]]
-        coef = lp.task_row[lp.var_index[(rep, model.a_top)]]
+        coef = lp.task_row[lp.variables.index((rep, model.a_top))]
         assert coef == 0.0  # s1 is not accepting for F s4
 
     def test_opacity_reward_tracks_prefix_acceptance(self, pm, model, opaque_dfa):
@@ -250,23 +252,24 @@ class TestLp:
 class TestPolicy:
     def test_distributions_sum_to_one(self, pm, solved):
         policy = extract_policy(solved[0.4], pm)
-        for v, dist in policy.items():
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
-            assert all(p >= 0 for p in dist.values())
+        assert policy.dtype == np.float64 and policy.shape == pm.row_action.shape
+        for v in np.flatnonzero(~pm.absorbing_mask):
+            dist = policy[pm.row_ptr[v] : pm.row_ptr[v + 1]]
+            assert sum(dist) == pytest.approx(1.0, abs=1e-9)
+            assert all(p >= 0 for p in dist)
 
     def test_covers_all_non_absorbing_states(self, pm, solved):
         policy = extract_policy(solved[0.4], pm)
-        expected = {v for v in range(pm.n_states) if not pm.absorbing_mask[v]}
-        assert set(policy) == expected
+        mass = np.bincount(pm.row_state, weights=policy, minlength=pm.n_states)
+        assert np.array_equal(mass > 0, ~pm.absorbing_mask)
 
     def test_zero_occupancy_falls_back_to_termination(self, pm, solved):
         sol = solved[0.4]
         policy = extract_policy(sol, pm)
         a_bot = pm.model.a_bot
-        for v, dist in policy.items():
-            total = sum(sol.occupancy_of(v, a) for a in pm.enabled(v))
-            if total <= 1e-12 and a_bot in pm.enabled(v):
-                assert dist[a_bot] == pytest.approx(1.0)
+        for v in np.flatnonzero(~pm.absorbing_mask):
+            if block_occupancy(sol, v) <= 1e-12 and a_bot in pm.enabled(v):
+                assert policy[pm.rows_of([v], [a_bot])[0]] == pytest.approx(1.0)
 
     def test_extraction_requires_optimal(self, pm):
         sol = solve_lp(build_lp(pm, 1.01, "opacity"))
@@ -275,9 +278,10 @@ class TestPolicy:
 
     def test_round_trip_json(self, pm, solved):
         policy = extract_policy(solved[0.6], pm)
-        doc = policy_to_dict(policy, pm, {"epsilon": 0.6})
-        back = policy_from_dict(doc, pm)
-        assert back == policy
+        text = json.dumps(policy_to_dict(policy, pm, {"epsilon": 0.6}), sort_keys=True)
+        back = policy_from_dict(json.loads(text), pm)
+        assert np.array_equal(back, policy)
+        assert json.dumps(policy_to_dict(back, pm, {"epsilon": 0.6}), sort_keys=True) == text
 
     def test_partial_policy_rejected(self, pm, solved):
         policy = extract_policy(solved[0.6], pm)
@@ -285,6 +289,19 @@ class TestPolicy:
         first_key = next(iter(doc["policy"]))
         del doc["policy"][first_key]
         with pytest.raises(PlannerError, match="cover"):
+            policy_from_dict(doc, pm)
+
+    @pytest.mark.parametrize("absorbing", [False, True], ids=["not-enabled", "absorbing-state"])
+    def test_action_not_enabled(self, pm, solved, absorbing):
+        # a non-absorbing state given a_top, which only the initial state
+        # enables, or an absorbing state, which enables no action, given a_bot
+        v = next(v for v in range(1, pm.n_states) if pm.absorbing_mask[v] == absorbing)
+        action = pm.model.a_bot if absorbing else pm.model.a_top
+        assert action not in pm.enabled(v)
+        name, state = pm.model.actions[action], pm.state_name(v)
+        doc = policy_to_dict(extract_policy(solved[0.6], pm), pm)
+        doc["policy"][state] = {name: 1.0}
+        with pytest.raises(PlannerError, match=rf"{name}.*not enabled.*{re.escape(state)}"):
             policy_from_dict(doc, pm)
 
 

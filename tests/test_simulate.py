@@ -45,7 +45,7 @@ def reference_rollout(pm, policy, runs, seed):
         v = pm.initial
         steps = 0
         while not pm.absorbing_mask[v]:
-            a = pick(sorted(policy[v].items()), rng.random())
+            a = pick(list(zip(pm.enabled(v), policy[rows(pm, v)])), rng.random())
             v = pick(pm.transitions[(v, a)], rng.random())
             steps += 1
         stats.runs += 1
@@ -61,15 +61,16 @@ def reference_rollout(pm, policy, runs, seed):
 
 def immediate_termination_policy(pm):
     """Terminate wherever termination is enabled, else take the first action."""
-    policy = {}
-    a_bot = pm.model.a_bot
-    for v in range(pm.n_states):
-        if pm.absorbing_mask[v]:
-            continue
-        acts = pm.enabled(v)
-        pick = a_bot if a_bot in acts else acts[0]
-        policy[v] = {a: 1.0 if a == pick else 0.0 for a in acts}
-    return policy
+    stop = pm.row_action == pm.model.a_bot
+    can_stop = np.zeros(pm.n_states, dtype=bool)
+    can_stop[pm.row_state[stop]] = True
+    first = np.arange(len(pm.row_action)) == pm.row_ptr[pm.row_state]
+    return np.where(can_stop[pm.row_state], stop, first).astype(float)
+
+
+def rows(pm, v):
+    """The slice of state ``v``'s rows."""
+    return slice(pm.row_ptr[v], pm.row_ptr[v + 1])
 
 
 @pytest.fixture(scope="module")
@@ -167,9 +168,10 @@ class TestRollout:
 
 
 class TestInvalidPolicy:
-    """The sampler rejects a policy that is not a distribution over enabled
-    actions wherever it is given, or is not given at a state it reaches;
-    ``TestInvalidPolicyExact`` runs the same cases through exact evaluation."""
+    """The sampler rejects a policy that is not one probability per product
+    row, or not a distribution over the actions of some non-absorbing
+    state; ``TestInvalidPolicyExact`` runs the same cases through exact
+    evaluation."""
 
     @staticmethod
     def evaluate(pm, policy):
@@ -180,46 +182,41 @@ class TestInvalidPolicy:
         """A non-absorbing state other than the initial one."""
         return next(v for v in range(1, pm.n_states) if not pm.absorbing_mask[v])
 
-    def test_action_not_enabled(self, pm):
-        policy = uniform_policy(pm)
-        v = self.state(pm)
-        assert pm.model.a_top not in pm.enabled(v)
-        policy[v] = {pm.model.a_top: 1.0}
-        with pytest.raises(SimulationError, match="a_top.*not enabled"):
-            self.evaluate(pm, policy)
-
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     def test_probability_not_finite_and_non_negative(self, pm, bad):
         policy = uniform_policy(pm)
         v = self.state(pm)
-        first, second = sorted(policy[v])[:2]
-        policy[v] = {first: 1.0 - bad, second: bad}
+        r = rows(pm, v)
+        assert r.stop - r.start >= 2
+        policy[r] = 0.0
+        policy[r.start : r.start + 2] = 1.0 - bad, bad
         with pytest.raises(SimulationError, match="not a probability distribution"):
             self.evaluate(pm, policy)
 
     def test_probabilities_must_sum_to_one(self, pm):
         policy = uniform_policy(pm)
         v = self.state(pm)
-        policy[v] = {a: p * (1 - 1e-6) for a, p in policy[v].items()}
+        policy[rows(pm, v)] *= 1 - 1e-6
         with pytest.raises(SimulationError, match="not a probability distribution"):
             self.evaluate(pm, policy)
 
     def test_rounding_within_tolerance_accepted(self, pm):
         policy = uniform_policy(pm)
         v = self.state(pm)
-        policy[v] = {a: p * (1 + 1e-12) for a, p in policy[v].items()}
+        policy[rows(pm, v)] *= 1 + 1e-12
         self.evaluate(pm, policy)
 
     def test_missing_state(self, pm):
+        # a state left without a distribution: all of its rows are zero
         policy = uniform_policy(pm)
-        del policy[self.state(pm)]
-        with pytest.raises(SimulationError, match="no distribution"):
+        policy[rows(pm, self.state(pm))] = 0.0
+        with pytest.raises(SimulationError, match="not a probability distribution"):
             self.evaluate(pm, policy)
 
     def test_unknown_state(self, pm):
-        policy = uniform_policy(pm)
-        policy[pm.n_states] = {pm.model.a_bot: 1.0}
-        with pytest.raises(SimulationError, match="not a product state"):
+        # probabilities past the last row belong to no product state
+        policy = np.append(uniform_policy(pm), 1.0)
+        with pytest.raises(SimulationError, match="one probability for each"):
             self.evaluate(pm, policy)
 
 
@@ -279,9 +276,11 @@ class TestAgainstReference:
 class TestUniformPolicy:
     def test_uniform_over_enabled(self, pm):
         policy = uniform_policy(pm)
-        for v, dist in policy.items():
-            assert set(dist) == set(pm.enabled(v))
-            assert all(p == pytest.approx(1 / len(dist)) for p in dist.values())
+        assert policy.shape == pm.row_action.shape
+        for v in np.flatnonzero(~pm.absorbing_mask):
+            dist = policy[rows(pm, v)]
+            assert len(dist) == len(pm.enabled(v))
+            assert all(p == pytest.approx(1 / len(dist)) for p in dist)
 
     def test_exact_values_match_long_rollout(self, pm):
         policy = uniform_policy(pm)
@@ -306,10 +305,9 @@ class TestUniformPolicy:
 def loop_at_s6(pm, policy):
     """``policy`` with the sure self-loop ``b`` at every state over s6."""
     s6, b = pm.model.state_index["s6"], pm.model.action_index["b"]
-    out = dict(policy)
-    for v, (s, _q, _qh) in enumerate(pm.states):
-        if s == s6:
-            out[v] = {b: 1.0}
+    out = policy.copy()
+    at_s6 = pm.components[pm.row_state, 0] == s6
+    out[at_s6] = pm.row_action[at_s6] == b
     return out
 
 
