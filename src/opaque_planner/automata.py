@@ -6,29 +6,31 @@ Letters are label sets (frozensets of proposition names), observation
 symbols, or plain strings in tests; all of them sort deterministically so
 state numbering is reproducible from run to run.
 
-The two constructions that carry the pipeline's weight run on integer
-letter ids, and only their results are keyed by letters.
-:func:`subset_construction` is breadth-first over numpy arrays, one level
-at a time: it sorts the (subset, letter, target) codes of a whole level
-and looks each (subset, letter) target set up by its bytes, numbering new
-subsets as a FIFO search would.  :func:`determinize` and the opacity
-observer both call it.  A construction that steps a DFA reads its moves
-from one dense (state, letter id) table, :func:`step_table`, which is also
-the one check that the DFA is complete.  :func:`minimize_table` is Moore's
-(1956) partition refinement on such a table: states start split by
-acceptance, and each round splits them by their class and the classes of
-their successors, ranked by :func:`row_classes`, the helper the product
-MDP's bisimulation quotient refines with.  It takes one round per letter
-of the longest shortest word that separates two states, plus one that
-splits nothing, so a chain of n states takes n rounds.  :func:`minimize`
-is :func:`step_table` plus :func:`minimize_table`; the observer feeds its
-subset table to :func:`minimize_table` directly.
+A DFA is its dense (state, letter id) move table; only the writers read
+its letter-keyed ``transitions`` view.  :func:`subset_construction` is
+breadth-first over numpy arrays, one level at a time: it sorts the
+(subset, letter, target) codes of a whole level and looks each (subset,
+letter) target set up by its bytes, numbering new subsets as a FIFO search
+would.  :func:`determinize` and the opacity observer both call it.  A
+construction that steps a DFA reads its moves from :func:`step_table`, a
+column gather of the table that is also the one check that the DFA is
+complete.  :func:`minimize_table` is Moore's (1956) partition refinement on
+such a table: states start split by acceptance, and each round splits them
+by their class and the classes of their successors, ranked by
+:func:`row_classes`, the helper the product MDP's bisimulation quotient
+refines with.  It takes one round per letter of the longest shortest word
+that separates two states, plus one that splits nothing, so a chain of n
+states takes n rounds.  :func:`minimize` is :func:`step_table` plus
+:func:`minimize_table`; the observer feeds its subset table to
+:func:`minimize_table` directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -68,42 +70,58 @@ def sort_alphabet(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(sorted(set(letters), key=letter_key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dfa:
-    """Deterministic automaton; ``transitions`` may be partial.
+    """Deterministic automaton: state ``q`` moves on ``alphabet[i]`` to
+    ``table[q, i]``, a read-only int64 table that may be partial (-1).
 
-    A missing (state, letter) pair behaves as a move into an implicit
-    rejecting sink, so words over unknown letters are simply rejected.
-    Use :func:`complete` to materialize the sink.
+    A missing move behaves as a move into an implicit rejecting sink, so
+    words over unknown letters are simply rejected.  Use :func:`complete`
+    to materialize the sink.  ``letter_id`` and ``transitions`` are
+    read-only views, built on first access.
     """
 
     alphabet: tuple[Letter, ...]
-    transitions: Mapping[tuple[int, Letter], int]
+    table: np.ndarray
     initial: int
     accepting: frozenset[int]
     state_names: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        self.table.setflags(write=False)
 
     @property
     def n_states(self) -> int:
         return len(self.state_names)
 
+    @cached_property
+    def letter_id(self) -> Mapping[Letter, int]:
+        return MappingProxyType({letter: i for i, letter in enumerate(self.alphabet)})
+
+    @cached_property
+    def transitions(self) -> Mapping[tuple[int, Letter], int]:
+        q, i = np.nonzero(self.table >= 0)
+        moves = zip(q.tolist(), (self.alphabet[j] for j in i.tolist()))
+        return MappingProxyType(dict(zip(moves, self.table[q, i].tolist())))
+
     def step(self, q: int, letter: Letter) -> int | None:
-        return self.transitions.get((q, letter))
+        i = self.letter_id.get(letter)
+        t = -1 if i is None else self.table.item(q, i)
+        return None if t < 0 else t
 
     def run(self, word: Sequence[Letter]) -> int | None:
         q: int | None = self.initial
         for letter in word:
-            q = self.transitions.get((q, letter))
+            q = self.step(q, letter)
             if q is None:
-                return None
+                break
         return q
 
     def accepts(self, word: Sequence[Letter]) -> bool:
-        q = self.run(word)
-        return q is not None and q in self.accepting
+        return self.run(word) in self.accepting
 
     def is_complete(self) -> bool:
-        return len(self.transitions) == self.n_states * len(self.alphabet)
+        return bool((self.table >= 0).all())
 
 
 @dataclass(frozen=True)
@@ -133,17 +151,16 @@ class Nfa:
 
 
 def step_table(dfa: Dfa, letters: Sequence[Letter], what: str) -> np.ndarray:
-    """The moves of ``dfa`` as a dense (state, letter id) table, where
-    letter id ``i`` is ``letters[i]``.
+    """The columns of ``dfa.table`` for ``letters``: a dense (state,
+    letter id) table, where letter id ``i`` is ``letters[i]``.
 
     This is the one completeness check: it raises
     :class:`IncompleteDfaError` unless every state has a move on every one
     of ``letters``; ``what`` names the automaton in the message.
     """
-    table = np.array(
-        [[dfa.transitions.get((q, letter), -1) for letter in letters] for q in range(dfa.n_states)],
-        dtype=np.int64,
-    ).reshape(dfa.n_states, len(letters))
+    column = np.array([dfa.letter_id.get(letter, -1) for letter in letters], dtype=np.int64)
+    # column -1, a letter outside the alphabet, reads the appended column of -1
+    table = np.pad(dfa.table, ((0, 0), (0, 1)), constant_values=-1)[:, column]
     missing = np.argwhere(table < 0)
     if len(missing):
         q, i = missing[0]
@@ -177,27 +194,12 @@ def complete(dfa: Dfa, sink_label: str = "sink") -> Dfa:
 
     Already-complete automata are returned unchanged.
     """
-    missing = [
-        (q, letter)
-        for q in range(dfa.n_states)
-        for letter in dfa.alphabet
-        if (q, letter) not in dfa.transitions
-    ]
-    if not missing:
+    missing = dfa.table < 0
+    if not missing.any():
         return dfa
     sink = dfa.n_states
-    transitions = dict(dfa.transitions)
-    for q, letter in missing:
-        transitions[(q, letter)] = sink
-    for letter in dfa.alphabet:
-        transitions[(sink, letter)] = sink
-    return Dfa(
-        alphabet=dfa.alphabet,
-        transitions=transitions,
-        initial=dfa.initial,
-        accepting=dfa.accepting,
-        state_names=dfa.state_names + (sink_label,),
-    )
+    table = np.vstack((np.where(missing, sink, dfa.table), np.full((1, len(dfa.alphabet)), sink)))
+    return replace(dfa, table=table, state_names=dfa.state_names + (sink_label,))
 
 
 def subset_construction(
@@ -301,11 +303,7 @@ def determinize(nfa: Nfa) -> Dfa:
     flat, ptr = members.tolist(), member_ptr.tolist()
     return Dfa(
         alphabet=nfa.alphabet,
-        transitions={
-            (q, letter): t
-            for q, row in enumerate(table.tolist())
-            for letter, t in zip(nfa.alphabet, row)
-        },
+        table=table,
         initial=0,
         accepting=frozenset(np.flatnonzero(meets(member_ptr, members, accepting)).tolist()),
         state_names=tuple(
@@ -361,8 +359,7 @@ def minimize(dfa: Dfa) -> Dfa:
     """The minimal DFA of a complete DFA's language: :func:`minimize_table`
     on its :func:`step_table`."""
     table = step_table(dfa, dfa.alphabet, "input")
-    accepts = np.zeros(dfa.n_states, dtype=bool)
-    accepts[list(dfa.accepting)] = True
+    accepts = np.isin(np.arange(dfa.n_states), list(dfa.accepting))
     return minimize_table(table, accepts, dfa.alphabet, dfa.initial)
 
 
@@ -394,25 +391,22 @@ def minimize_table(
         block = refined
 
     _, member = np.unique(block, return_index=True)  # one state per class
-    succ = block[table[member]].tolist()
-    start = int(block[initial])
-    order = {start: 0}
-    queue = [start]
+    succ = block[table[member]]
+    rows = succ.tolist()
+    queue = [int(block[initial])]
+    rank = [-1] * len(rows)  # each class's number, -1 until the search finds it
+    rank[queue[0]] = 0
     for b in queue:
-        for t in succ[b]:
-            if t not in order:
-                order[t] = len(order)
+        for t in rows[b]:
+            if rank[t] < 0:
+                rank[t] = len(queue)
                 queue.append(t)
     return Dfa(
         alphabet=alphabet,
-        transitions={
-            (order[b], letter): order[t]
-            for b in queue
-            for letter, t in zip(alphabet, succ[b])
-        },
+        table=np.array(rank, dtype=np.int64)[succ[queue]],
         initial=0,
-        accepting=frozenset(order[b] for b in queue if accepts[member[b]]),
-        state_names=tuple(f"q{i}" for i in range(len(order))),
+        accepting=frozenset(np.flatnonzero(accepts[member[queue]]).tolist()),
+        state_names=tuple(f"q{i}" for i in range(len(queue))),
     )
 
 
@@ -500,22 +494,22 @@ def dfa_from_dict(doc: Mapping) -> Dfa:
         return parsed
 
     alphabet = sort_alphabet(letter(l, "alphabet") for l in doc["alphabet"])
-    letters = set(alphabet)
-    transitions = {}
+    column = {l: i for i, l in enumerate(alphabet)}
+    table = np.full((len(names), len(alphabet)), -1, dtype=np.int64)
     for i, row in enumerate(doc["transitions"]):
         where = f"transition {i}"
         if not isinstance(row, Mapping) or any(f not in row for f in ("from", "letter", "to")):
             raise AutomatonError(f"DFA file: {where} needs from, letter and to")
         read = letter(row["letter"], where)
-        if read not in letters:
+        if read not in column:
             raise AutomatonError(f"DFA file: {where} reads a letter not in the alphabet")
-        key = (state(row["from"], where), read)
-        if key in transitions:
+        q, j = state(row["from"], where), column[read]
+        if table[q, j] >= 0:
             raise AutomatonError(f"DFA file: {where} repeats a move of {row['from']!r}")
-        transitions[key] = state(row["to"], where)
+        table[q, j] = state(row["to"], where)
     return Dfa(
         alphabet=alphabet,
-        transitions=transitions,
+        table=table,
         initial=state(doc["initial"], "initial"),
         accepting=frozenset(state(n, "accepting") for n in doc["accepting"]),
         state_names=names,

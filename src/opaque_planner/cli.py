@@ -111,18 +111,21 @@ def _secret_dfa(model: Model, spec: str) -> Dfa:
 
 def _inputs(model_path, task_spec, secret_spec, opaque_file) -> tuple[Model, Dfa | None, Dfa]:
     """The validated model, the task DFA (None without a task) and the
-    opaque-observations DFA, read from ``opaque_file`` or else built from
-    the secret.  Raises ``CliError`` when the model or both of the secret
-    and the opaque file are missing."""
+    :func:`_opaque_dfa` of the secret or ``opaque_file``."""
     model = _load_validated_model(model_path)
     task = None if task_spec is None else _secret_dfa(model, task_spec)
+    secret = _secret_dfa(model, secret_spec) if secret_spec and not opaque_file else None
+    return model, task, _opaque_dfa(model, secret, opaque_file)
+
+
+def _opaque_dfa(model: Model, secret: Dfa | None, opaque_file) -> Dfa:
+    """The opaque-observations DFA in ``opaque_file``, else built from
+    ``secret``; raises ``CliError`` when both are missing."""
     if opaque_file:
-        opaque = dfa_from_dict(json.loads(Path(opaque_file).read_text()))
-    elif secret_spec:
-        opaque = opaque_pipeline(model, _secret_dfa(model, secret_spec)).dfa
-    else:
+        return dfa_from_dict(json.loads(Path(opaque_file).read_text()))
+    if secret is None:
         raise CliError("--secret or --opaque is required")
-    return model, task, opaque
+    return opaque_pipeline(model, secret).dfa
 
 
 def _write(path: str | None, text: str) -> None:
@@ -281,8 +284,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model, _, opaque = _inputs(args.model, None, args.secret, args.opaque)
+    model = _load_validated_model(args.model)
     secret = _secret_dfa(model, args.secret)
+    opaque = _opaque_dfa(model, secret, args.opaque)
     buckets = observation_buckets(model, secret, args.max_actions)
     oracle = frozenset(w for w, (sat, vio) in buckets.items() if sat and vio)
     ordered = sorted(buckets, key=lambda w: tuple(sym.sort_key for sym in w))

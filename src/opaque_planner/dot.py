@@ -17,37 +17,27 @@ def _header(lines: list[str]) -> None:
 
 
 def dfa_to_dot(dfa: Dfa) -> str:
-    lines = ["digraph dfa {"]
-    _header(lines)
-    for q in sorted(dfa.accepting):
-        lines.append(f"  {_quote(dfa.state_names[q])} [shape=doublecircle];")
-    lines.append(f"  __init -> {_quote(dfa.state_names[dfa.initial])};")
-    for (q, letter), t in sorted(
-        dfa.transitions.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-    ):
-        lines.append(
-            f"  {_quote(dfa.state_names[q])} -> {_quote(dfa.state_names[t])}"
-            f" [label={_quote(letter_str(letter))}];"
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    moves = ((key, (t,)) for key, t in dfa.transitions.items())
+    return _automaton_to_dot("dfa", dfa.state_names, dfa.accepting, (dfa.initial,), moves)
 
 
 def nfa_to_dot(nfa: Nfa) -> str:
-    lines = ["digraph nfa {"]
+    moves = nfa.transitions.items()
+    return _automaton_to_dot("nfa", nfa.state_names, nfa.accepting, nfa.initials, moves)
+
+
+def _automaton_to_dot(kind: str, names, accepting, initials, moves) -> str:
+    """One edge per target of each ((state, letter), targets) in ``moves``."""
+    lines = [f"digraph {kind} {{"]
     _header(lines)
-    for q in sorted(nfa.accepting):
-        lines.append(f"  {_quote(nfa.state_names[q])} [shape=doublecircle];")
-    for q in sorted(nfa.initials):
-        lines.append(f"  __init -> {_quote(nfa.state_names[q])};")
-    for (q, letter), targets in sorted(
-        nfa.transitions.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-    ):
+    for q in sorted(accepting):
+        lines.append(f"  {_quote(names[q])} [shape=doublecircle];")
+    for q in sorted(initials):
+        lines.append(f"  __init -> {_quote(names[q])};")
+    for (q, letter), targets in sorted(moves, key=lambda kv: (kv[0][0], str(kv[0][1]))):
         for t in sorted(targets):
-            lines.append(
-                f"  {_quote(nfa.state_names[q])} -> {_quote(nfa.state_names[t])}"
-                f" [label={_quote(letter_str(letter))}];"
-            )
+            label = _quote(letter_str(letter))
+            lines.append(f"  {_quote(names[q])} -> {_quote(names[t])} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -16,6 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .automata import Dfa, sort_alphabet
 from .model import Model
 
@@ -631,10 +633,9 @@ def ltlf_to_dfa(
     root = bdd.encode(start)
     order: dict[int, int] = {root: 0}
     queue = deque([root])
-    transitions: dict[tuple[int, frozenset[str]], int] = {}
+    moves: list[int] = []  # the table, row after row: states leave the queue in order
     while queue:
         u = queue.popleft()
-        idx = order[u]
         for letter in letters:
             nxt = bdd.step(u, letter)
             if nxt not in order:
@@ -642,11 +643,11 @@ def ltlf_to_dfa(
                     raise LtlfError("formula translation exceeded the state budget")
                 order[nxt] = len(order)
                 queue.append(nxt)
-            transitions[(idx, letter)] = order[nxt]
+            moves.append(order[nxt])
     states = sorted(order, key=order.get)
     return Dfa(
         alphabet=letters,
-        transitions=transitions,
+        table=np.array(moves, dtype=np.int64).reshape(len(order), len(letters)),
         initial=0,
         accepting=frozenset(order[u] for u in states if bdd.accepts_empty(u)),
         state_names=tuple(to_str(bdd.formula(u)) for u in states),

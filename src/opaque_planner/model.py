@@ -258,6 +258,10 @@ class Model:
 
     def observation_alphabet(self) -> tuple[ObsSymbol, ...]:
         """Realized observation symbols plus the two markers, sorted."""
+        return self._observation_alphabet
+
+    @cached_property
+    def _observation_alphabet(self) -> tuple[ObsSymbol, ...]:
         seen = set(self.observations.values())
         seen.update((START, END))
         return tuple(sorted(seen, key=lambda o: o.sort_key))
@@ -341,6 +345,7 @@ def assemble(
 
     ``states`` must start with ``s_top`` and end with ``s_bot`` (likewise
     for actions); nothing is injected and nothing beyond name resolution
+    and each probability (:func:`as_probability`; exact zeros are dropped)
     is checked.  Use :func:`validate` afterwards.
     """
     states = tuple(states)
@@ -442,11 +447,15 @@ def build_model(
 
 
 def as_probability(p) -> float:
-    """Accept floats, Fractions and 'num/den' strings."""
+    """Accept floats, Fractions and 'num/den' strings that are finite and
+    non-negative; raises ``ModelError`` on anything else, booleans too."""
     try:
-        return float(Fraction(p) if isinstance(p, str) else p)
+        value = float(Fraction(p) if isinstance(p, str) else p)
     except (TypeError, ValueError, ZeroDivisionError):
-        raise ModelError(f"probability {p!r} is not a number") from None
+        value = np.nan  # fails the range check
+    if isinstance(p, (bool, np.bool_)) or not 0.0 <= value < np.inf:
+        raise ModelError(f"probability {p!r} is not a finite non-negative number")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -430,9 +430,12 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
     observation; ``transparency`` maximizes terminating with a transparent
     one (every terminated run is one or the other); ``min-opacity`` is the
     literal minimization of the opacity objective, kept for comparison.
+    A threshold ``epsilon`` that is not finite raises ``PlannerError``.
     """
     if mode not in ("opacity", "transparency", "min-opacity"):
         raise PlannerError(f"unknown mode {mode!r}")
+    if not np.isfinite(epsilon):
+        raise PlannerError(f"the task threshold must be finite, not {epsilon!r}")
     quotient = pm.quotient
     # non-absorbing blocks are numbered first, so a block is its row
     row_of = quotient.block
@@ -452,15 +455,8 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
     objective = np.bincount(j[wanted], weights=p[wanted], minlength=n_vars).astype(float)
     task = stop & pm.task_accepts[t]
     task_row = np.bincount(j[task], weights=p[task], minlength=n_vars).astype(float)
-    # per variable, its unit out of its row and then its entries into
-    # non-absorbing blocks, in entry order: the order in which duplicate
-    # (row, variable) coefficients are summed
-    flow = ~stop
-    col = np.concatenate((np.arange(n_vars), j[flow]))
-    order = np.argsort(col, kind="stable")
-    data = np.concatenate((np.ones(n_vars), -p[flow]))[order]
-    row = np.concatenate((row_of[var_state], row_of[t[flow]]))[order]
-    a_eq = sp.csr_matrix((data, (row, col[order])), shape=(len(rows), n_vars))
+    flow = ~stop  # the entries into non-absorbing blocks
+    a_eq = _flow_matrix(row_of[var_state], j[flow], row_of[t[flow]], p[flow], len(rows)).tocsr()
     b_eq = np.zeros(len(rows))
     b_eq[row_of[pm.initial]] = 1.0
 
@@ -476,6 +472,18 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
         b_eq=b_eq,
         task_row=task_row,
     )
+
+
+def _flow_matrix(unit_row, col, row, prob, n_rows: int) -> sp.coo_matrix:
+    """Flow columns with ``n_rows`` rows: column ``c`` is 1 at
+    ``unit_row[c]``, then ``-prob[k]`` at ``row[k]`` where ``col[k] == c``,
+    in entry order, the order in which duplicates are summed."""
+    n = len(unit_row)
+    cols = np.concatenate((np.arange(n), col))
+    order = np.argsort(cols, kind="stable")
+    data = np.concatenate((np.ones(n), -prob))[order]
+    rows = np.concatenate((unit_row, row))[order]
+    return sp.coo_matrix((data, (rows, cols[order])), shape=(n_rows, n))
 
 
 @dataclass

@@ -10,13 +10,12 @@ from math import sqrt
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
 from .automata import Dfa
 from .model import PROB_TOL, Model, ObsSymbol, Play, obs_of_play
-from .planner import ProductMdp, _graph, _reaching
+from .planner import ProductMdp, _flow_matrix, _graph, _reaching
 
 ENUMERATION_BUDGET = 10_000_000
 # The most steps a rollout run may take.  ``rollout`` samples only
@@ -292,14 +291,8 @@ def exact_policy_values(pm: ProductMdp, policy: np.ndarray) -> dict[str, float]:
     p = prob[move] * pm.entry_prob[e]
     i = row_of[state[move]]
     stop = pm.absorbing_mask[t]
-    # per state, its unit and then its entries into non-absorbing states,
-    # in entry order: the order in which duplicate coefficients are summed
-    flow = ~stop
-    col = np.concatenate((np.arange(m), i[flow]))
-    order = np.argsort(col, kind="stable")
-    data = np.concatenate((np.ones(m), -p[flow]))[order]
-    row = np.concatenate((np.arange(m), row_of[t[flow]]))[order]
-    matrix = sp.csc_matrix((data, (row, col[order])), shape=(m, m))
+    flow = ~stop  # each state's entries into non-absorbing states
+    matrix = _flow_matrix(np.arange(m), i[flow], row_of[t[flow]], p[flow], m).tocsc()
     nu = np.zeros(m)
     nu[row_of[pm.initial]] = 1.0
     x = spla.spsolve(matrix, nu)

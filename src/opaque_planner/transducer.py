@@ -17,9 +17,10 @@ and nothing else.
 The observer works on arrays from start to finish: the erased NFA's moves
 read their letters as ``Model.csr.entry_obs`` ids, indices into
 ``observation_alphabet()``, and the subset table goes straight to
-``automata.minimize_table``.  Only the minimized DFA is keyed by
-observation symbols.  :func:`output_nfa` builds the ``Nfa`` of one
-accepting set, for the paper's intersect route.
+``automata.minimize_table``, which writes the minimized DFA's table over
+the same letter ids, so the observer keys nothing by observation symbols.
+:func:`output_nfa` builds the ``Nfa`` of one accepting set, keyed by
+them, for the paper's intersect route.
 """
 
 from __future__ import annotations
@@ -220,8 +221,7 @@ def opaque_pipeline(model: Model, secret: Dfa) -> OpaqueBuild:
     accepting set; its subset construction accepts the subsets that hold
     both a satisfying and a violating terminal state (:func:`_observer`).
     The subset table is complete by construction, goes to the Moore core
-    without a detour through letter-keyed dicts, and minimization keeps
-    it complete.
+    as it is, and minimization keeps it complete.
     """
     t0 = time.monotonic()
     kept, table, accepts, _, _ = _observer(product_fst(build_obs_fst(model), secret))

@@ -1,10 +1,11 @@
 """Test helpers: seeded random models and secrets for property coverage,
 random walks over a model, running the observation transducer and its
 product with a secret on a play, the dict subset construction that the
-array one replaced, and the occupancy of a product state's block."""
+array one replaced, the occupancy of a product state's block, and DFAs
+built from move dicts and compared field by field."""
 
 from collections import deque
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -12,6 +13,38 @@ from opaque_planner.automata import Dfa, Nfa
 from opaque_planner.model import Model, ObsSymbol, Play, build_model
 from opaque_planner.planner import PolicySolution
 from opaque_planner.transducer import Fst, InputLetter, ProductFst
+
+
+def dfa_from_moves(
+    alphabet: tuple,
+    transitions: Mapping[tuple[int, object], int],
+    initial: int,
+    accepting: Iterable[int],
+    state_names: tuple[str, ...],
+) -> Dfa:
+    """The DFA with the moves ``(state, letter) -> successor``; a (state,
+    letter) pair with no move is -1 in its table."""
+    column = {letter: i for i, letter in enumerate(alphabet)}
+    table = np.full((len(state_names), len(alphabet)), -1, dtype=np.int64)
+    for (q, letter), t in transitions.items():
+        table[q, column[letter]] = t
+    return Dfa(
+        alphabet=alphabet,
+        table=table,
+        initial=initial,
+        accepting=frozenset(accepting),
+        state_names=state_names,
+    )
+
+
+def same_dfa(a: Dfa, b: Dfa) -> bool:
+    """Whether two DFAs have the same alphabet, moves, initial state,
+    accepting states and state names."""
+    return (
+        a.alphabet == b.alphabet
+        and np.array_equal(a.table, b.table)
+        and (a.initial, a.accepting, a.state_names) == (b.initial, b.accepting, b.state_names)
+    )
 
 
 def random_model(
@@ -180,10 +213,10 @@ def reference_subset_construction(nfa: Nfa, accepts: Callable[[frozenset[int]], 
     names = tuple(
         "{" + ",".join(nfa.state_names[i] for i in sorted(s)) + "}" for s in subsets
     )
-    return Dfa(
-        alphabet=nfa.alphabet,
-        transitions=transitions,
-        initial=0,
-        accepting=frozenset(order[s] for s in subsets if accepts(s)),
-        state_names=names,
+    return dfa_from_moves(
+        nfa.alphabet,
+        transitions,
+        0,
+        (order[s] for s in subsets if accepts(s)),
+        names,
     )

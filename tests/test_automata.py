@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -17,10 +18,11 @@ from opaque_planner.automata import (
     intersect,
     meets,
     minimize,
+    step_table,
     subset_construction,
 )
 
-from helpers import reference_subset_construction
+from helpers import dfa_from_moves, reference_subset_construction, same_dfa
 
 AB = ("a", "b")
 
@@ -32,13 +34,7 @@ def words_up_to(letters, max_len):
 
 def simple_dfa():
     # accepts "a" followed by anything; incomplete on purpose
-    return Dfa(
-        alphabet=AB,
-        transitions={(0, "a"): 1, (1, "a"): 1, (1, "b"): 1},
-        initial=0,
-        accepting=frozenset({1}),
-        state_names=("start", "seen"),
-    )
+    return dfa_from_moves(AB, {(0, "a"): 1, (1, "a"): 1, (1, "b"): 1}, 0, {1}, ("start", "seen"))
 
 
 def dfa_to_nfa(dfa):
@@ -162,13 +158,7 @@ class TestSubsetConstruction:
         both = np.ones(len(table), dtype=bool)
         for q in (0, 1):
             both &= meets(member_ptr, members, np.arange(nfa.n_states) == q)
-        dfa = Dfa(
-            alphabet=AB,
-            transitions=det.transitions,
-            initial=0,
-            accepting=frozenset(np.flatnonzero(both).tolist()),
-            state_names=det.state_names,
-        )
+        dfa = replace(det, accepting=frozenset(np.flatnonzero(both).tolist()))
         for word in words_up_to(AB, 5):
             assert dfa.accepts(word) == ({0, 1} <= reached(nfa, word))
 
@@ -210,7 +200,7 @@ class TestAgainstReferenceSubsetConstruction:
         want = reference_subset_construction(
             nfa, lambda subset: not nfa.accepting.isdisjoint(subset)
         )
-        assert determinize(nfa) == want
+        assert same_dfa(determinize(nfa), want)
 
     def test_no_initial_state_is_the_sink(self):
         det = determinize(NO_INITIAL)
@@ -235,16 +225,16 @@ class TestMinimize:
             minimize(simple_dfa())
 
     def test_merges_bisimilar_accepting_pair(self):
-        dfa = Dfa(
-            alphabet=AB,
-            transitions={
+        dfa = dfa_from_moves(
+            AB,
+            {
                 (0, "a"): 1, (0, "b"): 2,
                 (1, "a"): 1, (1, "b"): 1,
                 (2, "a"): 2, (2, "b"): 2,
             },
-            initial=0,
-            accepting=frozenset({1, 2}),
-            state_names=("q0", "acc1", "acc2"),
+            0,
+            {1, 2},
+            ("q0", "acc1", "acc2"),
         )
         small = minimize(dfa)
         assert small.n_states == 2
@@ -272,12 +262,12 @@ def complete_dfas(draw, max_states=7, letters=AB):
     unreachable."""
     n = draw(st.integers(1, max_states))
     idx = st.integers(0, n - 1)
-    return Dfa(
-        alphabet=letters,
-        transitions={(q, l): draw(idx) for q in range(n) for l in letters},
-        initial=draw(idx),
-        accepting=frozenset(draw(st.sets(idx))),
-        state_names=tuple(f"d{i}" for i in range(n)),
+    return dfa_from_moves(
+        letters,
+        {(q, l): draw(idx) for q in range(n) for l in letters},
+        draw(idx),
+        draw(st.sets(idx)),
+        tuple(f"d{i}" for i in range(n)),
     )
 
 
@@ -326,25 +316,25 @@ class TestMinimality:
         assert reachable_states(small) == set(range(small.n_states))
         n = small.n_states
         assert len(distinguishable_pairs(small)) == n * (n - 1) // 2
-        assert minimize(small) == small
+        assert same_dfa(minimize(small), small)
 
     def test_chain_keeps_every_state(self):
         # state q needs n - 1 - q letters "a" to accept, so a separating
         # word can be as long as the chain: one refinement round per state
         n = 300
-        chain = Dfa(
-            alphabet=AB,
-            transitions={
+        chain = dfa_from_moves(
+            AB,
+            {
                 **{(q, "a"): min(q + 1, n - 1) for q in range(n)},
                 **{(q, "b"): q for q in range(n)},
             },
-            initial=0,
-            accepting=frozenset({n - 1}),
-            state_names=tuple(f"c{i}" for i in range(n)),
+            0,
+            {n - 1},
+            tuple(f"c{i}" for i in range(n)),
         )
         small = minimize(chain)
         assert small.n_states == n
-        assert small == minimize(small)
+        assert same_dfa(small, minimize(small))
         assert small.accepts(("a",) * (n - 1)) and not small.accepts(("a",) * (n - 2))
 
 
@@ -410,3 +400,79 @@ class TestJson:
         assert back.alphabet == opaque_dfa.alphabet
         assert back.accepting == opaque_dfa.accepting
         assert back.transitions == opaque_dfa.transitions
+
+
+ABC = ("a", "b", "c")
+
+
+@st.composite
+def partial_dfas(draw, max_states=6, letters=ABC):
+    """DFAs given as tables with -1 where a move is missing."""
+    n = draw(st.integers(1, max_states))
+    rows = st.lists(st.integers(-1, n - 1), min_size=len(letters), max_size=len(letters))
+    table = np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=np.int64)
+    idx = st.integers(0, n - 1)
+    return Dfa(
+        alphabet=letters,
+        table=table,
+        initial=draw(idx),
+        accepting=frozenset(draw(st.sets(idx))),
+        state_names=tuple(f"p{i}" for i in range(n)),
+    )
+
+
+class TestTable:
+    """The table is the DFA; ``transitions`` and ``letter_id`` are views
+    of it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(partial_dfas())
+    def test_transitions_are_the_defined_moves(self, dfa):
+        want = {
+            (q, dfa.alphabet[i]): t
+            for q, row in enumerate(dfa.table.tolist())
+            for i, t in enumerate(row)
+            if t >= 0
+        }
+        assert dict(dfa.transitions) == want
+        for q in range(dfa.n_states):
+            for letter in dfa.alphabet:
+                assert dfa.step(q, letter) == want.get((q, letter))
+        assert dfa.is_complete() == (len(want) == dfa.table.size)
+
+    @settings(max_examples=100, deadline=None)
+    @given(partial_dfas())
+    def test_complete_adds_a_sink_exactly_when_a_move_is_missing(self, dfa):
+        done = complete(dfa)
+        if (dfa.table >= 0).all():
+            assert done is dfa
+            return
+        sink = dfa.n_states
+        assert done.n_states == sink + 1 and done.is_complete()
+        assert np.array_equal(done.table[:sink], np.where(dfa.table < 0, sink, dfa.table))
+        assert (done.table[sink] == sink).all() and sink not in done.accepting
+        assert complete(done) is done
+        for word in words_up_to(ABC, 3):
+            assert done.accepts(word) == dfa.accepts(word)
+
+    @settings(max_examples=100, deadline=None)
+    @given(partial_dfas(), st.permutations(ABC))
+    def test_step_table_gathers_columns(self, dfa, letters):
+        total = complete(dfa)
+        got = step_table(total, letters, "test")
+        assert np.array_equal(got, total.table[:, [ABC.index(l) for l in letters]])
+        with pytest.raises(IncompleteDfaError, match="no move on 'z'"):
+            step_table(total, tuple(letters) + ("z",), "test")
+        if total is not dfa:
+            with pytest.raises(IncompleteDfaError, match="test DFA is not complete"):
+                step_table(dfa, letters, "test")
+
+    def test_table_is_read_only(self):
+        dfa = complete(simple_dfa())
+        with pytest.raises(ValueError):
+            dfa.table[0, 0] = 1
+        with pytest.raises(TypeError):
+            dfa.transitions[(0, "a")] = 0
+        with pytest.raises(TypeError):
+            dfa.letter_id["c"] = 2
+        assert dict(dfa.letter_id) == {"a": 0, "b": 1}

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from opaque_planner import cli
 from opaque_planner.automata import dfa_from_dict
 from opaque_planner.cli import main
+from opaque_planner.ltlf import dfa_over_model_labels
 from opaque_planner.model import ObsSymbol, START, END, dumps_model, load_model
 
 SS = ObsSymbol.state_set
@@ -114,6 +116,16 @@ class TestPlan:
                      "--secret", "F s6", "--epsilon", "0.5"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "0.5000 0.6500"
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["plan", "export-lp"])
+    def test_non_finite_epsilon(self, model_file, capsys, command, epsilon):
+        code = main([command, "--model", model_file, "--task", "F s4",
+                     "--secret", "F s6", "--epsilon", epsilon])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the task threshold must be finite")
+        assert "Traceback" not in err
 
     def test_infeasible_exit_code(self, model_file, capsys):
         code = main(["plan", "--model", model_file, "--task", "F s4",
@@ -231,6 +243,19 @@ class TestVerify:
                      "--max-actions", "4"]) == 0
         assert "discrepancies: 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("prebuilt", [False, True], ids=["built", "prebuilt"])
+    def test_secret_translated_once(self, model_file, opaque_file, monkeypatch, prebuilt):
+        calls = []
+
+        def counted(spec, model):
+            calls.append(spec)
+            return dfa_over_model_labels(spec, model)
+
+        monkeypatch.setattr(cli, "dfa_over_model_labels", counted)
+        argv = ["verify", "--model", model_file, "--secret", "F s6", "--max-actions", "2"]
+        assert main(argv + (["--opaque", opaque_file] if prebuilt else [])) == 0
+        assert calls == ["F s6"]
+
     def test_trivial_secret(self, model_file, capsys):
         assert main(["verify", "--model", model_file, "--secret", "true",
                      "--max-actions", "4"]) == 0
@@ -323,10 +348,14 @@ class TestMalformedModelFile:
             lambda doc: doc.update(initial=[]),
             lambda doc: doc.update(states=3),
             lambda doc: doc["transitions"][0].update({"from": ["s1"]}),
+            lambda doc: doc["transitions"][0].update(prob=-0.3),
+            lambda doc: doc["transitions"][0].update(prob=float("nan")),
+            lambda doc: doc["transitions"][0].update(prob=True),
         ],
         ids=["transition-without-prob", "observation-without-obs", "prob-not-a-number",
              "observation-unknown-state", "label-not-a-list", "obs-a-number",
-             "initial-a-list", "states-a-number", "from-a-list"],
+             "initial-a-list", "states-a-number", "from-a-list", "prob-negative",
+             "prob-nan", "prob-true"],
     )
     def test_input_error(self, model_file, tmp_path, capsys, corrupt):
         doc = json.loads(Path(model_file).read_text())

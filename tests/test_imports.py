@@ -1,7 +1,8 @@
-"""Every name a package module imports is used in it.
+"""Every name a package module or a test module imports is used in it.
 
 No linter ships with the project, so this parses each module with ``ast``.
-``__init__.py`` is skipped: its imports are the package's re-exports.
+The package's ``__init__.py`` is skipped: its imports are the package's
+re-exports.
 """
 
 import ast
@@ -9,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "opaque_planner"
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(
+    [p for p in (ROOT / "src" / "opaque_planner").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py"))
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,9 +33,7 @@ def unused_imports(source: str) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "path",
-    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.name,
+    "path", MODULES, ids=lambda p: f"tests/{p.name}" if p.parent.name == "tests" else p.name
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -260,6 +260,32 @@ class TestJson:
         x, go = m.state_index["x"], m.action_index["go"]
         assert m.prob(x, go, x) == pytest.approx(1 / 3)
 
+    @pytest.mark.parametrize(
+        "prob",
+        [-0.3, float("nan"), float("inf"), "-1/3", True],
+        ids=["negative", "nan", "infinite", "negative-fraction", "boolean"],
+    )
+    def test_bad_probability_rejected(self, model, prob):
+        doc = model_to_dict(model)
+        row = doc["transitions"][0]
+        doc["transitions"].append({**row, "to": doc["states"][-1], "prob": prob})
+        with pytest.raises(ModelError, match="not a finite non-negative number"):
+            model_from_dict(doc)
+
+    def test_bad_initial_probability_rejected(self, model):
+        doc = model_to_dict(model)
+        doc["initial"] = {**doc["initial"], doc["states"][-1]: float("nan")}
+        with pytest.raises(ModelError, match="not a finite non-negative number"):
+            model_from_dict(doc)
+
+    def test_zero_probability_dropped(self, model):
+        doc = model_to_dict(model)
+        row = next(r for r in doc["transitions"] if r["to"] != doc["states"][-1])
+        doc["transitions"].append({**row, "to": doc["states"][-1], "prob": 0.0})
+        copy = model_from_dict(doc)
+        assert copy.transitions == model.transitions
+        assert validate(copy) == []
+
     def test_missing_field_reported(self):
         with pytest.raises(ModelError, match="missing field"):
             model_from_dict({"states": [], "actions": []})

@@ -1,7 +1,7 @@
 import json
 import re
 from collections import deque
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,7 +25,13 @@ from opaque_planner.scenarios import DroneConfig, GridworldConfig, Sensor, gridw
 from opaque_planner.simulate import enumerate_plays, exact_policy_values
 from opaque_planner.transducer import opaque_obs_dfa
 
-from helpers import block_occupancy, play_inputs, random_model, random_secret_text
+from helpers import (
+    block_occupancy,
+    dfa_from_moves,
+    play_inputs,
+    random_model,
+    random_secret_text,
+)
 from lp_text import solve_lp_text
 
 TABLE_OPACITY = {0.4: 0.7, 0.6: 0.6, 0.8: 0.4}
@@ -92,23 +98,24 @@ class TestProductMdp:
             assert pm.opaque_accepts[t] == expected
 
     def test_incomplete_opaque_rejected(self, model, task_dfa, opaque_dfa):
-        broken = type(opaque_dfa)(
-            alphabet=opaque_dfa.alphabet,
-            transitions={
-                k: v for k, v in opaque_dfa.transitions.items() if k[1] != END
-            },
-            initial=opaque_dfa.initial,
-            accepting=opaque_dfa.accepting,
-            state_names=opaque_dfa.state_names,
+        broken = dfa_from_moves(
+            opaque_dfa.alphabet,
+            {k: v for k, v in opaque_dfa.transitions.items() if k[1] != END},
+            opaque_dfa.initial,
+            opaque_dfa.accepting,
+            opaque_dfa.state_names,
         )
         with pytest.raises(IncompleteDfaError):
             product_mdp(model, task_dfa, broken)
 
     def test_incomplete_task_rejected(self, model, task_dfa, opaque_dfa):
         letter = next(iter(model.label_alphabet()))
-        broken = replace(
-            task_dfa,
-            transitions={k: v for k, v in task_dfa.transitions.items() if k[1] != letter},
+        broken = dfa_from_moves(
+            task_dfa.alphabet,
+            {k: v for k, v in task_dfa.transitions.items() if k[1] != letter},
+            task_dfa.initial,
+            task_dfa.accepting,
+            task_dfa.state_names,
         )
         with pytest.raises(IncompleteDfaError):
             product_mdp(model, broken, opaque_dfa)
@@ -247,6 +254,11 @@ class TestLp:
     def test_unknown_mode(self, pm):
         with pytest.raises(PlannerError):
             build_lp(pm, 0.4, "stealth")
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_threshold(self, pm, epsilon):
+        with pytest.raises(PlannerError, match="must be finite"):
+            build_lp(pm, epsilon)
 
 
 class TestPolicy:

@@ -12,7 +12,6 @@ from opaque_planner.scenarios import (
     config_to_dict,
     gridworld,
     load_config,
-    running_example,
 )
 
 SS = ObsSymbol.state_set

@@ -7,7 +7,6 @@ import pytest
 import numpy as np
 
 from opaque_planner.automata import (
-    Dfa,
     IncompleteDfaError,
     Nfa,
     determinize,
@@ -41,6 +40,7 @@ from opaque_planner.transducer import (
 )
 
 from helpers import (
+    dfa_from_moves,
     play_inputs,
     random_model,
     random_secret_text,
@@ -73,14 +73,12 @@ def product_dfa(a, b):
                 order[t] = len(order)
                 queue.append(t)
             transitions[(order[pair], letter)] = order[t]
-    return Dfa(
-        alphabet=alphabet,
-        transitions=transitions,
-        initial=0,
-        accepting=frozenset(
-            i for (p, q), i in order.items() if p in a.accepting and q in b.accepting
-        ),
-        state_names=tuple(str(pair) for pair in order),
+    return dfa_from_moves(
+        alphabet,
+        transitions,
+        0,
+        (i for (p, q), i in order.items() if p in a.accepting and q in b.accepting),
+        tuple(str(pair) for pair in order),
     )
 
 
@@ -190,16 +188,12 @@ class TestProductFst:
         assert product.accept_vio == frozenset()
 
     def test_incomplete_secret_rejected(self, model, fst, secret_dfa):
-        pruned = type(secret_dfa)(
-            alphabet=secret_dfa.alphabet,
-            transitions={
-                k: v
-                for k, v in secret_dfa.transitions.items()
-                if k[1] != frozenset({"s1"})
-            },
-            initial=secret_dfa.initial,
-            accepting=secret_dfa.accepting,
-            state_names=secret_dfa.state_names,
+        pruned = dfa_from_moves(
+            secret_dfa.alphabet,
+            {k: v for k, v in secret_dfa.transitions.items() if k[1] != frozenset({"s1"})},
+            secret_dfa.initial,
+            secret_dfa.accepting,
+            secret_dfa.state_names,
         )
         with pytest.raises(IncompleteDfaError):
             product_fst(fst, pruned)
@@ -351,13 +345,7 @@ class TestUndefinedTransitions:
     def test_both_products_name_the_transition(self, build, message):
         m = build()
         letters = m.observation_alphabet()
-        sink = Dfa(
-            alphabet=letters,
-            transitions={(0, letter): 0 for letter in letters},
-            initial=0,
-            accepting=frozenset(),
-            state_names=("q0",),
-        )
+        sink = dfa_from_moves(letters, {(0, letter): 0 for letter in letters}, 0, (), ("q0",))
         truth = dfa_over_model_labels("true", m)
         with pytest.raises(ModelError, match=message):
             product_fst(build_obs_fst(m), truth)
