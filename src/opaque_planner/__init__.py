@@ -43,6 +43,7 @@ from .model import (
     validate,
 )
 from .planner import (
+    LpModel,
     LpProblem,
     PlannerError,
     PolicySolution,

@@ -212,6 +212,7 @@ def cmd_plan(args) -> int:
             "iterations": sol.iterations,
             "flow_residual": sol.flow_residual,
             "expected_steps": float(sol.occupancy.sum()),
+            "task_dual": sol.task_dual,
         },
         "product_states": pm.n_states,
         "quotient_states": pm.quotient.n_blocks,
@@ -437,13 +438,26 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_epsilon(argv) -> list[str]:
+    """``--epsilon -inf`` as ``--epsilon=-inf``: argparse takes a value
+    that starts with "-" and is not a plain decimal, such as ``-inf``, for
+    an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--epsilon" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     logging.basicConfig(
         level=os.environ.get("OPAQUE_PLANNER_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_epsilon(sys.argv[1:] if argv is None else argv))
     started = time.monotonic()
     try:
         code = args.func(args)

@@ -479,11 +479,6 @@ def validate(model: Model) -> list[str]:
             out.append(
                 f"probability mass: P({sname[s]}, {aname[a]}, .) sums to {mass!r}"
             )
-        for t, p in dist:
-            if p <= 0.0:
-                out.append(
-                    f"nonpositive probability: P({sname[s]}, {aname[a]}, {sname[t]}) = {p!r}"
-                )
 
     # initiating action: only at s_top, and s_top has nothing else
     for (s, a) in model.transitions:

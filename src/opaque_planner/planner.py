@@ -10,6 +10,9 @@ decided where the trace ends), and the observation is opaque when its
 opaque component, which has read the end marker, accepts.  The
 occupancy-measure LP maximizes the probability of stopping opaque (or
 transparent) subject to flow conservation and a task-probability threshold.
+Only the task row's bound depends on the threshold, so each product
+keeps one HiGHS instance per mode, and each solve re-starts the dual
+simplex from the basis the last one left.
 
 The product is built by ``_product_search``, the one level search that
 also builds the product transducer of :mod:`.transducer`, in numpy over
@@ -41,8 +44,12 @@ from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 from scipy.sparse.csgraph import breadth_first_order
+
+try:  # scipy's binding of HiGHS; without it only the LP solves fail
+    from scipy.optimize._highspy import _core as highspy
+except ImportError:
+    highspy = None
 
 from .automata import Dfa, _ranges, row_classes, step_table
 from .model import Model, ModelError
@@ -179,6 +186,25 @@ class ProductMdp(Product):
         """The bisimulation quotient the LP is posed on, refined on first
         use and kept for every later LP of this product."""
         return bisimulation_quotient(self)
+
+    @cached_property
+    def lp_models(self) -> dict[str, LpModel]:
+        """Mode -> the threshold-free LP of that mode, built by
+        :func:`build_lp` on first use and kept, with its HiGHS instance,
+        for every later threshold."""
+        return {}
+
+    @cached_property
+    def max_feasible_epsilon(self) -> float | None:
+        """The largest task threshold any policy meets: the task row
+        maximized over the flow rows, which every mode shares; None when
+        HiGHS finds no optimum."""
+        lp = _lp_model(self, "opacity")
+        highs = _highs(-lp.task_row, lp.a_eq.tocsc(), lp.b_eq, lp.b_eq)
+        highs.run()
+        if highs.getModelStatus() != highspy.HighsModelStatus.kOptimal:
+            return None
+        return -highs.getInfo().objective_function_value
 
     @cached_property
     def task_accepts(self) -> np.ndarray:
@@ -393,9 +419,10 @@ def _split(head: np.ndarray, owner: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return row_classes(table)
 
 
-@dataclass(frozen=True)
-class LpProblem:
-    """Occupancy-measure LP over the bisimulation quotient of the product.
+@dataclass(frozen=True, eq=False)
+class LpModel:
+    """Occupancy-measure LP over the bisimulation quotient of the product,
+    without its task threshold.
 
     Each non-absorbing block contributes one conservation row and one
     variable per enabled action, named after the block's representative
@@ -405,10 +432,10 @@ class LpProblem:
     absorbing states of the wanted outcome.  Every variable is non-negative
     and unbounded above: the flow rows put exactly one unit into the
     absorbing states, so both the objective and the task row are at most 1.
+    Only the objective depends on the mode.
     """
 
     pm: ProductMdp
-    epsilon: float
     mode: str  # "opacity" | "transparency" | "min-opacity"
     variables: tuple[tuple[int, int], ...]  # (representative state, action)
     rows: tuple[int, ...]  # representatives of non-absorbing blocks, row order
@@ -422,6 +449,31 @@ class LpProblem:
         v, a = self.variables[j]
         return f"m_v{v}_a{a}"
 
+    @cached_property
+    def highs(self):
+        """This LP in one HiGHS instance, passed on the first solve: the
+        task row first, as ``-task_row @ x <= -epsilon`` (the layout of
+        scipy's ``highs-ds`` method) with the bound each solve sets, then
+        the flow rows.  A solve leaves its basis here, and the next
+        threshold's dual simplex starts from it."""
+        a = sp.vstack((sp.csr_matrix(-self.task_row.reshape(1, -1)), self.a_eq)).tocsc()
+        cost = (-1.0 if self.maximize else 1.0) * self.objective
+        return _highs(cost, a, np.append(-np.inf, self.b_eq), np.append(np.inf, self.b_eq))
+
+
+@dataclass(frozen=True)
+class LpProblem:
+    """The LP of ``model`` with the task row ``task_row @ x >= epsilon``;
+    every field of ``model`` reads through."""
+
+    model: LpModel
+    epsilon: float
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):  # copy and pickle probe before ``model`` is set
+            raise AttributeError(name)
+        return getattr(self.model, name)
+
 
 def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem:
     """Assemble the LP for one of three objectives.
@@ -431,11 +483,19 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
     one (every terminated run is one or the other); ``min-opacity`` is the
     literal minimization of the opacity objective, kept for comparison.
     A threshold ``epsilon`` that is not finite raises ``PlannerError``.
+    The threshold-free part is built once per product and mode.
     """
     if mode not in ("opacity", "transparency", "min-opacity"):
         raise PlannerError(f"unknown mode {mode!r}")
     if not np.isfinite(epsilon):
         raise PlannerError(f"the task threshold must be finite, not {epsilon!r}")
+    return LpProblem(model=_lp_model(pm, mode), epsilon=float(epsilon))
+
+
+def _lp_model(pm: ProductMdp, mode: str) -> LpModel:
+    """The :class:`LpModel` of ``pm.lp_models``, built on first use."""
+    if mode in pm.lp_models:
+        return pm.lp_models[mode]
     quotient = pm.quotient
     # non-absorbing blocks are numbered first, so a block is its row
     row_of = quotient.block
@@ -460,9 +520,8 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
     b_eq = np.zeros(len(rows))
     b_eq[row_of[pm.initial]] = 1.0
 
-    return LpProblem(
+    pm.lp_models[mode] = LpModel(
         pm=pm,
-        epsilon=float(epsilon),
         mode=mode,
         variables=variables,
         rows=tuple(rows.tolist()),
@@ -472,6 +531,7 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
         b_eq=b_eq,
         task_row=task_row,
     )
+    return pm.lp_models[mode]
 
 
 def _flow_matrix(unit_row, col, row, prob, n_rows: int) -> sp.coo_matrix:
@@ -496,64 +556,75 @@ class PolicySolution:
     message: str = ""
     max_feasible_epsilon: float | None = None
     flow_residual: float | None = None
+    #: the task row's dual, >= 0: how much the objective worsens per unit
+    #: of task threshold (0 where the task row is slack)
+    task_dual: float | None = None
 
 
+#: the options scipy's ``highs-ds`` method passes HiGHS, tolerances set
 _HIGHS_OPTIONS = {
+    "presolve": "on",
+    "solver": "simplex",
+    "simplex_strategy": 1,  # dual
     "primal_feasibility_tolerance": FEASIBILITY_TOL,
     "dual_feasibility_tolerance": FEASIBILITY_TOL,
+    "output_flag": False,
 }
+
+
+def _highs(cost, a: sp.csc_matrix, row_lower, row_upper):
+    """A HiGHS instance holding ``min cost @ x`` subject to ``row_lower <=
+    a @ x <= row_upper`` and ``x >= 0``, with ``_HIGHS_OPTIONS``."""
+    if highspy is None:
+        raise PlannerError("solving needs scipy's HiGHS binding, scipy.optimize._highspy")
+    n_rows, n_cols = a.shape
+    lp = highspy.HighsLp()
+    lp.num_col_, lp.num_row_ = n_cols, n_rows
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(n_cols), np.full(n_cols, np.inf)
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    matrix = lp.a_matrix_
+    matrix.format_, matrix.num_col_, matrix.num_row_ = highspy.MatrixFormat.kColwise, n_cols, n_rows
+    matrix.start_, matrix.index_, matrix.value_ = a.indptr, a.indices, a.data
+    highs = highspy._Highs()
+    for name, value in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(name, value)
+    highs.passModel(lp)
+    return highs
 
 
 def solve_lp(lp: LpProblem) -> PolicySolution:
     """Solve with the HiGHS dual simplex, so the occupancy is a vertex of
-    the feasible set; on infeasibility, report the largest attainable task
-    threshold from a presolve that maximizes the task row.
+    the feasible set.  Only the task row's bound changes between the
+    solves of one product and mode: each re-runs from the basis the last
+    one left in ``lp.model.highs``.  The first solve of an instance is
+    scipy's ``highs-ds`` method's, bit for bit; a later one may end on
+    another vertex of the same optimal face.  On infeasibility, report
+    the product's largest feasible threshold.
 
     A vertex holds no zero-reward circulation: were ``x >= d c`` for a
     circulation ``c`` and some ``d > 0``, both ``x + d c`` and ``x - d c``
     would be feasible and equally good.  So the extracted policy stops with
     probability 1, which ``exact_policy_values`` and ``rollout`` check.
     """
-    res = linprog(
-        c=(-1.0 if lp.maximize else 1.0) * lp.objective,
-        A_ub=sp.csr_matrix(-lp.task_row.reshape(1, -1)),
-        b_ub=np.array([-lp.epsilon]),
-        A_eq=lp.a_eq,
-        b_eq=lp.b_eq,
-        bounds=(0.0, None),
-        method="highs-ds",
-        options=_HIGHS_OPTIONS,
-    )
-    iterations = int(getattr(res, "nit", 0) or 0)
-    if res.status == 2:
-        pre = linprog(
-            c=-lp.task_row,
-            A_eq=lp.a_eq,
-            b_eq=lp.b_eq,
-            bounds=(0.0, None),
-            method="highs",
-            options=_HIGHS_OPTIONS,
-        )
-        best = float(-pre.fun) if pre.status == 0 else None
+    highs = lp.model.highs
+    highs.changeRowBounds(0, -np.inf, -lp.epsilon)
+    highs.run()
+    status = highs.getModelStatus()
+    iterations = highs.getInfo().simplex_iteration_count
+    message = highs.modelStatusToString(status)
+    if status != highspy.HighsModelStatus.kOptimal:
+        infeasible = status == highspy.HighsModelStatus.kInfeasible
         return PolicySolution(
-            status="infeasible",
+            status="infeasible" if infeasible else "numerical-failure",
             objective=None,
             occupancy=None,
             lp=lp,
             iterations=iterations,
-            message=res.message,
-            max_feasible_epsilon=best,
+            message=message,
+            max_feasible_epsilon=lp.pm.max_feasible_epsilon if infeasible else None,
         )
-    if res.status != 0:
-        return PolicySolution(
-            status="numerical-failure",
-            objective=None,
-            occupancy=None,
-            lp=lp,
-            iterations=iterations,
-            message=res.message,
-        )
-    occupancy = np.asarray(res.x)
+    solution = highs.getSolution()
+    occupancy = np.array(solution.col_value)
     residual = float(np.max(np.abs(lp.a_eq @ occupancy - lp.b_eq))) if len(occupancy) else 0.0
     return PolicySolution(
         status="optimal",
@@ -561,8 +632,11 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
         occupancy=occupancy,
         lp=lp,
         iterations=iterations,
-        message=res.message,
+        message=message,
         flow_residual=residual,
+        # the row is -task_row @ x <= -epsilon in a minimization, so its
+        # dual is minus the price; 0.0 - d turns a zero dual into +0.0
+        task_dual=0.0 - solution.row_dual[0],
     )
 
 

@@ -117,7 +117,7 @@ class TestPlan:
         assert code == 0
         assert capsys.readouterr().out.strip() == "0.5000 0.6500"
 
-    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["plan", "export-lp"])
     def test_non_finite_epsilon(self, model_file, capsys, command, epsilon):
         code = main([command, "--model", model_file, "--task", "F s4",
@@ -152,6 +152,15 @@ class TestPlan:
                          "--out", str(out)]) == 0
             objectives[mode] = json.loads(out.read_text())["metadata"]["objective"]
         assert sum(objectives.values()) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("epsilon, dual", [("0.4", 0.0), ("0.7", 1.0)])
+    def test_task_dual_recorded(self, model_file, tmp_path, epsilon, dual):
+        # slack at 0.4; Table I's slope between 0.6 and 0.8 at 0.7
+        out = tmp_path / "policy.json"
+        assert main(["plan", "--model", model_file, "--task", "F s4", "--secret", "F s6",
+                     "--epsilon", epsilon, "--out", str(out)]) == 0
+        solver = json.loads(out.read_text())["metadata"]["solver"]
+        assert solver["task_dual"] == pytest.approx(dual, abs=1e-9)
 
     def test_prebuilt_opaque_accepted(self, model_file, opaque_file, capsys):
         code = main(["plan", "--model", model_file, "--task", "F s4",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from collections import deque
@@ -11,7 +12,9 @@ from scipy.optimize import linprog
 from opaque_planner.automata import IncompleteDfaError
 from opaque_planner.ltlf import dfa_over_model_labels
 from opaque_planner.model import END, START, obs_of_play
+from opaque_planner import planner
 from opaque_planner.planner import (
+    FEASIBILITY_TOL,
     PlannerError,
     build_lp,
     export_lp,
@@ -481,3 +484,168 @@ class TestQuotient:
                     wanted = transparent if mode == "transparency" else opaque
                     assert lp.objective[j] == wanted
                     assert lp.task_row[j] == task
+
+
+# ---------------------------------------------------------------------------
+# one HiGHS instance per product and mode, warm-started across thresholds
+
+#: the HiGHS options solve_lp sets, as scipy's linprog takes them
+COLD_OPTIONS = {
+    "primal_feasibility_tolerance": FEASIBILITY_TOL,
+    "dual_feasibility_tolerance": FEASIBILITY_TOL,
+}
+#: Table I/II's thresholds with a slack one, one between and an infeasible one
+SWEEP = {
+    "ascending": (0.3, 0.4, 0.6, 0.7, 0.8, 1.01),
+    "descending": (1.01, 0.8, 0.7, 0.6, 0.4, 0.3),
+    "shuffled": (0.7, 0.3, 1.01, 0.6, 0.8, 0.4),
+}
+GRID_SWEEP = {
+    "ascending": (0.4, 0.6, 0.8),
+    "descending": (0.8, 0.6, 0.4),
+    "shuffled": (0.6, 0.8, 0.4),
+}
+
+
+def cold_solve(lp):
+    """The LP solved from scratch by ``linprog``, the oracle of the warm
+    solves: its own HiGHS instance, the same options."""
+    return linprog(
+        c=(-1.0 if lp.maximize else 1.0) * lp.objective,
+        A_ub=sp.csr_matrix(-lp.task_row.reshape(1, -1)),
+        b_ub=np.array([-lp.epsilon]),
+        A_eq=lp.a_eq,
+        b_eq=lp.b_eq,
+        bounds=(0.0, None),
+        method="highs-ds",
+        options=COLD_OPTIONS,
+    )
+
+
+def assert_sweep_matches(pm, mode, order, cold):
+    """Solve ``pm``'s LP at each threshold of ``order``, one product and
+    mode, so one instance: the first solve is ``cold``'s bit for bit, every
+    optimum is its optimum within ``FEASIBILITY_TOL``, and each warm
+    vertex's policy attains its objective and the threshold exactly."""
+    for k, eps in enumerate(order):
+        lp = build_lp(pm, eps, mode)
+        sol, ref = solve_lp(lp), cold[eps]
+        if ref.status == 2:
+            assert sol.status == "infeasible", (order, eps)
+            continue
+        assert sol.status == "optimal", (order, eps)
+        if k == 0:
+            assert np.array_equal(sol.occupancy, ref.x)
+            assert sol.iterations == ref.nit
+            assert sol.task_dual == -ref.ineqlin.marginals[0]
+        assert abs(sol.objective - lp.objective @ ref.x) <= FEASIBILITY_TOL, (order, eps)
+        assert sol.task_dual >= -FEASIBILITY_TOL
+        values = exact_policy_values(pm, extract_policy(sol, pm))
+        assert values["pt" if mode == "transparency" else "ph"] == pytest.approx(
+            sol.objective, abs=1e-7
+        )
+        assert values["task"] >= eps - 1e-7
+
+
+@pytest.fixture(scope="module")
+def grid_automata(grid):
+    task = dfa_over_model_labels("F C", grid)
+    return task, opaque_obs_dfa(grid, dfa_over_model_labels("F B & F A", grid))
+
+
+@pytest.fixture(scope="module")
+def grid_cold(grid, grid_automata):
+    pm = product_mdp(grid, *grid_automata)
+    return {eps: cold_solve(build_lp(pm, eps, "opacity")) for eps in GRID_SWEEP["ascending"]}
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("order", SWEEP)
+    @pytest.mark.parametrize("mode", ["opacity", "transparency", "min-opacity"])
+    def test_running_example_orders(self, model, task_dfa, opaque_dfa, pm, mode, order):
+        cold = {eps: cold_solve(build_lp(pm, eps, mode)) for eps in SWEEP[order]}
+        fresh = product_mdp(model, task_dfa, opaque_dfa)
+        assert_sweep_matches(fresh, mode, SWEEP[order], cold)
+
+    @pytest.mark.parametrize("order", GRID_SWEEP)
+    def test_gridworld_orders(self, grid, grid_automata, grid_cold, order):
+        assert_sweep_matches(product_mdp(grid, *grid_automata), "opacity", GRID_SWEEP[order], grid_cold)
+
+    def test_one_instance_per_product_and_mode(self, model, task_dfa, opaque_dfa):
+        pm = product_mdp(model, task_dfa, opaque_dfa)
+        first, second = build_lp(pm, 0.4, "opacity"), build_lp(pm, 0.8, "opacity")
+        assert first.model is second.model and first.highs is second.highs
+        assert build_lp(pm, 0.4, "transparency").model is not first.model
+        assert pm.lp_models.keys() == {"opacity", "transparency"}
+
+    def test_task_dual(self, model, task_dfa, opaque_dfa):
+        pm = product_mdp(model, task_dfa, opaque_dfa)
+        # 0 where the task row is slack; Table I's slope between 0.6 and 0.8
+        assert solve_lp(build_lp(pm, 0.3, "opacity")).task_dual == 0.0
+        assert solve_lp(build_lp(pm, 0.7, "opacity")).task_dual == pytest.approx(1.0, abs=1e-9)
+        # Table II is linear in the threshold: the dual is its finite difference
+        low, high = (solve_lp(build_lp(pm, eps, "transparency")).objective for eps in (0.4, 0.6))
+        dual = solve_lp(build_lp(pm, 0.5, "transparency")).task_dual
+        assert dual == pytest.approx((low - high) / 0.2, abs=1e-9)
+        assert dual == pytest.approx(0.042857, abs=1e-6)
+
+    def test_infeasible_then_feasible(self, model, task_dfa, opaque_dfa):
+        pm = product_mdp(model, task_dfa, opaque_dfa)
+        sol = solve_lp(build_lp(pm, 1.01, "opacity"))
+        assert sol.status == "infeasible"
+        assert sol.max_feasible_epsilon == pytest.approx(1.0, abs=1e-9)
+        sol = solve_lp(build_lp(pm, 0.6, "opacity"))
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(0.6, abs=FEASIBILITY_TOL)
+
+    def test_max_feasible_epsilon_per_product(self, products):
+        # the task row maximized over the flow rows, as a cold solve of its own
+        for pm in products:
+            lp = build_lp(pm, 0.0)
+            best = linprog(
+                -lp.task_row, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0.0, None),
+                method="highs", options=COLD_OPTIONS,
+            )
+            assert pm.max_feasible_epsilon == -best.fun
+            for mode in ("opacity", "transparency", "min-opacity"):
+                sol = solve_lp(build_lp(pm, 1.5, mode))
+                assert sol.status == "infeasible"
+                assert sol.max_feasible_epsilon == pm.max_feasible_epsilon
+
+    def test_export_is_unchanged(self, pm):
+        # the recorded text of the running example's LPs at 0.6, before and
+        # after solving on the instance
+        recorded = {
+            "opacity": "a76541015fc69a44da06978a14827e15ce1151d549423e4900f78ef3e66f41ba",
+            "transparency": "e5732c4d364ac709cf7dfa6ea6c3e4f28211eb055b1358202457c50c1f4537a7",
+            "min-opacity": "b3650f7cb3d06b9f2da304dda3ce4510e6ee90d8f291d0b95534c774461a85dd",
+        }
+        for mode, digest in recorded.items():
+            lp = build_lp(pm, 0.6, mode)
+            text = export_lp(lp)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+            solve_lp(build_lp(pm, 0.8, mode))
+            solve_lp(lp)
+            assert export_lp(lp) == text
+
+    def test_without_the_binding_solving_fails_clearly(self, model, task_dfa, opaque_dfa, monkeypatch):
+        monkeypatch.setattr(planner, "highspy", None)
+        lp = build_lp(product_mdp(model, task_dfa, opaque_dfa), 0.4)
+        with pytest.raises(PlannerError, match="HiGHS binding"):
+            solve_lp(lp)
+
+
+def test_scipy_ships_the_highs_binding():
+    # what solve_lp uses of scipy's HiGHS binding, present since scipy 1.15;
+    # pyproject.toml asks for the release the package is tested on
+    from scipy.optimize._highspy import _core
+
+    assert _core.MatrixFormat.kColwise is not None
+    assert {"kOptimal", "kInfeasible"} <= set(_core.HighsModelStatus.__members__)
+    for name in ("passModel", "setOptionValue", "changeRowBounds", "run", "getModelStatus",
+                 "modelStatusToString", "getInfo", "getSolution"):
+        assert callable(getattr(_core._Highs, name, None)), name
+    lp = _core.HighsLp()
+    for field in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_",
+                  "row_lower_", "row_upper_", "a_matrix_"):
+        assert hasattr(lp, field), field
