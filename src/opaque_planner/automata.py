@@ -35,7 +35,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import ObsSymbol, START, END
+from .model import ObsSymbol, START, END, _ranges
 
 Letter = Hashable
 
@@ -181,12 +181,6 @@ def row_classes(table: np.ndarray) -> np.ndarray:
     ids = np.empty(len(table), dtype=np.int64)
     ids[order] = np.cumsum(starts) - 1
     return ids
-
-
-def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``arange(start[i], start[i] + count[i])`` for every i, concatenated."""
-    end = np.cumsum(count)
-    return np.repeat(start - (end - count), count) + np.arange(end[-1] if len(end) else 0)
 
 
 def complete(dfa: Dfa, sink_label: str = "sink") -> Dfa:

@@ -10,10 +10,11 @@ transition fires; the framing transitions emit reserved start/end markers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -119,50 +120,116 @@ class Play:
         return " ".join(out)
 
 
-@dataclass(frozen=True, eq=False)
-class ModelCsr:
-    """A model's transitions as CSR row groups, with interned letters.
+# ---------------------------------------------------------------------------
+# CSR row groups
 
-    State ``s`` owns the rows ``row_ptr[s]:row_ptr[s + 1]``, one per enabled
-    action in increasing order (``row_action``).  Row ``r`` owns the entries
-    ``entry_ptr[r]:entry_ptr[r + 1]``, in the order of ``Model.transitions``
-    (by successor): successor ``entry_succ``, probability ``entry_prob`` and
-    observation ``entry_obs``, an index into ``observation_alphabet()``.
-    ``a_top`` rows emit START and ``a_bot`` rows END; ``entry_obs`` is -1
-    where no observation is defined (a missing one, or the terminating
-    state's self-loops).  ``state_label`` indexes ``label_letters``, the
-    distinct interior labels, and is -1 on the two frame states.
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``arange(start[i], start[i] + count[i])`` for every i, concatenated."""
+    end = np.cumsum(count)
+    return np.repeat(start - (end - count), count) + np.arange(end[-1] if len(end) else 0)
+
+
+@dataclass(frozen=True, eq=False)
+class RowGroups:
+    """A transition system stored once as CSR row groups, the layout of
+    sparse probabilistic model checkers (PRISM: Kwiatkowska, Norman &
+    Parker 2011; Storm: Dehnert et al. 2017); the model and its products
+    extend it.
+
+    State ``v`` owns the (state, action) rows ``row_ptr[v]:row_ptr[v + 1]``,
+    one per enabled action in increasing order (``row_action``).  Row ``r``
+    owns the entries ``entry_ptr[r]:entry_ptr[r + 1]``, with successors
+    ``entry_succ`` in increasing order.  Every array field, a subclass's
+    too, is read-only.  A subclass gives ``n_actions``, the number of
+    action ids.
     """
 
     row_ptr: np.ndarray
     row_action: np.ndarray
     entry_ptr: np.ndarray
     entry_succ: np.ndarray
-    entry_prob: np.ndarray
-    entry_obs: np.ndarray
-    state_label: np.ndarray
-    label_letters: tuple[frozenset[str], ...]
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    @property
+    def n_states(self) -> int:
+        return len(self.row_ptr) - 1
+
+    @cached_property
+    def row_state(self) -> np.ndarray:
+        """The state of each row."""
+        return np.repeat(np.arange(self.n_states), np.diff(self.row_ptr))
+
+    @cached_property
+    def entry_state(self) -> np.ndarray:
+        """The source state of each entry."""
+        return np.repeat(self.row_state, np.diff(self.entry_ptr))
+
+    @cached_property
+    def entry_action(self) -> np.ndarray:
+        """The action of each entry."""
+        return np.repeat(self.row_action, np.diff(self.entry_ptr))
+
+    def rows_of(self, states, actions) -> np.ndarray:
+        """The row of each (state, action) pair; -1 where the state does
+        not enable the action."""
+        width = self.n_actions
+        keys = self.row_state * width + self.row_action  # increasing
+        wanted = np.asarray(states, dtype=np.int64) * width + np.asarray(actions, dtype=np.int64)
+        pos = np.searchsorted(keys, wanted)
+        found = pos < len(keys)
+        found[found] = keys[pos[found]] == wanted[found]
+        return np.where(found, pos, -1)
+
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of ``rows``, row after row, and for each entry the
+        position in ``rows`` of its row."""
+        start = self.entry_ptr[rows]
+        count = self.entry_ptr[rows + 1] - start
+        return _ranges(start, count), np.repeat(np.arange(len(rows)), count)
+
+    def enabled(self, v: int) -> tuple[int, ...]:
+        return tuple(self.row_action[self.row_ptr[v] : self.row_ptr[v + 1]].tolist())
 
 
-@dataclass(frozen=True)
-class Model:
-    """Validated-on-demand probabilistic transition system.
+def distributions(
+    groups: RowGroups, entry_prob: np.ndarray
+) -> Mapping[tuple[int, int], tuple[tuple[int, float], ...]]:
+    """(state, action) -> ((successor, probability), ...), row by row, as
+    a read-only view."""
+    pairs = list(zip(groups.entry_succ.tolist(), entry_prob.tolist()))
+    ptr = groups.entry_ptr.tolist()
+    keys = zip(groups.row_state.tolist(), groups.row_action.tolist())
+    return MappingProxyType({key: tuple(pairs[ptr[r] : ptr[r + 1]]) for r, key in enumerate(keys)})
+
+
+@dataclass(frozen=True, eq=False)
+class Model(RowGroups):
+    """Probabilistic transition system with an observation function,
+    stored once as CSR row groups (:class:`RowGroups`) by :func:`assemble`;
+    validated on demand by :func:`validate`.
 
     ``states[0]`` is the initiating state and ``states[-1]`` the
-    terminating one; likewise for ``actions``.  Treat instances as
-    immutable; all operations on them are pure.
+    terminating one; likewise for ``actions``.  Entry ``e`` has probability
+    ``entry_prob[e]`` and observation ``entry_obs[e]``, an index into
+    ``symbols``, the observation alphabet: ``a_top`` rows emit START and
+    ``a_bot`` rows END, and ``entry_obs`` is -1 where no observation is
+    defined (a missing one, or the terminating state's self-loops).
+    ``transitions``, ``observations`` and the name indices are read-only
+    views, built on first access.
     """
 
     states: tuple[str, ...]
     actions: tuple[str, ...]
     atomic_props: frozenset[str]
     labels: tuple[frozenset[str] | None, ...]
-    # (state, action) -> ((successor, probability), ...) sorted by successor
-    transitions: Mapping[tuple[int, int], tuple[tuple[int, float], ...]]
-    # interior (state, action, successor) -> observation symbol
-    observations: Mapping[tuple[int, int, int], ObsSymbol]
-    state_index: Mapping[str, int] = field(repr=False)
-    action_index: Mapping[str, int] = field(repr=False)
+    entry_prob: np.ndarray
+    entry_obs: np.ndarray
+    symbols: tuple[ObsSymbol, ...]
 
     # -- indices ------------------------------------------------------
     @property
@@ -182,8 +249,8 @@ class Model:
         return len(self.actions) - 1
 
     @property
-    def n_states(self) -> int:
-        return len(self.states)
+    def n_actions(self) -> int:
+        return len(self.actions)
 
     def interior_state_indices(self) -> range:
         return range(1, len(self.states) - 1)
@@ -191,49 +258,43 @@ class Model:
     def interior_action_indices(self) -> range:
         return range(1, len(self.actions) - 1)
 
+    @cached_property
+    def state_index(self) -> Mapping[str, int]:
+        return MappingProxyType({s: i for i, s in enumerate(self.states)})
+
+    @cached_property
+    def action_index(self) -> Mapping[str, int]:
+        return MappingProxyType({a: i for i, a in enumerate(self.actions)})
+
     # -- lookups ------------------------------------------------------
     @cached_property
-    def _enabled(self) -> tuple[tuple[int, ...], ...]:
-        """The enabled actions of every state, in increasing order."""
-        out: list[list[int]] = [[] for _ in self.states]
-        for s, a in sorted(self.transitions):
-            out[s].append(a)
-        return tuple(map(tuple, out))
-
-    def enabled(self, s: int) -> tuple[int, ...]:
-        return self._enabled[s]
+    def transitions(self) -> Mapping[tuple[int, int], tuple[tuple[int, float], ...]]:
+        """(state, action) -> ((successor, probability), ...) by successor."""
+        return distributions(self, self.entry_prob)
 
     @cached_property
-    def csr(self) -> ModelCsr:
-        """The transitions as CSR row groups, built on first use."""
-        keys = sorted(self.transitions)
-        rows_per_state = np.bincount(
-            np.array([s for s, _a in keys], dtype=np.int64), minlength=len(self.states)
+    def observations(self) -> Mapping[tuple[int, int, int], ObsSymbol]:
+        """Interior (state, action, successor) -> observation symbol."""
+        entries = (x.tolist() for x in (self.entry_state, self.entry_action, self.entry_succ))
+        return MappingProxyType(
+            {
+                (s, a, t): self.symbols[o]
+                for s, a, t, o in zip(*entries, self.entry_obs.tolist())
+                if o >= 0 and a not in (self.a_top, self.a_bot)
+            }
         )
-        symbol = {o: i for i, o in enumerate(self.observation_alphabet())}
-        succ, prob, obs, widths = [], [], [], []
-        for s, a in keys:
-            dist = self.transitions[(s, a)]
-            widths.append(len(dist))
-            for t, p in dist:
-                succ.append(t)
-                prob.append(p)
-                try:
-                    obs.append(symbol[self.obs(s, a, t)])
-                except ModelError:  # a missing one, or a terminating-state self-loop
-                    obs.append(-1)
-        letters = tuple(sorted(self.label_alphabet(), key=lambda l: (len(l), sorted(l))))
-        letter_id = {l: i for i, l in enumerate(letters)}
-        return ModelCsr(
-            row_ptr=np.concatenate(([0], np.cumsum(rows_per_state))),
-            row_action=np.array([a for _s, a in keys], dtype=np.int64),
-            entry_ptr=np.concatenate(([0], np.cumsum(widths, dtype=np.int64))),
-            entry_succ=np.array(succ, dtype=np.int64),
-            entry_prob=np.array(prob, dtype=np.float64),
-            entry_obs=np.array(obs, dtype=np.int64),
-            state_label=np.array([letter_id.get(l, -1) for l in self.labels], dtype=np.int64),
-            label_letters=letters,
-        )
+
+    @cached_property
+    def label_letters(self) -> tuple[frozenset[str], ...]:
+        """The distinct interior labels, by size, then members."""
+        return tuple(sorted(self.label_alphabet(), key=lambda l: (len(l), sorted(l))))
+
+    @cached_property
+    def state_label(self) -> np.ndarray:
+        """Each state's index into ``label_letters``; -1 on the two frame
+        states."""
+        letter_id = {l: i for i, l in enumerate(self.label_letters)}
+        return np.array([letter_id.get(l, -1) for l in self.labels], dtype=np.int64)
 
     def successors(self, s: int, a: int) -> tuple[tuple[int, float], ...]:
         return self.transitions.get((s, a), ())
@@ -258,13 +319,7 @@ class Model:
 
     def observation_alphabet(self) -> tuple[ObsSymbol, ...]:
         """Realized observation symbols plus the two markers, sorted."""
-        return self._observation_alphabet
-
-    @cached_property
-    def _observation_alphabet(self) -> tuple[ObsSymbol, ...]:
-        seen = set(self.observations.values())
-        seen.update((START, END))
-        return tuple(sorted(seen, key=lambda o: o.sort_key))
+        return self.symbols
 
     def obs(self, s: int, a: int, s2: int) -> ObsSymbol:
         if a == self.a_top:
@@ -346,7 +401,9 @@ def assemble(
     ``states`` must start with ``s_top`` and end with ``s_bot`` (likewise
     for actions); nothing is injected and nothing beyond name resolution
     and each probability (:func:`as_probability`; exact zeros are dropped)
-    is checked.  Use :func:`validate` afterwards.
+    is checked, except that an observation of a transition the model does
+    not have raises ``ModelError``: it has nowhere to be stored.  Use
+    :func:`validate` afterwards.
     """
     states = tuple(states)
     actions = tuple(actions)
@@ -367,21 +424,19 @@ def assemble(
     sidx = {s: i for i, s in enumerate(states)}
     aidx = {a: i for i, a in enumerate(actions)}
 
-    trans: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
+    entries: list[tuple[int, int, int, float]] = []  # (state, action, successor, prob)
     for (s, a), dist in transitions.items():
         if s not in sidx:
             raise ModelError(f"unknown state {s!r} in transitions")
         if a not in aidx:
             raise ModelError(f"unknown action {a!r} in transitions")
-        row = []
         for t, p in dist.items():
             if t not in sidx:
                 raise ModelError(f"unknown successor {t!r} in transitions")
             p = as_probability(p)
             if p > 0.0:
-                row.append((sidx[t], p))
-        if row:
-            trans[(sidx[s], aidx[a])] = tuple(sorted(row))
+                entries.append((sidx[s], aidx[a], sidx[t], p))
+    entries.sort()
 
     lab: list[frozenset[str] | None] = [None] * len(states)
     for s, props in labels.items():
@@ -399,22 +454,47 @@ def assemble(
     else:
         ap = frozenset(atomic_props)
 
-    obs: dict[tuple[int, int, int], ObsSymbol] = {}
+    given: dict[tuple[int, int, int], ObsSymbol] = {}
+    interned: dict[tuple[str, ...], ObsSymbol] = {}  # one symbol per member list
     for (s, a, t), members in observations.items():
         if s not in sidx or a not in aidx or t not in sidx:
             raise ModelError(f"observation given for unknown transition ({s}, {a}, {t})")
-        key = (sidx[s], aidx[a], sidx[t])
-        obs[key] = members if isinstance(members, ObsSymbol) else ObsSymbol.state_set(members)
+        if not isinstance(members, ObsSymbol):
+            members = tuple(members)
+            if members not in interned:
+                interned[members] = ObsSymbol.state_set(members)
+            members = interned[members]
+        given[(sidx[s], aidx[a], sidx[t])] = members
+
+    # the frame's moves emit the markers, the terminating state's
+    # self-loops nothing, and every other entry takes its given observation
+    bot, markers = len(states) - 1, {0: START, len(actions) - 1: END}
+    emitted = [
+        markers[a] if a in markers else None if s == bot else given.pop((s, a, t), None)
+        for s, a, t, _p in entries
+    ]
+    if given:
+        s, a, t = min(given)
+        raise ModelError(
+            f"observation given for absent transition ({states[s]}, {actions[a]}, {states[t]})"
+        )
+    symbols = sorted({o for o in emitted if o is not None} | {START, END}, key=lambda o: o.sort_key)
+    symbol_id = {o: i for i, o in enumerate(symbols)}
+    state, action, succ = (np.array([e[i] for e in entries], dtype=np.int64) for i in range(3))
+    first = np.flatnonzero(np.diff(state * len(actions) + action, prepend=-1))  # row starts
 
     return Model(
+        row_ptr=np.concatenate(([0], np.cumsum(np.bincount(state[first], minlength=len(states))))),
+        row_action=action[first],
+        entry_ptr=np.append(first, len(entries)),
+        entry_succ=succ,
         states=states,
         actions=actions,
         atomic_props=ap,
         labels=tuple(lab),
-        transitions=trans,
-        observations=obs,
-        state_index=sidx,
-        action_index=aidx,
+        entry_prob=np.array([e[3] for e in entries], dtype=np.float64),
+        entry_obs=np.array([symbol_id.get(o, -1) for o in emitted], dtype=np.int64),
+        symbols=tuple(symbols),
     )
 
 
@@ -471,17 +551,19 @@ def validate(model: Model) -> list[str]:
     out: list[str] = []
     sname, aname = model.states, model.actions
     top, bot, a_top, a_bot = model.top, model.bot, model.a_top, model.a_bot
+    keys = list(zip(model.row_state.tolist(), model.row_action.tolist()))
+    ptr, succ, prob = (x.tolist() for x in (model.entry_ptr, model.entry_succ, model.entry_prob))
 
-    # probability mass
-    for (s, a), dist in model.transitions.items():
-        mass = sum(p for _, p in dist)
+    # probability mass, summed in successor order
+    for r, (s, a) in enumerate(keys):
+        mass = sum(prob[ptr[r] : ptr[r + 1]])
         if abs(mass - 1.0) > PROB_TOL:
             out.append(
                 f"probability mass: P({sname[s]}, {aname[a]}, .) sums to {mass!r}"
             )
 
     # initiating action: only at s_top, and s_top has nothing else
-    for (s, a) in model.transitions:
+    for s, a in keys:
         if a == a_top and s != top:
             out.append(f"initiating action enabled at {sname[s]}")
         if s == top and a != a_top:
@@ -510,8 +592,8 @@ def validate(model: Model) -> list[str]:
         out.append("terminating action enabled at the terminating state")
 
     # no transitions back into the frame
-    for (s, a), dist in model.transitions.items():
-        for t, _ in dist:
+    for r, (s, a) in enumerate(keys):
+        for t in succ[ptr[r] : ptr[r + 1]]:
             if t == top:
                 out.append(
                     f"transition into the initiating state: ({sname[s]}, {aname[a]})"
@@ -527,24 +609,17 @@ def validate(model: Model) -> list[str]:
         if extra:
             out.append(f"label of {sname[s]} uses undeclared propositions {sorted(extra)}")
 
-    # observations cover exactly the positive-probability interior transitions
-    needed = set()
-    for (s, a), dist in model.transitions.items():
-        if s == bot or a in (a_top, a_bot):
-            continue
-        for t, _ in dist:
-            needed.add((s, a, t))
-    have = set(model.observations)
-    for s, a, t in sorted(needed - have):
+    # every positive-probability interior transition carries an observation
+    # (assemble rejects one given for a transition the model does not have),
+    # and its members are known states
+    observed = (model.entry_state != bot) & ~np.isin(model.entry_action, (a_top, a_bot))
+    for e in np.flatnonzero(observed & (model.entry_obs < 0)).tolist():
+        s, a, t = int(model.entry_state[e]), int(model.entry_action[e]), succ[e]
         out.append(f"observation missing for ({sname[s]}, {aname[a]}, {sname[t]})")
-    for s, a, t in sorted(have - needed):
-        out.append(f"observation given for absent transition ({sname[s]}, {aname[a]}, {sname[t]})")
-
-    # observation members must be known states
-    for key, sym in model.observations.items():
-        for m in sym.members:
-            if m not in model.state_index:
-                out.append(f"observation symbol {sym} names unknown state {m!r}")
+    unknown = [[m for m in o.members if m not in model.state_index] for o in model.symbols]
+    for o in model.entry_obs[observed & (model.entry_obs >= 0)].tolist():
+        for m in unknown[o]:
+            out.append(f"observation symbol {model.symbols[o]} names unknown state {m!r}")
 
     return out
 
@@ -557,29 +632,16 @@ def model_to_dict(model: Model) -> dict:
     """Canonical JSON form: interior data plus ``auto_frame: true``."""
     interior_s = [model.states[i] for i in model.interior_state_indices()]
     interior_a = [model.actions[i] for i in model.interior_action_indices()]
-    transitions = []
-    for (s, a), dist in sorted(model.transitions.items()):
-        if s in (model.top, model.bot) or a in (model.a_top, model.a_bot):
+    transitions, observations = [], []
+    columns = (model.entry_state, model.entry_action, model.entry_succ, model.entry_prob)
+    for s, a, t, p, o in zip(*(x.tolist() for x in columns), model.entry_obs.tolist()):
+        if a in (model.a_top, model.a_bot):
             continue
-        for t, p in dist:
-            transitions.append(
-                {
-                    "from": model.states[s],
-                    "action": model.actions[a],
-                    "to": model.states[t],
-                    "prob": p,
-                }
-            )
-    observations = []
-    for (s, a, t), sym in sorted(model.observations.items()):
-        observations.append(
-            {
-                "from": model.states[s],
-                "action": model.actions[a],
-                "to": model.states[t],
-                "obs": list(sym.members),
-            }
-        )
+        move = {"from": model.states[s], "action": model.actions[a], "to": model.states[t]}
+        if s not in (model.top, model.bot):
+            transitions.append({**move, "prob": p})
+        if o >= 0:
+            observations.append({**move, "obs": list(model.symbols[o].members)})
     return {
         "auto_frame": True,
         "states": interior_s,
@@ -636,7 +698,8 @@ def _move(row, last: str, where: str) -> list:
 
 def model_from_dict(doc: Mapping) -> Model:
     """The model of a :func:`model_to_dict` document; raises ``ModelError``
-    on a malformed one."""
+    on a malformed one, and on a second transition or observation row for
+    one move."""
     if not isinstance(doc, Mapping):
         raise ModelError("model file must hold a JSON object")
     for name in ("states", "actions", "transitions"):
@@ -651,10 +714,15 @@ def model_from_dict(doc: Mapping) -> Model:
     transitions: dict[tuple[str, str], dict[str, float]] = {}
     for i, row in enumerate(doc["transitions"]):
         s, a, t, p = _move(row, "prob", f"transition {i}")
-        transitions.setdefault((s, a), {})[t] = as_probability(p)
+        p, dist = as_probability(p), transitions.setdefault((s, a), {})
+        if t in dist:
+            raise ModelError(f"model file: transition {i} repeats the move ({s}, {a}, {t})")
+        dist[t] = p
     observations = {}
     for i, row in enumerate(doc.get("observations", [])):
         s, a, t, o = _move(row, "obs", f"observation {i}")
+        if (s, a, t) in observations:
+            raise ModelError(f"model file: observation {i} repeats the move ({s}, {a}, {t})")
         observations[(s, a, t)] = _names(o, f"observation {i}'s obs")
     initial = {s: as_probability(p) for s, p in _mapping(doc, "initial").items()}
     props = doc.get("atomic_props")

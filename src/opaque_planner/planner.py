@@ -16,11 +16,10 @@ simplex from the basis the last one left.
 
 The product is built by ``_product_search``, the one level search that
 also builds the product transducer of :mod:`.transducer`, in numpy over
-``Model.csr``.  Both products are a :class:`Product`: the reachable states,
-numbered as by a FIFO search, stored once as CSR row groups, the layout of
-sparse probabilistic model checkers (PRISM: Kwiatkowska, Norman & Parker
-2011; Storm: Dehnert et al. 2017).  The quotient, the LP, exact evaluation
-and the sampler all read these arrays.
+the model's CSR row groups (``model.RowGroups``).  Both products are a
+:class:`Product`: the reachable states, numbered as by a FIFO search,
+stored once in the same layout as the model.  The quotient, the LP, exact
+evaluation and the sampler all read these arrays.
 
 The LP is posed on the coarsest probabilistic bisimulation of the product
 (Larsen & Skou 1991), found by signature-based partition refinement
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -51,8 +49,8 @@ try:  # scipy's binding of HiGHS; without it only the LP solves fail
 except ImportError:
     highspy = None
 
-from .automata import Dfa, _ranges, row_classes, step_table
-from .model import Model, ModelError
+from .automata import Dfa, row_classes, step_table
+from .model import Model, ModelError, RowGroups, _ranges, distributions
 
 FEASIBILITY_TOL = 1e-9
 
@@ -88,85 +86,32 @@ class Quotient:
 
 
 @dataclass(frozen=True, eq=False)
-class Product:
+class Product(RowGroups):
     """Reachable product of the model with an automaton, stored once as
-    CSR row groups.
+    CSR row groups (:class:`RowGroups`).
 
     State ``v`` pairs the model state ``components[v, 0]`` with the
-    automaton's state(s) in the other columns.  It owns the (state, action)
-    rows ``row_ptr[v]:row_ptr[v + 1]``, one per enabled action in
-    increasing order (``row_action``); absorbing states, whose model state
-    is ``model.bot``, own none.  Row ``r`` owns the entries
-    ``entry_ptr[r]:entry_ptr[r + 1]``, with successors ``entry_succ`` in
-    increasing order.  States are numbered breadth-first from the initial
-    state 0, each level in order of first occurrence as the rows of the
-    level before are read in order: the numbering of a FIFO search.  Every
-    array field is read-only; ``states`` and ``index`` are read-only views
-    of them, built on first access.
+    automaton's state(s) in the other columns.  Absorbing states, whose
+    model state is ``model.bot``, own no rows.  States are numbered
+    breadth-first from the initial state 0, each level in order of first
+    occurrence as the rows of the level before are read in order: the
+    numbering of a FIFO search.
     """
 
     model: Model
     components: np.ndarray  # (n_states, 1 + automaton components)
-    row_ptr: np.ndarray
-    row_action: np.ndarray
-    entry_ptr: np.ndarray
-    entry_succ: np.ndarray
-
-    def __post_init__(self) -> None:
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
 
     @property
     def initial(self) -> int:
         return 0
 
     @property
-    def n_states(self) -> int:
-        return len(self.components)
-
-    @cached_property
-    def row_state(self) -> np.ndarray:
-        """The state of each row."""
-        return np.repeat(np.arange(self.n_states), np.diff(self.row_ptr))
-
-    @cached_property
-    def entry_state(self) -> np.ndarray:
-        """The source state of each entry."""
-        return np.repeat(self.row_state, np.diff(self.entry_ptr))
+    def n_actions(self) -> int:
+        return self.model.n_actions
 
     @cached_property
     def absorbing_mask(self) -> np.ndarray:
         return self.components[:, 0] == self.model.bot
-
-    def rows_of(self, states, actions) -> np.ndarray:
-        """The row of each (state, action) pair; -1 where the state does
-        not enable the action."""
-        width = len(self.model.actions)
-        keys = self.row_state * width + self.row_action  # increasing
-        wanted = np.asarray(states, dtype=np.int64) * width + np.asarray(actions, dtype=np.int64)
-        pos = np.searchsorted(keys, wanted)
-        found = pos < len(keys)
-        found[found] = keys[pos[found]] == wanted[found]
-        return np.where(found, pos, -1)
-
-    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The entries of ``rows``, row after row, and for each entry the
-        position in ``rows`` of its row."""
-        start = self.entry_ptr[rows]
-        count = self.entry_ptr[rows + 1] - start
-        return _ranges(start, count), np.repeat(np.arange(len(rows)), count)
-
-    def enabled(self, v: int) -> tuple[int, ...]:
-        return tuple(self.row_action[self.row_ptr[v] : self.row_ptr[v + 1]].tolist())
-
-    @cached_property
-    def states(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.components.tolist()))
-
-    @cached_property
-    def index(self) -> Mapping[tuple[int, ...], int]:
-        return MappingProxyType({v: i for i, v in enumerate(self.states)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,12 +167,7 @@ class ProductMdp(Product):
     @cached_property
     def transitions(self) -> Mapping[tuple[int, int], tuple[tuple[int, float], ...]]:
         """(state, action) -> ((successor, probability), ...)."""
-        pairs = list(zip(self.entry_succ.tolist(), self.entry_prob.tolist()))
-        ptr = self.entry_ptr.tolist()
-        keys = zip(self.row_state.tolist(), self.row_action.tolist())
-        return MappingProxyType(
-            {key: tuple(pairs[ptr[r] : ptr[r + 1]]) for r, key in enumerate(keys)}
-        )
+        return distributions(self, self.entry_prob)
 
     def state_name(self, v: int) -> str:
         s, q, qh = self.components[v].tolist()
@@ -269,7 +209,7 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
         task=task,
         opaque=opaque,
         components=np.column_stack((s, code // nqh, code % nqh)),
-        entry_prob=model.csr.entry_prob[entry_model],
+        entry_prob=model.entry_prob[entry_model],
         **rows,
     )
 
@@ -277,7 +217,7 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
 def _label_table(dfa: Dfa, model: Model, what: str) -> np.ndarray:
     """The ``step_table`` of a DFA over the model's label ids, plus a last
     column that keeps every state: the label id of ``a_bot`` entries."""
-    table = step_table(dfa, model.csr.label_letters, what)
+    table = step_table(dfa, model.label_letters, what)
     return np.column_stack((table, np.arange(dfa.n_states)))
 
 
@@ -286,18 +226,16 @@ def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
     ``0 .. n_codes - 1``, reachable from (initiating state, ``start``).
 
     Model entries step the automaton by ``step(code, label, obs)``, on
-    arrays of label ids (``Model.csr.label_letters``) and observation ids
+    arrays of label ids (``Model.label_letters``) and observation ids
     (``observation_alphabet()``).  ``a_bot`` entries enter no labelled
     state and read the label id ``len(label_letters)``, the keep column of
     :func:`_label_table`.  An entry with no label or observation raises
     ``ModelError``.  Returns the model state and code of each state, the
     model entry of each entry, and the CSR arrays of :class:`Product`.
     """
-    csr = model.csr
-    model_entry_row = np.repeat(np.arange(len(csr.row_action)), np.diff(csr.entry_ptr))
-    stops = csr.row_action[model_entry_row] == model.a_bot
-    entry_label = np.where(stops, len(csr.label_letters), csr.state_label[csr.entry_succ])
-    model_rows = np.diff(csr.row_ptr)
+    stops = model.entry_action == model.a_bot
+    entry_label = np.where(stops, len(model.label_letters), model.state_label[model.entry_succ])
+    model_rows = np.diff(model.row_ptr)
     model_rows[model.bot] = 0  # the absorbing states are not expanded
 
     level = np.array([model.top * n_codes + start])
@@ -307,16 +245,16 @@ def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
     while level.size:
         s, c = level // n_codes, level % n_codes
         count = model_rows[s]
-        model_row = _ranges(csr.row_ptr[s], count)
-        width = csr.entry_ptr[model_row + 1] - csr.entry_ptr[model_row]
-        e = _ranges(csr.entry_ptr[model_row], width)
+        model_row = _ranges(model.row_ptr[s], count)
+        width = model.entry_ptr[model_row + 1] - model.entry_ptr[model_row]
+        e = _ranges(model.entry_ptr[model_row], width)
         row = np.repeat(np.arange(len(model_row)), width)  # the level row of each entry
         v = np.repeat(np.arange(len(level)), count)[row]  # its state's place in the level
-        label, obs, t = entry_label[e], csr.entry_obs[e], csr.entry_succ[e]
+        label, obs, t = entry_label[e], model.entry_obs[e], model.entry_succ[e]
         undefined = np.flatnonzero((label < 0) | (obs < 0))
         if undefined.size:
             k = undefined[0]
-            _raise_undefined(model, int(s[v[k]]), int(csr.row_action[model_row[row[k]]]), int(t[k]))
+            _raise_undefined(model, int(s[v[k]]), int(model.row_action[model_row[row[k]]]), int(t[k]))
         code = t * n_codes + step(c[v], label, obs)
 
         distinct, first, inverse = np.unique(code, return_index=True, return_inverse=True)
@@ -337,7 +275,7 @@ def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
         by_succ = np.lexsort((ids, row))
         levels.append(level)
         row_counts.append(count)
-        actions.append(csr.row_action[model_row])
+        actions.append(model.row_action[model_row])
         widths.append(width)
         succs.append(ids[by_succ])
         entries.append(e[by_succ])
@@ -557,7 +495,11 @@ class PolicySolution:
     max_feasible_epsilon: float | None = None
     flow_residual: float | None = None
     #: the task row's dual, >= 0: how much the objective worsens per unit
-    #: of task threshold (0 where the task row is slack)
+    #: of task threshold (0 where the task row is slack).  At a breakpoint
+    #: of the trade-off curve it is one of the two one-sided slopes, and
+    #: which one depends on the basis the solve started from: the running
+    #: example's opacity at 0.5 gives 1.0 after a warm sequence and 0.0
+    #: from a fresh instance
     task_dual: float | None = None
 
 

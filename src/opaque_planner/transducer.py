@@ -15,7 +15,7 @@ terminal state, then minimizing, gives the DFA of the opaque observations
 and nothing else.
 
 The observer works on arrays from start to finish: the erased NFA's moves
-read their letters as ``Model.csr.entry_obs`` ids, indices into
+read their letters as ``Model.entry_obs`` ids, indices into
 ``observation_alphabet()``, and the subset table goes straight to
 ``automata.minimize_table``, which writes the minimized DFA's table over
 the same letter ids, so the observer keys nothing by observation symbols.
@@ -81,8 +81,8 @@ class ProductFst(Product):
     """The observation transducer paired with the secret DFA.
 
     State ``i`` is the pair ``components[i]`` = (model state, secret
-    state), and entry ``e`` reads the ``Model.csr`` entry
-    ``entry_model[e]``, which gives its input letter and its output.  Both
+    state), and entry ``e`` reads the model entry ``entry_model[e]``,
+    which gives its input letter and its output.  Both
     accepting sets live on the terminating state: ``accept_sat`` holds the
     runs whose labeled play satisfies the secret, ``accept_vio`` the ones
     violating it.  ``transitions`` is a read-only view, built on first
@@ -99,9 +99,9 @@ class ProductFst(Product):
         """(state, (s, a, s')) -> (successor, output)."""
         letters = self.model.observation_alphabet()
         s, t = self.components[self.entry_state, 0], self.components[self.entry_succ, 0]
-        a = np.repeat(self.row_action, np.diff(self.entry_ptr))
-        inputs = zip(self.entry_state.tolist(), zip(s.tolist(), a.tolist(), t.tolist()))
-        out = [letters[o] for o in self.model.csr.entry_obs[self.entry_model].tolist()]
+        a = self.entry_action.tolist()
+        inputs = zip(self.entry_state.tolist(), zip(s.tolist(), a, t.tolist()))
+        out = [letters[o] for o in self.model.entry_obs[self.entry_model].tolist()]
         return MappingProxyType(dict(zip(inputs, zip(self.entry_succ.tolist(), out))))
 
     def state_name(self, idx: int) -> str:
@@ -137,7 +137,7 @@ def _erase_inputs(pf: ProductFst, accepting: frozenset[int]) -> tuple[np.ndarray
     """The transducer's outputs as an NFA accepting in ``accepting``, kept
     to the states that can reach it, as arrays: the transducer state of
     each NFA state (``kept``), the moves' sources, letter ids (the
-    ``Model.csr.entry_obs`` ids, indices into ``observation_alphabet()``)
+    ``Model.entry_obs`` ids, indices into ``observation_alphabet()``)
     and targets, the initial states and the accepting ones.  States that
     cannot reach ``accepting`` accept nothing and only blow up a later
     subset construction."""
@@ -150,7 +150,7 @@ def _erase_inputs(pf: ProductFst, accepting: frozenset[int]) -> tuple[np.ndarray
     return (
         kept,
         renum[src[live]],
-        pf.model.csr.entry_obs[pf.entry_model[live]],
+        pf.model.entry_obs[pf.entry_model[live]],
         renum[dst[live]],
         np.flatnonzero(kept == pf.initial),
         renum[targets],

@@ -1,8 +1,9 @@
 """Test helpers: seeded random models and secrets for property coverage,
 random walks over a model, running the observation transducer and its
 product with a secret on a play, the dict subset construction that the
-array one replaced, the occupancy of a product state's block, and DFAs
-built from move dicts and compared field by field."""
+array one replaced, the occupancy of a product state's block, a product's
+states as component tuples, and DFAs built from move dicts and compared
+field by field."""
 
 from collections import deque
 from typing import Callable, Iterable, Mapping
@@ -169,6 +170,17 @@ def run_on_play(fst: Fst, play: Play) -> tuple[ObsSymbol, ...]:
     """The observation word ``fst`` emits along ``play``."""
     fst.model.check_play(play)
     return run_fst(fst, play_inputs(fst.model, play))
+
+
+def product_states(product) -> tuple[tuple[int, ...], ...]:
+    """Each state of a product (the product MDP or the product
+    transducer) as the tuple of its components."""
+    return tuple(map(tuple, product.components.tolist()))
+
+
+def product_index(product) -> dict[tuple[int, ...], int]:
+    """The state of a product that each component tuple names."""
+    return {v: i for i, v in enumerate(product_states(product))}
 
 
 def block_occupancy(sol: PolicySolution, v: int) -> float:

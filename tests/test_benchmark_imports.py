@@ -1,7 +1,8 @@
 """The benchmark worker imports names from the package on every pass,
 traced or not; a name that disappears fails every benchmark op, so the
 names are checked here, by reading the worker's source; one tiny traced
-pass and one untraced gridworld-build pass run end to end."""
+pass, one untraced gridworld-build pass and one untraced running-example
+pass run end to end."""
 
 import ast
 import importlib
@@ -68,3 +69,19 @@ def test_gridworld_build_references():
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["failures"] == []
     assert result["attempted"] == 6
+
+
+def test_running_example_pass():
+    # the only pass that checks the opaque DFA against the brute-force
+    # observation buckets, so it reads the model through successors, prob,
+    # obs and check_play
+    done = subprocess.run(
+        [sys.executable, str(WORKER), "running-example", "--seed", "11", "--tiny"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["failures"] == []
+    assert result["attempted"] == 13

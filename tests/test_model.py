@@ -1,14 +1,16 @@
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opaque_planner import model as model_module
 from opaque_planner.model import (
     END,
     InvalidPlayError,
@@ -16,6 +18,7 @@ from opaque_planner.model import (
     ObsSymbol,
     Play,
     START,
+    as_probability,
     assemble,
     build_model,
     dumps_model,
@@ -28,7 +31,7 @@ from opaque_planner.model import (
 )
 from opaque_planner.scenarios import running_example
 
-from helpers import random_walk
+from helpers import random_model, random_walk
 
 
 def play(text):
@@ -76,62 +79,153 @@ class TestObsSymbol:
             )
 
 
+def handed_to_assemble(build, monkeypatch) -> dict:
+    """The name-keyed rows that ``build()`` hands to ``assemble``, by
+    parameter name."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(dict(inspect.signature(assemble).bind(*args, **kwargs).arguments))
+        return assemble(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model_module, "assemble", spy)
+        build()
+    (rows,) = calls
+    return rows
+
+
+@pytest.fixture
+def rows(monkeypatch):
+    """The running example's rows as ``build_model`` hands them to
+    ``assemble``, fresh for each test to break."""
+    return handed_to_assemble(running_example, monkeypatch)
+
+
+def assert_rows_match(model, states, actions, transitions, labels, observations, atomic_props):
+    """Each of the model's rows, in order, has the action, successors,
+    probabilities and observation symbols of the name-keyed row it was
+    given: rows by (state, action), exact zeros dropped, successors in
+    increasing order, START on ``a_top`` rows, END on ``a_bot`` rows and no
+    symbol on the terminating state's self-loops."""
+    sidx = {s: i for i, s in enumerate(states)}
+    aidx = {a: i for i, a in enumerate(actions)}
+    bot, a_bot = len(states) - 1, len(actions) - 1
+    want = []
+    for (s, a), dist in sorted(transitions.items(), key=lambda kv: (sidx[kv[0][0]], aidx[kv[0][1]])):
+        entries = []
+        for t, p in sorted(dist.items(), key=lambda kv: sidx[kv[0]]):
+            if as_probability(p) == 0.0:
+                continue
+            if aidx[a] in (0, a_bot):
+                symbol = START if aidx[a] == 0 else END
+            elif sidx[s] == bot:
+                symbol = None
+            else:
+                symbol = ObsSymbol.state_set(observations[(s, a, t)])
+            entries.append((sidx[t], as_probability(p), symbol))
+        if entries:
+            want.append((sidx[s], aidx[a], entries))
+    got = []
+    for s in range(model.n_states):
+        for r in range(model.row_ptr[s], model.row_ptr[s + 1]):
+            entries = [
+                (
+                    int(model.entry_succ[e]),
+                    float(model.entry_prob[e]),
+                    model.symbols[model.entry_obs[e]] if model.entry_obs[e] >= 0 else None,
+                )
+                for e in range(model.entry_ptr[r], model.entry_ptr[r + 1])
+            ]
+            got.append((s, int(model.row_action[r]), entries))
+    assert got == want
+    assert model.n_states == len(states) and model.states == tuple(states)
+
+
 class TestValidate:
     def test_running_example_clean(self, model):
         assert validate(model) == []
 
-    def test_bad_probability_mass(self, model):
-        broken = dict(model.transitions)
-        s1, a = model.state_index["s1"], model.action_index["a"]
-        broken[(s1, a)] = ((model.state_index["s2"], 0.4), (model.state_index["s3"], 0.5))
-        bad = replace(model, transitions=broken)
-        report = validate(bad)
+    def test_bad_probability_mass(self, rows):
+        rows["transitions"][("s1", "a")] = {"s2": 0.4, "s3": 0.5}
+        report = validate(assemble(**rows))
         assert any("probability mass" in v and "s1" in v for v in report)
 
-    def test_missing_terminating_action(self, model):
-        broken = dict(model.transitions)
-        del broken[(model.state_index["s5"], model.a_bot)]
-        bad = replace(model, transitions=broken)
-        report = validate(bad)
+    def test_missing_terminating_action(self, rows):
+        del rows["transitions"][("s5", "a_bot")]
+        report = validate(assemble(**rows))
         assert any("terminating action missing" in v and "s5" in v for v in report)
 
-    def test_observation_coverage(self, model):
-        partial = dict(model.observations)
+    def test_observation_coverage(self, rows):
+        partial = dict(rows["observations"])
         partial.pop(next(iter(partial)))
-        bad = replace(model, observations=partial)
-        assert any("observation missing" in v for v in validate(bad))
+        rows["observations"] = partial
+        assert any("observation missing" in v for v in validate(assemble(**rows)))
 
-    def test_initiating_action_elsewhere(self):
-        m = running_example()
-        broken = dict(m.transitions)
-        broken[(m.state_index["s2"], m.a_top)] = ((m.state_index["s3"], 1.0),)
-        bad = replace(m, transitions=broken)
-        assert any("initiating action enabled at s2" in v for v in validate(bad))
+    def test_initiating_action_elsewhere(self, rows):
+        rows["transitions"][("s2", "a_top")] = {"s3": 1.0}
+        assert any("initiating action enabled at s2" in v for v in validate(assemble(**rows)))
+
+    @pytest.mark.parametrize(
+        "move",
+        [
+            ("s1", "a", "s4"),
+            ("s_top", "a_top", "s1"),
+            ("s1", "a_bot", "s_bot"),
+            ("s_bot", "a", "s_bot"),
+        ],
+        ids=["absent", "initiating", "terminating", "self-loop"],
+    )
+    def test_observation_of_absent_transition_rejected(self, rows, move):
+        # only the interior transitions carry an observation
+        rows["observations"][move] = ["s4"]
+        with pytest.raises(ModelError, match=re.escape(
+            "observation given for absent transition (" + ", ".join(move) + ")"
+        )):
+            assemble(**rows)
 
 
 class TestCsr:
-    def test_reproduces_transitions(self, model):
-        csr = model.csr
-        symbols = model.observation_alphabet()
-        rows = []
-        for s in range(model.n_states):
-            for r in range(csr.row_ptr[s], csr.row_ptr[s + 1]):
-                a = int(csr.row_action[r])
-                entries = range(csr.entry_ptr[r], csr.entry_ptr[r + 1])
-                dist = tuple((int(csr.entry_succ[e]), float(csr.entry_prob[e])) for e in entries)
-                rows.append(((s, a), dist))
-                for e, (t, _p) in zip(entries, dist):
-                    if s == model.bot:
-                        assert csr.entry_obs[e] == -1
-                    else:
-                        assert symbols[csr.entry_obs[e]] == model.obs(s, a, t)
-        assert rows == sorted(model.transitions.items())
+    def test_reproduces_transitions(self, model, rows):
+        assert_rows_match(model, **rows)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_models(self, seed, monkeypatch):
+        built = []
+        rows = handed_to_assemble(lambda: built.append(random_model(seed)), monkeypatch)
+        assert_rows_match(built[0], **rows)
+
+    def test_rows_out_of_order(self):
+        # rows, successors and observations given in decreasing order, an
+        # exact zero and a fraction string
+        rows = dict(
+            states=["s_top", "x", "y", "s_bot"],
+            actions=["a_top", "go", "a_bot"],
+            transitions={
+                ("s_bot", "go"): {"s_bot": 1.0},
+                ("y", "a_bot"): {"s_bot": 1.0},
+                ("y", "go"): {"y": 1.0},
+                ("x", "a_bot"): {"s_bot": 1.0},
+                ("x", "go"): {"y": "2/3", "s_bot": 0.0, "x": "1/3"},
+                ("s_top", "a_top"): {"y": 0.0, "x": 1.0},
+            },
+            labels={"y": ["y"], "x": ["x"]},
+            observations={
+                ("y", "go", "y"): ["y"],
+                ("x", "go", "y"): ["y", "x"],
+                ("x", "go", "x"): ["x"],
+            },
+            atomic_props=None,
+        )
+        model = assemble(**rows)
+        assert_rows_match(model, **rows)
+        assert model.prob(1, 1, 1) == 1 / 3
+        assert validate(model) == []
 
     def test_labels(self, model):
-        csr = model.csr
-        assert csr.state_label[model.top] == csr.state_label[model.bot] == -1
+        assert model.state_label[model.top] == model.state_label[model.bot] == -1
         for s in model.interior_state_indices():
-            assert csr.label_letters[csr.state_label[s]] == model.label_of(s)
+            assert model.label_letters[model.state_label[s]] == model.label_of(s)
 
 
 class TestPlays:
@@ -285,6 +379,20 @@ class TestJson:
         copy = model_from_dict(doc)
         assert copy.transitions == model.transitions
         assert validate(copy) == []
+
+    @pytest.mark.parametrize(
+        "field, repeat",
+        [("transitions", {"prob": 0.5}), ("observations", {"obs": ["s7"]})],
+        ids=["transition", "observation"],
+    )
+    def test_repeated_row_rejected(self, model, field, repeat):
+        # a second row for the move (s1, a, s2) would silently replace the first
+        doc = model_to_dict(model)
+        row = next(r for r in doc[field] if (r["from"], r["action"], r["to"]) == ("s1", "a", "s2"))
+        doc[field].append({**row, **repeat})
+        where = f"{field[:-1]} {len(doc[field]) - 1}"
+        with pytest.raises(ModelError, match=re.escape(f"{where} repeats the move (s1, a, s2)")):
+            model_from_dict(doc)
 
     def test_missing_field_reported(self):
         with pytest.raises(ModelError, match="missing field"):

@@ -32,6 +32,8 @@ from helpers import (
     block_occupancy,
     dfa_from_moves,
     play_inputs,
+    product_index,
+    product_states,
     random_model,
     random_secret_text,
 )
@@ -52,10 +54,11 @@ class TestProductMdp:
         trivial_opaque = opaque_obs_dfa(model, dfa_over_model_labels("true", model))
         pm = product_mdp(model, trivial_task, trivial_opaque)
         assert pm.n_states == model.n_states
+        states = product_states(pm)
         for (v, a), dist in pm.transitions.items():
-            s = pm.states[v][0]
+            s = states[v][0]
             model_dist = {t: p for t, p in model.successors(s, a)}
-            assert {pm.states[w][0]: p for w, p in dist} == model_dist
+            assert {states[w][0]: p for w, p in dist} == model_dist
 
     def test_rows_are_stochastic(self, pm):
         for (v, a), dist in pm.transitions.items():
@@ -67,7 +70,7 @@ class TestProductMdp:
             assert len(targets) == len(set(targets))
 
     def test_initial_components(self, pm, model, task_dfa, opaque_dfa):
-        s, q, qh = pm.states[pm.initial]
+        s, q, qh = product_states(pm)[pm.initial]
         assert s == model.top
         assert q == task_dfa.initial
         assert qh == opaque_dfa.initial
@@ -76,7 +79,7 @@ class TestProductMdp:
         # the task is rewarded on termination only, and only in its
         # accepting set, which the initial state of F s4 is not
         lp = build_lp(pm, 0)
-        v0 = pm.index[(model.top, pm.task.initial, pm.opaque.initial)]
+        v0 = product_index(pm)[(model.top, pm.task.initial, pm.opaque.initial)]
         rep = pm.quotient.representatives[pm.quotient.block[v0]]
         coef = lp.task_row[lp.variables.index((rep, model.a_top))]
         assert coef == 0.0  # s1 is not accepting for F s4
@@ -85,13 +88,14 @@ class TestProductMdp:
         # walking any short play through the product, terminating stops in
         # an opaque-accepting state exactly when the observation so far,
         # closed with the end marker, is an opaque word
+        states = product_states(pm)
         for play in enumerate_plays(model, max_actions=4):
             v = pm.initial
             inputs = play_inputs(model, play)
             for (s, a, t) in inputs[:-1]:
                 dist = dict(pm.transitions[(v, a)])
                 matches = [
-                    w for w in dist if pm.states[w][0] == t
+                    w for w in dist if states[w][0] == t
                 ]
                 assert len(matches) == 1
                 v = matches[0]
@@ -126,11 +130,9 @@ class TestProductMdp:
     def test_views_are_read_only(self, pm):
         with pytest.raises(TypeError):
             pm.transitions[(0, 0)] = ()
-        with pytest.raises(TypeError):
-            pm.index[(0, 0, 0)] = 0
         arrays = [f.name for f in fields(pm) if isinstance(getattr(pm, f.name), np.ndarray)]
         assert arrays == [
-            "components", "row_ptr", "row_action", "entry_ptr", "entry_succ", "entry_prob"
+            "row_ptr", "row_action", "entry_ptr", "entry_succ", "components", "entry_prob"
         ]
         for name in arrays:
             with pytest.raises(ValueError):
@@ -180,8 +182,7 @@ def reference_product(model, task, opaque):
 def assert_matches_reference(model, task, opaque):
     pm = product_mdp(model, task, opaque)
     states, transitions = reference_product(model, task, opaque)
-    assert pm.states == states
-    assert dict(pm.index) == {v: i for i, v in enumerate(states)}
+    assert product_states(pm) == states
     # the same rows in the same order, each with the same successors in
     # the same order; probabilities compare as floats, so bit for bit
     assert list(pm.transitions.items()) == list(transitions.items())
@@ -588,6 +589,24 @@ class TestWarmStart:
         dual = solve_lp(build_lp(pm, 0.5, "transparency")).task_dual
         assert dual == pytest.approx((low - high) / 0.2, abs=1e-9)
         assert dual == pytest.approx(0.042857, abs=1e-6)
+
+    def test_task_dual_at_a_breakpoint(self, model, task_dfa, opaque_dfa):
+        # Table I bends at 0.5: flat at 0.7 below it, slope -1 above.  There
+        # the dual is one of the two one-sided slopes, chosen by the basis
+        # the solve starts from, so a warm and a fresh solve may differ
+        def solve(pm, eps):
+            return solve_lp(build_lp(pm, eps, "opacity"))
+
+        pm = product_mdp(model, task_dfa, opaque_dfa)
+        at, below, above = (solve(pm, eps).objective for eps in (0.5, 0.49, 0.51))
+        slopes = sorted(((below - at) / 0.01, (at - above) / 0.01))
+        assert slopes == pytest.approx([0.0, 1.0], abs=1e-6)
+        warm = product_mdp(model, task_dfa, opaque_dfa)
+        for eps in (0.4, 0.6, 0.8, 0.3, 0.7):
+            solve(warm, eps)
+        for sol in (solve(warm, 0.5), solve(product_mdp(model, task_dfa, opaque_dfa), 0.5)):
+            assert sol.objective == pytest.approx(0.7, abs=FEASIBILITY_TOL)
+            assert slopes[0] - 1e-6 <= sol.task_dual <= slopes[1] + 1e-6
 
     def test_infeasible_then_feasible(self, model, task_dfa, opaque_dfa):
         pm = product_mdp(model, task_dfa, opaque_dfa)

@@ -42,6 +42,8 @@ from opaque_planner.transducer import (
 from helpers import (
     dfa_from_moves,
     play_inputs,
+    product_index,
+    product_states,
     random_model,
     random_secret_text,
     reference_subset_construction,
@@ -154,14 +156,14 @@ class TestProductFst:
         s1 = model.state_index["s1"]
         letter = (model.top, model.a_top, s1)
         target, out = pf.transitions[(pf.initial, letter)]
-        assert pf.states[target] == (s1, secret_dfa.initial)
+        assert product_states(pf)[target] == (s1, secret_dfa.initial)
         assert out == START
 
     def test_secret_advance_on_entering_s6(self, model, pf, secret_dfa):
         s3, b, s6 = model.state_index["s3"], model.action_index["b"], model.state_index["s6"]
-        src = pf.index[(s3, secret_dfa.initial)]
+        src = product_index(pf)[(s3, secret_dfa.initial)]
         target, out = pf.transitions[(src, (s3, b, s6))]
-        entered = pf.states[target]
+        entered = product_states(pf)[target]
         assert entered[0] == s6
         assert entered[1] in secret_dfa.accepting
         assert out == SS(["s5", "s6"])
@@ -169,15 +171,15 @@ class TestProductFst:
     def test_termination_freezes_secret_state(self, model, pf, secret_dfa):
         s6 = model.state_index["s6"]
         accepting_q = next(iter(secret_dfa.accepting))
-        src = pf.index[(s6, accepting_q)]
+        src = product_index(pf)[(s6, accepting_q)]
         target, out = pf.transitions[(src, (s6, model.a_bot, model.bot))]
-        assert pf.states[target] == (model.bot, accepting_q)
+        assert product_states(pf)[target] == (model.bot, accepting_q)
         assert out == END
         assert target in pf.accept_sat
 
     def test_accepting_sets_partition_terminal_pairs(self, model, pf):
         terminal = {
-            i for i, (s, _q) in enumerate(pf.states) if s == model.bot
+            i for i, (s, _q) in enumerate(product_states(pf)) if s == model.bot
         }
         assert pf.accept_sat | pf.accept_vio == terminal
         assert not (pf.accept_sat & pf.accept_vio)
@@ -253,8 +255,8 @@ def assert_matches_reference_fst(model, secret):
     fst = build_obs_fst(model)
     pf = product_fst(fst, secret)
     pairs, index, transitions, accept_sat, accept_vio = reference_product_fst(fst, secret)
-    assert pf.states == pairs
-    assert dict(pf.index) == index
+    assert product_states(pf) == pairs
+    assert product_index(pf) == index
     assert dict(pf.transitions) == transitions
     assert pf.accept_sat == accept_sat
     assert pf.accept_vio == accept_vio
@@ -294,11 +296,9 @@ class TestAgainstReferenceProductFst:
     def test_views_are_read_only(self, pf):
         with pytest.raises(TypeError):
             pf.transitions[(0, (0, 0, 0))] = (0, END)
-        with pytest.raises(TypeError):
-            pf.index[(0, 0)] = 0
         arrays = [f.name for f in fields(pf) if isinstance(getattr(pf, f.name), np.ndarray)]
         assert arrays == [
-            "components", "row_ptr", "row_action", "entry_ptr", "entry_succ", "entry_model"
+            "row_ptr", "row_action", "entry_ptr", "entry_succ", "components", "entry_model"
         ]
         for name in arrays:
             with pytest.raises(ValueError):
