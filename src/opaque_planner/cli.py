@@ -216,6 +216,7 @@ def cmd_plan(args) -> int:
         },
         "product_states": pm.n_states,
         "quotient_states": pm.quotient.n_blocks,
+        "quotient_rounds": pm.quotient.rounds,
         "variables": len(lp.variables),
     }
     if args.out:

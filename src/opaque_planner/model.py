@@ -124,6 +124,12 @@ class Play:
 # CSR row groups
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: a cached array is shared by every reader."""
+    array.setflags(write=False)
+    return array
+
+
 def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     """``arange(start[i], start[i] + count[i])`` for every i, concatenated."""
     end = np.cumsum(count)
@@ -162,17 +168,17 @@ class RowGroups:
     @cached_property
     def row_state(self) -> np.ndarray:
         """The state of each row."""
-        return np.repeat(np.arange(self.n_states), np.diff(self.row_ptr))
+        return _read_only(np.repeat(np.arange(self.n_states), np.diff(self.row_ptr)))
 
     @cached_property
     def entry_state(self) -> np.ndarray:
         """The source state of each entry."""
-        return np.repeat(self.row_state, np.diff(self.entry_ptr))
+        return _read_only(np.repeat(self.row_state, np.diff(self.entry_ptr)))
 
     @cached_property
     def entry_action(self) -> np.ndarray:
         """The action of each entry."""
-        return np.repeat(self.row_action, np.diff(self.entry_ptr))
+        return _read_only(np.repeat(self.row_action, np.diff(self.entry_ptr)))
 
     def rows_of(self, states, actions) -> np.ndarray:
         """The row of each (state, action) pair; -1 where the state does
@@ -294,7 +300,7 @@ class Model(RowGroups):
         """Each state's index into ``label_letters``; -1 on the two frame
         states."""
         letter_id = {l: i for i, l in enumerate(self.label_letters)}
-        return np.array([letter_id.get(l, -1) for l in self.labels], dtype=np.int64)
+        return _read_only(np.array([letter_id.get(l, -1) for l in self.labels], dtype=np.int64))
 
     def successors(self, s: int, a: int) -> tuple[tuple[int, float], ...]:
         return self.transitions.get((s, a), ())

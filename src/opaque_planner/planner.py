@@ -28,7 +28,10 @@ same actions and reach every block, the absorbing outcome blocks included,
 with the same probabilities, so one occupancy variable per (block, action)
 loses no optimum.  A policy is one probability per product row, in the
 CSR layout the LP and the sampler read; every member of a block gets its
-block's distribution.  Each round ranks the states' signatures with
+block's distribution.  Refinement is by splitters (Valmari & Franceschinis
+2010): block ids are stable, and each round re-signs only the touched
+states, those of the blocks that reach a block that split in the round
+before.  It ranks their signatures, one int64 table per round, with
 ``automata.row_classes``, the helper ``automata.minimize`` refines the
 opaque-observations DFA with: DFA minimization is the same refinement on a
 deterministic system.
@@ -50,7 +53,7 @@ except ImportError:
     highspy = None
 
 from .automata import Dfa, row_classes, step_table
-from .model import Model, ModelError, RowGroups, _ranges, distributions
+from .model import Model, ModelError, RowGroups, _ranges, _read_only, distributions
 
 FEASIBILITY_TOL = 1e-9
 
@@ -77,8 +80,12 @@ class Quotient:
     representative, then the absorbing ones.
     """
 
-    block: np.ndarray  # product state -> block
+    block: np.ndarray  # product state -> block, read-only
     representatives: tuple[int, ...]  # block -> smallest member
+    rounds: int  # refinement rounds run, the first re-signing every state
+
+    def __post_init__(self) -> None:
+        self.block.setflags(write=False)
 
     @property
     def n_blocks(self) -> int:
@@ -111,7 +118,7 @@ class Product(RowGroups):
 
     @cached_property
     def absorbing_mask(self) -> np.ndarray:
-        return self.components[:, 0] == self.model.bot
+        return _read_only(self.components[:, 0] == self.model.bot)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,14 +162,14 @@ class ProductMdp(Product):
     def task_accepts(self) -> np.ndarray:
         """Per state, whether its task component accepts: at an absorbing
         state, whether the run that stopped there satisfies the task."""
-        return np.isin(self.components[:, 1], list(self.task.accepting))
+        return _read_only(np.isin(self.components[:, 1], list(self.task.accepting)))
 
     @cached_property
     def opaque_accepts(self) -> np.ndarray:
         """Per state, whether its q_hat component accepts: at an absorbing
         state, which has read the end marker, whether the run's observation
         is opaque."""
-        return np.isin(self.components[:, 2], list(self.opaque.accepting))
+        return _read_only(np.isin(self.components[:, 2], list(self.opaque.accepting)))
 
     @cached_property
     def transitions(self) -> Mapping[tuple[int, int], tuple[tuple[int, float], ...]]:
@@ -306,30 +313,46 @@ def bisimulation_quotient(pm: ProductMdp) -> Quotient:
     task satisfied) and the non-absorbing states keyed by enabled actions;
     every LP objective and the task row are probabilities of stopping in an
     outcome, so one quotient serves all modes and thresholds.  Each round
-    then splits the blocks by the signature "action -> probability of
-    reaching each current block" until no block splits.
-    """
-    row_state, row_action = pm.row_state, pm.row_action
-    entry_row = np.repeat(np.arange(len(row_action)), np.diff(pm.entry_ptr))
-    entry_target, entry_prob = pm.entry_succ, pm.entry_prob
+    then splits blocks by the signature "action -> probability of reaching
+    each current block" until no block splits.
 
+    Refinement is by splitters (Valmari & Franceschinis 2010): a state's
+    signature changes only when a successor's block splits, so round 1
+    signs every state and each later round re-signs only the states of the
+    blocks that hold a predecessor of a state whose block split in the
+    round before.  Block ids are stable: a splitting block keeps its id
+    for one part and the other parts get fresh ids, so an untouched
+    state's signature stays valid.  The coarsest bisimulation is unique,
+    so this is the partition that re-signing every state each round finds.
+    """
     absorbing = pm.absorbing_mask
     # absorbing states by outcome (codes 0-3), the others all under code 4
     head = np.where(absorbing, 2 * pm.opaque_accepts + pm.task_accepts, 4)
-    block = _split(head, row_state, row_action[:, None])
+    block = _signature_classes(head, pm.row_state, pm.row_action)
+    pred_ptr, pred = _predecessors(pm)
 
-    while True:
+    touched = np.arange(pm.n_states)
+    rounds = 0
+    while touched.size:
+        rounds += 1
         n_blocks = int(block.max()) + 1
-        pairs, inverse = np.unique(
-            entry_row * n_blocks + block[entry_target], return_inverse=True
-        )
-        mass = np.bincount(inverse.reshape(-1), weights=entry_prob)
-        pair_row = pairs // n_blocks
-        keys = np.column_stack([row_action[pair_row], pairs % n_blocks, _quantize(mass)])
-        refined = _split(block, row_state[pair_row], keys)
-        if int(refined.max()) + 1 == n_blocks:
-            break
-        block = refined
+        cls = _signature_classes(block[touched], *_signatures(pm, touched, block, n_blocks))
+        # classes are sorted by block first: the first class of each block
+        # keeps its id, the others get fresh ones
+        cls_block = np.empty(int(cls.max()) + 1, dtype=np.int64)
+        cls_block[cls] = block[touched]
+        keeps = np.ones(len(cls_block), dtype=bool)
+        keeps[1:] = cls_block[1:] != cls_block[:-1]
+        fresh = ~keeps
+        block[touched] = np.where(keeps, cls_block, n_blocks + np.cumsum(fresh) - 1)[cls]
+        split = np.zeros(n_blocks + int(fresh.sum()), dtype=bool)
+        split[cls_block[fresh]] = True
+        split[n_blocks:] = True
+        # next, the blocks of the predecessors of every state whose block split
+        moved = touched[split[block[touched]]]
+        hit = np.zeros(len(split), dtype=bool)
+        hit[block[pred[_ranges(pred_ptr[moved], pred_ptr[moved + 1] - pred_ptr[moved])]]] = True
+        touched = np.flatnonzero(hit[block])
 
     # renumber: non-absorbing blocks by smallest member, then the absorbing ones
     _, first = np.unique(block, return_index=True)
@@ -339,21 +362,70 @@ def bisimulation_quotient(pm: ProductMdp) -> Quotient:
     return Quotient(
         block=rank[block],
         representatives=tuple(int(v) for v in first[order]),
+        rounds=rounds,
     )
+
+
+def _predecessors(pm: ProductMdp) -> tuple[np.ndarray, np.ndarray]:
+    """The predecessor index: the source states of the entries into state
+    ``t`` are ``pred[pred_ptr[t]:pred_ptr[t + 1]]``."""
+    counts = np.bincount(pm.entry_succ, minlength=pm.n_states)
+    pred_ptr = np.concatenate(([0], np.cumsum(counts)))
+    per_state = pm.entry_ptr[pm.row_ptr[1:]] - pm.entry_ptr[pm.row_ptr[:-1]]
+    pred = np.repeat(np.arange(pm.n_states), per_state)[np.argsort(pm.entry_succ)]
+    return pred_ptr, pred
+
+
+def _signatures(pm: ProductMdp, touched: np.ndarray, block: np.ndarray, n_blocks: int):
+    """The signature rows of the ``touched`` states (increasing): per
+    (row, block) pair that a row's entries reach, in (row, block) order,
+    ``row_action * n_blocks + block`` and the quantized probability mass.
+    Returns the place in ``touched`` of each pair's state, then the two
+    columns."""
+    if len(touched) == pm.n_states:  # every state: read the arrays in place
+        owner, row_action = pm.row_state, pm.row_action
+        succ, prob, width = pm.entry_succ, pm.entry_prob, np.diff(pm.entry_ptr)
+    else:
+        count = pm.row_ptr[touched + 1] - pm.row_ptr[touched]
+        rows = _ranges(pm.row_ptr[touched], count)
+        owner = np.repeat(np.arange(len(touched)), count)
+        row_action = pm.row_action[rows]
+        width = pm.entry_ptr[rows + 1] - pm.entry_ptr[rows]
+        e = _ranges(pm.entry_ptr[rows], width)
+        succ, prob = pm.entry_succ[e], pm.entry_prob[e]
+        del e
+    key = np.repeat(np.arange(len(row_action), dtype=np.int64) * n_blocks, width)
+    key += block[succ]
+    # a stable sort keeps each pair's entries in entry order, the order
+    # in which bincount adds their probabilities
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    mass = np.bincount(np.cumsum(first) - 1, weights=prob[order])
+    del order
+    pair_row, pair_block = np.divmod(key[first], n_blocks)
+    return owner[pair_row], row_action[pair_row] * n_blocks + pair_block, _quantize(mass)
 
 
 def _quantize(values) -> np.ndarray:
     return np.rint(np.asarray(values, dtype=float) / ZERO_OCCUPANCY_THRESHOLD).astype(np.int64)
 
 
-def _split(head: np.ndarray, owner: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _signature_classes(head: np.ndarray, owner: np.ndarray, *columns: np.ndarray) -> np.ndarray:
     """Class of each state by its ``head`` value and the sequence of its
-    ``keys`` rows; ``owner`` (non-decreasing) names the state of each row."""
+    rows of ``columns``, ranked by ``row_classes`` over one int64 table;
+    ``owner`` (non-decreasing) names the state of each row.  States with
+    fewer rows are padded with -1, below every column value."""
     counts = np.bincount(owner, minlength=len(head))
     start = np.cumsum(counts) - counts
-    table = np.full((len(head), 1 + int(counts.max(initial=0))), -1, dtype=np.int64)
+    k = len(columns)
+    table = np.full((len(head), 1 + k * int(counts.max(initial=0))), -1, dtype=np.int64)
     table[:, 0] = head
-    table[owner, 1 + np.arange(len(owner)) - start[owner]] = row_classes(keys)
+    at = 1 + k * (np.arange(len(owner)) - start[owner])
+    for j, column in enumerate(columns):
+        table[owner, at + j] = column
     return row_classes(table)
 
 

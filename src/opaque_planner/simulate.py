@@ -89,9 +89,12 @@ class RolloutStats:
         }
 
 
-# Steps of draws fetched per refill of a run's buffer.  A Philox block
-# holds four doubles, two steps' worth, so an even value starts every
-# refill on a block boundary; any even value gives the same statistics.
+# Steps of draws fetched by the first refill of a run's buffer.  Each
+# later refill fetches as many steps as have passed, up to
+# ``8 * _CHUNK_STEPS``: short runs waste few draws, and long ones re-seed
+# rarely.  A Philox block holds four doubles, two steps' worth, so an even
+# value starts every refill on a block boundary; any even value gives the
+# same statistics.
 _CHUNK_STEPS = 32
 
 
@@ -186,6 +189,7 @@ def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> Rollout
     slot = live  # their rows of the draw buffer
     final = np.empty(runs, dtype=np.intp)
     steps = 0
+    refill = 0  # the step at which the buffer runs out
     for t in count():
         done = absorbing[x]
         if done.any():
@@ -198,10 +202,12 @@ def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> Rollout
             raise SimulationError(
                 f"{live.size} of {runs} runs have not stopped after {STEP_BUDGET} steps"
             )
-        c = t % _CHUNK_STEPS
-        if c == 0:
-            buf = _draws(bitgen, live, t // 2, 2 * _CHUNK_STEPS)
+        if t == refill:
+            n = min(max(t, _CHUNK_STEPS), 8 * _CHUNK_STEPS)
+            buf = _draws(bitgen, live, t // 2, 2 * n)
             slot = np.arange(live.size)
+            filled, refill = t, t + n
+        c = t - filled
         k = _index(act_cum[x], act_width[x], buf[slot, 2 * c])
         row = first_row[x] + k
         j = _index(succ_cum[row], succ_width[row], buf[slot, 2 * c + 1])

@@ -2,18 +2,30 @@
 random walks over a model, running the observation transducer and its
 product with a secret on a play, the dict subset construction that the
 array one replaced, the occupancy of a product state's block, a product's
-states as component tuples, and DFAs built from move dicts and compared
-field by field."""
+states as component tuples, DFAs built from move dicts and compared field
+by field, and the full-refinement bisimulation quotient that refinement
+by splitters replaced."""
 
 from collections import deque
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from opaque_planner.automata import Dfa, Nfa
+from opaque_planner.automata import Dfa, Nfa, row_classes
 from opaque_planner.model import Model, ObsSymbol, Play, build_model
-from opaque_planner.planner import PolicySolution
+from opaque_planner.planner import ZERO_OCCUPANCY_THRESHOLD, PolicySolution, ProductMdp, Quotient
 from opaque_planner.transducer import Fst, InputLetter, ProductFst
+
+
+# the secrets of perfbench's gridworld-build workload
+GRIDWORLD_BUILD_SECRETS = [
+    "F B & F A",
+    "F (B & F A)",
+    "G (!B | F A)",
+    "F B | G !A",
+    "F A & G !C",
+    "(!A) U B",
+]
 
 
 def dfa_from_moves(
@@ -232,3 +244,50 @@ def reference_subset_construction(nfa: Nfa, accepts: Callable[[frozenset[int]], 
         (order[s] for s in subsets if accepts(s)),
         names,
     )
+
+
+def reference_quotient(pm: ProductMdp) -> Quotient:
+    """The coarsest bisimulation by full refinement: the same initial
+    blocks as ``bisimulation_quotient``, then every round re-signs every
+    state by "action -> quantized probability of reaching each current
+    block", ranking the (action, block, mass) keys first, until no block
+    splits.  ``rounds`` counts the rounds, the last one included."""
+    row_state, row_action = pm.row_state, pm.row_action
+    entry_row = np.repeat(np.arange(len(row_action)), np.diff(pm.entry_ptr))
+    absorbing = pm.absorbing_mask
+    head = np.where(absorbing, 2 * pm.opaque_accepts + pm.task_accepts, 4)
+    block = _split(head, row_state, row_action[:, None])
+    rounds = 0
+    while True:
+        rounds += 1
+        n_blocks = int(block.max()) + 1
+        pairs, inverse = np.unique(entry_row * n_blocks + block[pm.entry_succ], return_inverse=True)
+        mass = np.bincount(inverse.reshape(-1), weights=pm.entry_prob)
+        pair_row = pairs // n_blocks
+        quantized = np.rint(mass / ZERO_OCCUPANCY_THRESHOLD).astype(np.int64)
+        keys = np.column_stack([row_action[pair_row], pairs % n_blocks, quantized])
+        refined = _split(block, row_state[pair_row], keys)
+        if int(refined.max()) + 1 == n_blocks:
+            break
+        block = refined
+    _, first = np.unique(block, return_index=True)
+    order = np.lexsort((first, absorbing[first]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return Quotient(
+        block=rank[block],
+        representatives=tuple(int(v) for v in first[order]),
+        rounds=rounds,
+    )
+
+
+def _split(head: np.ndarray, owner: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Class of each state by its ``head`` value and the sequence of its
+    ranked ``keys`` rows; ``owner`` (non-decreasing) names the state of
+    each row."""
+    counts = np.bincount(owner, minlength=len(head))
+    start = np.cumsum(counts) - counts
+    table = np.full((len(head), 1 + int(counts.max(initial=0))), -1, dtype=np.int64)
+    table[:, 0] = head
+    table[owner, 1 + np.arange(len(owner)) - start[owner]] = row_classes(keys)
+    return row_classes(table)

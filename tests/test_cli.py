@@ -138,6 +138,9 @@ class TestPlan:
         assert doc["metadata"]["objective"] == pytest.approx(0.7, abs=1e-6)
         assert doc["metadata"]["manifest"]["task"] == "F s4"
         assert 0 < doc["metadata"]["quotient_states"] < doc["metadata"]["product_states"]
+        # three rounds split the running example's blocks (6 -> 17), and a
+        # fourth re-signs the states the last split reached and splits none
+        assert doc["metadata"]["quotient_rounds"] == 4
         # a_top, at least one move, then a_bot
         assert doc["metadata"]["solver"]["expected_steps"] >= 3
         some_state = next(iter(doc["policy"]))

@@ -29,6 +29,7 @@ from opaque_planner.simulate import enumerate_plays, exact_policy_values
 from opaque_planner.transducer import opaque_obs_dfa
 
 from helpers import (
+    GRIDWORLD_BUILD_SECRETS,
     block_occupancy,
     dfa_from_moves,
     play_inputs,
@@ -36,6 +37,7 @@ from helpers import (
     product_states,
     random_model,
     random_secret_text,
+    reference_quotient,
 )
 from lp_text import solve_lp_text
 
@@ -137,6 +139,20 @@ class TestProductMdp:
         for name in arrays:
             with pytest.raises(ValueError):
                 getattr(pm, name)[0] = 0
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [("model", name) for name in ("row_state", "entry_state", "entry_action", "state_label")]
+        + [("pm", name) for name in ("row_state", "entry_state", "entry_action", "absorbing_mask",
+                                     "task_accepts", "opaque_accepts")]
+        + [("quotient", "block")],
+    )
+    def test_cached_arrays_are_read_only(self, model, pm, owner, name):
+        # each is built once and shared by every later reader: a write
+        # would corrupt every later product, LP or policy
+        array = getattr({"model": model, "pm": pm, "quotient": pm.quotient}[owner], name)
+        with pytest.raises(ValueError):
+            array[0] = array[0]
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +413,26 @@ def _random_product(seed):
     return product_mdp(m, task, opaque_obs_dfa(m, secret))
 
 
+def _small_gridworld():
+    return gridworld(GridworldConfig(
+        width=4, height=3, plant_cell=3, control_cells=(11,), data_cells=(4,),
+        alarm_cells=(1,), wall_cells=(6,), init_cell=8,
+        binary_sensors=(Sensor("1", (0, 4, 5)), Sensor("2", (2, 3, 7))),
+        precision_sensors=(Sensor("5", (4, 8, 9)),),
+        drone=DroneConfig((10, 11, 7), 0.65),
+    ))
+
+
+def _gridworld_product(model, secret_text):
+    """The product of a gridworld with the task ``F C`` and a secret's
+    opaque-observations DFA."""
+    return product_mdp(
+        model,
+        dfa_over_model_labels("F C", model),
+        opaque_obs_dfa(model, dfa_over_model_labels(secret_text, model)),
+    )
+
+
 @pytest.fixture(scope="module")
 def products(pm):
     return [pm] + [_random_product(seed) for seed in range(20)]
@@ -446,22 +482,33 @@ class TestQuotient:
         # the optimal face here holds zero-reward circulations; the
         # solver's vertex holds none, so its policy stops with probability
         # 1 (exact evaluation raises otherwise) and attains the optimum
-        model = gridworld(GridworldConfig(
-            width=4, height=3, plant_cell=3, control_cells=(11,), data_cells=(4,),
-            alarm_cells=(1,), wall_cells=(6,), init_cell=8,
-            binary_sensors=(Sensor("1", (0, 4, 5)), Sensor("2", (2, 3, 7))),
-            precision_sensors=(Sensor("5", (4, 8, 9)),),
-            drone=DroneConfig((10, 11, 7), 0.65),
-        ))
-        pm = product_mdp(
-            model,
-            dfa_over_model_labels("F C", model),
-            opaque_obs_dfa(model, dfa_over_model_labels("F B & F A", model)),
-        )
+        pm = _gridworld_product(_small_gridworld(), "F B & F A")
         sol = solve_lp(build_lp(pm, 0.4, "opacity"))
         assert sol.objective == pytest.approx(0.6, abs=1e-6)
         values = exact_policy_values(pm, extract_policy(sol, pm))
         assert values["ph"] == pytest.approx(sol.objective, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "case", ["running-example", *range(40), "gridworld-4x3", *GRIDWORLD_BUILD_SECRETS]
+    )
+    def test_matches_full_refinement(self, pm, case):
+        # stability alone (test_blocks_are_stable) holds for any finer
+        # partition too; the full-refinement oracle pins coarsest-ness.
+        # An int is a _random_product seed, a formula a secret on the
+        # default gridworld
+        if case == "running-example":
+            product = pm
+        elif case == "gridworld-4x3":
+            product = _gridworld_product(_small_gridworld(), "F B & F A")
+        elif isinstance(case, int):
+            product = _random_product(case)
+        else:
+            product = _gridworld_product(gridworld(), case)
+        got, want = product.quotient, reference_quotient(product)
+        assert got.block.dtype == want.block.dtype
+        assert got.block.tobytes() == want.block.tobytes()
+        assert got.representatives == want.representatives
+        assert got.rounds == want.rounds
 
     def test_running_example_shrinks(self, pm):
         assert pm.quotient is pm.quotient

@@ -40,6 +40,7 @@ from opaque_planner.transducer import (
 )
 
 from helpers import (
+    GRIDWORLD_BUILD_SECRETS,
     dfa_from_moves,
     play_inputs,
     product_index,
@@ -260,17 +261,6 @@ def assert_matches_reference_fst(model, secret):
     assert dict(pf.transitions) == transitions
     assert pf.accept_sat == accept_sat
     assert pf.accept_vio == accept_vio
-
-
-# the secrets of perfbench's gridworld-build workload
-GRIDWORLD_BUILD_SECRETS = [
-    "F B & F A",
-    "F (B & F A)",
-    "G (!B | F A)",
-    "F B | G !A",
-    "F A & G !C",
-    "(!A) U B",
-]
 
 
 @pytest.fixture(scope="module")
