@@ -217,6 +217,7 @@ def cmd_plan(args) -> int:
         "product_states": pm.n_states,
         "quotient_states": pm.quotient.n_blocks,
         "quotient_rounds": pm.quotient.rounds,
+        "start_policy_rounds": lp.start_policy_rounds,
         "variables": len(lp.variables),
     }
     if args.out:

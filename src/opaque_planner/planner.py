@@ -12,7 +12,11 @@ occupancy-measure LP maximizes the probability of stopping opaque (or
 transparent) subject to flow conservation and a task-probability threshold.
 Only the task row's bound depends on the threshold, so each product
 keeps one HiGHS instance per mode, and each solve re-starts the dual
-simplex from the basis the last one left.
+simplex from the basis the last one left.  Without its task row the LP is
+an MDP, which policy iteration solves exactly in a few sparse
+factorizations (Puterman 1994, §6.4 and §7.2); one constraint moves a
+constrained optimum at most one randomization away from a deterministic
+policy (Altman 1999).  So the first solve starts from that policy's basis.
 
 The product is built by ``_product_search``, the one level search that
 also builds the product transducer of :mod:`.transducer`, in numpy over
@@ -46,6 +50,7 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.linalg import splu
 
 try:  # scipy's binding of HiGHS; without it only the LP solves fail
     from scipy.optimize._highspy import _core as highspy
@@ -460,15 +465,95 @@ class LpModel:
         return f"m_v{v}_a{a}"
 
     @cached_property
+    def cost(self) -> np.ndarray:
+        """The objective as HiGHS minimizes it."""
+        return (-1.0 if self.maximize else 1.0) * self.objective
+
+    @cached_property
+    def start_policy(self) -> tuple[np.ndarray | None, int]:
+        """The optimal policy of this LP without its task row, one column
+        per flow row, and the rounds of policy iteration that found it
+        (:func:`_policy_iteration`); None and 0 when the start policy does
+        not stop."""
+        return _policy_iteration(self)
+
+    @property
+    def start_policy_rounds(self) -> int:
+        return self.start_policy[1]
+
+    @cached_property
     def highs(self):
         """This LP in one HiGHS instance, passed on the first solve: the
         task row first, as ``-task_row @ x <= -epsilon`` (the layout of
         scipy's ``highs-ds`` method) with the bound each solve sets, then
-        the flow rows.  A solve leaves its basis here, and the next
-        threshold's dual simplex starts from it."""
+        the flow rows.  The first solve's dual simplex starts from the
+        basis of ``start_policy``: its columns and the task row are basic,
+        the other columns sit at zero and the flow rows are nonbasic.  That
+        basis is dual feasible, so a threshold the policy meets takes no
+        iteration.  A solve leaves its basis here, and the next threshold's
+        dual simplex starts from it."""
         a = sp.vstack((sp.csr_matrix(-self.task_row.reshape(1, -1)), self.a_eq)).tocsc()
-        cost = (-1.0 if self.maximize else 1.0) * self.objective
-        return _highs(cost, a, np.append(-np.inf, self.b_eq), np.append(np.inf, self.b_eq))
+        highs = _highs(self.cost, a, np.append(-np.inf, self.b_eq), np.append(np.inf, self.b_eq))
+        policy = self.start_policy[0]
+        if policy is not None:
+            status = highspy.HighsBasisStatus
+            col_status = np.full(a.shape[1], status.kLower, dtype=object)
+            col_status[policy] = status.kBasic
+            basis = highspy.HighsBasis()
+            basis.col_status = col_status.tolist()
+            basis.row_status = [status.kBasic] + [status.kLower] * len(self.b_eq)
+            basis.valid = True
+            highs.setBasis(basis)
+        return highs
+
+
+def _policy_iteration(lp: LpModel) -> tuple[np.ndarray | None, int]:
+    """Policy iteration (Puterman 1994, §7.2) on the columns of ``lp``'s
+    flow rows, which without the task row are an MDP: returns the column
+    each row ends on and the number of rounds, each one sparse LU.
+
+    The start policy takes ``a_bot`` where a row enables it and the row's
+    first column elsewhere: in a validated model, ``s_top``'s only action.
+    Each round solves ``a_eq[:, policy].T @ v = cost[policy]`` for the
+    values, prices every column at ``cost - a_eq.T @ v`` and moves each
+    row whose best column is below ``-FEASIBILITY_TOL`` to that column,
+    until no row moves.
+
+    A policy is proper, stops with probability 1, when every row reaches a
+    column that sends mass into the absorbing states.  Strict improvement
+    keeps a policy proper: a closed class of the new policy sends no mass
+    out, so its columns cost nothing, and averaged over the class's
+    recurrent rows its values would have to improve on themselves by the
+    moves among those rows, so none of them moved; then the class was
+    closed under the old policy too.  Each round strictly lowers the values
+    and there are finitely many policies, so the loop ends.  ``validate``
+    requires a sure ``a_bot`` at every interior state, so the start policy
+    of a valid model is proper; an improper one gives None, and HiGHS
+    starts from its own crash basis.
+    """
+    pm, a = lp.pm, lp.a_eq.tocsc()
+    reps = np.array(lp.rows, dtype=np.int64)
+    width = pm.row_ptr[reps + 1] - pm.row_ptr[reps]
+    var_ptr = np.cumsum(width) - width
+    owner = np.repeat(np.arange(len(reps)), width)
+    policy = var_ptr.copy()
+    stops = np.flatnonzero(pm.row_action[_ranges(pm.row_ptr[reps], width)] == pm.model.a_bot)
+    policy[owner[stops]] = stops
+
+    chosen = a[:, policy].tocoo()
+    leaks = np.flatnonzero(np.bincount(chosen.col, chosen.data, len(reps)) > ZERO_OCCUPANCY_THRESHOLD)
+    if not _reaching(chosen.col, chosen.row, leaks, len(reps)).all():
+        return None, 0
+    rounds = 0
+    while True:
+        rounds += 1
+        values = splu(a[:, policy]).solve(lp.cost[policy], trans="T")
+        reduced = lp.cost - a.T @ values
+        best = np.lexsort((reduced, owner))[var_ptr]  # each row's first cheapest column
+        moves = reduced[best] < -FEASIBILITY_TOL
+        if not moves.any():
+            return policy, rounds
+        policy[moves] = best[moves]
 
 
 @dataclass(frozen=True)
@@ -571,11 +656,12 @@ class PolicySolution:
     #: of the trade-off curve it is one of the two one-sided slopes, and
     #: which one depends on the basis the solve started from: the running
     #: example's opacity at 0.5 gives 1.0 after a warm sequence and 0.0
-    #: from a fresh instance
+    #: from a fresh instance, which starts at the start policy's basis
     task_dual: float | None = None
 
 
-#: the options scipy's ``highs-ds`` method passes HiGHS, tolerances set
+#: the options scipy's ``highs-ds`` method passes HiGHS, tolerances set;
+#: presolve runs only on a solve with no starting basis
 _HIGHS_OPTIONS = {
     "presolve": "on",
     "solver": "simplex",
@@ -609,11 +695,13 @@ def _highs(cost, a: sp.csc_matrix, row_lower, row_upper):
 def solve_lp(lp: LpProblem) -> PolicySolution:
     """Solve with the HiGHS dual simplex, so the occupancy is a vertex of
     the feasible set.  Only the task row's bound changes between the
-    solves of one product and mode: each re-runs from the basis the last
-    one left in ``lp.model.highs``.  The first solve of an instance is
-    scipy's ``highs-ds`` method's, bit for bit; a later one may end on
-    another vertex of the same optimal face.  On infeasibility, report
-    the product's largest feasible threshold.
+    solves of one product and mode: the first starts from the basis of
+    ``lp.model.start_policy``, the task-free optimum, and needs no
+    iteration when that policy meets the threshold; each later one
+    re-runs from the basis the last one left in ``lp.model.highs``.  Any
+    solve may end on another vertex of the optimal face than a cold
+    ``highs-ds`` solve.  On infeasibility, report the product's largest
+    feasible threshold.
 
     A vertex holds no zero-reward circulation: were ``x >= d c`` for a
     circulation ``c`` and some ``d > 0``, both ``x + d c`` and ``x - d c``

@@ -141,6 +141,9 @@ class TestPlan:
         # three rounds split the running example's blocks (6 -> 17), and a
         # fourth re-signs the states the last split reached and splits none
         assert doc["metadata"]["quotient_rounds"] == 4
+        # policy iteration moves off the stop-everywhere policy twice, and
+        # a third round finds no better column
+        assert doc["metadata"]["start_policy_rounds"] == 3
         # a_top, at least one move, then a_bot
         assert doc["metadata"]["solver"]["expected_steps"] >= 3
         some_state = next(iter(doc["policy"]))

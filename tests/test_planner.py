@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.linalg import splu
 
 from opaque_planner.automata import IncompleteDfaError
 from opaque_planner.ltlf import dfa_over_model_labels
-from opaque_planner.model import END, START, obs_of_play
+from opaque_planner.model import (
+    A_BOT, A_TOP, END, S_BOT, S_TOP, START, assemble, obs_of_play, validate,
+)
 from opaque_planner import planner
 from opaque_planner.planner import (
     FEASIBILITY_TOL,
@@ -570,10 +573,20 @@ def cold_solve(lp):
     )
 
 
+def start_policy_occupancy(lp):
+    """The occupancy of ``lp``'s start policy: its columns solve the flow
+    rows, the others are zero."""
+    policy, _ = lp.start_policy
+    x = np.zeros(len(lp.variables))
+    x[policy] = splu(lp.a_eq.tocsc()[:, policy]).solve(lp.b_eq)
+    return x
+
+
 def assert_sweep_matches(pm, mode, order, cold):
     """Solve ``pm``'s LP at each threshold of ``order``, one product and
-    mode, so one instance: the first solve is ``cold``'s bit for bit, every
-    optimum is its optimum within ``FEASIBILITY_TOL``, and each warm
+    mode, so one instance: the first solve starts at the start policy's
+    vertex, and stays there exactly when that policy meets the threshold;
+    every optimum is ``cold``'s within ``FEASIBILITY_TOL``; and each
     vertex's policy attains its objective and the threshold exactly."""
     for k, eps in enumerate(order):
         lp = build_lp(pm, eps, mode)
@@ -583,9 +596,13 @@ def assert_sweep_matches(pm, mode, order, cold):
             continue
         assert sol.status == "optimal", (order, eps)
         if k == 0:
-            assert np.array_equal(sol.occupancy, ref.x)
-            assert sol.iterations == ref.nit
-            assert sol.task_dual == -ref.ineqlin.marginals[0]
+            start = start_policy_occupancy(lp)
+            if lp.task_row @ start >= eps - FEASIBILITY_TOL:
+                assert sol.iterations == 0, (order, eps)
+                assert np.abs(sol.occupancy - start).max() <= FEASIBILITY_TOL
+                assert sol.task_dual == 0.0
+            else:
+                assert sol.iterations > 0, (order, eps)
         assert abs(sol.objective - lp.objective @ ref.x) <= FEASIBILITY_TOL, (order, eps)
         assert sol.task_dual >= -FEASIBILITY_TOL
         values = exact_policy_values(pm, extract_policy(sol, pm))
@@ -701,6 +718,110 @@ class TestWarmStart:
             solve_lp(lp)
 
 
+# ---------------------------------------------------------------------------
+# the first solve starts from policy iteration's optimal policy
+
+
+def start_policy_value(lp):
+    """The objective of ``lp``'s start policy from the initial block: its
+    value there, solved from the policy's own columns."""
+    policy, _ = lp.start_policy
+    values = splu(lp.a_eq.tocsc()[:, policy]).solve(lp.objective[policy], trans="T")
+    return values[lp.pm.quotient.block[lp.pm.initial]]
+
+
+def assert_start_policy_is_optimal(pm, mode):
+    """At threshold 0 the task row is slack, so the LP optimum is the start
+    policy's value, and the extracted policy attains it."""
+    lp = build_lp(pm, 0.0, mode)
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(start_policy_value(lp), abs=1e-9)
+    values = exact_policy_values(pm, extract_policy(sol, pm))
+    value = values["pt" if mode == "transparency" else "ph"]
+    assert value == pytest.approx(sol.objective, abs=1e-9)
+
+
+#: the moves of ``trap_model``'s trap, which no run leaves
+TRAPS = {
+    # the start policy's factor is exactly singular
+    "self-loop": {("s2", "a"): {"s2": 1.0}},
+    # rounding leaves the factor regular, with values near 1e16
+    "cycle": {("s2", "a"): {"s2": 0.1, "s4": 0.9}, ("s4", "b"): {"s2": 0.3, "s4": 0.7}},
+}
+
+
+def trap_model(trap):
+    """A model that ``validate`` rejects: ``s1``'s action ``a`` may enter
+    ``s2``, and no policy stops from there."""
+    moves = {
+        (S_TOP, A_TOP): {"s1": 1.0},
+        ("s1", "a"): {"s2": 0.5, "s3": 0.5},
+        ("s1", "b"): {"s3": 1.0},
+        ("s1", A_BOT): {S_BOT: 1.0},
+        ("s3", "a"): {"s1": 1.0},
+        ("s3", A_BOT): {S_BOT: 1.0},
+        (S_BOT, "a"): {S_BOT: 1.0},
+        (S_BOT, "b"): {S_BOT: 1.0},
+        **trap,
+    }
+    observations = {
+        (s, a, t): ["s2", "s3"] if t in ("s2", "s3") else [t]
+        for (s, a), dist in moves.items()
+        if s not in (S_TOP, S_BOT) and a != A_BOT
+        for t in dist
+    }
+    return assemble(
+        [S_TOP, "s1", "s2", "s3", "s4", S_BOT],
+        [A_TOP, "a", "b", A_BOT],
+        moves,
+        {"s1": ["p"], "s2": ["q"], "s3": ["r"], "s4": ["q"]},
+        observations,
+    )
+
+
+class TestStartPolicy:
+    @pytest.mark.parametrize("mode", ["opacity", "transparency", "min-opacity"])
+    def test_running_example(self, model, task_dfa, opaque_dfa, mode):
+        pm = product_mdp(model, task_dfa, opaque_dfa)
+        assert_start_policy_is_optimal(pm, mode)
+        assert solve_lp(build_lp(pm, 0.0, mode)).iterations == 0
+
+    def test_products(self, products):
+        for pm in products[1:]:
+            for mode in ("opacity", "transparency", "min-opacity"):
+                assert_start_policy_is_optimal(pm, mode)
+
+    def test_gridworld(self, grid, grid_automata):
+        pm = product_mdp(grid, *grid_automata)
+        assert_start_policy_is_optimal(pm, "opacity")
+        assert build_lp(pm, 0.0).start_policy_rounds == 22
+
+    def test_gridworld_sweep_iterations(self, grid, grid_automata):
+        # the cold start took 2,603 + 95 + 41 iterations on this sweep
+        pm = product_mdp(grid, *grid_automata)
+        iterations = [solve_lp(build_lp(pm, eps)).iterations for eps in (0.4, 0.6, 0.8)]
+        assert sum(iterations) <= 500, iterations
+
+    @pytest.mark.parametrize("trap", TRAPS)
+    @pytest.mark.parametrize("mode", ["opacity", "transparency", "min-opacity"])
+    def test_improper_start_policy_passes_no_basis(self, mode, trap):
+        model = trap_model(TRAPS[trap])
+        assert validate(model)
+        pm = product_mdp(
+            model,
+            dfa_over_model_labels("F r", model),
+            opaque_obs_dfa(model, dfa_over_model_labels("F q | F r", model)),
+        )
+        for eps in (0.0, 0.5, 1.0):
+            lp = build_lp(pm, eps, mode)
+            policy, rounds = lp.start_policy
+            assert policy is None and rounds == 0
+            sol, ref = solve_lp(lp), cold_solve(lp)
+            assert sol.status == "optimal" and ref.status == 0
+            assert abs(sol.objective - lp.objective @ ref.x) <= FEASIBILITY_TOL
+
+
 def test_scipy_ships_the_highs_binding():
     # what solve_lp uses of scipy's HiGHS binding, present since scipy 1.15;
     # pyproject.toml asks for the release the package is tested on
@@ -708,9 +829,13 @@ def test_scipy_ships_the_highs_binding():
 
     assert _core.MatrixFormat.kColwise is not None
     assert {"kOptimal", "kInfeasible"} <= set(_core.HighsModelStatus.__members__)
-    for name in ("passModel", "setOptionValue", "changeRowBounds", "run", "getModelStatus",
-                 "modelStatusToString", "getInfo", "getSolution"):
+    for name in ("passModel", "setOptionValue", "changeRowBounds", "setBasis", "run",
+                 "getModelStatus", "modelStatusToString", "getInfo", "getSolution"):
         assert callable(getattr(_core._Highs, name, None)), name
+    assert {"kBasic", "kLower"} <= set(_core.HighsBasisStatus.__members__)
+    basis = _core.HighsBasis()
+    for field in ("col_status", "row_status", "valid"):
+        assert hasattr(basis, field), field
     lp = _core.HighsLp()
     for field in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_",
                   "row_lower_", "row_upper_", "a_matrix_"):
