@@ -4,6 +4,8 @@ the exhaustive opacity oracle used to cross-check the automaton pipeline.
 
 from __future__ import annotations
 
+import logging
+import operator
 from dataclasses import dataclass
 from itertools import count
 from math import sqrt
@@ -16,6 +18,8 @@ from scipy.sparse.csgraph import breadth_first_order
 from .automata import Dfa
 from .model import PROB_TOL, Model, ObsSymbol, Play, obs_of_play
 from .planner import ProductMdp, _flow_matrix, _graph, _reaching
+
+log = logging.getLogger(__name__)
 
 ENUMERATION_BUDGET = 10_000_000
 # The most steps a rollout run may take.  ``rollout`` samples only
@@ -89,83 +93,154 @@ class RolloutStats:
         }
 
 
-# Steps of draws fetched by the first refill of a run's buffer.  Each
-# later refill fetches as many steps as have passed, up to
-# ``8 * _CHUNK_STEPS``: short runs waste few draws, and long ones re-seed
-# rarely.  A Philox block holds four doubles, two steps' worth, so an even
-# value starts every refill on a block boundary; any even value gives the
-# same statistics.
-_CHUNK_STEPS = 32
+# Steps of draws fetched by the first refill of the live runs' buffer.
+# Each later refill fetches as many steps as have passed, up to
+# ``8 * _CHUNK_STEPS``.  ``_draws`` costs about as much per Philox block
+# however many runs share a refill, so a short first refill wastes few
+# blocks on the many runs that stop early, and the growth keeps the
+# refills of long runs few.  A block holds four doubles, two steps'
+# worth, so an even value starts every refill on a block boundary; any
+# even value gives the same statistics.
+_CHUNK_STEPS = 8
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11), as numpy's ``Philox`` computes it: the round multipliers of
+# counter words 0 and 2, and the increments of the two key words.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshape(2, 1, 1)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# (block, run) pairs that ``_draws`` computes per pass: its six working
+# arrays of twice this many words then stay in a core's cache.
+_PHILOX_CELLS = 16384
+_LOW = np.uint64(0xFFFFFFFF)
 
 
-def _table(flat: np.ndarray, widths: np.ndarray, fill, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _table(flat: np.ndarray, widths: np.ndarray, fill, dtype) -> np.ndarray:
     """Rows of ``widths[r]`` consecutive entries of ``flat``, padded with
-    ``fill`` into a dense table; also the mask of real entries."""
-    w = np.array(widths, dtype=np.intp)
-    table = np.full((len(w), max(int(w.max(initial=0)), 1)), fill, dtype)
-    real = np.arange(table.shape[1]) < w[:, None]
-    table[real] = flat
-    return table, real
+    ``fill`` into a dense table."""
+    table = np.full((len(widths), max(int(widths.max(initial=0)), 1)), fill, dtype)
+    table[np.arange(table.shape[1]) < widths[:, None]] = flat
+    return table
 
 
 def _cumulative(flat: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Row-wise cumulative sums, padded with +inf."""
-    table, real = _table(flat, widths, 0.0, np.float64)
-    cum = np.cumsum(table, axis=1)
-    cum[~real] = np.inf
-    return cum
+    """Row-wise cumulative sums, with each row's last real entry and its
+    padding set to +inf; transposed, one column per row."""
+    cum = np.cumsum(_table(flat, widths, 0.0, np.float64), axis=1)
+    cum[np.arange(cum.shape[1]) >= widths[:, None] - 1] = np.inf
+    return np.ascontiguousarray(cum.T)
 
 
 def _kernel(pm: ProductMdp, policy: np.ndarray):
     """Compile a policy into dense sampling tables over the product rows.
 
-    Per state: cumulative action probabilities (actions in increasing
-    order), the number of actions, and its first row.  Per row: cumulative
-    successor probabilities, successor ids and the number of successors.
+    Per state, a column of cumulative action probabilities (actions in
+    increasing order), and its first row.  Per row, a column of
+    cumulative successor probabilities, and a row of successor ids.  The
+    last real cumulative entry of each column is +inf, so ``_index``
+    never picks past the row's end.
     """
-    act_width = np.diff(pm.row_ptr)
     succ_width = np.diff(pm.entry_ptr)
     return (
-        _cumulative(policy, act_width),
-        act_width,
+        _cumulative(policy, np.diff(pm.row_ptr)),
         pm.row_ptr[:-1],
         _cumulative(pm.entry_prob, succ_width),
-        _table(pm.entry_succ, succ_width, 0, np.intp)[0],
-        succ_width,
+        _table(pm.entry_succ, succ_width, 0, np.intp),
     )
 
 
-def _index(cum: np.ndarray, width: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row, the number of cumulative probabilities at most ``u``,
-    clipped to the row: ``searchsorted(side="right").clip(0, width - 1)``."""
-    return np.minimum((cum <= u[:, None]).sum(axis=1), width - 1)
+def _index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per column, the number of cumulative probabilities at most ``u``.
+    On a ``_cumulative`` table this is ``searchsorted(side="right")`` on
+    the real entries, clipped to them: a draw at or above the total,
+    which rounding can leave just under 1, picks the last entry."""
+    return (cum <= u).sum(axis=0)
 
 
-def _draws(bitgen: np.random.Philox, runs: np.ndarray, block: int, n: int) -> np.ndarray:
-    """``n`` doubles of each listed run's stream, from Philox block
-    ``block`` on: run i's stream is the generator of ``seed`` jumped i
-    times, whose counter is (block, 0, i, 0)."""
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    counter[0] = block
-    state["buffer_pos"] = len(state["buffer"])  # the next draw starts a block
-    out = np.empty((len(runs), n))
-    for row, i in zip(out, runs.tolist()):
-        counter[2] = i
-        bitgen.state = state
-        # the conversion of Generator.random: the top 53 bits, scaled
-        row[:] = bitgen.random_raw(n) >> 11
-    out *= 2.0**-53
-    return out
+def _mulhi(
+    a: np.ndarray, m: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.ndarray, w: np.ndarray
+):
+    """Set ``hi`` to the high words of the 128-bit products ``a * m``, from
+    32-bit halves; ``m`` broadcasts against ``a``, and ``t``, ``u`` and
+    ``w`` are scratch of ``a``'s shape."""
+    m_lo, m_hi = m & _LOW, m >> np.uint64(32)
+    np.bitwise_and(a, _LOW, out=t)
+    np.right_shift(a, 32, out=u)
+    np.multiply(t, m_lo, out=hi)
+    hi >>= 32  # the carry out of the low halves' product
+    np.multiply(u, m_lo, out=w)
+    w += hi
+    np.right_shift(w, 32, out=hi)
+    w &= _LOW
+    t *= m_hi
+    t += w
+    t >>= 32
+    u *= m_hi
+    u += hi
+    np.add(u, t, out=hi)
+
+
+def _draws(seed: int, runs: np.ndarray, block: int, n: int) -> np.ndarray:
+    """The next ``n`` doubles of each listed run's stream, from Philox
+    block ``block`` on: one column per run.
+
+    Run i's stream is ``Generator(Philox(key=seed).jumped(i)).random()``:
+    Philox4x64-10 with key (seed mod 2**64, seed >> 64), whose j-th block
+    from ``block`` has counter (block + 1 + j, 0, i, 0).  The (block, run)
+    pairs are computed together, a round at a time over whole arrays, and
+    each 64-bit output is converted as ``Generator.random`` does: its top
+    53 bits, scaled.
+    """
+    blocks = -(-n // 4)
+    k0, k1 = seed & (2**64 - 1), seed >> 64
+    w0, w1 = _PHILOX_W
+    keys = np.array(
+        [[(k0 + r * w0) % 2**64, (k1 + r * w1) % 2**64] for r in range(_PHILOX_ROUNDS)], np.uint64
+    )
+    counter = np.arange(block + 1, block + 1 + blocks, dtype=np.uint64)
+    runs = np.asarray(runs, np.uint64)
+    out = np.empty((blocks, 4, len(runs)))
+    cols = max(_PHILOX_CELLS // blocks, 1)
+    for c in range(0, len(runs), cols):
+        s = slice(c, c + cols)
+        # p holds the counter words (v0, v2) that a round multiplies, q (v1, v3)
+        p = np.empty((2, blocks, len(runs[s])), np.uint64)
+        p[0], p[1] = counter[:, None], runs[s]
+        q = np.zeros_like(p)
+        hi, t, u, w = (np.empty_like(p) for _ in range(4))
+        for key in keys[:, :, None, None]:
+            # (v0, v1, v2, v3) <- (hi(m1 v2) ^ v1 ^ k0, lo(m1 v2), hi(m0 v0) ^ v3 ^ k1, lo(m0 v0))
+            _mulhi(p, _PHILOX_M, hi, t, u, w)
+            np.bitwise_xor(q, hi[::-1], out=q)
+            q ^= key
+            p *= _PHILOX_M
+            p, q = q, p[::-1]
+        for words, k in ((p, 0), (q, 1)):
+            words >>= 11
+            np.multiply(words.transpose(1, 0, 2), 2.0**-53, out=out[:, k::2, s])
+    return out.reshape(4 * blocks, len(runs))[:n]
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a plain ``int``; ``SimulationError`` unless it is an
+    integer other than a bool."""
+    if isinstance(value, (bool, np.bool_)):
+        raise SimulationError(f"{name} must be an integer, not {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SimulationError(f"{name} must be an integer, not {value!r}") from None
 
 
 def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> RolloutStats:
     """Sample ``runs`` independent plays of the policy, one probability per
     product row, each until it is absorbed.
 
-    The policy is checked first, as for ``exact_policy_values``: a policy
-    that is not a distribution over each state's actions, or that reaches
-    a state it never stops from, raises ``SimulationError``.  So does a run
+    ``runs`` and ``seed`` must be integers (not bools), ``runs`` positive
+    and ``seed`` in [0, 2**128), or ``SimulationError`` is raised.  The
+    policy is checked first, as for ``exact_policy_values``: a policy that
+    is not a distribution over each state's actions, or that reaches a
+    state it never stops from, raises ``SimulationError``.  So does a run
     still going after ``STEP_BUDGET`` steps; no run is cut short.
 
     Run ``i`` reads its own counter-based substream: the Philox stream of
@@ -173,22 +248,25 @@ def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> Rollout
     .jumped(i)).random()``.  Each step takes two draws, the first picking
     the action and the second the successor, each as the first entry of
     the cumulative distribution above the draw.  The runs are stepped
-    together, but each reads only its own stream, so the statistics depend
-    on (seed, runs) alone and never on how the draws are batched.
+    together, and ``_draws`` computes the live runs' next blocks of draws
+    in one pass, but each run reads only its own stream, so the
+    statistics depend on (seed, runs) alone and never on how the draws
+    are batched.  At INFO, one log line gives the runs, loop steps,
+    refills, and the draws generated and used.
     """
+    runs, seed = _integer(runs, "runs"), _integer(seed, "seed")
     if runs < 1:
         raise SimulationError("runs must be positive")
     if not 0 <= seed < 2**128:
         raise SimulationError("seed must be in [0, 2**128)")
     _reachable_transient(pm, policy)
-    act_cum, act_width, first_row, succ_cum, succ_id, succ_width = _kernel(pm, policy)
+    act_cum, first_row, succ_cum, succ_id = _kernel(pm, policy)
     absorbing = pm.absorbing_mask
-    bitgen = np.random.Philox(key=seed)
     live = np.arange(runs)  # ids of the runs still going
+    slot = live  # their columns of the draw buffer
     x = np.full(runs, pm.initial)  # their product states
-    slot = live  # their rows of the draw buffer
     final = np.empty(runs, dtype=np.intp)
-    steps = 0
+    steps = refills = generated = 0
     refill = 0  # the step at which the buffer runs out
     for t in count():
         done = absorbing[x]
@@ -204,15 +282,20 @@ def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> Rollout
             )
         if t == refill:
             n = min(max(t, _CHUNK_STEPS), 8 * _CHUNK_STEPS)
-            buf = _draws(bitgen, live, t // 2, 2 * n)
+            buf = _draws(seed, live, t // 2, 2 * n)
             slot = np.arange(live.size)
             filled, refill = t, t + n
-        c = t - filled
-        k = _index(act_cum[x], act_width[x], buf[slot, 2 * c])
-        row = first_row[x] + k
-        j = _index(succ_cum[row], succ_width[row], buf[slot, 2 * c + 1])
-        x = succ_id[row, j]
+            refills += 1
+            generated += buf.size
+        c = 2 * (t - filled)  # the buffer row of this step's action draws
+        row = first_row[x] + _index(act_cum.take(x, axis=1), buf[c].take(slot))
+        j = _index(succ_cum.take(row, axis=1), buf[c + 1].take(slot))
+        x = succ_id.take(row * succ_id.shape[1] + j)
         steps += live.size
+    log.info(
+        "rollout: %d runs, %d loop steps, %d refills, %d draws generated, %d used",
+        runs, t, refills, generated, 2 * steps,
+    )
     counts = np.bincount(final, minlength=pm.n_states)
     opaque = int(counts[pm.opaque_accepts].sum())
     return RolloutStats(

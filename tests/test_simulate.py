@@ -1,3 +1,5 @@
+import json
+import logging
 import math
 
 import numpy as np
@@ -166,6 +168,74 @@ class TestRollout:
         policy, _ = optimal_policy
         assert rollout(pm, policy, runs=10, seed=2**128 - 1).runs == 10
 
+    def test_seed_not_an_integer(self, pm, optimal_policy):
+        # a float seed used to run silently as its integer part
+        policy, _ = optimal_policy
+        with pytest.raises(SimulationError, match="seed must be an integer"):
+            rollout(pm, policy, runs=10, seed=1.5)
+
+    def test_seed_bool(self, pm, optimal_policy):
+        policy, _ = optimal_policy
+        with pytest.raises(SimulationError, match="seed must be an integer"):
+            rollout(pm, policy, runs=10, seed=True)
+
+    def test_numpy_integers_stored_as_int(self, pm, optimal_policy):
+        policy, _ = optimal_policy
+        stats = rollout(pm, policy, runs=np.int64(3), seed=np.uint64(7))
+        assert type(stats.runs) is int
+        assert stats == rollout(pm, policy, runs=3, seed=7)
+        json.dumps(stats.to_dict())
+
+    def test_runs_not_an_integer(self, pm, optimal_policy):
+        policy, _ = optimal_policy
+        with pytest.raises(SimulationError, match="runs must be an integer"):
+            rollout(pm, policy, runs=2.5, seed=1)
+
+    def test_runs_bool(self, pm, optimal_policy):
+        policy, _ = optimal_policy
+        with pytest.raises(SimulationError, match="runs must be an integer"):
+            rollout(pm, policy, runs=True, seed=1)
+
+    def test_draw_counts_logged(self, pm, lp_policies, caplog):
+        # the running example's six 10,000-run rollouts: the refill
+        # schedule keeps the draws generated near the draws used, in few
+        # refills; the counts repeat exactly from run to run
+        with caplog.at_level(logging.INFO, logger="opaque_planner.simulate"):
+            for policy in lp_policies.values():
+                stats = rollout(pm, policy, runs=10_000, seed=2025)
+                runs, _, refills, generated, used = caplog.records[-1].args
+                assert (runs, used) == (10_000, 2 * stats.steps)
+                assert generated <= 1.75 * used
+                assert refills <= 8
+
+
+class TestDraws:
+    """``_draws`` computes every run's Philox blocks at once; each column
+    must be the run's own jumped stream, bit for bit."""
+
+    @staticmethod
+    def jumped_stream(seed, run, block, n):
+        bitgen = np.random.Philox(key=seed).jumped(run)
+        bitgen.random_raw(4 * block)  # skip to the start of block ``block``
+        return np.random.Generator(bitgen).random(n)
+
+    RUNS = [0, 1, 5, 2**32 - 1, 2**32 + 3, 2**40 + 17]
+
+    @pytest.mark.parametrize("seed", [0, 2025, 2**64 - 1, 2**64, 2**100 + 7, 2**128 - 1])
+    @pytest.mark.parametrize("block", [0, 1, 1000])
+    @pytest.mark.parametrize("n", [2, 6, 66])
+    def test_matches_jumped_streams(self, seed, block, n):
+        got = simulate._draws(seed, np.array(self.RUNS), block, n)
+        want = np.column_stack([self.jumped_stream(seed, i, block, n) for i in self.RUNS])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_passes_over_runs_do_not_change_draws(self, monkeypatch):
+        runs = np.arange(0, 3000, 3)
+        expected = simulate._draws(11, runs, 16, 40)
+        monkeypatch.setattr(simulate, "_PHILOX_CELLS", 7)
+        assert simulate._draws(11, runs, 16, 40).tobytes() == expected.tobytes()
+
 
 class TestInvalidPolicy:
     """The sampler rejects a policy that is not one probability per product
@@ -254,15 +324,18 @@ class TestAgainstReference:
 
     def test_ties_and_shortfall_pick_as_searchsorted(self):
         # draws equal to a cumulative probability, zero-probability
-        # entries and a distribution summing to just under 1
-        cum = np.cumsum([0.0, 0.25, 0.0, 0.25, 0.5 - 1e-10])
+        # entries and a distribution summing to just under 1, picked on
+        # the table whose last real entry is +inf
+        probs = np.array([0.0, 0.25, 0.0, 0.25, 0.5 - 1e-10])
+        cum = np.cumsum(probs)
         u = np.array([0.0, 0.1, 0.25, 0.5, 0.75, cum[-1], 1.0 - 2**-53])
-        padded = np.tile(np.append(cum, np.inf), (len(u), 1))
-        got = simulate._index(padded, np.full(len(u), len(cum)), u)
+        table = simulate._cumulative(probs, np.array([len(probs)]))
+        assert table[:, 0].tolist() == [*cum[:-1], np.inf]
+        got = simulate._index(np.tile(table, len(u)), u)
         want = np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1)
         assert got.tolist() == want.tolist()
 
-    @pytest.mark.parametrize("chunk", [2, 64])
+    @pytest.mark.parametrize("chunk", [2, 8, 64])
     def test_batching_does_not_change_stats(self, pm, lp_policies, monkeypatch, chunk):
         # the transparency policy at 0.8 runs ~17 steps on average and its
         # longest runs many times that, so runs cross many refills of
