@@ -43,22 +43,57 @@ deterministic system.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Mapping
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
 
-try:  # scipy's binding of HiGHS; without it only the LP solves fail
-    from scipy.optimize._highspy import _core as highspy
-except ImportError:
-    highspy = None
-
 from .automata import Dfa, row_classes, step_table
 from .model import Model, ModelError, RowGroups, _ranges, _read_only, distributions
+
+#: the full name of scipy's HiGHS binding, a pybind11 extension
+HIGHSPY = "scipy.optimize._highspy._core"
+
+
+def _load_highspy():
+    """scipy's binding of HiGHS, or None when scipy ships none; without it
+    only the LP solves fail.
+
+    The extension is found in scipy's ``optimize/_highspy`` directory and
+    loaded on its own: importing it by name would first run
+    ``scipy/optimize/__init__.py``, whose linprog, ``scipy.special``,
+    ``scipy.fft`` and ``scipy.spatial`` cost each process ~0.3 s and
+    ~14 MB that nothing here uses.  It is registered in ``sys.modules``
+    under its full name, and taken from there when ``scipy.optimize`` has
+    already loaded it, so the extension is loaded once whichever is
+    imported first: pybind11 registers its types once per process, and a
+    second load does not give a working second copy.
+    """
+    if HIGHSPY in sys.modules:
+        return sys.modules[HIGHSPY]
+    where = [os.path.join(path, "optimize", "_highspy") for path in scipy.__path__]
+    spec = PathFinder.find_spec(HIGHSPY, where)
+    if spec is None:
+        return None
+    try:  # an extension that fails to load counts as none
+        module = sys.modules[HIGHSPY] = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        sys.modules.pop(HIGHSPY, None)
+        return None
+    return module
+
+
+highspy = _load_highspy()
 
 FEASIBILITY_TOL = 1e-9
 
@@ -154,14 +189,15 @@ class ProductMdp(Product):
     @cached_property
     def max_feasible_epsilon(self) -> float | None:
         """The largest task threshold any policy meets: the task row
-        maximized over the flow rows, which every mode shares; None when
-        HiGHS finds no optimum."""
+        maximized over the flow rows, which every mode shares, clipped into
+        [0, 1] against HiGHS's round-off; None when HiGHS finds no
+        optimum."""
         lp = _lp_model(self, "opacity")
         highs = _highs(-lp.task_row, lp.a_eq.tocsc(), lp.b_eq, lp.b_eq)
         highs.run()
         if highs.getModelStatus() != highspy.HighsModelStatus.kOptimal:
             return None
-        return -highs.getInfo().objective_function_value
+        return min(1.0, max(0.0, -highs.getInfo().objective_function_value))
 
     @cached_property
     def task_accepts(self) -> np.ndarray:

@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import deque
 from dataclasses import fields
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.linalg import splu
@@ -256,6 +262,13 @@ class TestLp:
         literal = solve_lp(build_lp(pm, 0.4, "min-opacity"))
         dual = solve_lp(build_lp(pm, 0.4, "transparency"))
         assert literal.objective + dual.objective == pytest.approx(1.0, abs=1e-8)
+
+    def test_max_feasible_epsilon_is_a_probability(self, pm, model, opaque_dfa):
+        # HiGHS maximizes the task row to 1.0000000000000002 on this product,
+        # and to -0.0 where no run satisfies the task
+        assert pm.max_feasible_epsilon == 1.0
+        never = product_mdp(model, dfa_over_model_labels("false", model), opaque_dfa)
+        assert str(never.max_feasible_epsilon) == "0.0"
 
     def test_infeasible_threshold(self, pm):
         sol = solve_lp(build_lp(pm, 1.01, "opacity"))
@@ -689,7 +702,7 @@ class TestWarmStart:
                 -lp.task_row, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0.0, None),
                 method="highs", options=COLD_OPTIONS,
             )
-            assert pm.max_feasible_epsilon == -best.fun
+            assert pm.max_feasible_epsilon == min(1.0, max(0.0, -best.fun))
             for mode in ("opacity", "transparency", "min-opacity"):
                 sol = solve_lp(build_lp(pm, 1.5, mode))
                 assert sol.status == "infeasible"
@@ -823,9 +836,11 @@ class TestStartPolicy:
 
 
 def test_scipy_ships_the_highs_binding():
-    # what solve_lp uses of scipy's HiGHS binding, present since scipy 1.15;
-    # pyproject.toml asks for the release the package is tested on
-    from scipy.optimize._highspy import _core
+    # what solve_lp uses of scipy's HiGHS binding, present since scipy 1.15,
+    # as the package's loader found it; pyproject.toml asks for the release
+    # the package is tested on
+    _core = planner.highspy
+    assert _core is not None
 
     assert _core.MatrixFormat.kColwise is not None
     assert {"kOptimal", "kInfeasible"} <= set(_core.HighsModelStatus.__members__)
@@ -840,3 +855,65 @@ def test_scipy_ships_the_highs_binding():
     for field in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_",
                   "row_lower_", "row_upper_", "a_matrix_"):
         assert hasattr(lp, field), field
+
+
+# ---------------------------------------------------------------------------
+# the binding is loaded without scipy.optimize, and only once
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(script):
+    """Run ``script`` in a fresh interpreter that imports the package from
+    the checkout's ``src``."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+
+
+def test_importing_the_package_leaves_scipy_optimize_out():
+    run_python(
+        "import sys\n"
+        "import opaque_planner\n"
+        "from opaque_planner import planner\n"
+        "loaded = {'scipy.optimize', 'scipy.special', 'scipy.fft'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        f"assert planner.highspy is sys.modules[{planner.HIGHSPY!r}]\n"
+    )
+
+
+def test_the_package_reuses_the_binding_scipy_optimize_loaded():
+    run_python(
+        "import scipy.optimize\n"
+        "from scipy.optimize._highspy import _core\n"
+        "from opaque_planner import planner\n"
+        "assert planner.highspy is _core\n"
+    )
+
+
+def test_linprog_solves_after_the_package_loaded_the_binding():
+    run_python(
+        "from opaque_planner import planner\n"
+        "from scipy.optimize import linprog\n"
+        "from scipy.optimize._highspy import _core\n"
+        "res = linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1], method='highs-ds')\n"
+        "assert res.status == 0 and res.fun == 1.0, res\n"
+        "assert _core is planner.highspy\n"
+    )
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["no directory", "unloadable file"])
+def test_without_a_loadable_binding_the_loader_finds_none(
+    broken, model, task_dfa, opaque_dfa, monkeypatch, tmp_path
+):
+    if broken:
+        where = tmp_path / "optimize" / "_highspy"
+        where.mkdir(parents=True)
+        (where / f"_core{EXTENSION_SUFFIXES[0]}").write_bytes(b"not a shared object")
+    monkeypatch.delitem(sys.modules, planner.HIGHSPY)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    found = planner._load_highspy()
+    assert found is None and planner.HIGHSPY not in sys.modules
+    monkeypatch.setattr(planner, "highspy", found)
+    lp = build_lp(product_mdp(model, task_dfa, opaque_dfa), 0.4)
+    with pytest.raises(PlannerError, match="HiGHS binding"):
+        solve_lp(lp)
