@@ -6,8 +6,11 @@ Letters are label sets (frozensets of proposition names), observation
 symbols, or plain strings in tests; all of them sort deterministically so
 state numbering is reproducible from run to run.
 
-A DFA is its dense (state, letter id) move table; only the writers read
-its letter-keyed ``transitions`` view.  :func:`subset_construction` is
+A DFA is its dense (state, letter id) move table, and an NFA its move
+arrays (source, letter id, target); only the writers and the tests read
+their letter-keyed ``transitions`` views.  :func:`intersect` searches
+pairs of NFA states level by level, numbering them with the product
+searches' ``model._number_level``.  :func:`subset_construction` is
 breadth-first over numpy arrays, one level at a time: it sorts the
 (subset, letter, target) codes of a whole level and looks each (subset,
 letter) target set up by its bytes, numbering new subsets as a FIFO search
@@ -27,7 +30,6 @@ states takes n rounds.  :func:`minimize` is :func:`step_table` plus
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -35,7 +37,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import ObsSymbol, START, END, _ranges
+from .model import ObsSymbol, START, END, _number_level, _ranges
 
 Letter = Hashable
 
@@ -124,30 +126,42 @@ class Dfa:
         return bool((self.table >= 0).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Nfa:
-    """Nondeterministic automaton without epsilon moves."""
+    """Nondeterministic automaton without epsilon moves: move ``k`` goes
+    from ``src[k]`` to ``dst[k]`` on ``alphabet[letter[k]]``, in read-only
+    int64 arrays; ``transitions`` is a read-only view, built on first access."""
 
     alphabet: tuple[Letter, ...]
-    transitions: Mapping[tuple[int, Letter], frozenset[int]]
+    src: np.ndarray
+    letter: np.ndarray
+    dst: np.ndarray
     initials: frozenset[int]
     accepting: frozenset[int]
     state_names: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        for moves in (self.src, self.letter, self.dst):
+            moves.setflags(write=False)
 
     @property
     def n_states(self) -> int:
         return len(self.state_names)
 
-    def targets(self, q: int, letter: Letter) -> frozenset[int]:
-        return self.transitions.get((q, letter), frozenset())
+    @cached_property
+    def transitions(self) -> Mapping[tuple[int, Letter], frozenset[int]]:
+        targets: dict[tuple[int, Letter], set[int]] = {}
+        for q, i, t in zip(self.src.tolist(), self.letter.tolist(), self.dst.tolist()):
+            targets.setdefault((q, self.alphabet[i]), set()).add(t)
+        return MappingProxyType({k: frozenset(v) for k, v in targets.items()})
 
     def accepts(self, word: Sequence[Letter]) -> bool:
-        current = set(self.initials)
+        current = np.isin(np.arange(self.n_states), list(self.initials))
         for letter in word:
-            current = {t for q in current for t in self.targets(q, letter)}
-            if not current:
-                return False
-        return bool(current & self.accepting)
+            i = self.alphabet.index(letter) if letter in self.alphabet else -1
+            moved = current[self.src] & (self.letter == i)
+            current = np.isin(np.arange(self.n_states), self.dst[moved])
+        return bool(current[list(self.accepting)].any())
 
 
 def step_table(dfa: Dfa, letters: Sequence[Letter], what: str) -> np.ndarray:
@@ -196,6 +210,16 @@ def complete(dfa: Dfa, sink_label: str = "sink") -> Dfa:
     return replace(dfa, table=table, state_names=dfa.state_names + (sink_label,))
 
 
+def _cells(n_states: int, n_letters: int, src, letter, dst) -> tuple[np.ndarray, ...]:
+    """The distinct moves ``src -> dst`` on the letter ids ``letter``,
+    sorted by cell ``src * width + letter``, where ``width`` is
+    ``max(n_letters, 1)``, then by target: the CSR pointers of the
+    ``n_states * width`` cells, and each move's letter id and target."""
+    width, n = max(n_letters, 1), max(n_states, 1)
+    cell, dst = np.divmod(np.unique((src * width + letter) * n + dst), n)
+    return np.searchsorted(cell, np.arange(n_states * width + 1)), cell % width, dst
+
+
 def subset_construction(
     n_states: int,
     n_letters: int,
@@ -222,10 +246,8 @@ def subset_construction(
     up by their int32 bytes, so the only Python loop is over cells that
     have a move.
     """
-    src, letter, dst = (np.asarray(a, dtype=np.int64) for a in (src, letter, dst))
-    by_src = np.argsort(src, kind="stable")
-    out_letter, out_dst = letter[by_src], dst[by_src]
-    out_ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_states))))
+    cell_ptr, out_letter, out_dst = _cells(n_states, n_letters, src, letter, dst)
+    out_ptr = cell_ptr[:: max(n_letters, 1)]  # the moves from each state
     keys = [np.unique(np.asarray(initials, dtype=np.int32)).tobytes()]  # members, as bytes
     index = {keys[0]: 0}
     rows = []
@@ -279,21 +301,11 @@ def meets(member_ptr: np.ndarray, members: np.ndarray, mask: np.ndarray) -> np.n
 def determinize(nfa: Nfa) -> Dfa:
     """The subset construction accepting the subsets that hold an
     accepting state: the DFA of the NFA's language.  Each subset is named
-    by its members; moves on letters outside ``nfa.alphabet`` are
-    ignored."""
-    letter_id = {letter: i for i, letter in enumerate(nfa.alphabet)}
-    moves = [
-        (q, letter_id[letter], t)
-        for (q, letter), targets in nfa.transitions.items()
-        if letter in letter_id
-        for t in targets
-    ]
-    src, letter, dst = np.array(moves, dtype=np.int64).reshape(-1, 3).T
+    by its members."""
     table, member_ptr, members = subset_construction(
-        nfa.n_states, len(nfa.alphabet), src, letter, dst, np.array(sorted(nfa.initials))
+        nfa.n_states, len(nfa.alphabet), nfa.src, nfa.letter, nfa.dst, sorted(nfa.initials)
     )
-    accepting = np.zeros(nfa.n_states, dtype=bool)
-    accepting[list(nfa.accepting)] = True
+    accepting = np.isin(np.arange(nfa.n_states), list(nfa.accepting))
     flat, ptr = members.tolist(), member_ptr.tolist()
     return Dfa(
         alphabet=nfa.alphabet,
@@ -308,44 +320,52 @@ def determinize(nfa: Nfa) -> Dfa:
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
-    """Product automaton accepting the intersection of the two languages."""
+    """Product automaton accepting the intersection of the two languages,
+    over the sorted alphabet, reachable pairs only.
+
+    A level search over the pair codes ``p * b.n_states + q``: the initial
+    pairs come first, ``a``'s initial states outer; each level joins its
+    pairs' moves in ``a`` with those of ``q`` in ``b`` on the letter, and
+    new pairs are numbered as a FIFO search finds them, by (pair, letter,
+    target in ``a``, target in ``b``).
+    """
     if set(a.alphabet) != set(b.alphabet):
         raise AlphabetMismatchError("intersection requires identical alphabets")
     alphabet = sort_alphabet(a.alphabet)
-    order: dict[tuple[int, int], int] = {}
-    queue: deque[tuple[int, int]] = deque()
-    for p in sorted(a.initials):
-        for q in sorted(b.initials):
-            order[(p, q)] = len(order)
-            queue.append((p, q))
-    transitions: dict[tuple[int, Letter], set[int]] = {}
-    while queue:
-        p, q = pair = queue.popleft()
-        idx = order[pair]
-        for letter in alphabet:
-            targets = [
-                (p2, q2)
-                for p2 in sorted(a.targets(p, letter))
-                for q2 in sorted(b.targets(q, letter))
-            ]
-            if not targets:
-                continue
-            cell = transitions.setdefault((idx, letter), set())
-            for t in targets:
-                if t not in order:
-                    order[t] = len(order)
-                    queue.append(t)
-                cell.add(order[t])
-    pairs = sorted(order, key=order.get)
-    names = tuple(f"({a.state_names[p]},{b.state_names[q]})" for p, q in pairs)
+    stride, nb = max(len(alphabet), 1), b.n_states  # cells are state * stride + letter
+    column = [np.array([alphabet.index(l) for l in x.alphabet], dtype=np.int64) for x in (a, b)]
+    (a_ptr, a_letter, a_dst), (b_ptr, _, b_dst) = (
+        _cells(x.n_states, stride, x.src, c[x.letter], x.dst) for x, c in zip((a, b), column)
+    )
+    p0, q0 = (np.array(sorted(x.initials), dtype=np.int64) for x in (a, b))
+    level = (p0[:, None] * nb + q0).ravel()
+    seen, seen_id = level, np.arange(len(level))
+    levels, moves = [level], [np.zeros((3, 0), dtype=np.int64)]
+    while level.size:
+        p, q = np.divmod(level, nb)
+        width = a_ptr[(p + 1) * stride] - a_ptr[p * stride]
+        ea = _ranges(a_ptr[p * stride], width)  # the moves from each p, by letter
+        cell = np.repeat(q * stride, width) + a_letter[ea]
+        count = b_ptr[cell + 1] - b_ptr[cell]  # the moves from q on that letter
+        eb = _ranges(b_ptr[cell], count)
+        source = np.repeat(len(seen) - len(level) + np.arange(len(level)), width)
+        code = np.repeat(a_dst[ea], count) * nb + b_dst[eb]
+        ids, level, seen, seen_id = _number_level(code, seen, seen_id)
+        moves.append(np.stack((np.repeat(source, count), np.repeat(a_letter[ea], count), ids)))
+        levels.append(level)
+    src, letter, dst = np.concatenate(moves, axis=1)
+    p, q = np.divmod(np.concatenate(levels), max(nb, 1))
+    accepts = np.isin(p, list(a.accepting)) & np.isin(q, list(b.accepting))
     return Nfa(
         alphabet=alphabet,
-        transitions={k: frozenset(v) for k, v in transitions.items()},
-        initials=frozenset(order[(p, q)] for p in a.initials for q in b.initials),
-        accepting=frozenset(
-            order[pq] for pq in pairs if pq[0] in a.accepting and pq[1] in b.accepting
+        src=src,
+        letter=letter,
+        dst=dst,
+        initials=frozenset(range(len(p0) * len(q0))),
+        accepting=frozenset(np.flatnonzero(accepts).tolist()),
+        state_names=tuple(
+            f"({a.state_names[i]},{b.state_names[j]})" for i, j in zip(p.tolist(), q.tolist())
         ),
-        state_names=names,
     )
 
 

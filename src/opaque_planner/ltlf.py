@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import wraps
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +27,20 @@ MAX_DFA_STATES = 50_000
 
 class LtlfError(ValueError):
     pass
+
+
+def _nesting_checked(function):
+    """``function``, raising :class:`LtlfError` where a formula nested too
+    deeply for its recursion would overflow Python's stack."""
+
+    @wraps(function)
+    def checked(*args, **kwargs):
+        try:
+            return function(*args, **kwargs)
+        except RecursionError:
+            raise LtlfError("formula nested too deeply") from None
+
+    return checked
 
 
 class LtlfSyntaxError(LtlfError):
@@ -263,6 +278,7 @@ class _Parser:
         self.fail("expected a formula")
 
 
+@_nesting_checked
 def parse_ltlf(text: str) -> Formula:
     """Parse a formula; ``X U F G true false`` are reserved words."""
     return _Parser(text).parse()
@@ -289,6 +305,7 @@ def eval_empty(f: Formula) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+@_nesting_checked
 def evaluate(f: Formula, word: Sequence) -> bool:
     """Evaluate a formula on a finite word of letters (sets of names).
 
@@ -608,6 +625,7 @@ class _Progression:
         return got
 
 
+@_nesting_checked
 def ltlf_to_dfa(
     formula: Formula | str,
     alphabet: Iterable[frozenset[str]],
@@ -656,4 +674,4 @@ def ltlf_to_dfa(
 
 def dfa_over_model_labels(formula: Formula | str, model: Model) -> Dfa:
     """Translate against the label sets the model actually realizes."""
-    return ltlf_to_dfa(formula, model.label_alphabet(), model.atomic_props)
+    return ltlf_to_dfa(formula, model.label_letters, model.atomic_props)

@@ -136,6 +136,26 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(start - (end - count), count) + np.arange(end[-1] if len(end) else 0)
 
 
+def _number_level(code: np.ndarray, seen: np.ndarray, seen_id: np.ndarray) -> tuple:
+    """Number the codes a breadth-first level reaches as a FIFO search
+    would: ``seen`` holds the codes found so far, sorted, with their ids
+    ``seen_id``; new codes get the next ids by first occurrence in
+    ``code``.  Returns the ids of ``code``, the new codes by id (the next
+    level), and ``seen`` and ``seen_id`` with the new codes added."""
+    distinct, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    pos = np.searchsorted(seen, distinct).clip(max=len(seen) - 1)
+    distinct_id = seen_id[pos]
+    new = seen[pos] != distinct
+    fresh = distinct[new]
+    rank = np.empty(len(fresh), dtype=np.int64)
+    rank[np.argsort(first[new])] = np.arange(len(fresh))  # by first occurrence
+    distinct_id[new] = fresh_id = len(seen) + rank
+    level = np.empty_like(fresh)
+    level[rank] = fresh
+    at = np.searchsorted(seen, fresh)
+    return distinct_id[inverse], level, np.insert(seen, at, fresh), np.insert(seen_id, at, fresh_id)
+
+
 @dataclass(frozen=True, eq=False)
 class RowGroups:
     """A transition system stored once as CSR row groups, the layout of
@@ -293,7 +313,8 @@ class Model(RowGroups):
     @cached_property
     def label_letters(self) -> tuple[frozenset[str], ...]:
         """The distinct interior labels, by size, then members."""
-        return tuple(sorted(self.label_alphabet(), key=lambda l: (len(l), sorted(l))))
+        labels = {self.labels[s] for s in self.interior_state_indices()}
+        return tuple(sorted(labels, key=lambda l: (len(l), sorted(l))))
 
     @cached_property
     def state_label(self) -> np.ndarray:
@@ -319,9 +340,6 @@ class Model(RowGroups):
         if lab is None:
             raise ModelError(f"state {self.states[s]} carries a marker, not a label")
         return lab
-
-    def label_alphabet(self) -> frozenset[frozenset[str]]:
-        return frozenset(self.labels[s] for s in self.interior_state_indices())
 
     def observation_alphabet(self) -> tuple[ObsSymbol, ...]:
         """Realized observation symbols plus the two markers, sorted."""

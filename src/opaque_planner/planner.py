@@ -58,7 +58,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
 
 from .automata import Dfa, row_classes, step_table
-from .model import Model, ModelError, RowGroups, _ranges, _read_only, distributions
+from .model import Model, ModelError, RowGroups, _number_level, _ranges, _read_only, distributions
 
 #: the full name of scipy's HiGHS binding, a pybind11 extension
 HIGHSPY = "scipy.optimize._highspy._core"
@@ -289,7 +289,6 @@ def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
     level = np.array([model.top * n_codes + start])
     seen, seen_id = level, np.array([0])  # codes found so far, sorted, and their ids
     levels, row_counts, actions, widths, succs, entries = [level], [], [], [], [], []
-    n = 1
     while level.size:
         s, c = level // n_codes, level % n_codes
         count = model_rows[s]
@@ -304,21 +303,7 @@ def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
             k = undefined[0]
             _raise_undefined(model, int(s[v[k]]), int(model.row_action[model_row[row[k]]]), int(t[k]))
         code = t * n_codes + step(c[v], label, obs)
-
-        distinct, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        pos = np.searchsorted(seen, distinct).clip(max=len(seen) - 1)
-        distinct_id = seen_id[pos]
-        new = seen[pos] != distinct
-        fresh = distinct[new]
-        rank = np.empty(len(fresh), dtype=np.int64)
-        rank[np.argsort(first[new])] = np.arange(len(fresh))  # by first occurrence
-        distinct_id[new] = n + rank
-        ids = distinct_id[inverse]
-        at = np.searchsorted(seen, fresh)
-        seen, seen_id = np.insert(seen, at, fresh), np.insert(seen_id, at, n + rank)
-        level = np.empty_like(fresh)
-        level[rank] = fresh
-        n += len(level)
+        ids, level, seen, seen_id = _number_level(code, seen, seen_id)
 
         by_succ = np.lexsort((ids, row))
         levels.append(level)

@@ -406,7 +406,11 @@ def classify_play(model: Model, play: Play, opaque: Dfa) -> str:
 def enumerate_plays(
     model: Model, max_actions: int, budget: int = ENUMERATION_BUDGET
 ) -> Iterator[Play]:
-    """Yield every play with at most ``max_actions`` interior actions."""
+    """Yield every play with at most ``max_actions`` interior actions,
+    depth first, each play before its extensions; a negative bound raises
+    :class:`SimulationError`."""
+    if max_actions < 0:
+        raise SimulationError(f"max_actions must be nonnegative, got {max_actions}")
     branching = 1
     for s in model.interior_state_indices():
         width = sum(
@@ -422,26 +426,19 @@ def enumerate_plays(
         )
     s_top, s_bot = model.states[model.top], model.states[model.bot]
     a_top, a_bot = model.actions[model.a_top], model.actions[model.a_bot]
+    # (state, play so far, interior actions used), the next play on top
+    stack = [(s0, [s_top, a_top, model.states[s0]], 0) for s0, _p in model.initial_dist()][::-1]
     produced = 0
-
-    def walk(state: int, prefix: list[str], used: int):
-        nonlocal produced
+    while stack:
+        state, prefix, used = stack.pop()
         produced += 1
         if produced > budget:
             raise EnumerationBudgetError(f"more than {budget} plays enumerated")
         yield Play.from_linear(prefix + [a_bot, s_bot])
-        if used == max_actions:
-            return
-        for a in model.enabled(state):
-            if a == model.a_bot:
-                continue
-            for t, _p in model.successors(state, a):
-                yield from walk(
-                    t, prefix + [model.actions[a], model.states[t]], used + 1
-                )
-
-    for s0, _p in model.initial_dist():
-        yield from walk(s0, [s_top, a_top, model.states[s0]], 0)
+        if used < max_actions:
+            interior = [a for a in model.enabled(state) if a != model.a_bot]
+            steps = [(a, t) for a in interior for t, _p in model.successors(state, a)][::-1]
+            stack += [(t, prefix + [model.actions[a], model.states[t]], used + 1) for a, t in steps]
 
 
 def observation_buckets(

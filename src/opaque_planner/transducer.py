@@ -19,8 +19,10 @@ read their letters as ``Model.entry_obs`` ids, indices into
 ``observation_alphabet()``, and the subset table goes straight to
 ``automata.minimize_table``, which writes the minimized DFA's table over
 the same letter ids, so the observer keys nothing by observation symbols.
-:func:`output_nfa` builds the ``Nfa`` of one accepting set, keyed by
-them, for the paper's intersect route.
+:func:`output_nfa` wraps the same arrays, for one accepting set, as the
+``Nfa`` of the paper's route (``automata.intersect`` of the satisfying and
+violating NFAs, then ``automata.determinize``), which the tests check the
+observer against.
 """
 
 from __future__ import annotations
@@ -169,13 +171,11 @@ def output_nfa(pf: ProductFst, which: str) -> Nfa:
         raise ValueError("which must be 'satisfying' or 'violating'")
     accepting = pf.accept_sat if which == "satisfying" else pf.accept_vio
     kept, src, letter, dst, initials, accepts = _erase_inputs(pf, accepting)
-    letters = pf.model.observation_alphabet()
-    transitions: dict[tuple[int, ObsSymbol], set[int]] = {}
-    for q, o, t in zip(src.tolist(), letter.tolist(), dst.tolist()):
-        transitions.setdefault((q, letters[o]), set()).add(t)
     return Nfa(
-        alphabet=letters,
-        transitions={k: frozenset(v) for k, v in transitions.items()},
+        alphabet=pf.model.observation_alphabet(),
+        src=src,
+        letter=letter,
+        dst=dst,
         initials=frozenset(initials.tolist()),
         accepting=frozenset(accepts.tolist()),
         state_names=tuple(pf.state_name(i) for i in kept.tolist()),

@@ -1,8 +1,9 @@
 """Test helpers: seeded random models and secrets for property coverage,
 random walks over a model, running the observation transducer and its
 product with a secret on a play, the dict subset construction that the
-array one replaced, the occupancy of a product state's block, a product's
-states as component tuples, DFAs built from move dicts and compared field
+array one replaced, the dict intersection that the level search
+replaced, the occupancy of a product state's block, a product's states as
+component tuples, DFAs and NFAs built from move dicts and compared field
 by field, and the full-refinement bisimulation quotient that refinement
 by splitters replaced."""
 
@@ -11,7 +12,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from opaque_planner.automata import Dfa, Nfa, row_classes
+from opaque_planner.automata import Dfa, Nfa, row_classes, sort_alphabet
 from opaque_planner.model import Model, ObsSymbol, Play, build_model
 from opaque_planner.planner import ZERO_OCCUPANCY_THRESHOLD, PolicySolution, ProductMdp, Quotient
 from opaque_planner.transducer import Fst, InputLetter, ProductFst
@@ -57,6 +58,44 @@ def same_dfa(a: Dfa, b: Dfa) -> bool:
         a.alphabet == b.alphabet
         and np.array_equal(a.table, b.table)
         and (a.initial, a.accepting, a.state_names) == (b.initial, b.accepting, b.state_names)
+    )
+
+
+def nfa_from_moves(
+    alphabet: tuple,
+    transitions: Mapping[tuple[int, object], Iterable[int]],
+    initials: Iterable[int],
+    accepting: Iterable[int],
+    state_names: tuple[str, ...],
+) -> Nfa:
+    """The NFA with a move ``state -> target`` on ``letter`` for each
+    target listed under ``(state, letter)``, repeats included, in the
+    order given."""
+    column = {letter: i for i, letter in enumerate(alphabet)}
+    moves = [(q, column[letter], t) for (q, letter), ts in transitions.items() for t in ts]
+    src, letter, dst = np.array(moves, dtype=np.int64).reshape(-1, 3).T
+    return Nfa(
+        alphabet=alphabet,
+        src=src,
+        letter=letter,
+        dst=dst,
+        initials=frozenset(initials),
+        accepting=frozenset(accepting),
+        state_names=state_names,
+    )
+
+
+def same_nfa(a: Nfa, b: Nfa) -> bool:
+    """Whether two NFAs have the same alphabet, set of moves, initial
+    states, accepting states and state names."""
+
+    def moves(nfa: Nfa) -> np.ndarray:
+        return np.unique((nfa.src * len(nfa.alphabet) + nfa.letter) * nfa.n_states + nfa.dst)
+
+    return (
+        (a.alphabet, a.initials, a.accepting, a.state_names)
+        == (b.alphabet, b.initials, b.accepting, b.state_names)
+        and np.array_equal(moves(a), moves(b))
     )
 
 
@@ -243,6 +282,49 @@ def reference_subset_construction(nfa: Nfa, accepts: Callable[[frozenset[int]], 
         0,
         (order[s] for s in subsets if accepts(s)),
         names,
+    )
+
+
+def reference_intersect(a: Nfa, b: Nfa) -> Nfa:
+    """The product of two NFAs over the sorted alphabet, reachable pairs
+    only, by a FIFO search over a dict: the initial pairs first, ``a``'s
+    initial states outer, then each pair's successors by letter and by
+    target in ``a``, then in ``b``."""
+    assert set(a.alphabet) == set(b.alphabet)
+    alphabet = sort_alphabet(a.alphabet)
+    rank = {letter: i for i, letter in enumerate(alphabet)}
+    out_a: dict[int, dict] = {}  # state -> letter id -> sorted targets
+    out_b: dict[int, dict] = {}
+    for nfa, out in ((a, out_a), (b, out_b)):
+        for (q, letter), targets in nfa.transitions.items():
+            out.setdefault(q, {})[rank[letter]] = sorted(targets)
+    order: dict[tuple[int, int], int] = {}
+    queue: deque[tuple[int, int]] = deque()
+    for p in sorted(a.initials):
+        for q in sorted(b.initials):
+            order[(p, q)] = len(order)
+            queue.append((p, q))
+    moves = []  # (pair, letter id, target pair): the search finds each once
+    while queue:
+        p, q = pair = queue.popleft()
+        moves_p, moves_q = out_a.get(p, {}), out_b.get(q, {})
+        for i in sorted(moves_p.keys() & moves_q.keys()):
+            for t in ((p2, q2) for p2 in moves_p[i] for q2 in moves_q[i]):
+                if t not in order:
+                    order[t] = len(order)
+                    queue.append(t)
+                moves.append((order[pair], i, order[t]))
+    src, letter, dst = np.array(moves, dtype=np.int64).reshape(-1, 3).T
+    return Nfa(
+        alphabet=alphabet,
+        src=src,
+        letter=letter,
+        dst=dst,
+        initials=frozenset(range(len(a.initials) * len(b.initials))),
+        accepting=frozenset(
+            i for i, (p, q) in enumerate(order) if p in a.accepting and q in b.accepting
+        ),
+        state_names=tuple(f"({a.state_names[p]},{b.state_names[q]})" for p, q in order),
     )
 
 

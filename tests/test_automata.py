@@ -10,7 +10,6 @@ from opaque_planner.automata import (
     AlphabetMismatchError,
     Dfa,
     IncompleteDfaError,
-    Nfa,
     complete,
     determinize,
     dfa_from_dict,
@@ -22,9 +21,17 @@ from opaque_planner.automata import (
     subset_construction,
 )
 
-from helpers import dfa_from_moves, reference_subset_construction, same_dfa
+from helpers import (
+    dfa_from_moves,
+    nfa_from_moves,
+    reference_intersect,
+    reference_subset_construction,
+    same_dfa,
+    same_nfa,
+)
 
 AB = ("a", "b")
+ABC = ("a", "b", "c")
 
 
 def words_up_to(letters, max_len):
@@ -38,12 +45,12 @@ def simple_dfa():
 
 
 def dfa_to_nfa(dfa):
-    return Nfa(
-        alphabet=dfa.alphabet,
-        transitions={k: frozenset((v,)) for k, v in dfa.transitions.items()},
-        initials=frozenset((dfa.initial,)),
-        accepting=dfa.accepting,
-        state_names=dfa.state_names,
+    return nfa_from_moves(
+        dfa.alphabet,
+        {k: (v,) for k, v in dfa.transitions.items()},
+        (dfa.initial,),
+        dfa.accepting,
+        dfa.state_names,
     )
 
 
@@ -67,23 +74,21 @@ class TestComplete:
         assert all(done.step(sink, l) == sink for l in done.alphabet)
 
 
-def nfas(n_states=4, letters=AB):
+def nfas(n_states=4, letters=AB, alphabets=None, initials=None):
+    """NFAs over ``letters``, in the order ``alphabets`` draws (as given
+    by default), whose moves may repeat; ``initials`` draws the initial
+    states (by default one or two)."""
     idx = st.integers(0, n_states - 1)
     return st.builds(
-        lambda trans, inits, acc: Nfa(
-            alphabet=letters,
-            transitions={
-                (q, l): frozenset(ts) for (q, l), ts in trans.items() if ts
-            },
-            initials=frozenset(inits or [0]),
-            accepting=frozenset(acc),
-            state_names=tuple(f"n{i}" for i in range(n_states)),
+        lambda alphabet, trans, inits, acc: nfa_from_moves(
+            alphabet, trans, inits, acc, tuple(f"n{i}" for i in range(n_states))
         ),
+        st.just(letters) if alphabets is None else alphabets,
         st.dictionaries(
-            st.tuples(idx, st.sampled_from(letters)), st.sets(idx, max_size=3),
+            st.tuples(idx, st.sampled_from(letters)), st.lists(idx, max_size=3),
             max_size=10,
         ),
-        st.sets(idx, max_size=2),
+        st.sets(idx, min_size=1, max_size=2) if initials is None else initials,
         st.sets(idx, max_size=3),
     )
 
@@ -96,24 +101,12 @@ class TestDeterminize:
             assert det.accepts(word) == dfa.accepts(word)
 
     def test_result_complete(self):
-        nfa = Nfa(
-            alphabet=AB,
-            transitions={(0, "a"): frozenset({0, 1})},
-            initials=frozenset({0}),
-            accepting=frozenset({1}),
-            state_names=("x", "y"),
-        )
+        nfa = nfa_from_moves(AB, {(0, "a"): {0, 1}}, {0}, {1}, ("x", "y"))
         det = determinize(nfa)
         assert det.is_complete()
 
     def test_unreachable_accepting_dropped(self):
-        nfa = Nfa(
-            alphabet=AB,
-            transitions={(0, "a"): frozenset({0})},
-            initials=frozenset({0}),
-            accepting=frozenset({2}),
-            state_names=("x", "y", "z"),
-        )
+        nfa = nfa_from_moves(AB, {(0, "a"): {0}}, {0}, {2}, ("x", "y", "z"))
         det = determinize(nfa)
         assert not det.accepting
 
@@ -128,19 +121,8 @@ class TestDeterminize:
 def reached(nfa, word):
     current = set(nfa.initials)
     for letter in word:
-        current = {t for q in current for t in nfa.targets(q, letter)}
+        current = {t for q in current for t in nfa.transitions.get((q, letter), ())}
     return current
-
-
-def moves(nfa):
-    """The (source, letter id, target) arrays of an NFA's moves, letter
-    ids indexing ``nfa.alphabet``."""
-    rows = [
-        (q, nfa.alphabet.index(letter), t)
-        for (q, letter), targets in nfa.transitions.items()
-        for t in targets
-    ]
-    return np.array(rows, dtype=np.int64).reshape(-1, 3).T
 
 
 class TestSubsetConstruction:
@@ -149,7 +131,7 @@ class TestSubsetConstruction:
     def test_accepting_subsets_are_the_predicate(self, nfa):
         # accept the words after which states 0 and 1 are both reachable
         table, member_ptr, members = subset_construction(
-            nfa.n_states, len(AB), *moves(nfa), sorted(nfa.initials)
+            nfa.n_states, len(AB), nfa.src, nfa.letter, nfa.dst, sorted(nfa.initials)
         )
         det = determinize(nfa)
         assert det.transitions == {
@@ -164,24 +146,20 @@ class TestSubsetConstruction:
 
 
 def make_nfa(transitions, initials, accepting, n_states, alphabet=AB):
-    return Nfa(
-        alphabet=alphabet,
-        transitions={k: frozenset(v) for k, v in transitions.items()},
-        initials=frozenset(initials),
-        accepting=frozenset(accepting),
-        state_names=tuple(f"n{i}" for i in range(n_states)),
-    )
+    names = tuple(f"n{i}" for i in range(n_states))
+    return nfa_from_moves(alphabet, transitions, initials, accepting, names)
 
 
 # no initial state: the whole DFA is the empty-subset sink
 NO_INITIAL = make_nfa({(0, "a"): {1}}, (), {1}, 2)
 # no move on "a" from the start, so the sink is the first subset found
 SINK_FIRST = make_nfa({(0, "b"): {0, 1}, (1, "a"): {1}}, (0,), {1}, 2)
-# a move on "c", outside the alphabet, is ignored
-FOREIGN_LETTER = make_nfa({(0, "c"): {1}, (0, "a"): {0}}, (0,), {1}, 2)
+# no move reads "c": every subset goes to the sink on it
+UNREAD_LETTER = make_nfa({(0, "b"): {1}, (0, "a"): {0}}, (0,), {1}, 2, alphabet=ABC)
 ONE_STATE = make_nfa({}, (0,), (0,), 1)
 SELF_LOOPS = make_nfa({(0, "a"): {0}, (0, "b"): {0, 1}, (1, "b"): {1}}, (0, 1), {1}, 2)
-NO_LETTERS = make_nfa({(0, "a"): {0}}, (0,), (0,), 1, alphabet=())
+NO_LETTERS = make_nfa({}, (0,), (0,), 1, alphabet=())
+REPEATED_MOVES = make_nfa({(0, "a"): [1, 0, 1], (1, "b"): [1, 1]}, (0,), {1}, 2)
 
 
 class TestAgainstReferenceSubsetConstruction:
@@ -192,10 +170,11 @@ class TestAgainstReferenceSubsetConstruction:
     @given(nfas())
     @example(NO_INITIAL)
     @example(SINK_FIRST)
-    @example(FOREIGN_LETTER)
+    @example(UNREAD_LETTER)
     @example(ONE_STATE)
     @example(SELF_LOOPS)
     @example(NO_LETTERS)
+    @example(REPEATED_MOVES)
     def test_same_dfa(self, nfa):
         want = reference_subset_construction(
             nfa, lambda subset: not nfa.accepting.isdisjoint(subset)
@@ -213,10 +192,15 @@ class TestAgainstReferenceSubsetConstruction:
         assert det.state_names[:3] == ("{n0}", "{}", "{n0,n1}")
         assert det.step(0, "a") == 1 and det.step(0, "b") == 2
 
-    def test_foreign_letter_ignored(self):
-        det = determinize(FOREIGN_LETTER)
-        assert det.state_names == ("{n0}", "{}")
-        assert not det.accepting
+    def test_unread_letter_goes_to_the_sink(self):
+        det = determinize(UNREAD_LETTER)
+        assert det.state_names == ("{n0}", "{n1}", "{}")
+        assert det.transitions == {
+            (0, "a"): 0, (0, "b"): 1, (0, "c"): 2,
+            (1, "a"): 2, (1, "b"): 2, (1, "c"): 2,
+            (2, "a"): 2, (2, "b"): 2, (2, "c"): 2,
+        }
+        assert det.accepting == {1}
 
 
 class TestMinimize:
@@ -340,22 +324,10 @@ class TestMinimality:
 
 class TestIntersect:
     def universal(self):
-        return Nfa(
-            alphabet=AB,
-            transitions={(0, l): frozenset({0}) for l in AB},
-            initials=frozenset({0}),
-            accepting=frozenset({0}),
-            state_names=("u",),
-        )
+        return nfa_from_moves(AB, {(0, l): {0} for l in AB}, {0}, {0}, ("u",))
 
     def empty_language(self):
-        return Nfa(
-            alphabet=AB,
-            transitions={},
-            initials=frozenset({0}),
-            accepting=frozenset(),
-            state_names=("e",),
-        )
+        return nfa_from_moves(AB, {}, {0}, (), ("e",))
 
     def test_with_universal(self):
         nfa = dfa_to_nfa(complete(simple_dfa()))
@@ -369,13 +341,7 @@ class TestIntersect:
         assert not any(both.accepts(w) for w in words_up_to(AB, 5))
 
     def test_alphabet_mismatch(self):
-        other = Nfa(
-            alphabet=("a", "c"),
-            transitions={},
-            initials=frozenset({0}),
-            accepting=frozenset(),
-            state_names=("x",),
-        )
+        other = nfa_from_moves(("a", "c"), {}, {0}, (), ("x",))
         with pytest.raises(AlphabetMismatchError):
             intersect(self.universal(), other)
 
@@ -385,6 +351,53 @@ class TestIntersect:
         both = intersect(a, b)
         for word in words_up_to(AB, 4):
             assert both.accepts(word) == (a.accepts(word) and b.accepts(word))
+
+
+# NFAs over ABC in any letter order, with zero to three initial states and
+# possibly no moves at all
+SHUFFLED = nfas(
+    n_states=4,
+    letters=ABC,
+    alphabets=st.permutations(ABC).map(tuple),
+    initials=st.sets(st.integers(0, 3), max_size=3),
+)
+
+
+class TestAgainstReferenceIntersect:
+    """``intersect`` against the dict FIFO search it replaced: the same
+    moves, numbering, initial and accepting states and state names."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(SHUFFLED, SHUFFLED)
+    @example(make_nfa({}, (0, 1), (1,), 2, ABC), make_nfa({}, (0,), (0,), 1, ("c", "b", "a")))
+    @example(SELF_LOOPS, REPEATED_MOVES)
+    @example(NO_LETTERS, NO_LETTERS)
+    @example(make_nfa({}, (), (), 1), SELF_LOOPS)
+    def test_same_nfa(self, a, b):
+        got = intersect(a, b)
+        assert same_nfa(got, reference_intersect(a, b))
+        assert got.src.dtype == got.letter.dtype == got.dst.dtype == np.int64
+
+    def test_numbering(self):
+        a = make_nfa({(0, "b"): {1, 0}, (0, "a"): {1}, (1, "a"): {0}}, (0,), (1,), 2, ("b", "a"))
+        b = make_nfa({(0, "a"): {0}, (0, "b"): {0, 1}, (1, "a"): {1}}, (0,), (0, 1), 2)
+        both = intersect(a, b)
+        assert both.alphabet == AB
+        assert both.state_names == ("(n0,n0)", "(n1,n0)", "(n0,n1)", "(n1,n1)")
+        assert dict(both.transitions) == {
+            (0, "a"): {1}, (0, "b"): {0, 2, 1, 3},
+            (1, "a"): {0},
+            (2, "a"): {3}, (3, "a"): {2},
+        }
+        assert both.initials == {0} and both.accepting == {1, 3}
+
+    def test_moves_are_read_only(self):
+        both = intersect(SELF_LOOPS, SELF_LOOPS)
+        for moves in (both.src, both.letter, both.dst):
+            with pytest.raises(ValueError):
+                moves[0] = 1
+        with pytest.raises(TypeError):
+            both.transitions[(0, "a")] = frozenset()
 
 
 class TestJson:
@@ -401,8 +414,6 @@ class TestJson:
         assert back.accepting == opaque_dfa.accepting
         assert back.transitions == opaque_dfa.transitions
 
-
-ABC = ("a", "b", "c")
 
 
 @st.composite

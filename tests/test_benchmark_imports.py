@@ -54,6 +54,9 @@ def test_traced_gridworld_pass():
     assert result["layers"]["planner.product_transitions"]["value"] > 0
     assert result["layers"]["simulate.rollout_runs"]["value"] > 0
     assert result["layers"]["simulate.truncated_runs"]["value"] == 0
+    # the paper's route, which only this pass runs: its automaton sizes
+    assert result["layers"]["automata.intersect_states"]["value"] == 591
+    assert result["layers"]["automata.determinize_states"]["value"] == 152
 
 
 def test_gridworld_build_references():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -314,6 +315,15 @@ class TestMissingInputs:
     def test_export_dot_without_model_or_dfa(self, capsys):
         self._fails_cleanly(["export-dot", "--secret", "F s6"], capsys)
 
+    def test_deeply_nested_secret(self, model_file, capsys, tmp_path):
+        secret = "(" * 300 + "s6" + ")" * 300
+        argv = ["build", "--model", model_file, "--secret", secret, "--out", str(tmp_path / "o")]
+        self._fails_cleanly(argv, capsys)
+
+    def test_negative_play_bound(self, model_file, capsys):
+        argv = ["verify", "--model", model_file, "--secret", "F s6", "--max-actions", "-1"]
+        self._fails_cleanly(argv, capsys)
+
 
 class TestMalformedDfaFile:
     @pytest.mark.parametrize(
@@ -460,6 +470,21 @@ class TestExports:
             assert main(["export-dot", "--model", model_file, "--secret", "F s6",
                          "--what", what, "--out", str(out)]) == 0
             assert out.read_text().startswith("digraph")
+
+    @pytest.mark.parametrize(
+        "what, digest",
+        [
+            ("nfa-satisfying", "eed54ecbd8047a5a773811cedd4d3b467616626b7232297a681d90253030b249"),
+            ("nfa-violating", "f74b18c7583a46d4465841ed844c1ccb929dd8ce99727afbd7e902e0605ab022"),
+        ],
+    )
+    def test_output_nfa_dots_are_pinned(self, model_file, tmp_path, what, digest):
+        # the renderings of the running example's output NFAs (secret F s6)
+        # must not move when the NFA's representation does
+        out = tmp_path / f"{what}.dot"
+        assert main(["export-dot", "--model", model_file, "--secret", "F s6",
+                     "--what", what, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_dot_from_dfa_file(self, opaque_file, tmp_path):
         out = tmp_path / "dfa.dot"

@@ -9,6 +9,7 @@ from opaque_planner.ltlf import (
     Eventually,
     LtlfError,
     LtlfSyntaxError,
+    Next,
     Not,
     Prop,
     Until,
@@ -164,3 +165,35 @@ class TestTranslation:
         neg = ltlf_to_dfa(Not(f), LETTERS2)
         for word in words_up_to(LETTERS2, 3):
             assert pos.accepts(word) != neg.accepts(word)
+
+
+class TestDeepNesting:
+    """Parsing, translation and evaluation recurse once per nesting level;
+    past Python's recursion limit they raise ``LtlfError``."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 200 + "p" + ")" * 200, "!" * 1000 + "p", "X " * 1000 + "p"],
+        ids=["parentheses", "negations", "nexts"],
+    )
+    def test_parse(self, text):
+        with pytest.raises(LtlfError, match="formula nested too deeply"):
+            parse_ltlf(text)
+        with pytest.raises(LtlfError, match="formula nested too deeply"):
+            ltlf_to_dfa(text, LETTERS2)
+
+    @pytest.mark.parametrize("wrap", [Not, Next])
+    def test_translate_and_evaluate(self, wrap):
+        f = Prop("p")
+        for _ in range(5000):
+            f = wrap(f)
+        with pytest.raises(LtlfError, match="formula nested too deeply"):
+            ltlf_to_dfa(f, LETTERS2)
+        with pytest.raises(LtlfError, match="formula nested too deeply"):
+            evaluate(f, [frozenset({"p"})])
+
+    def test_moderate_nesting_still_translates(self):
+        text = "(" * 40 + "F p" + ")" * 40
+        dfa = ltlf_to_dfa(text, LETTERS2)
+        assert dfa.n_states == 2
+        assert evaluate(parse_ltlf(text), [frozenset({"p"})])

@@ -127,7 +127,7 @@ class TestProductMdp:
             product_mdp(model, task_dfa, broken)
 
     def test_incomplete_task_rejected(self, model, task_dfa, opaque_dfa):
-        letter = next(iter(model.label_alphabet()))
+        letter = model.label_letters[0]
         broken = dfa_from_moves(
             task_dfa.alphabet,
             {k: v for k, v in task_dfa.transitions.items() if k[1] != letter},

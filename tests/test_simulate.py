@@ -413,6 +413,51 @@ class TestClassifyPlay:
             assert classify_play(model, p, trivial) == "transparent"
 
 
+class TestEnumeratePlays:
+    def test_negative_bound_rejected(self, model):
+        with pytest.raises(SimulationError, match="nonnegative"):
+            next(enumerate_plays(model, max_actions=-1))
+
+    def test_long_chain_within_budget(self):
+        # one state with a sure self-loop: one play per length, no recursion
+        loop = build_model(
+            states=["x"],
+            actions=["go"],
+            transitions={("x", "go"): {"x": 1.0}},
+            initial={"x": 1.0},
+            labels={"x": {"x"}},
+            observations={("x", "go", "x"): ("x",)},
+        )
+        plays = list(enumerate_plays(loop, max_actions=1500))
+        assert [len(p.actions) for p in plays] == list(range(2, 1503))
+        assert plays[-1].states[1:-1] == ("x",) * 1501
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_same_order_as_recursive_walk(self, model, seed):
+        m = model if seed is None else random_model(seed)
+        got = [str(p) for p in enumerate_plays(m, max_actions=4)]
+        assert got == [" ".join(p) for p in recursive_plays(m, 4)]
+
+
+def recursive_plays(model, max_actions):
+    """The linear plays of ``enumerate_plays`` by the recursive walk it
+    replaced: each play, then its extensions by action and successor."""
+    end = [model.actions[model.a_bot], model.states[model.bot]]
+
+    def walk(state, prefix, used):
+        yield prefix + end
+        if used < max_actions:
+            for a in model.enabled(state):
+                if a != model.a_bot:
+                    for t, _p in model.successors(state, a):
+                        step = [model.actions[a], model.states[t]]
+                        yield from walk(t, prefix + step, used + 1)
+
+    start = [model.states[model.top], model.actions[model.a_top]]
+    for s0, _p in model.initial_dist():
+        yield from walk(s0, start + [model.states[s0]], 0)
+
+
 class TestBruteForce:
     def test_counts_on_running_example(self, model, secret_dfa, opaque_dfa):
         buckets = observation_buckets(model, secret_dfa, max_actions=4)

@@ -47,9 +47,12 @@ from helpers import (
     product_states,
     random_model,
     random_secret_text,
+    reference_intersect,
     reference_subset_construction,
     run_on_play,
     run_product_fst,
+    same_dfa,
+    same_nfa,
 )
 
 SS = ObsSymbol.state_set
@@ -454,16 +457,14 @@ class TestOpaqueDfa:
 
 
 def observer_nfa(pf):
-    """The observer's NFA as dicts, accepting in both accepting sets, and
-    the transducer state of each of its states."""
+    """The observer's NFA, accepting in both accepting sets, and the
+    transducer state of each of its states."""
     kept, src, letter, dst, initials, accepting = _erase_inputs(pf, pf.accept_sat | pf.accept_vio)
-    letters = pf.model.observation_alphabet()
-    transitions = {}
-    for q, o, t in zip(src.tolist(), letter.tolist(), dst.tolist()):
-        transitions.setdefault((q, letters[o]), set()).add(t)
     nfa = Nfa(
-        alphabet=letters,
-        transitions={k: frozenset(v) for k, v in transitions.items()},
+        alphabet=pf.model.observation_alphabet(),
+        src=src,
+        letter=letter,
+        dst=dst,
         initials=frozenset(initials.tolist()),
         accepting=frozenset(accepting.tolist()),
         state_names=tuple(pf.state_name(i) for i in kept.tolist()),
@@ -494,6 +495,41 @@ def assert_observer_matches_reference(model, secret):
     )
     assert names == want.state_names
     return len(table)
+
+
+def checked_intersection(model, secret_text):
+    """The paper route's intersection, checked against the dict FIFO
+    search's."""
+    pf = product_fst(build_obs_fst(model), dfa_over_model_labels(secret_text, model))
+    sat, vio = output_nfa(pf, "satisfying"), output_nfa(pf, "violating")
+    joint = intersect(sat, vio)
+    assert same_nfa(joint, reference_intersect(sat, vio))
+    return joint
+
+
+def assert_determinized_as_reference(nfa):
+    want = reference_subset_construction(nfa, lambda s: not nfa.accepting.isdisjoint(s))
+    assert same_dfa(determinize(nfa), want)
+
+
+class TestAgainstReferenceIntersect:
+    """The paper route against the dict searches: the intersection on
+    every input, its determinization where the dict subset construction
+    is quick (the observer's is checked on the gridworld)."""
+
+    @pytest.mark.parametrize("secret_text", ["F s6", "true"])
+    def test_running_example(self, model, secret_text):
+        assert_determinized_as_reference(checked_intersection(model, secret_text))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_models(self, seed):
+        m = random_model(seed)
+        names = [m.states[i] for i in m.interior_state_indices()]
+        assert_determinized_as_reference(checked_intersection(m, random_secret_text(seed, names)))
+
+    @pytest.mark.parametrize("secret_text", GRIDWORLD_BUILD_SECRETS)
+    def test_gridworld_build_secrets(self, grid, secret_text):
+        checked_intersection(grid, secret_text)
 
 
 class TestAgainstReferenceObserver:
