@@ -37,7 +37,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import ObsSymbol, START, END, _number_level, _ranges
+from .model import ObsSymbol, START, END, _distinct, _number_level, _ranges
 
 Letter = Hashable
 
@@ -216,7 +216,7 @@ def _cells(n_states: int, n_letters: int, src, letter, dst) -> tuple[np.ndarray,
     ``max(n_letters, 1)``, then by target: the CSR pointers of the
     ``n_states * width`` cells, and each move's letter id and target."""
     width, n = max(n_letters, 1), max(n_states, 1)
-    cell, dst = np.divmod(np.unique((src * width + letter) * n + dst), n)
+    cell, dst = np.divmod(_distinct((src * width + letter) * n + dst), n)
     return np.searchsorted(cell, np.arange(n_states * width + 1)), cell % width, dst
 
 
@@ -248,7 +248,7 @@ def subset_construction(
     """
     cell_ptr, out_letter, out_dst = _cells(n_states, n_letters, src, letter, dst)
     out_ptr = cell_ptr[:: max(n_letters, 1)]  # the moves from each state
-    keys = [np.unique(np.asarray(initials, dtype=np.int32)).tobytes()]  # members, as bytes
+    keys = [_distinct(np.asarray(initials, dtype=np.int32)).tobytes()]  # members, as bytes
     index = {keys[0]: 0}
     rows = []
     done = 0
@@ -259,9 +259,7 @@ def subset_construction(
         width = out_ptr[member + 1] - out_ptr[member]
         e = _ranges(out_ptr[member], width)
         owner = np.repeat(np.repeat(np.arange(len(level)), size), width)
-        code = np.sort((owner * n_letters + out_letter[e]) * n_states + out_dst[e])
-        # the distinct codes: sorting beats np.unique, which hashes integers in numpy >= 2.3
-        code = code[np.diff(code, prepend=-1) != 0]
+        code = _distinct((owner * n_letters + out_letter[e]) * n_states + out_dst[e])
         cell, target = np.divmod(code, n_states)
         first = np.flatnonzero(np.diff(cell, prepend=-1))  # each cell's first code
         cells = cell[first]

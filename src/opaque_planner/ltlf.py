@@ -23,6 +23,11 @@ from .automata import Dfa, sort_alphabet
 from .model import Model
 
 MAX_DFA_STATES = 50_000
+#: the deepest nesting of parentheses, prefix operators and right-nested
+#: ``U`` that ``parse_ltlf`` takes, counted by the parser itself: a level
+#: costs it at most six Python frames, so the cut-off is the same from any
+#: caller less than ~300 frames deep under the default recursion limit
+MAX_NESTING = 100
 
 
 class LtlfError(ValueError):
@@ -197,6 +202,17 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # the nesting levels open
+
+    def nested(self, parse) -> Formula:
+        """``parse()`` one nesting level deeper, or ``LtlfError`` past
+        ``MAX_NESTING`` levels."""
+        if self.depth == MAX_NESTING:
+            raise LtlfError(f"formula nested too deeply: more than {MAX_NESTING} levels")
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -237,7 +253,7 @@ class _Parser:
         tok = self.peek()
         if tok and tok[0] == "ident" and tok[1] == "U":
             self.take()
-            return Until(left, self.parse_until())
+            return Until(left, self.nested(self.parse_until))
         return left
 
     def parse_unary(self) -> Formula:
@@ -247,10 +263,10 @@ class _Parser:
         kind, value, _ = tok
         if kind == "!":
             self.take()
-            return Not(self.parse_unary())
+            return Not(self.nested(self.parse_unary))
         if kind == "ident" and value in _UNARY:
             self.take()
-            return _UNARY[value](self.parse_unary())
+            return _UNARY[value](self.nested(self.parse_unary))
         return self.parse_atom()
 
     def parse_atom(self) -> Formula:
@@ -260,7 +276,7 @@ class _Parser:
         kind, value, _ = tok
         if kind == "(":
             self.take()
-            f = self.parse_or()
+            f = self.nested(self.parse_or)
             closing = self.peek()
             if closing is None or closing[0] != ")":
                 self.fail("expected ')'")

@@ -53,47 +53,54 @@ from typing import Mapping
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
-from scipy.sparse.linalg import splu
 
 from .automata import Dfa, row_classes, step_table
 from .model import Model, ModelError, RowGroups, _number_level, _ranges, _read_only, distributions
 
-#: the full name of scipy's HiGHS binding, a pybind11 extension
+#: the full names of the two scipy extensions the package calls: the
+#: pybind11 binding of HiGHS, and scipy's wrapper of SuperLU
 HIGHSPY = "scipy.optimize._highspy._core"
+SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
 
 
-def _load_highspy():
-    """scipy's binding of HiGHS, or None when scipy ships none; without it
-    only the LP solves fail.
+def _load_extension(name: str):
+    """The scipy extension module ``name`` (:data:`HIGHSPY` or
+    :data:`SUPERLU`), or None when scipy ships none that loads; without it
+    only the calls that need it fail.
 
-    The extension is found in scipy's ``optimize/_highspy`` directory and
-    loaded on its own: importing it by name would first run
-    ``scipy/optimize/__init__.py``, whose linprog, ``scipy.special``,
-    ``scipy.fft`` and ``scipy.spatial`` cost each process ~0.3 s and
-    ~14 MB that nothing here uses.  It is registered in ``sys.modules``
-    under its full name, and taken from there when ``scipy.optimize`` has
-    already loaded it, so the extension is loaded once whichever is
-    imported first: pybind11 registers its types once per process, and a
-    second load does not give a working second copy.
+    The extension is found in its package's directory under scipy
+    (``optimize/_highspy``, ``sparse/linalg/_dsolve``) and loaded on its
+    own: importing it by name would first run its parent packages, which
+    nothing here uses.  ``scipy.optimize`` (linprog, ``scipy.special``,
+    ``scipy.fft``, ``scipy.spatial``) costs a process ~0.3 s and ~14 MB,
+    and ``scipy.sparse`` with ``scipy.sparse.linalg`` (whose vendored
+    ``array_api_compat`` loads ``numpy.f2py``) ~0.35 s and ~28 MB.  The
+    module is registered in ``sys.modules`` under its full name, and taken
+    from there when scipy has already loaded it, so each extension is
+    loaded once whichever is imported first: pybind11 registers its types
+    once per process, and a second load does not give a working second
+    copy.  Both modules are private to scipy; the calls made here
+    (``_Highs``, ``gstrf``, ``gssv``) are those of the release
+    ``pyproject.toml`` pins, ``scipy>=1.17.1``, and ``tests/test_planner.py``
+    checks them.
     """
-    if HIGHSPY in sys.modules:
-        return sys.modules[HIGHSPY]
-    where = [os.path.join(path, "optimize", "_highspy") for path in scipy.__path__]
-    spec = PathFinder.find_spec(HIGHSPY, where)
+    if name in sys.modules:
+        return sys.modules[name]
+    where = [os.path.join(path, *name.split(".")[1:-1]) for path in scipy.__path__]
+    spec = PathFinder.find_spec(name, where)
     if spec is None:
         return None
     try:  # an extension that fails to load counts as none
-        module = sys.modules[HIGHSPY] = module_from_spec(spec)
+        module = sys.modules[name] = module_from_spec(spec)
         spec.loader.exec_module(module)
     except ImportError:
-        sys.modules.pop(HIGHSPY, None)
+        sys.modules.pop(name, None)
         return None
     return module
 
 
-highspy = _load_highspy()
+highspy = _load_extension(HIGHSPY)
+superlu = _load_extension(SUPERLU)
 
 FEASIBILITY_TOL = 1e-9
 
@@ -193,7 +200,7 @@ class ProductMdp(Product):
         [0, 1] against HiGHS's round-off; None when HiGHS finds no
         optimum."""
         lp = _lp_model(self, "opacity")
-        highs = _highs(-lp.task_row, lp.a_eq.tocsc(), lp.b_eq, lp.b_eq)
+        highs = _highs(-lp.task_row, lp.flow, lp.b_eq, lp.b_eq)
         highs.run()
         if highs.getModelStatus() != highspy.HighsModelStatus.kOptimal:
             return None
@@ -222,20 +229,24 @@ class ProductMdp(Product):
         return f"{self.model.states[s]}|{q}|{qh}"
 
 
-def _graph(src: np.ndarray, dst: np.ndarray, n: int) -> sp.csr_matrix:
-    """The directed graph with edges ``src -> dst`` on ``n`` nodes."""
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-    order = np.argsort(src, kind="stable")
-    return sp.csr_matrix((np.ones(len(src)), dst[order], indptr), shape=(n, n))
-
-
-def _reaching(src: np.ndarray, dst: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:
+def _reached(src: np.ndarray, dst: np.ndarray, sources, n: int) -> np.ndarray:
     """Whether each node of the graph with edges ``src -> dst`` on ``n``
-    nodes reaches one of ``targets``: a search back from node ``n``, which
-    has an edge to each target."""
-    heads = np.concatenate((dst, np.full(len(targets), n)))
-    back = _graph(heads, np.concatenate((src, targets)), n + 1)
-    return np.isin(np.arange(n), breadth_first_order(back, n, return_predecessors=False))
+    nodes is reached from one of ``sources``: a level search over the
+    edges grouped by source, each level the unreached successors of the
+    one before, as a mask.  With the edges reversed, ``_reached(dst, src,
+    targets, n)``, whether each node reaches one of ``targets``."""
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    succ = dst[np.argsort(src, kind="stable")]  # stable sorts a sorted src in linear time
+    reached = np.zeros(n, dtype=bool)
+    reached[sources] = True
+    level = np.flatnonzero(reached)
+    while level.size:
+        new = np.zeros(n, dtype=bool)
+        new[succ[_ranges(ptr[level], ptr[level + 1] - ptr[level])]] = True
+        new &= ~reached
+        reached |= new
+        level = np.flatnonzero(new)
+    return reached
 
 
 def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
@@ -463,9 +474,11 @@ class LpModel:
     Each non-absorbing block contributes one conservation row and one
     variable per enabled action, named after the block's representative
     product state: occupancy out of the block equals occupancy into it
-    plus the unit injection at the initial state's block.  A variable's
-    objective and task coefficients are the probability it sends into
-    absorbing states of the wanted outcome.  Every variable is non-negative
+    plus the unit injection at the initial state's block.  The flow rows
+    are kept as the CSC arrays ``flow`` = (``ptr``, ``row``, ``value``):
+    column ``j``'s entries are ``ptr[j]:ptr[j + 1]``, by row.  A
+    variable's objective and task coefficients are the probability it
+    sends into absorbing states of the wanted outcome.  Every variable is non-negative
     and unbounded above: the flow rows put exactly one unit into the
     absorbing states, so both the objective and the task row are at most 1.
     Only the objective depends on the mode.
@@ -477,9 +490,32 @@ class LpModel:
     rows: tuple[int, ...]  # representatives of non-absorbing blocks, row order
     objective: np.ndarray
     maximize: bool
-    a_eq: sp.csr_matrix
+    flow: tuple[np.ndarray, np.ndarray, np.ndarray]  # CSC (ptr, row, value), read-only
     b_eq: np.ndarray
     task_row: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in self.flow:
+            array.setflags(write=False)
+
+    @cached_property
+    def flow_col(self) -> np.ndarray:
+        """The column of each entry of ``flow``."""
+        ptr = self.flow[0]
+        return _read_only(np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)))
+
+    @cached_property
+    def a_eq(self):
+        """The flow rows as a read-only scipy CSR matrix, built on first
+        access; nothing in the package reads it, and it is the one place
+        that imports ``scipy.sparse``."""
+        import scipy.sparse as sp
+
+        ptr, row, value = self.flow
+        a = sp.csc_matrix((value, row, ptr), shape=(len(self.rows), len(self.variables))).tocsr()
+        for array in (a.data, a.indices, a.indptr):
+            array.setflags(write=False)
+        return a
 
     def variable_name(self, j: int) -> str:
         v, a = self.variables[j]
@@ -513,12 +549,12 @@ class LpModel:
         basis is dual feasible, so a threshold the policy meets takes no
         iteration.  A solve leaves its basis here, and the next threshold's
         dual simplex starts from it."""
-        a = sp.vstack((sp.csr_matrix(-self.task_row.reshape(1, -1)), self.a_eq)).tocsc()
+        a = _on_top(-self.task_row, *self.flow)
         highs = _highs(self.cost, a, np.append(-np.inf, self.b_eq), np.append(np.inf, self.b_eq))
         policy = self.start_policy[0]
         if policy is not None:
             status = highspy.HighsBasisStatus
-            col_status = np.full(a.shape[1], status.kLower, dtype=object)
+            col_status = np.full(len(self.variables), status.kLower, dtype=object)
             col_status[policy] = status.kBasic
             basis = highspy.HighsBasis()
             basis.col_status = col_status.tolist()
@@ -526,6 +562,40 @@ class LpModel:
             basis.valid = True
             highs.setBasis(basis)
         return highs
+
+
+def _on_top(top: np.ndarray, ptr: np.ndarray, row: np.ndarray, value: np.ndarray) -> tuple:
+    """The CSC arrays of the matrix with the dense row ``top`` stacked on
+    the CSC matrix (``ptr``, ``row``, ``value``): in each column the
+    non-zero of ``top`` first, in row 0, then the column one row down."""
+    has_top = top != 0.0
+    shift = np.cumsum(has_top)  # the entries of ``top`` up to each column
+    new_ptr = ptr + np.concatenate(([0], shift))
+    new_row = np.zeros(new_ptr[-1], dtype=row.dtype)
+    new_value = np.empty(new_ptr[-1])
+    at = np.arange(len(row)) + np.repeat(shift, np.diff(ptr))
+    new_row[at], new_value[at] = row + 1, value
+    first = new_ptr[:-1][has_top]
+    new_value[first] = top[has_top]
+    return new_ptr, new_row, new_value
+
+
+#: the options scipy's ``splu`` passes SuperLU's ``gstrf`` by default
+_SPLU_OPTIONS = {"DiagPivotThresh": None, "ColPerm": None, "PanelSize": None, "Relax": None}
+
+
+def _splu(ptr: np.ndarray, row: np.ndarray, value: np.ndarray):
+    """SuperLU's LU factorization of the square matrix with the CSC arrays
+    (ptr, row, value), as scipy's ``splu`` calls ``gstrf``; the factors'
+    ``L`` and ``U`` attributes, which need a sparse matrix class, are not
+    available."""
+    if superlu is None:
+        raise PlannerError("policy iteration needs scipy's SuperLU extension, " + SUPERLU)
+    n = len(ptr) - 1
+    return superlu.gstrf(
+        n, len(value), value, row.astype(np.intc), ptr.astype(np.intc),
+        csc_construct_func=None, ilu=False, options=_SPLU_OPTIONS,
+    )
 
 
 def _policy_iteration(lp: LpModel) -> tuple[np.ndarray | None, int]:
@@ -536,7 +606,8 @@ def _policy_iteration(lp: LpModel) -> tuple[np.ndarray | None, int]:
     The start policy takes ``a_bot`` where a row enables it and the row's
     first column elsewhere: in a validated model, ``s_top``'s only action.
     Each round solves ``a_eq[:, policy].T @ v = cost[policy]`` for the
-    values, prices every column at ``cost - a_eq.T @ v`` and moves each
+    values with SuperLU (:func:`_splu`), prices every column at
+    ``cost - a_eq.T @ v`` with one ``bincount`` and moves each
     row whose best column is below ``-FEASIBILITY_TOL`` to that column,
     until no row moves.
 
@@ -552,7 +623,7 @@ def _policy_iteration(lp: LpModel) -> tuple[np.ndarray | None, int]:
     of a valid model is proper; an improper one gives None, and HiGHS
     starts from its own crash basis.
     """
-    pm, a = lp.pm, lp.a_eq.tocsc()
+    pm, (ptr, row, value) = lp.pm, lp.flow
     reps = np.array(lp.rows, dtype=np.int64)
     width = pm.row_ptr[reps + 1] - pm.row_ptr[reps]
     var_ptr = np.cumsum(width) - width
@@ -561,15 +632,21 @@ def _policy_iteration(lp: LpModel) -> tuple[np.ndarray | None, int]:
     stops = np.flatnonzero(pm.row_action[_ranges(pm.row_ptr[reps], width)] == pm.model.a_bot)
     policy[owner[stops]] = stops
 
-    chosen = a[:, policy].tocoo()
-    leaks = np.flatnonzero(np.bincount(chosen.col, chosen.data, len(reps)) > ZERO_OCCUPANCY_THRESHOLD)
-    if not _reaching(chosen.col, chosen.row, leaks, len(reps)).all():
+    def columns(policy):  # the CSC arrays of a_eq[:, policy]
+        count = ptr[policy + 1] - ptr[policy]
+        e = _ranges(ptr[policy], count)
+        return np.concatenate(([0], np.cumsum(count))), row[e], value[e]
+
+    chosen_ptr, chosen_row, chosen_value = columns(policy)
+    chosen_col = np.repeat(np.arange(len(reps)), np.diff(chosen_ptr))
+    leaks = np.flatnonzero(np.bincount(chosen_col, chosen_value, len(reps)) > ZERO_OCCUPANCY_THRESHOLD)
+    if not _reached(chosen_row, chosen_col, leaks, len(reps)).all():  # every row reaches a leak
         return None, 0
     rounds = 0
     while True:
         rounds += 1
-        values = splu(a[:, policy]).solve(lp.cost[policy], trans="T")
-        reduced = lp.cost - a.T @ values
+        values = _splu(*columns(policy)).solve(lp.cost[policy], trans="T")
+        reduced = lp.cost - np.bincount(lp.flow_col, value * values[row], len(lp.cost))
         best = np.lexsort((reduced, owner))[var_ptr]  # each row's first cheapest column
         moves = reduced[best] < -FEASIBILITY_TOL
         if not moves.any():
@@ -632,7 +709,6 @@ def _lp_model(pm: ProductMdp, mode: str) -> LpModel:
     task = stop & pm.task_accepts[t]
     task_row = np.bincount(j[task], weights=p[task], minlength=n_vars).astype(float)
     flow = ~stop  # the entries into non-absorbing blocks
-    a_eq = _flow_matrix(row_of[var_state], j[flow], row_of[t[flow]], p[flow], len(rows)).tocsr()
     b_eq = np.zeros(len(rows))
     b_eq[row_of[pm.initial]] = 1.0
 
@@ -643,23 +719,31 @@ def _lp_model(pm: ProductMdp, mode: str) -> LpModel:
         rows=tuple(rows.tolist()),
         objective=objective,
         maximize=(mode != "min-opacity"),
-        a_eq=a_eq,
+        flow=_flow_matrix(row_of[var_state], j[flow], row_of[t[flow]], p[flow]),
         b_eq=b_eq,
         task_row=task_row,
     )
     return pm.lp_models[mode]
 
 
-def _flow_matrix(unit_row, col, row, prob, n_rows: int) -> sp.coo_matrix:
-    """Flow columns with ``n_rows`` rows: column ``c`` is 1 at
-    ``unit_row[c]``, then ``-prob[k]`` at ``row[k]`` where ``col[k] == c``,
-    in entry order, the order in which duplicates are summed."""
+def _flow_matrix(unit_row, col, row, prob) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSC arrays (ptr, row, value) of the flow columns: column ``c``
+    is 1 at ``unit_row[c]``, then ``-prob[k]`` at ``row[k]`` where
+    ``col[k] == c``.  Each column is sorted by row, and the entries of one
+    (row, column) are summed left to right: the unit first, then in entry
+    order."""
     n = len(unit_row)
     cols = np.concatenate((np.arange(n), col))
-    order = np.argsort(cols, kind="stable")
+    rows = np.concatenate((unit_row, row))
+    order = np.lexsort((rows, cols))  # stable: by column, then row, then entry order
+    cols, rows = cols[order], rows[order]
     data = np.concatenate((np.ones(n), -prob))[order]
-    rows = np.concatenate((unit_row, row))[order]
-    return sp.coo_matrix((data, (rows, cols[order])), shape=(n_rows, n))
+    first = np.ones(len(order), dtype=bool)  # the first entry of each (column, row)
+    first[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
+    value = data[first]
+    np.add.at(value, np.cumsum(first)[~first] - 1, data[~first])
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(cols[first], minlength=n))))
+    return ptr, rows[first], value
 
 
 @dataclass
@@ -693,19 +777,20 @@ _HIGHS_OPTIONS = {
 }
 
 
-def _highs(cost, a: sp.csc_matrix, row_lower, row_upper):
+def _highs(cost, a: tuple, row_lower, row_upper):
     """A HiGHS instance holding ``min cost @ x`` subject to ``row_lower <=
-    a @ x <= row_upper`` and ``x >= 0``, with ``_HIGHS_OPTIONS``."""
+    a @ x <= row_upper`` and ``x >= 0``, with ``_HIGHS_OPTIONS``; ``a`` is
+    given by its CSC arrays (ptr, row, value)."""
     if highspy is None:
         raise PlannerError("solving needs scipy's HiGHS binding, scipy.optimize._highspy")
-    n_rows, n_cols = a.shape
+    n_rows, n_cols = len(row_lower), len(cost)
     lp = highspy.HighsLp()
     lp.num_col_, lp.num_row_ = n_cols, n_rows
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(n_cols), np.full(n_cols, np.inf)
     lp.row_lower_, lp.row_upper_ = row_lower, row_upper
     matrix = lp.a_matrix_
     matrix.format_, matrix.num_col_, matrix.num_row_ = highspy.MatrixFormat.kColwise, n_cols, n_rows
-    matrix.start_, matrix.index_, matrix.value_ = a.indptr, a.indices, a.data
+    matrix.start_, matrix.index_, matrix.value_ = a
     highs = highspy._Highs()
     for name, value in _HIGHS_OPTIONS.items():
         highs.setOptionValue(name, value)
@@ -748,7 +833,9 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
         )
     solution = highs.getSolution()
     occupancy = np.array(solution.col_value)
-    residual = float(np.max(np.abs(lp.a_eq @ occupancy - lp.b_eq))) if len(occupancy) else 0.0
+    _, row, value = lp.flow
+    flow = np.bincount(row, value * occupancy[lp.flow_col], len(lp.b_eq))  # a_eq @ occupancy
+    residual = float(np.max(np.abs(flow - lp.b_eq))) if len(occupancy) else 0.0
     return PolicySolution(
         status="optimal",
         objective=float(lp.objective @ occupancy),
@@ -821,15 +908,14 @@ def export_lp(lp: LpProblem) -> str:
         terms = [f"+ 0 {lp.variable_name(0)}"] if lp.variables else ["+ 0 m_zero"]
     lines.extend(_wrap_terms("obj:", terms))
     lines.append("Subject To")
-    a_coo = lp.a_eq.tocoo()
-    by_row: dict[int, list[tuple[int, float]]] = {}
-    for r, c, v in zip(a_coo.row, a_coo.col, a_coo.data):
-        by_row.setdefault(int(r), []).append((int(c), float(v)))
+    _, row, value = lp.flow
+    by_row = np.argsort(row, kind="stable")  # the entries by row, each row's by column
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(lp.rows))))).tolist()
+    cols, values = lp.flow_col[by_row].tolist(), value[by_row].tolist()
     for i, v_state in enumerate(lp.rows):
-        entries = sorted(by_row.get(i, []))
         terms = [
             ("+ " if v >= 0 else "- ") + f"{_num(abs(v))} {lp.variable_name(c)}"
-            for c, v in entries
+            for c, v in zip(cols[ptr[i] : ptr[i + 1]], values[ptr[i] : ptr[i + 1]])
         ]
         rhs = _num(lp.b_eq[i])
         lines.extend(_wrap_terms(f"flow_v{v_state}:", terms, f"= {rhs}"))

@@ -12,12 +12,11 @@ from math import sqrt
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import breadth_first_order
 
+from . import planner
 from .automata import Dfa
 from .model import PROB_TOL, Model, ObsSymbol, Play, obs_of_play
-from .planner import ProductMdp, _flow_matrix, _graph, _reaching
+from .planner import ProductMdp, _flow_matrix, _reached
 
 log = logging.getLogger(__name__)
 
@@ -343,12 +342,11 @@ def _reachable_transient(pm: ProductMdp, policy: np.ndarray) -> np.ndarray:
     taken = np.flatnonzero(policy != 0.0)
     e, move = pm.entries(taken)
     src, dst = pm.row_state[taken][move], pm.entry_succ[e]
-    reached = np.zeros(n, dtype=bool)
-    reached[breadth_first_order(_graph(src, dst, n), pm.initial, return_predecessors=False)] = True
+    reached = _reached(src, dst, [pm.initial], n)
     transient = reached & ~pm.absorbing_mask
     # back from every absorbing state along the moves out of reached states
     kept = reached[src]
-    stopping = _reaching(src[kept], dst[kept], np.flatnonzero(pm.absorbing_mask), n)
+    stopping = _reached(dst[kept], src[kept], np.flatnonzero(pm.absorbing_mask), n)
     trapped = np.flatnonzero(transient & ~stopping)
     if trapped.size:
         raise SimulationError(
@@ -381,16 +379,33 @@ def exact_policy_values(pm: ProductMdp, policy: np.ndarray) -> dict[str, float]:
     i = row_of[state[move]]
     stop = pm.absorbing_mask[t]
     flow = ~stop  # each state's entries into non-absorbing states
-    matrix = _flow_matrix(np.arange(m), i[flow], row_of[t[flow]], p[flow], m).tocsc()
+    ptr, row, value = _flow_matrix(np.arange(m), i[flow], row_of[t[flow]], p[flow])
     nu = np.zeros(m)
     nu[row_of[pm.initial]] = 1.0
-    x = spla.spsolve(matrix, nu)
+    x = _spsolve(ptr, row, value, nu)
     # the mass of each stopping step, summed in step order by outcome
     mass = x[i[stop]] * p[stop]
     t = t[stop]
     ph, pt = np.bincount(~pm.opaque_accepts[t], weights=mass, minlength=2)
     task = np.bincount(pm.task_accepts[t], weights=mass, minlength=2)[1]
     return {"ph": float(ph), "pt": float(pt), "task": float(task)}
+
+
+def _spsolve(ptr: np.ndarray, row: np.ndarray, value: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of ``a @ x = b`` for the square matrix ``a`` with the
+    CSC arrays (ptr, row, value), by SuperLU's ``gssv`` as scipy's
+    ``spsolve`` calls it; raises ``SimulationError`` when ``a`` is
+    singular, where ``spsolve`` warns and returns NaNs."""
+    superlu = planner.superlu
+    if superlu is None:
+        raise SimulationError("exact evaluation needs scipy's SuperLU extension, " + planner.SUPERLU)
+    x, info = superlu.gssv(
+        len(b), len(value), value, row.astype(np.intc), ptr.astype(np.intc), b, 1,
+        options={"ColPerm": None},
+    )
+    if info != 0:
+        raise SimulationError("the occupancy equations are singular")
+    return x.ravel()
 
 
 # ---------------------------------------------------------------------------

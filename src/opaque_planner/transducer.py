@@ -37,7 +37,7 @@ import numpy as np
 
 from .automata import Dfa, Nfa, meets, minimize_table, subset_construction
 from .model import Model, ObsSymbol
-from .planner import Product, _label_table, _product_search, _reaching
+from .planner import Product, _label_table, _product_search, _reached
 
 InputLetter = tuple[int, int, int]  # (state, action, successor) indices
 
@@ -145,7 +145,7 @@ def _erase_inputs(pf: ProductFst, accepting: frozenset[int]) -> tuple[np.ndarray
     subset construction."""
     src, dst = pf.entry_state, pf.entry_succ
     targets = np.array(sorted(accepting), dtype=np.int64)
-    alive = _reaching(src, dst, targets, pf.n_states)
+    alive = _reached(dst, src, targets, pf.n_states)  # the states that reach ``targets``
     renum = np.cumsum(alive) - 1
     live = alive[src] & alive[dst]
     kept = np.flatnonzero(alive)

@@ -1,8 +1,12 @@
-"""Every name a package module or a test module imports is used in it.
+"""Every name a package module or a test module imports is used in it, and
+no package module imports ``scipy.sparse`` or ``scipy.optimize`` when it
+is loaded.
 
 No linter ships with the project, so this parses each module with ``ast``.
-The package's ``__init__.py`` is skipped: its imports are the package's
-re-exports.
+The package's ``__init__.py`` is skipped by the unused-import check: its
+imports are the package's re-exports.  The package calls scipy's HiGHS and
+SuperLU extensions directly (``planner._load_extension``); importing
+``scipy.sparse`` or ``scipy.optimize`` would cost every process ~0.5 s.
 """
 
 import ast
@@ -11,10 +15,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "opaque_planner").glob("*.py"))
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "opaque_planner").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
+    [p for p in PACKAGE if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py"))
 )
+#: the scipy packages whose import costs every process most of its set-up
+HEAVY = ("scipy.sparse", "scipy.optimize")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +43,59 @@ def unused_imports(source: str) -> list[str]:
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def load_time_imports(source: str) -> list[str]:
+    """The ``HEAVY`` packages the module imports when it is loaded: by an
+    import statement anywhere outside a function body."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = []
+        for name in names:
+            if any(name == heavy or name.startswith(heavy + ".") for heavy in HEAVY):
+                found.append(f"{name} (line {node.lineno})")
+                break
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_heavy_scipy_import_on_load(path):
+    assert load_time_imports(path.read_text()) == []
+
+
+def test_finds_a_heavy_scipy_import():
+    source = (
+        "import scipy\n"
+        "import scipy.sparse.linalg as spla\n"
+        "from scipy import optimize\n"
+        "from scipy.sparse import csgraph\n"
+        "if True:\n"
+        "    from scipy.optimize import linprog\n"
+        "class A:\n"
+        "    import scipy.sparse\n"
+        "def f():\n"
+        "    import scipy.sparse as sp\n"
+        "    return sp\n"
+    )
+    assert load_time_imports(source) == [
+        "scipy.sparse.linalg (line 2)",
+        "scipy.optimize (line 3)",
+        "scipy.sparse (line 4)",
+        "scipy.optimize (line 6)",
+        "scipy.sparse (line 8)",
+    ]
 
 
 def test_finds_an_unused_import():

@@ -9,6 +9,7 @@ from opaque_planner.ltlf import (
     Eventually,
     LtlfError,
     LtlfSyntaxError,
+    MAX_NESTING,
     Next,
     Not,
     Prop,
@@ -168,8 +169,10 @@ class TestTranslation:
 
 
 class TestDeepNesting:
-    """Parsing, translation and evaluation recurse once per nesting level;
-    past Python's recursion limit they raise ``LtlfError``."""
+    """Parsing, translation and evaluation recurse once per nesting level.
+    The parser takes at most ``MAX_NESTING`` levels; translation and
+    evaluation of a deeper formula built by hand raise ``LtlfError`` past
+    Python's recursion limit."""
 
     @pytest.mark.parametrize(
         "text",
@@ -191,6 +194,32 @@ class TestDeepNesting:
             ltlf_to_dfa(f, LETTERS2)
         with pytest.raises(LtlfError, match="formula nested too deeply"):
             evaluate(f, [frozenset({"p"})])
+
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda n: "(" * n + "p" + ")" * n,
+            lambda n: "!" * n + "p",
+            lambda n: "X " * n + "p",
+            lambda n: "p U " * n + "p",
+        ],
+        ids=["parentheses", "negations", "nexts", "untils"],
+    )
+    @pytest.mark.parametrize("caller_frames", [0, 300])
+    def test_cut_off_is_a_fixed_depth(self, nest, caller_frames):
+        # the parser counts its own levels, so the cut-off is the same
+        # however deep the caller's stack already is
+        def from_depth(k, f, *args):
+            return f(*args) if k == 0 else from_depth(k - 1, f, *args)
+
+        f = from_depth(caller_frames, parse_ltlf, nest(MAX_NESTING))
+        assert from_depth(caller_frames, evaluate, f, [frozenset({"p"})]) in (True, False)
+        assert from_depth(caller_frames, ltlf_to_dfa, nest(MAX_NESTING), LETTERS2).n_states > 1
+        too_deep = f"formula nested too deeply: more than {MAX_NESTING} levels"
+        with pytest.raises(LtlfError, match=too_deep):
+            from_depth(caller_frames, parse_ltlf, nest(MAX_NESTING + 1))
+        with pytest.raises(LtlfError, match=too_deep):
+            from_depth(caller_frames, ltlf_to_dfa, nest(MAX_NESTING + 1), LETTERS2)
 
     def test_moderate_nesting_still_translates(self):
         text = "(" * 40 + "F p" + ")" * 40

@@ -34,7 +34,9 @@ from opaque_planner.planner import (
     solve_lp,
 )
 from opaque_planner.scenarios import DroneConfig, GridworldConfig, Sensor, gridworld
-from opaque_planner.simulate import enumerate_plays, exact_policy_values
+from opaque_planner.simulate import (
+    SimulationError, enumerate_plays, exact_policy_values, uniform_policy,
+)
 from opaque_planner.transducer import opaque_obs_dfa
 
 from helpers import (
@@ -857,8 +859,26 @@ def test_scipy_ships_the_highs_binding():
         assert hasattr(lp, field), field
 
 
+def test_scipy_ships_superlu():
+    # what policy iteration and exact evaluation call of scipy's SuperLU
+    # wrapper, as the package's loader found it, with the arguments scipy's
+    # splu and spsolve pass
+    superlu = planner.superlu
+    assert superlu is not None
+    ptr, row, value = np.array([0, 2, 3]), np.array([0, 1, 1]), np.array([2.0, 1.0, 4.0])
+    lu = planner._splu(ptr, row, value)  # [[2, 0], [1, 4]]
+    assert np.allclose(lu.solve(np.array([2.0, 9.0])), [1.0, 2.0])
+    assert np.allclose(lu.solve(np.array([4.0, 4.0]), trans="T"), [1.5, 1.0])
+    x, info = superlu.gssv(
+        2, 3, value, row.astype(np.intc), ptr.astype(np.intc), np.array([2.0, 9.0]), 1,
+        options={"ColPerm": None},
+    )
+    assert info == 0 and np.allclose(x, [1.0, 2.0])
+
+
 # ---------------------------------------------------------------------------
-# the binding is loaded without scipy.optimize, and only once
+# scipy's HiGHS and SuperLU extensions are loaded without scipy.optimize and
+# scipy.sparse, and only once
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -871,13 +891,30 @@ def run_python(script):
 
 
 def test_importing_the_package_leaves_scipy_optimize_out():
+    # nor does a pass through the pipeline load scipy.sparse, or numpy.ma,
+    # which np.unique imports on its first call without return_index
     run_python(
         "import sys\n"
         "import opaque_planner\n"
+        "from opaque_planner import (build_lp, dfa_over_model_labels, exact_policy_values,\n"
+        "    extract_policy, gridworld, opaque_obs_dfa, product_mdp, rollout, running_example,\n"
+        "    solve_lp)\n"
         "from opaque_planner import planner\n"
-        "loaded = {'scipy.optimize', 'scipy.special', 'scipy.fft'} & set(sys.modules)\n"
+        "m = running_example()\n"
+        "opaque = opaque_obs_dfa(m, dfa_over_model_labels('F s6', m))\n"
+        "pm = product_mdp(m, dfa_over_model_labels('F s4', m), opaque)\n"
+        "policy = extract_policy(solve_lp(build_lp(pm, 0.6)), pm)\n"
+        "assert exact_policy_values(pm, policy)['ph'] > 0.0\n"
+        "assert rollout(pm, policy, runs=20, seed=1).runs == 20\n"
+        "g = gridworld()\n"
+        "opaque = opaque_obs_dfa(g, dfa_over_model_labels('F B & F A', g))\n"
+        "assert product_mdp(g, dfa_over_model_labels('F C', g), opaque).n_states > 0\n"
+        "heavy = {'scipy.sparse', 'scipy.sparse.linalg', 'scipy.sparse.csgraph',\n"
+        "         'scipy.optimize', 'scipy.special', 'scipy.fft', 'numpy.f2py', 'numpy.ma'}\n"
+        "loaded = heavy & set(sys.modules)\n"
         "assert not loaded, loaded\n"
         f"assert planner.highspy is sys.modules[{planner.HIGHSPY!r}]\n"
+        f"assert planner.superlu is sys.modules[{planner.SUPERLU!r}]\n"
     )
 
 
@@ -901,19 +938,68 @@ def test_linprog_solves_after_the_package_loaded_the_binding():
     )
 
 
+def test_the_package_reuses_the_superlu_scipy_sparse_loaded():
+    run_python(
+        "import scipy.sparse.linalg\n"
+        "from scipy.sparse.linalg._dsolve import _superlu\n"
+        "from opaque_planner import planner\n"
+        "assert planner.superlu is _superlu\n"
+    )
+
+
+def test_splu_and_spsolve_solve_after_the_package_loaded_superlu():
+    run_python(
+        "import numpy as np\n"
+        "from opaque_planner import planner\n"
+        "from scipy.sparse import csc_array\n"
+        "from scipy.sparse.linalg import splu, spsolve\n"
+        "from scipy.sparse.linalg._dsolve import _superlu\n"
+        "a = csc_array(np.array([[2.0, 0.0], [1.0, 4.0]]))\n"
+        "assert np.allclose(spsolve(a, np.array([2.0, 9.0])), [1.0, 2.0])\n"
+        "lu = splu(a)\n"
+        "assert np.allclose(lu.solve(np.array([2.0, 9.0])), [1.0, 2.0])\n"
+        "assert lu.L.shape == (2, 2)\n"
+        "assert _superlu is planner.superlu\n"
+    )
+
+
+def unloadable(tmp_path, name, broken):
+    """Point scipy's path at ``tmp_path``, which holds no loadable
+    extension ``name``: no directory for it, or a file that is not a
+    shared object."""
+    if broken:
+        *parents, leaf = name.split(".")[1:]
+        where = tmp_path.joinpath(*parents)
+        where.mkdir(parents=True)
+        (where / f"{leaf}{EXTENSION_SUFFIXES[0]}").write_bytes(b"not a shared object")
+    return [str(tmp_path)]
+
+
 @pytest.mark.parametrize("broken", [False, True], ids=["no directory", "unloadable file"])
 def test_without_a_loadable_binding_the_loader_finds_none(
     broken, model, task_dfa, opaque_dfa, monkeypatch, tmp_path
 ):
-    if broken:
-        where = tmp_path / "optimize" / "_highspy"
-        where.mkdir(parents=True)
-        (where / f"_core{EXTENSION_SUFFIXES[0]}").write_bytes(b"not a shared object")
     monkeypatch.delitem(sys.modules, planner.HIGHSPY)
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-    found = planner._load_highspy()
+    monkeypatch.setattr(scipy, "__path__", unloadable(tmp_path, planner.HIGHSPY, broken))
+    found = planner._load_extension(planner.HIGHSPY)
     assert found is None and planner.HIGHSPY not in sys.modules
     monkeypatch.setattr(planner, "highspy", found)
     lp = build_lp(product_mdp(model, task_dfa, opaque_dfa), 0.4)
     with pytest.raises(PlannerError, match="HiGHS binding"):
         solve_lp(lp)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["no directory", "unloadable file"])
+def test_without_a_loadable_superlu_the_loader_finds_none(
+    broken, model, task_dfa, opaque_dfa, monkeypatch, tmp_path
+):
+    monkeypatch.delitem(sys.modules, planner.SUPERLU)
+    monkeypatch.setattr(scipy, "__path__", unloadable(tmp_path, planner.SUPERLU, broken))
+    found = planner._load_extension(planner.SUPERLU)
+    assert found is None and planner.SUPERLU not in sys.modules
+    monkeypatch.setattr(planner, "superlu", found)
+    pm = product_mdp(model, task_dfa, opaque_dfa)
+    with pytest.raises(PlannerError, match="SuperLU extension"):
+        solve_lp(build_lp(pm, 0.4))
+    with pytest.raises(SimulationError, match="SuperLU extension"):
+        exact_policy_values(pm, uniform_policy(pm))
