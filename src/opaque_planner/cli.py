@@ -24,6 +24,7 @@ from .dot import dfa_to_dot, fst_to_dot, nfa_to_dot, product_fst_to_dot
 from .ltlf import LtlfError, dfa_over_model_labels
 from .model import Model, ModelError, dumps_model, load_model, validate
 from .planner import (
+    MODES,
     PlannerError,
     build_lp,
     export_lp,
@@ -248,6 +249,9 @@ def cmd_simulate(args) -> int:
         value = meta.get(key)
         if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise CliError(f"policy metadata: {key} must be a number")
+    mode = meta.get("mode", "opacity")
+    if mode not in MODES:
+        raise CliError(f"policy metadata: mode must be one of {', '.join(MODES)}, not {mode!r}")
     if manifest.get("model_sha256") and manifest["model_sha256"] != _sha256(args.model):
         raise CliError("policy was planned against a different model file")
     task_spec = args.task or manifest.get("task")
@@ -259,7 +263,6 @@ def cmd_simulate(args) -> int:
     pm = product_mdp(model, task, opaque)
     policy = policy_from_dict(doc, pm)
     stats = rollout(pm, policy, runs=args.runs, seed=args.seed)
-    mode = meta.get("mode", "opacity")
     shown = stats.pt if mode == "transparency" else stats.ph
     objective = meta.get("objective")
     obj_text = f"{objective:.4f}" if objective is not None else "   -  "
@@ -367,7 +370,7 @@ def _add_common_planning(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=0.0, help="task threshold")
     p.add_argument(
         "--mode",
-        choices=("opacity", "transparency", "min-opacity"),
+        choices=MODES,
         default="opacity",
         help="maximize opacity or transparency, or minimize opacity literally "
         "(comparison mode)",

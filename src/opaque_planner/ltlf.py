@@ -1,12 +1,13 @@
 """Linear temporal logic over finite words: parsing, direct semantic
 evaluation, and translation to complete DFAs by formula progression.
 
-The DFA states are Boolean functions of the temporal atoms of the
-syntactically normalized input, kept as reduced ordered BDDs, so equal
-obligations are one state and the translation always terminates.  A
-state accepts iff its obligation holds on the empty continuation, following
-the usual end-of-trace evaluation (the empty word satisfies ``G f``
-vacuously and falsifies ``F f``, ``X f``, ``U`` and plain propositions).
+The DFA states are Boolean functions of the input's temporal atoms, kept
+as reduced ordered BDDs, and an atom is keyed by its operator and the BDDs
+of its arguments; so equal obligations are one state and the translation
+always terminates.  A state accepts iff its obligation holds on the empty
+continuation, following the usual end-of-trace evaluation (the empty word
+satisfies ``G f`` vacuously and falsifies ``F f``, ``X f``, ``U`` and plain
+propositions).
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ class Always(Formula):
 
 TRUE = TrueF()
 FALSE = FalseF()
-NONEMPTY = Eventually(TRUE)  # holds exactly on nonempty words
 
 
 def props(f: Formula) -> frozenset[str]:
@@ -382,104 +382,37 @@ def evaluate(f: Formula, word: Sequence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# normalization
-
-_KIND_ORDER = {
-    TrueF: 0, FalseF: 1, Prop: 2, Not: 3, Next: 4, Eventually: 5,
-    Always: 6, Until: 7, And: 8, Or: 9,
-}
-
-
-def _formula_key(f: Formula):
-    if isinstance(f, Prop):
-        return (_KIND_ORDER[Prop], f.name)
-    if isinstance(f, (TrueF, FalseF)):
-        return (_KIND_ORDER[type(f)],)
-    if isinstance(f, (Not, Next, Eventually, Always)):
-        return (_KIND_ORDER[type(f)], _formula_key(f.arg))
-    if isinstance(f, Until):
-        return (_KIND_ORDER[Until], _formula_key(f.left), _formula_key(f.right))
-    return (_KIND_ORDER[type(f)], tuple(_formula_key(g) for g in f.args))
-
-
-def m_not(f: Formula) -> Formula:
-    if isinstance(f, TrueF):
-        return FALSE
-    if isinstance(f, FalseF):
-        return TRUE
-    if isinstance(f, Not):
-        return f.arg
-    return Not(f)
-
-
-def _assoc(cls, items: Iterable[Formula], absorb: Formula, unit: Formula) -> Formula:
-    flat: list[Formula] = []
-    seen: set[Formula] = set()
-    stack = list(items)
-    while stack:
-        g = stack.pop(0)
-        if isinstance(g, cls):
-            stack = list(g.args) + stack
-            continue
-        if g == absorb:
-            return absorb
-        if g == unit or g in seen:
-            continue
-        seen.add(g)
-        flat.append(g)
-    for g in flat:
-        if m_not(g) in seen:
-            return absorb
-    if not flat:
-        return unit
-    if len(flat) == 1:
-        return flat[0]
-    return cls(tuple(sorted(flat, key=_formula_key)))
-
-
-def m_and(items: Iterable[Formula]) -> Formula:
-    return _assoc(And, items, FALSE, TRUE)
-
-
-def m_or(items: Iterable[Formula]) -> Formula:
-    return _assoc(Or, items, TRUE, FALSE)
-
-
-def normalize(f: Formula) -> Formula:
-    if isinstance(f, (TrueF, FalseF, Prop)):
-        return f
-    if isinstance(f, Not):
-        return m_not(normalize(f.arg))
-    if isinstance(f, And):
-        return m_and(normalize(g) for g in f.args)
-    if isinstance(f, Or):
-        return m_or(normalize(g) for g in f.args)
-    if isinstance(f, Next):
-        return Next(normalize(f.arg))
-    if isinstance(f, Until):
-        return Until(normalize(f.left), normalize(f.right))
-    if isinstance(f, Eventually):
-        return Eventually(normalize(f.arg))
-    if isinstance(f, Always):
-        return Always(normalize(f.arg))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
 # translation: progression over canonical Boolean combinations of atoms
+
+#: the operator that keys an ``X``, ``F`` or ``G`` atom
+_OPERATOR = {cls: op for op, cls in _UNARY.items()}
+
+
+def _joined(cls, first: Formula, rest: Formula) -> Formula:
+    """``cls((first, rest))``, with ``rest``'s arguments in place of
+    ``rest`` when it is a ``cls`` too, and ``first`` alone when ``rest``
+    is a constant: a node's two children differ, so that constant is
+    ``cls``'s unit."""
+    if isinstance(rest, (TrueF, FalseF)):
+        return first
+    return cls((first,) + (rest.args if isinstance(rest, cls) else (rest,)))
 
 
 class _Progression:
     """Formula progression on reduced ordered BDDs over temporal atoms.
 
-    An atom is a proposition or an ``X``, ``U``, ``F`` or ``G`` formula.
-    Progressing an atom on a letter yields a Boolean combination of atoms
-    drawn from the subformulas of the normalized input (and ``NONEMPTY``),
-    a finite set; and a Boolean function has exactly one reduced ordered
-    BDD.  So the states of the translation are finitely many by
-    construction, which syntactic normalization alone cannot promise: it
-    does not apply absorption (``a | a & b``), and progressing
-    ``(G !q) U (G !q)`` on the empty letter grows that formula forever.
+    An atom is a proposition or an ``X``, ``F``, ``G`` or ``U`` of
+    Boolean functions, keyed by its operator and the nodes of its
+    arguments: ``("p", name)``, ``("X", u)``, ``("F", u)``, ``("G", u)``
+    or ``("U", left, right)``.  Atoms whose arguments are the same Boolean
+    function are therefore one atom, and ``("F", 1)``, ``F true``, holds
+    exactly on the nonempty words.  Progressing an atom on a letter yields
+    a Boolean combination of that atom, ``F true`` and the atoms of its
+    arguments, so no atoms occur but the input's and ``F true``; and a
+    Boolean function has exactly one reduced ordered BDD.  So the states
+    of the translation are finitely many by construction, where syntactic
+    progression of ``(G !q) U (G !q)`` on the empty letter grows that
+    formula forever.
 
     Node 0 is false and node 1 is true; every other node is a unique
     ``(var, lo, hi)`` triple, ``var`` indexing ``atoms``.  Atoms are
@@ -488,8 +421,8 @@ class _Progression:
     """
 
     def __init__(self) -> None:
-        self.atoms: list[Formula] = []
-        self.atom_index: dict[Formula, int] = {}
+        self.atoms: list[tuple] = []
+        self.atom_index: dict[tuple, int] = {}
         self.nodes: list[tuple[int, int, int]] = [(-1, 0, 0), (-1, 1, 1)]
         self.unique: dict[tuple[int, int, int], int] = {}
         self.ite_memo: dict[tuple[int, int, int], int] = {}
@@ -532,64 +465,63 @@ class _Progression:
         self.ite_memo[key] = u
         return u
 
-    def atom(self, f: Formula) -> int:
-        var = self.atom_index.get(f)
+    def atom(self, key: tuple) -> int:
+        var = self.atom_index.get(key)
         if var is None:
-            var = self.atom_index[f] = len(self.atoms)
-            self.atoms.append(f)
+            var = self.atom_index[key] = len(self.atoms)
+            self.atoms.append(key)
         return self._node(var, 0, 1)
 
-    def _boolean(self, f: Formula, leaf) -> int:
-        """The node of ``f``'s Boolean structure, with ``leaf`` giving the
-        node of each atom."""
+    def encode(self, f: Formula) -> int:
+        """The node of ``f``, its atoms built bottom-up."""
         if isinstance(f, TrueF):
             return 1
         if isinstance(f, FalseF):
             return 0
+        if isinstance(f, Prop):
+            return self.atom(("p", f.name))
         if isinstance(f, Not):
-            return self.ite(self._boolean(f.arg, leaf), 0, 1)
+            return self.ite(self.encode(f.arg), 0, 1)
         if isinstance(f, And):
             u = 1
             for g in f.args:
-                u = self.ite(u, self._boolean(g, leaf), 0)
+                u = self.ite(u, self.encode(g), 0)
             return u
         if isinstance(f, Or):
             u = 0
             for g in f.args:
-                u = self.ite(u, 1, self._boolean(g, leaf))
+                u = self.ite(u, 1, self.encode(g))
             return u
-        return leaf(f)
+        if isinstance(f, Until):
+            return self.atom(("U", self.encode(f.left), self.encode(f.right)))
+        if isinstance(f, (Next, Eventually, Always)):
+            return self.atom((_OPERATOR[type(f)], self.encode(f.arg)))
+        raise TypeError(f"not a formula: {f!r}")
 
-    def encode(self, f: Formula) -> int:
-        return self._boolean(f, self.atom)
-
-    def _progress_formula(self, f: Formula, letter: frozenset[str]) -> int:
-        return self._boolean(f, lambda a: self._progress_atom(a, letter))
-
-    def _progress_atom(self, a: Formula, letter: frozenset[str]) -> int:
+    def _progress_atom(self, var: int, letter: frozenset[str]) -> int:
         """For every continuation w (including the empty one),
-        ``letter . w`` satisfies ``a`` iff ``w`` satisfies the result."""
-        key = (self.atom(a), letter)
+        ``letter . w`` satisfies atom ``var`` iff ``w`` satisfies the
+        result."""
+        key = (var, letter)
         got = self.atom_steps.get(key)
         if got is not None:
             return got
-        if isinstance(a, Prop):
-            u = 1 if a.name in letter else 0
-        elif isinstance(a, Next):
-            u = self.encode(a.arg)
+        op, *args = self.atoms[var]
+        itself = self._node(var, 0, 1)
+        if op == "p":
+            u = 1 if args[0] in letter else 0
+        elif op == "X":
+            u = args[0]
             # the strict next requires a nonempty continuation
-            if eval_empty(a.arg):
-                u = self.ite(u, self.atom(NONEMPTY), 0)
-        elif isinstance(a, Until):
-            right = self._progress_formula(a.right, letter)
-            left = self._progress_formula(a.left, letter)
-            u = self.ite(right, 1, self.ite(left, self.atom(a), 0))
-        elif isinstance(a, Eventually):
-            u = self.ite(self._progress_formula(a.arg, letter), 1, self.atom(a))
-        elif isinstance(a, Always):
-            u = self.ite(self._progress_formula(a.arg, letter), self.atom(a), 0)
-        else:
-            raise TypeError(f"not a formula: {a!r}")
+            if self.accepts_empty(u):
+                u = self.ite(u, self.atom(("F", 1)), 0)
+        elif op == "U":
+            left, right = (self.step(v, letter) for v in args)
+            u = self.ite(right, 1, self.ite(left, itself, 0))
+        elif op == "F":
+            u = self.ite(self.step(args[0], letter), 1, itself)
+        else:  # "G"
+            u = self.ite(self.step(args[0], letter), itself, 0)
         self.atom_steps[key] = u
         return u
 
@@ -603,7 +535,7 @@ class _Progression:
         if got is None:
             var, lo, hi = self.nodes[u]
             got = self.ite(
-                self._progress_atom(self.atoms[var], letter),
+                self._progress_atom(var, letter),
                 self.step(hi, letter),
                 self.step(lo, letter),
             )
@@ -611,31 +543,40 @@ class _Progression:
         return got
 
     def accepts_empty(self, u: int) -> bool:
+        """Whether ``u`` holds on the empty word, where of the atoms only
+        ``G`` holds."""
         while u > 1:
             var, lo, hi = self.nodes[u]
-            u = hi if eval_empty(self.atoms[var]) else lo
+            u = hi if self.atoms[var][0] == "G" else lo
         return u == 1
 
     def formula(self, u: int) -> Formula:
-        """A normalized formula with the Boolean function of ``u``."""
+        """A formula with the Boolean function of ``u``, its atoms in
+        BDD order."""
         if u <= 1:
             return TRUE if u else FALSE
         got = self.names.get(u)
         if got is None:
             var, lo, hi = self.nodes[u]
-            a = self.atoms[var]
-            if lo == 0:
-                got = m_and((a, self.formula(hi)))
-            elif hi == 0:
-                got = m_and((m_not(a), self.formula(lo)))
-            elif hi == 1:
-                got = m_or((a, self.formula(lo)))
-            elif lo == 1:
-                got = m_or((m_not(a), self.formula(hi)))
+            op, *args = self.atoms[var]
+            if op == "p":
+                a = Prop(args[0])
+            elif op == "U":
+                a = Until(self.formula(args[0]), self.formula(args[1]))
             else:
-                got = m_or((
-                    m_and((a, self.formula(hi))),
-                    m_and((m_not(a), self.formula(lo))),
+                a = _UNARY[op](self.formula(args[0]))
+            if lo == 0:
+                got = _joined(And, a, self.formula(hi))
+            elif hi == 0:
+                got = _joined(And, Not(a), self.formula(lo))
+            elif hi == 1:
+                got = _joined(Or, a, self.formula(lo))
+            elif lo == 1:
+                got = _joined(Or, Not(a), self.formula(hi))
+            else:
+                got = Or((
+                    _joined(And, a, self.formula(hi)),
+                    _joined(And, Not(a), self.formula(lo)),
                 ))
             self.names[u] = got
         return got
@@ -650,8 +591,8 @@ def ltlf_to_dfa(
     """Translate a formula into a complete DFA over the given letters.
 
     Each DFA state is a Boolean function of the input's temporal atoms
-    (see :class:`_Progression`), named by a normalized formula; a state
-    accepts iff it holds on the empty continuation.
+    (see :class:`_Progression`), named by a formula of that function; a
+    state accepts iff it holds on the empty continuation.
     """
     if isinstance(formula, str):
         formula = parse_ltlf(formula)
@@ -662,9 +603,8 @@ def ltlf_to_dfa(
     if undeclared:
         raise LtlfError(f"formula uses undeclared propositions {sorted(undeclared)}")
 
-    start = normalize(formula)
     bdd = _Progression()
-    root = bdd.encode(start)
+    root = bdd.encode(formula)
     order: dict[int, int] = {root: 0}
     queue = deque([root])
     moves: list[int] = []  # the table, row after row: states leave the queue in order

@@ -761,7 +761,10 @@ def model_from_dict(doc: Mapping) -> Model:
     if props is not None:
         _names(props, "atomic_props")
 
-    if doc.get("auto_frame", False):
+    auto_frame = doc.get("auto_frame", False)
+    if not isinstance(auto_frame, bool):
+        raise ModelError(f"model file: auto_frame must be true or false, not {auto_frame!r}")
+    if auto_frame:
         return build_model(states, actions, transitions, initial, labels, observations, props)
     return assemble(states, actions, transitions, labels, observations, props)
 

@@ -80,7 +80,7 @@ def _load_extension(name: str):
     loaded once whichever is imported first: pybind11 registers its types
     once per process, and a second load does not give a working second
     copy.  Both modules are private to scipy; the calls made here
-    (``_Highs``, ``gstrf``, ``gssv``) are those of the release
+    (``_Highs`` and ``gstrf``) are those of the release
     ``pyproject.toml`` pins, ``scipy>=1.17.1``, and ``tests/test_planner.py``
     checks them.
     """
@@ -103,6 +103,9 @@ highspy = _load_extension(HIGHSPY)
 superlu = _load_extension(SUPERLU)
 
 FEASIBILITY_TOL = 1e-9
+
+#: the LP objectives :func:`build_lp` assembles
+MODES = ("opacity", "transparency", "min-opacity")
 
 #: occupancies at or below this count as zero when extracting a policy; the
 #: bisimulation also compares probabilities as multiples of it, so float
@@ -678,7 +681,7 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
     A threshold ``epsilon`` that is not finite raises ``PlannerError``.
     The threshold-free part is built once per product and mode.
     """
-    if mode not in ("opacity", "transparency", "min-opacity"):
+    if mode not in MODES:
         raise PlannerError(f"unknown mode {mode!r}")
     if not np.isfinite(epsilon):
         raise PlannerError(f"the task threshold must be finite, not {epsilon!r}")

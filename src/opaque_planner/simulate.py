@@ -382,30 +382,18 @@ def exact_policy_values(pm: ProductMdp, policy: np.ndarray) -> dict[str, float]:
     ptr, row, value = _flow_matrix(np.arange(m), i[flow], row_of[t[flow]], p[flow])
     nu = np.zeros(m)
     nu[row_of[pm.initial]] = 1.0
-    x = _spsolve(ptr, row, value, nu)
+    if planner.superlu is None:
+        raise SimulationError("exact evaluation needs scipy's SuperLU extension, " + planner.SUPERLU)
+    try:
+        x = planner._splu(ptr, row, value).solve(nu)
+    except RuntimeError:  # SuperLU's "Factor is exactly singular"
+        raise SimulationError("the occupancy equations are singular") from None
     # the mass of each stopping step, summed in step order by outcome
     mass = x[i[stop]] * p[stop]
     t = t[stop]
     ph, pt = np.bincount(~pm.opaque_accepts[t], weights=mass, minlength=2)
     task = np.bincount(pm.task_accepts[t], weights=mass, minlength=2)[1]
     return {"ph": float(ph), "pt": float(pt), "task": float(task)}
-
-
-def _spsolve(ptr: np.ndarray, row: np.ndarray, value: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solution of ``a @ x = b`` for the square matrix ``a`` with the
-    CSC arrays (ptr, row, value), by SuperLU's ``gssv`` as scipy's
-    ``spsolve`` calls it; raises ``SimulationError`` when ``a`` is
-    singular, where ``spsolve`` warns and returns NaNs."""
-    superlu = planner.superlu
-    if superlu is None:
-        raise SimulationError("exact evaluation needs scipy's SuperLU extension, " + planner.SUPERLU)
-    x, info = superlu.gssv(
-        len(b), len(value), value, row.astype(np.intc), ptr.astype(np.intc), b, 1,
-        options={"ColPerm": None},
-    )
-    if info != 0:
-        raise SimulationError("the occupancy equations are singular")
-    return x.ravel()
 
 
 # ---------------------------------------------------------------------------

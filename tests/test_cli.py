@@ -247,6 +247,17 @@ class TestSimulate:
                      "--runs", "10"]) == 1
         assert capsys.readouterr().err.startswith("error: policy")
 
+    @pytest.mark.parametrize("mode", ["transparancy", 7, None])
+    def test_unknown_mode_rejected(self, model_file, policy_file, tmp_path, capsys, mode):
+        # an unknown mode printed the opaque estimate beside the objective
+        doc = json.loads(Path(policy_file).read_text())
+        doc["metadata"]["mode"] = mode
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["simulate", "--model", model_file, "--policy", str(bad),
+                     "--runs", "10"]) == 1
+        assert capsys.readouterr().err.startswith("error: policy metadata: mode must be one of")
+
     def test_negative_seed_rejected(self, model_file, policy_file, capsys):
         assert main(["simulate", "--model", model_file, "--policy", policy_file,
                      "--runs", "10", "--seed", "-1"]) == 1

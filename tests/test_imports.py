@@ -1,6 +1,7 @@
-"""Every name a package module or a test module imports is used in it, and
-no package module imports ``scipy.sparse`` or ``scipy.optimize`` when it
-is loaded.
+"""Every name a package module or a test module imports is used in it,
+every name a package module defines at its top level is used somewhere,
+and no package module imports ``scipy.sparse`` or ``scipy.optimize`` when
+it is loaded.
 
 No linter ships with the project, so this parses each module with ``ast``.
 The package's ``__init__.py`` is skipped by the unused-import check: its
@@ -10,6 +11,8 @@ SuperLU extensions directly (``planner._load_extension``); importing
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,8 @@ MODULES = sorted(
 )
 #: the scipy packages whose import costs every process most of its set-up
 HEAVY = ("scipy.sparse", "scipy.optimize")
+#: the files in which a use of a package module's top-level name counts
+CORPUS = sorted(p for part in ("src", "perfbench", "tests") for p in (ROOT / part).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,6 +48,49 @@ def unused_imports(source: str) -> list[str]:
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_names(source: str) -> list[tuple[str, int]]:
+    """The names the module's top-level defs, classes and assignments
+    bind, with their lines; dunder names such as ``__all__`` left out."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        found.append((name.id, node.lineno))
+    return [(name, line) for name, line in found if not name.startswith("__")]
+
+
+def unreferenced(source: str, texts: list[str]) -> list[str]:
+    """The top-level names of ``source`` that occur as a word only once in
+    ``texts`` (which include ``source``): where they are defined."""
+    words = Counter(word for text in texts for word in re.findall(r"\w+", text))
+    return [f"{name} (line {line})" for name, line in top_level_names(source) if words[name] < 2]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unreferenced_top_level_name(path):
+    assert unreferenced(path.read_text(), [p.read_text() for p in CORPUS]) == []
+
+
+def test_finds_an_unreferenced_name():
+    source = (
+        "A, (B, C) = 1, (2, 3)\n"
+        "D: int = B\n"
+        "__all__ = []\n"
+        "def f():\n"
+        "    return D\n"
+        "class E:\n"
+        "    F = 1\n"
+    )
+    assert unreferenced(source, [source, "E()\n"]) == [
+        "A (line 1)", "C (line 1)", "f (line 4)",
+    ]
 
 
 def load_time_imports(source: str) -> list[str]:

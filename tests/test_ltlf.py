@@ -1,3 +1,5 @@
+import hashlib
+import time
 from itertools import product
 
 import pytest
@@ -20,6 +22,7 @@ from opaque_planner.ltlf import (
     parse_ltlf,
     to_str,
 )
+from opaque_planner.scenarios import gridworld, running_example
 
 LETTERS2 = [frozenset(s) for s in [(), ("p",), ("q",), ("p", "q")]]
 
@@ -159,6 +162,23 @@ class TestTranslation:
         for word in words_up_to(LETTERS2, 5):
             assert dfa.accepts(word) == evaluate(f, word)
 
+    def test_atoms_with_equal_arguments_are_one(self):
+        # F ((p & q) | (p & !q)) and F p have one Boolean function as
+        # argument, so they are one atom and the formula is false
+        text = "F ((p & q) | (p & !q)) & !F p"
+        dfa = ltlf_to_dfa(text, LETTERS2)
+        assert dfa.n_states == 1
+        assert dfa.accepting == frozenset()
+        for word in words_up_to(LETTERS2, 4):
+            assert not evaluate(parse_ltlf(text), word)
+
+    def test_right_nested_until_chain_is_fast(self):
+        start = time.perf_counter()
+        dfa = ltlf_to_dfa("p U " * MAX_NESTING + "q", LETTERS2)
+        elapsed = time.perf_counter() - start
+        assert dfa.n_states == 4
+        assert elapsed < 0.3
+
     @settings(max_examples=40, deadline=None)
     @given(formulas())
     def test_negation_complements(self, f):
@@ -166,6 +186,34 @@ class TestTranslation:
         neg = ltlf_to_dfa(Not(f), LETTERS2)
         for word in words_up_to(LETTERS2, 3):
             assert pos.accepts(word) != neg.accepts(word)
+
+
+class TestScenarioTables:
+    """The translation tables of the scenarios' formulas, pinned by size and
+    by the sha256 of ``table``'s bytes; every later stage reads them."""
+
+    MODELS = {"example": running_example, "gridworld": gridworld}
+    TABLES = {
+        ("example", "F s4"): (2, "6533e1775c628e9ba263e36c2eb9687bdfb35fd2dbf1665cdeb78754e6515031"),
+        ("example", "F s6"): (2, "78b19d4cbd2cf5a78c755d8cfee5b9b923a2e083ace8a7502b187dbdded1c661"),
+        ("example", "true"): (1, "d4817aa5497628e7c77e6b606107042bbba3130888c5f47a375e6179be789fbb"),
+        ("example", "G !s7"): (2, "48b2ab7ae94d435a92f41615bde0a6e1b7de4ab31fa3f751f8ee4f811831fafa"),
+        ("example", "F s6 & F s4"): (4, "ae11a222d8ab4eeb210308e5997cb7548ceaedbdb85273de445e7e2e4dd1f2db"),
+        ("gridworld", "F C"): (2, "668a95a42590c21fda22bb4abbd53c4c5b29c8ccb3a576264daf6473a3181edf"),
+        ("gridworld", "F B & F A"): (4, "e50dd7d1859da1746b3bc4bcf694c573a2def6246d535bf7e6f05de77099e180"),
+        ("gridworld", "F (B & F A)"): (3, "2b05bbf54df7f31751794ac32e77e445244e46daf6d9fa6070b4b1ac5b3d3fc7"),
+        ("gridworld", "G (!B | F A)"): (2, "93a82c9fb7429ff4eadb09e335bd9bf52ab82d054347b1849ff1bbbcff4d70a7"),
+        ("gridworld", "F B | G !A"): (3, "fa5307e2215d79bca4757ad09e9f475bc77fc2a6fdd6ddc5126cb02063152b7c"),
+        ("gridworld", "F A & G !C"): (3, "e194a50d6c6f2285af001bb39b96d53a9affac4a782552b9b45d68eebca4d08d"),
+        ("gridworld", "(!A) U B"): (3, "c7dec674f31337b7a8be0cb4736dc037350bdc179c85223dadeda4898f281832"),
+    }
+
+    @pytest.mark.parametrize("scenario, text", list(TABLES))
+    def test_table_pinned(self, scenario, text):
+        n_states, digest = self.TABLES[scenario, text]
+        dfa = dfa_over_model_labels(text, self.MODELS[scenario]())
+        assert dfa.n_states == n_states
+        assert hashlib.sha256(dfa.table.tobytes()).hexdigest() == digest
 
 
 class TestDeepNesting:

@@ -394,6 +394,13 @@ class TestJson:
         with pytest.raises(ModelError, match=re.escape(f"{where} repeats the move (s1, a, s2)")):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("flag", ["false", "yes", 0, None])
+    def test_auto_frame_must_be_a_boolean(self, model, flag):
+        # read by truthiness, "false" loaded as auto-framed
+        doc = {**model_to_dict(model), "auto_frame": flag}
+        with pytest.raises(ModelError, match="auto_frame must be true or false"):
+            model_from_dict(doc)
+
     def test_missing_field_reported(self):
         with pytest.raises(ModelError, match="missing field"):
             model_from_dict({"states": [], "actions": []})

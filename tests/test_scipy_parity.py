@@ -2,7 +2,7 @@
 
 The LP's flow rows, the matrix passed to HiGHS, policy iteration, exact
 evaluation and the reachability searches run on numpy arrays and call
-SuperLU's ``gstrf`` and ``gssv`` directly.  Here each is compared with
+SuperLU's ``gstrf`` directly.  Here each is compared with
 what the same inputs give through ``scipy.sparse``: the coo matrix of the
 flow columns converted with ``tocsr``/``tocsc``, ``sp.vstack``, ``splu``,
 ``spsolve`` and ``csgraph.breadth_first_order``.
