@@ -37,7 +37,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import ObsSymbol, START, END, _distinct, _number_level, _ranges
+from .model import ObsSymbol, START, END, _distinct, _number_level, _ranges, _unique
 
 Letter = Hashable
 
@@ -188,6 +188,10 @@ def step_table(dfa: Dfa, letters: Sequence[Letter], what: str) -> np.ndarray:
 def row_classes(table: np.ndarray) -> np.ndarray:
     """Dense ids of the distinct rows of an integer table, in sorted order
     (``np.unique(table, axis=0)`` sorts rows as opaque bytes, far slower)."""
+    # lexsort stays: on the 227 tables that the six gridworld-build secrets
+    # and their quotients rank (409,251 rows, up to 51 columns), folding
+    # one column at a time into dense one-key ranks took 2.7-3.1x as long,
+    # and packing column pairs into one key where it fits 1.1-1.4x
     order = np.lexsort(table.T[::-1])
     ranked = table[order]
     starts = np.ones(len(table), dtype=np.int64)
@@ -402,7 +406,7 @@ def minimize_table(
             break
         block = refined
 
-    _, member = np.unique(block, return_index=True)  # one state per class
+    member = _unique(block)[1]  # one state per class
     succ = block[table[member]]
     rows = succ.tolist()
     queue = [int(block[initial])]

@@ -144,13 +144,30 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.diff(values, prepend=-1) != 0]
 
 
+def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of a 1-d integer array, sorted, the index of
+    each one's first occurrence, and the place of each value among them:
+    ``np.unique(values, return_index=True, return_inverse=True)`` by one
+    unstable sort.  ``np.unique`` sorts stably for the first occurrences,
+    several times slower; an unstable sort may permute equal values, so
+    the first occurrence is the least index in each run."""
+    order = np.argsort(values)
+    ranked = values[order]
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    start = np.flatnonzero(new)
+    inverse = np.empty(len(values), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[start], np.minimum.reduceat(order, start), inverse
+
+
 def _number_level(code: np.ndarray, seen: np.ndarray, seen_id: np.ndarray) -> tuple:
     """Number the codes a breadth-first level reaches as a FIFO search
     would: ``seen`` holds the codes found so far, sorted, with their ids
     ``seen_id``; new codes get the next ids by first occurrence in
     ``code``.  Returns the ids of ``code``, the new codes by id (the next
     level), and ``seen`` and ``seen_id`` with the new codes added."""
-    distinct, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    distinct, first, inverse = _unique(code)
     pos = np.searchsorted(seen, distinct).clip(max=len(seen) - 1)
     distinct_id = seen_id[pos]
     new = seen[pos] != distinct

@@ -55,7 +55,16 @@ import numpy as np
 import scipy
 
 from .automata import Dfa, row_classes, step_table
-from .model import Model, ModelError, RowGroups, _number_level, _ranges, _read_only, distributions
+from .model import (
+    Model,
+    ModelError,
+    RowGroups,
+    _number_level,
+    _ranges,
+    _read_only,
+    _unique,
+    distributions,
+)
 
 #: the full names of the two scipy extensions the package calls: the
 #: pybind11 binding of HiGHS, and scipy's wrapper of SuperLU
@@ -319,7 +328,11 @@ def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
         code = t * n_codes + step(c[v], label, obs)
         ids, level, seen, seen_id = _number_level(code, seen, seen_id)
 
-        by_succ = np.lexsort((ids, row))
+        # the entries of each row by successor id, as lexsort((ids, row))
+        # would sort them: the stable sort keeps entry order among ties, and
+        # the key is below len(model_row) * len(seen), a product of two
+        # array lengths, so it cannot overflow
+        by_succ = np.argsort(row * len(seen) + ids, kind="stable")
         levels.append(level)
         row_counts.append(count)
         actions.append(model.row_action[model_row])
@@ -395,8 +408,8 @@ def bisimulation_quotient(pm: ProductMdp) -> Quotient:
         touched = np.flatnonzero(hit[block])
 
     # renumber: non-absorbing blocks by smallest member, then the absorbing ones
-    _, first = np.unique(block, return_index=True)
-    order = np.lexsort((first, absorbing[first]))
+    first = _unique(block)[1]
+    order = np.argsort(absorbing[first] * len(block) + first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return Quotient(
@@ -650,11 +663,21 @@ def _policy_iteration(lp: LpModel) -> tuple[np.ndarray | None, int]:
         rounds += 1
         values = _splu(*columns(policy)).solve(lp.cost[policy], trans="T")
         reduced = lp.cost - np.bincount(lp.flow_col, value * values[row], len(lp.cost))
-        best = np.lexsort((reduced, owner))[var_ptr]  # each row's first cheapest column
+        best = _first_minima(reduced, var_ptr)  # each row's first cheapest column
         moves = reduced[best] < -FEASIBILITY_TOL
         if not moves.any():
             return policy, rounds
         policy[moves] = best[moves]
+
+
+def _first_minima(values: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The index of the first least value of each segment
+    ``values[start[i]:start[i + 1]]``, the last one ending with
+    ``values``; ``start`` increases strictly from 0.  Equal values tie, so
+    ``-0.0`` and ``0.0`` do, as in ``np.lexsort((values, segment))``."""
+    low = np.minimum.reduceat(values, start)
+    at_low = values == np.repeat(low, np.diff(start, append=len(values)))
+    return np.minimum.reduceat(np.where(at_low, np.arange(len(values)), len(values)), start)
 
 
 @dataclass(frozen=True)
@@ -738,6 +761,10 @@ def _flow_matrix(unit_row, col, row, prob) -> tuple[np.ndarray, np.ndarray, np.n
     n = len(unit_row)
     cols = np.concatenate((np.arange(n), col))
     rows = np.concatenate((unit_row, row))
+    # lexsort stays: a stable sort on one packed key takes 1.4 ms where it
+    # takes 3.8 ms on the default gridworld's LP (5,594 columns, 23,792
+    # entries), but that is 0.3% of a 0.75 s gridworld pass, inside the
+    # pass's run-to-run spread
     order = np.lexsort((rows, cols))  # stable: by column, then row, then entry order
     cols, rows = cols[order], rows[order]
     data = np.concatenate((np.ones(n), -prob))[order]

@@ -2,6 +2,7 @@
 random walks over a model, running the observation transducer and its
 product with a secret on a play, the dict subset construction that the
 array one replaced, the dict intersection that the level search
+replaced, the ``np.unique`` numbering of a search level that one sort
 replaced, the occupancy of a product state's block, a product's states as
 component tuples, DFAs and NFAs built from move dicts and compared field
 by field, and the full-refinement bisimulation quotient that refinement
@@ -326,6 +327,23 @@ def reference_intersect(a: Nfa, b: Nfa) -> Nfa:
         ),
         state_names=tuple(f"({a.state_names[p]},{b.state_names[q]})" for p, q in order),
     )
+
+
+def reference_number_level(code: np.ndarray, seen: np.ndarray, seen_id: np.ndarray) -> tuple:
+    """``model._number_level`` on ``np.unique``: the ids of ``code``, the
+    new codes by id, and ``seen`` and ``seen_id`` with them added."""
+    distinct, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    pos = np.searchsorted(seen, distinct).clip(max=len(seen) - 1)
+    distinct_id = seen_id[pos]
+    new = seen[pos] != distinct
+    fresh = distinct[new]
+    rank = np.empty(len(fresh), dtype=np.int64)
+    rank[np.argsort(first[new])] = np.arange(len(fresh))  # by first occurrence
+    distinct_id[new] = fresh_id = len(seen) + rank
+    level = np.empty_like(fresh)
+    level[rank] = fresh
+    at = np.searchsorted(seen, fresh)
+    return distinct_id[inverse], level, np.insert(seen, at, fresh), np.insert(seen_id, at, fresh_id)
 
 
 def reference_quotient(pm: ProductMdp) -> Quotient:

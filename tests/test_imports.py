@@ -1,13 +1,16 @@
 """Every name a package module or a test module imports is used in it,
 every name a package module defines at its top level is used somewhere,
-and no package module imports ``scipy.sparse`` or ``scipy.optimize`` when
-it is loaded.
+no package module imports ``scipy.sparse`` or ``scipy.optimize`` when it
+is loaded, and none calls ``np.unique``.
 
 No linter ships with the project, so this parses each module with ``ast``.
 The package's ``__init__.py`` is skipped by the unused-import check: its
 imports are the package's re-exports.  The package calls scipy's HiGHS and
 SuperLU extensions directly (``planner._load_extension``); importing
 ``scipy.sparse`` or ``scipy.optimize`` would cost every process ~0.5 s.
+A plain ``np.unique`` imports ``numpy.ma`` (~18 ms) on its first call,
+and its indexed forms sort stably, several times slower than the one
+unstable sort of ``model._unique``.
 """
 
 import ast
@@ -144,6 +147,39 @@ def test_finds_a_heavy_scipy_import():
         "scipy.optimize (line 6)",
         "scipy.sparse (line 8)",
     ]
+
+
+def unique_calls(source: str) -> list[str]:
+    """The module's calls of ``np.unique`` or ``numpy.unique``."""
+    calls = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "unique"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+    ]
+    calls.sort(key=lambda node: node.lineno)
+    return [f"{ast.unparse(node.func)} (line {node.lineno})" for node in calls]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_np_unique_call(path):
+    assert unique_calls(path.read_text()) == []
+
+
+def test_finds_an_np_unique_call():
+    source = (
+        "import numpy\n"
+        "import numpy as np\n"
+        "def f(x):\n"
+        "    return np.unique(x, return_index=True)\n"
+        "y = [numpy.unique(v) for v in ([1], [2])]\n"
+        "z = np.unique\n"
+        "w = set.unique\n"
+    )
+    assert unique_calls(source) == ["np.unique (line 4)", "numpy.unique (line 5)"]
 
 
 def test_finds_an_unused_import():

@@ -1,13 +1,15 @@
 import inspect
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opaque_planner import model as model_module
@@ -18,6 +20,8 @@ from opaque_planner.model import (
     ObsSymbol,
     Play,
     START,
+    _number_level,
+    _unique,
     as_probability,
     assemble,
     build_model,
@@ -31,7 +35,7 @@ from opaque_planner.model import (
 )
 from opaque_planner.scenarios import running_example
 
-from helpers import random_model, random_walk
+from helpers import random_model, random_walk, reference_number_level
 
 
 def play(text):
@@ -226,6 +230,44 @@ class TestCsr:
         assert model.state_label[model.top] == model.state_label[model.bot] == -1
         for s in model.interior_state_indices():
             assert model.label_letters[model.state_label[s]] == model.label_of(s)
+
+
+#: the codes a search level numbers, from a small range so that they
+#: repeat and meet the codes already seen
+CODES = st.lists(st.integers(0, 30), max_size=60)
+
+
+class TestNumberLevel:
+    @given(CODES)
+    @example([])
+    @example([7] * 8)
+    def test_unique_is_np_unique(self, code):
+        code = np.array(code, dtype=np.int64)
+        for got, want in zip(_unique(code), np.unique(code, return_index=True, return_inverse=True)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    @given(st.sets(st.integers(0, 30), min_size=1), st.randoms(use_true_random=False), CODES)
+    @example({3, 9}, random.Random(0), [])  # empty level
+    @example({3}, random.Random(0), [7] * 8)  # one new code, repeated
+    @example({2, 4, 9, 11}, random.Random(0), [4, 2, 4, 9, 2])  # all seen
+    @example({3, 5}, random.Random(0), [8, 1, 8, 6])  # all new
+    def test_matches_np_unique_numbering(self, seen, rng, code):
+        seen = np.array(sorted(seen), dtype=np.int64)
+        seen_id = np.arange(len(seen))
+        rng.shuffle(seen_id)
+        code = np.array(code, dtype=np.int64)
+        ours = _number_level(code, seen, seen_id)
+        for got, want in zip(ours, reference_number_level(code, seen, seen_id)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        # the new codes get the next ids, by first occurrence
+        ids, level = ours[:2]
+        new = [c for c in dict.fromkeys(code.tolist()) if c not in seen]
+        assert level.tolist() == new
+        assert {c: i for c, i in zip(code.tolist(), ids.tolist()) if c in new} == {
+            c: len(seen) + k for k, c in enumerate(new)
+        }
 
 
 class TestPlays:

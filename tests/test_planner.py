@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 import scipy
 import scipy.sparse as sp
 from scipy.optimize import linprog
@@ -835,6 +837,27 @@ class TestStartPolicy:
             sol, ref = solve_lp(lp), cold_solve(lp)
             assert sol.status == "optimal" and ref.status == 0
             assert abs(sol.objective - lp.objective @ ref.x) <= FEASIBILITY_TOL
+
+
+#: reduced costs with ties, zeros of both signs and values within the
+#: tolerance of zero
+COSTS = st.one_of(
+    st.sampled_from([-1.5, -1e-12, -0.0, 0.0, 1e-12, 2.0]),
+    st.floats(-1e3, 1e3, allow_subnormal=False),
+)
+
+
+@given(st.lists(st.lists(COSTS, min_size=1, max_size=5), min_size=1, max_size=8))
+@example([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0, 0.0]])
+@example([[1.0], [-2.0], [0.0]])  # single-column rows
+@example([[2.0, 1.0, 1.0, 3.0, 1.0], [5.0]])
+def test_pricing_takes_the_first_cheapest_column(rows):
+    # policy iteration's pricing against the lexsort it replaced
+    reduced = np.array([cost for row in rows for cost in row])
+    width = np.array([len(row) for row in rows])
+    var_ptr = np.cumsum(width) - width
+    owner = np.repeat(np.arange(len(rows)), width)
+    assert np.array_equal(planner._first_minima(reduced, var_ptr), np.lexsort((reduced, owner))[var_ptr])
 
 
 def test_scipy_ships_the_highs_binding():
