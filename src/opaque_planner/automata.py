@@ -122,9 +122,6 @@ class Dfa:
     def accepts(self, word: Sequence[Letter]) -> bool:
         return self.run(word) in self.accepting
 
-    def is_complete(self) -> bool:
-        return bool((self.table >= 0).all())
-
 
 @dataclass(frozen=True, eq=False)
 class Nfa:

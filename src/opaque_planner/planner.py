@@ -126,7 +126,7 @@ class PlannerError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quotient:
     """Coarsest probabilistic bisimulation of a product MDP.
 
@@ -136,15 +136,21 @@ class Quotient:
     they enable the same actions and under each action reach every block
     with the same probability.  Each block is represented by its smallest
     member.  The non-absorbing blocks come first, numbered by
-    representative, then the absorbing ones.
+    representative, then the absorbing ones.  The quotient's rows, the
+    LP's columns, are its representatives' product rows ``product_row``:
+    block ``b`` owns ``row_ptr[b]:row_ptr[b + 1]``, none when absorbing.
+    Every array is int64 and read-only.
     """
 
-    block: np.ndarray  # product state -> block, read-only
-    representatives: tuple[int, ...]  # block -> smallest member
+    block: np.ndarray  # product state -> block
+    representatives: np.ndarray  # block -> smallest member
+    row_ptr: np.ndarray  # block -> its first row, then the number of rows
+    product_row: np.ndarray  # row -> the representative's product row
     rounds: int  # refinement rounds run, the first re-signing every state
 
     def __post_init__(self) -> None:
-        self.block.setflags(write=False)
+        for array in (self.block, self.representatives, self.row_ptr, self.product_row):
+            array.setflags(write=False)
 
     @property
     def n_blocks(self) -> int:
@@ -273,7 +279,9 @@ def product_mdp(model: Model, task: Dfa, opaque: Dfa) -> ProductMdp:
         model,
         task.n_states * nqh,
         task.initial * nqh + opaque.initial,
-        lambda c, label, obs: task_step[c // nqh, label] * nqh + opaque_step[c % nqh, obs],
+        lambda c, v, label, obs: (
+            task_step[(c // nqh)[v], label] * nqh + opaque_step[(c % nqh)[v], obs]
+        ),
     )
     return ProductMdp(
         model=model,
@@ -296,8 +304,9 @@ def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
     """The product of the model with an automaton on the codes
     ``0 .. n_codes - 1``, reachable from (initiating state, ``start``).
 
-    Model entries step the automaton by ``step(code, label, obs)``, on
-    arrays of label ids (``Model.label_letters``) and observation ids
+    Model entries step the automaton by ``step(codes, v, label, obs)``:
+    the level's codes, and per entry its state's place in the level, its
+    label id (``Model.label_letters``) and observation id
     (``observation_alphabet()``).  ``a_bot`` entries enter no labelled
     state and read the label id ``len(label_letters)``, the keep column of
     :func:`_label_table`.  An entry with no label or observation raises
@@ -325,7 +334,7 @@ def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
         if undefined.size:
             k = undefined[0]
             _raise_undefined(model, int(s[v[k]]), int(model.row_action[model_row[row[k]]]), int(t[k]))
-        code = t * n_codes + step(c[v], label, obs)
+        code = t * n_codes + step(c, v, label, obs)
         ids, level, seen, seen_id = _number_level(code, seen, seen_id)
 
         # the entries of each row by successor id, as lexsort((ids, row))
@@ -412,9 +421,13 @@ def bisimulation_quotient(pm: ProductMdp) -> Quotient:
     order = np.argsort(absorbing[first] * len(block) + first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
+    reps = first[order]
+    width = pm.row_ptr[reps + 1] - pm.row_ptr[reps]  # 0 at an absorbing block
     return Quotient(
         block=rank[block],
-        representatives=tuple(int(v) for v in first[order]),
+        representatives=reps,
+        row_ptr=np.concatenate(([0], np.cumsum(width))),
+        product_row=_ranges(pm.row_ptr[reps], width),
         rounds=rounds,
     )
 
@@ -490,28 +503,30 @@ class LpModel:
     Each non-absorbing block contributes one conservation row and one
     variable per enabled action, named after the block's representative
     product state: occupancy out of the block equals occupancy into it
-    plus the unit injection at the initial state's block.  The flow rows
-    are kept as the CSC arrays ``flow`` = (``ptr``, ``row``, ``value``):
-    column ``j``'s entries are ``ptr[j]:ptr[j + 1]``, by row.  A
-    variable's objective and task coefficients are the probability it
-    sends into absorbing states of the wanted outcome.  Every variable is non-negative
-    and unbounded above: the flow rows put exactly one unit into the
-    absorbing states, so both the objective and the task row are at most 1.
-    Only the objective depends on the mode.
+    plus the unit injection at the initial state's block.  Row ``i`` is
+    block ``i``'s, and column ``j`` is the quotient's row ``j``, named by
+    ``variables[j]``.  The flow rows are the CSC arrays ``flow`` =
+    (``ptr``, ``row``, ``value``): column ``j``'s entries are
+    ``ptr[j]:ptr[j + 1]``, by row.  A variable's objective and task
+    coefficients are the probability it sends into absorbing states of the
+    wanted outcome.  Every variable is non-negative and unbounded above:
+    the flow rows put exactly one unit into the absorbing states, so both
+    the objective and the task row are at most 1.  Only the objective
+    depends on the mode.  Every array is read-only.
     """
 
     pm: ProductMdp
     mode: str  # "opacity" | "transparency" | "min-opacity"
-    variables: tuple[tuple[int, int], ...]  # (representative state, action)
-    rows: tuple[int, ...]  # representatives of non-absorbing blocks, row order
+    variables: np.ndarray  # (n_columns, 2) int64: (representative state, action)
+    rows: np.ndarray  # representatives of non-absorbing blocks, row order
     objective: np.ndarray
     maximize: bool
-    flow: tuple[np.ndarray, np.ndarray, np.ndarray]  # CSC (ptr, row, value), read-only
+    flow: tuple[np.ndarray, np.ndarray, np.ndarray]  # CSC (ptr, row, value)
     b_eq: np.ndarray
     task_row: np.ndarray
 
     def __post_init__(self) -> None:
-        for array in self.flow:
+        for array in (self.variables, self.rows, self.objective, *self.flow, self.b_eq, self.task_row):
             array.setflags(write=False)
 
     @cached_property
@@ -534,13 +549,13 @@ class LpModel:
         return a
 
     def variable_name(self, j: int) -> str:
-        v, a = self.variables[j]
+        v, a = self.variables[j].tolist()
         return f"m_v{v}_a{a}"
 
     @cached_property
     def cost(self) -> np.ndarray:
         """The objective as HiGHS minimizes it."""
-        return (-1.0 if self.maximize else 1.0) * self.objective
+        return _read_only((-1.0 if self.maximize else 1.0) * self.objective)
 
     @cached_property
     def start_policy(self) -> tuple[np.ndarray | None, int]:
@@ -639,14 +654,11 @@ def _policy_iteration(lp: LpModel) -> tuple[np.ndarray | None, int]:
     of a valid model is proper; an improper one gives None, and HiGHS
     starts from its own crash basis.
     """
-    pm, (ptr, row, value) = lp.pm, lp.flow
-    reps = np.array(lp.rows, dtype=np.int64)
-    width = pm.row_ptr[reps + 1] - pm.row_ptr[reps]
-    var_ptr = np.cumsum(width) - width
-    owner = np.repeat(np.arange(len(reps)), width)
+    quotient, (ptr, row, value), n = lp.pm.quotient, lp.flow, len(lp.rows)
+    var_ptr = quotient.row_ptr[:n]  # block i's columns start at var_ptr[i]
     policy = var_ptr.copy()
-    stops = np.flatnonzero(pm.row_action[_ranges(pm.row_ptr[reps], width)] == pm.model.a_bot)
-    policy[owner[stops]] = stops
+    stops = np.flatnonzero(lp.variables[:, 1] == lp.pm.model.a_bot)
+    policy[quotient.block[lp.variables[stops, 0]]] = stops
 
     def columns(policy):  # the CSC arrays of a_eq[:, policy]
         count = ptr[policy + 1] - ptr[policy]
@@ -654,9 +666,9 @@ def _policy_iteration(lp: LpModel) -> tuple[np.ndarray | None, int]:
         return np.concatenate(([0], np.cumsum(count))), row[e], value[e]
 
     chosen_ptr, chosen_row, chosen_value = columns(policy)
-    chosen_col = np.repeat(np.arange(len(reps)), np.diff(chosen_ptr))
-    leaks = np.flatnonzero(np.bincount(chosen_col, chosen_value, len(reps)) > ZERO_OCCUPANCY_THRESHOLD)
-    if not _reached(chosen_row, chosen_col, leaks, len(reps)).all():  # every row reaches a leak
+    chosen_col = np.repeat(np.arange(n), np.diff(chosen_ptr))
+    leaks = np.flatnonzero(np.bincount(chosen_col, chosen_value, n) > ZERO_OCCUPANCY_THRESHOLD)
+    if not _reached(chosen_row, chosen_col, leaks, n).all():  # every row reaches a leak
         return None, 0
     rounds = 0
     while True:
@@ -666,7 +678,7 @@ def _policy_iteration(lp: LpModel) -> tuple[np.ndarray | None, int]:
         best = _first_minima(reduced, var_ptr)  # each row's first cheapest column
         moves = reduced[best] < -FEASIBILITY_TOL
         if not moves.any():
-            return policy, rounds
+            return _read_only(policy), rounds
         policy[moves] = best[moves]
 
 
@@ -717,23 +729,19 @@ def _lp_model(pm: ProductMdp, mode: str) -> LpModel:
         return pm.lp_models[mode]
     quotient = pm.quotient
     # non-absorbing blocks are numbered first, so a block is its row
-    row_of = quotient.block
-    reps = np.array(quotient.representatives, dtype=np.int64)
-    rows = reps[~pm.absorbing_mask[reps]]
-    var_row = _ranges(pm.row_ptr[rows], pm.row_ptr[rows + 1] - pm.row_ptr[rows])
+    row_of, reps, var_row = quotient.block, quotient.representatives, quotient.product_row
+    rows = reps[: np.count_nonzero(~pm.absorbing_mask[reps])]
     var_state = pm.row_state[var_row]
-    variables = tuple(zip(var_state.tolist(), pm.row_action[var_row].tolist()))
 
-    n_vars = len(variables)
     e, j = pm.entries(var_row)
     t, p = pm.entry_succ[e], pm.entry_prob[e]
     stop = pm.absorbing_mask[t]
     # a stopping entry pays its probability to the outcome it stops in;
     # bincount adds in entry order (and gives ints when nothing is added)
     wanted = stop & (pm.opaque_accepts[t] == (mode != "transparency"))
-    objective = np.bincount(j[wanted], weights=p[wanted], minlength=n_vars).astype(float)
+    objective = np.bincount(j[wanted], weights=p[wanted], minlength=len(var_row)).astype(float)
     task = stop & pm.task_accepts[t]
-    task_row = np.bincount(j[task], weights=p[task], minlength=n_vars).astype(float)
+    task_row = np.bincount(j[task], weights=p[task], minlength=len(var_row)).astype(float)
     flow = ~stop  # the entries into non-absorbing blocks
     b_eq = np.zeros(len(rows))
     b_eq[row_of[pm.initial]] = 1.0
@@ -741,8 +749,8 @@ def _lp_model(pm: ProductMdp, mode: str) -> LpModel:
     pm.lp_models[mode] = LpModel(
         pm=pm,
         mode=mode,
-        variables=variables,
-        rows=tuple(rows.tolist()),
+        variables=np.column_stack((var_state, pm.row_action[var_row])),
+        rows=rows,
         objective=objective,
         maximize=(mode != "min-opacity"),
         flow=_flow_matrix(row_of[var_state], j[flow], row_of[t[flow]], p[flow]),
@@ -885,20 +893,15 @@ def extract_policy(sol: PolicySolution, pm: ProductMdp) -> np.ndarray:
     the probability of each product row, which is its block's.
 
     Bisimilar states enable the same actions in the same order, so row
-    ``r`` of state ``v`` reads the variable of its block's representative
-    at offset ``r - row_ptr[v]``.  States the solution never visits fall
-    back to immediate termination when available (conservative: it leaks
-    nothing further), else to a uniform choice.
+    ``r`` of state ``v`` in block ``b`` reads the LP column
+    ``quotient.row_ptr[b] + r - row_ptr[v]``.  States the solution never
+    visits fall back to immediate termination when available
+    (conservative: it leaks nothing further), else to a uniform choice.
     """
     if sol.status != "optimal":
         raise PlannerError(f"cannot extract a policy from a {sol.status} solution")
-    quotient = pm.quotient
-    reps = np.array(quotient.representatives, dtype=np.int64)
-    width = np.diff(pm.row_ptr)
-    # the variables of the non-absorbing blocks, numbered first, in order
-    var_ptr = np.cumsum(width[reps]) - width[reps]
-    s = pm.row_state
-    x = sol.occupancy[var_ptr[quotient.block[s]] + np.arange(len(s)) - pm.row_ptr[s]]
+    quotient, s, width = pm.quotient, pm.row_state, np.diff(pm.row_ptr)
+    x = sol.occupancy[quotient.row_ptr[quotient.block[s]] + np.arange(len(s)) - pm.row_ptr[s]]
     w = np.where(x >= 0.0, x, 0.0)  # as max(x, 0.0): keeps -0.0
     total = np.bincount(s, weights=w, minlength=pm.n_states)[s]
     stop = pm.row_action == pm.model.a_bot
@@ -935,14 +938,14 @@ def export_lp(lp: LpProblem) -> str:
         if c != 0.0
     ]
     if not terms:
-        terms = [f"+ 0 {lp.variable_name(0)}"] if lp.variables else ["+ 0 m_zero"]
+        terms = [f"+ 0 {lp.variable_name(0)}"] if len(lp.variables) else ["+ 0 m_zero"]
     lines.extend(_wrap_terms("obj:", terms))
     lines.append("Subject To")
     _, row, value = lp.flow
     by_row = np.argsort(row, kind="stable")  # the entries by row, each row's by column
     ptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(lp.rows))))).tolist()
     cols, values = lp.flow_col[by_row].tolist(), value[by_row].tolist()
-    for i, v_state in enumerate(lp.rows):
+    for i, v_state in enumerate(lp.rows.tolist()):
         terms = [
             ("+ " if v >= 0 else "- ") + f"{_num(abs(v))} {lp.variable_name(c)}"
             for c, v in zip(cols[ptr[i] : ptr[i + 1]], values[ptr[i] : ptr[i + 1]])

@@ -121,7 +121,7 @@ def product_fst(fst: Fst, secret: Dfa) -> ProductFst:
     model = fst.model
     secret_step = _label_table(secret, model, "secret")
     s, q, entry_model, rows = _product_search(
-        model, secret.n_states, secret.initial, lambda c, label, _obs: secret_step[c, label]
+        model, secret.n_states, secret.initial, lambda c, v, label, _obs: secret_step[c[v], label]
     )
     terminal, accepts = s == model.bot, np.isin(q, list(secret.accepting))
     return ProductFst(

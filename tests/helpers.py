@@ -237,11 +237,11 @@ def product_index(product) -> dict[tuple[int, ...], int]:
 
 def block_occupancy(sol: PolicySolution, v: int) -> float:
     """The total occupancy of product state ``v``'s bisimulation block: the
-    sum, in action order, of the LP variables named after the block's
-    representative."""
+    sum, in action order, of the block's LP variables, the quotient's rows
+    of the block."""
     quotient = sol.lp.pm.quotient
-    rep = quotient.representatives[quotient.block[v]]
-    return sum(float(x) for (u, _a), x in zip(sol.lp.variables, sol.occupancy) if u == rep)
+    b = quotient.block[v]
+    return sum(float(x) for x in sol.occupancy[quotient.row_ptr[b] : quotient.row_ptr[b + 1]])
 
 
 def reference_subset_construction(nfa: Nfa, accepts: Callable[[frozenset[int]], bool]) -> Dfa:
@@ -351,7 +351,8 @@ def reference_quotient(pm: ProductMdp) -> Quotient:
     blocks as ``bisimulation_quotient``, then every round re-signs every
     state by "action -> quantized probability of reaching each current
     block", ranking the (action, block, mass) keys first, until no block
-    splits.  ``rounds`` counts the rounds, the last one included."""
+    splits.  ``rounds`` counts the rounds, the last one included.  The
+    quotient's rows are built block by block from the representatives."""
     row_state, row_action = pm.row_state, pm.row_action
     entry_row = np.repeat(np.arange(len(row_action)), np.diff(pm.entry_ptr))
     absorbing = pm.absorbing_mask
@@ -374,9 +375,14 @@ def reference_quotient(pm: ProductMdp) -> Quotient:
     order = np.lexsort((first, absorbing[first]))
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
+    reps = first[order]
+    # the quotient's rows by definition: block by block, its representative's rows
+    rows = [np.arange(pm.row_ptr[v], pm.row_ptr[v + 1]) for v in reps.tolist()]
     return Quotient(
         block=rank[block],
-        representatives=tuple(int(v) for v in first[order]),
+        representatives=reps,
+        row_ptr=np.cumsum([0] + [len(r) for r in rows], dtype=np.int64),
+        product_row=np.concatenate(rows),
         rounds=rounds,
     )
 

@@ -59,7 +59,7 @@ class TestComplete:
         dfa = simple_dfa()
         done = complete(dfa)
         assert done.n_states == 3
-        assert done.is_complete()
+        step_table(done, done.alphabet, "completed")  # raises unless complete
         for word in words_up_to(AB, 5):
             assert done.accepts(word) == dfa.accepts(word)
 
@@ -103,7 +103,7 @@ class TestDeterminize:
     def test_result_complete(self):
         nfa = nfa_from_moves(AB, {(0, "a"): {0, 1}}, {0}, {1}, ("x", "y"))
         det = determinize(nfa)
-        assert det.is_complete()
+        step_table(det, det.alphabet, "determinized")  # raises unless complete
 
     def test_unreachable_accepting_dropped(self):
         nfa = nfa_from_moves(AB, {(0, "a"): {0}}, {0}, {2}, ("x", "y", "z"))
@@ -449,7 +449,11 @@ class TestTable:
         for q in range(dfa.n_states):
             for letter in dfa.alphabet:
                 assert dfa.step(q, letter) == want.get((q, letter))
-        assert dfa.is_complete() == (len(want) == dfa.table.size)
+        if len(want) == dfa.table.size:
+            step_table(dfa, dfa.alphabet, "test")
+        else:
+            with pytest.raises(IncompleteDfaError):
+                step_table(dfa, dfa.alphabet, "test")
 
     @settings(max_examples=100, deadline=None)
     @given(partial_dfas())
@@ -459,7 +463,8 @@ class TestTable:
             assert done is dfa
             return
         sink = dfa.n_states
-        assert done.n_states == sink + 1 and done.is_complete()
+        assert done.n_states == sink + 1
+        step_table(done, done.alphabet, "completed")  # raises unless complete
         assert np.array_equal(done.table[:sink], np.where(dfa.table < 0, sink, dfa.table))
         assert (done.table[sink] == sink).all() and sink not in done.accepting
         assert complete(done) is done

@@ -1,6 +1,7 @@
 """Every name a package module or a test module imports is used in it,
-every name a package module defines at its top level is used somewhere,
-no package module imports ``scipy.sparse`` or ``scipy.optimize`` when it
+every name a package module defines at its top level, and every method,
+property and dataclass field of its classes, is used somewhere, no
+package module imports ``scipy.sparse`` or ``scipy.optimize`` when it
 is loaded, and none calls ``np.unique``.
 
 No linter ships with the project, so this parses each module with ``ast``.
@@ -69,16 +70,39 @@ def top_level_names(source: str) -> list[tuple[str, int]]:
     return [(name, line) for name, line in found if not name.startswith("__")]
 
 
-def unreferenced(source: str, texts: list[str]) -> list[str]:
-    """The top-level names of ``source`` that occur as a word only once in
+def class_members(source: str) -> list[tuple[str, int]]:
+    """The methods, properties and dataclass fields (annotated names) of
+    the module's classes, nested ones too, with their lines; dunder names
+    such as ``__post_init__`` left out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((member.name, member.lineno))
+            elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                found.append((member.target.id, member.lineno))
+    found.sort(key=lambda member: member[1])
+    return [(name, line) for name, line in found if not name.startswith("__")]
+
+
+def unreferenced(source: str, texts: list[str], names=top_level_names) -> list[str]:
+    """The names ``names(source)`` finds that occur as a word only once in
     ``texts`` (which include ``source``): where they are defined."""
     words = Counter(word for text in texts for word in re.findall(r"\w+", text))
-    return [f"{name} (line {line})" for name, line in top_level_names(source) if words[name] < 2]
+    return [f"{name} (line {line})" for name, line in names(source) if words[name] < 2]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unreferenced_top_level_name(path):
     assert unreferenced(path.read_text(), [p.read_text() for p in CORPUS]) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unreferenced_class_member(path):
+    texts = [p.read_text() for p in CORPUS]
+    assert unreferenced(path.read_text(), texts, class_members) == []
 
 
 def test_finds_an_unreferenced_name():
@@ -93,6 +117,28 @@ def test_finds_an_unreferenced_name():
     )
     assert unreferenced(source, [source, "E()\n"]) == [
         "A (line 1)", "C (line 1)", "f (line 4)",
+    ]
+
+
+def test_finds_an_unreferenced_class_member():
+    source = (
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    Z = 1\n"
+        "    def __post_init__(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return self.y\n"
+        "    def unused(self):\n"
+        "        class B:\n"
+        "            w: int\n"
+        "        return B\n"
+    )
+    assert unreferenced(source, [source, "A(1).size\n"], class_members) == [
+        "x (line 3)", "unused (line 11)", "w (line 13)",
     ]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opaque_planner.automata import step_table
 from opaque_planner.ltlf import (
     And,
     Eventually,
@@ -120,7 +121,7 @@ class TestTranslation:
     def test_eventually_two_states(self, model):
         dfa = dfa_over_model_labels("F s6", model)
         assert dfa.n_states == 2
-        assert dfa.is_complete()
+        step_table(dfa, dfa.alphabet, "task")  # raises unless complete
         assert dfa.accepts([frozenset({"s1"}), frozenset({"s6"})])
         assert not dfa.accepts([frozenset({"s1"}), frozenset({"s5"})])
 

@@ -26,6 +26,7 @@ from opaque_planner.model import (
 from opaque_planner import planner
 from opaque_planner.planner import (
     FEASIBILITY_TOL,
+    MODES,
     PlannerError,
     build_lp,
     export_lp,
@@ -95,9 +96,12 @@ class TestProductMdp:
         # accepting set, which the initial state of F s4 is not
         lp = build_lp(pm, 0)
         v0 = product_index(pm)[(model.top, pm.task.initial, pm.opaque.initial)]
-        rep = pm.quotient.representatives[pm.quotient.block[v0]]
-        coef = lp.task_row[lp.variables.index((rep, model.a_top))]
-        assert coef == 0.0  # s1 is not accepting for F s4
+        quotient = pm.quotient
+        b = quotient.block[v0]
+        cols = np.arange(quotient.row_ptr[b], quotient.row_ptr[b + 1])  # the block's variables
+        (j,) = cols[lp.variables[cols, 1] == model.a_top]
+        assert lp.variables[j, 0] == quotient.representatives[b]
+        assert lp.task_row[j] == 0.0  # s1 is not accepting for F s4
 
     def test_opacity_reward_tracks_prefix_acceptance(self, pm, model, opaque_dfa):
         # walking any short play through the product, terminating stops in
@@ -525,10 +529,48 @@ class TestQuotient:
         else:
             product = _gridworld_product(gridworld(), case)
         got, want = product.quotient, reference_quotient(product)
-        assert got.block.dtype == want.block.dtype
-        assert got.block.tobytes() == want.block.tobytes()
-        assert got.representatives == want.representatives
+        for name in ("block", "representatives", "row_ptr", "product_row"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.rounds == want.rounds
+
+    def test_rows_are_the_representatives_actions(self, products):
+        # block b owns one row per action its representative enables, in
+        # increasing order, as the product's transitions name them; an
+        # absorbing block owns none.  The LP's rows and variables read them
+        for pm in products:
+            quotient = pm.quotient
+            assert quotient.row_ptr[0] == 0
+            assert len(quotient.row_ptr) == quotient.n_blocks + 1
+            for b, rep in enumerate(quotient.representatives.tolist()):
+                actions = sorted(a for (u, a) in pm.transitions if u == rep)
+                rows = quotient.product_row[quotient.row_ptr[b] : quotient.row_ptr[b + 1]]
+                assert rows.tolist() == pm.rows_of([rep] * len(actions), actions).tolist()
+            lp = build_lp(pm, 0.0).model
+            absorbing = pm.absorbing_mask[quotient.representatives]
+            assert lp.rows.tolist() == quotient.representatives[~absorbing].tolist()
+            rows = quotient.product_row
+            assert lp.variables.tolist() == [
+                [int(pm.row_state[r]), int(pm.row_action[r])] for r in rows.tolist()
+            ]
+
+    def test_arrays_are_read_only(self, products):
+        # every later solve of the product reuses its quotient and LPs
+        for pm in products:
+            quotient = pm.quotient
+            for mode in MODES:
+                lp = build_lp(pm, 0.0, mode).model
+                held = [
+                    quotient.block, quotient.representatives, quotient.row_ptr,
+                    quotient.product_row, lp.variables, lp.rows, lp.objective, *lp.flow,
+                    lp.b_eq, lp.task_row, lp.cost, lp.start_policy[0],
+                ]
+                # and whatever else either holds, the cached fields included
+                for value in (*vars(quotient).values(), *vars(lp).values()):
+                    held.extend(value if isinstance(value, tuple) else (value,))
+                arrays = [a for a in held if isinstance(a, np.ndarray)]
+                assert len(arrays) >= 16
+                assert [a.flags.writeable for a in arrays] == [False] * len(arrays)
 
     def test_running_example_shrinks(self, pm):
         assert pm.quotient is pm.quotient

@@ -13,6 +13,7 @@ from opaque_planner.automata import (
     intersect,
     minimize,
     sort_alphabet,
+    step_table,
 )
 from opaque_planner.ltlf import dfa_over_model_labels, evaluate, parse_ltlf
 from opaque_planner.model import (
@@ -66,7 +67,8 @@ def product_dfa(a, b):
     """Intersection of two complete DFAs over one alphabet, reachable
     pairs only: the reference for determinizing before intersecting."""
     assert set(a.alphabet) == set(b.alphabet)
-    assert a.is_complete() and b.is_complete()
+    step_table(a, a.alphabet, "first")  # raises unless complete
+    step_table(b, b.alphabet, "second")
     alphabet = sort_alphabet(a.alphabet)
     order = {(a.initial, b.initial): 0}
     queue = deque(order)
@@ -393,7 +395,7 @@ class TestOpaqueDfa:
         assert not trivial.accepting
 
     def test_complete_and_minimal(self, opaque_dfa):
-        assert opaque_dfa.is_complete()
+        step_table(opaque_dfa, opaque_dfa.alphabet, "opaque")  # raises unless complete
 
     def test_matches_brute_force_to_depth_five(self, model, secret_dfa, opaque_dfa):
         buckets = observation_buckets(model, secret_dfa, max_actions=5)
