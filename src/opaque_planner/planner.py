@@ -10,13 +10,14 @@ decided where the trace ends), and the observation is opaque when its
 opaque component, which has read the end marker, accepts.  The
 occupancy-measure LP maximizes the probability of stopping opaque (or
 transparent) subject to flow conservation and a task-probability threshold.
-Only the task row's bound depends on the threshold, so each product
-keeps one HiGHS instance per mode, and each solve re-starts the dual
-simplex from the basis the last one left.  Without its task row the LP is
-an MDP, which policy iteration solves exactly in a few sparse
-factorizations (Puterman 1994, §6.4 and §7.2); one constraint moves a
-constrained optimum at most one randomization away from a deterministic
-policy (Altman 1999).  So the first solve starts from that policy's basis.
+A product's modes share its LP but for the objective, and only the task
+row's bound depends on the threshold: each mode keeps one HiGHS instance,
+and each solve re-starts the dual simplex from the basis the last one left.
+Without its task row the LP is an MDP, which policy iteration solves exactly
+in a few sparse factorizations (Puterman 1994, §6.4 and §7.2); one
+constraint moves a constrained optimum at most one randomization away from a
+deterministic policy (Altman 1999).  So the first solve starts from that
+policy's basis.
 
 The product is built by ``_product_search``, the one level search that
 also builds the product transducer of :mod:`.transducer`, in numpy over
@@ -49,6 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -205,11 +207,11 @@ class ProductMdp(Product):
         return bisimulation_quotient(self)
 
     @cached_property
-    def lp_models(self) -> dict[str, LpModel]:
-        """Mode -> the threshold-free LP of that mode, built by
-        :func:`build_lp` on first use and kept, with its HiGHS instance,
-        for every later threshold."""
-        return {}
+    def lp_models(self) -> Mapping[str, LpModel]:
+        """Mode -> the threshold-free LP of that mode, one per entry of
+        :data:`MODES` (:func:`_lp_models`): read-only, built on first use
+        and kept, with each mode's HiGHS instance, for every threshold."""
+        return _lp_models(self)
 
     @cached_property
     def max_feasible_epsilon(self) -> float | None:
@@ -217,7 +219,7 @@ class ProductMdp(Product):
         maximized over the flow rows, which every mode shares, clipped into
         [0, 1] against HiGHS's round-off; None when HiGHS finds no
         optimum."""
-        lp = _lp_model(self, "opacity")
+        lp = self.lp_models["opacity"]  # any mode's: they share the rows
         highs = _highs(-lp.task_row, lp.flow, lp.b_eq, lp.b_eq)
         highs.run()
         if highs.getModelStatus() != highspy.HighsModelStatus.kOptimal:
@@ -511,8 +513,8 @@ class LpModel:
     coefficients are the probability it sends into absorbing states of the
     wanted outcome.  Every variable is non-negative and unbounded above:
     the flow rows put exactly one unit into the absorbing states, so both
-    the objective and the task row are at most 1.  Only the objective
-    depends on the mode.  Every array is read-only.
+    the objective and the task row are at most 1.  The modes share every
+    array but the objective (:func:`_lp_models`), and all are read-only.
     """
 
     pm: ProductMdp
@@ -522,18 +524,14 @@ class LpModel:
     objective: np.ndarray
     maximize: bool
     flow: tuple[np.ndarray, np.ndarray, np.ndarray]  # CSC (ptr, row, value)
+    flow_col: np.ndarray  # the column of each entry of ``flow``
     b_eq: np.ndarray
     task_row: np.ndarray
 
     def __post_init__(self) -> None:
-        for array in (self.variables, self.rows, self.objective, *self.flow, self.b_eq, self.task_row):
+        arrays = (self.variables, self.rows, self.objective, self.flow_col, self.b_eq, self.task_row)
+        for array in (*arrays, *self.flow):
             array.setflags(write=False)
-
-    @cached_property
-    def flow_col(self) -> np.ndarray:
-        """The column of each entry of ``flow``."""
-        ptr = self.flow[0]
-        return _read_only(np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)))
 
     @cached_property
     def a_eq(self):
@@ -714,19 +712,20 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
     one (every terminated run is one or the other); ``min-opacity`` is the
     literal minimization of the opacity objective, kept for comparison.
     A threshold ``epsilon`` that is not finite raises ``PlannerError``.
-    The threshold-free part is built once per product and mode.
+    The threshold-free part is built once per product; the modes share
+    every array but the objective.
     """
     if mode not in MODES:
         raise PlannerError(f"unknown mode {mode!r}")
     if not np.isfinite(epsilon):
         raise PlannerError(f"the task threshold must be finite, not {epsilon!r}")
-    return LpProblem(model=_lp_model(pm, mode), epsilon=float(epsilon))
+    return LpProblem(model=pm.lp_models[mode], epsilon=float(epsilon))
 
 
-def _lp_model(pm: ProductMdp, mode: str) -> LpModel:
-    """The :class:`LpModel` of ``pm.lp_models``, built on first use."""
-    if mode in pm.lp_models:
-        return pm.lp_models[mode]
+def _lp_models(pm: ProductMdp) -> Mapping[str, LpModel]:
+    """Every mode's :class:`LpModel`, from one gather of the quotient
+    rows' entries: they share every array but the objective, and
+    min-opacity shares opacity's."""
     quotient = pm.quotient
     # non-absorbing blocks are numbered first, so a block is its row
     row_of, reps, var_row = quotient.block, quotient.representatives, quotient.product_row
@@ -738,26 +737,25 @@ def _lp_model(pm: ProductMdp, mode: str) -> LpModel:
     stop = pm.absorbing_mask[t]
     # a stopping entry pays its probability to the outcome it stops in;
     # bincount adds in entry order (and gives ints when nothing is added)
-    wanted = stop & (pm.opaque_accepts[t] == (mode != "transparency"))
-    objective = np.bincount(j[wanted], weights=p[wanted], minlength=len(var_row)).astype(float)
-    task = stop & pm.task_accepts[t]
-    task_row = np.bincount(j[task], weights=p[task], minlength=len(var_row)).astype(float)
-    flow = ~stop  # the entries into non-absorbing blocks
+    payer, paid, outcome = j[stop], p[stop], t[stop]
+    opacity, transparency, task_row = (
+        np.bincount(payer[won], weights=paid[won], minlength=len(var_row)).astype(float)
+        for won in (pm.opaque_accepts[outcome], ~pm.opaque_accepts[outcome], pm.task_accepts[outcome])
+    )
+    inner = ~stop  # the entries into non-absorbing blocks
+    flow = _flow_matrix(row_of[var_state], j[inner], row_of[t[inner]], p[inner])
     b_eq = np.zeros(len(rows))
     b_eq[row_of[pm.initial]] = 1.0
-
-    pm.lp_models[mode] = LpModel(
-        pm=pm,
-        mode=mode,
+    shared = dict(
+        pm=pm, rows=rows, flow=flow, b_eq=b_eq, task_row=task_row,
         variables=np.column_stack((var_state, pm.row_action[var_row])),
-        rows=rows,
-        objective=objective,
-        maximize=(mode != "min-opacity"),
-        flow=_flow_matrix(row_of[var_state], j[flow], row_of[t[flow]], p[flow]),
-        b_eq=b_eq,
-        task_row=task_row,
+        flow_col=np.repeat(np.arange(len(var_row)), np.diff(flow[0])),
     )
-    return pm.lp_models[mode]
+    objective = {"opacity": opacity, "transparency": transparency, "min-opacity": opacity}
+    return MappingProxyType({
+        mode: LpModel(mode=mode, objective=objective[mode], maximize=mode != "min-opacity", **shared)
+        for mode in MODES
+    })
 
 
 def _flow_matrix(unit_row, col, row, prob) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -898,6 +896,8 @@ def extract_policy(sol: PolicySolution, pm: ProductMdp) -> np.ndarray:
     visits fall back to immediate termination when available
     (conservative: it leaks nothing further), else to a uniform choice.
     """
+    if sol.lp.pm is not pm:
+        raise PlannerError("the solution is of another product's LP")
     if sol.status != "optimal":
         raise PlannerError(f"cannot extract a policy from a {sol.status} solution")
     quotient, s, width = pm.quotient, pm.row_state, np.diff(pm.row_ptr)

@@ -2,7 +2,9 @@
 every name a package module defines at its top level, and every method,
 property and dataclass field of its classes, is used somewhere, no
 package module imports ``scipy.sparse`` or ``scipy.optimize`` when it
-is loaded, and none calls ``np.unique``.
+is loaded, none calls ``np.unique``, and no cached property of a package
+class returns an empty mutable container, a cache its callers would fill
+from outside.
 
 No linter ships with the project, so this parses each module with ``ast``.
 The package's ``__init__.py`` is skipped by the unused-import check: its
@@ -226,6 +228,85 @@ def test_finds_an_np_unique_call():
         "w = set.unique\n"
     )
     assert unique_calls(source) == ["np.unique (line 4)", "numpy.unique (line 5)"]
+
+
+def empty_caches(source: str) -> list[str]:
+    """The ``cached_property`` methods of the module's classes that return
+    an empty ``{}``, ``[]``, ``set()``, ``dict()`` or ``list()``: a cache
+    that its callers fill from outside."""
+
+    def returns(node):  # the function's own returns, not its nested functions'
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Return):
+                yield child
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                yield from returns(child)
+
+    def empty(node):
+        if isinstance(node, ast.Dict):
+            return not node.keys
+        if isinstance(node, ast.List):
+            return not node.elts
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set")
+            and not node.args
+            and not node.keywords
+        )
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                ast.unparse(d) in ("cached_property", "functools.cached_property")
+                for d in member.decorator_list
+            ):
+                found.extend(
+                    f"{node.name}.{member.name} (line {r.lineno})"
+                    for r in returns(member)
+                    if empty(r.value)
+                )
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_cache_filled_from_outside(path):
+    assert empty_caches(path.read_text()) == []
+
+
+def test_finds_a_cache_filled_from_outside():
+    source = (
+        "import functools\n"
+        "class A:\n"
+        "    @cached_property\n"
+        "    def a(self):\n"
+        "        return {}\n"
+        "    @functools.cached_property\n"
+        "    def b(self):\n"
+        "        if self.a:\n"
+        "            return []\n"
+        "        return set()\n"
+        "    @cached_property\n"
+        "    def c(self):\n"
+        "        return dict(x=1)\n"
+        "    @cached_property\n"
+        "    def d(self):\n"
+        "        def fill():\n"
+        "            return {}\n"
+        "        return {1: 2}, [3], set([4]), dict()\n"
+        "    @property\n"
+        "    def e(self):\n"
+        "        return {}\n"
+        "    @cached_property\n"
+        "    def f(self):\n"
+        "        return dict()\n"
+    )
+    assert empty_caches(source) == [
+        "A.a (line 5)", "A.b (line 9)", "A.b (line 10)", "A.f (line 24)",
+    ]
 
 
 def test_finds_an_unused_import():

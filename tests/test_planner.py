@@ -332,6 +332,14 @@ class TestPolicy:
         with pytest.raises(PlannerError):
             extract_policy(sol, pm)
 
+    @pytest.mark.parametrize("secret", ["G !s7", "F s6"])
+    def test_solution_of_another_product_rejected(self, model, task_dfa, solved, secret):
+        # another secret, or the same one in a product built anew: the
+        # solution's columns are another quotient's
+        other = product_mdp(model, task_dfa, opaque_obs_dfa(model, dfa_over_model_labels(secret, model)))
+        with pytest.raises(PlannerError, match="another product"):
+            extract_policy(solved[0.4], other)
+
     def test_round_trip_json(self, pm, solved):
         policy = extract_policy(solved[0.6], pm)
         text = json.dumps(policy_to_dict(policy, pm, {"epsilon": 0.6}), sort_keys=True)
@@ -700,7 +708,35 @@ class TestWarmStart:
         first, second = build_lp(pm, 0.4, "opacity"), build_lp(pm, 0.8, "opacity")
         assert first.model is second.model and first.highs is second.highs
         assert build_lp(pm, 0.4, "transparency").model is not first.model
-        assert pm.lp_models.keys() == {"opacity", "transparency"}
+        # the first build made every mode's model, in a read-only mapping
+        assert list(pm.lp_models) == list(MODES)
+        with pytest.raises(TypeError):
+            pm.lp_models["opacity"] = first.model
+        with pytest.raises(TypeError):
+            del pm.lp_models["transparency"]
+        models = [pm.lp_models[mode] for mode in MODES]
+        assert [lp.mode for lp in models] == list(MODES)
+        assert all(build_lp(pm, 0.6, mode).model is lp for mode, lp in zip(MODES, models))
+        # the modes share every array but the objective, and min-opacity
+        # shares opacity's
+        for name in ("variables", "rows", "flow", "flow_col", "b_eq", "task_row"):
+            assert all(getattr(lp, name) is getattr(first.model, name) for lp in models), name
+        opacity, transparency, min_opacity = models
+        assert min_opacity.objective is opacity.objective
+        assert transparency.objective is not opacity.objective
+        # each mode has its own HiGHS instance
+        assert len({id(lp.highs) for lp in models}) == len(MODES)
+
+    def test_an_infeasible_solve_builds_one_lp(self, model, task_dfa, opaque_dfa, monkeypatch):
+        # the largest feasible threshold reads the rows every mode shares
+        calls = []
+        flow_matrix = planner._flow_matrix
+        monkeypatch.setattr(planner, "_flow_matrix", lambda *args: calls.append(args) or flow_matrix(*args))
+        pm = product_mdp(model, task_dfa, opaque_dfa)
+        sol = solve_lp(build_lp(pm, 1.01, "transparency"))
+        assert sol.status == "infeasible"
+        assert sol.max_feasible_epsilon == pytest.approx(1.0, abs=1e-9)
+        assert len(calls) == 1
 
     def test_task_dual(self, model, task_dfa, opaque_dfa):
         pm = product_mdp(model, task_dfa, opaque_dfa)

@@ -174,8 +174,7 @@ def test_lp_arrays_and_start_policy(case, flow_calls, highs_matrices):
     pm = fresh_product(case)
     for mode in MODES:
         lp = build_lp(pm, 0.5, mode).model
-        [args] = flow_calls
-        flow_calls.clear()
+        [args] = flow_calls  # the first build made the flow rows every mode shares
         a_eq = scipy_flow_matrix(*args, len(lp.rows)).tocsr()
         assert_same_compressed(lp.flow, a_eq.tocsc())
         view = lp.a_eq
@@ -195,6 +194,7 @@ def test_lp_arrays_and_start_policy(case, flow_calls, highs_matrices):
             assert np.array_equal(policy, ref_policy)
 
     pm.max_feasible_epsilon
+    assert len(flow_calls) == 1
     [a] = highs_matrices
     assert_same_compressed(a, pm.lp_models["opacity"].a_eq.tocsc())
 
