@@ -64,7 +64,6 @@ from .simulate import (
     uniform_policy,
 )
 from .transducer import (
-    Fst,
     OpaqueBuild,
     ProductFst,
     build_obs_fst,

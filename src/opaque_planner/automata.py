@@ -7,10 +7,11 @@ symbols, or plain strings in tests; all of them sort deterministically so
 state numbering is reproducible from run to run.
 
 A DFA is its dense (state, letter id) move table, and an NFA its move
-arrays (source, letter id, target); only the writers and the tests read
-their letter-keyed ``transitions`` views.  :func:`intersect` searches
-pairs of NFA states level by level, numbering them with the product
-searches' ``model._number_level``.  :func:`subset_construction` is
+arrays (source, letter id, target); the writers (``dot`` and
+:func:`dfa_to_dict`) read those too.  Only perfbench's word counts and the
+tests read ``Dfa.transitions``, a letter-keyed view of the table.
+:func:`intersect` searches pairs of NFA states level by level, numbering
+them with the product searches' ``model._number_level``.  :func:`subset_construction` is
 breadth-first over numpy arrays, one level at a time: it sorts the
 (subset, letter, target) codes of a whole level and looks each (subset,
 letter) target set up by its bytes, numbering new subsets as a FIFO search
@@ -62,6 +63,14 @@ def letter_key(letter: Letter):
     return (2, str(letter))
 
 
+def letter_rank(alphabet: Sequence[Letter], key=letter_key) -> np.ndarray:
+    """Each letter id's place when ``alphabet`` is sorted stably by
+    ``key``."""
+    rank = np.empty(len(alphabet), dtype=np.int64)
+    rank[sorted(range(len(alphabet)), key=lambda i: key(alphabet[i]))] = np.arange(len(alphabet))
+    return rank
+
+
 def letter_str(letter: Letter) -> str:
     if isinstance(letter, frozenset):
         return "{" + ",".join(sorted(letter)) + "}"
@@ -80,7 +89,8 @@ class Dfa:
     A missing move behaves as a move into an implicit rejecting sink, so
     words over unknown letters are simply rejected.  Use :func:`complete`
     to materialize the sink.  ``letter_id`` and ``transitions`` are
-    read-only views, built on first access.
+    read-only views, built on first access; only perfbench's word counts
+    and the tests read ``transitions``.
     """
 
     alphabet: tuple[Letter, ...]
@@ -127,7 +137,7 @@ class Dfa:
 class Nfa:
     """Nondeterministic automaton without epsilon moves: move ``k`` goes
     from ``src[k]`` to ``dst[k]`` on ``alphabet[letter[k]]``, in read-only
-    int64 arrays; ``transitions`` is a read-only view, built on first access."""
+    int64 arrays.  Moves may repeat."""
 
     alphabet: tuple[Letter, ...]
     src: np.ndarray
@@ -144,13 +154,6 @@ class Nfa:
     @property
     def n_states(self) -> int:
         return len(self.state_names)
-
-    @cached_property
-    def transitions(self) -> Mapping[tuple[int, Letter], frozenset[int]]:
-        targets: dict[tuple[int, Letter], set[int]] = {}
-        for q, i, t in zip(self.src.tolist(), self.letter.tolist(), self.dst.tolist()):
-            targets.setdefault((q, self.alphabet[i]), set()).add(t)
-        return MappingProxyType({k: frozenset(v) for k, v in targets.items()})
 
     def accepts(self, word: Sequence[Letter]) -> bool:
         current = np.isin(np.arange(self.n_states), list(self.initials))
@@ -455,6 +458,11 @@ def _letter_from_json(value, kind: str) -> Letter:
 
 
 def dfa_to_dict(dfa: Dfa, letter_kind: str) -> dict:
+    """The DFA as a JSON document: its moves by state, then letter in
+    :func:`letter_key` order; a missing move is left out."""
+    q, i = np.nonzero(dfa.table >= 0)
+    order = np.lexsort((letter_rank(dfa.alphabet)[i], q))
+    moves = (x.tolist() for x in (q[order], i[order], dfa.table[q, i][order]))
     return {
         "type": "dfa",
         "letter_kind": letter_kind,
@@ -465,12 +473,10 @@ def dfa_to_dict(dfa: Dfa, letter_kind: str) -> dict:
         "transitions": [
             {
                 "from": dfa.state_names[q],
-                "letter": _letter_to_json(letter),
+                "letter": _letter_to_json(dfa.alphabet[i]),
                 "to": dfa.state_names[t],
             }
-            for (q, letter), t in sorted(
-                dfa.transitions.items(), key=lambda kv: (kv[0][0], letter_key(kv[0][1]))
-            )
+            for q, i, t in zip(*moves)
         ],
     }
 

@@ -3,7 +3,8 @@
 Subcommands: build, plan, simulate, verify, scenario, export-lp,
 export-dot.  Every output artifact embeds the run manifest that produced
 it.  Exit codes: 0 success, 1 input error, 2 infeasible threshold,
-3 numerical failure, 4 oracle discrepancy.
+3 numerical failure, 4 oracle discrepancy.  ``OPAQUE_PLANNER_LOG`` sets
+the log level, one of ``LOG_LEVELS`` in any case (default WARNING).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .simulate import (
     observation_buckets,
     rollout,
 )
-from .transducer import build_obs_fst, opaque_pipeline, output_nfa, product_fst
+from .transducer import opaque_pipeline, output_nfa, product_fst
 
 log = logging.getLogger("opaque_planner")
 
@@ -56,6 +57,8 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
 EXIT_DISCREPANCY = 4
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 class CliError(Exception):
@@ -342,13 +345,13 @@ def cmd_export_dot(args) -> int:
     model = _load_validated_model(args.model)
     what = args.what
     if what == "fst":
-        text = fst_to_dot(build_obs_fst(model))
+        text = fst_to_dot(model)
     elif not args.secret:
         raise CliError(f"--secret is required for --what {what}")
     elif what == "opaque-dfa":
         text = dfa_to_dot(opaque_pipeline(model, _secret_dfa(model, args.secret)).dfa)
     else:
-        pf = product_fst(build_obs_fst(model), _secret_dfa(model, args.secret))
+        pf = product_fst(model, _secret_dfa(model, args.secret))
         if what == "product-fst":
             text = product_fst_to_dot(pf)
         else:
@@ -457,17 +460,18 @@ def _bind_epsilon(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("OPAQUE_PLANNER_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("OPAQUE_PLANNER_LOG", "WARNING").upper()
+    if level not in LOG_LEVELS:
+        print(f"error: OPAQUE_PLANNER_LOG must be one of {', '.join(LOG_LEVELS)}", file=sys.stderr)
+        return EXIT_INPUT
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = make_parser()
     args = parser.parse_args(_bind_epsilon(sys.argv[1:] if argv is None else argv))
     started = time.monotonic()
     try:
         code = args.func(args)
     except (CliError, ModelError, AutomatonError, LtlfError, PlannerError,
-            SimulationError, FileNotFoundError, json.JSONDecodeError) as exc:
+            SimulationError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     log.info("%s finished in %.3fs", args.subcommand, time.monotonic() - started)

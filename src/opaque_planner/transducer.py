@@ -1,7 +1,10 @@
 """From the observation function to the opaque-observations DFA.
 
 The observation function is a letter-to-letter transducer whose inputs are
-the model's transitions and whose outputs are observation symbols.
+the model's transitions and whose outputs are observation symbols.  The
+model's entries already are that transducer: entry ``e`` reads its
+(state, action, successor) and emits ``Model.entry_obs[e]``, so the
+transducer is the model, and the writers in ``dot`` read its arrays.
 Pairing it with the secret DFA, by the level search that also builds the
 product MDP (``planner._product_search``), yields a product transducer, a
 ``planner.Product`` with two accepting sets: runs ending with the secret
@@ -29,53 +32,26 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
 from .automata import Dfa, Nfa, meets, minimize_table, subset_construction
-from .model import Model, ObsSymbol
+from .model import Model
 from .planner import Product, _label_table, _product_search, _reached
 
-InputLetter = tuple[int, int, int]  # (state, action, successor) indices
 
+def build_obs_fst(model: Model) -> Model:
+    """The observation function as a transducer: the model itself.
 
-@dataclass(frozen=True, eq=False)
-class Fst:
-    """Deterministic transducer reading transitions, emitting observations.
-
-    There is exactly one transition per positive-probability model
-    transition; the input (s, a, s') leaves state s and enters state s',
-    emitting the start marker from the initiating state, the end marker on
-    termination, and the transition's observation symbol otherwise.
-    ``transitions`` is a read-only view of the model, built on first
-    access; it raises ``ModelError`` on a transition with no observation.
+    Model entry ``e`` reads the transition (``entry_state[e]``,
+    ``entry_action[e]``, ``entry_succ[e]``) and emits
+    ``symbols[entry_obs[e]]``: the start marker from the initiating state,
+    the end marker on termination, and the transition's observation symbol
+    otherwise.  The terminating state's entries are no moves of the
+    transducer: no play continues past it.  perfbench's traced pass times
+    this call as a stage of its own.
     """
-
-    model: Model
-
-    @cached_property
-    def transitions(self) -> Mapping[tuple[int, InputLetter], tuple[int, ObsSymbol]]:
-        model = self.model
-        return MappingProxyType(
-            {
-                (s, (s, a, t)): (t, model.obs(s, a, t))
-                for (s, a), dist in model.transitions.items()
-                if s != model.bot
-                for t, _p in dist
-            }
-        )
-
-
-def build_obs_fst(model: Model) -> Fst:
-    """Encode the observation function as a transducer.
-
-    Self-loops at the terminating state are omitted: no play continues
-    past it, so they never produce output.
-    """
-    return Fst(model=model)
+    return model
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +63,7 @@ class ProductFst(Product):
     which gives its input letter and its output.  Both
     accepting sets live on the terminating state: ``accept_sat`` holds the
     runs whose labeled play satisfies the secret, ``accept_vio`` the ones
-    violating it.  ``transitions`` is a read-only view, built on first
-    access.
+    violating it.
     """
 
     secret: Dfa
@@ -96,29 +71,19 @@ class ProductFst(Product):
     accept_vio: frozenset[int]
     entry_model: np.ndarray
 
-    @cached_property
-    def transitions(self) -> Mapping[tuple[int, InputLetter], tuple[int, ObsSymbol]]:
-        """(state, (s, a, s')) -> (successor, output)."""
-        letters = self.model.observation_alphabet()
-        s, t = self.components[self.entry_state, 0], self.components[self.entry_succ, 0]
-        a = self.entry_action.tolist()
-        inputs = zip(self.entry_state.tolist(), zip(s.tolist(), a, t.tolist()))
-        out = [letters[o] for o in self.model.entry_obs[self.entry_model].tolist()]
-        return MappingProxyType(dict(zip(inputs, zip(self.entry_succ.tolist(), out))))
-
     def state_name(self, idx: int) -> str:
         s, q = self.components[idx].tolist()
         return f"({self.model.states[s]},{self.secret.state_names[q]})"
 
 
-def product_fst(fst: Fst, secret: Dfa) -> ProductFst:
-    """Synchronize the transducer with the secret DFA, keeping the pairs
-    reachable from (initiating state, initial secret state), by the product
-    MDP's search, ``planner._product_search``: the secret reads the label
-    of each interior state entered, and stopping leaves it untouched.  A
-    reachable transition with no observation, or one into a frame state,
-    raises ``ModelError``."""
-    model = fst.model
+def product_fst(model: Model, secret: Dfa) -> ProductFst:
+    """Synchronize the observation transducer, the model's entries, with
+    the secret DFA, keeping the pairs reachable from (initiating state,
+    initial secret state), by the product MDP's search,
+    ``planner._product_search``: the secret reads the label of each
+    interior state entered, and stopping leaves it untouched.  A reachable
+    transition with no observation, or one into a frame state, raises
+    ``ModelError``."""
     secret_step = _label_table(secret, model, "secret")
     s, q, entry_model, rows = _product_search(
         model, secret.n_states, secret.initial, lambda c, v, label, _obs: secret_step[c[v], label]
@@ -224,7 +189,7 @@ def opaque_pipeline(model: Model, secret: Dfa) -> OpaqueBuild:
     as it is, and minimization keeps it complete.
     """
     t0 = time.monotonic()
-    kept, table, accepts, _, _ = _observer(product_fst(build_obs_fst(model), secret))
+    kept, table, accepts, _, _ = _observer(product_fst(model, secret))
     opaque = minimize_table(table, accepts, model.observation_alphabet())
     return OpaqueBuild(
         dfa=opaque,

@@ -1,6 +1,7 @@
 """Test helpers: seeded random models and secrets for property coverage,
-random walks over a model, running the observation transducer and its
-product with a secret on a play, the dict subset construction that the
+random walks over a model, running the observation transducer (the
+model) and its product with a secret on a play by stepping their entry
+arrays, an NFA's moves as a dict, the dict subset construction that the
 array one replaced, the dict intersection that the level search
 replaced, the ``np.unique`` numbering of a search level that one sort
 replaced, the occupancy of a product state's block, a product's states as
@@ -16,7 +17,7 @@ import numpy as np
 from opaque_planner.automata import Dfa, Nfa, row_classes, sort_alphabet
 from opaque_planner.model import Model, ObsSymbol, Play, build_model
 from opaque_planner.planner import ZERO_OCCUPANCY_THRESHOLD, PolicySolution, ProductMdp, Quotient
-from opaque_planner.transducer import Fst, InputLetter, ProductFst
+from opaque_planner.transducer import ProductFst
 
 
 # the secrets of perfbench's gridworld-build workload
@@ -193,19 +194,55 @@ def _sample(rng, dist):
     return dist[-1][0]
 
 
-def play_inputs(model: Model, play: Play) -> tuple[InputLetter, ...]:
+def play_inputs(model: Model, play: Play) -> tuple[tuple[int, int, int], ...]:
     """The transducer input letters (state, action, successor) of a play."""
     s = [model.state_index[x] for x in play.states]
     a = [model.action_index[x] for x in play.actions]
     return tuple((s[i], a[i], s[i + 1]) for i in range(len(a)))
 
 
-def run_fst(fst: Fst, inputs) -> tuple[ObsSymbol, ...]:
-    """The observation word ``fst`` emits on reading ``inputs``."""
-    state = fst.model.top
+def _entry(groups, v: int, a: int, reads: np.ndarray, t: int) -> int:
+    """The entry of ``groups`` from state ``v`` on action ``a`` that reads
+    the model successor ``reads[e] == t``; KeyError when there is none."""
+    row = int(groups.rows_of([v], [a])[0])
+    if row >= 0:
+        e = np.arange(groups.entry_ptr[row], groups.entry_ptr[row + 1])
+        hit = e[reads[e] == t]
+        if len(hit):
+            return int(hit[0])
+    raise KeyError((v, (a, t)))
+
+
+def fst_move(model: Model, state: int, letter: tuple[int, int, int]) -> tuple[int, ObsSymbol]:
+    """The observation transducer's move from ``state`` on the input
+    ``letter`` = (state, action, successor): the successor and the output,
+    read from the model's entry arrays.  KeyError when the letter does not
+    leave ``state``, or leaves the terminating state."""
+    s, a, t = letter
+    if s != state or s == model.bot:
+        raise KeyError((state, letter))
+    e = _entry(model, s, a, model.entry_succ, t)
+    assert model.entry_obs[e] >= 0, letter
+    return int(model.entry_succ[e]), model.symbols[model.entry_obs[e]]
+
+
+def product_fst_move(pf: ProductFst, state: int, letter: tuple[int, int, int]) -> tuple:
+    """The product transducer's move from ``state`` on the input
+    ``letter``: the successor and the output, read from its entry
+    arrays.  KeyError when it has no such move."""
+    s, a, t = letter
+    if s != pf.components[state, 0]:
+        raise KeyError((state, letter))
+    e = _entry(pf, state, a, pf.model.entry_succ[pf.entry_model], t)
+    return int(pf.entry_succ[e]), pf.model.symbols[pf.model.entry_obs[pf.entry_model[e]]]
+
+
+def run_fst(model: Model, inputs) -> tuple[ObsSymbol, ...]:
+    """The observation word the transducer emits on reading ``inputs``."""
+    state = model.top
     out = []
     for letter in inputs:
-        state, symbol = fst.transitions[(state, letter)]
+        state, symbol = fst_move(model, state, letter)
         out.append(symbol)
     return tuple(out)
 
@@ -214,14 +251,23 @@ def run_product_fst(pf: ProductFst, inputs) -> int:
     """The state of ``pf`` reached from its initial one on ``inputs``."""
     state = pf.initial
     for letter in inputs:
-        state, _out = pf.transitions[(state, letter)]
+        state, _out = product_fst_move(pf, state, letter)
     return state
 
 
-def run_on_play(fst: Fst, play: Play) -> tuple[ObsSymbol, ...]:
-    """The observation word ``fst`` emits along ``play``."""
-    fst.model.check_play(play)
-    return run_fst(fst, play_inputs(fst.model, play))
+def run_on_play(model: Model, play: Play) -> tuple[ObsSymbol, ...]:
+    """The observation word the transducer emits along ``play``."""
+    model.check_play(play)
+    return run_fst(model, play_inputs(model, play))
+
+
+def nfa_moves(nfa: Nfa) -> dict[tuple[int, object], frozenset[int]]:
+    """(state, letter) -> the targets of the NFA's moves, the dict form
+    that the reference constructions read."""
+    targets: dict[tuple[int, object], set[int]] = {}
+    for q, i, t in zip(nfa.src.tolist(), nfa.letter.tolist(), nfa.dst.tolist()):
+        targets.setdefault((q, nfa.alphabet[i]), set()).add(t)
+    return {k: frozenset(v) for k, v in targets.items()}
 
 
 def product_states(product) -> tuple[tuple[int, ...], ...]:
@@ -252,7 +298,7 @@ def reference_subset_construction(nfa: Nfa, accepts: Callable[[frozenset[int]], 
     has no successor, so the result is always complete.
     """
     per_state: dict[int, dict] = {}
-    for (q, letter), targets in nfa.transitions.items():
+    for (q, letter), targets in nfa_moves(nfa).items():
         per_state.setdefault(q, {})[letter] = targets
     empty = frozenset()
     start = frozenset(nfa.initials)
@@ -297,7 +343,7 @@ def reference_intersect(a: Nfa, b: Nfa) -> Nfa:
     out_a: dict[int, dict] = {}  # state -> letter id -> sorted targets
     out_b: dict[int, dict] = {}
     for nfa, out in ((a, out_a), (b, out_b)):
-        for (q, letter), targets in nfa.transitions.items():
+        for (q, letter), targets in nfa_moves(nfa).items():
             out.setdefault(q, {})[rank[letter]] = sorted(targets)
     order: dict[tuple[int, int], int] = {}
     queue: deque[tuple[int, int]] = deque()

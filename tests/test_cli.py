@@ -1,14 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from opaque_planner import cli
-from opaque_planner.automata import dfa_from_dict
+from opaque_planner.automata import dfa_from_dict, dfa_to_dict
 from opaque_planner.cli import main
 from opaque_planner.ltlf import dfa_over_model_labels
 from opaque_planner.model import ObsSymbol, START, END, dumps_model, load_model
+from opaque_planner.transducer import opaque_obs_dfa
 
 SS = ObsSymbol.state_set
 
@@ -335,6 +339,48 @@ class TestMissingInputs:
         argv = ["verify", "--model", model_file, "--secret", "F s6", "--max-actions", "-1"]
         self._fails_cleanly(argv, capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--model", "{model}", "--task", "{dir}", "--secret", "F s6"],
+            ["plan", "--model", "{binary}", "--task", "F s4", "--secret", "F s6"],
+            ["simulate", "--model", "{model}", "--policy", "{dir}"],
+            ["scenario", "gridworld", "--config", "{dir}"],
+            ["scenario", "running-example", "--out", "{dir}"],
+            ["export-dot", "--dfa", "{dir}"],
+        ],
+        ids=["task-directory", "model-not-utf8", "policy-directory", "config-directory",
+             "out-directory", "dfa-directory"],
+    )
+    def test_unreadable_path(self, model_file, tmp_path, capsys, argv):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00not text")
+        paths = {"model": model_file, "dir": str(tmp_path), "binary": str(binary)}
+        self._fails_cleanly([arg.format(**paths) for arg in argv], capsys)
+
+    @staticmethod
+    def _run_with_log_level(level, tmp_path) -> subprocess.CompletedProcess:
+        # a separate interpreter: under pytest the root logger already has
+        # handlers, and logging.basicConfig then ignores its level
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPAQUE_PLANNER_LOG": level, "PYTHONPATH": src}
+        argv = ["scenario", "running-example", "--out", str(tmp_path / "m.json")]
+        return subprocess.run([sys.executable, "-m", "opaque_planner", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("level", ["bogus", "10"])
+    def test_unknown_log_level(self, tmp_path, level):
+        done = self._run_with_log_level(level, tmp_path)
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: OPAQUE_PLANNER_LOG must be one of DEBUG, INFO, WARNING, ERROR, CRITICAL\n"
+        )
+
+    def test_log_level_names_ignore_case(self, tmp_path):
+        done = self._run_with_log_level("info", tmp_path)
+        assert done.returncode == 0
+        assert "INFO opaque_planner: scenario finished" in done.stderr
+
 
 class TestMalformedDfaFile:
     @pytest.mark.parametrize(
@@ -501,3 +547,93 @@ class TestExports:
         out = tmp_path / "dfa.dot"
         assert main(["export-dot", "--dfa", opaque_file, "--out", str(out)]) == 0
         assert "doublecircle" in out.read_text()
+
+
+# the renderings and DFA documents of the running example (secret F s6)
+# and the default gridworld (secret F B & F A); the running example's
+# output NFAs are pinned in TestExports
+PINNED_DOTS = [
+    ("running-example", "fst",
+     "2e38e5c633d0ed734aabde5787e83f979345d1ac357bcea20765562b7ae78887"),
+    ("running-example", "product-fst",
+     "bfa357f8c63c384691ba9caf842aa20dbb0d3d603f64b5f6387b52e81b3a374e"),
+    ("running-example", "opaque-dfa",
+     "01ef4e078a597c708b9e66e64724214692ff27cc0fa7c90dcf70e1ff1ad41816"),
+    ("gridworld", "fst",
+     "ddf97002ddbf55da9d04ba8a8f856c786cf28b4ca798af2a108cfbac4d2fea00"),
+    ("gridworld", "product-fst",
+     "c86769adc634baf3705ec5b29d55205617fb87540ba1fd1f2fc842666899080a"),
+    ("gridworld", "nfa-satisfying",
+     "6a493fb5d39d96231d1aa8e55bd7a675240d9c45386d510c9246b44278d71030"),
+    ("gridworld", "nfa-violating",
+     "ad292487b2ba79f538cf721549f1be503e4373637607a9ab46815678b0365087"),
+    ("gridworld", "opaque-dfa",
+     "16c57e5a59807f1b26ae2940dc495c5ac529492827606d8a6096b257737f63aa"),
+]
+PINNED_DOCS = [
+    ("running-example", "secret",
+     "0d7107e869da17dbbb2376ca0b2e0b0d308ee66ee869a89afd68c0c9bbd0ec43"),
+    ("running-example", "opaque",
+     "cd9f1554c511db127f6e2e45f69d53de319f9dd8cf6f76956c3a8533792b5cf5"),
+    ("gridworld", "secret",
+     "462d86cc6f7edac620d3d753294d99bb214565e7c2d059bca05df99ad8cf0f73"),
+    ("gridworld", "opaque",
+     "5613fe88b727669a7e962ad8850850bf94649f04f0d0acc4641c176357e89c2a"),
+]
+SECRETS = {"running-example": "F s6", "gridworld": "F B & F A"}
+
+
+@pytest.fixture(scope="module")
+def scenario_files(tmp_path_factory):
+    paths = {}
+    for name in SECRETS:
+        paths[name] = str(tmp_path_factory.mktemp("cli") / f"{name}.json")
+        assert main(["scenario", name, "--out", paths[name]]) == 0
+    return paths
+
+
+class TestPinnedRenderings:
+    """The writers' output must not move when the automata's
+    representations do."""
+
+    @staticmethod
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "scenario, what, digest", PINNED_DOTS, ids=[f"{s}-{w}" for s, w, _ in PINNED_DOTS]
+    )
+    def test_export_dot(self, scenario_files, tmp_path, scenario, what, digest):
+        out = tmp_path / f"{what}.dot"
+        assert main(["export-dot", "--model", scenario_files[scenario], "--secret",
+                     SECRETS[scenario], "--what", what, "--out", str(out)]) == 0
+        assert self.digest(out.read_text()) == digest
+
+    def test_export_dot_of_partial_dfa_file(self, tmp_path):
+        # y has no move on "a": a missing move draws no edge
+        doc = {
+            "type": "dfa", "letter_kind": "plain", "states": ["x", "y"],
+            "alphabet": ["a", "b"], "initial": "x", "accepting": ["y"],
+            "transitions": [
+                {"from": "x", "letter": "b", "to": "y"},
+                {"from": "x", "letter": "a", "to": "x"},
+                {"from": "y", "letter": "b", "to": "x"},
+            ],
+        }
+        dfa, out = tmp_path / "partial.json", tmp_path / "partial.dot"
+        dfa.write_text(json.dumps(doc))
+        assert main(["export-dot", "--dfa", str(dfa), "--out", str(out)]) == 0
+        digest = "55b37b98b70d29f4a646bd5ddfc20b88224ad7d880a5a3d1195609a595245ca2"
+        assert self.digest(out.read_text()) == digest
+
+    @pytest.mark.parametrize(
+        "scenario, which, digest", PINNED_DOCS, ids=[f"{s}-{w}" for s, w, _ in PINNED_DOCS]
+    )
+    def test_dfa_to_dict(self, scenario_files, scenario, which, digest):
+        model = load_model(scenario_files[scenario])
+        secret = dfa_over_model_labels(SECRETS[scenario], model)
+        if which == "secret":
+            doc = dfa_to_dict(secret, "labels")
+        else:
+            doc = dfa_to_dict(opaque_obs_dfa(model, secret), "observations")
+        assert self.digest(json.dumps(doc)) == digest

@@ -15,6 +15,7 @@ from opaque_planner.automata import (
     sort_alphabet,
     step_table,
 )
+from opaque_planner.dot import fst_to_dot
 from opaque_planner.ltlf import dfa_over_model_labels, evaluate, parse_ltlf
 from opaque_planner.model import (
     END,
@@ -43,7 +44,9 @@ from opaque_planner.transducer import (
 from helpers import (
     GRIDWORLD_BUILD_SECRETS,
     dfa_from_moves,
+    fst_move,
     play_inputs,
+    product_fst_move,
     product_index,
     product_states,
     random_model,
@@ -93,7 +96,7 @@ def product_dfa(a, b):
 def paper_route(model, secret):
     """The paper's construction: intersect the satisfying and violating
     output NFAs, determinize, minimize.  The reference for the observer."""
-    pf = product_fst(build_obs_fst(model), secret)
+    pf = product_fst(model, secret)
     joint = intersect(output_nfa(pf, "satisfying"), output_nfa(pf, "violating"))
     return minimize(determinize(joint))
 
@@ -106,42 +109,48 @@ def assert_same_dfa(got, want):
 
 
 @pytest.fixture(scope="module")
-def fst(model):
-    return build_obs_fst(model)
-
-
-@pytest.fixture(scope="module")
-def pf(model, secret_dfa, fst):
-    return product_fst(fst, secret_dfa)
+def pf(model, secret_dfa):
+    return product_fst(model, secret_dfa)
 
 
 class TestObsFst:
-    def test_interior_transition(self, model, fst):
+    def test_the_transducer_is_the_model(self, model):
+        assert build_obs_fst(model) is model
+
+    def test_interior_transition(self, model):
         s1, a, s2 = model.state_index["s1"], model.action_index["a"], model.state_index["s2"]
-        assert fst.transitions[(s1, (s1, a, s2))] == (s2, SS(["s2", "s3"]))
+        assert fst_move(model, s1, (s1, a, s2)) == (s2, SS(["s2", "s3"]))
 
-    def test_terminating_transition(self, model, fst):
+    def test_terminating_transition(self, model):
         s4, bot = model.state_index["s4"], model.bot
-        assert fst.transitions[(s4, (s4, model.a_bot, bot))] == (bot, END)
+        assert fst_move(model, s4, (s4, model.a_bot, bot)) == (bot, END)
 
-    def test_initiating_transition(self, model, fst):
+    def test_initiating_transition(self, model):
         s1 = model.state_index["s1"]
-        assert fst.transitions[(model.top, (model.top, model.a_top, s1))] == (s1, START)
+        assert fst_move(model, model.top, (model.top, model.a_top, s1)) == (s1, START)
 
-    def test_no_transitions_out_of_terminating_state(self, model, fst):
-        assert all(src != model.bot for src, _ in fst.transitions)
+    def test_no_transitions_out_of_terminating_state(self, model):
+        # the terminating state's self-loops emit nothing, and the
+        # rendering draws no edge out of it
+        bot = model.bot
+        assert (model.entry_obs[model.entry_state == bot] < 0).all()
+        bot_name = f'  "{model.states[bot]}" -> '
+        assert not [line for line in fst_to_dot(model).splitlines() if line.startswith(bot_name)]
 
-    def test_one_transition_per_positive_probability_edge(self, model, fst):
-        expected = sum(
-            len(dist)
-            for (s, _a), dist in model.transitions.items()
+    def test_one_transition_per_positive_probability_edge(self, model):
+        moves = [
+            (s, a, t)
+            for (s, a), dist in model.transitions.items()
             if s != model.bot
-        )
-        assert len(fst.transitions) == expected
+            for t, _p in dist
+        ]
+        for s, a, t in moves:
+            assert fst_move(model, s, (s, a, t))[0] == t
+        assert fst_to_dot(model).count(" -> ") == 1 + len(moves)  # and __init's edge
 
-    def test_agrees_with_observation_map_on_all_short_plays(self, model, fst):
+    def test_agrees_with_observation_map_on_all_short_plays(self, model):
         for p in enumerate_plays(model, max_actions=5):
-            assert run_on_play(fst, p) == obs_of_play(model, p)
+            assert run_on_play(model, p) == obs_of_play(model, p)
 
     def test_single_state_model(self):
         m = build_model(
@@ -152,8 +161,7 @@ class TestObsFst:
             labels={"only": {"only"}},
             observations={("only", "loop", "only"): ["only"]},
         )
-        f = build_obs_fst(m)
-        word = run_on_play(f, play("s_top a_top only a_bot s_bot"))
+        word = run_on_play(m, play("s_top a_top only a_bot s_bot"))
         assert word == (START, END)
 
 
@@ -161,14 +169,14 @@ class TestProductFst:
     def test_initial_transition(self, model, pf, secret_dfa):
         s1 = model.state_index["s1"]
         letter = (model.top, model.a_top, s1)
-        target, out = pf.transitions[(pf.initial, letter)]
+        target, out = product_fst_move(pf, pf.initial, letter)
         assert product_states(pf)[target] == (s1, secret_dfa.initial)
         assert out == START
 
     def test_secret_advance_on_entering_s6(self, model, pf, secret_dfa):
         s3, b, s6 = model.state_index["s3"], model.action_index["b"], model.state_index["s6"]
         src = product_index(pf)[(s3, secret_dfa.initial)]
-        target, out = pf.transitions[(src, (s3, b, s6))]
+        target, out = product_fst_move(pf, src, (s3, b, s6))
         entered = product_states(pf)[target]
         assert entered[0] == s6
         assert entered[1] in secret_dfa.accepting
@@ -178,7 +186,7 @@ class TestProductFst:
         s6 = model.state_index["s6"]
         accepting_q = next(iter(secret_dfa.accepting))
         src = product_index(pf)[(s6, accepting_q)]
-        target, out = pf.transitions[(src, (s6, model.a_bot, model.bot))]
+        target, out = product_fst_move(pf, src, (s6, model.a_bot, model.bot))
         assert product_states(pf)[target] == (model.bot, accepting_q)
         assert out == END
         assert target in pf.accept_sat
@@ -190,12 +198,12 @@ class TestProductFst:
         assert pf.accept_sat | pf.accept_vio == terminal
         assert not (pf.accept_sat & pf.accept_vio)
 
-    def test_trivial_secret_has_no_violating_terminals(self, model, fst):
+    def test_trivial_secret_has_no_violating_terminals(self, model):
         trivial = dfa_over_model_labels("true", model)
-        product = product_fst(fst, trivial)
+        product = product_fst(model, trivial)
         assert product.accept_vio == frozenset()
 
-    def test_incomplete_secret_rejected(self, model, fst, secret_dfa):
+    def test_incomplete_secret_rejected(self, model, secret_dfa):
         pruned = dfa_from_moves(
             secret_dfa.alphabet,
             {k: v for k, v in secret_dfa.transitions.items() if k[1] != frozenset({"s1"})},
@@ -204,7 +212,7 @@ class TestProductFst:
             secret_dfa.state_names,
         )
         with pytest.raises(IncompleteDfaError):
-            product_fst(fst, pruned)
+            product_fst(model, pruned)
 
     def test_run_tracks_secret_dfa(self, model, pf, secret_dfa):
         # the product run ends accepting exactly when the labeled play
@@ -221,14 +229,16 @@ class TestProductFst:
 # the shared level search against the dict search it replaced
 
 
-def reference_product_fst(fst, secret):
+def reference_product_fst(model, secret):
     """The reachable product transducer as a FIFO search over dicts: the
     pairs in order of discovery, the index of each pair, the transitions
-    and the two accepting sets."""
-    model = fst.model
+    and the two accepting sets.  The observation transducer's moves come
+    from ``Model.transitions`` and ``Model.obs``."""
     by_source = {}
-    for (s, letter), (t, out) in fst.transitions.items():
-        by_source.setdefault(s, []).append((letter, t, out))
+    for (s, a), dist in model.transitions.items():
+        if s != model.bot:
+            for t, _p in dist:
+                by_source.setdefault(s, []).append(((s, a, t), t, model.obs(s, a, t)))
     for rows in by_source.values():
         rows.sort()
 
@@ -257,13 +267,26 @@ def reference_product_fst(fst, secret):
     return tuple(pairs), index, transitions, accept_sat, accept_vio
 
 
+def product_fst_moves(pf):
+    """(state, (s, a, t)) -> (successor, output), one per entry of the
+    product transducer, read from its entry arrays."""
+    model, e = pf.model, pf.entry_model
+    s, a, t, o = (
+        x[e].tolist()
+        for x in (model.entry_state, model.entry_action, model.entry_succ, model.entry_obs)
+    )
+    inputs = list(zip(pf.entry_state.tolist(), zip(s, a, t)))
+    moves = dict(zip(inputs, zip(pf.entry_succ.tolist(), (model.symbols[i] for i in o))))
+    assert len(moves) == len(inputs)  # no two entries read one letter from one state
+    return moves
+
+
 def assert_matches_reference_fst(model, secret):
-    fst = build_obs_fst(model)
-    pf = product_fst(fst, secret)
-    pairs, index, transitions, accept_sat, accept_vio = reference_product_fst(fst, secret)
+    pf = product_fst(model, secret)
+    pairs, index, transitions, accept_sat, accept_vio = reference_product_fst(model, secret)
     assert product_states(pf) == pairs
     assert product_index(pf) == index
-    assert dict(pf.transitions) == transitions
+    assert product_fst_moves(pf) == transitions
     assert pf.accept_sat == accept_sat
     assert pf.accept_vio == accept_vio
 
@@ -289,8 +312,6 @@ class TestAgainstReferenceProductFst:
         assert_matches_reference_fst(grid, dfa_over_model_labels(secret_text, grid))
 
     def test_views_are_read_only(self, pf):
-        with pytest.raises(TypeError):
-            pf.transitions[(0, (0, 0, 0))] = (0, END)
         arrays = [f.name for f in fields(pf) if isinstance(getattr(pf, f.name), np.ndarray)]
         assert arrays == [
             "row_ptr", "row_action", "entry_ptr", "entry_succ", "components", "entry_model"
@@ -343,13 +364,14 @@ class TestUndefinedTransitions:
         sink = dfa_from_moves(letters, {(0, letter): 0 for letter in letters}, 0, (), ("q0",))
         truth = dfa_over_model_labels("true", m)
         with pytest.raises(ModelError, match=message):
-            product_fst(build_obs_fst(m), truth)
+            product_fst(m, truth)
         with pytest.raises(ModelError, match=message):
             product_mdp(m, truth, sink)
 
     def test_unreachable_missing_observation_is_never_emitted(self):
         # z is never entered, so its unobserved move emits nothing: the
-        # pipeline builds, while validate and Fst.transitions report it
+        # pipeline builds, while validate and the transducer's rendering
+        # report it
         m = build_model(
             states=["x", "z"],
             actions=["go"],
@@ -360,8 +382,8 @@ class TestUndefinedTransitions:
         )
         assert opaque_obs_dfa(m, dfa_over_model_labels("F x", m)).n_states > 0
         assert any("observation missing for (z, go, x)" in p for p in validate(m))
-        with pytest.raises(ModelError, match=r"\(z, go, x\)"):
-            build_obs_fst(m).transitions
+        with pytest.raises(ModelError, match=r"no observation for transition \(z, go, x\)"):
+            fst_to_dot(build_obs_fst(m))
 
 
 class TestOutputNfa:
@@ -375,9 +397,9 @@ class TestOutputNfa:
         assert not output_nfa(pf, "satisfying").accepts((START, END))
         assert output_nfa(pf, "violating").accepts((START, END))
 
-    def test_trivial_secret_violating_language_empty(self, model, fst):
+    def test_trivial_secret_violating_language_empty(self, model):
         trivial = dfa_over_model_labels("true", model)
-        nfa = output_nfa(product_fst(fst, trivial), "violating")
+        nfa = output_nfa(product_fst(model, trivial), "violating")
         assert not nfa.initials or not nfa.accepting
 
     def test_which_argument_checked(self, pf):
@@ -477,7 +499,7 @@ def observer_nfa(pf):
 def assert_observer_matches_reference(model, secret):
     """The observer's table, numbering, accepting set and subsets equal
     the dict FIFO loop's; returns the subset count."""
-    pf = product_fst(build_obs_fst(model), secret)
+    pf = product_fst(model, secret)
     nfa, kept = observer_nfa(pf)
     sat = frozenset(i for i, p in enumerate(kept) if p in pf.accept_sat)
     vio = frozenset(i for i, p in enumerate(kept) if p in pf.accept_vio)
@@ -502,7 +524,7 @@ def assert_observer_matches_reference(model, secret):
 def checked_intersection(model, secret_text):
     """The paper route's intersection, checked against the dict FIFO
     search's."""
-    pf = product_fst(build_obs_fst(model), dfa_over_model_labels(secret_text, model))
+    pf = product_fst(model, dfa_over_model_labels(secret_text, model))
     sat, vio = output_nfa(pf, "satisfying"), output_nfa(pf, "violating")
     joint = intersect(sat, vio)
     assert same_nfa(joint, reference_intersect(sat, vio))
@@ -557,10 +579,8 @@ class TestAgainstReferenceObserver:
 
 
 class TestDotExport:
-    def test_fst_dot_mentions_output_symbols(self, fst):
-        from opaque_planner.dot import fst_to_dot
-
-        text = fst_to_dot(fst)
+    def test_fst_dot_mentions_output_symbols(self, model):
+        text = fst_to_dot(model)
         assert text.startswith("digraph")
         assert "[s2,s3]" in text
 
