@@ -72,14 +72,13 @@ def _transducer_edges(lines: list[str], model: Model, src, entry, dst, name) -> 
 
 
 def fst_to_dot(model: Model) -> str:
-    """The observation transducer: the model's entries but the terminating
-    state's; edge labels read input/output."""
+    """The observation transducer: the model's entries; edge labels read
+    input/output."""
     lines = ["digraph fst {"]
     _header(lines)
     lines.append(f"  __init -> {_quote(model.states[model.top])};")
-    e = np.flatnonzero(model.entry_state != model.bot)
-    name = model.states.__getitem__
-    _transducer_edges(lines, model, model.entry_state[e], e, model.entry_succ[e], name)
+    e = np.arange(len(model.entry_succ))
+    _transducer_edges(lines, model, model.entry_state, e, model.entry_succ, model.states.__getitem__)
     return "\n".join(lines) + "\n"
 
 

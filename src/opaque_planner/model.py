@@ -2,7 +2,7 @@
 transition-observation function.
 
 States include a reserved initiating state and an absorbing terminating
-state, and every interior state can terminate.  Each positive-probability
+state, which owns no rows, and every interior state can terminate.  Each positive-probability
 interior transition carries the symbol an eavesdropper receives when the
 transition fires; the framing transitions emit reserved start/end markers.
 """
@@ -265,11 +265,11 @@ class Model(RowGroups):
     validated on demand by :func:`validate`.
 
     ``states[0]`` is the initiating state and ``states[-1]`` the
-    terminating one; likewise for ``actions``.  Entry ``e`` has probability
-    ``entry_prob[e]`` and observation ``entry_obs[e]``, an index into
-    ``symbols``, the observation alphabet: ``a_top`` rows emit START and
-    ``a_bot`` rows END, and ``entry_obs`` is -1 where no observation is
-    defined (a missing one, or the terminating state's self-loops).
+    terminating one, which is absorbing and owns no rows; likewise for
+    ``actions``.  Entry ``e`` has probability ``entry_prob[e]`` and
+    observation ``entry_obs[e]``, an index into ``symbols``, the
+    observation alphabet: ``a_top`` rows emit START and ``a_bot`` rows END,
+    and ``entry_obs`` is -1 where no observation is given.
     ``transitions``, ``observations`` and the name indices are read-only
     views, built on first access.
     """
@@ -375,8 +375,6 @@ class Model(RowGroups):
             return START
         if a == self.a_bot:
             return END
-        if s == self.bot:
-            raise ModelError("observation undefined on terminating-state self-loops")
         try:
             return self.observations[(s, a, s2)]
         except KeyError:
@@ -450,8 +448,10 @@ def assemble(
     ``states`` must start with ``s_top`` and end with ``s_bot`` (likewise
     for actions); nothing is injected and nothing beyond name resolution
     and each probability (:func:`as_probability`; exact zeros are dropped)
-    is checked, except that an observation of a transition the model does
-    not have raises ``ModelError``: it has nowhere to be stored.  Use
+    is checked, except that the terminating state owns no rows: its
+    self-loops under interior actions are dropped, and any other move out
+    of it raises ``ModelError``, as does an observation of a transition
+    the model does not have, which has nowhere to be stored.  Use
     :func:`validate` afterwards.
     """
     states = tuple(states)
@@ -483,7 +483,9 @@ def assemble(
             if t not in sidx:
                 raise ModelError(f"unknown successor {t!r} in transitions")
             p = as_probability(p)
-            if p > 0.0:
+            if s == S_BOT and p > 0.0 and (t != S_BOT or a in RESERVED_ACTIONS):
+                raise ModelError(f"move ({s}, {a}, {t}) out of the absorbing terminating state")
+            if p > 0.0 and s != S_BOT:
                 entries.append((sidx[s], aidx[a], sidx[t], p))
     entries.sort()
 
@@ -515,13 +517,10 @@ def assemble(
             members = interned[members]
         given[(sidx[s], aidx[a], sidx[t])] = members
 
-    # the frame's moves emit the markers, the terminating state's
-    # self-loops nothing, and every other entry takes its given observation
-    bot, markers = len(states) - 1, {0: START, len(actions) - 1: END}
-    emitted = [
-        markers[a] if a in markers else None if s == bot else given.pop((s, a, t), None)
-        for s, a, t, _p in entries
-    ]
+    # the frame's moves emit the markers, and every other entry takes its
+    # given observation
+    markers = {0: START, len(actions) - 1: END}
+    emitted = [markers[a] if a in markers else given.pop((s, a, t), None) for s, a, t, _p in entries]
     if given:
         s, a, t = min(given)
         raise ModelError(
@@ -558,9 +557,8 @@ def build_model(
 ) -> Model:
     """Construct a model from interior data, injecting the frame.
 
-    Adds the initiating action row carrying the initial distribution, a
-    sure terminating transition from every interior state, and the
-    terminating state's self-loops for every interior action.
+    Adds the initiating action row carrying the initial distribution and
+    a sure terminating transition from every interior state.
     """
     states = tuple(states)
     actions = tuple(actions)
@@ -570,8 +568,6 @@ def build_model(
     trans[(S_TOP, A_TOP)] = {s: as_probability(p) for s, p in initial.items()}
     for s in states:
         trans[(s, A_BOT)] = {S_BOT: 1.0}
-    for a in actions:
-        trans[(S_BOT, a)] = {S_BOT: 1.0}
     return assemble(full_states, full_actions, trans, labels, observations, atomic_props)
 
 
@@ -632,14 +628,6 @@ def validate(model: Model) -> list[str]:
         elif dist != ((bot, 1.0),):
             out.append(f"terminating action at {sname[s]} is not a sure move to {S_BOT}")
 
-    # terminating state: self-loops for interior actions, nothing else
-    for a in model.interior_action_indices():
-        dist = model.successors(bot, a)
-        if dist != ((bot, 1.0),):
-            out.append(f"terminating state must self-loop under {aname[a]}")
-    if (bot, a_bot) in model.transitions:
-        out.append("terminating action enabled at the terminating state")
-
     # no transitions back into the frame
     for r, (s, a) in enumerate(keys):
         for t in succ[ptr[r] : ptr[r + 1]]:
@@ -647,7 +635,7 @@ def validate(model: Model) -> list[str]:
                 out.append(
                     f"transition into the initiating state: ({sname[s]}, {aname[a]})"
                 )
-            if t == bot and a not in (a_top, a_bot) and s != bot:
+            if t == bot and a not in (a_top, a_bot):
                 out.append(
                     f"interior action {aname[a]} at {sname[s]} moves to {S_BOT}"
                 )
@@ -661,7 +649,7 @@ def validate(model: Model) -> list[str]:
     # every positive-probability interior transition carries an observation
     # (assemble rejects one given for a transition the model does not have),
     # and its members are known states
-    observed = (model.entry_state != bot) & ~np.isin(model.entry_action, (a_top, a_bot))
+    observed = ~np.isin(model.entry_action, (a_top, a_bot))
     for e in np.flatnonzero(observed & (model.entry_obs < 0)).tolist():
         s, a, t = int(model.entry_state[e]), int(model.entry_action[e]), succ[e]
         out.append(f"observation missing for ({sname[s]}, {aname[a]}, {sname[t]})")
@@ -687,8 +675,7 @@ def model_to_dict(model: Model) -> dict:
         if a in (model.a_top, model.a_bot):
             continue
         move = {"from": model.states[s], "action": model.actions[a], "to": model.states[t]}
-        if s not in (model.top, model.bot):
-            transitions.append({**move, "prob": p})
+        transitions.append({**move, "prob": p})
         if o >= 0:
             observations.append({**move, "obs": list(model.symbols[o].members)})
     return {

@@ -166,7 +166,8 @@ class Product(RowGroups):
 
     State ``v`` pairs the model state ``components[v, 0]`` with the
     automaton's state(s) in the other columns.  Absorbing states, whose
-    model state is ``model.bot``, own no rows.  States are numbered
+    model state is ``model.bot``, own no rows, as ``model.bot`` owns none
+    in the model.  States are numbered
     breadth-first from the initial state 0, each level in order of first
     occurrence as the rows of the level before are read in order: the
     numbering of a FIFO search.
@@ -318,7 +319,6 @@ def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
     stops = model.entry_action == model.a_bot
     entry_label = np.where(stops, len(model.label_letters), model.state_label[model.entry_succ])
     model_rows = np.diff(model.row_ptr)
-    model_rows[model.bot] = 0  # the absorbing states are not expanded
 
     level = np.array([model.top * n_codes + start])
     seen, seen_id = level, np.array([0])  # codes found so far, sorted, and their ids

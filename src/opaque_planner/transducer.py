@@ -47,9 +47,8 @@ def build_obs_fst(model: Model) -> Model:
     ``entry_action[e]``, ``entry_succ[e]``) and emits
     ``symbols[entry_obs[e]]``: the start marker from the initiating state,
     the end marker on termination, and the transition's observation symbol
-    otherwise.  The terminating state's entries are no moves of the
-    transducer: no play continues past it.  perfbench's traced pass times
-    this call as a stage of its own.
+    otherwise.  perfbench's traced pass times this call as a stage of its
+    own.
     """
     return model
 

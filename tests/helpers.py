@@ -217,9 +217,9 @@ def fst_move(model: Model, state: int, letter: tuple[int, int, int]) -> tuple[in
     """The observation transducer's move from ``state`` on the input
     ``letter`` = (state, action, successor): the successor and the output,
     read from the model's entry arrays.  KeyError when the letter does not
-    leave ``state``, or leaves the terminating state."""
+    leave ``state``."""
     s, a, t = letter
-    if s != state or s == model.bot:
+    if s != state:
         raise KeyError((state, letter))
     e = _entry(model, s, a, model.entry_succ, t)
     assert model.entry_obs[e] >= 0, letter

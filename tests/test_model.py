@@ -33,7 +33,7 @@ from opaque_planner.model import (
     obs_of_play,
     validate,
 )
-from opaque_planner.scenarios import running_example
+from opaque_planner.scenarios import gridworld, running_example
 
 from helpers import random_model, random_walk, reference_number_level
 
@@ -110,11 +110,10 @@ def assert_rows_match(model, states, actions, transitions, labels, observations,
     """Each of the model's rows, in order, has the action, successors,
     probabilities and observation symbols of the name-keyed row it was
     given: rows by (state, action), exact zeros dropped, successors in
-    increasing order, START on ``a_top`` rows, END on ``a_bot`` rows and no
-    symbol on the terminating state's self-loops."""
+    increasing order, START on ``a_top`` rows and END on ``a_bot`` rows."""
     sidx = {s: i for i, s in enumerate(states)}
     aidx = {a: i for i, a in enumerate(actions)}
-    bot, a_bot = len(states) - 1, len(actions) - 1
+    a_bot = len(actions) - 1
     want = []
     for (s, a), dist in sorted(transitions.items(), key=lambda kv: (sidx[kv[0][0]], aidx[kv[0][1]])):
         entries = []
@@ -123,8 +122,6 @@ def assert_rows_match(model, states, actions, transitions, labels, observations,
                 continue
             if aidx[a] in (0, a_bot):
                 symbol = START if aidx[a] == 0 else END
-            elif sidx[s] == bot:
-                symbol = None
             else:
                 symbol = ObsSymbol.state_set(observations[(s, a, t)])
             entries.append((sidx[t], as_probability(p), symbol))
@@ -189,6 +186,125 @@ class TestValidate:
             assemble(**rows)
 
 
+def hand_framed(model) -> dict:
+    """``model`` as an ``auto_frame: false`` document that lists every row
+    of ``transitions`` and, as hand-framed files may, the terminating
+    state's self-loops under the interior actions."""
+    doc = {k: v for k, v in model_to_dict(model).items() if k != "initial"}
+    rows = [
+        {"from": model.states[s], "action": model.actions[a], "to": model.states[t], "prob": p}
+        for (s, a), dist in model.transitions.items()
+        for t, p in dist
+    ]
+    loops = [{"from": "s_bot", "action": a, "to": "s_bot", "prob": 1.0} for a in doc["actions"]]
+    return {
+        **doc,
+        "auto_frame": False,
+        "states": list(model.states),
+        "actions": list(model.actions),
+        "transitions": rows + loops,
+    }
+
+
+def retarget(doc: dict, move: tuple[str, str, str], to: str) -> None:
+    """Send the transition ``move`` of ``doc``, and its observation, to
+    ``to`` instead."""
+    for row in doc["transitions"] + doc["observations"]:
+        if (row["from"], row["action"], row["to"]) == move:
+            row["to"] = to
+
+
+class TestTerminatingState:
+    """The terminating state is absorbing and owns no rows."""
+
+    @pytest.mark.parametrize("build", [running_example, gridworld], ids=["running-example", "gridworld"])
+    def test_hand_framed_self_loops_dropped(self, build):
+        model = build()
+        assert model.enabled(model.bot) == ()
+        doc = hand_framed(model)
+        last = {"from": "s_bot", "action": doc["actions"][-2], "to": "s_bot", "prob": 1.0}
+        assert doc["transitions"][-1] == last
+        copy = model_from_dict(doc)
+        for name in ("row_ptr", "row_action", "entry_ptr", "entry_succ", "entry_prob", "entry_obs"):
+            assert np.array_equal(getattr(copy, name), getattr(model, name)), name
+        assert copy.symbols == model.symbols
+        assert validate(copy) == []
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_models_own_no_terminating_rows(self, seed):
+        model = random_model(seed)
+        assert model.enabled(model.bot) == ()
+
+    @pytest.mark.parametrize(
+        "move",
+        [("s_bot", "a", "s4"), ("s_bot", "a_bot", "s_bot"), ("s_bot", "a_top", "s1")],
+        ids=["interior", "terminating", "initiating"],
+    )
+    def test_move_out_rejected(self, model, move):
+        doc = hand_framed(model)
+        doc["transitions"].append({"from": move[0], "action": move[1], "to": move[2], "prob": 1.0})
+        with pytest.raises(ModelError, match=re.escape(f"move ({', '.join(move)}) out of")):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (
+                lambda doc: doc["transitions"].append(
+                    {"from": "s_top", "action": "a", "to": "s1", "prob": 1.0}
+                ),
+                "action a enabled at the initiating state",
+            ),
+            (
+                lambda doc: doc.update(
+                    transitions=[r for r in doc["transitions"] if r["action"] != "a_top"]
+                ),
+                "initiating action missing: no initial distribution",
+            ),
+            (
+                lambda doc: doc["transitions"].append(
+                    {"from": "s_top", "action": "a_top", "to": "s_bot", "prob": 0.5}
+                ),
+                "initial distribution places mass 0.5 on s_bot",
+            ),
+            (
+                lambda doc: retarget(doc, ("s3", "a_bot", "s_bot"), "s4"),
+                "terminating action at s3 is not a sure move to s_bot",
+            ),
+            (
+                lambda doc: retarget(doc, ("s4", "a", "s4"), "s_top"),
+                "transition into the initiating state: (s4, a)",
+            ),
+            (
+                lambda doc: retarget(doc, ("s4", "a", "s4"), "s_bot"),
+                "interior action a at s4 moves to s_bot",
+            ),
+            (
+                lambda doc: doc["atomic_props"].remove("s7"),
+                "label of s7 uses undeclared propositions ['s7']",
+            ),
+            (
+                lambda doc: doc["observations"][0].update(obs=["s9"]),
+                "observation symbol [s9] names unknown state 's9'",
+            ),
+        ],
+        ids=[
+            "initiating-state-action",
+            "initiating-action-missing",
+            "initial-mass-on-frame",
+            "terminating-action-unsure",
+            "into-initiating-state",
+            "interior-action-to-terminating-state",
+            "undeclared-proposition",
+            "unknown-member",
+        ],
+    )
+    def test_validate_message(self, model, corrupt, message):
+        doc = hand_framed(model)
+        corrupt(doc)
+        assert message in validate(model_from_dict(doc))
+
+
 class TestCsr:
     def test_reproduces_transitions(self, model, rows):
         assert_rows_match(model, **rows)
@@ -201,7 +317,8 @@ class TestCsr:
 
     def test_rows_out_of_order(self):
         # rows, successors and observations given in decreasing order, an
-        # exact zero and a fraction string
+        # exact zero, a fraction string and a terminating-state self-loop,
+        # which is dropped: the terminating state owns no rows
         rows = dict(
             states=["s_top", "x", "y", "s_bot"],
             actions=["a_top", "go", "a_bot"],
@@ -222,6 +339,7 @@ class TestCsr:
             atomic_props=None,
         )
         model = assemble(**rows)
+        del rows["transitions"][("s_bot", "go")]
         assert_rows_match(model, **rows)
         assert model.prob(1, 1, 1) == 1 / 3
         assert validate(model) == []

@@ -130,10 +130,10 @@ class TestObsFst:
         assert fst_move(model, model.top, (model.top, model.a_top, s1)) == (s1, START)
 
     def test_no_transitions_out_of_terminating_state(self, model):
-        # the terminating state's self-loops emit nothing, and the
-        # rendering draws no edge out of it
+        # the terminating state owns no rows, and the rendering draws no
+        # edge out of it
         bot = model.bot
-        assert (model.entry_obs[model.entry_state == bot] < 0).all()
+        assert model.enabled(bot) == ()
         bot_name = f'  "{model.states[bot]}" -> '
         assert not [line for line in fst_to_dot(model).splitlines() if line.startswith(bot_name)]
 
@@ -141,7 +141,6 @@ class TestObsFst:
         moves = [
             (s, a, t)
             for (s, a), dist in model.transitions.items()
-            if s != model.bot
             for t, _p in dist
         ]
         for s, a, t in moves:
