@@ -201,8 +201,13 @@ def row_classes(table: np.ndarray) -> np.ndarray:
     return ids
 
 
-def complete(dfa: Dfa, sink_label: str = "sink") -> Dfa:
-    """Make the transition function total by adding a non-accepting sink.
+#: the name of the state that :func:`complete` adds
+SINK = "sink"
+
+
+def complete(dfa: Dfa) -> Dfa:
+    """Make the transition function total by adding a non-accepting sink,
+    named :data:`SINK`.
 
     Already-complete automata are returned unchanged.
     """
@@ -211,7 +216,7 @@ def complete(dfa: Dfa, sink_label: str = "sink") -> Dfa:
         return dfa
     sink = dfa.n_states
     table = np.vstack((np.where(missing, sink, dfa.table), np.full((1, len(dfa.alphabet)), sink)))
-    return replace(dfa, table=table, state_names=dfa.state_names + (sink_label,))
+    return replace(dfa, table=table, state_names=dfa.state_names + (SINK,))
 
 
 def _cells(n_states: int, n_letters: int, src, letter, dst) -> tuple[np.ndarray, ...]:
@@ -431,6 +436,7 @@ def minimize_table(
 
 _START_TOKEN = "^"
 _END_TOKEN = "$"
+_LETTER_KINDS = ("labels", "observations", "plain")
 
 
 def _letter_to_json(letter: Letter):
@@ -446,15 +452,17 @@ def _letter_to_json(letter: Letter):
 
 
 def _letter_from_json(value, kind: str) -> Letter:
-    if kind == "labels":
-        return frozenset(value)
-    if kind == "observations":
-        if value == _START_TOKEN:
-            return START
-        if value == _END_TOKEN:
-            return END
-        return ObsSymbol.state_set(value)
-    return value
+    """The letter ``value`` writes: a ``labels`` letter is a list of
+    names, an ``observations`` letter a marker token or a non-empty list
+    of names, and a ``plain`` letter is ``value`` itself; raises
+    ``ValueError`` on a malformed ``labels`` or ``observations`` letter."""
+    if kind == "plain":
+        return value
+    if kind == "observations" and value in (_START_TOKEN, _END_TOKEN):
+        return START if value == _START_TOKEN else END
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise ValueError(value)
+    return frozenset(value) if kind == "labels" else ObsSymbol.state_set(value)
 
 
 def dfa_to_dict(dfa: Dfa, letter_kind: str) -> dict:
@@ -484,23 +492,27 @@ def dfa_to_dict(dfa: Dfa, letter_kind: str) -> dict:
 def dfa_from_dict(doc: Mapping) -> Dfa:
     """The DFA of a :func:`dfa_to_dict` document; raises
     :class:`AutomatonError` on a missing field, a list field that is not a
-    list, a state named twice, an unknown state or letter, or two moves
-    from one state on one letter."""
+    list, an unknown ``letter_kind``, a state name that is not a string or
+    is listed twice, a malformed letter, an unknown state or letter, or
+    two moves from one state on one letter."""
     fields = ("states", "alphabet", "initial", "accepting", "transitions")
     if not isinstance(doc, Mapping) or any(f not in doc for f in fields):
         raise AutomatonError("DFA file needs the fields " + ", ".join(fields))
     if not all(isinstance(doc[f], list) for f in fields if f != "initial"):
         raise AutomatonError("DFA file: states, alphabet, accepting and transitions must be lists")
     kind = doc.get("letter_kind", "plain")
+    if kind not in _LETTER_KINDS:
+        kinds = ", ".join(_LETTER_KINDS)
+        raise AutomatonError(f"DFA file: letter_kind must be one of {kinds}, not {kind!r}")
     names = tuple(doc["states"])
-    index: dict[Hashable, int] = {}
+    index: dict[str, int] = {}
     for i, name in enumerate(names):
-        if not isinstance(name, Hashable) or name in index:
+        if not isinstance(name, str) or name in index:
             raise AutomatonError(f"DFA file: states lists {name!r} twice or as a non-name")
         index[name] = i
 
     def state(name, where: str) -> int:
-        if not isinstance(name, Hashable) or name not in index:
+        if not isinstance(name, str) or name not in index:
             raise AutomatonError(f"DFA file: {where} names unknown state {name!r}")
         return index[name]
 

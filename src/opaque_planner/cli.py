@@ -48,7 +48,7 @@ from .simulate import (
     observation_buckets,
     rollout,
 )
-from .transducer import opaque_pipeline, output_nfa, product_fst
+from .transducer import opaque_obs_dfa, opaque_pipeline, output_nfa, product_fst
 
 log = logging.getLogger("opaque_planner")
 
@@ -129,7 +129,7 @@ def _opaque_dfa(model: Model, secret: Dfa | None, opaque_file) -> Dfa:
         return dfa_from_dict(json.loads(Path(opaque_file).read_text()))
     if secret is None:
         raise CliError("--secret or --opaque is required")
-    return opaque_pipeline(model, secret).dfa
+    return opaque_obs_dfa(model, secret)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -163,14 +163,14 @@ def cmd_build(args) -> int:
     doc["stats"] = {
         "nfa_states": build.nfa_states,
         "dfa_states": build.dfa_states,
-        "minimized_states": build.minimized_states,
+        "minimized_states": build.dfa.n_states,
         "seconds": build.seconds,
     }
     doc["manifest"] = manifest.to_dict()
     _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(
         f"opaque-observations DFA: nfa_states={build.nfa_states} "
-        f"dfa_states={build.dfa_states} minimized_states={build.minimized_states} "
+        f"dfa_states={build.dfa_states} minimized_states={build.dfa.n_states} "
         f"seconds={build.seconds:.4f}"
     )
     return EXIT_OK
@@ -349,7 +349,7 @@ def cmd_export_dot(args) -> int:
     elif not args.secret:
         raise CliError(f"--secret is required for --what {what}")
     elif what == "opaque-dfa":
-        text = dfa_to_dot(opaque_pipeline(model, _secret_dfa(model, args.secret)).dfa)
+        text = dfa_to_dot(opaque_obs_dfa(model, _secret_dfa(model, args.secret)))
     else:
         pf = product_fst(model, _secret_dfa(model, args.secret))
         if what == "product-fst":

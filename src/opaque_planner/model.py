@@ -512,6 +512,8 @@ def assemble(
             raise ModelError(f"observation given for unknown transition ({s}, {a}, {t})")
         if not isinstance(members, ObsSymbol):
             members = tuple(members)
+            if not members:
+                raise ModelError(f"observation of ({s}, {a}, {t}) names no state")
             if members not in interned:
                 interned[members] = ObsSymbol.state_set(members)
             members = interned[members]

@@ -995,7 +995,7 @@ def policy_from_dict(doc: Mapping, pm: ProductMdp) -> np.ndarray:
     """The policy of a :func:`policy_to_dict` document, one probability
     per product row (0 for the actions a state's entry leaves out); raises
     ``PlannerError`` naming the product state and field that are wrong."""
-    body = doc.get("policy")
+    body = doc.get("policy") if isinstance(doc, Mapping) else None
     if not isinstance(body, Mapping):
         raise PlannerError('policy file needs a "policy" object of product states')
     names = {pm.state_name(v): v for v in range(pm.n_states)}

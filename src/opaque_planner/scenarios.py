@@ -188,8 +188,10 @@ def config_from_dict(doc: Mapping) -> GridworldConfig:
                 raise ModelError(f"gridworld config: {key} must be a list of sensors")
             where = f"gridworld config: a sensor in {key}"
             sensors = [record_fields(s, ("name", "cells"), where) for s in doc[key]]
+            if not all(isinstance(sensor[0], str) for sensor in sensors):
+                raise ModelError(f"{where} needs a name that is a string")
             doc[key] = tuple(
-                Sensor(str(name), _cells(cells, f"the cells of sensor {name}"))
+                Sensor(name, _cells(cells, f"the cells of sensor {name}"))
                 for name, cells in sensors
             )
     if "drone" in doc:

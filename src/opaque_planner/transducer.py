@@ -173,7 +173,6 @@ class OpaqueBuild:
     dfa: Dfa
     nfa_states: int
     dfa_states: int
-    minimized_states: int
     seconds: float
 
 
@@ -194,7 +193,6 @@ def opaque_pipeline(model: Model, secret: Dfa) -> OpaqueBuild:
         dfa=opaque,
         nfa_states=len(kept),
         dfa_states=len(table),
-        minimized_states=opaque.n_states,
         seconds=time.monotonic() - t0,
     )
 

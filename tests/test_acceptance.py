@@ -278,6 +278,6 @@ def test_criterion_9_gridworld_end_to_end():
     _report(
         9,
         "PASS",
-        f"opaque DFA {build.minimized_states} states, product {pm.n_states}, "
+        f"opaque DFA {build.dfa.n_states} states, product {pm.n_states}, "
         f"objectives {rounded} in {elapsed:.0f}s",
     )

@@ -10,6 +10,7 @@ from opaque_planner.automata import (
     AlphabetMismatchError,
     Dfa,
     IncompleteDfaError,
+    SINK,
     complete,
     determinize,
     dfa_from_dict,
@@ -69,8 +70,8 @@ class TestComplete:
         assert complete(done) is done
 
     def test_sink_is_rejecting(self):
-        done = complete(simple_dfa(), sink_label="dead")
-        sink = done.state_names.index("dead")
+        done = complete(simple_dfa())
+        sink = done.state_names.index(SINK)
         assert sink not in done.accepting
         assert all(done.step(sink, l) == sink for l in done.alphabet)
 

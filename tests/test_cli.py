@@ -382,6 +382,26 @@ class TestMissingInputs:
         assert "INFO opaque_planner: scenario finished" in done.stderr
 
 
+def number_states(doc: dict) -> dict:
+    """``doc`` with each state named by its index, a number."""
+    number = {name: i for i, name in enumerate(doc["states"])}
+    moves = [
+        {**row, "from": number[row["from"]], "to": number[row["to"]]} for row in doc["transitions"]
+    ]
+    return {
+        **doc,
+        "states": list(number.values()),
+        "initial": number[doc["initial"]],
+        "accepting": [number[q] for q in doc["accepting"]],
+        "transitions": moves,
+    }
+
+
+def retype(doc: dict, old: str, new: str) -> dict:
+    """``doc`` with the JSON text ``old`` written ``new`` throughout."""
+    return json.loads(json.dumps(doc).replace(old, new))
+
+
 class TestMalformedDfaFile:
     @pytest.mark.parametrize(
         "corrupt",
@@ -416,6 +436,51 @@ class TestMalformedDfaFile:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: DFA file")
 
+    @pytest.mark.parametrize(
+        "kind, corrupt, message",
+        [
+            ("observations", number_states, "states lists 0 twice or as a non-name"),
+            (
+                "labels",
+                lambda doc: retype(doc, '["s4"]', '"s4"'),
+                "alphabet has the malformed letter 's4'",
+            ),
+            (
+                "observations",
+                lambda doc: retype(doc, '["s4"]', '"s4"'),
+                "alphabet has the malformed letter 's4'",
+            ),
+            (
+                "labels",
+                lambda doc: retype(doc, '["s4"]', "[1]"),
+                "alphabet has the malformed letter [1]",
+            ),
+            (
+                "observations",
+                lambda doc: retype(doc, '["s4"]', "[null]"),
+                "alphabet has the malformed letter [None]",
+            ),
+            (
+                "labels",
+                lambda doc: {**doc, "letter_kind": "bogus"},
+                "letter_kind must be one of labels, observations, plain, not 'bogus'",
+            ),
+        ],
+        ids=["numeric-states", "labels-letter-string", "observations-letter-string",
+             "letter-holds-number", "letter-holds-null", "unknown-letter-kind"],
+    )
+    def test_export_dot_input_error(
+        self, model_file, opaque_file, tmp_path, capsys, kind, corrupt, message
+    ):
+        if kind == "labels":
+            doc = dfa_to_dict(dfa_over_model_labels("F s6", load_model(model_file)), "labels")
+        else:
+            doc = json.loads(Path(opaque_file).read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(corrupt(doc)))
+        assert main(["export-dot", "--dfa", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: DFA file: {message}\n"
+
 
 class TestMalformedModelFile:
     @pytest.mark.parametrize(
@@ -443,6 +508,14 @@ class TestMalformedModelFile:
         doc = json.loads(Path(model_file).read_text())
         corrupt(doc)
         self.assert_input_error(doc, tmp_path, capsys)
+
+    def test_empty_observation_when_planning(self, model_file, tmp_path, capsys):
+        doc = json.loads(Path(model_file).read_text())
+        doc["observations"][0]["obs"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["plan", "--model", str(bad), "--task", "F s4", "--secret", "F s6"]) == 1
+        assert capsys.readouterr().err.startswith("error: observation of (s1, a, s2) names no state")
 
     def test_not_an_object(self, model_file, tmp_path, capsys):
         self.assert_input_error([json.loads(Path(model_file).read_text())], tmp_path, capsys)
@@ -482,12 +555,16 @@ class TestMalformedGridworldConfig:
             ),
             (lambda doc: doc.update(width=-6, height=-6), "grid size -6x-6 must be at least 1x1"),
             (lambda doc: doc.update(width=0), "grid size 0x6 must be at least 1x1"),
+            (
+                lambda doc: doc["binary_sensors"][0].update(name=["x"]),
+                "gridworld config: a sensor in binary_sensors needs a name that is a string",
+            ),
         ],
         ids=["unknown-key", "drone-without-field", "sensor-without-field", "out-of-grid-cell",
              "sensor-cells-not-list", "drone-path-not-list", "cells-not-list",
              "sensors-not-list", "width-not-int", "move-p-not-number",
              "drone-move-p-not-number", "fractional-cell", "negative-size",
-             "negative-square", "zero-width"],
+             "negative-square", "zero-width", "sensor-name-not-string"],
     )
     def test_input_error(self, tmp_path, capsys, corrupt, message):
         doc = self.default_config(tmp_path)

@@ -468,6 +468,17 @@ class TestConstruction:
                 observations={},
             )
 
+    def test_empty_observation_rejected(self):
+        with pytest.raises(ModelError, match=re.escape("observation of (x, go, x) names no state")):
+            build_model(
+                states=["x"],
+                actions=["go"],
+                transitions={("x", "go"): {"x": 1.0}},
+                initial={"x": 1.0},
+                labels={},
+                observations={("x", "go", "x"): []},
+            )
+
     def test_assemble_requires_frame(self):
         with pytest.raises(ModelError, match="framed"):
             assemble(["x", "s_bot"], ["a_top", "a_bot"], {}, {}, {})

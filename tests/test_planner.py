@@ -368,6 +368,11 @@ class TestPolicy:
         with pytest.raises(PlannerError, match=rf"{name}.*not enabled.*{re.escape(state)}"):
             policy_from_dict(doc, pm)
 
+    @pytest.mark.parametrize("doc", [None, [], "policy"], ids=["null", "list", "string"])
+    def test_document_not_an_object(self, pm, doc):
+        with pytest.raises(PlannerError, match='needs a "policy" object'):
+            policy_from_dict(doc, pm)
+
 
 class TestExport:
     def test_deterministic_bytes(self, pm):
