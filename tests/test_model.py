@@ -230,11 +230,6 @@ class TestTerminatingState:
         assert copy.symbols == model.symbols
         assert validate(copy) == []
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_random_models_own_no_terminating_rows(self, seed):
-        model = random_model(seed)
-        assert model.enabled(model.bot) == ()
-
     @pytest.mark.parametrize(
         "move",
         [("s_bot", "a", "s4"), ("s_bot", "a_bot", "s_bot"), ("s_bot", "a_top", "s1")],
@@ -314,6 +309,7 @@ class TestCsr:
         built = []
         rows = handed_to_assemble(lambda: built.append(random_model(seed)), monkeypatch)
         assert_rows_match(built[0], **rows)
+        assert built[0].enabled(built[0].bot) == ()
 
     def test_rows_out_of_order(self):
         # rows, successors and observations given in decreasing order, an
