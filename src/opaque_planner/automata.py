@@ -11,7 +11,8 @@ arrays (source, letter id, target); the writers (``dot`` and
 :func:`dfa_to_dict`) read those too.  Only perfbench's word counts and the
 tests read ``Dfa.transitions``, a letter-keyed view of the table.
 :func:`intersect` searches pairs of NFA states level by level, numbering
-them with the product searches' ``model._number_level``.  :func:`subset_construction` is
+them with the product searches' ``model._number_level`` through a
+direct-address id table.  :func:`subset_construction` is
 breadth-first over numpy arrays, one level at a time: it sorts the
 (subset, letter, target) codes of a whole level and looks each (subset,
 letter) target set up by its bytes, numbering new subsets as a FIFO search
@@ -38,7 +39,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import ObsSymbol, START, END, _distinct, _number_level, _ranges, _unique
+from .model import ObsSymbol, START, END, _distinct, _id_table, _number_level, _ranges, _unique
 
 Letter = Hashable
 
@@ -60,7 +61,8 @@ def letter_key(letter: Letter):
         return (0, len(letter), tuple(sorted(letter)))
     if isinstance(letter, ObsSymbol):
         return (1,) + letter.sort_key
-    return (2, str(letter))
+    # the type name orders letters that print alike, such as 1 and "1"
+    return (2, str(letter), type(letter).__name__)
 
 
 def letter_rank(alphabet: Sequence[Letter], key=letter_key) -> np.ndarray:
@@ -334,10 +336,16 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     pairs come first, ``a``'s initial states outer; each level joins its
     pairs' moves in ``a`` with those of ``q`` in ``b`` on the letter, and
     new pairs are numbered as a FIFO search finds them, by (pair, letter,
-    target in ``a``, target in ``b``).
+    target in ``a``, target in ``b``).  A pair is found by its code in one
+    ``model._id_table`` of ``a.n_states * b.n_states`` cells, 4 bytes
+    each, of which only the pages that the search touches become
+    resident; the table is dropped on return.  A pair space too large for
+    that table raises :class:`AutomatonError` before the search allocates
+    anything.
     """
     if set(a.alphabet) != set(b.alphabet):
         raise AlphabetMismatchError("intersection requires identical alphabets")
+    table = _id_table(a.n_states * b.n_states, AutomatonError)
     alphabet = sort_alphabet(a.alphabet)
     stride, nb = max(len(alphabet), 1), b.n_states  # cells are state * stride + letter
     column = [np.array([alphabet.index(l) for l in x.alphabet], dtype=np.int64) for x in (a, b)]
@@ -345,8 +353,7 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
         _cells(x.n_states, stride, x.src, c[x.letter], x.dst) for x, c in zip((a, b), column)
     )
     p0, q0 = (np.array(sorted(x.initials), dtype=np.int64) for x in (a, b))
-    level = (p0[:, None] * nb + q0).ravel()
-    seen, seen_id = level, np.arange(len(level))
+    _, level, n_ids = _number_level((p0[:, None] * nb + q0).ravel(), table, 0)
     levels, moves = [level], [np.zeros((3, 0), dtype=np.int64)]
     while level.size:
         p, q = np.divmod(level, nb)
@@ -355,9 +362,9 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
         cell = np.repeat(q * stride, width) + a_letter[ea]
         count = b_ptr[cell + 1] - b_ptr[cell]  # the moves from q on that letter
         eb = _ranges(b_ptr[cell], count)
-        source = np.repeat(len(seen) - len(level) + np.arange(len(level)), width)
+        source = np.repeat(n_ids - len(level) + np.arange(len(level)), width)
         code = np.repeat(a_dst[ea], count) * nb + b_dst[eb]
-        ids, level, seen, seen_id = _number_level(code, seen, seen_id)
+        ids, level, n_ids = _number_level(code, table, n_ids)
         moves.append(np.stack((np.repeat(source, count), np.repeat(a_letter[ea], count), ids)))
         levels.append(level)
     src, letter, dst = np.concatenate(moves, axis=1)
@@ -448,7 +455,11 @@ def _letter_to_json(letter: Letter):
         if letter.kind == "end":
             return _END_TOKEN
         return list(letter.members)
-    return str(letter)
+    if letter is None or isinstance(letter, (str, int)) or (
+        isinstance(letter, float) and np.isfinite(letter)
+    ):
+        return letter  # a JSON scalar, written as itself
+    raise AutomatonError(f"the letter {letter!r} has no JSON form")
 
 
 def _letter_from_json(value, kind: str) -> Letter:
@@ -493,8 +504,8 @@ def dfa_from_dict(doc: Mapping) -> Dfa:
     """The DFA of a :func:`dfa_to_dict` document; raises
     :class:`AutomatonError` on a missing field, a list field that is not a
     list, an unknown ``letter_kind``, a state name that is not a string or
-    is listed twice, a malformed letter, an unknown state or letter, or
-    two moves from one state on one letter."""
+    is listed twice, a malformed letter or one listed twice, an unknown
+    state or letter, or two moves from one state on one letter."""
     fields = ("states", "alphabet", "initial", "accepting", "transitions")
     if not isinstance(doc, Mapping) or any(f not in doc for f in fields):
         raise AutomatonError("DFA file needs the fields " + ", ".join(fields))
@@ -524,7 +535,13 @@ def dfa_from_dict(doc: Mapping) -> Dfa:
             raise AutomatonError(f"DFA file: {where} has the malformed letter {value!r}") from None
         return parsed
 
-    alphabet = sort_alphabet(letter(l, "alphabet") for l in doc["alphabet"])
+    letters: set[Letter] = set()
+    for value in doc["alphabet"]:
+        parsed = letter(value, "alphabet")
+        if parsed in letters:
+            raise AutomatonError(f"DFA file: alphabet lists the letter {value!r} twice")
+        letters.add(parsed)
+    alphabet = sort_alphabet(letters)
     column = {l: i for i, l in enumerate(alphabet)}
     table = np.full((len(names), len(alphabet)), -1, dtype=np.int64)
     for i, row in enumerate(doc["transitions"]):

@@ -161,24 +161,42 @@ def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ranked[start], np.minimum.reduceat(order, start), inverse
 
 
-def _number_level(code: np.ndarray, seen: np.ndarray, seen_id: np.ndarray) -> tuple:
+def _id_table(n_cells: int, error: type[Exception]) -> np.ndarray:
+    """The id table of a search over the codes ``0 .. n_cells - 1``: one
+    int32 per code, zero until the code is found and then its id + 1.
+    ``np.zeros`` maps untouched pages to the zero page, so the table takes
+    4 bytes per cell of address space but only the pages that the search
+    touches of memory.  Raises ``error`` before it allocates anything if
+    a code does not fit int64, or if that many states might not all get
+    an int32 id."""
+    if n_cells - 1 > np.iinfo(np.int64).max:
+        raise error(f"a code space of {n_cells} codes overflows int64 codes")
+    if n_cells > np.iinfo(np.int32).max:
+        raise error(f"a code space of {n_cells} codes may hold more states than int32 ids")
+    return np.zeros(n_cells, dtype=np.int32)
+
+
+def _number_level(code: np.ndarray, table: np.ndarray, n_ids: int) -> tuple:
     """Number the codes a breadth-first level reaches as a FIFO search
-    would: ``seen`` holds the codes found so far, sorted, with their ids
-    ``seen_id``; new codes get the next ids by first occurrence in
-    ``code``.  Returns the ids of ``code``, the new codes by id (the next
-    level), and ``seen`` and ``seen_id`` with the new codes added."""
-    distinct, first, inverse = _unique(code)
-    pos = np.searchsorted(seen, distinct).clip(max=len(seen) - 1)
-    distinct_id = seen_id[pos]
-    new = seen[pos] != distinct
-    fresh = distinct[new]
-    rank = np.empty(len(fresh), dtype=np.int64)
-    rank[np.argsort(first[new])] = np.arange(len(fresh))  # by first occurrence
-    distinct_id[new] = fresh_id = len(seen) + rank
-    level = np.empty_like(fresh)
-    level[rank] = fresh
-    at = np.searchsorted(seen, fresh)
-    return distinct_id[inverse], level, np.insert(seen, at, fresh), np.insert(seen_id, at, fresh_id)
+    would: ``table`` (:func:`_id_table`, 4 bytes per cell of the code
+    space, its pages made resident as the search touches them) holds the
+    id + 1 of each code found so far, ``n_ids`` of them, and the new codes
+    get the next ids by first occurrence in ``code``.  The table is
+    updated in place by direct lookup, with no sort.  Returns the ids of
+    ``code``, the new codes by id (the next level), and the number of ids
+    given so far.  A level holds fewer than 2**31 codes."""
+    ids = table[code].astype(np.int64) - 1  # -1 at a new code
+    at = np.flatnonzero(ids < 0)
+    fresh = code[at]
+    # each new code's first place in the level: minimum.at, unlike a
+    # fancy assignment, is defined when a code repeats; the marks
+    # at - len(code) are negative, below the zero of an unfound code
+    mark = (at - len(code)).astype(np.int32)
+    np.minimum.at(table, fresh, mark)
+    level = fresh[table[fresh] == mark]
+    table[level] = np.arange(n_ids + 1, n_ids + 1 + len(level), dtype=np.int32)
+    ids[at] = table[fresh] - 1
+    return ids, level, n_ids + len(level)
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,6 +61,7 @@ from .model import (
     Model,
     ModelError,
     RowGroups,
+    _id_table,
     _number_level,
     _ranges,
     _read_only,
@@ -315,13 +316,20 @@ def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
     :func:`_label_table`.  An entry with no label or observation raises
     ``ModelError``.  Returns the model state and code of each state, the
     model entry of each entry, and the CSR arrays of :class:`Product`.
+
+    A state is found by its code ``s * n_codes + c`` in one
+    ``model._id_table`` of ``model.n_states * n_codes`` cells, 4 bytes
+    each, of which only the pages that the search touches become
+    resident; the table is dropped when the search returns.  A code space
+    too large for that table raises ``PlannerError`` before the search
+    allocates anything.
     """
+    table = _id_table(model.n_states * n_codes, PlannerError)
     stops = model.entry_action == model.a_bot
     entry_label = np.where(stops, len(model.label_letters), model.state_label[model.entry_succ])
     model_rows = np.diff(model.row_ptr)
 
-    level = np.array([model.top * n_codes + start])
-    seen, seen_id = level, np.array([0])  # codes found so far, sorted, and their ids
+    _, level, n_ids = _number_level(np.array([model.top * n_codes + start]), table, 0)
     levels, row_counts, actions, widths, succs, entries = [level], [], [], [], [], []
     while level.size:
         s, c = level // n_codes, level % n_codes
@@ -337,13 +345,13 @@ def _product_search(model: Model, n_codes: int, start: int, step) -> tuple:
             k = undefined[0]
             _raise_undefined(model, int(s[v[k]]), int(model.row_action[model_row[row[k]]]), int(t[k]))
         code = t * n_codes + step(c, v, label, obs)
-        ids, level, seen, seen_id = _number_level(code, seen, seen_id)
+        ids, level, n_ids = _number_level(code, table, n_ids)
 
         # the entries of each row by successor id, as lexsort((ids, row))
         # would sort them: the stable sort keeps entry order among ties, and
-        # the key is below len(model_row) * len(seen), a product of two
-        # array lengths, so it cannot overflow
-        by_succ = np.argsort(row * len(seen) + ids, kind="stable")
+        # the key is below len(model_row) * n_ids, a product of an array
+        # length and an int32 count, so it cannot overflow
+        by_succ = np.argsort(row * n_ids + ids, kind="stable")
         levels.append(level)
         row_counts.append(count)
         actions.append(model.row_action[model_row])
@@ -535,9 +543,13 @@ class LpModel:
 
     @cached_property
     def a_eq(self):
-        """The flow rows as a read-only scipy CSR matrix, built on first
-        access; nothing in the package reads it, and it is the one place
-        that imports ``scipy.sparse``."""
+        """The flow rows as a read-only scipy CSR matrix, built on the
+        first access from any mode and shared by every mode of the
+        product, as the flow arrays are; nothing in the package reads it,
+        and it is the one place that imports ``scipy.sparse``."""
+        first = self.pm.lp_models[MODES[0]]
+        if first is not self:
+            return first.a_eq
         import scipy.sparse as sp
 
         ptr, row, value = self.flow

@@ -376,8 +376,10 @@ def reference_intersect(a: Nfa, b: Nfa) -> Nfa:
 
 
 def reference_number_level(code: np.ndarray, seen: np.ndarray, seen_id: np.ndarray) -> tuple:
-    """``model._number_level`` on ``np.unique``: the ids of ``code``, the
-    new codes by id, and ``seen`` and ``seen_id`` with them added."""
+    """``model._number_level`` by sorted arrays and ``np.unique``: the
+    ids of ``code`` when the sorted codes ``seen`` have the ids
+    ``seen_id``, the new codes by id, and ``seen`` and ``seen_id`` with
+    them added."""
     distinct, first, inverse = np.unique(code, return_index=True, return_inverse=True)
     pos = np.searchsorted(seen, distinct).clip(max=len(seen) - 1)
     distinct_id = seen_id[pos]

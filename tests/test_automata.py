@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from itertools import product
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from opaque_planner.automata import (
     AlphabetMismatchError,
+    AutomatonError,
     Dfa,
     IncompleteDfaError,
     SINK,
@@ -18,6 +20,7 @@ from opaque_planner.automata import (
     intersect,
     meets,
     minimize,
+    sort_alphabet,
     step_table,
     subset_construction,
 )
@@ -348,6 +351,14 @@ class TestIntersect:
         with pytest.raises(AlphabetMismatchError):
             intersect(self.universal(), other)
 
+    @pytest.mark.parametrize("n_states, bound", [(2**32, "int64"), (2**16, "int32")])
+    def test_pair_space_too_large(self, n_states, bound):
+        # range names give a huge NFA that holds no per-state array, and
+        # the bound is checked before the search allocates anything
+        big = replace(self.universal(), state_names=range(n_states))
+        with pytest.raises(AutomatonError, match=bound):
+            intersect(big, big)
+
     @settings(max_examples=60, deadline=None)
     @given(nfas(), nfas())
     def test_language_is_intersection(self, a, b):
@@ -414,6 +425,33 @@ class TestJson:
         assert back.alphabet == opaque_dfa.alphabet
         assert back.accepting == opaque_dfa.accepting
         assert back.transitions == opaque_dfa.transitions
+
+    def test_scalar_letters_round_trip(self):
+        # 1 and "1" once both wrote "1", and the reload failed on a repeated move
+        dfa = dfa_from_moves(
+            sort_alphabet(["1", 1, None, 2.5, False]),
+            {(0, 1): 1, (0, "1"): 0, (1, None): 1, (1, 2.5): 0, (0, False): 1},
+            0, {1}, ("p", "q"),
+        )
+        back = dfa_from_dict(json.loads(json.dumps(dfa_to_dict(dfa, "plain"))))
+        assert [(type(l), l) for l in back.alphabet] == [(type(l), l) for l in dfa.alphabet]
+        assert np.array_equal(back.table, dfa.table)
+
+    @pytest.mark.parametrize("letter", [("a", "b"), np.int64(1), float("nan")])
+    def test_letter_without_json_form_rejected(self, letter):
+        dfa = dfa_from_moves((letter,), {}, 0, (), ("p",))
+        with pytest.raises(AutomatonError, match="no JSON form"):
+            dfa_to_dict(dfa, "plain")
+
+    @pytest.mark.parametrize(
+        "kind, alphabet, repeated",
+        [("plain", ["a", "b", "a"], "'a'"), ("labels", [["x", "y"], ["y", "x"]], r"\['y', 'x'\]")],
+    )
+    def test_repeated_alphabet_letter_rejected(self, kind, alphabet, repeated):
+        doc = {"letter_kind": kind, "states": ["p"], "alphabet": alphabet, "initial": "p",
+               "accepting": [], "transitions": []}
+        with pytest.raises(AutomatonError, match=f"alphabet lists the letter {repeated} twice"):
+            dfa_from_dict(doc)
 
 
 

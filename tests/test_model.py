@@ -20,6 +20,7 @@ from opaque_planner.model import (
     ObsSymbol,
     Play,
     START,
+    _id_table,
     _number_level,
     _unique,
     as_probability,
@@ -351,6 +352,30 @@ class TestCsr:
 CODES = st.lists(st.integers(0, 30), max_size=60)
 
 
+def id_table(seen: np.ndarray, seen_id: np.ndarray, n_cells: int = 31) -> np.ndarray:
+    """The id table of a search that has given the codes ``seen`` the ids
+    ``seen_id``."""
+    table = _id_table(n_cells, ValueError)
+    table[seen] = seen_id + 1
+    return table
+
+
+def assert_numbers_as_reference(code, table, seen, seen_id) -> tuple:
+    """Number ``code`` on ``table`` and check the ids, the next level, the
+    id count and the table against ``reference_number_level`` on the
+    sorted ``seen`` codes and their ids ``seen_id``; returns the ids,
+    the next level, and the reference's ``seen`` and ``seen_id`` after
+    the level."""
+    ids, level, n_ids = _number_level(code, table, len(seen))
+    want_ids, want_level, seen, seen_id = reference_number_level(code, seen, seen_id)
+    for got, want in ((ids, want_ids), (level, want_level)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert n_ids == len(seen)
+    assert np.array_equal(table, id_table(seen, seen_id, len(table)))
+    return ids, level, seen, seen_id
+
+
 class TestNumberLevel:
     @given(CODES)
     @example([])
@@ -371,17 +396,54 @@ class TestNumberLevel:
         seen_id = np.arange(len(seen))
         rng.shuffle(seen_id)
         code = np.array(code, dtype=np.int64)
-        ours = _number_level(code, seen, seen_id)
-        for got, want in zip(ours, reference_number_level(code, seen, seen_id)):
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want)
+        ids, level = assert_numbers_as_reference(code, id_table(seen, seen_id), seen, seen_id)[:2]
         # the new codes get the next ids, by first occurrence
-        ids, level = ours[:2]
         new = [c for c in dict.fromkeys(code.tolist()) if c not in seen]
         assert level.tolist() == new
         assert {c: i for c, i in zip(code.tolist(), ids.tolist()) if c in new} == {
             c: len(seen) + k for k, c in enumerate(new)
         }
+
+    @given(st.integers(0, 30), st.lists(CODES, max_size=4))
+    def test_ids_kept_across_levels(self, start, levels):
+        # a search numbers its start code, then level after level on one table
+        table = _id_table(31, ValueError)
+        _, level, n_ids = _number_level(np.array([start]), table, 0)
+        assert level.tolist() == [start] and n_ids == 1
+        seen, seen_id = level, np.array([0])
+        for code in levels:
+            code = np.array(code, dtype=np.int64)
+            _, _, seen, seen_id = assert_numbers_as_reference(code, table, seen, seen_id)
+
+    def test_codes_at_top_of_code_space(self):
+        n = 2**24  # 64 MB of address space, two pages of it touched
+        table = id_table(np.array([0, n - 1]), np.array([1, 0]), n)
+        code = np.array([n - 2, n - 1, n - 3, n - 2, 0, n - 3])
+        assert_numbers_as_reference(code, table, np.array([0, n - 1]), np.array([1, 0]))
+        assert table[n - 3 :].tolist() == [4, 3, 1]
+
+    def test_empty_level(self):
+        table = id_table(np.array([4, 7]), np.array([0, 1]))
+        ids, level, n_ids = _number_level(np.array([], dtype=np.int64), table, 2)
+        assert ids.dtype == level.dtype == np.int64
+        assert ids.size == level.size == 0 and n_ids == 2
+        assert np.array_equal(table, id_table(np.array([4, 7]), np.array([0, 1])))
+
+    def test_numbering_calls_no_sort(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the numbering sorted")
+
+        for name in ("argsort", "sort", "lexsort", "searchsorted", "unique"):
+            monkeypatch.setattr(np, name, refuse)
+        table = id_table(np.array([3, 5]), np.array([0, 1]))
+        ids, level, n_ids = _number_level(np.array([8, 1, 5, 8, 6, 3, 1]), table, 2)
+        assert ids.tolist() == [2, 3, 1, 2, 4, 0, 3]
+        assert level.tolist() == [8, 1, 6] and n_ids == 5
+
+    @pytest.mark.parametrize("n_cells, bound", [(2**63 + 1, "int64"), (2**31, "int32")])
+    def test_id_table_bounds(self, n_cells, bound):
+        with pytest.raises(ModelError, match=bound):
+            _id_table(n_cells, ModelError)
 
 
 class TestPlays:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from dataclasses import fields
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -172,6 +173,47 @@ class TestProductMdp:
             array[0] = array[0]
 
 
+class TestProductSearch:
+    @pytest.mark.parametrize("n_codes, bound", [(2**62, "int64"), (2**31, "int32")])
+    def test_code_space_too_large(self, model, n_codes, bound):
+        # the bound is checked before the search allocates anything, so
+        # the step is never called
+        with pytest.raises(PlannerError, match=bound):
+            planner._product_search(model, n_codes, 0, None)
+
+    def test_product_keeps_no_id_table(self, monkeypatch):
+        # the search's id table is one traced numpy block of 4 bytes per
+        # cell: there while the search runs, gone once product_mdp returns
+        model = _small_gridworld()
+        task = dfa_over_model_labels("F C", model)
+        opaque = opaque_obs_dfa(model, dfa_over_model_labels("F B & F A", model))
+        size = 4 * model.n_states * task.n_states * opaque.n_states
+
+        def tables():
+            numpy_blocks = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+            traces = tracemalloc.take_snapshot().filter_traces([numpy_blocks]).traces
+            return sum(trace.size == size for trace in traces)
+
+        during = []
+        number_level = planner._number_level
+
+        def spy(code, table, n_ids):
+            during.append(tables())
+            return number_level(code, table, n_ids)
+
+        monkeypatch.setattr(planner, "_number_level", spy)
+        tracemalloc.start()
+        try:
+            before = tables()
+            pm = product_mdp(model, task, opaque)
+            after = tables()
+        finally:
+            tracemalloc.stop()
+        assert pm.n_states > 1
+        assert during[0] == before + 1
+        assert after == before
+
+
 # ---------------------------------------------------------------------------
 # the array build against the dict search it replaced
 
@@ -294,6 +336,13 @@ class TestLp:
             for eps in (0.0, 0.3, 0.5, 0.7, 0.9, 1.0)
         ]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
+
+    def test_modes_share_one_a_eq(self, model, task_dfa, opaque_dfa):
+        # a fresh product, so the matrix is first built from the last mode
+        fresh = product_mdp(model, task_dfa, opaque_dfa)
+        a_eqs = [fresh.lp_models[mode].a_eq for mode in reversed(MODES)]
+        assert all(a is a_eqs[0] for a in a_eqs)
+        assert not a_eqs[0].data.flags.writeable
 
     def test_unknown_mode(self, pm):
         with pytest.raises(PlannerError):
