@@ -446,20 +446,29 @@ _END_TOKEN = "$"
 _LETTER_KINDS = ("labels", "observations", "plain")
 
 
-def _letter_to_json(letter: Letter):
-    if isinstance(letter, frozenset):
-        return sorted(letter)
-    if isinstance(letter, ObsSymbol):
+def _letter_to_json(letter: Letter, kind: str):
+    """The JSON form of ``letter`` as a ``kind`` letter: a ``labels``
+    letter is a frozenset of names, written as a sorted list; an
+    ``observations`` letter an ``ObsSymbol``, written as a marker token or
+    its member list; a ``plain`` letter a JSON scalar, written as itself.
+    Raises :class:`AutomatonError` on a letter not of its kind."""
+    if kind == "labels" and isinstance(letter, frozenset):
+        if all(isinstance(name, str) for name in letter):
+            return sorted(letter)
+    elif kind == "observations" and isinstance(letter, ObsSymbol):
         if letter.kind == "start":
             return _START_TOKEN
         if letter.kind == "end":
             return _END_TOKEN
-        return list(letter.members)
-    if letter is None or isinstance(letter, (str, int)) or (
-        isinstance(letter, float) and np.isfinite(letter)
+        if all(isinstance(name, str) for name in letter.members):
+            return list(letter.members)
+    elif kind == "plain" and (
+        letter is None
+        or isinstance(letter, (str, int))
+        or (isinstance(letter, float) and np.isfinite(letter))
     ):
-        return letter  # a JSON scalar, written as itself
-    raise AutomatonError(f"the letter {letter!r} has no JSON form")
+        return letter
+    raise AutomatonError(f"the letter {letter!r} has no JSON form of letter_kind {kind!r}")
 
 
 def _letter_from_json(value, kind: str) -> Letter:
@@ -478,7 +487,14 @@ def _letter_from_json(value, kind: str) -> Letter:
 
 def dfa_to_dict(dfa: Dfa, letter_kind: str) -> dict:
     """The DFA as a JSON document: its moves by state, then letter in
-    :func:`letter_key` order; a missing move is left out."""
+    :func:`letter_key` order; a missing move is left out.  Raises
+    :class:`AutomatonError` unless ``letter_kind`` is one of
+    ``_LETTER_KINDS`` and every letter is of that kind, so the document
+    reloads as the same DFA."""
+    if letter_kind not in _LETTER_KINDS:
+        kinds = ", ".join(_LETTER_KINDS)
+        raise AutomatonError(f"letter_kind must be one of {kinds}, not {letter_kind!r}")
+    alphabet = [_letter_to_json(l, letter_kind) for l in dfa.alphabet]
     q, i = np.nonzero(dfa.table >= 0)
     order = np.lexsort((letter_rank(dfa.alphabet)[i], q))
     moves = (x.tolist() for x in (q[order], i[order], dfa.table[q, i][order]))
@@ -486,13 +502,13 @@ def dfa_to_dict(dfa: Dfa, letter_kind: str) -> dict:
         "type": "dfa",
         "letter_kind": letter_kind,
         "states": list(dfa.state_names),
-        "alphabet": [_letter_to_json(l) for l in dfa.alphabet],
+        "alphabet": alphabet,
         "initial": dfa.state_names[dfa.initial],
         "accepting": sorted(dfa.state_names[q] for q in dfa.accepting),
         "transitions": [
             {
                 "from": dfa.state_names[q],
-                "letter": _letter_to_json(dfa.alphabet[i]),
+                "letter": alphabet[i],
                 "to": dfa.state_names[t],
             }
             for q, i, t in zip(*moves)

@@ -92,16 +92,6 @@ class RolloutStats:
         }
 
 
-# Steps of draws fetched by the first refill of the live runs' buffer.
-# Each later refill fetches as many steps as have passed, up to
-# ``8 * _CHUNK_STEPS``.  ``_draws`` costs about as much per Philox block
-# however many runs share a refill, so a short first refill wastes few
-# blocks on the many runs that stop early, and the growth keeps the
-# refills of long runs few.  A block holds four doubles, two steps'
-# worth, so an even value starts every refill on a block boundary; any
-# even value gives the same statistics.
-_CHUNK_STEPS = 8
-
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 # 3", SC'11), as numpy's ``Philox`` computes it: the round multipliers of
 # counter words 0 and 2, and the increments of the two key words.
@@ -109,7 +99,15 @@ _PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshap
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 # (block, run) pairs that ``_draws`` computes per pass: its six working
-# arrays of twice this many words then stay in a core's cache.
+# arrays of twice this many words then stay in a core's cache.  It sizes
+# ``rollout``'s refills too: a refill of the L live runs' draw buffer at
+# step t fetches n = max(2, min(t, 2 * _PHILOX_CELLS // L)) steps, rounded
+# down to even.  A block holds four doubles, two steps' worth, so every
+# refill starts on a block boundary and computes L * n / 2 blocks, at most
+# max(_PHILOX_CELLS, L): one ``_draws`` pass whenever L <= _PHILOX_CELLS.
+# A refill never fetches more steps than have passed, so few blocks go to
+# the many runs that stop early, and as runs stop the refills of the long
+# runs grow geometrically.  Any value gives the same statistics.
 _PHILOX_CELLS = 16384
 _LOW = np.uint64(0xFFFFFFFF)
 
@@ -247,11 +245,13 @@ def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> Rollout
     .jumped(i)).random()``.  Each step takes two draws, the first picking
     the action and the second the successor, each as the first entry of
     the cumulative distribution above the draw.  The runs are stepped
-    together, and ``_draws`` computes the live runs' next blocks of draws
-    in one pass, but each run reads only its own stream, so the
-    statistics depend on (seed, runs) alone and never on how the draws
-    are batched.  At INFO, one log line gives the runs, loop steps,
-    refills, and the draws generated and used.
+    together.  When their draws run out, one ``_draws`` call refills the
+    live runs' next steps, as many as have passed but no more than one
+    pass of ``_PHILOX_CELLS`` (block, run) cells holds, and at least two.
+    Each run reads only its own stream, so the statistics depend on
+    (seed, runs) alone and never on how the draws are batched.  At INFO,
+    one log line gives the runs, loop steps, refills, and the draws
+    generated and used.
     """
     runs, seed = _integer(runs, "runs"), _integer(seed, "seed")
     if runs < 1:
@@ -280,7 +280,7 @@ def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> Rollout
                 f"{live.size} of {runs} runs have not stopped after {STEP_BUDGET} steps"
             )
         if t == refill:
-            n = min(max(t, _CHUNK_STEPS), 8 * _CHUNK_STEPS)
+            n = max(2, min(t, 2 * _PHILOX_CELLS // live.size)) & ~1
             buf = _draws(seed, live, t // 2, 2 * n)
             slot = np.arange(live.size)
             filled, refill = t, t + n

@@ -437,6 +437,28 @@ class TestJson:
         assert [(type(l), l) for l in back.alphabet] == [(type(l), l) for l in dfa.alphabet]
         assert np.array_equal(back.table, dfa.table)
 
+    @pytest.mark.parametrize(
+        "dfa, kind",
+        [
+            ("secret_dfa", "observations"),
+            ("secret_dfa", "plain"),
+            ("opaque_dfa", "labels"),
+            ("opaque_dfa", "plain"),
+            ("plain_dfa", "labels"),
+            ("plain_dfa", "observations"),
+        ],
+    )
+    def test_letters_of_another_kind_rejected(self, request, dfa, kind):
+        # a label DFA written as observations once reloaded with observation
+        # letters and rejected [{s6}]; written as plain it did not reload
+        dfa = complete(simple_dfa()) if dfa == "plain_dfa" else request.getfixturevalue(dfa)
+        with pytest.raises(AutomatonError, match=f"no JSON form of letter_kind '{kind}'"):
+            dfa_to_dict(dfa, kind)
+
+    def test_unknown_letter_kind_rejected(self):
+        with pytest.raises(AutomatonError, match="letter_kind must be one of"):
+            dfa_to_dict(complete(simple_dfa()), "bogus")
+
     @pytest.mark.parametrize("letter", [("a", "b"), np.int64(1), float("nan")])
     def test_letter_without_json_form_rejected(self, letter):
         dfa = dfa_from_moves((letter,), {}, 0, (), ("p",))

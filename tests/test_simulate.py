@@ -9,6 +9,7 @@ from opaque_planner import simulate
 from opaque_planner.ltlf import dfa_over_model_labels
 from opaque_planner.model import Play, build_model, validate
 from opaque_planner.planner import build_lp, extract_policy, product_mdp, solve_lp
+from opaque_planner.scenarios import gridworld
 from opaque_planner.simulate import (
     EnumerationBudgetError,
     RolloutStats,
@@ -205,8 +206,8 @@ class TestRollout:
                 stats = rollout(pm, policy, runs=10_000, seed=2025)
                 runs, _, refills, generated, used = caplog.records[-1].args
                 assert (runs, used) == (10_000, 2 * stats.steps)
-                assert generated <= 1.75 * used
-                assert refills <= 8
+                assert generated <= 1.45 * used
+                assert refills <= 12
 
 
 class TestDraws:
@@ -335,15 +336,84 @@ class TestAgainstReference:
         want = np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1)
         assert got.tolist() == want.tolist()
 
-    @pytest.mark.parametrize("chunk", [2, 8, 64])
-    def test_batching_does_not_change_stats(self, pm, lp_policies, monkeypatch, chunk):
+    @pytest.mark.parametrize("cells", [1, 7, 2**20])
+    def test_batching_does_not_change_stats(self, pm, lp_policies, monkeypatch, cells):
         # the transparency policy at 0.8 runs ~17 steps on average and its
-        # longest runs many times that, so runs cross many refills of
-        # either size
+        # longest runs many times that; one cell per pass refills 2 steps
+        # at a time, 2**20 as many steps as have passed
         policy = lp_policies["transparency", 0.8]
         expected = rollout(pm, policy, runs=2000, seed=2025)
-        monkeypatch.setattr(simulate, "_CHUNK_STEPS", chunk)
+        monkeypatch.setattr(simulate, "_PHILOX_CELLS", cells)
         assert rollout(pm, policy, runs=2000, seed=2025) == expected
+
+    @pytest.mark.parametrize("cells", [1, 7, 2**20])
+    def test_gridworld_batching_does_not_change_stats(
+        self, grid_policy, grid_reference, monkeypatch, cells
+    ):
+        # runs of ~390 steps on average cross many refills of every size
+        grid_pm, policy = grid_policy
+        monkeypatch.setattr(simulate, "_PHILOX_CELLS", cells)
+        assert rollout(grid_pm, policy, runs=200, seed=11) == grid_reference
+
+
+@pytest.fixture(scope="module")
+def grid_policy():
+    """The default gridworld's product for the secret ``F B & F A`` and
+    the task ``F C``, and its optimal opacity policy at 0.4."""
+    model = gridworld()
+    grid_pm = product_mdp(
+        model,
+        dfa_over_model_labels("F C", model),
+        opaque_obs_dfa(model, dfa_over_model_labels("F B & F A", model)),
+    )
+    return grid_pm, extract_policy(solve_lp(build_lp(grid_pm, 0.4, "opacity")), grid_pm)
+
+
+@pytest.fixture(scope="module")
+def grid_reference(grid_policy):
+    return reference_rollout(*grid_policy, runs=200, seed=11)
+
+
+class TestRefillSchedule:
+    """Each refill of the draw buffer continues where the last one ended,
+    on a block boundary, fetches no more steps than have passed (and at
+    least two), and fits one ``_draws`` pass unless the live runs alone
+    outnumber its cells."""
+
+    @staticmethod
+    def refills(monkeypatch, pm, policy, runs, seed):
+        """``(block, draws, live runs)`` of each ``_draws`` call."""
+        calls = []
+        draws = simulate._draws
+
+        def spy(seed, live, block, n):
+            calls.append((block, n, len(live)))
+            return draws(seed, live, block, n)
+
+        monkeypatch.setattr(simulate, "_draws", spy)
+        rollout(pm, policy, runs, seed)
+        return calls
+
+    def check(self, calls):
+        cells = simulate._PHILOX_CELLS
+        step = 0  # the step at which the buffer runs out
+        for block, n, live in calls:
+            assert n % 4 == 0 and 2 * block == step  # whole blocks, none skipped
+            assert 2 <= n // 2 <= max(2, step)
+            assert live * (n // 4) <= max(cells, live)
+            step += n // 2
+
+    @pytest.mark.parametrize("cells, runs", [(7, 200), (16384, 10_000)])
+    def test_running_example(self, pm, lp_policies, monkeypatch, cells, runs):
+        # with 7 cells the live runs outnumber the cells until the last few
+        monkeypatch.setattr(simulate, "_PHILOX_CELLS", cells)
+        for policy in lp_policies.values():
+            self.check(self.refills(monkeypatch, pm, policy, runs, 2025))
+
+    def test_gridworld(self, grid_policy, monkeypatch):
+        calls = self.refills(monkeypatch, *grid_policy, 1000, 11)
+        self.check(calls)
+        assert len(calls) <= 20  # 19; a schedule blind to the live runs took 39
 
 
 class TestUniformPolicy:
