@@ -2,9 +2,9 @@
 
 Subcommands: build, plan, simulate, verify, scenario, export-lp,
 export-dot.  Every output artifact embeds the run manifest that produced
-it.  Exit codes: 0 success, 1 input error, 2 infeasible threshold,
-3 numerical failure, 4 oracle discrepancy.  ``OPAQUE_PLANNER_LOG`` sets
-the log level, one of ``LOG_LEVELS`` in any case (default WARNING).
+it.  Exit codes: 0 success, 1 input error or usage error, 2 infeasible
+threshold, 3 numerical failure, 4 oracle discrepancy.  ``OPAQUE_PLANNER_LOG``
+sets the log level, one of ``LOG_LEVELS`` in any case (default WARNING).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -70,8 +70,8 @@ class RunManifest:
     """Everything needed to reproduce one invocation, embedded verbatim in
     each output artifact."""
 
-    tool: str
-    version: str
+    tool: str = field(default="opaque-planner", init=False)
+    version: str = field(default=__version__, init=False)
     command: str
     model_file: str | None = None
     model_sha256: str | None = None
@@ -151,8 +151,6 @@ def cmd_build(args) -> int:
     if not build.dfa.accepting:
         print("warning: the opaque-observations language is empty", file=sys.stderr)
     manifest = RunManifest(
-        tool="opaque-planner",
-        version=__version__,
         command="build",
         model_file=args.model,
         model_sha256=_sha256(args.model),
@@ -194,8 +192,6 @@ def cmd_plan(args) -> int:
         return EXIT_NUMERICAL
     policy = extract_policy(sol, pm)
     manifest = RunManifest(
-        tool="opaque-planner",
-        version=__version__,
         command="plan",
         model_file=args.model,
         model_sha256=_sha256(args.model),
@@ -275,8 +271,6 @@ def cmd_simulate(args) -> int:
     print(f"{eps_text}     {obj_text}     {shown:.4f}     {stats.p_task:.4f}")
     out_doc = {
         "manifest": RunManifest(
-            tool="opaque-planner",
-            version=__version__,
             command="simulate",
             model_file=args.model,
             model_sha256=_sha256(args.model),
@@ -365,23 +359,27 @@ def cmd_export_dot(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error prints the usage line and raises ``CliError``, an
+    input error (argparse exits 2, the infeasible code); subparsers
+    share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(message)
+
+
 def _add_common_planning(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--task", required=True, help="task formula or DFA file")
     p.add_argument("--secret", help="secret formula or DFA file")
     p.add_argument("--opaque", help="prebuilt opaque-observations DFA file")
     p.add_argument("--epsilon", type=float, default=0.0, help="task threshold")
-    p.add_argument(
-        "--mode",
-        choices=MODES,
-        default="opacity",
-        help="maximize opacity or transparency, or minimize opacity literally "
-        "(comparison mode)",
-    )
+    p.add_argument("--mode", choices=MODES, default="opacity", help="maximize opacity or transparency")
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opaque-planner",
         description=(
             "Synthesize randomized policies that maximize probabilistic "
@@ -466,9 +464,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = make_parser()
-    args = parser.parse_args(_bind_epsilon(sys.argv[1:] if argv is None else argv))
     started = time.monotonic()
     try:
+        args = parser.parse_args(_bind_epsilon(sys.argv[1:] if argv is None else argv))
         code = args.func(args)
     except (CliError, ModelError, AutomatonError, LtlfError, PlannerError,
             SimulationError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -117,7 +117,7 @@ superlu = _load_extension(SUPERLU)
 FEASIBILITY_TOL = 1e-9
 
 #: the LP objectives :func:`build_lp` assembles
-MODES = ("opacity", "transparency", "min-opacity")
+MODES = ("opacity", "transparency")
 
 #: occupancies at or below this count as zero when extracting a policy; the
 #: bisimulation also compares probabilities as multiples of it, so float
@@ -526,11 +526,10 @@ class LpModel:
     """
 
     pm: ProductMdp
-    mode: str  # "opacity" | "transparency" | "min-opacity"
+    mode: str  # "opacity" | "transparency"
     variables: np.ndarray  # (n_columns, 2) int64: (representative state, action)
     rows: np.ndarray  # representatives of non-absorbing blocks, row order
     objective: np.ndarray
-    maximize: bool
     flow: tuple[np.ndarray, np.ndarray, np.ndarray]  # CSC (ptr, row, value)
     flow_col: np.ndarray  # the column of each entry of ``flow``
     b_eq: np.ndarray
@@ -565,7 +564,7 @@ class LpModel:
     @cached_property
     def cost(self) -> np.ndarray:
         """The objective as HiGHS minimizes it."""
-        return _read_only((-1.0 if self.maximize else 1.0) * self.objective)
+        return _read_only(-self.objective)
 
     @cached_property
     def start_policy(self) -> tuple[np.ndarray | None, int]:
@@ -717,15 +716,14 @@ class LpProblem:
 
 
 def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem:
-    """Assemble the LP for one of three objectives.
+    """Assemble the LP for one of two objectives.
 
     ``opacity`` maximizes the probability of terminating with an opaque
     observation; ``transparency`` maximizes terminating with a transparent
-    one (every terminated run is one or the other); ``min-opacity`` is the
-    literal minimization of the opacity objective, kept for comparison.
-    A threshold ``epsilon`` that is not finite raises ``PlannerError``.
-    The threshold-free part is built once per product; the modes share
-    every array but the objective.
+    one.  Every terminated run is one or the other, so the two objectives
+    sum to 1 on every feasible occupancy.  A threshold ``epsilon`` that is
+    not finite raises ``PlannerError``.  The threshold-free part is built
+    once per product; the modes share every array but the objective.
     """
     if mode not in MODES:
         raise PlannerError(f"unknown mode {mode!r}")
@@ -736,8 +734,7 @@ def build_lp(pm: ProductMdp, epsilon: float, mode: str = "opacity") -> LpProblem
 
 def _lp_models(pm: ProductMdp) -> Mapping[str, LpModel]:
     """Every mode's :class:`LpModel`, from one gather of the quotient
-    rows' entries: they share every array but the objective, and
-    min-opacity shares opacity's."""
+    rows' entries: they share every array but the objective."""
     quotient = pm.quotient
     # non-absorbing blocks are numbered first, so a block is its row
     row_of, reps, var_row = quotient.block, quotient.representatives, quotient.product_row
@@ -763,10 +760,9 @@ def _lp_models(pm: ProductMdp) -> Mapping[str, LpModel]:
         variables=np.column_stack((var_state, pm.row_action[var_row])),
         flow_col=np.repeat(np.arange(len(var_row)), np.diff(flow[0])),
     )
-    objective = {"opacity": opacity, "transparency": transparency, "min-opacity": opacity}
     return MappingProxyType({
-        mode: LpModel(mode=mode, objective=objective[mode], maximize=mode != "min-opacity", **shared)
-        for mode in MODES
+        mode: LpModel(mode=mode, objective=objective, **shared)
+        for mode, objective in zip(MODES, (opacity, transparency))
     })
 
 
@@ -869,7 +865,12 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
     iterations = highs.getInfo().simplex_iteration_count
     message = highs.modelStatusToString(status)
     if status != highspy.HighsModelStatus.kOptimal:
-        infeasible = status == highspy.HighsModelStatus.kInfeasible
+        # HiGHS may end a solve past the largest feasible threshold
+        # unproven (``kUnknown``); the threshold shows it infeasible
+        largest = lp.pm.max_feasible_epsilon
+        infeasible = status == highspy.HighsModelStatus.kInfeasible or (
+            largest is not None and lp.epsilon > largest + FEASIBILITY_TOL
+        )
         return PolicySolution(
             status="infeasible" if infeasible else "numerical-failure",
             objective=None,
@@ -877,7 +878,7 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
             lp=lp,
             iterations=iterations,
             message=message,
-            max_feasible_epsilon=lp.pm.max_feasible_epsilon if infeasible else None,
+            max_feasible_epsilon=largest if infeasible else None,
         )
     solution = highs.getSolution()
     occupancy = np.array(solution.col_value)
@@ -943,7 +944,7 @@ def export_lp(lp: LpProblem) -> str:
     lines: list[str] = []
     lines.append("\\ occupancy-measure planning problem")
     lines.append(f"\\ mode={lp.mode} epsilon={_num(lp.epsilon)}")
-    lines.append("Maximize" if lp.maximize else "Minimize")
+    lines.append("Maximize")
     terms = [
         ("+ " if c >= 0 else "- ") + f"{_num(abs(c))} {lp.variable_name(j)}"
         for j, c in enumerate(lp.objective)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from opaque_planner import cli
+from opaque_planner import __version__, cli
 from opaque_planner.automata import dfa_from_dict, dfa_to_dict
 from opaque_planner.cli import main
 from opaque_planner.ltlf import dfa_over_model_labels
@@ -138,10 +138,25 @@ class TestPlan:
         assert code == 2
         assert "feasible threshold" in capsys.readouterr().err
 
+    def test_infeasible_when_highs_ends_unproven(self, tmp_path, capsys):
+        # HiGHS stops this transparency solve with status Unknown; past the
+        # largest feasible threshold, 0.9999999999998332, it is infeasible
+        grid = str(tmp_path / "grid.json")
+        assert main(["scenario", "gridworld", "--out", grid]) == 0
+        code = main(["plan", "--model", grid, "--task", "F C", "--secret", "F B & F A",
+                     "--mode", "transparency", "--epsilon", "1.01"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "infeasible at epsilon=1.0100; largest feasible threshold is about 1.000000\n"
+        )
+
     def test_policy_file_contents(self, policy_file):
         doc = json.loads(Path(policy_file).read_text())
         assert doc["metadata"]["objective"] == pytest.approx(0.7, abs=1e-6)
         assert doc["metadata"]["manifest"]["task"] == "F s4"
+        # every artifact names the tool and its version
+        manifest = doc["metadata"]["manifest"]
+        assert (manifest["tool"], manifest["version"]) == ("opaque-planner", __version__)
         assert 0 < doc["metadata"]["quotient_states"] < doc["metadata"]["product_states"]
         # three rounds split the running example's blocks (6 -> 17), and a
         # fourth re-signs the states the last split reached and splits none
@@ -153,16 +168,6 @@ class TestPlan:
         assert doc["metadata"]["solver"]["expected_steps"] >= 3
         some_state = next(iter(doc["policy"]))
         assert "|" in some_state
-
-    def test_min_opacity_complements_transparency(self, model_file, tmp_path):
-        objectives = {}
-        for mode in ("min-opacity", "transparency"):
-            out = tmp_path / f"{mode}.json"
-            assert main(["plan", "--model", model_file, "--task", "F s4",
-                         "--secret", "F s6", "--epsilon", "0.4", "--mode", mode,
-                         "--out", str(out)]) == 0
-            objectives[mode] = json.loads(out.read_text())["metadata"]["objective"]
-        assert sum(objectives.values()) == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("epsilon, dual", [("0.4", 0.0), ("0.7", 1.0)])
     def test_task_dual_recorded(self, model_file, tmp_path, epsilon, dual):
@@ -251,7 +256,7 @@ class TestSimulate:
                      "--runs", "10"]) == 1
         assert capsys.readouterr().err.startswith("error: policy")
 
-    @pytest.mark.parametrize("mode", ["transparancy", 7, None])
+    @pytest.mark.parametrize("mode", ["transparancy", "min-opacity", 7, None])
     def test_unknown_mode_rejected(self, model_file, policy_file, tmp_path, capsys, mode):
         # an unknown mode printed the opaque estimate beside the objective
         doc = json.loads(Path(policy_file).read_text())
@@ -308,6 +313,52 @@ class TestVerify:
                      "--opaque", str(mutated), "--max-actions", "4"])
         assert code == 4
         assert "counterexample" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1, an input error, and not 2, which
+    means an infeasible threshold."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["plan", "--model", "{model}", "--secret", "F s6"],
+            ["plan", "--model", "{model}", "--task", "F s4", "--epsilon", "abc"],
+            ["plan", "--model", "{model}", "--task", "F s4", "--mode", "min-opacity"],
+            ["export-lp", "--model", "{model}", "--task", "F s4", "--mode", "min-opacity"],
+            ["simulate", "--model", "{model}", "--policy", "{policy}", "--runs", "zz"],
+            ["solve"],
+        ],
+        ids=["no-subcommand", "no-task", "epsilon-not-a-number", "plan-min-opacity",
+             "export-lp-min-opacity", "runs-not-a-number", "unknown-subcommand"],
+    )
+    def test_exit_1(self, model_file, policy_file, capsys, argv):
+        paths = {"model": model_file, "policy": policy_file}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        usage, *_, error = err.splitlines()
+        assert usage.startswith("usage: opaque-planner")
+        assert error.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["plan", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_exit_1_from_the_module(self, model_file):
+        done = subprocess.run(
+            [sys.executable, "-m", "opaque_planner", "plan", "--model", model_file,
+             "--task", "F s4", "--epsilon", "abc"],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("usage: opaque-planner plan")
+        assert done.stderr.endswith("error: argument --epsilon: invalid float value: 'abc'\n")
 
 
 class TestMissingInputs:

@@ -308,10 +308,12 @@ class TestLp:
         sol = solve_lp(build_lp(pm, 0.0, "opacity"))
         assert sol.objective == pytest.approx(0.7, abs=1e-6)
 
-    def test_literal_minimization_complements_transparency(self, pm):
-        literal = solve_lp(build_lp(pm, 0.4, "min-opacity"))
-        dual = solve_lp(build_lp(pm, 0.4, "transparency"))
-        assert literal.objective + dual.objective == pytest.approx(1.0, abs=1e-8)
+    def test_transparency_complements_opacity(self, pm):
+        # every run stops opaque or transparent, so maximizing transparency
+        # minimizes opacity
+        sol = solve_lp(build_lp(pm, 0.4, "transparency"))
+        opacity = pm.lp_models["opacity"].objective @ sol.occupancy
+        assert opacity + sol.objective == pytest.approx(1.0, abs=1e-8)
 
     def test_max_feasible_epsilon_is_a_probability(self, pm, model, opaque_dfa):
         # HiGHS maximizes the task row to 1.0000000000000002 on this product,
@@ -527,7 +529,7 @@ def products(pm):
 class TestQuotient:
     def test_optima_match_unreduced_lp(self, products):
         for pm in products:
-            for mode in ("opacity", "transparency"):
+            for mode in MODES:
                 for eps in (0.0, 0.3):
                     expected = unreduced_optimum(pm, eps, mode)
                     sol = solve_lp(build_lp(pm, eps, mode))
@@ -646,7 +648,7 @@ class TestQuotient:
         # coefficient is the probability the variable's (state, action)
         # moves into an absorbing state with that outcome
         for pm in products:
-            for mode in ("opacity", "transparency", "min-opacity"):
+            for mode in MODES:
                 lp = build_lp(pm, 0.0, mode)
                 for j, (v, a) in enumerate(lp.variables):
                     stops = [(t, p) for t, p in pm.transitions[(v, a)] if pm.absorbing_mask[t]]
@@ -683,7 +685,7 @@ def cold_solve(lp):
     """The LP solved from scratch by ``linprog``, the oracle of the warm
     solves: its own HiGHS instance, the same options."""
     return linprog(
-        c=(-1.0 if lp.maximize else 1.0) * lp.objective,
+        c=-lp.objective,
         A_ub=sp.csr_matrix(-lp.task_row.reshape(1, -1)),
         b_ub=np.array([-lp.epsilon]),
         A_eq=lp.a_eq,
@@ -747,7 +749,7 @@ def grid_cold(grid, grid_automata):
 
 class TestWarmStart:
     @pytest.mark.parametrize("order", SWEEP)
-    @pytest.mark.parametrize("mode", ["opacity", "transparency", "min-opacity"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_running_example_orders(self, model, task_dfa, opaque_dfa, pm, mode, order):
         cold = {eps: cold_solve(build_lp(pm, eps, mode)) for eps in SWEEP[order]}
         fresh = product_mdp(model, task_dfa, opaque_dfa)
@@ -771,12 +773,10 @@ class TestWarmStart:
         models = [pm.lp_models[mode] for mode in MODES]
         assert [lp.mode for lp in models] == list(MODES)
         assert all(build_lp(pm, 0.6, mode).model is lp for mode, lp in zip(MODES, models))
-        # the modes share every array but the objective, and min-opacity
-        # shares opacity's
+        # the modes share every array but the objective
         for name in ("variables", "rows", "flow", "flow_col", "b_eq", "task_row"):
             assert all(getattr(lp, name) is getattr(first.model, name) for lp in models), name
-        opacity, transparency, min_opacity = models
-        assert min_opacity.objective is opacity.objective
+        opacity, transparency = models
         assert transparency.objective is not opacity.objective
         # each mode has its own HiGHS instance
         assert len({id(lp.highs) for lp in models}) == len(MODES)
@@ -791,6 +791,15 @@ class TestWarmStart:
         assert sol.status == "infeasible"
         assert sol.max_feasible_epsilon == pytest.approx(1.0, abs=1e-9)
         assert len(calls) == 1
+
+    def test_gridworld_past_the_largest_threshold(self, grid, grid_automata):
+        # HiGHS ends transparency's solve unproven (kUnknown) here: the
+        # product's largest feasible threshold is 0.9999999999998332
+        pm = product_mdp(grid, *grid_automata)
+        for mode in MODES:
+            sol = solve_lp(build_lp(pm, 1.01, mode))
+            assert sol.status == "infeasible", mode
+            assert sol.max_feasible_epsilon == pytest.approx(1.0, abs=1e-9)
 
     def test_task_dual(self, model, task_dfa, opaque_dfa):
         pm = product_mdp(model, task_dfa, opaque_dfa)
@@ -839,7 +848,7 @@ class TestWarmStart:
                 method="highs", options=COLD_OPTIONS,
             )
             assert pm.max_feasible_epsilon == min(1.0, max(0.0, -best.fun))
-            for mode in ("opacity", "transparency", "min-opacity"):
+            for mode in MODES:
                 sol = solve_lp(build_lp(pm, 1.5, mode))
                 assert sol.status == "infeasible"
                 assert sol.max_feasible_epsilon == pm.max_feasible_epsilon
@@ -850,7 +859,6 @@ class TestWarmStart:
         recorded = {
             "opacity": "a76541015fc69a44da06978a14827e15ce1151d549423e4900f78ef3e66f41ba",
             "transparency": "e5732c4d364ac709cf7dfa6ea6c3e4f28211eb055b1358202457c50c1f4537a7",
-            "min-opacity": "b3650f7cb3d06b9f2da304dda3ce4510e6ee90d8f291d0b95534c774461a85dd",
         }
         for mode, digest in recorded.items():
             lp = build_lp(pm, 0.6, mode)
@@ -930,7 +938,7 @@ def trap_model(trap):
 
 
 class TestStartPolicy:
-    @pytest.mark.parametrize("mode", ["opacity", "transparency", "min-opacity"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_running_example(self, model, task_dfa, opaque_dfa, mode):
         pm = product_mdp(model, task_dfa, opaque_dfa)
         assert_start_policy_is_optimal(pm, mode)
@@ -938,7 +946,7 @@ class TestStartPolicy:
 
     def test_products(self, products):
         for pm in products[1:]:
-            for mode in ("opacity", "transparency", "min-opacity"):
+            for mode in MODES:
                 assert_start_policy_is_optimal(pm, mode)
 
     def test_gridworld(self, grid, grid_automata):
@@ -953,7 +961,7 @@ class TestStartPolicy:
         assert sum(iterations) <= 500, iterations
 
     @pytest.mark.parametrize("trap", TRAPS)
-    @pytest.mark.parametrize("mode", ["opacity", "transparency", "min-opacity"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_improper_start_policy_passes_no_basis(self, mode, trap):
         model = trap_model(TRAPS[trap])
         assert validate(model)

@@ -5,7 +5,9 @@ evaluation and the reachability searches run on numpy arrays and call
 SuperLU's ``gstrf`` directly.  Here each is compared with
 what the same inputs give through ``scipy.sparse``: the coo matrix of the
 flow columns converted with ``tocsr``/``tocsc``, ``sp.vstack``, ``splu``,
-``spsolve`` and ``csgraph.breadth_first_order``.
+``spsolve`` and ``csgraph.breadth_first_order``.  The two modes'
+objectives are checked against the flow columns' sums: every run stops
+opaque or transparent.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from opaque_planner import planner, simulate
 from opaque_planner.ltlf import dfa_over_model_labels
 from opaque_planner.planner import (
     FEASIBILITY_TOL,
+    MODES,
     ZERO_OCCUPANCY_THRESHOLD,
     _flow_matrix,
     _reached,
@@ -34,7 +37,6 @@ from opaque_planner.transducer import opaque_obs_dfa
 
 from helpers import random_model, random_secret_text
 
-MODES = ("opacity", "transparency", "min-opacity")
 CASES = ["running-example", *range(40), "gridworld"]
 
 
@@ -197,6 +199,17 @@ def test_lp_arrays_and_start_policy(case, flow_calls, highs_matrices):
     assert len(flow_calls) == 1
     [a] = highs_matrices
     assert_same_compressed(a, pm.lp_models["opacity"].a_eq.tocsc())
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_objectives_complement(case):
+    # every run stops opaque or transparent, so a column's two objective
+    # coefficients add up to the mass it stops with: its sum in a_eq, the
+    # unit out less what it sends into non-absorbing blocks
+    pm = fresh_product(case)
+    opacity, transparency = (pm.lp_models[mode] for mode in MODES)
+    stopping = np.asarray(opacity.a_eq.sum(axis=0)).ravel()
+    assert np.abs(opacity.objective + transparency.objective - stopping).max(initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("case", CASES)
