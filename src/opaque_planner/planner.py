@@ -220,9 +220,13 @@ class ProductMdp(Product):
         """The largest task threshold any policy meets: the task row
         maximized over the flow rows, which every mode shares, clipped into
         [0, 1] against HiGHS's round-off; None when HiGHS finds no
-        optimum."""
+        optimum.  The solve starts from the basis of the task row's own
+        optimal policy (:func:`_policy_iteration`), so HiGHS only confirms
+        it."""
         lp = self.lp_models["opacity"]  # any mode's: they share the rows
-        highs = _highs(-lp.task_row, lp.flow, lp.b_eq, lp.b_eq)
+        cost = -lp.task_row
+        highs = _highs(cost, lp.flow, lp.b_eq, lp.b_eq)
+        _set_policy_basis(highs, _policy_iteration(lp, cost)[0], len(lp.b_eq))
         highs.run()
         if highs.getModelStatus() != highspy.HighsModelStatus.kOptimal:
             return None
@@ -572,7 +576,7 @@ class LpModel:
         per flow row, and the rounds of policy iteration that found it
         (:func:`_policy_iteration`); None and 0 when the start policy does
         not stop."""
-        return _policy_iteration(self)
+        return _policy_iteration(self, self.cost)
 
     @property
     def start_policy_rounds(self) -> int:
@@ -591,17 +595,28 @@ class LpModel:
         dual simplex starts from it."""
         a = _on_top(-self.task_row, *self.flow)
         highs = _highs(self.cost, a, np.append(-np.inf, self.b_eq), np.append(np.inf, self.b_eq))
-        policy = self.start_policy[0]
-        if policy is not None:
-            status = highspy.HighsBasisStatus
-            col_status = np.full(len(self.variables), status.kLower, dtype=object)
-            col_status[policy] = status.kBasic
-            basis = highspy.HighsBasis()
-            basis.col_status = col_status.tolist()
-            basis.row_status = [status.kBasic] + [status.kLower] * len(self.b_eq)
-            basis.valid = True
-            highs.setBasis(basis)
+        _set_policy_basis(highs, self.start_policy[0], len(self.b_eq))
         return highs
+
+
+def _set_policy_basis(highs, policy: np.ndarray | None, n_flow: int) -> None:
+    """Start the next solve of ``highs``, whose last ``n_flow`` rows are
+    flow rows, from the basis of ``policy``, one column per flow row: its
+    columns and the rows above the flow rows are basic, the other columns
+    sit at zero and the flow rows are nonbasic.  When the policy is
+    optimal for the instance's cost that basis is optimal too, and HiGHS
+    skips presolve ("useful basis").  Nothing when ``policy`` is None:
+    HiGHS then starts from its own crash basis."""
+    if policy is None:
+        return
+    status = highspy.HighsBasisStatus
+    col_status = np.full(highs.getNumCol(), status.kLower, dtype=object)
+    col_status[policy] = status.kBasic
+    basis = highspy.HighsBasis()
+    basis.col_status = col_status.tolist()
+    basis.row_status = [status.kBasic] * (highs.getNumRow() - n_flow) + [status.kLower] * n_flow
+    basis.valid = True
+    highs.setBasis(basis)
 
 
 def _on_top(top: np.ndarray, ptr: np.ndarray, row: np.ndarray, value: np.ndarray) -> tuple:
@@ -638,10 +653,11 @@ def _splu(ptr: np.ndarray, row: np.ndarray, value: np.ndarray):
     )
 
 
-def _policy_iteration(lp: LpModel) -> tuple[np.ndarray | None, int]:
+def _policy_iteration(lp: LpModel, cost: np.ndarray) -> tuple[np.ndarray | None, int]:
     """Policy iteration (Puterman 1994, §7.2) on the columns of ``lp``'s
-    flow rows, which without the task row are an MDP: returns the column
-    each row ends on and the number of rounds, each one sparse LU.
+    flow rows, which without the task row are an MDP, minimizing ``cost``
+    per column: returns the column each row ends on and the number of
+    rounds, each one sparse LU.
 
     The start policy takes ``a_bot`` where a row enables it and the row's
     first column elsewhere: in a validated model, ``s_top``'s only action.
@@ -682,8 +698,8 @@ def _policy_iteration(lp: LpModel) -> tuple[np.ndarray | None, int]:
     rounds = 0
     while True:
         rounds += 1
-        values = _splu(*columns(policy)).solve(lp.cost[policy], trans="T")
-        reduced = lp.cost - np.bincount(lp.flow_col, value * values[row], len(lp.cost))
+        values = _splu(*columns(policy)).solve(cost[policy], trans="T")
+        reduced = cost - np.bincount(lp.flow_col, value * values[row], len(cost))
         best = _first_minima(reduced, var_ptr)  # each row's first cheapest column
         moves = reduced[best] < -FEASIBILITY_TOL
         if not moves.any():

@@ -101,13 +101,14 @@ _PHILOX_ROUNDS = 10
 # (block, run) pairs that ``_draws`` computes per pass: its six working
 # arrays of twice this many words then stay in a core's cache.  It sizes
 # ``rollout``'s refills too: a refill of the L live runs' draw buffer at
-# step t fetches n = max(2, min(t, 2 * _PHILOX_CELLS // L)) steps, rounded
-# down to even.  A block holds four doubles, two steps' worth, so every
-# refill starts on a block boundary and computes L * n / 2 blocks, at most
-# max(_PHILOX_CELLS, L): one ``_draws`` pass whenever L <= _PHILOX_CELLS.
-# A refill never fetches more steps than have passed, so few blocks go to
-# the many runs that stop early, and as runs stop the refills of the long
-# runs grow geometrically.  Any value gives the same statistics.
+# step t fetches n = max(4, min(t, 4 * _PHILOX_CELLS // L)) steps, rounded
+# down to a multiple of 4.  A block holds four doubles, four steps' worth,
+# so every refill starts on a block boundary and computes L * n / 4
+# blocks, at most max(_PHILOX_CELLS, L): one ``_draws`` pass whenever L <=
+# _PHILOX_CELLS.  A refill never fetches more steps than have passed, so
+# few blocks go to the many runs that stop early, and as runs stop the
+# refills of the long runs grow geometrically.  Any value gives the same
+# statistics.
 _PHILOX_CELLS = 16384
 _LOW = np.uint64(0xFFFFFFFF)
 
@@ -129,21 +130,27 @@ def _cumulative(flat: np.ndarray, widths: np.ndarray) -> np.ndarray:
 
 
 def _kernel(pm: ProductMdp, policy: np.ndarray):
-    """Compile a policy into dense sampling tables over the product rows.
+    """Check a policy (``_reachable_transient``) and compile the Markov
+    chain it induces on the product states into dense sampling tables.
 
-    Per state, a column of cumulative action probabilities (actions in
-    increasing order), and its first row.  Per row, a column of
-    cumulative successor probabilities, and a row of successor ids.  The
-    last real cumulative entry of each column is +inf, so ``_index``
-    never picks past the row's end.
+    Per state, a column of cumulative successor probabilities, and a row
+    of successor ids, in increasing order.  A successor's probability is
+    the sum of ``policy[row] * entry_prob[e]`` over the state's rows the
+    policy takes and their entries into it, added in row then entry
+    order.  The last real cumulative entry of each column is +inf, so
+    ``_index`` never picks past the state's last successor.  States the
+    policy never reaches have no successors.
     """
-    succ_width = np.diff(pm.entry_ptr)
-    return (
-        _cumulative(policy, np.diff(pm.row_ptr)),
-        pm.row_ptr[:-1],
-        _cumulative(pm.entry_prob, succ_width),
-        _table(pm.entry_succ, succ_width, 0, np.intp),
-    )
+    n = pm.n_states
+    _, src, dst, prob = _reachable_transient(pm, policy)
+    order = np.argsort(src * n + dst, kind="stable")
+    src, dst = src[order], dst[order]
+    first = np.ones(len(order), dtype=bool)  # the first edge of each (state, successor)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    # bincount adds each pair's probabilities in the stable order
+    p = np.bincount(np.cumsum(first) - 1, weights=prob[order])
+    width = np.bincount(src[first], minlength=n)
+    return _cumulative(p, width), _table(dst[first], width, 0, np.intp)
 
 
 def _index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -242,24 +249,25 @@ def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> Rollout
 
     Run ``i`` reads its own counter-based substream: the Philox stream of
     ``seed`` jumped ``i`` times, ``np.random.Generator(Philox(key=seed)
-    .jumped(i)).random()``.  Each step takes two draws, the first picking
-    the action and the second the successor, each as the first entry of
-    the cumulative distribution above the draw.  The runs are stepped
-    together.  When their draws run out, one ``_draws`` call refills the
-    live runs' next steps, as many as have passed but no more than one
-    pass of ``_PHILOX_CELLS`` (block, run) cells holds, and at least two.
-    Each run reads only its own stream, so the statistics depend on
-    (seed, runs) alone and never on how the draws are batched.  At INFO,
-    one log line gives the runs, loop steps, refills, and the draws
-    generated and used.
+    .jumped(i)).random()``.  The runs' statistics depend only on the
+    product states they pass through, so a run steps the Markov chain the
+    policy induces on them (``_kernel``) and never draws an action: step
+    ``t`` reads the ``t``-th draw of the stream and moves to the first
+    successor whose cumulative probability is above it.  The runs are
+    stepped together.  When their draws run out, one ``_draws`` call
+    refills the live runs' next steps, as many as have passed but no more
+    than one pass of ``_PHILOX_CELLS`` (block, run) cells holds, and at
+    least four.  Each run reads only its own stream, so the statistics
+    depend on (seed, runs) alone and never on how the draws are batched.
+    At INFO, one log line gives the runs, loop steps, refills, and the
+    draws generated and used.
     """
     runs, seed = _integer(runs, "runs"), _integer(seed, "seed")
     if runs < 1:
         raise SimulationError("runs must be positive")
     if not 0 <= seed < 2**128:
         raise SimulationError("seed must be in [0, 2**128)")
-    _reachable_transient(pm, policy)
-    act_cum, first_row, succ_cum, succ_id = _kernel(pm, policy)
+    cum, succ = _kernel(pm, policy)
     absorbing = pm.absorbing_mask
     live = np.arange(runs)  # ids of the runs still going
     slot = live  # their columns of the draw buffer
@@ -280,20 +288,18 @@ def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> Rollout
                 f"{live.size} of {runs} runs have not stopped after {STEP_BUDGET} steps"
             )
         if t == refill:
-            n = max(2, min(t, 2 * _PHILOX_CELLS // live.size)) & ~1
-            buf = _draws(seed, live, t // 2, 2 * n)
+            n = max(4, min(t, 4 * _PHILOX_CELLS // live.size)) & ~3
+            buf = _draws(seed, live, t // 4, n)
             slot = np.arange(live.size)
             filled, refill = t, t + n
             refills += 1
             generated += buf.size
-        c = 2 * (t - filled)  # the buffer row of this step's action draws
-        row = first_row[x] + _index(act_cum.take(x, axis=1), buf[c].take(slot))
-        j = _index(succ_cum.take(row, axis=1), buf[c + 1].take(slot))
-        x = succ_id.take(row * succ_id.shape[1] + j)
+        j = _index(cum.take(x, axis=1), buf[t - filled].take(slot))
+        x = succ.take(x * succ.shape[1] + j)
         steps += live.size
     log.info(
         "rollout: %d runs, %d loop steps, %d refills, %d draws generated, %d used",
-        runs, t, refills, generated, 2 * steps,
+        runs, t, refills, generated, steps,
     )
     counts = np.bincount(final, minlength=pm.n_states)
     opaque = int(counts[pm.opaque_accepts].sum())
@@ -312,21 +318,29 @@ def uniform_policy(pm: ProductMdp) -> np.ndarray:
     return 1.0 / np.diff(pm.row_ptr)[pm.row_state]
 
 
-def _reachable_transient(pm: ProductMdp, policy: np.ndarray) -> np.ndarray:
+def _reachable_transient(pm: ProductMdp, policy) -> tuple[np.ndarray, ...]:
     """Check a policy; return the non-absorbing product states it reaches
-    from the initial one, in increasing order.
+    from the initial one, in increasing order, and the edges of the chain
+    it induces out of them: per taken row and entry, in row then entry
+    order, the source state, the successor and the probability
+    ``policy[row] * entry_prob[e]``.
 
-    Raises ``SimulationError`` unless the policy has one probability per
-    product row and gives each non-absorbing state a distribution over its
-    actions: finite, non-negative probabilities summing to 1 within
-    ``PROB_TOL``.  Raises it too, naming a reached state from which the
-    policy can never reach an absorbing state, if there is one: a finite
-    Markov chain stops with probability 1 exactly when there is none.
+    Raises ``SimulationError`` unless the policy converts to float64 and
+    has one probability per product row, and gives each non-absorbing
+    state a distribution over its actions: finite, non-negative
+    probabilities summing to 1 within ``PROB_TOL``.  Raises it too, naming
+    a reached state from which the policy can never reach an absorbing
+    state, if there is one: a finite Markov chain stops with probability 1
+    exactly when there is none.
     """
     n = pm.n_states
-    if np.shape(policy) != pm.row_action.shape:
+    try:
+        policy = np.asarray(policy, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise SimulationError(f"policy is not an array of probabilities: {err}") from None
+    if policy.shape != pm.row_action.shape:
         raise SimulationError(
-            f"policy has shape {np.shape(policy)}, not one probability for each of "
+            f"policy has shape {policy.shape}, not one probability for each of "
             f"the {len(pm.row_action)} product rows"
         )
     # a probability that is negative, infinite or NaN makes its state's sum NaN
@@ -346,14 +360,15 @@ def _reachable_transient(pm: ProductMdp, policy: np.ndarray) -> np.ndarray:
     transient = reached & ~pm.absorbing_mask
     # back from every absorbing state along the moves out of reached states
     kept = reached[src]
-    stopping = _reached(dst[kept], src[kept], np.flatnonzero(pm.absorbing_mask), n)
+    src, dst, e, move = src[kept], dst[kept], e[kept], move[kept]
+    stopping = _reached(dst, src, np.flatnonzero(pm.absorbing_mask), n)
     trapped = np.flatnonzero(transient & ~stopping)
     if trapped.size:
         raise SimulationError(
             f"policy never stops from product state {pm.state_name(trapped[0])!r}, "
             f"which it reaches"
         )
-    return np.flatnonzero(transient)
+    return np.flatnonzero(transient), src, dst, policy[taken][move] * pm.entry_prob[e]
 
 
 def exact_policy_values(pm: ProductMdp, policy: np.ndarray) -> dict[str, float]:
@@ -367,16 +382,11 @@ def exact_policy_values(pm: ProductMdp, policy: np.ndarray) -> dict[str, float]:
     checked, as for ``rollout``, to stop with probability 1 (else
     ``SimulationError``).
     """
-    states = _reachable_transient(pm, policy)
-    rows = np.flatnonzero(np.isin(pm.row_state, states) & (policy != 0.0))
-    state, prob = pm.row_state[rows], policy[rows]
+    states, src, t, p = _reachable_transient(pm, policy)
     m = len(states)
     row_of = np.zeros(pm.n_states, dtype=np.int64)
     row_of[states] = np.arange(m)
-    e, move = pm.entries(rows)
-    t = pm.entry_succ[e]
-    p = prob[move] * pm.entry_prob[e]
-    i = row_of[state[move]]
+    i = row_of[src]
     stop = pm.absorbing_mask[t]
     flow = ~stop  # each state's entries into non-absorbing states
     ptr, row, value = _flow_matrix(np.arange(m), i[flow], row_of[t[flow]], p[flow])

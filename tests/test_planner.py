@@ -840,18 +840,38 @@ class TestWarmStart:
         assert sol.objective == pytest.approx(0.6, abs=FEASIBILITY_TOL)
 
     def test_max_feasible_epsilon_per_product(self, products):
-        # the task row maximized over the flow rows, as a cold solve of its own
+        # the task row maximized over the flow rows, against a cold solve of
+        # its own; the warm start may end on another vertex's round-off
         for pm in products:
             lp = build_lp(pm, 0.0)
             best = linprog(
                 -lp.task_row, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0.0, None),
                 method="highs", options=COLD_OPTIONS,
             )
-            assert pm.max_feasible_epsilon == min(1.0, max(0.0, -best.fun))
+            expected = min(1.0, max(0.0, -best.fun))
+            assert pm.max_feasible_epsilon == pytest.approx(expected, abs=FEASIBILITY_TOL)
             for mode in MODES:
                 sol = solve_lp(build_lp(pm, 1.5, mode))
                 assert sol.status == "infeasible"
                 assert sol.max_feasible_epsilon == pm.max_feasible_epsilon
+
+    def test_max_feasible_epsilon_starts_at_its_optimum(
+        self, model, task_dfa, opaque_dfa, grid, grid_automata, monkeypatch
+    ):
+        # the task row's policy iteration leaves HiGHS nothing to do; a cold
+        # solve took 8 iterations here and 4,863 on the gridworld
+        calls = []
+        set_basis = planner._set_policy_basis
+        monkeypatch.setattr(
+            planner, "_set_policy_basis", lambda *args: calls.append(args) or set_basis(*args)
+        )
+        for pm in (product_mdp(model, task_dfa, opaque_dfa), product_mdp(grid, *grid_automata)):
+            calls.clear()
+            largest = pm.max_feasible_epsilon
+            [(highs, policy, _)] = calls
+            assert policy is not None
+            assert highs.getInfo().simplex_iteration_count == 0
+            assert largest == pytest.approx(1.0, abs=FEASIBILITY_TOL)
 
     def test_export_is_unchanged(self, pm):
         # the recorded text of the running example's LPs at 0.6, before and
@@ -1010,7 +1030,8 @@ def test_scipy_ships_the_highs_binding():
     assert _core.MatrixFormat.kColwise is not None
     assert {"kOptimal", "kInfeasible"} <= set(_core.HighsModelStatus.__members__)
     for name in ("passModel", "setOptionValue", "changeRowBounds", "setBasis", "run",
-                 "getModelStatus", "modelStatusToString", "getInfo", "getSolution"):
+                 "getModelStatus", "modelStatusToString", "getInfo", "getSolution",
+                 "getNumCol", "getNumRow"):
         assert callable(getattr(_core._Highs, name, None)), name
     assert {"kBasic", "kLower"} <= set(_core.HighsBasisStatus.__members__)
     basis = _core.HighsBasis()

@@ -120,7 +120,7 @@ def scipy_policy_iteration(lp, a):
 def scipy_exact_values(pm, policy):
     """The exact outcome probabilities of ``policy`` with ``spsolve`` on
     the coo flow matrix converted by ``tocsc``."""
-    states = simulate._reachable_transient(pm, policy)
+    states = simulate._reachable_transient(pm, policy)[0]
     rows = np.flatnonzero(np.isin(pm.row_state, states) & (policy != 0.0))
     state, prob = pm.row_state[rows], policy[rows]
     m = len(states)

@@ -31,15 +31,32 @@ def play(text):
     return Play.from_linear(text.split())
 
 
+def induced_chain(pm, policy, v):
+    """``(successor, probability)`` pairs of the Markov chain ``policy``
+    induces at state ``v``, by increasing successor: each successor's
+    probability is ``policy[row] * p`` summed over ``v``'s rows with a
+    nonzero probability and their entries, in row then entry order."""
+    dist = {}
+    for r, a in zip(range(pm.row_ptr[v], pm.row_ptr[v + 1]), pm.enabled(v)):
+        if policy[r] != 0.0:
+            for t, p in pm.transitions[(v, a)]:
+                dist[t] = dist.get(t, 0.0) + policy[r] * p
+    return sorted(dist.items())
+
+
 def reference_rollout(pm, policy, runs, seed):
     """The scalar sampler: one run at a time until it is absorbed, run i
-    drawing from ``Generator(Philox(seed).jumped(i))``, an action and then
-    a successor per step, each by ``searchsorted`` on its cumulative
-    distribution."""
+    drawing from ``Generator(Philox(seed).jumped(i))``, one draw per step,
+    which picks the successor by ``searchsorted`` on the cumulative
+    distribution of the induced chain at the run's state."""
+    chains = {}
 
-    def pick(pairs, u):
-        cum = np.cumsum([p for _, p in pairs])
-        return pairs[int(np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1))][0]
+    def step(v, u):
+        if v not in chains:
+            pairs = induced_chain(pm, policy, v)
+            chains[v] = [t for t, _ in pairs], np.cumsum([p for _, p in pairs])
+        succ, cum = chains[v]
+        return succ[int(np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1))]
 
     base = np.random.Philox(key=seed)
     stats = RolloutStats(0, 0, 0, 0, 0)
@@ -48,8 +65,7 @@ def reference_rollout(pm, policy, runs, seed):
         v = pm.initial
         steps = 0
         while not pm.absorbing_mask[v]:
-            a = pick(list(zip(pm.enabled(v), policy[rows(pm, v)])), rng.random())
-            v = pick(pm.transitions[(v, a)], rng.random())
+            v = step(v, rng.random())
             steps += 1
         stats.runs += 1
         stats.steps += steps
@@ -60,6 +76,16 @@ def reference_rollout(pm, policy, runs, seed):
         if pm.task_accepts[v]:
             stats.task_satisfied += 1
     return stats
+
+
+def random_product(seed):
+    """The product of ``random_model(seed)`` with a random secret and the
+    task of reaching its last interior state."""
+    m = random_model(seed)
+    names = [m.states[i] for i in m.interior_state_indices()]
+    secret = dfa_over_model_labels(random_secret_text(seed, names), m)
+    task = dfa_over_model_labels(f"F {names[-1]}", m)
+    return product_mdp(m, task, opaque_obs_dfa(m, secret))
 
 
 def immediate_termination_policy(pm):
@@ -205,7 +231,7 @@ class TestRollout:
             for policy in lp_policies.values():
                 stats = rollout(pm, policy, runs=10_000, seed=2025)
                 runs, _, refills, generated, used = caplog.records[-1].args
-                assert (runs, used) == (10_000, 2 * stats.steps)
+                assert (runs, used) == (10_000, stats.steps)
                 assert generated <= 1.45 * used
                 assert refills <= 12
 
@@ -290,6 +316,16 @@ class TestInvalidPolicy:
         with pytest.raises(SimulationError, match="one probability for each"):
             self.evaluate(pm, policy)
 
+    def test_list_policy(self, pm):
+        policy = uniform_policy(pm)
+        assert self.evaluate(pm, policy.tolist()) == self.evaluate(pm, policy)
+
+    def test_object_array_holding_a_string(self, pm):
+        policy = uniform_policy(pm).astype(object)
+        policy[0] = "one"
+        with pytest.raises(SimulationError, match="not an array of probabilities"):
+            self.evaluate(pm, policy)
+
 
 class TestInvalidPolicyExact(TestInvalidPolicy):
     evaluate = staticmethod(exact_policy_values)
@@ -315,11 +351,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_models(self, seed):
-        m = random_model(seed)
-        names = [m.states[i] for i in m.interior_state_indices()]
-        secret = dfa_over_model_labels(random_secret_text(seed, names), m)
-        task = dfa_over_model_labels(f"F {names[-1]}", m)
-        pm = product_mdp(m, task, opaque_obs_dfa(m, secret))
+        pm = random_product(seed)
         policy = uniform_policy(pm)
         assert rollout(pm, policy, 300, seed) == reference_rollout(pm, policy, 300, seed)
 
@@ -339,7 +371,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("cells", [1, 7, 2**20])
     def test_batching_does_not_change_stats(self, pm, lp_policies, monkeypatch, cells):
         # the transparency policy at 0.8 runs ~17 steps on average and its
-        # longest runs many times that; one cell per pass refills 2 steps
+        # longest runs many times that; one cell per pass refills 4 steps
         # at a time, 2**20 as many steps as have passed
         policy = lp_policies["transparency", 0.8]
         expected = rollout(pm, policy, runs=2000, seed=2025)
@@ -377,12 +409,12 @@ def grid_reference(grid_policy):
 class TestRefillSchedule:
     """Each refill of the draw buffer continues where the last one ended,
     on a block boundary, fetches no more steps than have passed (and at
-    least two), and fits one ``_draws`` pass unless the live runs alone
+    least four), and fits one ``_draws`` pass unless the live runs alone
     outnumber its cells."""
 
     @staticmethod
     def refills(monkeypatch, pm, policy, runs, seed):
-        """``(block, draws, live runs)`` of each ``_draws`` call."""
+        """``(block, steps, live runs)`` of each ``_draws`` call."""
         calls = []
         draws = simulate._draws
 
@@ -398,10 +430,10 @@ class TestRefillSchedule:
         cells = simulate._PHILOX_CELLS
         step = 0  # the step at which the buffer runs out
         for block, n, live in calls:
-            assert n % 4 == 0 and 2 * block == step  # whole blocks, none skipped
-            assert 2 <= n // 2 <= max(2, step)
+            assert n % 4 == 0 and 4 * block == step  # whole blocks, none skipped
+            assert 4 <= n <= max(4, step)
             assert live * (n // 4) <= max(cells, live)
-            step += n // 2
+            step += n
 
     @pytest.mark.parametrize("cells, runs", [(7, 200), (16384, 10_000)])
     def test_running_example(self, pm, lp_policies, monkeypatch, cells, runs):
@@ -413,7 +445,34 @@ class TestRefillSchedule:
     def test_gridworld(self, grid_policy, monkeypatch):
         calls = self.refills(monkeypatch, *grid_policy, 1000, 11)
         self.check(calls)
-        assert len(calls) <= 20  # 19; a schedule blind to the live runs took 39
+        assert len(calls) <= 20  # 13
+
+
+class TestKernel:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_induced_chain(self, seed):
+        # per state, the successors in increasing order and the cumulative
+        # probabilities of the chain built from ``pm.transitions``; no
+        # successors where the policy never goes
+        pm = random_product(seed)
+        policy = uniform_policy(pm)
+        cum, succ = simulate._kernel(pm, policy)
+        assert cum.shape == succ.T.shape == (succ.shape[1], pm.n_states)
+        reached, stack = {pm.initial}, [pm.initial]
+        while stack:
+            v = stack.pop()
+            for t, _ in induced_chain(pm, policy, v):
+                if t not in reached:
+                    reached.add(t)
+                    stack.append(t)
+        for v in range(pm.n_states):
+            pairs = induced_chain(pm, policy, v) if v in reached else []
+            k = len(pairs)
+            ids = [t for t, _ in pairs]
+            assert succ[v].tolist() == ids + [0] * (succ.shape[1] - k)
+            want = np.cumsum([p for _, p in pairs])[:-1]
+            assert cum[: max(k - 1, 0), v] == pytest.approx(want, rel=0, abs=1e-15)
+            assert np.all(cum[max(k - 1, 0) :, v] == np.inf)
 
 
 class TestUniformPolicy:
