@@ -161,6 +161,18 @@ def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ranked[start], np.minimum.reduceat(order, start), inverse
 
 
+def _coalesce(key: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an integer array ``key``, sorted, and the
+    sum of ``weights`` over each, added in the order they occur: a stable
+    sort keeps each key's weights in order, and ``bincount`` adds them in
+    that order."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return key[first], np.bincount(np.cumsum(first) - 1, weights=weights[order])
+
+
 def _id_table(n_cells: int, error: type[Exception]) -> np.ndarray:
     """The id table of a search over the codes ``0 .. n_cells - 1``: one
     int32 per code, zero until the code is found and then its id + 1.

@@ -61,6 +61,7 @@ from .model import (
     Model,
     ModelError,
     RowGroups,
+    _coalesce,
     _id_table,
     _number_level,
     _ranges,
@@ -476,16 +477,9 @@ def _signatures(pm: ProductMdp, touched: np.ndarray, block: np.ndarray, n_blocks
         del e
     key = np.repeat(np.arange(len(row_action), dtype=np.int64) * n_blocks, width)
     key += block[succ]
-    # a stable sort keeps each pair's entries in entry order, the order
-    # in which bincount adds their probabilities
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.empty(len(key), dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    mass = np.bincount(np.cumsum(first) - 1, weights=prob[order])
-    del order
-    pair_row, pair_block = np.divmod(key[first], n_blocks)
+    pair, mass = _coalesce(key, prob)  # each pair's entries added in entry order
+    del key
+    pair_row, pair_block = np.divmod(pair, n_blocks)
     return owner[pair_row], row_action[pair_row] * n_blocks + pair_block, _quantize(mass)
 
 
@@ -789,21 +783,13 @@ def _flow_matrix(unit_row, col, row, prob) -> tuple[np.ndarray, np.ndarray, np.n
     (row, column) are summed left to right: the unit first, then in entry
     order."""
     n = len(unit_row)
-    cols = np.concatenate((np.arange(n), col))
     rows = np.concatenate((unit_row, row))
-    # lexsort stays: a stable sort on one packed key takes 1.4 ms where it
-    # takes 3.8 ms on the default gridworld's LP (5,594 columns, 23,792
-    # entries), but that is 0.3% of a 0.75 s gridworld pass, inside the
-    # pass's run-to-run spread
-    order = np.lexsort((rows, cols))  # stable: by column, then row, then entry order
-    cols, rows = cols[order], rows[order]
-    data = np.concatenate((np.ones(n), -prob))[order]
-    first = np.ones(len(order), dtype=bool)  # the first entry of each (column, row)
-    first[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
-    value = data[first]
-    np.add.at(value, np.cumsum(first)[~first] - 1, data[~first])
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(cols[first], minlength=n))))
-    return ptr, rows[first], value
+    n_rows = int(rows.max(initial=0)) + 1
+    key = np.concatenate((np.arange(n), col)) * n_rows + rows
+    cell, value = _coalesce(key, np.concatenate((np.ones(n), -prob)))
+    cols, rows = np.divmod(cell, n_rows)
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    return ptr, rows, value
 
 
 @dataclass

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import planner
 from .automata import Dfa
-from .model import PROB_TOL, Model, ObsSymbol, Play, obs_of_play
+from .model import PROB_TOL, Model, ObsSymbol, Play, _coalesce, obs_of_play
 from .planner import ProductMdp, _flow_matrix, _reached
 
 log = logging.getLogger(__name__)
@@ -92,27 +92,6 @@ class RolloutStats:
         }
 
 
-# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-# 3", SC'11), as numpy's ``Philox`` computes it: the round multipliers of
-# counter words 0 and 2, and the increments of the two key words.
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshape(2, 1, 1)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-# (block, run) pairs that ``_draws`` computes per pass: its six working
-# arrays of twice this many words then stay in a core's cache.  It sizes
-# ``rollout``'s refills too: a refill of the L live runs' draw buffer at
-# step t fetches n = max(4, min(t, 4 * _PHILOX_CELLS // L)) steps, rounded
-# down to a multiple of 4.  A block holds four doubles, four steps' worth,
-# so every refill starts on a block boundary and computes L * n / 4
-# blocks, at most max(_PHILOX_CELLS, L): one ``_draws`` pass whenever L <=
-# _PHILOX_CELLS.  A refill never fetches more steps than have passed, so
-# few blocks go to the many runs that stop early, and as runs stop the
-# refills of the long runs grow geometrically.  Any value gives the same
-# statistics.
-_PHILOX_CELLS = 16384
-_LOW = np.uint64(0xFFFFFFFF)
-
-
 def _table(flat: np.ndarray, widths: np.ndarray, fill, dtype) -> np.ndarray:
     """Rows of ``widths[r]`` consecutive entries of ``flat``, padded with
     ``fill`` into a dense table."""
@@ -143,14 +122,10 @@ def _kernel(pm: ProductMdp, policy: np.ndarray):
     """
     n = pm.n_states
     _, src, dst, prob = _reachable_transient(pm, policy)
-    order = np.argsort(src * n + dst, kind="stable")
-    src, dst = src[order], dst[order]
-    first = np.ones(len(order), dtype=bool)  # the first edge of each (state, successor)
-    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    # bincount adds each pair's probabilities in the stable order
-    p = np.bincount(np.cumsum(first) - 1, weights=prob[order])
-    width = np.bincount(src[first], minlength=n)
-    return _cumulative(p, width), _table(dst[first], width, 0, np.intp)
+    pair, p = _coalesce(src * n + dst, prob)
+    src, dst = np.divmod(pair, n)
+    width = np.bincount(src, minlength=n)
+    return _cumulative(p, width), _table(dst, width, 0, np.intp)
 
 
 def _index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -159,70 +134,6 @@ def _index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     the real entries, clipped to them: a draw at or above the total,
     which rounding can leave just under 1, picks the last entry."""
     return (cum <= u).sum(axis=0)
-
-
-def _mulhi(
-    a: np.ndarray, m: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.ndarray, w: np.ndarray
-):
-    """Set ``hi`` to the high words of the 128-bit products ``a * m``, from
-    32-bit halves; ``m`` broadcasts against ``a``, and ``t``, ``u`` and
-    ``w`` are scratch of ``a``'s shape."""
-    m_lo, m_hi = m & _LOW, m >> np.uint64(32)
-    np.bitwise_and(a, _LOW, out=t)
-    np.right_shift(a, 32, out=u)
-    np.multiply(t, m_lo, out=hi)
-    hi >>= 32  # the carry out of the low halves' product
-    np.multiply(u, m_lo, out=w)
-    w += hi
-    np.right_shift(w, 32, out=hi)
-    w &= _LOW
-    t *= m_hi
-    t += w
-    t >>= 32
-    u *= m_hi
-    u += hi
-    np.add(u, t, out=hi)
-
-
-def _draws(seed: int, runs: np.ndarray, block: int, n: int) -> np.ndarray:
-    """The next ``n`` doubles of each listed run's stream, from Philox
-    block ``block`` on: one column per run.
-
-    Run i's stream is ``Generator(Philox(key=seed).jumped(i)).random()``:
-    Philox4x64-10 with key (seed mod 2**64, seed >> 64), whose j-th block
-    from ``block`` has counter (block + 1 + j, 0, i, 0).  The (block, run)
-    pairs are computed together, a round at a time over whole arrays, and
-    each 64-bit output is converted as ``Generator.random`` does: its top
-    53 bits, scaled.
-    """
-    blocks = -(-n // 4)
-    k0, k1 = seed & (2**64 - 1), seed >> 64
-    w0, w1 = _PHILOX_W
-    keys = np.array(
-        [[(k0 + r * w0) % 2**64, (k1 + r * w1) % 2**64] for r in range(_PHILOX_ROUNDS)], np.uint64
-    )
-    counter = np.arange(block + 1, block + 1 + blocks, dtype=np.uint64)
-    runs = np.asarray(runs, np.uint64)
-    out = np.empty((blocks, 4, len(runs)))
-    cols = max(_PHILOX_CELLS // blocks, 1)
-    for c in range(0, len(runs), cols):
-        s = slice(c, c + cols)
-        # p holds the counter words (v0, v2) that a round multiplies, q (v1, v3)
-        p = np.empty((2, blocks, len(runs[s])), np.uint64)
-        p[0], p[1] = counter[:, None], runs[s]
-        q = np.zeros_like(p)
-        hi, t, u, w = (np.empty_like(p) for _ in range(4))
-        for key in keys[:, :, None, None]:
-            # (v0, v1, v2, v3) <- (hi(m1 v2) ^ v1 ^ k0, lo(m1 v2), hi(m0 v0) ^ v3 ^ k1, lo(m0 v0))
-            _mulhi(p, _PHILOX_M, hi, t, u, w)
-            np.bitwise_xor(q, hi[::-1], out=q)
-            q ^= key
-            p *= _PHILOX_M
-            p, q = q, p[::-1]
-        for words, k in ((p, 0), (q, 1)):
-            words >>= 11
-            np.multiply(words.transpose(1, 0, 2), 2.0**-53, out=out[:, k::2, s])
-    return out.reshape(4 * blocks, len(runs))[:n]
 
 
 def _integer(value, name: str) -> int:
@@ -247,20 +158,16 @@ def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> Rollout
     state it never stops from, raises ``SimulationError``.  So does a run
     still going after ``STEP_BUDGET`` steps; no run is cut short.
 
-    Run ``i`` reads its own counter-based substream: the Philox stream of
-    ``seed`` jumped ``i`` times, ``np.random.Generator(Philox(key=seed)
-    .jumped(i)).random()``.  The runs' statistics depend only on the
-    product states they pass through, so a run steps the Markov chain the
-    policy induces on them (``_kernel``) and never draws an action: step
-    ``t`` reads the ``t``-th draw of the stream and moves to the first
-    successor whose cumulative probability is above it.  The runs are
-    stepped together.  When their draws run out, one ``_draws`` call
-    refills the live runs' next steps, as many as have passed but no more
-    than one pass of ``_PHILOX_CELLS`` (block, run) cells holds, and at
-    least four.  Each run reads only its own stream, so the statistics
-    depend on (seed, runs) alone and never on how the draws are batched.
-    At INFO, one log line gives the runs, loop steps, refills, and the
-    draws generated and used.
+    Every draw comes from one stream, ``np.random.Generator(np.random
+    .Philox(key=seed))``.  The runs' statistics depend only on the product
+    states they pass through, so a run steps the Markov chain the policy
+    induces on them (``_kernel``) and never draws an action.  The runs are
+    stepped together: at each step, the runs not yet absorbed draw one
+    double each, in increasing run id, and each moves to the first
+    successor whose cumulative probability is above its draw.  Which run
+    takes a draw is fixed by the draws before it, so the runs are
+    independent and the statistics depend on (seed, runs) alone.  At INFO,
+    one log line gives the runs, loop steps and draws.
     """
     runs, seed = _integer(runs, "runs"), _integer(seed, "seed")
     if runs < 1:
@@ -269,38 +176,27 @@ def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> Rollout
         raise SimulationError("seed must be in [0, 2**128)")
     cum, succ = _kernel(pm, policy)
     absorbing = pm.absorbing_mask
+    rng = np.random.Generator(np.random.Philox(key=seed))
     live = np.arange(runs)  # ids of the runs still going
-    slot = live  # their columns of the draw buffer
     x = np.full(runs, pm.initial)  # their product states
     final = np.empty(runs, dtype=np.intp)
-    steps = refills = generated = 0
-    refill = 0  # the step at which the buffer runs out
+    steps = 0
     for t in count():
         done = absorbing[x]
         if done.any():
             final[live[done]] = x[done]
             going = ~done
-            live, x, slot = live[going], x[going], slot[going]
+            live, x = live[going], x[going]
         if not live.size:
             break
         if t == STEP_BUDGET:
             raise SimulationError(
                 f"{live.size} of {runs} runs have not stopped after {STEP_BUDGET} steps"
             )
-        if t == refill:
-            n = max(4, min(t, 4 * _PHILOX_CELLS // live.size)) & ~3
-            buf = _draws(seed, live, t // 4, n)
-            slot = np.arange(live.size)
-            filled, refill = t, t + n
-            refills += 1
-            generated += buf.size
-        j = _index(cum.take(x, axis=1), buf[t - filled].take(slot))
+        j = _index(cum.take(x, axis=1), rng.random(live.size))
         x = succ.take(x * succ.shape[1] + j)
         steps += live.size
-    log.info(
-        "rollout: %d runs, %d loop steps, %d refills, %d draws generated, %d used",
-        runs, t, refills, generated, steps,
-    )
+    log.info("rollout: %d runs, %d loop steps, %d draws", runs, t, steps)
     counts = np.bincount(final, minlength=pm.n_states)
     opaque = int(counts[pm.opaque_accepts].sum())
     return RolloutStats(

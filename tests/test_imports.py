@@ -2,9 +2,9 @@
 every name a package module defines at its top level, and every method,
 property and dataclass field of its classes, is used somewhere, no
 package module imports ``scipy.sparse`` or ``scipy.optimize`` when it
-is loaded, none calls ``np.unique``, and no cached property of a package
-class returns an empty mutable container, a cache its callers would fill
-from outside.
+is loaded, none calls ``np.unique``, none reads global random state, and
+no cached property of a package class returns an empty mutable container,
+a cache its callers would fill from outside.
 
 No linter ships with the project, so this parses each module with ``ast``.
 The package's ``__init__.py`` is skipped by the unused-import check: its
@@ -13,7 +13,10 @@ SuperLU extensions directly (``planner._load_extension``); importing
 ``scipy.sparse`` or ``scipy.optimize`` would cost every process ~0.5 s.
 A plain ``np.unique`` imports ``numpy.ma`` (~18 ms) on its first call,
 and its indexed forms sort stably, several times slower than the one
-unstable sort of ``model._unique``.
+unstable sort of ``model._unique``.  A rollout's statistics are a
+function of (seed, runs) alone because every draw comes from the one
+seeded ``Generator(Philox(key=seed))``: the package may name only those
+two of ``numpy.random``, and may not import the stdlib ``random``.
 """
 
 import ast
@@ -228,6 +231,71 @@ def test_finds_an_np_unique_call():
         "w = set.unique\n"
     )
     assert unique_calls(source) == ["np.unique (line 4)", "numpy.unique (line 5)"]
+
+
+#: all that the package may use of ``numpy.random``: one seeded generator
+SEEDED = ("Generator", "Philox")
+
+
+def global_random_state(source: str) -> list[str]:
+    """The module's imports of the stdlib ``random``, and its imports and
+    uses of ``numpy.random`` other than ``Generator`` and ``Philox``."""
+
+    def unseeded(name):  # a dotted name
+        parts = name.split(".")
+        if parts[0] == "random":
+            return True
+        return parts[0] in ("np", "numpy") and parts[1:2] == ["random"] and (
+            ".".join(parts[2:3]) not in SEEDED
+        )
+
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.random", "numpy.random"):
+            up = parent.get(node)
+            names = [ast.unparse(up if isinstance(up, ast.Attribute) else node)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if unseeded(name)]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_global_random_state(path):
+    assert global_random_state(path.read_text()) == []
+
+
+def test_finds_a_global_random_state():
+    source = (
+        "import random\n"
+        "import numpy as np\n"
+        "from numpy.random import Generator, default_rng\n"
+        "from numpy import random as npr\n"
+        "from .random import shuffle\n"
+        "rng = np.random.Generator(np.random.Philox(key=1))\n"
+        "x = rng.random(3)\n"
+        "np.random.seed(0)\n"
+        "def f():\n"
+        "    from random import choice\n"
+        "    return numpy.random.rand(2), np.random\n"
+        "import numpy.random\n"
+    )
+    assert global_random_state(source) == [
+        "random (line 1)",
+        "numpy.random.default_rng (line 3)",
+        "numpy.random (line 4)",
+        "np.random.seed (line 8)",
+        "random.choice (line 10)",
+        "np.random (line 11)",
+        "numpy.random.rand (line 11)",
+        "numpy.random (line 12)",
+    ]
 
 
 def empty_caches(source: str) -> list[str]:

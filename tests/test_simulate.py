@@ -45,10 +45,11 @@ def induced_chain(pm, policy, v):
 
 
 def reference_rollout(pm, policy, runs, seed):
-    """The scalar sampler: one run at a time until it is absorbed, run i
-    drawing from ``Generator(Philox(seed).jumped(i))``, one draw per step,
-    which picks the successor by ``searchsorted`` on the cumulative
-    distribution of the induced chain at the run's state."""
+    """The scalar sampler in lockstep over one stream,
+    ``Generator(Philox(key=seed))``: at each step, every run not yet
+    absorbed, in increasing id, draws one double and moves to the
+    successor that ``searchsorted`` picks on the cumulative distribution
+    of the induced chain at its state."""
     chains = {}
 
     def step(v, u):
@@ -58,17 +59,14 @@ def reference_rollout(pm, policy, runs, seed):
         succ, cum = chains[v]
         return succ[int(np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1))]
 
-    base = np.random.Philox(key=seed)
-    stats = RolloutStats(0, 0, 0, 0, 0)
-    for i in range(runs):
-        rng = np.random.Generator(base.jumped(i))
-        v = pm.initial
-        steps = 0
-        while not pm.absorbing_mask[v]:
-            v = step(v, rng.random())
-            steps += 1
-        stats.runs += 1
-        stats.steps += steps
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    state = [pm.initial] * runs
+    stats = RolloutStats(runs, 0, 0, 0, 0)
+    while live := [i for i in range(runs) if not pm.absorbing_mask[state[i]]]:
+        for i in live:
+            state[i] = step(state[i], rng.random())
+        stats.steps += len(live)
+    for v in state:
         if pm.opaque_accepts[v]:
             stats.opaque += 1
         else:
@@ -224,44 +222,12 @@ class TestRollout:
             rollout(pm, policy, runs=True, seed=1)
 
     def test_draw_counts_logged(self, pm, lp_policies, caplog):
-        # the running example's six 10,000-run rollouts: the refill
-        # schedule keeps the draws generated near the draws used, in few
-        # refills; the counts repeat exactly from run to run
+        # each step of a live run takes one draw
         with caplog.at_level(logging.INFO, logger="opaque_planner.simulate"):
             for policy in lp_policies.values():
                 stats = rollout(pm, policy, runs=10_000, seed=2025)
-                runs, _, refills, generated, used = caplog.records[-1].args
-                assert (runs, used) == (10_000, stats.steps)
-                assert generated <= 1.45 * used
-                assert refills <= 12
-
-
-class TestDraws:
-    """``_draws`` computes every run's Philox blocks at once; each column
-    must be the run's own jumped stream, bit for bit."""
-
-    @staticmethod
-    def jumped_stream(seed, run, block, n):
-        bitgen = np.random.Philox(key=seed).jumped(run)
-        bitgen.random_raw(4 * block)  # skip to the start of block ``block``
-        return np.random.Generator(bitgen).random(n)
-
-    RUNS = [0, 1, 5, 2**32 - 1, 2**32 + 3, 2**40 + 17]
-
-    @pytest.mark.parametrize("seed", [0, 2025, 2**64 - 1, 2**64, 2**100 + 7, 2**128 - 1])
-    @pytest.mark.parametrize("block", [0, 1, 1000])
-    @pytest.mark.parametrize("n", [2, 6, 66])
-    def test_matches_jumped_streams(self, seed, block, n):
-        got = simulate._draws(seed, np.array(self.RUNS), block, n)
-        want = np.column_stack([self.jumped_stream(seed, i, block, n) for i in self.RUNS])
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    def test_passes_over_runs_do_not_change_draws(self, monkeypatch):
-        runs = np.arange(0, 3000, 3)
-        expected = simulate._draws(11, runs, 16, 40)
-        monkeypatch.setattr(simulate, "_PHILOX_CELLS", 7)
-        assert simulate._draws(11, runs, 16, 40).tobytes() == expected.tobytes()
+                runs, _, draws = caplog.records[-1].args
+                assert (runs, draws) == (10_000, stats.steps)
 
 
 class TestInvalidPolicy:
@@ -368,24 +334,15 @@ class TestAgainstReference:
         want = np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1)
         assert got.tolist() == want.tolist()
 
-    @pytest.mark.parametrize("cells", [1, 7, 2**20])
-    def test_batching_does_not_change_stats(self, pm, lp_policies, monkeypatch, cells):
-        # the transparency policy at 0.8 runs ~17 steps on average and its
-        # longest runs many times that; one cell per pass refills 4 steps
-        # at a time, 2**20 as many steps as have passed
-        policy = lp_policies["transparency", 0.8]
-        expected = rollout(pm, policy, runs=2000, seed=2025)
-        monkeypatch.setattr(simulate, "_PHILOX_CELLS", cells)
-        assert rollout(pm, policy, runs=2000, seed=2025) == expected
+    def test_largest_seed(self, pm):
+        policy = uniform_policy(pm)
+        seed = 2**128 - 1
+        assert rollout(pm, policy, 300, seed) == reference_rollout(pm, policy, 300, seed)
 
-    @pytest.mark.parametrize("cells", [1, 7, 2**20])
-    def test_gridworld_batching_does_not_change_stats(
-        self, grid_policy, grid_reference, monkeypatch, cells
-    ):
-        # runs of ~390 steps on average cross many refills of every size
+    def test_gridworld(self, grid_policy):
+        # runs of ~390 steps on average
         grid_pm, policy = grid_policy
-        monkeypatch.setattr(simulate, "_PHILOX_CELLS", cells)
-        assert rollout(grid_pm, policy, runs=200, seed=11) == grid_reference
+        assert rollout(grid_pm, policy, 200, 11) == reference_rollout(grid_pm, policy, 200, 11)
 
 
 @pytest.fixture(scope="module")
@@ -399,53 +356,6 @@ def grid_policy():
         opaque_obs_dfa(model, dfa_over_model_labels("F B & F A", model)),
     )
     return grid_pm, extract_policy(solve_lp(build_lp(grid_pm, 0.4, "opacity")), grid_pm)
-
-
-@pytest.fixture(scope="module")
-def grid_reference(grid_policy):
-    return reference_rollout(*grid_policy, runs=200, seed=11)
-
-
-class TestRefillSchedule:
-    """Each refill of the draw buffer continues where the last one ended,
-    on a block boundary, fetches no more steps than have passed (and at
-    least four), and fits one ``_draws`` pass unless the live runs alone
-    outnumber its cells."""
-
-    @staticmethod
-    def refills(monkeypatch, pm, policy, runs, seed):
-        """``(block, steps, live runs)`` of each ``_draws`` call."""
-        calls = []
-        draws = simulate._draws
-
-        def spy(seed, live, block, n):
-            calls.append((block, n, len(live)))
-            return draws(seed, live, block, n)
-
-        monkeypatch.setattr(simulate, "_draws", spy)
-        rollout(pm, policy, runs, seed)
-        return calls
-
-    def check(self, calls):
-        cells = simulate._PHILOX_CELLS
-        step = 0  # the step at which the buffer runs out
-        for block, n, live in calls:
-            assert n % 4 == 0 and 4 * block == step  # whole blocks, none skipped
-            assert 4 <= n <= max(4, step)
-            assert live * (n // 4) <= max(cells, live)
-            step += n
-
-    @pytest.mark.parametrize("cells, runs", [(7, 200), (16384, 10_000)])
-    def test_running_example(self, pm, lp_policies, monkeypatch, cells, runs):
-        # with 7 cells the live runs outnumber the cells until the last few
-        monkeypatch.setattr(simulate, "_PHILOX_CELLS", cells)
-        for policy in lp_policies.values():
-            self.check(self.refills(monkeypatch, pm, policy, runs, 2025))
-
-    def test_gridworld(self, grid_policy, monkeypatch):
-        calls = self.refills(monkeypatch, *grid_policy, 1000, 11)
-        self.check(calls)
-        assert len(calls) <= 20  # 13
 
 
 class TestKernel:
