@@ -4,12 +4,17 @@ and minimization.
 
 Letters are label sets (frozensets of proposition names), observation
 symbols, or plain strings in tests; all of them sort deterministically so
-state numbering is reproducible from run to run.
+state numbering is reproducible from run to run.  Observation symbols are
+hash-consed (``model.ObsSymbol``): one object per symbol, hashed and
+compared by identity in C, so a set of them iterates in an order that
+changes from process to process, and every alphabet is sorted by
+:func:`letter_key` before it is numbered.
 
 A DFA is its dense (state, letter id) move table, and an NFA its move
 arrays (source, letter id, target); the writers (``dot`` and
 :func:`dfa_to_dict`) read those too.  Only perfbench's word counts and the
-tests read ``Dfa.transitions``, a letter-keyed view of the table.
+tests read ``Dfa.transitions``, a letter-keyed view of the table built in
+one pass over its raveled entries.
 :func:`intersect` searches pairs of NFA states level by level, numbering
 them with the product searches' ``model._number_level`` through a
 direct-address id table.  :func:`subset_construction` is
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import product
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -92,7 +98,10 @@ class Dfa:
     words over unknown letters are simply rejected.  Use :func:`complete`
     to materialize the sink.  ``letter_id`` and ``transitions`` are
     read-only views, built on first access; only perfbench's word counts
-    and the tests read ``transitions``.
+    and the tests read ``transitions``.  It pairs the (state, letter) keys,
+    in row-major order, with the raveled table, and drops the -1 entries
+    only when the table is partial.  Letter lookups hash observation
+    symbols by identity, in C.
     """
 
     alphabet: tuple[Letter, ...]
@@ -114,9 +123,10 @@ class Dfa:
 
     @cached_property
     def transitions(self) -> Mapping[tuple[int, Letter], int]:
-        q, i = np.nonzero(self.table >= 0)
-        moves = zip(q.tolist(), (self.alphabet[j] for j in i.tolist()))
-        return MappingProxyType(dict(zip(moves, self.table[q, i].tolist())))
+        moves = zip(product(range(len(self.table)), self.alphabet), self.table.ravel().tolist())
+        if (self.table < 0).any():
+            moves = ((move, t) for move, t in moves if t >= 0)
+        return MappingProxyType(dict(moves))
 
     def step(self, q: int, letter: Letter) -> int | None:
         i = self.letter_id.get(letter)

@@ -39,46 +39,64 @@ class InvalidPlayError(ModelError):
     """Raised when a play does not exist in the model."""
 
 
-@dataclass(frozen=True)
+#: the one ``ObsSymbol`` of each canonical ``(kind, members)`` key
+_SYMBOLS: dict[tuple[str, tuple[str, ...]], "ObsSymbol"] = {}
+_KIND_RANK = {"start": 0, "set": 1, "end": 2}
+
+
 class ObsSymbol:
     """One letter of the observation alphabet.
 
     Either a set of mutually indistinguishable states, the start-of-word
-    marker, or the end-of-word marker.  Two symbols are equal iff their
-    kinds and (sorted) member lists are equal.
+    marker, or the end-of-word marker.  Symbols are hash-consed: the
+    constructor canonicalizes its input to ``(kind, sorted members)`` and
+    returns the one object of that key, so two symbols are equal iff they
+    are the same object.  The class defines no ``__eq__`` or ``__hash__``
+    and inherits ``object``'s identity slots, so every dict keyed by
+    letters or words of letters hashes them in C.  A symbol is immutable,
+    and pickling or copying one returns the canonical object.  Identity
+    hashes follow memory addresses, so anything that iterates over a set
+    of symbols orders it by ``sort_key`` first.
     """
 
-    kind: str  # "set" | "start" | "end"
-    members: tuple[str, ...] = ()
+    __slots__ = ("kind", "members", "sort_key")
 
-    def __post_init__(self):
-        if self.kind not in ("set", "start", "end"):
-            raise ValueError(f"bad observation symbol kind: {self.kind!r}")
-        if self.kind == "set":
-            if not self.members:
-                raise ValueError("state-set observation symbol must be nonempty")
-            object.__setattr__(self, "members", tuple(sorted(set(self.members))))
-        elif self.members:
+    def __new__(cls, kind: str, members: Iterable[str] = ()) -> "ObsSymbol":
+        if not isinstance(kind, str) or kind not in _KIND_RANK:
+            raise ValueError(f"bad observation symbol kind: {kind!r}")
+        members = tuple(sorted(set(members)))
+        if kind == "set" and not members:
+            raise ValueError("state-set observation symbol must be nonempty")
+        if kind != "set" and members:
             raise ValueError("marker symbols carry no members")
-        # every automaton dict is keyed by these letters: hash them once
-        object.__setattr__(self, "_hash", hash((self.kind, self.members)))
+        key = (kind, members)
+        symbol = _SYMBOLS.get(key)
+        if symbol is None:
+            symbol = object.__new__(cls)
+            object.__setattr__(symbol, "kind", kind)
+            object.__setattr__(symbol, "members", members)
+            object.__setattr__(symbol, "sort_key", (_KIND_RANK[kind], members))
+            # concurrent constructors of one key agree on the first stored
+            symbol = _SYMBOLS.setdefault(key, symbol)
+        return symbol
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ObsSymbol is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ObsSymbol is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        # rebuild through the constructor, so that an unpickled symbol
-        # rehashes under its new process's string hash seed
+        # rebuild through the constructor, so that pickle and deepcopy
+        # return the canonical object of the receiving process
         return (ObsSymbol, (self.kind, self.members))
 
     @classmethod
     def state_set(cls, members: Iterable[str]) -> "ObsSymbol":
-        return cls("set", tuple(members))
+        return cls("set", members)
 
-    @property
-    def sort_key(self):
-        rank = {"start": 0, "set": 1, "end": 2}[self.kind]
-        return (rank, self.members)
+    def __repr__(self) -> str:
+        return f"ObsSymbol(kind={self.kind!r}, members={self.members!r})"
 
     def __str__(self) -> str:
         if self.kind == "start":
@@ -536,7 +554,6 @@ def assemble(
         ap = frozenset(atomic_props)
 
     given: dict[tuple[int, int, int], ObsSymbol] = {}
-    interned: dict[tuple[str, ...], ObsSymbol] = {}  # one symbol per member list
     for (s, a, t), members in observations.items():
         if s not in sidx or a not in aidx or t not in sidx:
             raise ModelError(f"observation given for unknown transition ({s}, {a}, {t})")
@@ -544,9 +561,7 @@ def assemble(
             members = tuple(members)
             if not members:
                 raise ModelError(f"observation of ({s}, {a}, {t}) names no state")
-            if members not in interned:
-                interned[members] = ObsSymbol.state_set(members)
-            members = interned[members]
+            members = ObsSymbol.state_set(members)
         given[(sidx[s], aidx[a], sidx[t])] = members
 
     # the frame's moves emit the markers, and every other entry takes its

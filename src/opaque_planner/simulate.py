@@ -177,27 +177,25 @@ def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> Rollout
     cum, succ = _kernel(pm, policy)
     absorbing = pm.absorbing_mask
     rng = np.random.Generator(np.random.Philox(key=seed))
-    live = np.arange(runs)  # ids of the runs still going
-    x = np.full(runs, pm.initial)  # their product states
-    final = np.empty(runs, dtype=np.intp)
+    x = np.full(runs, pm.initial)  # the product states of the runs still going, by run id
+    ended = []  # the states the runs were absorbed in
     steps = 0
     for t in count():
         done = absorbing[x]
         if done.any():
-            final[live[done]] = x[done]
-            going = ~done
-            live, x = live[going], x[going]
-        if not live.size:
+            ended.append(x[done])
+            x = x[~done]
+        if not x.size:
             break
         if t == STEP_BUDGET:
             raise SimulationError(
-                f"{live.size} of {runs} runs have not stopped after {STEP_BUDGET} steps"
+                f"{x.size} of {runs} runs have not stopped after {STEP_BUDGET} steps"
             )
-        j = _index(cum.take(x, axis=1), rng.random(live.size))
+        j = _index(cum.take(x, axis=1), rng.random(x.size))
         x = succ.take(x * succ.shape[1] + j)
-        steps += live.size
+        steps += x.size
     log.info("rollout: %d runs, %d loop steps, %d draws", runs, t, steps)
-    counts = np.bincount(final, minlength=pm.n_states)
+    counts = np.bincount(np.concatenate(ended), minlength=pm.n_states)
     opaque = int(counts[pm.opaque_accepts].sum())
     return RolloutStats(
         runs=runs,

@@ -765,3 +765,56 @@ class TestPinnedRenderings:
         else:
             doc = dfa_to_dict(opaque_obs_dfa(model, secret), "observations")
         assert self.digest(json.dumps(doc)) == digest
+
+
+#: the CLI commands of one run on the running example, each writing its
+#: artifact into the working directory
+ARTIFACT_COMMANDS = [
+    ["scenario", "running-example", "--out", "model.json"],
+    ["build", "--model", "model.json", "--secret", "F s6", "--out", "opaque.json"],
+    ["plan", "--model", "model.json", "--task", "F s4", "--secret", "F s6",
+     "--epsilon", "0.4", "--out", "policy.json"],
+    ["plan", "--model", "model.json", "--task", "F s4", "--opaque", "opaque.json",
+     "--epsilon", "0.4", "--out", "policy-of-opaque.json"],
+    ["export-dot", "--dfa", "opaque.json", "--out", "opaque-file.dot"],
+] + [
+    ["export-dot", "--model", "model.json", "--secret", "F s6", "--what", what,
+     "--out", f"{what}.dot"]
+    for what in ("fst", "product-fst", "nfa-satisfying", "nfa-violating", "opaque-dfa")
+]
+
+
+class TestArtifactsIndependentOfHashing:
+    """Symbols hash by identity, so sets of them iterate in an order that
+    changes from process to process; every artifact must be ordered by the
+    symbols' sort keys instead, and so be the same under any hash seed."""
+
+    @staticmethod
+    def artifacts(workdir: Path, hash_seed: str) -> dict[str, bytes]:
+        workdir.mkdir()
+        script = (
+            "import json, sys\n"
+            "from opaque_planner.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script, json.dumps(ARTIFACT_COMMANDS)],
+                       cwd=workdir, env=env, check=True, timeout=120)
+        found = {path.name: path.read_bytes() for path in workdir.iterdir()}
+        # the build records its own wall time
+        doc = json.loads(found["opaque.json"])
+        del doc["stats"]["seconds"]
+        found["opaque.json"] = json.dumps(doc, indent=2, sort_keys=True).encode()
+        return found
+
+    def test_same_bytes_under_two_hash_seeds(self, tmp_path):
+        first = self.artifacts(tmp_path / "first", "1")
+        second = self.artifacts(tmp_path / "second", "2")
+        assert sorted(first) == sorted(
+            ["model.json", "opaque.json", "policy.json", "policy-of-opaque.json",
+             "opaque-file.dot", "fst.dot", "product-fst.dot", "nfa-satisfying.dot",
+             "nfa-violating.dot", "opaque-dfa.dot"]
+        )
+        assert first == second

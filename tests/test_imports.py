@@ -4,7 +4,8 @@ property and dataclass field of its classes, is used somewhere, no
 package module imports ``scipy.sparse`` or ``scipy.optimize`` when it
 is loaded, none calls ``np.unique``, none reads global random state, and
 no cached property of a package class returns an empty mutable container,
-a cache its callers would fill from outside.
+a cache its callers would fill from outside, and observation symbols hash
+and compare by identity.
 
 No linter ships with the project, so this parses each module with ``ast``.
 The package's ``__init__.py`` is skipped by the unused-import check: its
@@ -17,6 +18,9 @@ unstable sort of ``model._unique``.  A rollout's statistics are a
 function of (seed, runs) alone because every draw comes from the one
 seeded ``Generator(Philox(key=seed))``: the package may name only those
 two of ``numpy.random``, and may not import the stdlib ``random``.
+Observation symbols are hash-consed, so ``ObsSymbol`` keeps ``object``'s
+``__hash__`` and ``__eq__``: every dict keyed by letters or words of
+letters then looks them up in C, never calling back into Python.
 """
 
 import ast
@@ -25,6 +29,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from opaque_planner.model import ObsSymbol
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "opaque_planner").glob("*.py"))
@@ -379,3 +385,8 @@ def test_finds_a_cache_filled_from_outside():
 
 def test_finds_an_unused_import():
     assert unused_imports("import os\nfrom typing import Mapping\nos.sep\n") == ["Mapping (line 2)"]
+
+
+def test_symbols_keep_the_identity_slots():
+    assert ObsSymbol.__hash__ is object.__hash__
+    assert ObsSymbol.__eq__ is object.__eq__

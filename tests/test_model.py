@@ -1,3 +1,4 @@
+import copy
 import inspect
 import json
 import os
@@ -5,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opaque_planner import model as model_module
+from opaque_planner.automata import dfa_from_dict, dfa_to_dict
+from opaque_planner.ltlf import dfa_over_model_labels
 from opaque_planner.model import (
     END,
     InvalidPlayError,
@@ -35,6 +39,7 @@ from opaque_planner.model import (
     validate,
 )
 from opaque_planner.scenarios import gridworld, running_example
+from opaque_planner.transducer import opaque_obs_dfa
 
 from helpers import random_model, random_walk, reference_number_level
 
@@ -63,8 +68,8 @@ class TestObsSymbol:
         assert str(ObsSymbol.state_set(["s5", "s6"])) == "[s5,s6]"
 
     def test_pickle_rehashes_under_another_hash_seed(self, tmp_path):
-        # the hash is computed once, so a pickled symbol must not carry it
-        # into a process whose string hashes differ
+        # a symbol pickled in one process unpickles, in a process whose
+        # string hashes differ, as that process's own canonical object
         blob = tmp_path / "symbols.pickle"
         symbols = "[ObsSymbol.state_set(['s2', 's3']), START, END]"
         head = "import pickle, sys\nfrom opaque_planner.model import ObsSymbol, START, END\n"
@@ -72,8 +77,7 @@ class TestObsSymbol:
         load = head + (
             "got = pickle.loads(open(sys.argv[1], 'rb').read())\n"
             f"fresh = {symbols}\n"
-            "assert got == fresh\n"
-            "assert [hash(g) for g in got] == [hash(f) for f in fresh]\n"
+            "assert all(g is f for g, f in zip(got, fresh, strict=True))\n"
             "assert {g: i for i, g in enumerate(got)}[fresh[0]] == 0\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -82,6 +86,65 @@ class TestObsSymbol:
             subprocess.run(
                 [sys.executable, "-c", script, str(blob)], env=env, check=True, timeout=60
             )
+
+
+class TestInterning:
+    """One object per distinct symbol: equal means identical."""
+
+    def test_one_object_per_symbol(self):
+        assert ObsSymbol.state_set(["b", "a"]) is ObsSymbol("set", ("a", "b"))
+        assert ObsSymbol(kind="end") is END
+
+    def test_deepcopy_returns_the_symbol(self):
+        sym = ObsSymbol.state_set(["s5", "s6"])
+        assert copy.deepcopy(sym) is sym
+        assert copy.deepcopy([sym, START])[1] is START
+
+    def test_reloads_are_canonical(self):
+        model = running_example()
+        back = model_from_dict(json.loads(dumps_model(model)))
+        assert all(a is b for a, b in zip(back.symbols, model.symbols, strict=True))
+        opaque = opaque_obs_dfa(model, dfa_over_model_labels("F s6", model))
+        reloaded = dfa_from_dict(dfa_to_dict(opaque, "observations"))
+        assert all(a is b for a, b in zip(reloaded.alphabet, opaque.alphabet, strict=True))
+
+    def test_concurrent_constructors_agree(self):
+        names = [f"race{i}" for i in range(3000)]
+        got = [[] for _ in range(8)]
+
+        def build(out):
+            out.extend(ObsSymbol.state_set([name, "shared"]) for name in names)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(out,)) for out in got]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(all(a is b for a, b in zip(out, got[0], strict=True)) for out in got[1:])
+
+    @pytest.mark.parametrize(
+        "args", [("set", ()), ("bogus",), ("start", ("s1",)), (["set"], ("s1",))]
+    )
+    def test_rejected_construction_leaves_no_entry(self, args):
+        before = dict(model_module._SYMBOLS)
+        with pytest.raises(ValueError):
+            ObsSymbol(*args)
+        assert model_module._SYMBOLS == before
+
+    @pytest.mark.parametrize("name", ["kind", "members", "sort_key", "extra"])
+    def test_immutable(self, name):
+        sym = ObsSymbol.state_set(["s1"])
+        with pytest.raises(AttributeError):
+            setattr(sym, name, ("s2",))
+        with pytest.raises(AttributeError):
+            delattr(sym, name)
+        assert sym.members == ("s1",) and sym.sort_key == (1, ("s1",))
 
 
 def handed_to_assemble(build, monkeypatch) -> dict:
