@@ -417,9 +417,9 @@ def minimize_table(
     takes about 0.3 s on a 2-core Xeon, ten times Hopcroft's algorithm,
     while the observers of the gridworld secrets take 15 to 25 rounds.
     The classes are numbered ``q0, q1, ...`` breadth-first from the
-    initial state's, over the alphabet in order; unreachable states never
-    enter that search, so they are dropped, and equal languages yield
-    equal automata.
+    initial state's, over the alphabet in order, by the FIFO numbering of
+    ``model._number_level``; unreachable states never enter that search,
+    so they are dropped, and equal languages yield equal automata.
     """
     block = row_classes(accepts.astype(np.int64)[:, None])
     while True:
@@ -430,21 +430,19 @@ def minimize_table(
 
     member = _unique(block)[1]  # one state per class
     succ = block[table[member]]
-    rows = succ.tolist()
-    queue = [int(block[initial])]
-    rank = [-1] * len(rows)  # each class's number, -1 until the search finds it
-    rank[queue[0]] = 0
-    for b in queue:
-        for t in rows[b]:
-            if rank[t] < 0:
-                rank[t] = len(queue)
-                queue.append(t)
+    ids = _id_table(len(member), AutomatonError)
+    _, level, n_ids = _number_level(block[[initial]], ids, 0)
+    levels = [level]
+    while level.size:
+        _, level, n_ids = _number_level(succ[level].ravel(), ids, n_ids)
+        levels.append(level)
+    order = np.concatenate(levels)  # the reachable classes by number
     return Dfa(
         alphabet=alphabet,
-        table=np.array(rank, dtype=np.int64)[succ[queue]],
+        table=(ids.astype(np.int64) - 1)[succ[order]],
         initial=0,
-        accepting=frozenset(np.flatnonzero(accepts[member[queue]]).tolist()),
-        state_names=tuple(f"q{i}" for i in range(len(queue))),
+        accepting=frozenset(np.flatnonzero(accepts[member[order]]).tolist()),
+        state_names=tuple(f"q{i}" for i in range(len(order))),
     )
 
 

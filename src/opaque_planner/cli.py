@@ -162,7 +162,6 @@ def cmd_build(args) -> int:
         "nfa_states": build.nfa_states,
         "dfa_states": build.dfa_states,
         "minimized_states": build.dfa.n_states,
-        "seconds": build.seconds,
     }
     doc["manifest"] = manifest.to_dict()
     _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")

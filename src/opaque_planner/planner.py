@@ -226,7 +226,7 @@ class ProductMdp(Product):
         it."""
         lp = self.lp_models["opacity"]  # any mode's: they share the rows
         cost = -lp.task_row
-        highs = _highs(cost, lp.flow, lp.b_eq, lp.b_eq)
+        highs = _highs(cost, lp.flow, lp.b_eq)
         _set_policy_basis(highs, _policy_iteration(lp, cost)[0], len(lp.b_eq))
         highs.run()
         if highs.getModelStatus() != highspy.HighsModelStatus.kOptimal:
@@ -578,25 +578,26 @@ class LpModel:
 
     @cached_property
     def highs(self):
-        """This LP in one HiGHS instance, passed on the first solve: the
-        task row first, as ``-task_row @ x <= -epsilon`` (the layout of
-        scipy's ``highs-ds`` method) with the bound each solve sets, then
-        the flow rows.  The first solve's dual simplex starts from the
-        basis of ``start_policy``: its columns and the task row are basic,
-        the other columns sit at zero and the flow rows are nonbasic.  That
-        basis is dual feasible, so a threshold the policy meets takes no
-        iteration.  A solve leaves its basis here, and the next threshold's
-        dual simplex starts from it."""
-        a = _on_top(-self.task_row, *self.flow)
-        highs = _highs(self.cost, a, np.append(-np.inf, self.b_eq), np.append(np.inf, self.b_eq))
+        """This LP in one HiGHS instance, passed on the first solve, row
+        for row as :func:`export_lp` writes it: the flow rows, then the
+        task row ``task_row @ x >= epsilon`` with the bound each solve
+        sets.  The first solve's dual simplex starts from the basis of
+        ``start_policy``: its columns and the task row are basic, the other
+        columns sit at zero and the flow rows are nonbasic.  That basis is
+        dual feasible, so a threshold the policy meets takes no iteration.
+        A solve leaves its basis here, and the next threshold's dual
+        simplex starts from it."""
+        highs = _highs(self.cost, self.flow, self.b_eq)
+        cols = np.flatnonzero(self.task_row)
+        highs.addRow(-np.inf, np.inf, len(cols), cols, self.task_row[cols])
         _set_policy_basis(highs, self.start_policy[0], len(self.b_eq))
         return highs
 
 
 def _set_policy_basis(highs, policy: np.ndarray | None, n_flow: int) -> None:
-    """Start the next solve of ``highs``, whose last ``n_flow`` rows are
+    """Start the next solve of ``highs``, whose first ``n_flow`` rows are
     flow rows, from the basis of ``policy``, one column per flow row: its
-    columns and the rows above the flow rows are basic, the other columns
+    columns and the rows after the flow rows are basic, the other columns
     sit at zero and the flow rows are nonbasic.  When the policy is
     optimal for the instance's cost that basis is optimal too, and HiGHS
     skips presolve ("useful basis").  Nothing when ``policy`` is None:
@@ -608,25 +609,9 @@ def _set_policy_basis(highs, policy: np.ndarray | None, n_flow: int) -> None:
     col_status[policy] = status.kBasic
     basis = highspy.HighsBasis()
     basis.col_status = col_status.tolist()
-    basis.row_status = [status.kBasic] * (highs.getNumRow() - n_flow) + [status.kLower] * n_flow
+    basis.row_status = [status.kLower] * n_flow + [status.kBasic] * (highs.getNumRow() - n_flow)
     basis.valid = True
     highs.setBasis(basis)
-
-
-def _on_top(top: np.ndarray, ptr: np.ndarray, row: np.ndarray, value: np.ndarray) -> tuple:
-    """The CSC arrays of the matrix with the dense row ``top`` stacked on
-    the CSC matrix (``ptr``, ``row``, ``value``): in each column the
-    non-zero of ``top`` first, in row 0, then the column one row down."""
-    has_top = top != 0.0
-    shift = np.cumsum(has_top)  # the entries of ``top`` up to each column
-    new_ptr = ptr + np.concatenate(([0], shift))
-    new_row = np.zeros(new_ptr[-1], dtype=row.dtype)
-    new_value = np.empty(new_ptr[-1])
-    at = np.arange(len(row)) + np.repeat(shift, np.diff(ptr))
-    new_row[at], new_value[at] = row + 1, value
-    first = new_ptr[:-1][has_top]
-    new_value[first] = top[has_top]
-    return new_ptr, new_row, new_value
 
 
 #: the options scipy's ``splu`` passes SuperLU's ``gstrf`` by default
@@ -823,20 +808,20 @@ _HIGHS_OPTIONS = {
 }
 
 
-def _highs(cost, a: tuple, row_lower, row_upper):
-    """A HiGHS instance holding ``min cost @ x`` subject to ``row_lower <=
-    a @ x <= row_upper`` and ``x >= 0``, with ``_HIGHS_OPTIONS``; ``a`` is
-    given by its CSC arrays (ptr, row, value)."""
+def _highs(cost, flow: tuple, b_eq):
+    """A HiGHS instance holding ``min cost @ x`` subject to the equality
+    rows ``flow @ x == b_eq`` and ``x >= 0``, with ``_HIGHS_OPTIONS``;
+    ``flow`` is given by its CSC arrays (ptr, row, value)."""
     if highspy is None:
         raise PlannerError("solving needs scipy's HiGHS binding, scipy.optimize._highspy")
-    n_rows, n_cols = len(row_lower), len(cost)
+    n_rows, n_cols = len(b_eq), len(cost)
     lp = highspy.HighsLp()
     lp.num_col_, lp.num_row_ = n_cols, n_rows
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(n_cols), np.full(n_cols, np.inf)
-    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    lp.row_lower_ = lp.row_upper_ = b_eq
     matrix = lp.a_matrix_
     matrix.format_, matrix.num_col_, matrix.num_row_ = highspy.MatrixFormat.kColwise, n_cols, n_rows
-    matrix.start_, matrix.index_, matrix.value_ = a
+    matrix.start_, matrix.index_, matrix.value_ = flow
     highs = highspy._Highs()
     for name, value in _HIGHS_OPTIONS.items():
         highs.setOptionValue(name, value)
@@ -846,10 +831,11 @@ def _highs(cost, a: tuple, row_lower, row_upper):
 
 def solve_lp(lp: LpProblem) -> PolicySolution:
     """Solve with the HiGHS dual simplex, so the occupancy is a vertex of
-    the feasible set.  Only the task row's bound changes between the
-    solves of one product and mode: the first starts from the basis of
-    ``lp.model.start_policy``, the task-free optimum, and needs no
-    iteration when that policy meets the threshold; each later one
+    the feasible set.  Only the bound of the task row, the last row of
+    ``lp.model.highs`` after the ``len(lp.b_eq)`` flow rows, changes
+    between the solves of one product and mode: the first starts from the
+    basis of ``lp.model.start_policy``, the task-free optimum, and needs
+    no iteration when that policy meets the threshold; each later one
     re-runs from the basis the last one left in ``lp.model.highs``.  Any
     solve may end on another vertex of the optimal face than a cold
     ``highs-ds`` solve.  On infeasibility, report the product's largest
@@ -861,7 +847,7 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
     probability 1, which ``exact_policy_values`` and ``rollout`` check.
     """
     highs = lp.model.highs
-    highs.changeRowBounds(0, -np.inf, -lp.epsilon)
+    highs.changeRowBounds(len(lp.b_eq), lp.epsilon, np.inf)
     highs.run()
     status = highs.getModelStatus()
     iterations = highs.getInfo().simplex_iteration_count
@@ -895,9 +881,9 @@ def solve_lp(lp: LpProblem) -> PolicySolution:
         iterations=iterations,
         message=message,
         flow_residual=residual,
-        # the row is -task_row @ x <= -epsilon in a minimization, so its
-        # dual is minus the price; 0.0 - d turns a zero dual into +0.0
-        task_dual=0.0 - solution.row_dual[0],
+        # the dual of task_row @ x >= epsilon, the last row; 0.0 + d turns
+        # a zero dual into +0.0
+        task_dual=0.0 + solution.row_dual[-1],
     )
 
 

@@ -310,12 +310,11 @@ def classify_play(model: Model, play: Play, opaque: Dfa) -> str:
     return "opaque" if opaque.accepts(word) else "transparent"
 
 
-def enumerate_plays(
-    model: Model, max_actions: int, budget: int = ENUMERATION_BUDGET
-) -> Iterator[Play]:
+def enumerate_plays(model: Model, max_actions: int) -> Iterator[Play]:
     """Yield every play with at most ``max_actions`` interior actions,
     depth first, each play before its extensions; a negative bound raises
-    :class:`SimulationError`."""
+    :class:`SimulationError`, and more than :data:`ENUMERATION_BUDGET`
+    plays, estimated or enumerated, :class:`EnumerationBudgetError`."""
     if max_actions < 0:
         raise SimulationError(f"max_actions must be nonnegative, got {max_actions}")
     branching = 1
@@ -326,6 +325,7 @@ def enumerate_plays(
             if a != model.a_bot
         )
         branching = max(branching, width)
+    budget = ENUMERATION_BUDGET
     if branching ** max_actions > budget:
         raise EnumerationBudgetError(
             f"estimated {branching}^{max_actions} interior paths exceeds the "
@@ -349,7 +349,7 @@ def enumerate_plays(
 
 
 def observation_buckets(
-    model: Model, secret: Dfa, max_actions: int, budget: int = ENUMERATION_BUDGET
+    model: Model, secret: Dfa, max_actions: int
 ) -> dict[tuple[ObsSymbol, ...], tuple[bool, bool]]:
     """Group every play (within the bound) by its observation word.
 
@@ -358,7 +358,7 @@ def observation_buckets(
     label word, exactly as the product construction feeds it.
     """
     buckets: dict[tuple[ObsSymbol, ...], list[bool]] = {}
-    for play in enumerate_plays(model, max_actions, budget):
+    for play in enumerate_plays(model, max_actions):
         word = obs_of_play(model, play)
         labels = [
             model.label_of(model.state_index[s]) for s in play.interior_states
@@ -371,9 +371,9 @@ def observation_buckets(
 
 
 def brute_force_opaque_obs(
-    model: Model, secret: Dfa, max_actions: int, budget: int = ENUMERATION_BUDGET
+    model: Model, secret: Dfa, max_actions: int
 ) -> frozenset[tuple[ObsSymbol, ...]]:
     """Observation words witnessed by both a satisfying and a violating
     play; the independent ground truth for the opaque-observations DFA."""
-    buckets = observation_buckets(model, secret, max_actions, budget)
+    buckets = observation_buckets(model, secret, max_actions)
     return frozenset(w for w, (sat, vio) in buckets.items() if sat and vio)

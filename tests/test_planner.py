@@ -1029,7 +1029,7 @@ def test_scipy_ships_the_highs_binding():
 
     assert _core.MatrixFormat.kColwise is not None
     assert {"kOptimal", "kInfeasible"} <= set(_core.HighsModelStatus.__members__)
-    for name in ("passModel", "setOptionValue", "changeRowBounds", "setBasis", "run",
+    for name in ("passModel", "addRow", "setOptionValue", "changeRowBounds", "setBasis", "run",
                  "getModelStatus", "modelStatusToString", "getInfo", "getSolution",
                  "getNumCol", "getNumRow"):
         assert callable(getattr(_core._Highs, name, None)), name

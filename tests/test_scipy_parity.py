@@ -1,13 +1,14 @@
 """The package's own CSR/CSC arrays against scipy.sparse, the oracle.
 
-The LP's flow rows, the matrix passed to HiGHS, policy iteration, exact
+The LP's flow rows, the matrix HiGHS holds, policy iteration, exact
 evaluation and the reachability searches run on numpy arrays and call
 SuperLU's ``gstrf`` directly.  Here each is compared with
 what the same inputs give through ``scipy.sparse``: the coo matrix of the
 flow columns converted with ``tocsr``/``tocsc``, ``sp.vstack``, ``splu``,
 ``spsolve`` and ``csgraph.breadth_first_order``.  The two modes'
 objectives are checked against the flow columns' sums: every run stops
-opaque or transparent.
+opaque or transparent.  Each planning model HiGHS holds is also read back
+and compared, row for row, with the CPLEX text ``export_lp`` writes.
 """
 
 import numpy as np
@@ -27,6 +28,7 @@ from opaque_planner.planner import (
     _flow_matrix,
     _reached,
     build_lp,
+    export_lp,
     extract_policy,
     product_mdp,
     solve_lp,
@@ -36,6 +38,7 @@ from opaque_planner.simulate import exact_policy_values, uniform_policy
 from opaque_planner.transducer import opaque_obs_dfa
 
 from helpers import random_model, random_secret_text
+from lp_text import parse_lp_text
 
 CASES = ["running-example", *range(40), "gridworld"]
 
@@ -78,6 +81,22 @@ def assert_same_compressed(arrays, matrix):
     assert np.array_equal(index, matrix.indices)
     assert value.dtype == matrix.data.dtype == np.float64
     assert value.tobytes() == matrix.data.tobytes()
+
+
+def highs_rows(highs, n_cols):
+    """The constraint matrix ``highs`` holds, as a CSR matrix, and its row
+    bounds."""
+    lp = highs.getLp()
+    a = lp.a_matrix_
+    assert a.format_ == planner.highspy.MatrixFormat.kColwise
+    matrix = sp.csc_matrix((a.value_, a.index_, a.start_), shape=(lp.num_row_, n_cols))
+    return matrix.tocsr(), np.array(lp.row_lower_), np.array(lp.row_upper_)
+
+
+def small_matrix_value(highs) -> float:
+    """The magnitude at or below which HiGHS drops a coefficient of a model
+    passed to it."""
+    return highs.getOptionValue("small_matrix_value")[1]
 
 
 def scipy_reaching(src, dst, targets, n):
@@ -159,13 +178,13 @@ def flow_calls(monkeypatch):
 
 @pytest.fixture
 def highs_matrices(monkeypatch):
-    """The constraint matrix of every HiGHS instance made, in order."""
+    """The equality rows of every HiGHS instance made, in order."""
     matrices = []
     make = planner._highs
 
-    def spy(cost, a, row_lower, row_upper):
+    def spy(cost, a, b_eq):
         matrices.append(a)
-        return make(cost, a, row_lower, row_upper)
+        return make(cost, a, b_eq)
 
     monkeypatch.setattr(planner, "_highs", spy)
     return matrices
@@ -183,10 +202,18 @@ def test_lp_arrays_and_start_policy(case, flow_calls, highs_matrices):
         assert_same_compressed((view.indptr, view.indices, view.data), a_eq)
         assert not view.data.flags.writeable
 
-        lp.highs
+        highs = lp.highs
         [a] = highs_matrices
         highs_matrices.clear()
-        assert_same_compressed(a, sp.vstack((sp.csr_matrix(-lp.task_row.reshape(1, -1)), a_eq)).tocsc())
+        assert_same_compressed(a, a_eq.tocsc())
+        # the flow rows as built, then the task row; passing the model
+        # drops HiGHS's small coefficients, here the flow rows' zeros and
+        # round-off
+        held = highs_rows(highs, len(lp.variables))[0]
+        expected = sp.vstack((a_eq, sp.csr_matrix(lp.task_row.reshape(1, -1)))).tocsr()
+        expected.data[np.abs(expected.data) <= small_matrix_value(highs)] = 0.0
+        expected.eliminate_zeros()
+        assert_same_compressed((held.indptr, held.indices, held.data), expected)
 
         policy, rounds = lp.start_policy
         ref_policy, ref_rounds = scipy_policy_iteration(lp, a_eq)
@@ -199,6 +226,29 @@ def test_lp_arrays_and_start_policy(case, flow_calls, highs_matrices):
     assert len(flow_calls) == 1
     [a] = highs_matrices
     assert_same_compressed(a, pm.lp_models["opacity"].a_eq.tocsc())
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", ["running-example", "gridworld", *range(10)])
+def test_highs_model_is_the_exported_text(case, mode):
+    # HiGHS holds the constraints row for row as export_lp writes them: the
+    # flow rows in order, then the task row at the last solve's threshold;
+    # passing the model drops the coefficients at or below small_matrix_value
+    lp = build_lp(fresh_product(case), 0.5, mode)
+    solve_lp(lp)
+    highs = lp.model.highs
+    held, lower, upper = highs_rows(highs, len(lp.variables))
+    small = small_matrix_value(highs)
+    _, _, constraints, _ = parse_lp_text(export_lp(lp))
+    assert constraints[-1][0] == "task"
+    assert len(constraints) == held.shape[0]
+    for i, (name, terms, op, rhs) in enumerate(constraints):
+        row = slice(held.indptr[i], held.indptr[i + 1])
+        assert [(lp.variable_name(j), v) for j, v in zip(held.indices[row], held.data[row])] == [
+            (var, coef) for var, coef in terms if abs(coef) > small
+        ], name
+        bounds = {"=": (rhs, rhs), ">=": (rhs, np.inf), "<=": (-np.inf, rhs)}[op]
+        assert (lower[i], upper[i]) == bounds, name
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -523,9 +523,10 @@ class TestBruteForce:
         secret = dfa_over_model_labels("F only", m)
         assert brute_force_opaque_obs(m, secret, max_actions=4) == frozenset()
 
-    def test_budget_guard(self, model, secret_dfa):
+    def test_budget_guard(self, model, secret_dfa, monkeypatch):
+        monkeypatch.setattr(simulate, "ENUMERATION_BUDGET", 10_000)
         with pytest.raises(EnumerationBudgetError):
-            brute_force_opaque_obs(model, secret_dfa, max_actions=12, budget=10_000)
+            brute_force_opaque_obs(model, secret_dfa, max_actions=12)
 
 
 class TestRandomModels:
