@@ -24,7 +24,6 @@ from .ltlf import (
     LtlfError,
     LtlfSyntaxError,
     dfa_over_model_labels,
-    evaluate,
     ltlf_to_dfa,
     parse_ltlf,
 )
@@ -37,7 +36,6 @@ from .model import (
     Play,
     START,
     build_model,
-    label_of_play,
     load_model,
     obs_of_play,
     validate,
@@ -55,14 +53,7 @@ from .planner import (
     solve_lp,
 )
 from .scenarios import DroneConfig, GridworldConfig, Sensor, gridworld, running_example
-from .simulate import (
-    RolloutStats,
-    brute_force_opaque_obs,
-    classify_play,
-    exact_policy_values,
-    rollout,
-    uniform_policy,
-)
+from .simulate import RolloutStats, exact_policy_values, rollout
 from .transducer import (
     OpaqueBuild,
     ProductFst,
@@ -73,4 +64,16 @@ from .transducer import (
     product_fst,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AlphabetMismatchError", "Dfa", "IncompleteDfaError", "Nfa", "complete", "determinize",
+    "intersect", "minimize",
+    "LtlfError", "LtlfSyntaxError", "dfa_over_model_labels", "ltlf_to_dfa", "parse_ltlf",
+    "END", "InvalidPlayError", "Model", "ModelError", "ObsSymbol", "Play", "START",
+    "build_model", "load_model", "obs_of_play", "validate",
+    "LpModel", "LpProblem", "PlannerError", "PolicySolution", "ProductMdp", "build_lp",
+    "export_lp", "extract_policy", "product_mdp", "solve_lp",
+    "DroneConfig", "GridworldConfig", "Sensor", "gridworld", "running_example",
+    "RolloutStats", "exact_policy_values", "rollout",
+    "OpaqueBuild", "ProductFst", "build_obs_fst", "opaque_obs_dfa", "opaque_pipeline",
+    "output_nfa", "product_fst",
+]

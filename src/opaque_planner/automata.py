@@ -167,14 +167,6 @@ class Nfa:
     def n_states(self) -> int:
         return len(self.state_names)
 
-    def accepts(self, word: Sequence[Letter]) -> bool:
-        current = np.isin(np.arange(self.n_states), list(self.initials))
-        for letter in word:
-            i = self.alphabet.index(letter) if letter in self.alphabet else -1
-            moved = current[self.src] & (self.letter == i)
-            current = np.isin(np.arange(self.n_states), self.dst[moved])
-        return bool(current[list(self.accepting)].any())
-
 
 def step_table(dfa: Dfa, letters: Sequence[Letter], what: str) -> np.ndarray:
     """The columns of ``dfa.table`` for ``letters``: a dense (state,

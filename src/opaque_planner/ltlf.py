@@ -1,5 +1,5 @@
-"""Linear temporal logic over finite words: parsing, direct semantic
-evaluation, and translation to complete DFAs by formula progression.
+"""Linear temporal logic over finite words: parsing and translation to
+complete DFAs by formula progression.
 
 The DFA states are Boolean functions of the input's temporal atoms, kept
 as reduced ordered BDDs, and an atom is keyed by its operator and the BDDs
@@ -16,7 +16,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import wraps
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -298,87 +298,6 @@ class _Parser:
 def parse_ltlf(text: str) -> Formula:
     """Parse a formula; ``X U F G true false`` are reserved words."""
     return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# direct finite-word semantics (kept independent of the progression path)
-
-
-def eval_empty(f: Formula) -> bool:
-    """Truth on the empty word."""
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, (FalseF, Prop, Next, Until, Eventually)):
-        return False
-    if isinstance(f, Not):
-        return not eval_empty(f.arg)
-    if isinstance(f, And):
-        return all(eval_empty(g) for g in f.args)
-    if isinstance(f, Or):
-        return any(eval_empty(g) for g in f.args)
-    if isinstance(f, Always):
-        return True
-    raise TypeError(f"not a formula: {f!r}")
-
-
-@_nesting_checked
-def evaluate(f: Formula, word: Sequence) -> bool:
-    """Evaluate a formula on a finite word of letters (sets of names).
-
-    Computed bottom-up over subformulas and positions, straight from the
-    satisfaction relation.
-    """
-    letters = [frozenset(x) for x in word]
-    n = len(letters)
-    if n == 0:
-        return eval_empty(f)
-    memo: dict[Formula, list[bool]] = {}
-
-    def table(g: Formula) -> list[bool]:
-        got = memo.get(g)
-        if got is not None:
-            return got
-        if isinstance(g, TrueF):
-            t = [True] * n
-        elif isinstance(g, FalseF):
-            t = [False] * n
-        elif isinstance(g, Prop):
-            t = [g.name in letters[i] for i in range(n)]
-        elif isinstance(g, Not):
-            t = [not v for v in table(g.arg)]
-        elif isinstance(g, And):
-            sub = [table(x) for x in g.args]
-            t = [all(col[i] for col in sub) for i in range(n)]
-        elif isinstance(g, Or):
-            sub = [table(x) for x in g.args]
-            t = [any(col[i] for col in sub) for i in range(n)]
-        elif isinstance(g, Next):
-            sub = table(g.arg)
-            t = [sub[i + 1] if i + 1 < n else False for i in range(n)]
-        elif isinstance(g, Until):
-            lt, rt = table(g.left), table(g.right)
-            t = [False] * n
-            t[n - 1] = rt[n - 1]
-            for i in range(n - 2, -1, -1):
-                t[i] = rt[i] or (lt[i] and t[i + 1])
-        elif isinstance(g, Eventually):
-            sub = table(g.arg)
-            t = [False] * n
-            t[n - 1] = sub[n - 1]
-            for i in range(n - 2, -1, -1):
-                t[i] = sub[i] or t[i + 1]
-        elif isinstance(g, Always):
-            sub = table(g.arg)
-            t = [False] * n
-            t[n - 1] = sub[n - 1]
-            for i in range(n - 2, -1, -1):
-                t[i] = sub[i] and t[i + 1]
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        memo[g] = t
-        return t
-
-    return table(f)[0]
 
 
 # ---------------------------------------------------------------------------

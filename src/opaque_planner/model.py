@@ -456,13 +456,6 @@ class Model(RowGroups):
                 )
 
 
-def label_of_play(model: Model, play: Play) -> tuple:
-    """The framed label word: start marker, interior labels, end marker."""
-    model.check_play(play)
-    mids = tuple(model.label_of(model.state_index[s]) for s in play.interior_states)
-    return (START,) + mids + (END,)
-
-
 def obs_of_play(model: Model, play: Play) -> tuple[ObsSymbol, ...]:
     """The framed observation word of a play.
 

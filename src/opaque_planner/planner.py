@@ -933,35 +933,38 @@ def export_lp(lp: LpProblem) -> str:
     lines.append("\\ occupancy-measure planning problem")
     lines.append(f"\\ mode={lp.mode} epsilon={_num(lp.epsilon)}")
     lines.append("Maximize")
-    terms = [
-        ("+ " if c >= 0 else "- ") + f"{_num(abs(c))} {lp.variable_name(j)}"
-        for j, c in enumerate(lp.objective)
-        if c != 0.0
-    ]
-    if not terms:
-        terms = [f"+ 0 {lp.variable_name(0)}"] if len(lp.variables) else ["+ 0 m_zero"]
-    lines.extend(_wrap_terms("obj:", terms))
+    lines.extend(_wrap_terms("obj:", _nonzero_terms(lp, lp.objective)))
     lines.append("Subject To")
     _, row, value = lp.flow
     by_row = np.argsort(row, kind="stable")  # the entries by row, each row's by column
     ptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(lp.rows))))).tolist()
     cols, values = lp.flow_col[by_row].tolist(), value[by_row].tolist()
     for i, v_state in enumerate(lp.rows.tolist()):
-        terms = [
-            ("+ " if v >= 0 else "- ") + f"{_num(abs(v))} {lp.variable_name(c)}"
-            for c, v in zip(cols[ptr[i] : ptr[i + 1]], values[ptr[i] : ptr[i + 1]])
-        ]
+        terms = _terms(lp, cols[ptr[i] : ptr[i + 1]], values[ptr[i] : ptr[i + 1]])
         rhs = _num(lp.b_eq[i])
         lines.extend(_wrap_terms(f"flow_v{v_state}:", terms, f"= {rhs}"))
-    task_terms = [
-        f"+ {_num(c)} {lp.variable_name(j)}"
-        for j, c in enumerate(lp.task_row)
-        if c != 0.0
-    ]
-    if task_terms:
-        lines.extend(_wrap_terms("task:", task_terms, f">= {_num(lp.epsilon)}"))
+    lines.extend(_wrap_terms("task:", _nonzero_terms(lp, lp.task_row), f">= {_num(lp.epsilon)}"))
     lines.append("End")
     return "\n".join(lines) + "\n"
+
+
+def _terms(lp: LpProblem, cols: list[int], values: list[float]) -> list[str]:
+    """The terms ``+ c name`` or ``- |c| name`` of a row's coefficients.
+    The text form has no empty row, so a row without coefficients reads
+    ``+ 0`` times the first variable."""
+    terms = [
+        ("+ " if v >= 0 else "- ") + f"{_num(abs(v))} {lp.variable_name(c)}"
+        for c, v in zip(cols, values)
+    ]
+    if not terms:
+        terms = [f"+ 0 {lp.variable_name(0)}"] if len(lp.variables) else ["+ 0 m_zero"]
+    return terms
+
+
+def _nonzero_terms(lp: LpProblem, row: np.ndarray) -> list[str]:
+    """The terms of a dense row's nonzero coefficients, by column."""
+    cols = np.flatnonzero(row)
+    return _terms(lp, cols.tolist(), row[cols].tolist())
 
 
 def _wrap_terms(head: str, terms: list[str], tail: str | None = None, width: int = 200):

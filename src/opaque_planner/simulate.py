@@ -1,5 +1,5 @@
-"""Monte-Carlo rollouts, play classification, exact policy evaluation and
-the exhaustive opacity oracle used to cross-check the automaton pipeline.
+"""Monte-Carlo rollouts, exact policy evaluation and the exhaustive
+opacity oracle used to cross-check the automaton pipeline.
 """
 
 from __future__ import annotations
@@ -206,12 +206,6 @@ def rollout(pm: ProductMdp, policy: np.ndarray, runs: int, seed: int) -> Rollout
     )
 
 
-def uniform_policy(pm: ProductMdp) -> np.ndarray:
-    """Uniform over the enabled actions at every non-absorbing state: each
-    row has probability one over its state's number of rows."""
-    return 1.0 / np.diff(pm.row_ptr)[pm.row_state]
-
-
 def _reachable_transient(pm: ProductMdp, policy) -> tuple[np.ndarray, ...]:
     """Check a policy; return the non-absorbing product states it reaches
     from the initial one, in increasing order, and the edges of the chain
@@ -301,13 +295,7 @@ def exact_policy_values(pm: ProductMdp, policy: np.ndarray) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# classification and the exhaustive oracle
-
-
-def classify_play(model: Model, play: Play, opaque: Dfa) -> str:
-    """Return "opaque" or "transparent" for a terminated play."""
-    word = obs_of_play(model, play)
-    return "opaque" if opaque.accepts(word) else "transparent"
+# the exhaustive oracle
 
 
 def enumerate_plays(model: Model, max_actions: int) -> Iterator[Play]:
@@ -368,12 +356,3 @@ def observation_buckets(
         entry[0] = entry[0] or sat
         entry[1] = entry[1] or not sat
     return {w: (s, v) for w, (s, v) in buckets.items()}
-
-
-def brute_force_opaque_obs(
-    model: Model, secret: Dfa, max_actions: int
-) -> frozenset[tuple[ObsSymbol, ...]]:
-    """Observation words witnessed by both a satisfying and a violating
-    play; the independent ground truth for the opaque-observations DFA."""
-    buckets = observation_buckets(model, secret, max_actions)
-    return frozenset(w for w, (sat, vio) in buckets.items() if sat and vio)

@@ -1,12 +1,14 @@
-"""Batched direct evaluation of temporal formulas on every word of a given
-length, used as the translator oracle at acceptance scale.
+"""The direct evaluators of temporal formulas on finite words: one word at
+a time, and batched over every word of a given length, the translator
+oracle at acceptance scale.
 
-This walks the satisfaction relation column by column over a matrix of
-words, exactly like the per-word evaluator, and shares no code with the
-progression-based DFA construction it checks.
+Both walk the satisfaction relation bottom-up over subformulas and
+positions, the batched one column by column over a matrix of words, and
+share no code with the progression-based DFA construction they check.
 """
 
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +24,85 @@ from opaque_planner.ltlf import (
     Prop,
     TrueF,
     Until,
-    eval_empty,
+    _nesting_checked,
 )
+
+
+def eval_empty(f: Formula) -> bool:
+    """Truth on the empty word."""
+    if isinstance(f, TrueF):
+        return True
+    if isinstance(f, (FalseF, Prop, Next, Until, Eventually)):
+        return False
+    if isinstance(f, Not):
+        return not eval_empty(f.arg)
+    if isinstance(f, And):
+        return all(eval_empty(g) for g in f.args)
+    if isinstance(f, Or):
+        return any(eval_empty(g) for g in f.args)
+    if isinstance(f, Always):
+        return True
+    raise TypeError(f"not a formula: {f!r}")
+
+
+@_nesting_checked
+def evaluate(f: Formula, word: Sequence) -> bool:
+    """Evaluate a formula on a finite word of letters (sets of names).
+
+    Computed bottom-up over subformulas and positions, straight from the
+    satisfaction relation.
+    """
+    letters = [frozenset(x) for x in word]
+    n = len(letters)
+    if n == 0:
+        return eval_empty(f)
+    memo: dict[Formula, list[bool]] = {}
+
+    def table(g: Formula) -> list[bool]:
+        got = memo.get(g)
+        if got is not None:
+            return got
+        if isinstance(g, TrueF):
+            t = [True] * n
+        elif isinstance(g, FalseF):
+            t = [False] * n
+        elif isinstance(g, Prop):
+            t = [g.name in letters[i] for i in range(n)]
+        elif isinstance(g, Not):
+            t = [not v for v in table(g.arg)]
+        elif isinstance(g, And):
+            sub = [table(x) for x in g.args]
+            t = [all(col[i] for col in sub) for i in range(n)]
+        elif isinstance(g, Or):
+            sub = [table(x) for x in g.args]
+            t = [any(col[i] for col in sub) for i in range(n)]
+        elif isinstance(g, Next):
+            sub = table(g.arg)
+            t = [sub[i + 1] if i + 1 < n else False for i in range(n)]
+        elif isinstance(g, Until):
+            lt, rt = table(g.left), table(g.right)
+            t = [False] * n
+            t[n - 1] = rt[n - 1]
+            for i in range(n - 2, -1, -1):
+                t[i] = rt[i] or (lt[i] and t[i + 1])
+        elif isinstance(g, Eventually):
+            sub = table(g.arg)
+            t = [False] * n
+            t[n - 1] = sub[n - 1]
+            for i in range(n - 2, -1, -1):
+                t[i] = sub[i] or t[i + 1]
+        elif isinstance(g, Always):
+            sub = table(g.arg)
+            t = [False] * n
+            t[n - 1] = sub[n - 1]
+            for i in range(n - 2, -1, -1):
+                t[i] = sub[i] and t[i + 1]
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        memo[g] = t
+        return t
+
+    return table(f)[0]
 
 
 def all_letters(props: tuple[str, ...]) -> list[frozenset]:

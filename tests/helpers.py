@@ -1,13 +1,15 @@
 """Test helpers: seeded random models and secrets for property coverage,
 random walks over a model, running the observation transducer (the
 model) and its product with a secret on a play by stepping their entry
-arrays, an NFA's moves as a dict, the dict subset construction that the
-array one replaced, the dict intersection that the level search
-replaced, the ``np.unique`` numbering of a search level that one sort
-replaced, the occupancy of a product state's block, a product's states as
-component tuples, DFAs and NFAs built from move dicts and compared field
-by field, and the full-refinement bisimulation quotient that refinement
-by splitters replaced."""
+arrays, a play's label word and its classification by an opaque DFA, the
+brute-force opaque observation words, the uniform policy, NFA acceptance
+by stepping the move arrays, an NFA's moves as a dict, the dict subset
+construction that the array one replaced, the dict intersection that the
+level search replaced, the ``np.unique`` numbering of a search level
+that one sort replaced, the occupancy of a product state's block, a
+product's states as component tuples, DFAs and NFAs built from move
+dicts and compared field by field, and the full-refinement bisimulation
+quotient that refinement by splitters replaced."""
 
 from collections import deque
 from typing import Callable, Iterable, Mapping
@@ -15,8 +17,9 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from opaque_planner.automata import Dfa, Nfa, row_classes, sort_alphabet
-from opaque_planner.model import Model, ObsSymbol, Play, build_model
+from opaque_planner.model import END, START, Model, ObsSymbol, Play, build_model, obs_of_play
 from opaque_planner.planner import ZERO_OCCUPANCY_THRESHOLD, PolicySolution, ProductMdp, Quotient
+from opaque_planner.simulate import observation_buckets
 from opaque_planner.transducer import ProductFst
 
 
@@ -99,6 +102,16 @@ def same_nfa(a: Nfa, b: Nfa) -> bool:
         == (b.alphabet, b.initials, b.accepting, b.state_names)
         and np.array_equal(moves(a), moves(b))
     )
+
+
+def nfa_accepts(nfa: Nfa, word) -> bool:
+    """Whether some run of the NFA on ``word`` ends in an accepting state."""
+    current = np.isin(np.arange(nfa.n_states), list(nfa.initials))
+    for letter in word:
+        i = nfa.alphabet.index(letter) if letter in nfa.alphabet else -1
+        moved = current[nfa.src] & (nfa.letter == i)
+        current = np.isin(np.arange(nfa.n_states), nfa.dst[moved])
+    return bool(current[list(nfa.accepting)].any())
 
 
 def random_model(
@@ -259,6 +272,34 @@ def run_on_play(model: Model, play: Play) -> tuple[ObsSymbol, ...]:
     """The observation word the transducer emits along ``play``."""
     model.check_play(play)
     return run_fst(model, play_inputs(model, play))
+
+
+def label_of_play(model: Model, play: Play) -> tuple:
+    """The framed label word: start marker, interior labels, end marker."""
+    model.check_play(play)
+    mids = tuple(model.label_of(model.state_index[s]) for s in play.interior_states)
+    return (START,) + mids + (END,)
+
+
+def classify_play(model: Model, play: Play, opaque: Dfa) -> str:
+    """Return "opaque" or "transparent" for a terminated play."""
+    word = obs_of_play(model, play)
+    return "opaque" if opaque.accepts(word) else "transparent"
+
+
+def brute_force_opaque_obs(
+    model: Model, secret: Dfa, max_actions: int
+) -> frozenset[tuple[ObsSymbol, ...]]:
+    """Observation words witnessed by both a satisfying and a violating
+    play; the independent ground truth for the opaque-observations DFA."""
+    buckets = observation_buckets(model, secret, max_actions)
+    return frozenset(w for w, (sat, vio) in buckets.items() if sat and vio)
+
+
+def uniform_policy(pm: ProductMdp) -> np.ndarray:
+    """Uniform over the enabled actions at every non-absorbing state: each
+    row has probability one over its state's number of rows."""
+    return 1.0 / np.diff(pm.row_ptr)[pm.row_state]
 
 
 def nfa_moves(nfa: Nfa) -> dict[tuple[int, object], frozenset[int]]:

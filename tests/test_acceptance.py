@@ -27,12 +27,11 @@ from opaque_planner.simulate import (
     exact_policy_values,
     observation_buckets,
     rollout,
-    uniform_policy,
 )
 from opaque_planner.transducer import opaque_obs_dfa, opaque_pipeline
 
-from batch_semantics import all_letters, batch_dfa_accepts, batch_evaluate, words_matrix
-from helpers import block_occupancy, random_model, random_secret_text
+from batch_semantics import all_letters, batch_dfa_accepts, batch_evaluate, evaluate, words_matrix
+from helpers import block_occupancy, random_model, random_secret_text, uniform_policy
 from lp_text import solve_lp_text
 
 SEED = 2025
@@ -181,7 +180,7 @@ TRANSLATOR_FORMULAS = [
 
 def test_criterion_6_translator_against_direct_semantics():
     assert len(TRANSLATOR_FORMULAS) == 30
-    from opaque_planner.ltlf import evaluate, ltlf_to_dfa
+    from opaque_planner.ltlf import ltlf_to_dfa
 
     mismatches = 0
     checked = 0

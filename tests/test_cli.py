@@ -14,6 +14,8 @@ from opaque_planner.ltlf import dfa_over_model_labels
 from opaque_planner.model import ObsSymbol, START, END, dumps_model, load_model
 from opaque_planner.transducer import opaque_obs_dfa
 
+from lp_text import solve_lp_text
+
 SS = ObsSymbol.state_set
 
 
@@ -137,6 +139,19 @@ class TestPlan:
                      "--secret", "F s6", "--epsilon", "1.01"])
         assert code == 2
         assert "feasible threshold" in capsys.readouterr().err
+
+    def test_all_zero_task_row_is_exported(self, model_file, tmp_path, capsys):
+        # no run satisfies "false", so the task row has no nonzero
+        # coefficient; the text must still carry it to be plan's LP
+        args = ["--model", model_file, "--task", "false", "--secret", "F s6", "--epsilon", "0.5"]
+        assert main(["plan", *args]) == 2
+        assert "largest feasible threshold is about 0.000000" in capsys.readouterr().err
+        out = tmp_path / "zero.lp"
+        assert main(["export-lp", *args, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert " task: + 0 m_v0_a0 >= 0.5\n" in text
+        with pytest.raises(AssertionError, match="infeasible"):
+            solve_lp_text(text)
 
     def test_infeasible_when_highs_ends_unproven(self, tmp_path, capsys):
         # HiGHS stops this transparency solve with status Unknown; past the

@@ -1,17 +1,23 @@
 """Every name a package module or a test module imports is used in it,
 every name a package module defines at its top level, and every method,
-property and dataclass field of its classes, is used somewhere, no
-package module imports ``scipy.sparse`` or ``scipy.optimize`` when it
-is loaded, none calls ``np.unique``, none reads global random state, and
-no cached property of a package class returns an empty mutable container,
-a cache its callers would fill from outside, and observation symbols hash
-and compare by identity.
+property and dataclass field of its classes, is used somewhere, every
+name the package exports is read outside its own definition in a package
+module or in the benchmark harness, its ``__all__`` lists exactly the
+names its ``__init__.py`` imports, no package module imports
+``scipy.sparse`` or ``scipy.optimize`` when it is loaded, none calls
+``np.unique``, none reads global random state, and no cached property of
+a package class returns an empty mutable container, a cache its callers
+would fill from outside, and observation symbols hash and compare by
+identity.
 
 No linter ships with the project, so this parses each module with ``ast``.
 The package's ``__init__.py`` is skipped by the unused-import check: its
-imports are the package's re-exports.  The package calls scipy's HiGHS and
-SuperLU extensions directly (``planner._load_extension``); importing
-``scipy.sparse`` or ``scipy.optimize`` would cost every process ~0.5 s.
+imports are the package's re-exports.  An export that only the tests read
+belongs in the tests, and ``__all__`` is written out, not taken from
+``dir()``, so that ``from opaque_planner import *`` binds no submodule.
+The package calls scipy's HiGHS and SuperLU extensions directly
+(``planner._load_extension``); importing ``scipy.sparse`` or
+``scipy.optimize`` would cost every process ~0.5 s.
 A plain ``np.unique`` imports ``numpy.ma`` (~18 ms) on its first call,
 and its indexed forms sort stably, several times slower than the one
 unstable sort of ``model._unique``.  A rollout's statistics are a
@@ -30,10 +36,12 @@ from pathlib import Path
 
 import pytest
 
+import opaque_planner
 from opaque_planner.model import ObsSymbol
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "opaque_planner").glob("*.py"))
+INIT = ROOT / "src" / "opaque_planner" / "__init__.py"
 MODULES = sorted(
     [p for p in PACKAGE if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py"))
 )
@@ -150,6 +158,67 @@ def test_finds_an_unreferenced_class_member():
     )
     assert unreferenced(source, [source, "A(1).size\n"], class_members) == [
         "x (line 3)", "unused (line 11)", "w (line 13)",
+    ]
+
+
+def imported_names(source: str) -> list[str]:
+    """The names the module's top-level imports bind, in order."""
+    return [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+
+
+def test_all_lists_exactly_the_imports():
+    assert opaque_planner.__all__ == imported_names(INIT.read_text())
+
+
+def exports_without_reader(exports: list[str], sources: list[str]) -> list[str]:
+    """The names of ``exports`` that no module of ``sources`` reads, as a
+    name or an attribute, outside the function or class that defines it."""
+    read = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in defining:
+                read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    for source in sources:
+        visit(ast.parse(source), frozenset())
+    return [name for name in exports if name not in read]
+
+
+def test_every_export_has_a_reader():
+    # the names __init__ imports, which test_all_lists_exactly_the_imports
+    # holds equal to __all__
+    exports = imported_names(INIT.read_text())
+    readers = [p for p in PACKAGE if p != INIT] + sorted((ROOT / "perfbench").glob("*.py"))
+    assert exports_without_reader(exports, [p.read_text() for p in readers]) == []
+
+
+def test_finds_an_export_without_a_reader():
+    sources = [
+        "def a(n):\n"
+        "    return a(n - 1) if n else b\n"
+        "class C:\n"
+        "    def step(self):\n"
+        "        return C()\n"
+        "d = 1\n",
+        "import m\n"
+        "# e\n"
+        "x = m.a(2), 'e'\n"
+        "f = 2\n",
+    ]
+    assert exports_without_reader(["a", "b", "C", "d", "e", "f"], sources) == [
+        "C", "d", "e", "f",
     ]
 
 

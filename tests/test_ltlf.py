@@ -18,12 +18,13 @@ from opaque_planner.ltlf import (
     Prop,
     Until,
     dfa_over_model_labels,
-    evaluate,
     ltlf_to_dfa,
     parse_ltlf,
     to_str,
 )
 from opaque_planner.scenarios import gridworld, running_example
+
+from batch_semantics import evaluate
 
 LETTERS2 = [frozenset(s) for s in [(), ("p",), ("q",), ("p", "q")]]
 

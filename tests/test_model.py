@@ -31,7 +31,6 @@ from opaque_planner.model import (
     assemble,
     build_model,
     dumps_model,
-    label_of_play,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -41,7 +40,7 @@ from opaque_planner.model import (
 from opaque_planner.scenarios import gridworld, running_example
 from opaque_planner.transducer import opaque_obs_dfa
 
-from helpers import random_model, random_walk, reference_number_level
+from helpers import label_of_play, random_model, random_walk, reference_number_level
 
 
 def play(text):

@@ -39,7 +39,7 @@ from opaque_planner.planner import (
 )
 from opaque_planner.scenarios import DroneConfig, GridworldConfig, Sensor, gridworld
 from opaque_planner.simulate import (
-    SimulationError, enumerate_plays, exact_policy_values, uniform_policy,
+    SimulationError, enumerate_plays, exact_policy_values,
 )
 from opaque_planner.transducer import opaque_obs_dfa
 
@@ -53,6 +53,7 @@ from helpers import (
     random_model,
     random_secret_text,
     reference_quotient,
+    uniform_policy,
 )
 from lp_text import solve_lp_text
 
@@ -447,6 +448,24 @@ class TestExport:
         lp = build_lp(pm, 0.0, "opacity")
         text = export_lp(lp)
         assert solve_lp_text(text) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", [17, 19, 20, 24, 26, 31, 35, 37, 38, 39])
+    def test_all_zero_task_row_cross_solves(self, seed, mode):
+        # no run of these products satisfies the task, so the text's task
+        # row has no nonzero coefficient and only ε = 0 is feasible
+        pm = _random_product(seed)
+        for epsilon in (0.0, 0.5):
+            lp = build_lp(pm, epsilon, mode)
+            assert not lp.task_row.any()
+            sol = solve_lp(lp)
+            text = export_lp(lp)
+            if epsilon == 0.0:
+                assert solve_lp_text(text) == pytest.approx(sol.objective, abs=1e-6)
+            else:
+                assert sol.status == "infeasible"
+                with pytest.raises(AssertionError, match="infeasible"):
+                    solve_lp_text(text)
 
     def test_no_upper_bound_and_cross_solves(self, pm, solved):
         text = export_lp(build_lp(pm, 0.4, "opacity"))

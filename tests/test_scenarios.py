@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from opaque_planner.model import ObsSymbol, Play, label_of_play, validate
+from opaque_planner.model import ObsSymbol, Play, validate
 from opaque_planner.scenarios import (
     DISABLED,
     DroneConfig,
@@ -13,6 +13,8 @@ from opaque_planner.scenarios import (
     gridworld,
     load_config,
 )
+
+from helpers import label_of_play
 
 SS = ObsSymbol.state_set
 DATA = Path(__file__).resolve().parent / "data"

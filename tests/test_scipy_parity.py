@@ -34,10 +34,10 @@ from opaque_planner.planner import (
     solve_lp,
 )
 from opaque_planner.scenarios import gridworld, running_example
-from opaque_planner.simulate import exact_policy_values, uniform_policy
+from opaque_planner.simulate import exact_policy_values
 from opaque_planner.transducer import opaque_obs_dfa
 
-from helpers import random_model, random_secret_text
+from helpers import random_model, random_secret_text, uniform_policy
 from lp_text import parse_lp_text
 
 CASES = ["running-example", *range(40), "gridworld"]

@@ -14,17 +14,20 @@ from opaque_planner.simulate import (
     EnumerationBudgetError,
     RolloutStats,
     SimulationError,
-    brute_force_opaque_obs,
-    classify_play,
     enumerate_plays,
     exact_policy_values,
     observation_buckets,
     rollout,
-    uniform_policy,
 )
 from opaque_planner.transducer import opaque_obs_dfa
 
-from helpers import random_model, random_secret_text
+from helpers import (
+    brute_force_opaque_obs,
+    classify_play,
+    random_model,
+    random_secret_text,
+    uniform_policy,
+)
 
 
 def play(text):
