@@ -27,9 +27,13 @@ column gather of the table that is also the one check that the DFA is
 complete.  :func:`minimize_table` is Moore's (1956) partition refinement on
 such a table: states start split by acceptance, and each round splits them
 by their class and the classes of their successors, ranked by
-:func:`row_classes`, the helper the product MDP's bisimulation quotient
-refines with.  It takes one round per letter of the longest shortest word
-that separates two states, plus one that splits nothing, so a chain of n
+:func:`signature_classes`, the helper the product MDP's bisimulation
+quotient refines with too.  It sorts states by their class and one 64-bit
+hash of their rows, then confirms each class by comparing sorted
+neighbours exactly, so no result depends on the hash; only a collision
+falls back to :func:`row_classes`, a lexsort of the whole table.  Moore's
+refinement takes one round per letter of the longest shortest word that
+separates two states, plus one that splits nothing, so a chain of n
 states takes n rounds.  :func:`minimize` is :func:`step_table` plus
 :func:`minimize_table`; the observer feeds its subset table to
 :func:`minimize_table` directly.
@@ -191,11 +195,9 @@ def step_table(dfa: Dfa, letters: Sequence[Letter], what: str) -> np.ndarray:
 
 def row_classes(table: np.ndarray) -> np.ndarray:
     """Dense ids of the distinct rows of an integer table, in sorted order
-    (``np.unique(table, axis=0)`` sorts rows as opaque bytes, far slower)."""
-    # lexsort stays: on the 227 tables that the six gridworld-build secrets
-    # and their quotients rank (409,251 rows, up to 51 columns), folding
-    # one column at a time into dense one-key ranks took 2.7-3.1x as long,
-    # and packing column pairs into one key where it fits 1.1-1.4x
+    (``np.unique(table, axis=0)`` sorts rows as opaque bytes, far slower).
+    :func:`signature_classes` ranks by this lexsort only when two of the
+    rows it compares hash alike."""
     order = np.lexsort(table.T[::-1])
     ranked = table[order]
     starts = np.ones(len(table), dtype=np.int64)
@@ -203,6 +205,88 @@ def row_classes(table: np.ndarray) -> np.ndarray:
     ids = np.empty(len(table), dtype=np.int64)
     ids[order] = np.cumsum(starts) - 1
     return ids
+
+
+#: odd 64-bit multipliers, those of the splitmix64 finalizer (Steele, Lea
+#: & Flood 2014): the first scrambles each column into a row's hash, the
+#: second each state's sum of its rows' hashes
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def _scramble(h: np.ndarray, scratch: np.ndarray, multiplier: int) -> None:
+    """Multiply the uint64 array ``h`` by ``multiplier`` and xor in its
+    high half, in place, by way of ``scratch``, a buffer of its shape;
+    with an odd multiplier this is a bijection of 64-bit words."""
+    h *= np.uint64(multiplier)
+    np.right_shift(h, 32, out=scratch)
+    h ^= scratch
+
+
+def signature_classes(
+    head: np.ndarray, owner: np.ndarray | None, columns: np.ndarray
+) -> np.ndarray:
+    """Class of each state by its ``head`` value and the sequence of its
+    rows of the (row, column) int64 table ``columns``: ``owner``
+    (non-decreasing) names the state of each row, or is ``None`` for one
+    row per state.  Classes are numbered in ``head`` order, so the classes
+    of one head are consecutive.
+
+    A row hashes to its place in its state, scrambled, into which each
+    column in turn is xored and scrambled by ``_MIX[0]``.  A state hashes
+    to its row count plus the sum of its rows' hashes, scrambled by
+    ``_MIX[1]``, or with one row per state to its row's hash.  The states
+    are sorted by (``head``, hash), and every two sorted neighbours that
+    share both are compared row by row, so no class rests on a hash.  If
+    two such neighbours differ, a hash collision, the call ranks with
+    :func:`row_classes` instead, over the table of ``head`` and each
+    state's rows, padded with -1 below every value.
+    """
+    n = len(head)
+    if owner is None:
+        h = np.zeros(n, dtype=np.uint64)
+        scratch = np.empty_like(h)
+    else:
+        counts = np.bincount(owner, minlength=n)
+        start = np.cumsum(counts) - counts
+        h = (np.arange(len(owner)) - start[owner]).view(np.uint64)  # place in its state
+        scratch = np.empty_like(h)
+        _scramble(h, scratch, _MIX[0])
+    for column in columns.T.view(np.uint64):
+        h ^= column
+        _scramble(h, scratch, _MIX[0])
+    del scratch
+    if owner is not None:  # each state's sum, by prefix sums that wrap as h does
+        total = np.zeros(len(h) + 1, dtype=np.uint64)
+        np.cumsum(h, out=total[1:])
+        h = total[start + counts] - total[start]
+        del total
+        h += counts.view(np.uint64)
+        _scramble(h, np.empty_like(h), _MIX[1])
+
+    order = np.lexsort((h, head))
+    same = (head[order[1:]] == head[order[:-1]]) & (h[order[1:]] == h[order[:-1]])
+    a, b = order[:-1][same], order[1:][same]
+    if owner is None:
+        confirmed = np.array_equal(columns[a], columns[b])
+    else:  # the same row counts, then the same rows
+        confirmed = np.array_equal(counts[a], counts[b]) and np.array_equal(
+            columns[_ranges(start[a], counts[a])], columns[_ranges(start[b], counts[b])]
+        )
+    if confirmed:
+        new = np.ones(n, dtype=np.int64)
+        new[1:] = ~same
+        ids = np.empty(n, dtype=np.int64)
+        ids[order] = np.cumsum(new) - 1
+        return ids
+    if owner is None:
+        return row_classes(np.column_stack((head, columns)))
+    k = columns.shape[1]
+    at = 1 + k * (np.arange(len(owner)) - start[owner])
+    table = np.full((n, 1 + k * int(counts.max(initial=0))), -1, dtype=np.int64)
+    table[:, 0] = head
+    for j in range(k):
+        table[owner, at + j] = columns[:, j]
+    return row_classes(table)
 
 
 #: the name of the state that :func:`complete` adds
@@ -401,21 +485,22 @@ def minimize_table(
     ``initial``, over ``alphabet``: Moore's (1956) partition refinement.
 
     States start split by acceptance; each round ranks every state by its
-    class and its successors' classes (:func:`row_classes`) until the
-    class count stops changing.  Two states then share a class exactly
+    class and its successors' classes (:func:`signature_classes`) until
+    the class count stops changing.  Two states then share a class exactly
     when they accept the same words.  The round count is one more than the
     length of the longest shortest word that separates two states, so the
     worst case is one round per state, on a chain: a 2,000-state chain
-    takes about 0.3 s on a 2-core Xeon, ten times Hopcroft's algorithm,
-    while the observers of the gridworld secrets take 15 to 25 rounds.
+    takes 0.4-0.6 s on a 2-core Xeon, where a round's fixed cost of some
+    40 numpy calls outweighs its two-letter table, while the observers of
+    the gridworld secrets take 15 to 25 rounds over 23 letters.
     The classes are numbered ``q0, q1, ...`` breadth-first from the
     initial state's, over the alphabet in order, by the FIFO numbering of
     ``model._number_level``; unreachable states never enter that search,
     so they are dropped, and equal languages yield equal automata.
     """
-    block = row_classes(accepts.astype(np.int64)[:, None])
+    block = signature_classes(accepts.astype(np.int64), None, table[:, :0])
     while True:
-        refined = row_classes(np.column_stack((block, block[table])))
+        refined = signature_classes(block, None, block[table])
         if refined.max() == block.max():
             break
         block = refined

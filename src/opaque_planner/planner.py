@@ -36,10 +36,10 @@ CSR layout the LP and the sampler read; every member of a block gets its
 block's distribution.  Refinement is by splitters (Valmari & Franceschinis
 2010): block ids are stable, and each round re-signs only the touched
 states, those of the blocks that reach a block that split in the round
-before.  It ranks their signatures, one int64 table per round, with
-``automata.row_classes``, the helper ``automata.minimize`` refines the
-opaque-observations DFA with: DFA minimization is the same refinement on a
-deterministic system.
+before, and signs only their entries into the states whose block split.
+It ranks their signatures with ``automata.signature_classes``, the helper
+``automata.minimize`` refines the opaque-observations DFA with: DFA
+minimization is the same refinement on a deterministic system.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import Mapping
 import numpy as np
 import scipy
 
-from .automata import Dfa, row_classes, step_table
+from .automata import Dfa, signature_classes, step_table
 from .model import (
     Model,
     ModelError,
@@ -401,19 +401,29 @@ def bisimulation_quotient(pm: ProductMdp) -> Quotient:
     for one part and the other parts get fresh ids, so an untouched
     state's signature stays valid.  The coarsest bisimulation is unique,
     so this is the partition that re-signing every state each round finds.
+
+    A later round signs a touched state by its entries into the states
+    whose block split (the moved states) alone: block-mates already agree
+    on every block that did not split, so those pairs cannot split them,
+    and a touched state with no entry into a moved state gets the empty
+    signature.  The entries are taken in entry order, so each (row,
+    block) mass is the sum that signing every entry would add, bit for
+    bit.  ``automata.signature_classes`` ranks the signatures by a hash
+    that it confirms exactly, so the classes, and hence the blocks and the
+    round count, do not depend on it.
     """
     absorbing = pm.absorbing_mask
     # absorbing states by outcome (codes 0-3), the others all under code 4
     head = np.where(absorbing, 2 * pm.opaque_accepts + pm.task_accepts, 4)
-    block = _signature_classes(head, pm.row_state, pm.row_action)
+    block = signature_classes(head, pm.row_state, pm.row_action[:, None])
     pred_ptr, pred = _predecessors(pm)
 
-    touched = np.arange(pm.n_states)
+    touched, moved = np.arange(pm.n_states), None
     rounds = 0
     while touched.size:
         rounds += 1
         n_blocks = int(block.max()) + 1
-        cls = _signature_classes(block[touched], *_signatures(pm, touched, block, n_blocks))
+        cls = signature_classes(block[touched], *_signatures(pm, touched, moved, block, n_blocks))
         # classes are sorted by block first: the first class of each block
         # keeps its id, the others get fresh ones
         cls_block = np.empty(int(cls.max()) + 1, dtype=np.int64)
@@ -426,9 +436,10 @@ def bisimulation_quotient(pm: ProductMdp) -> Quotient:
         split[cls_block[fresh]] = True
         split[n_blocks:] = True
         # next, the blocks of the predecessors of every state whose block split
-        moved = touched[split[block[touched]]]
+        moved = split[block]
         hit = np.zeros(len(split), dtype=bool)
-        hit[block[pred[_ranges(pred_ptr[moved], pred_ptr[moved + 1] - pred_ptr[moved])]]] = True
+        at = np.flatnonzero(moved)
+        hit[block[pred[_ranges(pred_ptr[at], pred_ptr[at + 1] - pred_ptr[at])]]] = True
         touched = np.flatnonzero(hit[block])
 
     # renumber: non-absorbing blocks by smallest member, then the absorbing ones
@@ -457,50 +468,37 @@ def _predecessors(pm: ProductMdp) -> tuple[np.ndarray, np.ndarray]:
     return pred_ptr, pred
 
 
-def _signatures(pm: ProductMdp, touched: np.ndarray, block: np.ndarray, n_blocks: int):
+def _signatures(pm: ProductMdp, touched: np.ndarray, moved, block: np.ndarray, n_blocks: int):
     """The signature rows of the ``touched`` states (increasing): per
-    (row, block) pair that a row's entries reach, in (row, block) order,
-    ``row_action * n_blocks + block`` and the quantized probability mass.
-    Returns the place in ``touched`` of each pair's state, then the two
-    columns."""
-    if len(touched) == pm.n_states:  # every state: read the arrays in place
-        owner, row_action = pm.row_state, pm.row_action
-        succ, prob, width = pm.entry_succ, pm.entry_prob, np.diff(pm.entry_ptr)
-    else:
-        count = pm.row_ptr[touched + 1] - pm.row_ptr[touched]
-        rows = _ranges(pm.row_ptr[touched], count)
-        owner = np.repeat(np.arange(len(touched)), count)
-        row_action = pm.row_action[rows]
-        width = pm.entry_ptr[rows + 1] - pm.entry_ptr[rows]
-        e = _ranges(pm.entry_ptr[rows], width)
-        succ, prob = pm.entry_succ[e], pm.entry_prob[e]
+    (row, block) pair that a row's entries into a ``moved`` state reach,
+    in (row, block) order, ``row_action * n_blocks + block`` and the
+    quantized probability mass.  ``moved`` is a mask of the states, or
+    ``None`` for every state.  Returns the place in ``touched`` of each
+    pair's state, and the (pair, 2) table of the two columns."""
+    if moved is None:  # every entry: read the arrays in place
+        key = np.repeat(np.arange(len(pm.row_action)) * n_blocks, np.diff(pm.entry_ptr))
+        key += block[pm.entry_succ]
+        prob = pm.entry_prob
+    else:  # in entry order, so each pair's entries stay in order
+        e = np.flatnonzero(moved[pm.entry_succ])
+        key = (np.searchsorted(pm.entry_ptr, e, side="right") - 1) * n_blocks
+        key += block[pm.entry_succ[e]]
+        prob = pm.entry_prob[e]
         del e
-    key = np.repeat(np.arange(len(row_action), dtype=np.int64) * n_blocks, width)
-    key += block[succ]
     pair, mass = _coalesce(key, prob)  # each pair's entries added in entry order
-    del key
+    del key, prob
     pair_row, pair_block = np.divmod(pair, n_blocks)
-    return owner[pair_row], row_action[pair_row] * n_blocks + pair_block, _quantize(mass)
+    del pair
+    columns = np.empty((len(pair_row), 2), dtype=np.int64)
+    columns[:, 0] = pm.row_action[pair_row] * n_blocks + pair_block
+    columns[:, 1] = _quantize(mass)
+    place = np.empty(pm.n_states, dtype=np.int64)
+    place[touched] = np.arange(len(touched))
+    return place[pm.row_state[pair_row]], columns
 
 
 def _quantize(values) -> np.ndarray:
     return np.rint(np.asarray(values, dtype=float) / ZERO_OCCUPANCY_THRESHOLD).astype(np.int64)
-
-
-def _signature_classes(head: np.ndarray, owner: np.ndarray, *columns: np.ndarray) -> np.ndarray:
-    """Class of each state by its ``head`` value and the sequence of its
-    rows of ``columns``, ranked by ``row_classes`` over one int64 table;
-    ``owner`` (non-decreasing) names the state of each row.  States with
-    fewer rows are padded with -1, below every column value."""
-    counts = np.bincount(owner, minlength=len(head))
-    start = np.cumsum(counts) - counts
-    k = len(columns)
-    table = np.full((len(head), 1 + k * int(counts.max(initial=0))), -1, dtype=np.int64)
-    table[:, 0] = head
-    at = 1 + k * (np.arange(len(owner)) - start[owner])
-    for j, column in enumerate(columns):
-        table[owner, at + j] = column
-    return row_classes(table)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,15 +8,16 @@ construction that the array one replaced, the dict intersection that the
 level search replaced, the ``np.unique`` numbering of a search level
 that one sort replaced, the occupancy of a product state's block, a
 product's states as component tuples, DFAs and NFAs built from move
-dicts and compared field by field, and the full-refinement bisimulation
-quotient that refinement by splitters replaced."""
+dicts and compared field by field, Moore's minimization by
+``np.unique`` rows, and the full-refinement bisimulation quotient that
+refinement by splitters replaced."""
 
 from collections import deque
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from opaque_planner.automata import Dfa, Nfa, row_classes, sort_alphabet
+from opaque_planner.automata import Dfa, Nfa, sort_alphabet
 from opaque_planner.model import END, START, Model, ObsSymbol, Play, build_model, obs_of_play
 from opaque_planner.planner import ZERO_OCCUPANCY_THRESHOLD, PolicySolution, ProductMdp, Quotient
 from opaque_planner.simulate import observation_buckets
@@ -484,5 +485,57 @@ def _split(head: np.ndarray, owner: np.ndarray, keys: np.ndarray) -> np.ndarray:
     start = np.cumsum(counts) - counts
     table = np.full((len(head), 1 + int(counts.max(initial=0))), -1, dtype=np.int64)
     table[:, 0] = head
-    table[owner, 1 + np.arange(len(owner)) - start[owner]] = row_classes(keys)
-    return row_classes(table)
+    table[owner, 1 + np.arange(len(owner)) - start[owner]] = _rank_rows(keys)
+    return _rank_rows(table)
+
+
+def _rank_rows(table: np.ndarray) -> np.ndarray:
+    """Dense ids of the distinct rows of a 2-d integer table, in sorted
+    order, by one ``np.lexsort``."""
+    order = np.lexsort(table.T[::-1])
+    ranked = table[order]
+    new = np.ones(len(table), dtype=np.int64)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(len(table), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids
+
+
+def reference_minimize_table(
+    table: np.ndarray, accepts: np.ndarray, alphabet: tuple, initial: int = 0
+) -> Dfa:
+    """Moore's minimization of a complete (state, letter id) table: split
+    by acceptance, then by (class, successors' classes) rows, numbered by
+    ``np.unique(..., axis=0)``, until the class count stops changing.  The
+    reachable classes are numbered ``q0, q1, ...`` as a FIFO search from
+    the initial state's class finds them, over the letters in order."""
+    block = np.unique(accepts, return_inverse=True)[1].reshape(-1)
+    while True:
+        rows = np.column_stack((block, block[table]))
+        refined = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+        if refined.max() == block.max():
+            break
+        block = refined
+    member = {}
+    for state, cls in enumerate(block.tolist()):
+        member.setdefault(cls, state)
+    number = {int(block[initial]): 0}
+    queue = deque([int(block[initial])])
+    moves = []
+    while queue:
+        cls = queue.popleft()
+        row = []
+        for target in block[table[member[cls]]].tolist():
+            if target not in number:
+                number[target] = len(number)
+                queue.append(target)
+            row.append(number[target])
+        moves.append(row)
+    by_number = sorted(number, key=number.get)
+    return Dfa(
+        alphabet=alphabet,
+        table=np.array(moves, dtype=np.int64).reshape(len(moves), len(alphabet)),
+        initial=0,
+        accepting=frozenset(i for i, cls in enumerate(by_number) if accepts[member[cls]]),
+        state_names=tuple(f"q{i}" for i in range(len(by_number))),
+    )

@@ -20,17 +20,25 @@ from opaque_planner.automata import (
     intersect,
     meets,
     minimize,
+    minimize_table,
     sort_alphabet,
     step_table,
     subset_construction,
 )
+from opaque_planner.ltlf import dfa_over_model_labels
+from opaque_planner.scenarios import gridworld
+from opaque_planner.transducer import _observer, product_fst
 
 from helpers import (
+    GRIDWORLD_BUILD_SECRETS,
     dfa_from_moves,
     nfa_accepts,
     nfa_from_moves,
     nfa_moves,
+    random_model,
+    random_secret_text,
     reference_intersect,
+    reference_minimize_table,
     reference_subset_construction,
     same_dfa,
     same_nfa,
@@ -294,6 +302,16 @@ def distinguishable_pairs(dfa):
     return marked
 
 
+def assert_minimal_and_equivalent(dfa):
+    small = minimize(dfa)
+    for word in words_up_to(AB, 5):
+        assert small.accepts(word) == dfa.accepts(word)
+    assert reachable_states(small) == set(range(small.n_states))
+    n = small.n_states
+    assert len(distinguishable_pairs(small)) == n * (n - 1) // 2
+    assert same_dfa(minimize(small), small)
+
+
 class TestMinimality:
     """``minimize`` against the textbook definition of a minimal DFA:
     every state reachable and no two states equivalent."""
@@ -301,13 +319,7 @@ class TestMinimality:
     @settings(max_examples=150, deadline=None)
     @given(complete_dfas())
     def test_minimal_and_equivalent(self, dfa):
-        small = minimize(dfa)
-        for word in words_up_to(AB, 5):
-            assert small.accepts(word) == dfa.accepts(word)
-        assert reachable_states(small) == set(range(small.n_states))
-        n = small.n_states
-        assert len(distinguishable_pairs(small)) == n * (n - 1) // 2
-        assert same_dfa(minimize(small), small)
+        assert_minimal_and_equivalent(dfa)
 
     def test_chain_keeps_every_state(self):
         # state q needs n - 1 - q letters "a" to accept, so a separating
@@ -327,6 +339,52 @@ class TestMinimality:
         assert small.n_states == n
         assert same_dfa(small, minimize(small))
         assert small.accepts(("a",) * (n - 1)) and not small.accepts(("a",) * (n - 2))
+
+
+@pytest.mark.usefixtures("colliding_hash")
+class TestMinimalityOnCollisions(TestMinimality):
+    """The same checks when every row hashes alike, so that ``minimize``
+    ranks by the lexsort fallback wherever a class holds two different
+    states."""
+
+    # a test of its own: hypothesis runs one test function from one class
+    @settings(max_examples=150, deadline=None)
+    @given(complete_dfas())
+    def test_minimal_and_equivalent(self, dfa):
+        assert_minimal_and_equivalent(dfa)
+
+    def test_fallback_ranks(self, colliding_hash):
+        before = len(colliding_hash)
+        minimize(complete(simple_dfa()))
+        assert len(colliding_hash) > before
+
+
+class TestMooreParity:
+    """``minimize_table`` against Moore's refinement by ``np.unique``
+    rows, byte for byte, on the observers' wide alphabets: the
+    gridworld's 23 letters and the random models' observation alphabets."""
+
+    @staticmethod
+    def assert_parity(model, secret_text):
+        secret = dfa_over_model_labels(secret_text, model)
+        _, table, accepts, _, _ = _observer(product_fst(model, secret))
+        alphabet = model.observation_alphabet()
+        got = minimize_table(table, accepts, alphabet)
+        want = reference_minimize_table(table, accepts, alphabet)
+        assert got.table.dtype == want.table.dtype
+        assert got.table.shape == want.table.shape
+        assert got.table.tobytes() == want.table.tobytes()
+        assert same_dfa(got, want)
+
+    @pytest.mark.parametrize("secret_text", GRIDWORLD_BUILD_SECRETS)
+    def test_gridworld_build_secrets(self, secret_text):
+        self.assert_parity(gridworld(), secret_text)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_models(self, seed):
+        m = random_model(seed)
+        names = [m.states[i] for i in m.interior_state_indices()]
+        self.assert_parity(m, random_secret_text(seed, names))
 
 
 class TestIntersect:

@@ -4,7 +4,9 @@ property and dataclass field of its classes, is used somewhere, every
 name the package exports is read outside its own definition in a package
 module or in the benchmark harness, its ``__all__`` lists exactly the
 names its ``__init__.py`` imports, no package module imports
-``scipy.sparse`` or ``scipy.optimize`` when it is loaded, none calls
+``scipy.sparse`` or ``scipy.optimize`` when it is loaded, importing the
+package in a fresh interpreter loads neither of them nor
+``numpy.random``, no package module calls
 ``np.unique``, none reads global random state, and no cached property of
 a package class returns an empty mutable container, a cache its callers
 would fill from outside, and observation symbols hash and compare by
@@ -17,7 +19,11 @@ belongs in the tests, and ``__all__`` is written out, not taken from
 ``dir()``, so that ``from opaque_planner import *`` binds no submodule.
 The package calls scipy's HiGHS and SuperLU extensions directly
 (``planner._load_extension``); importing ``scipy.sparse`` or
-``scipy.optimize`` would cost every process ~0.5 s.
+``scipy.optimize`` would cost every process ~0.5 s.  The AST checks see
+only import statements and names, so a fresh interpreter checks what
+loading the package really loads: a module-level call such as
+``np.random.Generator(...)`` would import ``numpy.random`` (~18 ms) into
+every process.
 A plain ``np.unique`` imports ``numpy.ma`` (~18 ms) on its first call,
 and its indexed forms sort stably, several times slower than the one
 unstable sort of ``model._unique``.  A rollout's statistics are a
@@ -30,7 +36,10 @@ letters then looks them up in C, never calling back into Python.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -47,6 +56,8 @@ MODULES = sorted(
 )
 #: the scipy packages whose import costs every process most of its set-up
 HEAVY = ("scipy.sparse", "scipy.optimize")
+#: the packages that loading the package must not load
+NOT_ON_LOAD = (*HEAVY, "numpy.random")
 #: the files in which a use of a package module's top-level name counts
 CORPUS = sorted(p for part in ("src", "perfbench", "tests") for p in (ROOT / part).rglob("*.py"))
 
@@ -272,6 +283,32 @@ def test_finds_a_heavy_scipy_import():
         "scipy.sparse (line 4)",
         "scipy.optimize (line 6)",
         "scipy.sparse (line 8)",
+    ]
+
+
+def loaded_on_import(statement: str) -> list[str]:
+    """The ``NOT_ON_LOAD`` packages in ``sys.modules`` after a fresh
+    interpreter runs ``statement`` with the package on its path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    probe = f"import sys\n{statement}\nprint([m for m in {NOT_ON_LOAD!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return ast.literal_eval(done.stdout.strip().splitlines()[-1])
+
+
+def test_package_load_imports_no_heavy_module():
+    assert loaded_on_import("import opaque_planner") == []
+
+
+def test_finds_a_module_loaded_on_import():
+    assert loaded_on_import("import numpy as np\nnp.random.Generator(np.random.Philox(key=1))") == [
+        "numpy.random"
     ]
 
 

@@ -545,6 +545,23 @@ def products(pm):
     return [pm] + [_random_product(seed) for seed in range(20)]
 
 
+class TestQuotientOnCollisions:
+    """The quotient when every row hashes alike, so that the lexsort
+    fallback ranks the signatures wherever a block holds two different
+    states."""
+
+    @pytest.mark.parametrize("case", ["running-example", *range(10)])
+    def test_matches_full_refinement(self, pm, case, colliding_hash):
+        # an int is a _random_product seed
+        product = pm if case == "running-example" else _random_product(case)
+        before = len(colliding_hash)
+        got, want = planner.bisimulation_quotient(product), reference_quotient(product)
+        assert len(colliding_hash) > before
+        for name in ("block", "representatives", "row_ptr", "product_row"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.rounds == want.rounds
+
+
 class TestQuotient:
     def test_optima_match_unreduced_lp(self, products):
         for pm in products:
