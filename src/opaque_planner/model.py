@@ -481,7 +481,7 @@ def assemble(
     actions: Iterable[str],
     transitions: Mapping[tuple[str, str], Mapping[str, float]],
     labels: Mapping[str, Iterable[str]],
-    observations: Mapping[tuple[str, str, str], Iterable[str]],
+    observations: Mapping[tuple[str, str, str], Iterable[str] | ObsSymbol],
     atomic_props: Iterable[str] | None = None,
 ) -> Model:
     """Low-level constructor from fully framed data.
@@ -492,8 +492,9 @@ def assemble(
     is checked, except that the terminating state owns no rows: its
     self-loops under interior actions are dropped, and any other move out
     of it raises ``ModelError``, as does an observation of a transition
-    the model does not have, which has nowhere to be stored.  Use
-    :func:`validate` afterwards.
+    the model does not have, which has nowhere to be stored.  An
+    observation is the names of its states, or an ``ObsSymbol``, taken as
+    it is.  Use :func:`validate` afterwards.
     """
     states = tuple(states)
     actions = tuple(actions)
@@ -592,7 +593,7 @@ def build_model(
     transitions: Mapping[tuple[str, str], Mapping[str, float]],
     initial: Mapping[str, float],
     labels: Mapping[str, Iterable[str]],
-    observations: Mapping[tuple[str, str, str], Iterable[str]],
+    observations: Mapping[tuple[str, str, str], Iterable[str] | ObsSymbol],
     atomic_props: Iterable[str] | None = None,
 ) -> Model:
     """Construct a model from interior data, injecting the frame.
@@ -614,6 +615,8 @@ def build_model(
 def as_probability(p) -> float:
     """Accept floats, Fractions and 'num/den' strings that are finite and
     non-negative; raises ``ModelError`` on anything else, booleans too."""
+    if type(p) is float and 0.0 <= p < np.inf:  # the common case: returned as it is
+        return p
     try:
         value = float(Fraction(p) if isinstance(p, str) else p)
     except (TypeError, ValueError, ZeroDivisionError):

@@ -49,12 +49,11 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-import scipy
 
 from .automata import Dfa, signature_classes, step_table
 from .model import (
@@ -78,16 +77,20 @@ SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
 
 def _load_extension(name: str):
     """The scipy extension module ``name`` (:data:`HIGHSPY` or
-    :data:`SUPERLU`), or None when scipy ships none that loads; without it
-    only the calls that need it fail.
+    :data:`SUPERLU`), or None when scipy is absent (or blocked in
+    ``sys.modules``) or ships none that loads; without it only the calls
+    that need it fail, and the package still imports.
 
-    The extension is found in its package's directory under scipy
-    (``optimize/_highspy``, ``sparse/linalg/_dsolve``) and loaded on its
-    own: importing it by name would first run its parent packages, which
-    nothing here uses.  ``scipy.optimize`` (linprog, ``scipy.special``,
-    ``scipy.fft``, ``scipy.spatial``) costs a process ~0.3 s and ~14 MB,
-    and ``scipy.sparse`` with ``scipy.sparse.linalg`` (whose vendored
-    ``array_api_compat`` loads ``numpy.f2py``) ~0.35 s and ~28 MB.  The
+    scipy's directory comes from ``find_spec("scipy")``, which reads the
+    package's location without running its ``__init__`` (10–20 ms per
+    process).  The extension is found in its package's directory under
+    it (``optimize/_highspy``, ``sparse/linalg/_dsolve``) and loaded on
+    its own: importing it by name would first run its parent packages,
+    which nothing here uses.  ``scipy.optimize`` (linprog,
+    ``scipy.special``, ``scipy.fft``, ``scipy.spatial``) costs a process
+    ~0.3 s and ~14 MB, and ``scipy.sparse`` with ``scipy.sparse.linalg``
+    (whose vendored ``array_api_compat`` loads ``numpy.f2py``) ~0.35 s
+    and ~28 MB.  Neither extension needs its parent packages loaded.  The
     module is registered in ``sys.modules`` under its full name, and taken
     from there when scipy has already loaded it, so each extension is
     loaded once whichever is imported first: pybind11 registers its types
@@ -99,7 +102,11 @@ def _load_extension(name: str):
     """
     if name in sys.modules:
         return sys.modules[name]
-    where = [os.path.join(path, *name.split(".")[1:-1]) for path in scipy.__path__]
+    scipy = find_spec("scipy")
+    if scipy is None:
+        return None
+    package = name.split(".")[1:-1]
+    where = [os.path.join(path, *package) for path in scipy.submodule_search_locations]
     spec = PathFinder.find_spec(name, where)
     if spec is None:
         return None
@@ -812,18 +819,19 @@ def _highs(cost, flow: tuple, b_eq):
     ``flow`` is given by its CSC arrays (ptr, row, value)."""
     if highspy is None:
         raise PlannerError("solving needs scipy's HiGHS binding, scipy.optimize._highspy")
-    n_rows, n_cols = len(b_eq), len(cost)
-    lp = highspy.HighsLp()
-    lp.num_col_, lp.num_row_ = n_cols, n_rows
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(n_cols), np.full(n_cols, np.inf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
-    matrix = lp.a_matrix_
-    matrix.format_, matrix.num_col_, matrix.num_row_ = highspy.MatrixFormat.kColwise, n_cols, n_rows
-    matrix.start_, matrix.index_, matrix.value_ = flow
+    ptr, row, value = flow
+    n_cols = len(cost)
     highs = highspy._Highs()
-    for name, value in _HIGHS_OPTIONS.items():
-        highs.setOptionValue(name, value)
-    highs.passModel(lp)
+    for option, setting in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(option, setting)
+    # the array overload takes each array whole; a HighsLp's fields copy
+    # element by element (~4 ms against under 1 ms on the default gridworld)
+    highs.passModel(
+        n_cols, len(b_eq), len(value), highspy.MatrixFormat.kColwise, highspy.ObjSense.kMinimize,
+        0.0, cost, np.zeros(n_cols), np.full(n_cols, np.inf), b_eq, b_eq,
+        ptr[:-1].astype(np.int32), row.astype(np.int32), value,
+        np.zeros(n_cols, dtype=np.int32),  # every column continuous
+    )
     return highs
 
 

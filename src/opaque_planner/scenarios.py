@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from pathlib import Path
 from typing import Mapping
 
-from .model import Model, ModelError, build_model, record_fields
+from .model import Model, ModelError, ObsSymbol, build_model, record_fields
 
 
 def running_example() -> Model:
@@ -294,9 +295,14 @@ def gridworld(cfg: GridworldConfig | None = None) -> Model:
     cfg.check()
     drone0 = (0, 1)
 
+    @cache
     def name(cell: int, drone: tuple[int, int]) -> str:
         idx, direction = drone
         return f"c{cell}_d{cfg.drone.path[idx]}{'+' if direction > 0 else '-'}"
+
+    @cache
+    def robot_move(cell: int, action: str) -> dict[int, float]:
+        return _robot_move(cfg, cell, action)
 
     # reachable (cell, drone) pairs by forward search
     start = (cfg.init_cell, drone0)
@@ -310,7 +316,7 @@ def gridworld(cfg: GridworldConfig | None = None) -> Model:
         drone_dist = _drone_step(cfg, *drone)
         for action in _MOVES:
             dist: dict[str, float] = {}
-            for target_cell, pr in _robot_move(cfg, cell, action).items():
+            for target_cell, pr in robot_move(cell, action).items():
                 for new_drone, pd in drone_dist.items():
                     if target_cell in cfg.alarm_cells:
                         key = DISABLED
@@ -343,16 +349,18 @@ def gridworld(cfg: GridworldConfig | None = None) -> Model:
     if reached_disabled:
         labels[DISABLED] = set()
 
-    # observation classes partition the state space per joint sensor output
+    # observation classes partition the state space per joint sensor
+    # output; each class's symbol is built once and shared by every
+    # transition into it
     by_signature: dict[object, list[str]] = {}
     for cell, drone in pairs:
         sig = _signature(cfg, cell, cfg.drone.path[drone[0]])
         by_signature.setdefault(sig, []).append(name(cell, drone))
     if reached_disabled:
         by_signature[DISABLED] = [DISABLED]
-    class_of = {
-        s: tuple(sorted(group)) for group in by_signature.values() for s in group
-    }
+    class_of: dict[str, ObsSymbol] = {}
+    for group in by_signature.values():
+        class_of.update(dict.fromkeys(group, ObsSymbol.state_set(group)))
     observations = {
         (s, a, t): class_of[t]
         for (s, a), dist in transitions.items()

@@ -1,12 +1,14 @@
 import copy
 import inspect
 import json
+import math
 import os
 import random
 import re
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +146,55 @@ class TestInterning:
         with pytest.raises(AttributeError):
             delattr(sym, name)
         assert sym.members == ("s1",) and sym.sort_key == (1, ("s1",))
+
+
+class TestAsProbability:
+    """A finite non-negative float is returned as it is; every other input
+    is converted or refused as the full path does."""
+
+    @pytest.mark.parametrize(
+        "p, want",
+        [
+            (0.25, 0.25),
+            (0.0, 0.0),
+            (1.0, 1.0),
+            (-0.0, -0.0),
+            (np.float64(0.25), 0.25),
+            (1, 1.0),
+            (Fraction(1, 3), 1 / 3),
+            ("1/3", 1 / 3),
+            ("0.5", 0.5),
+        ],
+        ids=repr,
+    )
+    def test_accepts(self, p, want):
+        got = as_probability(p)
+        assert type(got) is float and got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            math.nan,
+            math.inf,
+            -math.inf,
+            -1.0,
+            True,
+            False,
+            np.bool_(True),
+            np.float64(math.nan),
+            np.float64(-1.0),
+            -1,
+            Fraction(-1, 3),
+            "1/0",
+            "x",
+            None,
+        ],
+        ids=repr,
+    )
+    def test_refuses(self, p):
+        with pytest.raises(ModelError, match="is not a finite non-negative number"):
+            as_probability(p)
 
 
 def handed_to_assemble(build, monkeypatch) -> dict:

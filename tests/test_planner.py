@@ -7,14 +7,13 @@ import sys
 import tracemalloc
 from collections import deque
 from dataclasses import fields
-from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.machinery import EXTENSION_SUFFIXES, ModuleSpec
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-import scipy
 import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.linalg import splu
@@ -1063,7 +1062,7 @@ def test_scipy_ships_the_highs_binding():
     _core = planner.highspy
     assert _core is not None
 
-    assert _core.MatrixFormat.kColwise is not None
+    assert _core.MatrixFormat.kColwise is not None and _core.ObjSense.kMinimize is not None
     assert {"kOptimal", "kInfeasible"} <= set(_core.HighsModelStatus.__members__)
     for name in ("passModel", "addRow", "setOptionValue", "changeRowBounds", "setBasis", "run",
                  "getModelStatus", "modelStatusToString", "getInfo", "getSolution",
@@ -1073,10 +1072,15 @@ def test_scipy_ships_the_highs_binding():
     basis = _core.HighsBasis()
     for field in ("col_status", "row_status", "valid"):
         assert hasattr(basis, field), field
-    lp = _core.HighsLp()
-    for field in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_",
-                  "row_lower_", "row_upper_", "a_matrix_"):
-        assert hasattr(lp, field), field
+    # passModel's array overload: (num_col, num_row, num_nz, format, sense,
+    # offset, cost, col bounds, row bounds, CSC arrays, integrality)
+    highs = _core._Highs()
+    assert highs.passModel(
+        1, 1, 1, _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize, 0.0,
+        np.ones(1), np.zeros(1), np.full(1, np.inf), np.ones(1), np.ones(1),
+        np.zeros(1, np.int32), np.zeros(1, np.int32), np.full(1, 2.0), np.zeros(1, np.int32),
+    ) == _core.HighsStatus.kOk
+    assert highs.getNumCol() == highs.getNumRow() == 1
 
 
 def test_scipy_ships_superlu():
@@ -1105,8 +1109,9 @@ def run_python(script):
 
 
 def test_importing_the_package_leaves_scipy_optimize_out():
-    # nor does a pass through the pipeline load scipy.sparse, or numpy.ma,
-    # which np.unique imports on its first call without return_index
+    # nor does a pass through the pipeline load the top-level scipy
+    # package, scipy.sparse, or numpy.ma, which np.unique imports on its
+    # first call without return_index
     run_python(
         "import sys\n"
         "import opaque_planner\n"
@@ -1123,7 +1128,7 @@ def test_importing_the_package_leaves_scipy_optimize_out():
         "g = gridworld()\n"
         "opaque = opaque_obs_dfa(g, dfa_over_model_labels('F B & F A', g))\n"
         "assert product_mdp(g, dfa_over_model_labels('F C', g), opaque).n_states > 0\n"
-        "heavy = {'scipy.sparse', 'scipy.sparse.linalg', 'scipy.sparse.csgraph',\n"
+        "heavy = {'scipy', 'scipy.sparse', 'scipy.sparse.linalg', 'scipy.sparse.csgraph',\n"
         "         'scipy.optimize', 'scipy.special', 'scipy.fft', 'numpy.f2py', 'numpy.ma'}\n"
         "loaded = heavy & set(sys.modules)\n"
         "assert not loaded, loaded\n"
@@ -1177,8 +1182,9 @@ def test_splu_and_spsolve_solve_after_the_package_loaded_superlu():
     )
 
 
-def unloadable(tmp_path, name, broken):
-    """Point scipy's path at ``tmp_path``, which holds no loadable
+def unloadable(monkeypatch, tmp_path, name, broken):
+    """Point the loader's lookup of scipy's directory (``find_spec`` as
+    ``planner`` imports it) at ``tmp_path``, which holds no loadable
     extension ``name``: no directory for it, or a file that is not a
     shared object."""
     if broken:
@@ -1186,7 +1192,9 @@ def unloadable(tmp_path, name, broken):
         where = tmp_path.joinpath(*parents)
         where.mkdir(parents=True)
         (where / f"{leaf}{EXTENSION_SUFFIXES[0]}").write_bytes(b"not a shared object")
-    return [str(tmp_path)]
+    scipy = ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(planner, "find_spec", {"scipy": scipy}.get)
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["no directory", "unloadable file"])
@@ -1194,7 +1202,7 @@ def test_without_a_loadable_binding_the_loader_finds_none(
     broken, model, task_dfa, opaque_dfa, monkeypatch, tmp_path
 ):
     monkeypatch.delitem(sys.modules, planner.HIGHSPY)
-    monkeypatch.setattr(scipy, "__path__", unloadable(tmp_path, planner.HIGHSPY, broken))
+    unloadable(monkeypatch, tmp_path, planner.HIGHSPY, broken)
     found = planner._load_extension(planner.HIGHSPY)
     assert found is None and planner.HIGHSPY not in sys.modules
     monkeypatch.setattr(planner, "highspy", found)
@@ -1208,7 +1216,7 @@ def test_without_a_loadable_superlu_the_loader_finds_none(
     broken, model, task_dfa, opaque_dfa, monkeypatch, tmp_path
 ):
     monkeypatch.delitem(sys.modules, planner.SUPERLU)
-    monkeypatch.setattr(scipy, "__path__", unloadable(tmp_path, planner.SUPERLU, broken))
+    unloadable(monkeypatch, tmp_path, planner.SUPERLU, broken)
     found = planner._load_extension(planner.SUPERLU)
     assert found is None and planner.SUPERLU not in sys.modules
     monkeypatch.setattr(planner, "superlu", found)
@@ -1217,3 +1225,44 @@ def test_without_a_loadable_superlu_the_loader_finds_none(
         solve_lp(build_lp(pm, 0.4))
     with pytest.raises(SimulationError, match="SuperLU extension"):
         exact_policy_values(pm, uniform_policy(pm))
+
+
+@pytest.mark.parametrize("name", [planner.HIGHSPY, planner.SUPERLU])
+def test_without_scipy_the_loader_finds_none(name, monkeypatch):
+    # find_spec gives None for a package that is absent or blocked
+    monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(planner, "find_spec", lambda _: None)
+    assert planner._load_extension(name) is None and name not in sys.modules
+
+
+def test_the_package_imports_without_scipy():
+    # only the calls that need HiGHS or SuperLU fail; a rollout needs neither
+    run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None  # blocks every import of scipy\n"
+        "import opaque_planner\n"
+        "from opaque_planner import (PlannerError, build_lp, dfa_over_model_labels,\n"
+        "    exact_policy_values, opaque_obs_dfa, product_mdp, rollout, running_example,\n"
+        "    solve_lp)\n"
+        "from opaque_planner import planner\n"
+        "from opaque_planner.simulate import SimulationError\n"
+        "assert planner.highspy is None and planner.superlu is None\n"
+        "m = running_example()\n"
+        "opaque = opaque_obs_dfa(m, dfa_over_model_labels('F s6', m))\n"
+        "pm = product_mdp(m, dfa_over_model_labels('F s4', m), opaque)\n"
+        "try:\n"
+        "    solve_lp(build_lp(pm, 0.4))\n"
+        "except PlannerError as e:\n"
+        "    assert 'HiGHS binding' in str(e), e\n"
+        "else:\n"
+        "    raise AssertionError('solve_lp solved without HiGHS')\n"
+        "uniform = 1.0 / (pm.row_ptr[1:] - pm.row_ptr[:-1])[pm.row_state]\n"
+        "try:\n"
+        "    exact_policy_values(pm, uniform)\n"
+        "except SimulationError as e:\n"
+        "    assert 'SuperLU extension' in str(e), e\n"
+        "else:\n"
+        "    raise AssertionError('exact_policy_values solved without SuperLU')\n"
+        "assert rollout(pm, uniform, runs=20, seed=1).runs == 20\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy.')]\n"
+    )

@@ -1,8 +1,10 @@
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from opaque_planner.model import ObsSymbol, Play, validate
+from opaque_planner.model import Model, ObsSymbol, Play, model_from_dict, model_to_dict, validate
 from opaque_planner.scenarios import (
     DISABLED,
     DroneConfig,
@@ -227,3 +229,39 @@ class TestGridworldModel:
         m = gridworld(cfg)
         assert validate(m) == []
         assert any(s.startswith("c0_") for s in m.states)
+
+
+#: configs whose models the round trip checks: the default, the shipped
+#: 8x8, walls that cut cells off, a drone path of one cell, and no alarm
+#: (so no disabled state)
+ROUND_TRIP_CONFIGS = {
+    "default": lambda: GridworldConfig(),
+    "8x8": lambda: load_config(DATA / "gridworld_8x8.json"),
+    "walls": lambda: GridworldConfig(wall_cells=(9, 10, 17, 20, 23)),
+    "one-cell drone path": lambda: GridworldConfig(drone=DroneConfig(path=(16,), move_p=1.0)),
+    "no alarm": lambda: GridworldConfig(alarm_cells=()),
+}
+
+
+@pytest.mark.parametrize("config", ROUND_TRIP_CONFIGS)
+def test_gridworld_is_its_round_trip(config):
+    # gridworld builds one symbol per observation class and hands it to
+    # every transition into the class; model_from_dict builds each
+    # transition's symbol from its own list of names
+    m = gridworld(ROUND_TRIP_CONFIGS[config]())
+    back = model_from_dict(model_to_dict(m))
+    for f in fields(Model):
+        got, want = getattr(back, f.name), getattr(m, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name
+    assert all(a is b for a, b in zip(back.symbols, m.symbols, strict=True))
+    assert validate(m) == []
+    # each interior move is observed as the class of its successor, and
+    # the classes partition the states
+    for succ, obs in zip(m.entry_succ.tolist(), m.entry_obs.tolist()):
+        if m.symbols[obs].kind == "set":
+            assert m.states[succ] in m.symbols[obs].members
+    classes = [sym.members for sym in m.symbols if sym.kind == "set"]
+    assert sorted(s for members in classes for s in members) == sorted(m.states[1:-1])
